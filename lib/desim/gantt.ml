@@ -1,8 +1,10 @@
 let default_label task = Char.chr (Char.code '0' + (task mod 10))
 
-let render_track buffer ~width ~scale ~label schedule i =
+(* One machine's row: [tasks] in [Schedule.by_machine] order, later
+   tasks overwriting earlier ones where they share a cell. *)
+let track ~width ~scale ~label schedule tasks =
   let row = Bytes.make width '.' in
-  List.iter
+  Array.iter
     (fun task ->
       let e = Schedule.entry schedule task in
       let first = int_of_float (e.Schedule.start *. scale) in
@@ -12,8 +14,8 @@ let render_track buffer ~width ~scale ~label schedule i =
       for c = first to last do
         Bytes.set row c (label task)
       done)
-    (Schedule.machine_tasks schedule i);
-  Buffer.add_string buffer (Printf.sprintf "m%-3d |%s|\n" i (Bytes.to_string row))
+    tasks;
+  Bytes.to_string row
 
 let render ?(width = 72) ?(label = default_label) schedule =
   let buffer = Buffer.create 256 in
@@ -22,9 +24,11 @@ let render ?(width = 72) ?(label = default_label) schedule =
   Buffer.add_string buffer
     (Printf.sprintf "time 0 .. %g (makespan), %d machines\n" horizon
        (Schedule.m schedule));
-  for i = 0 to Schedule.m schedule - 1 do
-    render_track buffer ~width ~scale ~label schedule i
-  done;
+  Array.iteri
+    (fun i tasks ->
+      Buffer.add_string buffer
+        (Printf.sprintf "m%-3d |%s|\n" i (track ~width ~scale ~label schedule tasks)))
+    (Schedule.by_machine schedule);
   Buffer.contents buffer
 
 let render_two ?(width = 36) ~left_title ~right_title left right =
@@ -37,23 +41,13 @@ let render_two ?(width = 36) ~left_title ~right_title left right =
     (Printf.sprintf "%-*s   %s\n" (width + 7) left_title right_title);
   Buffer.add_string buffer
     (Printf.sprintf "shared time scale 0 .. %g\n" horizon);
+  let left_tasks = Schedule.by_machine left
+  and right_tasks = Schedule.by_machine right in
+  let label = default_label in
   for i = 0 to Schedule.m left - 1 do
-    let track schedule =
-      let row = Bytes.make width '.' in
-      List.iter
-        (fun task ->
-          let e = Schedule.entry schedule task in
-          let first = int_of_float (e.Schedule.start *. scale) in
-          let last = int_of_float (e.Schedule.finish *. scale) - 1 in
-          let first = Stdlib.max 0 (Stdlib.min (width - 1) first) in
-          let last = Stdlib.max first (Stdlib.min (width - 1) last) in
-          for c = first to last do
-            Bytes.set row c (default_label task)
-          done)
-        (Schedule.machine_tasks schedule i);
-      Bytes.to_string row
-    in
     Buffer.add_string buffer
-      (Printf.sprintf "m%-3d |%s|   |%s|\n" i (track left) (track right))
+      (Printf.sprintf "m%-3d |%s|   |%s|\n" i
+         (track ~width ~scale ~label left left_tasks.(i))
+         (track ~width ~scale ~label right right_tasks.(i)))
   done;
   Buffer.contents buffer

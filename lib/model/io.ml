@@ -76,113 +76,154 @@ let parse_header ~kind line =
   in
   (m, Uncertainty.alpha alpha, failure, speed_band, topology)
 
-let body_lines text =
-  String.split_on_char '\n' text
-  |> List.filteri (fun i _ -> i >= 2) (* header + column line *)
-  |> List.filter (fun l -> String.trim l <> "")
+(* Writers emit a row piece by piece through [add] (a channel or a
+   buffer). [%.17g] goes straight to the C primitive that [Printf]'s
+   [%g] conversion calls, so the bytes are [Printf.sprintf "%.17g"]'s
+   without interpreting a format per row. *)
+external format_float : string -> float -> string = "caml_format_float"
 
-let instance_to_string instance =
-  let buffer = Buffer.create 256 in
-  Buffer.add_string buffer (header_line ~kind:"instance" instance);
-  Buffer.add_string buffer "\nid,est,size\n";
+let add_float add x =
+  add ",";
+  add (format_float "%.17g" x)
+
+let add_task add task =
+  add (string_of_int (Task.id task));
+  add_float add (Task.est task);
+  add_float add (Task.size task)
+
+let write_instance add instance =
+  add (header_line ~kind:"instance" instance);
+  add "\nid,est,size\n";
   Array.iter
     (fun task ->
-      Buffer.add_string buffer
-        (Printf.sprintf "%d,%.17g,%.17g\n" (Task.id task) (Task.est task)
-           (Task.size task)))
-    (Instance.tasks instance);
+      add_task add task;
+      add "\n")
+    (Instance.tasks instance)
+
+let write_realization add realization =
+  let instance = Realization.instance realization in
+  add (header_line ~kind:"realization" instance);
+  add "\nid,est,size,actual\n";
+  Array.iter
+    (fun task ->
+      add_task add task;
+      add_float add (Realization.actual realization (Task.id task));
+      add "\n")
+    (Instance.tasks instance)
+
+let to_string write x =
+  let buffer = Buffer.create 256 in
+  write (Buffer.add_string buffer) x;
   Buffer.contents buffer
 
-let split3 line_number line =
-  match String.split_on_char ',' line with
-  | [ a; b; c ] -> (a, b, c)
-  | _ -> parse_error line_number "expected 3 comma-separated fields"
+let instance_to_string = to_string write_instance
+let realization_to_string = to_string write_realization
 
-let split4 line_number line =
-  match String.split_on_char ',' line with
-  | [ a; b; c; d ] -> (a, b, c, d)
-  | _ -> parse_error line_number "expected 4 comma-separated fields"
+(* Parsing builds no list of lines: one scan over the text counts the
+   rows, a second parses them straight into the task array. Line [k]
+   (1-based) is the [k]-th '\n'-separated segment; the header is line 1,
+   the column line 2, and every later line that is not blank (all
+   [String.trim] whitespace) is a row. Errors name the physical line. *)
+
+let is_blank text start stop =
+  let rec go k =
+    k >= stop
+    || (match text.[k] with
+       | ' ' | '\012' | '\n' | '\r' | '\t' -> go (k + 1)
+       | _ -> false)
+  in
+  go start
+
+(* Calls [row k line start stop] on the [k]-th row, which spans
+   [text.[start .. stop-1]] on physical line [line]; returns the row
+   count. *)
+let iter_rows text row =
+  let len = String.length text in
+  let rec go pos line k =
+    let stop =
+      match String.index_from_opt text pos '\n' with Some e -> e | None -> len
+    in
+    let blank = line < 3 || is_blank text pos stop in
+    if not blank then row k line pos stop;
+    let k = if blank then k else k + 1 in
+    if stop < len then go (stop + 1) (line + 1) k else k
+  in
+  go 0 1 0
+
+(* Fills [seps] with the positions of a row's commas; the row must have
+   exactly [Array.length seps + 1] fields. *)
+let split_row line text start stop seps =
+  let found = ref 0 in
+  for k = start to stop - 1 do
+    if text.[k] = ',' then begin
+      if !found < Array.length seps then seps.(!found) <- k;
+      incr found
+    end
+  done;
+  if !found <> Array.length seps then
+    parse_error line
+      (Printf.sprintf "expected %d comma-separated fields" (Array.length seps + 1))
+
+let field text start stop = String.sub text start (stop - start)
+
+let id_field line raw =
+  match int_of_string_opt raw with
+  | Some v -> v
+  | None -> parse_error line (Printf.sprintf "bad id %S" raw)
 
 let float_field line_number name raw =
   match float_of_string_opt raw with
   | Some v -> v
   | None -> parse_error line_number (Printf.sprintf "bad %s %S" name raw)
 
-let instance_of_string text =
-  match String.split_on_char '\n' text with
-  | [] -> parse_error 1 "empty input"
-  | header :: _ ->
-      let m, alpha, failure, speed_band, topology =
-        parse_header ~kind:"instance" header
-      in
-      let tasks =
-        List.mapi
-          (fun i line ->
-            let line_number = i + 3 in
-            let id_raw, est_raw, size_raw = split3 line_number line in
-            let id =
-              match int_of_string_opt id_raw with
-              | Some v -> v
-              | None -> parse_error line_number (Printf.sprintf "bad id %S" id_raw)
-            in
-            Task.make ~id
-              ~est:(float_field line_number "estimate" est_raw)
-              ~size:(float_field line_number "size" size_raw)
-              ())
-          (body_lines text)
-      in
-      Instance.make ?failure ?speed_band ?topology ~m ~alpha
-        (Array.of_list tasks)
+(* After the id, the fields of a row are read right to left ([actual],
+   then [size], then [estimate]), so a row with several bad fields
+   reports the id or else the rightmost one. *)
+let task_of_row line text seps ~id ~stop =
+  let size = float_field line "size" (field text (seps.(1) + 1) stop) in
+  let est = float_field line "estimate" (field text (seps.(0) + 1) seps.(1)) in
+  Task.make ~id ~est ~size ()
 
-let realization_to_string realization =
-  let instance = Realization.instance realization in
-  let buffer = Buffer.create 256 in
-  Buffer.add_string buffer (header_line ~kind:"realization" instance);
-  Buffer.add_string buffer "\nid,est,size,actual\n";
-  Array.iter
-    (fun task ->
-      Buffer.add_string buffer
-        (Printf.sprintf "%d,%.17g,%.17g,%.17g\n" (Task.id task) (Task.est task)
-           (Task.size task)
-           (Realization.actual realization (Task.id task))))
-    (Instance.tasks instance);
-  Buffer.contents buffer
+let header text =
+  match String.index_opt text '\n' with
+  | Some e -> String.sub text 0 e
+  | None -> text
+
+let placeholder = Task.make ~id:0 ~est:1.0 ()
+
+let instance_of_string text =
+  let m, alpha, failure, speed_band, topology =
+    parse_header ~kind:"instance" (header text)
+  in
+  let tasks = Array.make (iter_rows text (fun _ _ _ _ -> ())) placeholder in
+  let seps = Array.make 2 0 in
+  ignore
+    (iter_rows text (fun k line start stop ->
+         split_row line text start stop seps;
+         let id = id_field line (field text start seps.(0)) in
+         tasks.(k) <- task_of_row line text seps ~id ~stop));
+  Instance.make ?failure ?speed_band ?topology ~m ~alpha tasks
 
 let realization_of_string text =
-  match String.split_on_char '\n' text with
-  | [] -> parse_error 1 "empty input"
-  | header :: _ ->
-      let m, alpha, failure, speed_band, topology =
-        parse_header ~kind:"realization" header
-      in
-      let rows =
-        List.mapi
-          (fun i line ->
-            let line_number = i + 3 in
-            let id_raw, est_raw, size_raw, actual_raw = split4 line_number line in
-            let id =
-              match int_of_string_opt id_raw with
-              | Some v -> v
-              | None -> parse_error line_number (Printf.sprintf "bad id %S" id_raw)
-            in
-            ( Task.make ~id
-                ~est:(float_field line_number "estimate" est_raw)
-                ~size:(float_field line_number "size" size_raw)
-                (),
-              float_field line_number "actual" actual_raw ))
-          (body_lines text)
-      in
-      let instance =
-        Instance.make ?failure ?speed_band ?topology ~m ~alpha
-          (Array.of_list (List.map fst rows))
-      in
-      Realization.of_actuals instance (Array.of_list (List.map snd rows))
+  let m, alpha, failure, speed_band, topology =
+    parse_header ~kind:"realization" (header text)
+  in
+  let n = iter_rows text (fun _ _ _ _ -> ()) in
+  let tasks = Array.make n placeholder and actuals = Array.make n 0.0 in
+  let seps = Array.make 3 0 in
+  ignore
+    (iter_rows text (fun k line start stop ->
+         split_row line text start stop seps;
+         let id = id_field line (field text start seps.(0)) in
+         let actual = float_field line "actual" (field text (seps.(2) + 1) stop) in
+         tasks.(k) <- task_of_row line text seps ~id ~stop:seps.(2);
+         actuals.(k) <- actual));
+  let instance = Instance.make ?failure ?speed_band ?topology ~m ~alpha tasks in
+  Realization.of_actuals instance actuals
 
-let write_file path content =
+let save path write x =
   let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc content)
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write (output_string oc) x)
 
 let read_file path =
   let ic = open_in path in
@@ -190,10 +231,9 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let save_instance ~path instance = write_file path (instance_to_string instance)
+let save_instance ~path instance = save path write_instance instance
 let load_instance ~path = instance_of_string (read_file path)
 
-let save_realization ~path realization =
-  write_file path (realization_to_string realization)
+let save_realization ~path realization = save path write_realization realization
 
 let load_realization ~path = realization_of_string (read_file path)

@@ -24,7 +24,9 @@
 
 val instance_to_string : Instance.t -> string
 val instance_of_string : string -> Instance.t
-(** Raises [Failure] with a line-numbered message on malformed input. *)
+(** Blank and whitespace-only lines after the column line are skipped.
+    Raises [Failure] on malformed input, with a message naming the
+    physical line (blank lines count). *)
 
 val save_instance : path:string -> Instance.t -> unit
 val load_instance : path:string -> Instance.t

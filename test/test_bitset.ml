@@ -128,6 +128,69 @@ let prop_union_cardinality =
       Bitset.cardinal (Bitset.union a b) + Bitset.cardinal (Bitset.inter a b)
       = Bitset.cardinal a + Bitset.cardinal b)
 
+(* Oracle for the word-level scans: the per-position definition, one
+   bounds-checked [mem] per bit position. *)
+let iter_by_mem f s =
+  for i = 0 to Bitset.capacity s - 1 do
+    if Bitset.mem s i then f i
+  done
+
+let visits iter s =
+  let acc = ref [] in
+  iter (fun i -> acc := i :: !acc) s;
+  List.rev !acc
+
+let scans_agree s =
+  let expected = visits iter_by_mem s in
+  visits Bitset.iter s = expected
+  && Bitset.fold (fun acc i -> i :: acc) [] s = List.rev expected
+  &&
+  match expected with
+  | [] -> (
+      match Bitset.choose s with _ -> false | exception Not_found -> true)
+  | smallest :: _ -> Bitset.choose s = smallest
+
+(* Capacities around the 62-bit word boundaries. *)
+let boundary_capacities = [ 0; 1; 61; 62; 63; 124; 125 ]
+
+let scans_at_word_boundaries () =
+  List.iter
+    (fun capacity ->
+      let sets =
+        [ Bitset.create capacity; Bitset.full capacity ]
+        @ (if capacity = 0 then []
+           else
+             [
+               Bitset.singleton capacity 0;
+               Bitset.singleton capacity (capacity - 1);
+               Bitset.of_list capacity [ 0; capacity - 1; capacity / 2 ];
+             ])
+      in
+      List.iter
+        (fun s ->
+          checkb
+            (Format.asprintf "capacity %d: %a" capacity Bitset.pp s)
+            true (scans_agree s))
+        sets)
+    boundary_capacities
+
+let prop_scans_match_mem =
+  QCheck.Test.make ~name:"iter/fold/choose match a per-position mem loop"
+    ~count:500
+    QCheck.(quad (int_bound 9) (int_bound 300) (int_bound 100) int)
+    (fun (pick, random_capacity, density, seed) ->
+      let capacity =
+        if pick < List.length boundary_capacities then
+          List.nth boundary_capacities pick
+        else random_capacity
+      in
+      let rng = Random.State.make [| seed |] in
+      let s = Bitset.create capacity in
+      for i = 0 to capacity - 1 do
+        if Random.State.int rng 100 < density then Bitset.add s i
+      done;
+      scans_agree s)
+
 let () =
   Alcotest.run "bitset"
     [
@@ -146,8 +209,10 @@ let () =
           Alcotest.test_case "subset/equal" `Quick subset_equal;
           Alcotest.test_case "copy independence" `Quick copy_is_independent;
           Alcotest.test_case "pretty printing" `Quick pp_renders;
+          Alcotest.test_case "scans at word boundaries" `Quick
+            scans_at_word_boundaries;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_matches_reference; prop_union_cardinality ] );
+          [ prop_matches_reference; prop_union_cardinality; prop_scans_match_mem ] );
     ]

@@ -360,6 +360,139 @@ let prop_realization_round_trip =
       let back = Io.realization_of_string (Io.realization_to_string r) in
       Realization.actuals back = Realization.actuals r)
 
+(* The writer's bytes, pinned: files written today must stay
+   byte-identical to files written before. *)
+let golden_instance () =
+  Instance.of_ests ~m:2
+    ~alpha:(Uncertainty.alpha 1.75)
+    ~sizes:[| 1.0; 0.1; 1e-300; 0.0 |]
+    [| Float.pi; 1.0 /. 3.0; 1e22; 5e-324 |]
+
+let writer_golden_strings () =
+  let inst = golden_instance () in
+  Alcotest.(check string) "instance file"
+    "# usched-instance m=2 alpha=1.75\n\
+     id,est,size\n\
+     0,3.1415926535897931,1\n\
+     1,0.33333333333333331,0.10000000000000001\n\
+     2,1e+22,1e-300\n\
+     3,4.9406564584124654e-324,0\n"
+    (Io.instance_to_string inst);
+  let r = Realization.of_actuals inst [| Float.pi *. 1.5; 0.5; 1e22; 5e-324 |] in
+  Alcotest.(check string) "realization file"
+    "# usched-realization m=2 alpha=1.75\n\
+     id,est,size,actual\n\
+     0,3.1415926535897931,1,4.7123889803846897\n\
+     1,0.33333333333333331,0.10000000000000001,0.5\n\
+     2,1e+22,1e-300,1e+22\n\
+     3,4.9406564584124654e-324,0,4.9406564584124654e-324\n"
+    (Io.realization_to_string r);
+  let path = Filename.temp_file "usched" ".inst" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Io.save_instance ~path inst;
+      let ic = open_in_bin path in
+      let bytes = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check string) "saved file = string" (Io.instance_to_string inst) bytes)
+
+(* Oracle for the writer: one [Printf.sprintf] per row. *)
+let rows_oracle inst =
+  String.concat ""
+    (Array.to_list
+       (Array.map
+          (fun t ->
+            Printf.sprintf "%d,%.17g,%.17g\n" (Usched_model.Task.id t)
+              (Usched_model.Task.est t) (Usched_model.Task.size t))
+          (Instance.tasks inst)))
+
+let prop_writer_matches_printf =
+  QCheck.Test.make ~name:"rows are Printf's %d,%.17g,%.17g bytes" ~count:200
+    QCheck.(pair (int_range 1 30) int)
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let awkward () =
+        match Random.State.int rng 5 with
+        | 0 -> Float.ldexp (Random.State.float rng 1.0) (Random.State.int rng 2000 - 1000)
+        | 1 -> float_of_int (1 + Random.State.int rng 1000)
+        | 2 -> infinity
+        | _ -> 1e-9 +. Random.State.float rng 100.0
+      in
+      let inst =
+        Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 2.0)
+          ~sizes:(Array.init n (fun _ -> Float.abs (awkward ())))
+          (Array.init n (fun _ -> Float.max 1e-300 (awkward ())))
+      in
+      let text = Io.instance_to_string inst in
+      let header_len = String.index text '\n' + String.length "\nid,est,size\n" in
+      String.sub text header_len (String.length text - header_len) = rows_oracle inst)
+
+(* Parse errors name the physical line: blank lines count. *)
+let parse_error text =
+  match Io.instance_of_string text with
+  | _ -> "parsed"
+  | exception Failure msg -> msg
+
+let realization_parse_error text =
+  match Io.realization_of_string text with
+  | _ -> "parsed"
+  | exception Failure msg -> msg
+
+let error_texts () =
+  let check = Alcotest.(check string) in
+  let inst = "# usched-instance m=2 alpha=1.5\nid,est,size\n" in
+  let real = "# usched-realization m=2 alpha=1.5\nid,est,size,actual\n" in
+  check "2-field row" "Io: line 3: expected 3 comma-separated fields"
+    (parse_error (inst ^ "0,1\n"));
+  check "4-field row" "Io: line 3: expected 3 comma-separated fields"
+    (parse_error (inst ^ "0,1,1,1\n"));
+  check "3-field realization row" "Io: line 3: expected 4 comma-separated fields"
+    (realization_parse_error (real ^ "0,1,1\n"));
+  check "5-field realization row" "Io: line 3: expected 4 comma-separated fields"
+    (realization_parse_error (real ^ "0,1,1,1,1\n"));
+  check "bad id" "Io: line 3: bad id \" 0\"" (parse_error (inst ^ " 0,1,1\n"));
+  check "size before estimate" "Io: line 3: bad size \"z\"" (parse_error (inst ^ "0,y,z\n"));
+  check "actual first" "Io: line 3: bad actual \"w\""
+    (realization_parse_error (real ^ "0,y,z,w\n"));
+  check "blank line before a malformed row" "Io: line 5: expected 3 comma-separated fields"
+    (parse_error (inst ^ "0,4,1\n\n1,oops\n"));
+  check "whitespace lines before a malformed row" "Io: line 6: bad estimate \"x\""
+    (parse_error (inst ^ "  \n0,4,1\n\t\r\n1,x,1\n"));
+  check "realization blank lines" "Io: line 5: bad actual \"a\""
+    (realization_parse_error (real ^ "\n\n0,4,1,a\n"))
+
+let prop_blank_lines_ignored =
+  QCheck.Test.make ~name:"blank and whitespace-only lines anywhere in the body are skipped"
+    ~count:200
+    QCheck.(pair (int_range 1 20) int)
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let inst =
+        Instance.of_ests ~m:3 ~alpha:(Uncertainty.alpha 2.0)
+          (Array.init n (fun _ -> 0.1 +. Random.State.float rng 10.0))
+      in
+      let r = Realization.uniform_factor inst (Rng.create ~seed ()) in
+      let blanks = [| ""; " "; "\t"; "  \t "; "\r"; "\012" |] in
+      let sprinkle text =
+        match String.split_on_char '\n' text with
+        | header :: columns :: rows ->
+            let padded =
+              List.concat_map
+                (fun row ->
+                  List.init (Random.State.int rng 3) (fun _ ->
+                      blanks.(Random.State.int rng (Array.length blanks)))
+                  @ [ row ])
+                rows
+            in
+            String.concat "\n" (header :: columns :: padded)
+        | _ -> text
+      in
+      same_instance inst (Io.instance_of_string (sprinkle (Io.instance_to_string inst)))
+      && Realization.actuals
+           (Io.realization_of_string (sprinkle (Io.realization_to_string r)))
+         = Realization.actuals r)
+
 let () =
   Alcotest.run "io"
     [
@@ -374,6 +507,7 @@ let () =
           Alcotest.test_case "failure profile" `Quick failure_profile_round_trip;
           Alcotest.test_case "speed band" `Quick speed_band_round_trip;
           Alcotest.test_case "topology" `Quick topology_round_trip;
+          Alcotest.test_case "writer golden strings" `Quick writer_golden_strings;
         ] );
       ( "validation",
         [
@@ -386,6 +520,7 @@ let () =
           Alcotest.test_case "missing header" `Quick rejects_missing_header_field;
           Alcotest.test_case "inadmissible actuals" `Quick
             rejects_inadmissible_actuals;
+          Alcotest.test_case "error texts and line numbers" `Quick error_texts;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -393,5 +528,7 @@ let () =
             prop_random_round_trip;
             prop_realization_round_trip;
             prop_all_optional_fields_round_trip;
+            prop_writer_matches_printf;
+            prop_blank_lines_ignored;
           ] );
     ]

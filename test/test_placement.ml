@@ -140,6 +140,102 @@ let machine_loads_count_replicas () =
   Alcotest.(check (array int))
     "replica count per machine" [| 2; 1; 0 |] (Placement.machine_loads p)
 
+(* Oracles for the word-level scans: per-task folds that walk each set
+   one bounds-checked position at a time, in ascending order. *)
+module Topology = Usched_model.Topology
+
+let members set = List.filter (Bitset.mem set) (List.init (Bitset.capacity set) Fun.id)
+
+let memory_loads_oracle p ~sizes =
+  let loads = Array.make (Placement.m p) 0.0 in
+  Array.iteri
+    (fun j set -> List.iter (fun i -> loads.(i) <- loads.(i) +. sizes.(j)) (members set))
+    (Placement.sets p);
+  loads
+
+let machine_loads_oracle p =
+  let loads = Array.make (Placement.m p) 0 in
+  Array.iter
+    (fun set -> List.iter (fun i -> loads.(i) <- loads.(i) + 1) (members set))
+    (Placement.sets p);
+  loads
+
+let replication_costs_oracle p ~topology ~sizes =
+  Array.mapi
+    (fun j set ->
+      List.fold_left
+        (fun acc i ->
+          acc
+          +. Topology.staging_time topology ~src:(j mod Placement.m p) ~dst:i
+               ~size:sizes.(j))
+        0.0 (members set))
+    (Placement.sets p)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+
+(* A random symmetric zone matrix pair; [zones = 1] is the uniform
+   topology. *)
+let random_topology rng ~m ~zones =
+  if zones = 1 then Topology.uniform ~m
+  else begin
+    let bandwidth = Array.make_matrix zones zones infinity in
+    let latency = Array.make_matrix zones zones 0.0 in
+    for r = 0 to zones - 1 do
+      for c = r + 1 to zones - 1 do
+        let bw = 0.1 +. Random.State.float rng 10.0 and lat = Random.State.float rng 2.0 in
+        bandwidth.(r).(c) <- bw;
+        bandwidth.(c).(r) <- bw;
+        latency.(r).(c) <- lat;
+        latency.(c).(r) <- lat
+      done
+    done;
+    Topology.make ~zone_of:(Array.init m (fun i -> i mod zones)) ~bandwidth ~latency
+  end
+
+let prop_scans_match_oracles =
+  QCheck.Test.make
+    ~name:"memory/machine loads and replication costs match the oracles bit for bit"
+    ~count:300
+    QCheck.(quad (int_range 1 130) (int_range 1 40) (int_range 1 4) int)
+    (fun (m, n, zones, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let density = 1 + Random.State.int rng 100 in
+      let sets =
+        Array.init n (fun j ->
+            let set = Bitset.singleton m (j mod m) in
+            for i = 0 to m - 1 do
+              if Random.State.int rng 100 < density then Bitset.add set i
+            done;
+            set)
+      in
+      let p = Placement.of_sets ~m sets in
+      let sizes = Array.init n (fun _ -> Random.State.float rng 1e3 /. 7.0) in
+      let topology = random_topology rng ~m ~zones:(min zones m) in
+      let costs = Placement.replication_costs p ~topology ~sizes in
+      let oracle = replication_costs_oracle p ~topology ~sizes in
+      same_bits (Placement.memory_loads p ~sizes) (memory_loads_oracle p ~sizes)
+      && Placement.machine_loads p = machine_loads_oracle p
+      && same_bits costs oracle
+      && Int64.bits_of_float (Placement.replication_cost p ~topology ~sizes)
+         = Int64.bits_of_float (Array.fold_left ( +. ) 0.0 oracle))
+
+let replication_cost_validates_uniform () =
+  let p = Placement.full ~m:3 ~n:2 in
+  let uniform = Topology.uniform ~m:3 in
+  close "free on one zone" 0.0 (Placement.replication_cost p ~topology:uniform ~sizes:[| 1.0; 2.0 |]);
+  Alcotest.check_raises "sizes still checked"
+    (Invalid_argument "Placement.replication_costs: sizes length mismatch") (fun () ->
+      ignore (Placement.replication_cost p ~topology:uniform ~sizes:[| 1.0 |]));
+  Alcotest.check_raises "machine count still checked"
+    (Invalid_argument
+       "Placement.replication_costs: topology covers 2 machines, placement has 3")
+    (fun () ->
+      ignore
+        (Placement.replication_cost p ~topology:(Topology.uniform ~m:2)
+           ~sizes:[| 1.0; 2.0 |]))
+
 let () =
   Alcotest.run "placement"
     [
@@ -171,4 +267,8 @@ let () =
             under_replicated_reports_ascending;
           Alcotest.test_case "machine_loads" `Quick machine_loads_count_replicas;
         ] );
+      ( "scans",
+        Alcotest.test_case "uniform cost still validates" `Quick
+          replication_cost_validates_uniform
+        :: List.map QCheck_alcotest.to_alcotest [ prop_scans_match_oracles ] );
     ]

@@ -111,6 +111,103 @@ let gantt_two_requires_same_m () =
     (Invalid_argument "Gantt.render_two: machine counts differ") (fun () ->
       ignore (Gantt.render_two ~left_title:"a" ~right_title:"b" a b))
 
+(* Oracles: validation's overlap check and the Gantt tracks defined by
+   one [machine_tasks] scan per machine. *)
+let overlaps_oracle t =
+  let tolerance = 1e-9 *. Float.max 1.0 (Schedule.makespan t) in
+  let acc = ref [] in
+  for i = 0 to Schedule.m t - 1 do
+    let rec check = function
+      | a :: (b :: _ as rest) ->
+          let ea = Schedule.entry t a and eb = Schedule.entry t b in
+          if ea.Schedule.finish > eb.Schedule.start +. tolerance then
+            acc := Schedule.Overlap { machine = i; task_a = a; task_b = b } :: !acc;
+          check rest
+      | _ -> ()
+    in
+    check (Schedule.machine_tasks t i)
+  done;
+  List.rev !acc
+
+let track_oracle ~width ~scale schedule i =
+  let row = Bytes.make width '.' in
+  List.iter
+    (fun task ->
+      let e = Schedule.entry schedule task in
+      let first = int_of_float (e.Schedule.start *. scale) in
+      let last = int_of_float (e.Schedule.finish *. scale) - 1 in
+      let first = Stdlib.max 0 (Stdlib.min (width - 1) first) in
+      let last = Stdlib.max first (Stdlib.min (width - 1) last) in
+      for c = first to last do
+        Bytes.set row c (Char.chr (Char.code '0' + (task mod 10)))
+      done)
+    (Schedule.machine_tasks schedule i);
+  Bytes.to_string row
+
+let render_oracle ~width schedule =
+  let horizon = Schedule.makespan schedule in
+  let scale = if horizon > 0.0 then float_of_int width /. horizon else 0.0 in
+  Printf.sprintf "time 0 .. %g (makespan), %d machines\n" horizon (Schedule.m schedule)
+  ^ String.concat ""
+      (List.init (Schedule.m schedule) (fun i ->
+           Printf.sprintf "m%-3d |%s|\n" i (track_oracle ~width ~scale schedule i)))
+
+let render_two_oracle ~width left right =
+  let horizon = Float.max (Schedule.makespan left) (Schedule.makespan right) in
+  let scale = if horizon > 0.0 then float_of_int width /. horizon else 0.0 in
+  Printf.sprintf "%-*s   %s\n" (width + 7) "a" "b"
+  ^ Printf.sprintf "shared time scale 0 .. %g\n" horizon
+  ^ String.concat ""
+      (List.init (Schedule.m left) (fun i ->
+           Printf.sprintf "m%-3d |%s|   |%s|\n" i
+             (track_oracle ~width ~scale left i)
+             (track_oracle ~width ~scale right i)))
+
+(* Random schedules on a coarse start grid: many start ties, some
+   overlaps, tasks of one machine rarely in id order. *)
+let random_schedule (m, n, seed) =
+  let rng = Random.State.make [| seed |] in
+  Schedule.make ~m
+    (Array.init n (fun _ ->
+         let start = float_of_int (Random.State.int rng 8) in
+         {
+           Schedule.machine = Random.State.int rng m;
+           start;
+           finish = start +. Random.State.float rng 2.0;
+         }))
+
+let schedule_arb = QCheck.(triple (int_range 1 5) (int_bound 50) int)
+
+let prop_by_machine_matches_machine_tasks =
+  QCheck.Test.make ~name:"by_machine lists machine_tasks for every machine" ~count:300
+    schedule_arb (fun params ->
+      let s = random_schedule params in
+      let buckets = Schedule.by_machine s in
+      Array.length buckets = Schedule.m s
+      && Array.for_all Fun.id
+           (Array.mapi (fun i b -> Array.to_list b = Schedule.machine_tasks s i) buckets))
+
+let prop_validate_and_gantt_unchanged =
+  QCheck.Test.make ~name:"overlap violations and Gantt text match the per-machine scans"
+    ~count:300 schedule_arb (fun (m, n, seed) ->
+      let s = random_schedule (m, n, seed) in
+      let other = random_schedule (m, n / 2, seed + 1) in
+      let instance =
+        Instance.of_ests ~m:(Schedule.m s) ~alpha:Uncertainty.alpha_exact
+          (Array.init n (fun j ->
+               let e = Schedule.entry s j in
+               Float.max 1e-3 (e.Schedule.finish -. e.Schedule.start)))
+      in
+      let overlaps =
+        List.filter
+          (function Schedule.Overlap _ -> true | _ -> false)
+          (Schedule.validate instance (Realization.exact instance) s)
+      in
+      overlaps = overlaps_oracle s
+      && Gantt.render ~width:30 s = render_oracle ~width:30 s
+      && Gantt.render_two ~width:20 ~left_title:"a" ~right_title:"b" s other
+         = render_two_oracle ~width:20 s other)
+
 let () =
   Alcotest.run "schedule"
     [
@@ -134,4 +231,7 @@ let () =
           Alcotest.test_case "empty schedule" `Quick gantt_zero_duration;
           Alcotest.test_case "side-by-side m check" `Quick gantt_two_requires_same_m;
         ] );
+      ( "by machine",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_by_machine_matches_machine_tasks; prop_validate_and_gantt_unchanged ] );
     ]

@@ -83,6 +83,57 @@ let render_stats_mentions_utilization () =
     let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
     go 0)
 
+(* Oracle: the O(n·m) definition, one [Schedule.machine_tasks] scan per
+   machine, folding busy time and finish in (start, id) order. *)
+let machine_stats_oracle schedule =
+  Array.init (Schedule.m schedule) (fun i ->
+      let tasks = Schedule.machine_tasks schedule i in
+      let busy, finish =
+        List.fold_left
+          (fun (busy, finish) task ->
+            let e = Schedule.entry schedule task in
+            ( busy +. (e.Schedule.finish -. e.Schedule.start),
+              Float.max finish e.Schedule.finish ))
+          (0.0, 0.0) tasks
+      in
+      {
+        Timeline.machine = i;
+        busy;
+        finish;
+        tasks = List.length tasks;
+        idle_before_finish = finish -. busy;
+      })
+
+let bits = Int64.bits_of_float
+
+let same_stats (a : Timeline.machine_stats) (b : Timeline.machine_stats) =
+  a.machine = b.machine && a.tasks = b.tasks
+  && bits a.busy = bits b.busy
+  && bits a.finish = bits b.finish
+  && bits a.idle_before_finish = bits b.idle_before_finish
+
+(* Random schedules whose starts come from a small grid, so ties are
+   common and the tie order (task id) matters; overlaps are allowed. *)
+let random_schedule (m, n, seed) =
+  let rng = Random.State.make [| seed |] in
+  Schedule.make ~m
+    (Array.init n (fun _ ->
+         let start = 0.5 *. float_of_int (Random.State.int rng 6) in
+         {
+           Schedule.machine = Random.State.int rng m;
+           start;
+           finish = start +. Random.State.float rng 3.0;
+         }))
+
+let schedule_arb = QCheck.(triple (int_range 1 6) (int_bound 60) int)
+
+let prop_stats_match_oracle =
+  QCheck.Test.make ~name:"machine_stats = the per-machine-scan definition, bit for bit"
+    ~count:300 schedule_arb (fun params ->
+      let s = random_schedule params in
+      let stats = Timeline.machine_stats s and oracle = machine_stats_oracle s in
+      Array.length stats = Array.length oracle && Array.for_all2 same_stats stats oracle)
+
 let () =
   Alcotest.run "timeline"
     [
@@ -100,4 +151,5 @@ let () =
           Alcotest.test_case "events" `Quick render_events_format;
           Alcotest.test_case "stats table" `Quick render_stats_mentions_utilization;
         ] );
+      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_stats_match_oracle ]);
     ]

@@ -136,6 +136,45 @@ let packers_are_allocation_free () =
        fs)
     true (fs <= 64.0)
 
+(* The whole-placement scans: word-level set iteration allocates
+   nothing; [memory_loads] allocates its m-float result and nothing per
+   task; the transfer bill of a one-zone topology is a constant. *)
+module Placement = Usched_core.Placement
+module Topology = Usched_model.Topology
+
+let visited = ref 0
+let visit i = visited := !visited + i
+
+let scans_are_allocation_free () =
+  let full = Bitset.full 1000 in
+  let it = measure (fun () -> Bitset.iter visit full) in
+  Alcotest.(check (float 0.0)) "Bitset.iter over a full 1000-capacity set" 0.0 it;
+  let placement n =
+    Placement.of_sets ~m
+      (Array.init n (fun j -> Bitset.of_list m [ j mod m; (j + 7) mod m; (j + 13) mod m ]))
+  in
+  let sizes n = Array.init n (fun j -> 1.0 +. float_of_int (j mod 5)) in
+  let loads_words n =
+    let p = placement n and sizes = sizes n in
+    measure (fun () -> Placement.memory_loads p ~sizes)
+  in
+  let l5 = loads_words 5_000 and l10 = loads_words 10_000 in
+  Alcotest.(check (float 0.0)) "memory_loads: minor words independent of n" l5 l10;
+  Alcotest.(check bool)
+    (Printf.sprintf "memory_loads n=10k: the m-float result only (got %.0f)" l10)
+    true
+    (l10 <= float_of_int (m + 1 + 8));
+  let cost_words n =
+    let p = placement n and sizes = sizes n in
+    let topology = Topology.uniform ~m in
+    measure (fun () -> Placement.replication_cost p ~topology ~sizes)
+  in
+  let c5 = cost_words 5_000 and c10 = cost_words 10_000 in
+  Alcotest.(check (float 0.0)) "uniform replication_cost: independent of n" c5 c10;
+  Alcotest.(check bool)
+    (Printf.sprintf "uniform replication_cost under 16 words (got %.0f)" c10)
+    true (c10 <= 16.0)
+
 let () =
   Alcotest.run "zero_alloc"
     [
@@ -150,5 +189,10 @@ let () =
         [
           Alcotest.test_case "multifit and list-assign" `Quick
             packers_are_allocation_free;
+        ] );
+      ( "scans",
+        [
+          Alcotest.test_case "bitset, memory loads, uniform transfer cost" `Quick
+            scans_are_allocation_free;
         ] );
     ]
