@@ -27,13 +27,17 @@ let placement ~k instance =
      slowest in-band speed — the schedule the adversary would force. *)
   let loads = Array.make m 0.0 in
   let sets = Array.make n (Bitset.create m) in
+  (* Tasks with the same per-class machine choice share one set, keyed
+     on the chosen ids: at most the product of the class sizes distinct
+     sets exist, so list-priority dispatch can bucket tasks by set. *)
+  let interned = Hashtbl.create 16 in
+  let chosen = Array.make k 0 in
   let order = Instance.lpt_order instance in
   Array.iter
     (fun j ->
       let est = Instance.est instance j in
-      let set = Bitset.create m in
-      Array.iter
-        (fun group ->
+      Array.iteri
+        (fun c group ->
           let best = ref group.(0) and best_finish = ref infinity in
           Array.iter
             (fun i ->
@@ -43,14 +47,21 @@ let placement ~k instance =
                 best_finish := finish
               end)
             group;
-          Bitset.add set !best;
+          chosen.(c) <- !best;
           (* Only one of the k replicas will execute the task; charge the
              expected share so classes stay balanced rather than every
              class paying the full estimate. *)
           loads.(!best) <-
             loads.(!best) +. (est /. float_of_int k /. Speed_band.lo band !best))
         groups;
-      sets.(j) <- set)
+      sets.(j) <-
+        (match Hashtbl.find_opt interned chosen with
+        | Some set -> set
+        | None ->
+            let set = Bitset.create m in
+            Array.iter (Bitset.add set) chosen;
+            Hashtbl.add interned (Array.copy chosen) set;
+            set))
     order;
   Placement.of_sets ~m sets
 

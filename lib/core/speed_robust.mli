@@ -28,7 +28,11 @@ val classes : k:int -> Instance.t -> int array array
 
 val placement : k:int -> Instance.t -> Placement.t
 (** One replica per class for every task, greedily balancing estimated
-    pessimistic finish times inside each class, tasks in LPT order. *)
+    pessimistic finish times inside each class, tasks in LPT order.
+    Tasks with the same machine choice in every class share one set
+    (at most the product of the class sizes distinct sets), so
+    list-priority dispatch groups them into buckets instead of scanning
+    per-machine cursors. The sets are shared: do not mutate them. *)
 
 val algorithm : k:int -> Two_phase.t
 (** The catalog entry point ([speedrobust:K]): {!placement} as phase 1,

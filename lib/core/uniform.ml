@@ -6,11 +6,11 @@ module Engine = Usched_desim.Engine
 let check_speeds ~m speeds =
   if Array.length speeds <> m then
     invalid_arg "Uniform: speeds length differs from machine count";
-  Array.iter
-    (fun s ->
-      if not (Float.is_finite s && s > 0.0) then
-        invalid_arg "Uniform: speeds must be finite and > 0")
-    speeds
+  for i = 0 to m - 1 do
+    let s = speeds.(i) in
+    if not (Float.is_finite s && s > 0.0) then
+      invalid_arg "Uniform: speeds must be finite and > 0"
+  done
 
 let lpt_assignment ~speeds instance =
   let m = Instance.m instance in
@@ -34,28 +34,83 @@ let lpt_assignment ~speeds instance =
     (Instance.lpt_order instance);
   { Assign.assignment; loads = finish }
 
+(* [top_desc src k] is the [k] largest values of [src] in descending
+   order: the first [k] entries of a full descending sort, up to which
+   of several equal values sits where, which no sum below can see (even
+   +0 and -0 add alike). A size-[k] min-heap keeps the candidates (its
+   root is the smallest kept value, so most entries are rejected by one
+   comparison); heapsorting it in place then leaves it descending. The
+   loops index float arrays directly, so no float is boxed. *)
+let top_desc (src : float array) k =
+  let heap = Array.make k 0.0 in
+  let sift_down size i0 =
+    let x = heap.(i0) in
+    let i = ref i0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= size then continue := false
+      else begin
+        let c = if l + 1 < size && heap.(l + 1) < heap.(l) then l + 1 else l in
+        if heap.(c) < x then begin
+          heap.(!i) <- heap.(c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    heap.(!i) <- x
+  in
+  if k > 0 then begin
+    Array.blit src 0 heap 0 k;
+    for i = (k / 2) - 1 downto 0 do
+      sift_down k i
+    done;
+    for j = k to Array.length src - 1 do
+      if src.(j) > heap.(0) then begin
+        heap.(0) <- src.(j);
+        sift_down k 0
+      end
+    done;
+    for size = k - 1 downto 1 do
+      let min = heap.(0) in
+      heap.(0) <- heap.(size);
+      heap.(size) <- min;
+      sift_down size 0
+    done
+  end;
+  heap
+
 let lower_bound ~speeds p =
   let m = Array.length speeds in
   check_speeds ~m speeds;
-  Array.iter
-    (fun x -> if x < 0.0 then invalid_arg "Uniform.lower_bound: negative time")
-    p;
-  let sorted_p = Array.copy p in
-  Array.sort (fun a b -> Float.compare b a) sorted_p;
-  let sorted_s = Array.copy speeds in
-  Array.sort (fun a b -> Float.compare b a) sorted_s;
+  for j = 0 to Array.length p - 1 do
+    let x = p.(j) in
+    if not (Float.is_finite x && x >= 0.0) then
+      invalid_arg "Uniform.lower_bound: task times must be finite and >= 0"
+  done;
+  let k = Stdlib.min m (Array.length p) in
+  let top_p = top_desc p k in
+  let sorted_s = top_desc speeds m in
   let bound = ref 0.0 in
   let work = ref 0.0 and speed = ref 0.0 in
-  for k = 0 to Stdlib.min m (Array.length p) - 1 do
-    work := !work +. sorted_p.(k);
-    speed := !speed +. sorted_s.(k);
-    (* The k+1 largest tasks can at best share the k+1 fastest machines. *)
-    if !speed > 0.0 then bound := Float.max !bound (!work /. !speed)
+  for i = 0 to k - 1 do
+    work := !work +. top_p.(i);
+    speed := !speed +. sorted_s.(i);
+    (* The i+1 largest tasks can at best share the i+1 fastest machines.
+       [Float.max] spelled out so no float is boxed: a NaN ratio (from
+       sums that overflow to infinity) sticks, and no ratio is -0. *)
+    let r = !work /. !speed in
+    if !bound = !bound && not (r <= !bound) then bound := r
   done;
   (* All the work on all the machines. *)
-  let total = Array.fold_left ( +. ) 0.0 p in
-  let total_speed = Array.fold_left ( +. ) 0.0 speeds in
-  Float.max !bound (total /. total_speed)
+  let total = ref 0.0 and total_speed = ref 0.0 in
+  for j = 0 to Array.length p - 1 do
+    total := !total +. p.(j)
+  done;
+  for i = 0 to m - 1 do
+    total_speed := !total_speed +. speeds.(i)
+  done;
+  Float.max !bound (!total /. !total_speed)
 
 let engine_phase2 ~speeds ~order instance placement realization =
   Engine.run ~speeds instance realization

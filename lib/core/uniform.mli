@@ -32,9 +32,13 @@ val lpt_assignment : speeds:float array -> Instance.t -> Assign.result
 val lower_bound : speeds:float array -> float array -> float
 (** Sound lower bound on the optimal uniform-machines makespan:
     max over [k] of (sum of the [k] largest tasks) / (sum of the [k]
-    largest speeds), with [k] up to [m] — for [k = m] this is total work
-    over total speed; for [k = 1] the largest task on the fastest
-    machine. *)
+    largest speeds), with [k] up to [m], and total work over total
+    speed; for [k = 1] the largest task on the fastest machine. Only
+    the [min m n] largest times are selected, never a full sort: O(n log
+    m) time at worst and O(m) words, and the value is bit-for-bit the
+    one a full descending sort gives. Raises [Invalid_argument] on bad
+    [speeds] (see {!check_speeds}) or on a task time that is negative
+    or not finite (NaN, infinity). *)
 
 val lpt_no_choice : speeds:float array -> Two_phase.t
 (** Strategy 1 on uniform machines: ECT-LPT placement, pinned

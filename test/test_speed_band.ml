@@ -236,6 +236,78 @@ let entries_equal (a : Schedule.entry) (b : Schedule.entry) =
   && a.Schedule.start = b.Schedule.start
   && a.Schedule.finish = b.Schedule.finish
 
+(* Speed-robust placements intern their replica sets: tasks with the
+   same per-class machine choice share one physical set, which is what
+   lets list-priority dispatch bucket them. Sharing must not change a
+   single engine decision: the copied sets (one physical set per task,
+   so more than 64 of them — the plain per-machine-cursor path) must
+   replay bit for bit the same schedule. *)
+let sharing_gen =
+  QCheck.Gen.(
+    let* n = int_range 65 200 in
+    let* m = int_range 1 10 in
+    let* k = int_range 1 m in
+    let* seed = int_bound 1_000_000 in
+    let* other = int_range 1 (List.length Dispatch.builtin - 1) in
+    return (n, m, k, seed, other))
+
+let sharing_print (n, m, k, seed, other) =
+  Printf.sprintf "n=%d m=%d k=%d seed=%d other=%s" n m k seed
+    (Dispatch.name (List.nth Dispatch.builtin other))
+
+let random_band rng m =
+  Speed_band.make
+    (Array.init m (fun _ ->
+         let lo = Rng.float_range rng ~lo:0.2 ~hi:1.5 in
+         (lo, lo +. Rng.float_range rng ~lo:0.0 ~hi:2.0)))
+
+let physically_distinct sets =
+  Array.fold_left
+    (fun acc set -> if List.exists (fun s -> s == set) acc then acc else set :: acc)
+    [] sets
+
+let prop_speed_robust_sets_shared =
+  QCheck.Test.make ~count:150
+    ~name:"speed-robust placement shares one set per distinct replica set"
+    (QCheck.make ~print:sharing_print sharing_gen)
+    (fun (n, m, k, seed, _) ->
+      let instance, _, rng = build_instance (n, m, seed) in
+      let instance = Instance.with_speed_band instance (Some (random_band rng m)) in
+      let placement = Core.Speed_robust.placement ~k instance in
+      let distinct = physically_distinct (Core.Placement.sets placement) in
+      let product =
+        Array.fold_left
+          (fun acc c -> acc * Array.length c)
+          1
+          (Core.Speed_robust.classes ~k instance)
+      in
+      let contents = List.map Bitset.to_list distinct in
+      List.length distinct <= product
+      && List.length (List.sort_uniq compare contents) = List.length contents)
+
+let prop_shared_sets_replay_as_copies =
+  QCheck.Test.make ~count:150
+    ~name:"shared speed-robust sets replay as private copies bit for bit"
+    (QCheck.make ~print:sharing_print sharing_gen)
+    (fun (n, m, k, seed, other) ->
+      let instance, realization, rng = build_instance (n, m, seed) in
+      let band = random_band rng m in
+      let instance = Instance.with_speed_band instance (Some band) in
+      let shared = Core.Placement.sets (Core.Speed_robust.placement ~k instance) in
+      let copies = Array.map Bitset.copy shared in
+      let speeds = Speed_band.sample band (Rng.split rng) in
+      let order = Instance.lpt_order instance in
+      List.for_all
+        (fun dispatch ->
+          let run placement =
+            Engine.run ~speeds ~dispatch instance realization ~placement ~order
+          in
+          let a = run shared and b = run copies in
+          Array.for_all
+            (fun j -> entries_equal (Schedule.entry a j) (Schedule.entry b j))
+            (Array.init n (fun j -> j)))
+        [ Dispatch.List_priority; List.nth Dispatch.builtin other ])
+
 let outcomes_identical (a : Engine.outcome) (b : Engine.outcome) =
   a.Engine.completed = b.Engine.completed
   && a.Engine.stranded = b.Engine.stranded
@@ -393,6 +465,8 @@ let () =
             prop_degenerate_lower_bound_reduces;
             prop_adversary_dominates_mc;
             prop_one_replica_per_class;
+            prop_speed_robust_sets_shared;
+            prop_shared_sets_replay_as_copies;
           ] );
       ( "golden",
         List.map QCheck_alcotest.to_alcotest [ prop_degenerate_band_golden ] );

@@ -138,6 +138,117 @@ let lower_bound_sound_vs_brute_force () =
     checkb "LB <= OPT" true (Core.Uniform.lower_bound ~speeds p <= !best +. 1e-9)
   done
 
+(* The bound as it was defined before the top-m selection: a full
+   descending sort of the task times, kept here as the oracle. The
+   selection must reproduce it bit for bit, not just within a
+   tolerance. *)
+let full_sort_lower_bound ~speeds p =
+  let m = Array.length speeds in
+  let sorted_p = Array.copy p in
+  Array.sort (fun a b -> Float.compare b a) sorted_p;
+  let sorted_s = Array.copy speeds in
+  Array.sort (fun a b -> Float.compare b a) sorted_s;
+  let bound = ref 0.0 in
+  let work = ref 0.0 and speed = ref 0.0 in
+  for k = 0 to Stdlib.min m (Array.length p) - 1 do
+    work := !work +. sorted_p.(k);
+    speed := !speed +. sorted_s.(k);
+    if !speed > 0.0 then bound := Float.max !bound (!work /. !speed)
+  done;
+  let total = Array.fold_left ( +. ) 0.0 p in
+  let total_speed = Array.fold_left ( +. ) 0.0 speeds in
+  Float.max !bound (total /. total_speed)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Task-time shapes that stress the selection: few distinct values (so
+   duplicates straddle the top-m boundary), all equal, zeros, and
+   sorted or reversed runs. Spiky times — a few large tasks among many
+   tiny ones — make the top-m prefixes, not the total-work term, decide
+   the bound, so a wrong selection shows. *)
+let spiky ~m ~n spike =
+  QCheck.Gen.(
+    let* base = array_repeat n (float_bound_inclusive 0.01) in
+    let* count = int_range 1 (Stdlib.min n (m + 2)) in
+    let* spikes = list_repeat count (pair (int_bound (n - 1)) spike) in
+    List.iter (fun (j, x) -> base.(j) <- x) spikes;
+    return base)
+
+let bound_case_gen =
+  QCheck.Gen.(
+    let* m = int_range 1 12 in
+    let* n =
+      frequency [ (1, return 0); (2, int_range 1 m); (1, return m); (3, int_range m 400) ]
+    in
+    let* speeds = array_repeat m (map (fun x -> 0.25 +. x) (float_bound_exclusive 4.0)) in
+    let* raw =
+      frequency
+        [
+          (3, array_repeat n (float_bound_inclusive 100.0));
+          ( 4,
+            if n = 0 then return [||]
+            else spiky ~m ~n (map (fun e -> 10.0 ** e) (float_bound_inclusive 4.0)) );
+          ( 2,
+            if n = 0 then return [||]
+            else spiky ~m ~n (map (fun d -> 100.0 *. float_of_int d) (int_range 1 3)) );
+          (2, array_repeat n (map float_of_int (int_range 0 3)));
+          (1, map (fun x -> Array.make n x) (float_bound_inclusive 10.0));
+          (1, return (Array.make n 0.0));
+          ( 1,
+            array_repeat n
+              (frequency [ (1, return 0.0); (1, float_bound_inclusive 5.0) ]) );
+        ]
+    in
+    let* shape = int_range 0 2 in
+    let p = Array.copy raw in
+    if shape > 0 then Array.sort Float.compare p;
+    let p = if shape = 2 then Array.of_list (List.rev (Array.to_list p)) else p in
+    return (speeds, p))
+
+let prop_lower_bound_matches_full_sort =
+  QCheck.Test.make ~count:1000
+    ~name:"top-m lower bound equals the full-sort definition bit for bit"
+    (QCheck.make
+       ~print:(fun (speeds, p) ->
+         Printf.sprintf "speeds=[%s] p=[%s]"
+           (String.concat ";" (Array.to_list (Array.map string_of_float speeds)))
+           (String.concat ";" (Array.to_list (Array.map string_of_float p))))
+       bound_case_gen)
+    (fun (speeds, p) ->
+      same_bits
+        (Core.Uniform.lower_bound ~speeds p)
+        (full_sort_lower_bound ~speeds p))
+
+let lower_bound_oracle_edges () =
+  let check name speeds p =
+    checkb name true
+      (same_bits
+         (Core.Uniform.lower_bound ~speeds p)
+         (full_sort_lower_bound ~speeds p))
+  in
+  let speeds = [| 2.0; 0.5; 1.0; 1.5 |] in
+  check "n = 0" speeds [||];
+  check "n < m" speeds [| 3.0; 7.0 |];
+  check "n = m" speeds [| 3.0; 7.0; 1.0; 5.0 |];
+  check "duplicates at the boundary" speeds [| 1.0; 5.0; 5.0; 5.0; 5.0; 5.0; 2.0 |];
+  check "all equal" speeds (Array.make 50 0.1);
+  check "zeros" speeds (Array.make 9 0.0);
+  check "signed zeros" speeds [| 0.0; -0.0; 0.0; -0.0; -0.0; 1.0 |];
+  check "sorted" speeds (Array.init 100 (fun i -> 0.1 *. float_of_int i));
+  check "reversed" speeds (Array.init 100 (fun i -> 0.1 *. float_of_int (100 - i)));
+  check "sums overflow to NaN" [| max_float; max_float |] [| max_float; max_float |];
+  check "n >> m" [| 1.0; 3.0; 0.5 |]
+    (Array.init 100_000 (fun i ->
+         if i mod 997 = 0 then float_of_int (i mod 1013) else 1e-6))
+
+let lower_bound_rejects_non_finite () =
+  let msg = "Uniform.lower_bound: task times must be finite and >= 0" in
+  List.iter
+    (fun (name, x) ->
+      Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+          ignore (Core.Uniform.lower_bound ~speeds:[| 1.0; 2.0 |] [| 1.0; x; 3.0 |])))
+    [ ("nan", Float.nan); ("infinity", infinity); ("-infinity", neg_infinity); ("negative", -1.0) ]
+
 (* --- Two-phase algorithms --- *)
 
 let speeds4 = [| 2.0; 1.0; 1.0; 0.5 |]
@@ -232,6 +343,11 @@ let () =
           Alcotest.test_case "cases" `Quick lower_bound_cases;
           Alcotest.test_case "sound vs brute force" `Quick
             lower_bound_sound_vs_brute_force;
+          Alcotest.test_case "full-sort oracle edges" `Quick
+            lower_bound_oracle_edges;
+          Alcotest.test_case "non-finite times rejected" `Quick
+            lower_bound_rejects_non_finite;
+          QCheck_alcotest.to_alcotest prop_lower_bound_matches_full_sort;
         ] );
       ( "two-phase",
         [

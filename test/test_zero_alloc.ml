@@ -175,6 +175,24 @@ let scans_are_allocation_free () =
     (Printf.sprintf "uniform replication_cost under 16 words (got %.0f)" c10)
     true (c10 <= 16.0)
 
+(* The uniform-machines bound keeps only the m largest task times, so
+   its minor words are a function of m alone: two m-float buffers plus
+   a constant, nothing per task. *)
+module Uniform = Usched_core.Uniform
+
+let uniform_bound_is_independent_of_n () =
+  let speeds = Array.init m (fun i -> 0.5 +. float_of_int (i mod 4)) in
+  let words n =
+    let p = Array.init n (fun j -> float_of_int ((j * 7919) mod 1000) +. 0.5) in
+    measure (fun () -> Uniform.lower_bound ~speeds p)
+  in
+  let w1 = words 1_000 and w100 = words 100_000 in
+  Alcotest.(check (float 0.0)) "Uniform.lower_bound: minor words independent of n" w1 w100;
+  Alcotest.(check bool)
+    (Printf.sprintf "Uniform.lower_bound n=100k: two m-float buffers (got %.0f)" w100)
+    true
+    (w100 <= float_of_int ((2 * (m + 1)) + 16))
+
 let () =
   Alcotest.run "zero_alloc"
     [
@@ -194,5 +212,10 @@ let () =
         [
           Alcotest.test_case "bitset, memory loads, uniform transfer cost" `Quick
             scans_are_allocation_free;
+        ] );
+      ( "bounds",
+        [
+          Alcotest.test_case "uniform lower bound allocates O(m)" `Quick
+            uniform_bound_is_independent_of_n;
         ] );
     ]
