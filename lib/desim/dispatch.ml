@@ -403,5 +403,9 @@ let notify_available t ~task = t.notify ~task
 (* THE re-dispatch determinism contract, in exactly one place: machines
    freed at the same instant (a speculative race ending, say) look for
    new work in increasing machine id. Documented in the engine's
-   interface; pinned by test_dispatch. *)
-let redispatch_order _t machines = List.sort Int.compare machines
+   interface; pinned by test_dispatch. The engine's only caller is a
+   two-copy race, so that case skips the general sort's allocations. *)
+let redispatch_order _t machines =
+  match machines with
+  | [ a; b ] -> if a <= b then machines else [ b; a ]
+  | _ -> List.sort Int.compare machines

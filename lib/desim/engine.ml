@@ -451,14 +451,38 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   let copies_head = Array.make n (-1) in
   let copies_tail = Array.make n ([] : int list) in
   let task_gen = Array.make n 0 in
-  let spec_ready = Array.make n false in
-  (* Who holds each task's data *now*. Under an active policy transfers
-     grow these sets mid-run, so they are private copies; under
-     [Recovery.none] they are the placement arrays themselves and never
-     change. All holder-semantics reads below go through [data]. *)
-  let data =
-    if rec_active then Array.map Bitset.copy placement else placement
+  (* The speculation candidate pool: every running task whose straggler
+     check has fired, densely packed in [spec_pool.(0 .. !spec_len - 1)]
+     with [spec_slot.(j)] its index there ([-1] = absent). A task enters
+     when [on_speculate] arms it and leaves when it is released or
+     completes, so the pool never holds more than the running tasks and
+     an idle machine's backup search costs the pool, not n. *)
+  let spec_cap = if spec_on then n else 0 in
+  let spec_pool = Array.make spec_cap 0 in
+  let spec_slot = Array.make spec_cap (-1) in
+  let spec_len = ref 0 in
+  let spec_enter j =
+    if spec_slot.(j) < 0 then begin
+      spec_pool.(!spec_len) <- j;
+      spec_slot.(j) <- !spec_len;
+      incr spec_len
+    end
   in
+  let spec_leave j =
+    let s = spec_slot.(j) in
+    if s >= 0 then begin
+      decr spec_len;
+      let last = spec_pool.(!spec_len) in
+      spec_pool.(s) <- last;
+      spec_slot.(last) <- s;
+      spec_slot.(j) <- -1
+    end
+  in
+  (* Who holds each task's data *now*. Under a healing policy transfers
+     grow these sets mid-run, so they are private copies; otherwise
+     they are the placement arrays themselves and never change. All
+     holder-semantics reads below go through [data]. *)
+  let data = if heals then Array.map Bitset.copy placement else placement in
   (* In-flight re-replication per task: (src, dst, id). The id guards
      against stale [Sim_transfer] deliveries after an abort. *)
   let transfer = Array.make n (None : (int * int * int) option) in
@@ -469,7 +493,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   (* Replicas stored on (or reserved for) each machine: the healer's
      least-loaded destination choice. *)
   let replica_load = Array.make m 0 in
-  if rec_active then
+  if heals then
     Array.iter
       (Bitset.iter (fun i -> replica_load.(i) <- replica_load.(i) + 1))
       data;
@@ -481,13 +505,14 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   let wasted = Array.make 1 0.0 in
   let loads = Array.make m 0.0 in
   let now = Array.make 1 0.0 in
+  let pos_of = inverse_order ~n order in
   let policy =
     Dispatch.make dispatch
       {
         Dispatch.n;
         m;
         order;
-        pos_of = inverse_order ~n order;
+        pos_of;
         dispatchable;
         holders = data;
         est = ests;
@@ -495,7 +520,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
         load = loads;
         now;
         available = (fun i -> alive.(i) && down_until.(i) <= now.(0));
-        holders_stable = not rec_active;
+        holders_stable = not heals;
         topology = topo;
         size = sizes;
       }
@@ -561,12 +586,30 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   let transfer_duration ~src ~dst j =
     Recovery.transfer_time ?topology:topo recovery ~src ~dst ~size:sizes.(j)
   in
+  (* The healer's worklist: a superset of the tasks it could act on,
+     {j : status <= running, 1 <= live holders < target j}. Status only
+     ever leaves that set. Live holders shrink only at a physical crash,
+     which re-checks every task the dead disk held. They grow only when
+     a transfer lands, which cannot bring a task in (its source was a
+     live holder) and finds it still listed: [heal] keeps a task while
+     its transfer is in flight, or while it lacks an available source
+     or destination, and drops everything else outside the set lazily.
+     It visits the list in increasing id, the order of a full scan, so
+     transfers and destination loads come out identical. *)
+  let needy = Bitset.create (if heals then n else 0) in
+  let wants_heal j =
+    status.(j) <= st_running
+    &&
+    let nlive = Bitset.inter_cardinal alive_set data.(j) in
+    nlive >= 1 && nlive < target_of j
+  in
+  let recheck j = if wants_heal j then Bitset.add needy j in
   let heal ~time =
     if heals then
-      for j = 0 to n - 1 do
-        if status.(j) <= st_running && transfer_none j then begin
-          let nlive = Bitset.inter_cardinal alive_set data.(j) in
-          if nlive >= 1 && nlive < target_of j then begin
+      Bitset.iter
+        (fun j ->
+          if not (wants_heal j) then Bitset.remove needy j
+          else if transfer_none j then begin
             let src = ref (-1) in
             (try
                Bitset.iter
@@ -604,9 +647,8 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
                      { task = j; src = !src; dst = !dst; id = !transfer_id })
               end
             end
-          end
-        end
-      done
+          end)
+        needy
   in
   let abort_transfers ~time x =
     for j = 0 to n - 1 do
@@ -678,7 +720,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
      deferred until the failure becomes known. *)
   let release_task ~time j =
     task_gen.(j) <- task_gen.(j) + 1;
-    spec_ready.(j) <- false;
+    if spec_on then spec_leave j;
     if Bitset.inter_is_empty alive_set data.(j) && transfer_none j then
       set_status j st_lost
     else begin
@@ -802,24 +844,26 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
         heal ~time
     | _ -> () (* aborted (and possibly re-issued): stale delivery *)
   in
-  (* First task in priority order that is running a single overdue copy
-     whose data machine [i] also holds. Speculation is a safety
-     mechanism, not a placement decision, so it stays with the engine
-     rather than the dispatch policy. (Defined once — a per-call
-     [let rec] closure would allocate on every idle scan.) *)
-  let rec spec_scan i pos =
-    if pos >= n then -1
+  (* The pool member earliest in priority order that is running a single
+     overdue copy whose data machine [i] also holds — priority positions
+     are unique, so this is the first hit of a walk down [order].
+     Speculation is a safety mechanism, not a placement decision, so it
+     stays with the engine rather than the dispatch policy. (Defined
+     once over integer arguments — a per-call closure would allocate on
+     every idle scan.) *)
+  let rec spec_scan i k best best_pos =
+    if k >= !spec_len then best
     else
-      let j = order.(pos) in
+      let j = spec_pool.(k) in
       if
-        status.(j) = st_running
-        && spec_ready.(j)
+        pos_of.(j) < best_pos
+        && status.(j) = st_running
         && copies_head.(j) >= 0
         && copies_head.(j) <> i
         && (match copies_tail.(j) with [] -> true | _ -> false)
         && Bitset.mem data.(j) i
-      then j
-      else spec_scan i (pos + 1)
+      then spec_scan i (k + 1) j pos_of.(j)
+      else spec_scan i (k + 1) best best_pos
   in
   let dispatch_machine ~time i =
     if available ~time i && cur_task.(i) < 0 && time >= trust_after.(i) then begin
@@ -833,7 +877,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
         let j = Dispatch.select_machine policy ~machine:i in
         if j >= 0 then start_copy ~resume:false ~banked:0.0 ~time i j
         else if spec_on then begin
-          let sj = spec_scan i 0 in
+          let sj = spec_scan i 0 (-1) max_int in
           if sj >= 0 then start_copy ~resume:false ~banked:0.0 ~time i sj
           (* else idle; woken again if work returns to the pool *)
         end
@@ -850,6 +894,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
       e_start.(j) <- started;
       e_finish.(j) <- time;
       set_status j st_done;
+      if spec_on then spec_leave j;
       cur_task.(i) <- -1;
       gen.(i) <- gen.(i) + 1;
       if live then busy.(i) <- busy.(i) +. (time -. started);
@@ -865,24 +910,28 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
         dispatch_machine ~time i
       end
       else begin
-        (* Speculative losers: first copy to finish wins, the rest abort. *)
-        let losers =
-          List.filter (fun k -> k <> i) (copies_head.(j) :: copies_tail.(j))
+        (* A backup copy only ever joins a single-copy task, so there
+           are exactly two copies here: the first to finish wins and
+           the other one, [k], aborts. *)
+        let k =
+          match copies_tail.(j) with
+          | [ t ] -> if copies_head.(j) = i then t else copies_head.(j)
+          | _ -> assert false
         in
         copies_head.(j) <- -1;
         copies_tail.(j) <- [];
-        List.iter
-          (fun k ->
-            assert (cur_task.(k) >= 0);
-            wasted.(0) <- wasted.(0) +. (time -. cur_started.(k));
-            if live then busy.(k) <- busy.(k) +. (time -. cur_started.(k));
-            cur_task.(k) <- -1;
-            gen.(k) <- gen.(k) + 1;
-            Metrics.incr mc_spec_cancelled;
-            if tr then emit (Cancelled { time; machine = k; task = j }))
-          losers;
-        List.iter (dispatch_machine ~time)
-          (Dispatch.redispatch_order policy (i :: losers))
+        assert (cur_task.(k) >= 0);
+        wasted.(0) <- wasted.(0) +. (time -. cur_started.(k));
+        if live then busy.(k) <- busy.(k) +. (time -. cur_started.(k));
+        cur_task.(k) <- -1;
+        gen.(k) <- gen.(k) + 1;
+        Metrics.incr mc_spec_cancelled;
+        if tr then emit (Cancelled { time; machine = k; task = j });
+        match Dispatch.redispatch_order policy [ i; k ] with
+        | [ a; b ] ->
+            dispatch_machine ~time a;
+            dispatch_machine ~time b
+        | _ -> assert false
       end
     end
   in
@@ -892,12 +941,19 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
         if alive.(i) then begin
           Metrics.incr mc_crashes;
           Machine_state.mark_crashed st i;
+          (* Every task the dead disk held lost a live holder: re-check
+             its healer membership now, not at detection, because a
+             transfer landing before then heals against [alive_set]. *)
+          if heals then
+            for j = 0 to n - 1 do
+              if Bitset.mem data.(j) i then recheck j
+            done;
           if tr then emit (Machine_crashed { time; machine = i });
           (* Physical consequences are immediate: the disk (and any
              checkpoint on it) is gone, in-flight transfers touching the
              machine die, the running copy dies. *)
           ckpt_task.(i) <- -1;
-          if rec_active then abort_transfers ~time i;
+          if heals then abort_transfers ~time i;
           kill_current ~salvage:false ~time i;
           if rec_active && det_latency > 0.0 then begin
             (* The scheduler only reacts once the detector fires. *)
@@ -973,6 +1029,20 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
     acknowledge ~time i;
     heal ~time
   in
+  (* The lowest-numbered idle holder of [j]'s data other than [runner],
+     or -1. The clock is read from [now] (the handler's [time]), so the
+     search allocates nothing. *)
+  let rec idle_holder j runner i =
+    if i >= m then -1
+    else if
+      i <> runner
+      && Bitset.mem data.(j) i
+      && alive.(i)
+      && down_until.(i) <= now.(0)
+      && cur_task.(i) < 0
+    then i
+    else idle_holder j runner (i + 1)
+  in
   let on_speculate ~time task g =
     if
       task_gen.(task) = g
@@ -980,26 +1050,24 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
       && copies_head.(task) >= 0
       && (match copies_tail.(task) with [] -> true | _ -> false)
     then begin
-      spec_ready.(task) <- true;
+      spec_enter task;
       (* Grab an idle surviving holder right now if one exists; otherwise
          the next machine to go idle picks the task up in
          [dispatch_machine]. *)
-      let runner = copies_head.(task) in
-      let exception Found of int in
-      match
-        Bitset.iter
-          (fun i -> if i <> runner && idle ~time i then raise (Found i))
-          data.(task)
-      with
-      | () -> ()
-      | exception Found i -> start_copy ~resume:false ~banked:0.0 ~time i task
+      let i = idle_holder task copies_head.(task) 0 in
+      if i >= 0 then start_copy ~resume:false ~banked:0.0 ~time i task
     end
   in
   (* An active healer starts working before the first dispatch: a
      placement below the replication target (k = 1, say) is brought up
      to its per-task target from time zero. (Under [Degree] the initial
      placement already meets the target, so this is a no-op there.) *)
-  if rec_active then heal ~time:0.0;
+  if heals then begin
+    for j = 0 to n - 1 do
+      recheck j
+    done;
+    heal ~time:0.0
+  end;
   while not (Event_heap.is_empty queue) do
     let time = queue.Event_heap.times.(0) in
     let machine = queue.Event_heap.machines.(0) in

@@ -180,6 +180,254 @@ let prop_stream_matches_reference =
       && a.Engine.latencies = b.Engine.latencies
       && ev_a = ev_b)
 
+(* ------------------------------- wide ------------------------------- *)
+
+(* The scenarios above keep n <= 14 and m <= 5, so every task and
+   machine set fits in one word and the speculation pool and the
+   healer's worklist never hold more than a few tasks. These span
+   several words on both sides (up to 300 tasks on up to 80 machines)
+   under crash-heavy traces with outages, where the healer and the
+   backup-copy search do most of their work. *)
+let wide =
+  QCheck.make
+    ~print:(fun (n, m, k, p, seed) ->
+      Printf.sprintf "n=%d m=%d k=%d p=%.3f seed=%d" n m k p seed)
+    QCheck.Gen.(
+      let* n = int_range 60 300 in
+      let* m = int_range 8 80 in
+      let* k = int_range 1 4 in
+      let* p = float_range 0.3 0.8 in
+      let* seed = int_bound 1_000_000 in
+      return (n, m, k, p, seed))
+
+let build_wide (n, m, k, p, seed) =
+  let rng = Rng.create ~seed () in
+  let ests = Array.init n (fun _ -> Rng.float_range rng ~lo:0.5 ~hi:10.0) in
+  let sizes = Array.init n (fun _ -> Rng.float_range rng ~lo:0.5 ~hi:4.0) in
+  let instance =
+    Instance.of_ests ~m ~alpha:(Uncertainty.alpha 2.0) ~sizes ests
+  in
+  let realization = Realization.uniform_factor instance rng in
+  (* Replicas spread over the whole machine range, so holder sets
+     straddle word boundaries. *)
+  let placement () =
+    Array.init n (fun j ->
+        Bitset.of_list m (List.init k (fun r -> ((j * 7) + (r * 13)) mod m)))
+  in
+  let order = Instance.lpt_order instance in
+  (* Faults land while the work is still running: the horizon is about
+     one healthy makespan. *)
+  let horizon = 1.5 *. Realization.total realization /. float_of_int m in
+  let outages () =
+    Trace.random_outages rng ~m ~p ~horizon ~duration:(0.5, 5.0)
+  in
+  let faults =
+    Trace.merge
+      (Trace.random_crashes rng ~m ~p ~horizon)
+      (Trace.merge (outages ())
+         (Trace.merge (outages ())
+            (Trace.random_slowdowns rng ~m ~p ~horizon ~factor:(0.2, 0.9))))
+  in
+  let arrivals = Array.init n (fun _ -> Rng.float_range rng ~lo:0.0 ~hi:horizon) in
+  (instance, realization, placement, order, faults, arrivals)
+
+let wide_variants seed =
+  let target =
+    match seed mod 3 with
+    | 0 -> Recovery.Fixed 2
+    | 1 -> Recovery.Fixed 3
+    | _ -> Recovery.Degree
+  in
+  let detection_latency = if seed / 3 mod 2 = 0 then 0.0 else 0.5 in
+  let checkpoint_interval = if seed / 6 mod 2 = 0 then 0.0 else 1.0 in
+  let recovery =
+    Recovery.make ~detection_latency ~rereplication_target:target ~bandwidth:1.0
+      ~checkpoint_interval ~max_retries:2 ()
+  in
+  let speculation = if seed / 12 mod 2 = 0 then 1.05 else 1.3 in
+  let dispatch =
+    List.nth Dispatch.builtin (seed / 24 mod List.length Dispatch.builtin)
+  in
+  (recovery, speculation, dispatch, seed / 7 mod 2 = 0)
+
+let prop_wide_faulty_matches_reference =
+  QCheck.Test.make
+    ~name:"wide: faulty engine is bit-for-bit the frozen reference" ~count:60
+    wide (fun ((_, _, _, _, seed) as s) ->
+      let instance, realization, placement, order, faults, _ = build_wide s in
+      let recovery, speculation, dispatch, metrics_on = wide_variants seed in
+      let a, ev_a =
+        Engine.run_faulty_traced ~speculation ~dispatch ~recovery
+          ~metrics:(registry metrics_on) instance realization ~faults
+          ~placement:(placement ()) ~order
+      in
+      let b, ev_b =
+        Reference_engine.run_faulty_traced ~speculation ~dispatch ~recovery
+          ~metrics:(registry metrics_on) instance realization ~faults
+          ~placement:(placement ()) ~order
+      in
+      outcomes_identical a b && ev_a = ev_b)
+
+let prop_wide_stream_matches_reference =
+  QCheck.Test.make
+    ~name:"wide: streaming engine is bit-for-bit the frozen reference"
+    ~count:60 wide (fun ((_, _, _, _, seed) as s) ->
+      let instance, realization, placement, order, faults, arrivals =
+        build_wide s
+      in
+      let recovery, speculation, dispatch, metrics_on = wide_variants seed in
+      let a, ev_a =
+        Engine.run_stream_traced ~speculation ~dispatch ~recovery
+          ~metrics:(registry metrics_on) ~faults instance realization
+          ~arrivals ~placement:(placement ()) ~order
+      in
+      let b, ev_b =
+        Reference_engine.run_stream_traced ~speculation ~dispatch ~recovery
+          ~metrics:(registry metrics_on) ~faults instance realization
+          ~arrivals ~placement:(placement ()) ~order
+      in
+      outcomes_identical a.Engine.outcome b.Engine.outcome
+      && a.Engine.latencies = b.Engine.latencies
+      && ev_a = ev_b)
+
+(* --------------------------- hand-built ----------------------------- *)
+
+(* Three paths the random scenarios reach only by chance, each run
+   through both engines and checked for the event that proves the path
+   was taken. *)
+
+let crash ~machine ~time = { Usched_faults.Fault.machine; time; kind = Crash }
+
+let outage ~machine ~time ~until =
+  { Usched_faults.Fault.machine; time; kind = Outage until }
+
+let matches_reference ?speculation ~recovery ~faults instance realization
+    ~placement ~order =
+  let a, ev_a =
+    Engine.run_faulty_traced ?speculation ~recovery instance realization
+      ~faults ~placement:(placement ()) ~order
+  in
+  let b, ev_b =
+    Reference_engine.run_faulty_traced ?speculation ~recovery instance
+      realization ~faults ~placement:(placement ()) ~order
+  in
+  Alcotest.(check bool) "outcome matches the reference" true
+    (outcomes_identical a b);
+  Alcotest.(check bool) "event log matches the reference" true (ev_a = ev_b);
+  ev_a
+
+(* Task 0 (est 4, actual 20) runs on m0; its straggler check fires at
+   t=4 and starts a backup on idle m1. The crash of m1 at t=6 kills the
+   backup, leaving a single armed copy. When m2 frees up at t=8 it must
+   pick task 0 from the candidate pool and start a second backup. *)
+let crash_rearms_speculation () =
+  let instance =
+    Instance.of_ests ~m:3 ~alpha:(Uncertainty.alpha 8.0) [| 4.0; 8.0 |]
+  in
+  let realization = Realization.of_actuals instance [| 20.0; 8.0 |] in
+  let placement () = [| Bitset.full 3; Bitset.of_list 3 [ 2 ] |] in
+  let faults = Trace.of_events ~m:3 [ crash ~machine:1 ~time:6.0 ] in
+  let events =
+    matches_reference ~speculation:1.0 ~recovery:Recovery.none ~faults
+      instance realization ~placement ~order:[| 0; 1 |]
+  in
+  let has e = List.mem e events in
+  Alcotest.(check bool) "first backup on m1 at t=4" true
+    (has (Engine.Started { time = 4.0; machine = 1; task = 0 }));
+  Alcotest.(check bool) "crash kills the backup" true
+    (has (Engine.Killed { time = 6.0; machine = 1; task = 0 }));
+  Alcotest.(check bool) "re-armed task backed up on m2 at t=8" true
+    (has (Engine.Started { time = 8.0; machine = 2; task = 0 }))
+
+(* Task 0 lives on {m0, m1} with target 2. An outage takes m0 down over
+   [0.5, 5) and m1 crashes at t=1: the task has one live holder but no
+   available source, so it waits on the worklist until m0 rejoins at
+   t=5 and heals it onto m2. *)
+let heal_waits_for_rejoin () =
+  let instance =
+    Instance.of_ests ~m:3 ~alpha:(Uncertainty.alpha 2.0) [| 10.0 |]
+  in
+  let realization = Realization.of_actuals instance [| 10.0 |] in
+  let placement () = [| Bitset.of_list 3 [ 0; 1 ] |] in
+  let faults =
+    Trace.of_events ~m:3
+      [ outage ~machine:0 ~time:0.5 ~until:5.0; crash ~machine:1 ~time:1.0 ]
+  in
+  let recovery =
+    Recovery.make ~rereplication_target:(Recovery.Fixed 2) ~bandwidth:1.0 ()
+  in
+  let events =
+    matches_reference ~recovery ~faults instance realization ~placement
+      ~order:[| 0 |]
+  in
+  Alcotest.(check bool) "no transfer while m0 is down" true
+    (List.for_all
+       (function
+         | Engine.Rereplication_started { time; _ } -> time >= 5.0
+         | _ -> true)
+       events);
+  Alcotest.(check bool) "healed from m0 onto m2 at its rejoin" true
+    (List.mem
+       (Engine.Rereplication_started { time = 5.0; task = 0; src = 0; dst = 2 })
+       events)
+
+(* The same wait on the other end: task 0 lives on {m0, m1} with target
+   2, m2 is down over [0.5, 5) and m1 crashes at t=1. m0 can serve as
+   the source but no destination is available, so the task waits on the
+   worklist until m2 rejoins. *)
+let heal_waits_for_destination () =
+  let instance =
+    Instance.of_ests ~m:3 ~alpha:(Uncertainty.alpha 2.0) [| 10.0 |]
+  in
+  let realization = Realization.of_actuals instance [| 10.0 |] in
+  let placement () = [| Bitset.of_list 3 [ 0; 1 ] |] in
+  let faults =
+    Trace.of_events ~m:3
+      [ outage ~machine:2 ~time:0.5 ~until:5.0; crash ~machine:1 ~time:1.0 ]
+  in
+  let recovery =
+    Recovery.make ~rereplication_target:(Recovery.Fixed 2) ~bandwidth:1.0 ()
+  in
+  let events =
+    matches_reference ~recovery ~faults instance realization ~placement
+      ~order:[| 0 |]
+  in
+  Alcotest.(check bool) "healed onto m2 at its rejoin" true
+    (List.mem
+       (Engine.Rereplication_started { time = 5.0; task = 0; src = 0; dst = 2 })
+       events)
+
+(* Task 0 lives on m0 alone with target 2: the t=0 heal starts a
+   transfer to m1 (4 time units at bandwidth 1). The crash of m3 at t=1
+   runs the healer while that transfer is in flight; crashing the
+   destination at t=2 then aborts it. The task must still be on the
+   worklist, so the same instant's heal re-issues it to m2. *)
+let aborted_transfer_stays_needy () =
+  let instance =
+    Instance.of_ests ~m:4 ~alpha:(Uncertainty.alpha 2.0) ~sizes:[| 4.0 |]
+      [| 10.0 |]
+  in
+  let realization = Realization.of_actuals instance [| 10.0 |] in
+  let placement () = [| Bitset.of_list 4 [ 0 ] |] in
+  let faults =
+    Trace.of_events ~m:4
+      [ crash ~machine:3 ~time:1.0; crash ~machine:1 ~time:2.0 ]
+  in
+  let recovery =
+    Recovery.make ~rereplication_target:(Recovery.Fixed 2) ~bandwidth:1.0 ()
+  in
+  let events =
+    matches_reference ~recovery ~faults instance realization ~placement
+      ~order:[| 0 |]
+  in
+  let has e = List.mem e events in
+  Alcotest.(check bool) "t=0 transfer to m1" true
+    (has (Engine.Rereplication_started { time = 0.0; task = 0; src = 0; dst = 1 }));
+  Alcotest.(check bool) "destination crash aborts it" true
+    (has (Engine.Rereplication_aborted { time = 2.0; task = 0; src = 0; dst = 1 }));
+  Alcotest.(check bool) "re-issued to m2 at once" true
+    (has (Engine.Rereplication_started { time = 2.0; task = 0; src = 0; dst = 2 }))
+
 (* ------------------------------ suite ------------------------------- *)
 
 let () =
@@ -192,4 +440,21 @@ let () =
             prop_healthy_matches_reference;
             prop_stream_matches_reference;
           ] );
+      ( "wide",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_wide_faulty_matches_reference;
+            prop_wide_stream_matches_reference;
+          ] );
+      ( "paths",
+        [
+          Alcotest.test_case "crash re-arms a speculated task" `Quick
+            crash_rearms_speculation;
+          Alcotest.test_case "needy task heals when a holder rejoins" `Quick
+            heal_waits_for_rejoin;
+          Alcotest.test_case "needy task heals when a destination rejoins"
+            `Quick heal_waits_for_destination;
+          Alcotest.test_case "aborted transfer keeps the task needy" `Quick
+            aborted_transfer_stays_needy;
+        ] );
     ]

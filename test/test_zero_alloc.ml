@@ -79,34 +79,51 @@ let healthy_is_allocation_free () =
 (* The faulty engine's epilogue materializes one [Finished] fate per
    task (a boxed entry), so per-run minor words grow with n — but the
    slope must stay a small constant, not the old per-event record and
-   option churn. Measured slope is ~14 words/task bare and ~27 with
-   recovery + speculation; the gate allows 64. *)
+   option churn. Measured slope is ~14 words/task bare, ~21 with
+   recovery + speculation and ~46 for a speculating stream (whose
+   backup-copy search runs on every idle dispatch); the gate allows
+   64. *)
 let faulty_slope_is_bounded () =
-  let words ~recover n =
+  let recovery =
+    Recovery.make ~detection_latency:0.5
+      ~rereplication_target:(Recovery.Fixed 2) ~bandwidth:1.0
+      ~checkpoint_interval:1.0 ~max_retries:2 ()
+  in
+  let words variant n =
     let instance, realization, placement, order, rng = setup ~shared:true n in
     let faults =
       Trace.merge
         (Trace.random_outages rng ~m ~p:0.5 ~horizon:40.0 ~duration:(0.5, 3.0))
         (Trace.random_slowdowns rng ~m ~p:0.5 ~horizon:40.0 ~factor:(0.3, 0.9))
     in
+    (* Arrivals at roughly 0.55 load, so machines go idle and back up
+       stragglers often (about one backup per two tasks). *)
+    let arrivals = Array.init n (fun j -> 0.3 *. float_of_int j) in
     measure (fun () ->
-        if recover then
-          Engine.run_faulty ~speculation:1.5
-            ~recovery:
-              (Recovery.make ~detection_latency:0.5
-                 ~rereplication_target:(Recovery.Fixed 2) ~bandwidth:1.0
-                 ~checkpoint_interval:1.0 ~max_retries:2 ())
-            instance realization ~faults ~placement ~order
-        else Engine.run_faulty instance realization ~faults ~placement ~order)
+        match variant with
+        | `Bare ->
+            ignore (Engine.run_faulty instance realization ~faults ~placement ~order)
+        | `Recover ->
+            ignore
+              (Engine.run_faulty ~speculation:1.5 ~recovery instance realization
+                 ~faults ~placement ~order)
+        | `Stream ->
+            ignore
+              (Engine.run_stream ~speculation:1.2 instance realization ~arrivals
+                 ~placement ~order))
   in
   List.iter
-    (fun (label, recover) ->
-      let w2 = words ~recover 2000 and w4 = words ~recover 4000 in
+    (fun (label, variant) ->
+      let w2 = words variant 2000 and w4 = words variant 4000 in
       let slope = (w4 -. w2) /. 2000.0 in
       Alcotest.(check bool)
         (Printf.sprintf "%s: slope %.1f words/task under 64" label slope)
         true (slope <= 64.0))
-    [ ("bare faults", false); ("recovery + speculation", true) ]
+    [
+      ("bare faults", `Bare);
+      ("recovery + speculation", `Recover);
+      ("stream + speculation", `Stream);
+    ]
 
 (* The packers: multifit's bisection must not allocate per task beyond
    its one index sort (the old version burned 21.7M minor words at
