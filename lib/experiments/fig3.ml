@@ -1,12 +1,9 @@
-module Instance = Usched_model.Instance
 module Realization = Usched_model.Realization
-module Uncertainty = Usched_model.Uncertainty
 module Workload = Usched_model.Workload
 module Core = Usched_core
 module Strategy = Usched_core.Strategy
 module Table = Usched_report.Table
 module Plot = Usched_report.Ascii_plot
-module Rng = Usched_prng.Rng
 
 let divisors n =
   List.filter (fun d -> n mod d = 0) (List.init n (fun i -> i + 1))
@@ -51,48 +48,32 @@ let one_alpha config ~m ~alpha =
         Runner.strategy config ~m (Strategy.budgeted ~k:replication))
       ~m ~alpha ~replications
   in
-  let table =
-    Table.create
-      ~columns:
-        [
-          ("replication |M_j|", Table.Right);
-          ("groups k", Table.Right);
-          ("LS-Group guarantee", Table.Right);
-          ("measured worst (rand)", Table.Right);
-          ("budgeted worst (rand)", Table.Right);
-        ]
+  let measured_column ?csv title series =
+    let value replication format =
+      match List.assoc_opt replication series with
+      | Some v -> format v
+      | None -> ""
+    in
+    Runner.column title
+      ?csv:
+        (Option.map
+           (fun name -> [ (name, fun (r, _) -> value r Runner.csv_float) ])
+           csv)
+      (fun (r, _) -> value r (fun v -> Table.cell_float v))
   in
-  List.iter
-    (fun (replication, guarantee) ->
-      let cell series =
-        match List.assoc_opt replication series with
-        | Some v -> Table.cell_float v
-        | None -> ""
-      in
-      Table.add_row table
-        [
-          string_of_int replication;
-          string_of_int (m / replication);
-          Table.cell_float guarantee;
-          cell measured;
-          cell measured_budgeted;
-        ])
+  Runner.report config
+    ~csv:(Printf.sprintf "fig3_m%d_alpha%g" m alpha)
+    Runner.
+      [
+        text ~align:Right ~csv:"replication" "replication |M_j|"
+          (fun (replication, _) -> string_of_int replication);
+        text ~align:Right ~csv:"groups_k" "groups k" (fun (replication, _) ->
+            string_of_int (m / replication));
+        float ~csv:"guarantee" "LS-Group guarantee" snd;
+        measured_column ~csv:"measured_worst" "measured worst (rand)" measured;
+        measured_column "budgeted worst (rand)" measured_budgeted;
+      ]
     guarantees;
-  print_string (Table.render table);
-  Runner.maybe_csv config
-    ~name:(Printf.sprintf "fig3_m%d_alpha%g" m alpha)
-    ~header:[ "replication"; "groups_k"; "guarantee"; "measured_worst" ]
-    (List.map
-       (fun (replication, guarantee) ->
-         [
-           string_of_int replication;
-           string_of_int (m / replication);
-           Printf.sprintf "%.6f" guarantee;
-           (match List.assoc_opt replication measured with
-           | Some v -> Printf.sprintf "%.6f" v
-           | None -> "");
-         ])
-       guarantees);
   Printf.printf
     "Reference points: Th1 impossibility at replication 1: %.4f;\n\
      LPT-No Choice guarantee: %.4f; LPT-No Restriction (replication %d): %.4f.\n"

@@ -90,11 +90,11 @@ let one_config ?config ~m ~alpha2 ~rho () =
         (List.map2
            (fun delta ((s_mem, s_mk), (a_mem, a_mk)) ->
              [
-               Printf.sprintf "%.6f" delta;
-               Printf.sprintf "%.6f" s_mem;
-               Printf.sprintf "%.6f" s_mk;
-               Printf.sprintf "%.6f" a_mem;
-               Printf.sprintf "%.6f" a_mk;
+               Runner.csv_float delta;
+               Runner.csv_float s_mem;
+               Runner.csv_float s_mk;
+               Runner.csv_float a_mem;
+               Runner.csv_float a_mk;
              ])
            deltas
            (List.combine sabo abo)));

@@ -1,14 +1,11 @@
 module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
 module Realization = Usched_model.Realization
-module Uncertainty = Usched_model.Uncertainty
-module Workload = Usched_model.Workload
 module Failure = Usched_model.Failure
 module Schedule = Usched_desim.Schedule
 module Trace = Usched_faults.Trace
 module Core = Usched_core
 module Strategy = Usched_core.Strategy
-module Table = Usched_report.Table
 module Rng = Usched_prng.Rng
 module Summary = Usched_stats.Summary
 module Bootstrap = Usched_stats.Bootstrap
@@ -84,6 +81,7 @@ let strategy_specs =
 let is_reliability = function Strategy.Reliability _ -> true | _ -> false
 
 type row = {
+  name : string;
   spec : Strategy.t;
   algo : Core.Two_phase.t;
   ratio : Summary.t;
@@ -93,15 +91,30 @@ type row = {
   infeasible : int ref;
 }
 
-let generate rng =
-  let instance =
-    Workload.generate
-      (Workload.Uniform { lo = 1.0; hi = 10.0 })
-      ~n ~m
-      ~alpha:(Uncertainty.alpha alpha)
-      rng
-  in
-  (instance, Realization.log_uniform_factor instance rng)
+(* A row's table/CSV view: [survival] is [None] when every repetition
+   was infeasible. *)
+type line = {
+  pname : string;
+  row : row;
+  survival : Bootstrap.interval option;
+}
+
+let f4 = Printf.sprintf "%.4f"
+
+(* A column that reads the survival interval, or prints [empty] in the
+   table and "nan" in the CSV fields for an infeasible row. *)
+let survival_column ?(empty = "-") title cell csv =
+  Runner.column title
+    ~csv:
+      (List.map
+         (fun (name, f) ->
+           ( name,
+             fun l ->
+               match l.survival with
+               | None -> "nan"
+               | Some iv -> Runner.csv_float (f iv) ))
+         csv)
+    (fun l -> match l.survival with None -> empty | Some iv -> cell iv)
 
 let run config =
   Runner.print_section
@@ -115,126 +128,127 @@ let run config =
      95%% bootstrap CI over %d draws; 'bound' the analytic union bound the\n\
      reliability solver holds at >= its target.\n\n"
     n m alpha crash_draws_per_rep (reps * crash_draws_per_rep);
-  let table =
-    Table.create
-      ~columns:
-        [
-          ("profile", Table.Left);
-          ("strategy", Table.Left);
-          ("mean ratio", Table.Right);
-          ("mem max", Table.Right);
-          ("survival", Table.Right);
-          ("95% CI", Table.Right);
-          ("bound", Table.Right);
-        ]
-  in
-  let csv_rows = ref [] in
   let min_survival = ref infinity and min_bound = ref infinity in
-  List.iteri
-    (fun pidx (pname, make_profile) ->
-      let profile = make_profile (Rng.create ~seed:(config.Runner.seed + (613 * pidx)) ()) in
-      let rows =
-        List.map
-          (fun (name, spec) ->
-            ( name,
-              {
-                spec;
-                algo = Runner.strategy config ~m spec;
-                ratio = Summary.create ();
-                mem = Summary.create ();
-                bound = Summary.create ();
-                indicators = ref [];
-                infeasible = ref 0;
-              } ))
-          strategy_specs
-      in
-      let master = Rng.create ~seed:(config.Runner.seed + (7919 * pidx)) () in
-      for _ = 1 to reps do
-        let rng = Rng.split master in
-        let instance, realization = generate rng in
-        let instance = Instance.with_failure instance (Some profile) in
-        let lb =
-          Core.Lower_bounds.best ~m (Realization.actuals realization)
-        in
-        let crash_sets =
-          Array.init crash_draws_per_rep (fun _ -> Rng.split rng)
-          |> Array.map (fun r ->
-                 crashed_set ~m
-                   (Trace.profile_crashes r ~profile ~horizon:1.0))
-        in
-        List.iter
-          (fun (_, row) ->
-            match row.algo.Core.Two_phase.phase1 instance with
-            | exception Core.Reliability.Infeasible _ -> incr row.infeasible
-            | placement ->
-                let makespan =
-                  Schedule.makespan
-                    (row.algo.Core.Two_phase.phase2 instance placement
-                       realization)
-                in
-                Summary.add row.ratio (makespan /. lb);
-                Summary.add row.mem
-                  (Core.Placement.memory_max placement
-                     ~sizes:(Instance.sizes instance));
-                Summary.add row.bound
-                  (Core.Reliability.survival_bound instance placement);
-                let sets = Core.Placement.sets placement in
-                Array.iter
-                  (fun crashed ->
-                    row.indicators :=
-                      (if survives sets crashed then 1.0 else 0.0)
-                      :: !(row.indicators))
-                  crash_sets)
-          rows
-      done;
-      List.iter
-        (fun (name, row) ->
-          if !(row.infeasible) = reps then begin
-            Table.add_row table
-              [ pname; name; "-"; "-"; "infeasible"; "-"; "-" ];
-            csv_rows :=
-              [ pname; Strategy.to_string row.spec; "nan"; "nan"; "nan";
-                "nan"; "nan"; "nan"; string_of_int !(row.infeasible) ]
-              :: !csv_rows
-          end
-          else begin
-            let data = Array.of_list !(row.indicators) in
-            let iv =
-              Bootstrap.mean_interval
-                ~rng:(Rng.create ~seed:(config.Runner.seed + 104729) ())
-                data
-            in
-            if is_reliability row.spec then begin
-              min_survival := Float.min !min_survival iv.Bootstrap.point;
-              min_bound := Float.min !min_bound (Summary.min row.bound)
-            end;
-            Table.add_row table
-              [
-                pname;
-                name;
-                Table.cell_float (Summary.mean row.ratio);
-                Table.cell_float (Summary.mean row.mem);
-                Printf.sprintf "%.4f" iv.Bootstrap.point;
-                Printf.sprintf "[%.4f, %.4f]" iv.Bootstrap.lo iv.Bootstrap.hi;
-                Printf.sprintf "%.4f" (Summary.min row.bound);
-              ];
-            csv_rows :=
-              [
-                pname;
-                Strategy.to_string row.spec;
-                Printf.sprintf "%.6f" (Summary.mean row.ratio);
-                Printf.sprintf "%.6f" (Summary.mean row.mem);
-                Printf.sprintf "%.6f" iv.Bootstrap.point;
-                Printf.sprintf "%.6f" iv.Bootstrap.lo;
-                Printf.sprintf "%.6f" iv.Bootstrap.hi;
-                Printf.sprintf "%.6f" (Summary.min row.bound);
-                string_of_int !(row.infeasible);
-              ]
-              :: !csv_rows
-          end)
-        rows)
-    profiles;
-  print_string (Table.render table);
+  let lines =
+    List.concat
+      (List.mapi
+         (fun pidx (pname, make_profile) ->
+           let profile =
+             make_profile
+               (Rng.create ~seed:(config.Runner.seed + (613 * pidx)) ())
+           in
+           let rows =
+             List.map
+               (fun (name, spec) ->
+                 {
+                   name;
+                   spec;
+                   algo = Runner.strategy config ~m spec;
+                   ratio = Summary.create ();
+                   mem = Summary.create ();
+                   bound = Summary.create ();
+                   indicators = ref [];
+                   infeasible = ref 0;
+                 })
+               strategy_specs
+           in
+           Runner.paired_reps config ~salt:(7919 * pidx) ~reps (fun rng ->
+               let instance, realization = Runner.generate ~n ~m ~alpha rng in
+               let instance = Instance.with_failure instance (Some profile) in
+               let lb =
+                 Core.Lower_bounds.best ~m (Realization.actuals realization)
+               in
+               let crash_sets =
+                 Array.init crash_draws_per_rep (fun _ -> Rng.split rng)
+                 |> Array.map (fun r ->
+                        crashed_set ~m
+                          (Trace.profile_crashes r ~profile ~horizon:1.0))
+               in
+               List.iter
+                 (fun row ->
+                   match row.algo.Core.Two_phase.phase1 instance with
+                   | exception Core.Reliability.Infeasible _ ->
+                       incr row.infeasible
+                   | placement ->
+                       let makespan =
+                         Schedule.makespan
+                           (row.algo.Core.Two_phase.phase2 instance placement
+                              realization)
+                       in
+                       Summary.add row.ratio (makespan /. lb);
+                       Summary.add row.mem
+                         (Core.Placement.memory_max placement
+                            ~sizes:(Instance.sizes instance));
+                       Summary.add row.bound
+                         (Core.Reliability.survival_bound instance placement);
+                       let sets = Core.Placement.sets placement in
+                       Array.iter
+                         (fun crashed ->
+                           row.indicators :=
+                             (if survives sets crashed then 1.0 else 0.0)
+                             :: !(row.indicators))
+                         crash_sets)
+                 rows);
+           List.map
+             (fun row ->
+               let survival =
+                 if !(row.infeasible) = reps then None
+                 else begin
+                   let iv =
+                     Bootstrap.mean_interval
+                       ~rng:(Rng.create ~seed:(config.Runner.seed + 104729) ())
+                       (Array.of_list !(row.indicators))
+                   in
+                   if is_reliability row.spec then begin
+                     min_survival := Float.min !min_survival iv.Bootstrap.point;
+                     min_bound := Float.min !min_bound (Summary.min row.bound)
+                   end;
+                   Some iv
+                 end
+               in
+               { pname; row; survival })
+             rows)
+         profiles)
+  in
+  (* An infeasible row has empty summaries: every stat reads "-"/"nan". *)
+  let stat_column ~csv title summary =
+    Runner.mean_or_dash ~csv title (fun l -> summary l.row)
+  in
+  Runner.report config ~csv:"reliability_tradeoff"
+    Runner.
+      [
+        text ~csv:"profile" "profile" (fun l -> l.pname);
+        column ~align:Left
+          ~csv:[ ("strategy", fun l -> Strategy.to_string l.row.spec) ]
+          "strategy"
+          (fun l -> l.row.name);
+        stat_column ~csv:"mean_ratio" "mean ratio" (fun r -> r.ratio);
+        stat_column ~csv:"mem_max" "mem max" (fun r -> r.mem);
+        survival_column ~empty:"infeasible" "survival"
+          (fun iv -> f4 iv.Bootstrap.point)
+          [ ("survival", fun iv -> iv.Bootstrap.point) ];
+        survival_column "95% CI"
+          (fun iv ->
+            Printf.sprintf "[%s, %s]" (f4 iv.Bootstrap.lo) (f4 iv.Bootstrap.hi))
+          [
+            ("survival_lo", fun iv -> iv.Bootstrap.lo);
+            ("survival_hi", fun iv -> iv.Bootstrap.hi);
+          ];
+        column
+          ~csv:
+            [
+              ( "bound_min",
+                fun l ->
+                  if Summary.count l.row.bound = 0 then "nan"
+                  else csv_float (Summary.min l.row.bound) );
+              ("infeasible_reps", fun l -> string_of_int !(l.row.infeasible));
+            ]
+          "bound"
+          (fun l ->
+            if Summary.count l.row.bound = 0 then "-"
+            else f4 (Summary.min l.row.bound));
+      ]
+    lines;
   if Float.is_finite !min_survival then begin
     Metrics.set
       (Metrics.gauge config.Runner.metrics "reliability.survival_min")
@@ -243,11 +257,6 @@ let run config =
       (Metrics.gauge config.Runner.metrics "reliability.bound_min")
       !min_bound
   end;
-  Runner.maybe_csv config ~name:"reliability_tradeoff"
-    ~header:
-      [ "profile"; "strategy"; "mean_ratio"; "mem_max"; "survival";
-        "survival_lo"; "survival_hi"; "bound_min"; "infeasible_reps" ]
-    (List.rev !csv_rows);
   Printf.printf
     "\nFixed-degree strategies pay the same memory on every profile and\n\
      let survival float; the reliability family holds survival above its\n\

@@ -7,3 +7,9 @@
     strategies within a load point. *)
 
 val run : Runner.config -> unit
+
+val utilization :
+  m:int -> Usched_model.Realization.t -> Usched_desim.Engine.outcome -> float
+(** Machine-time consumed (wasted work plus the actual times of the
+    finished tasks) over the [m] machines' time until the drain
+    ([outcome.makespan]); 0.0 when nothing ran. *)
