@@ -1,10 +1,10 @@
-(* Bench harness: regenerates every table and figure of the paper
-   (Part 1), then times the implementation with Bechamel (Part 2).
+(* Bench harness: times the implementation with Bechamel. It only
+   measures; the paper's tables and figures come from `usched all`.
 
    Run with: dune exec bench/main.exe
    Flags:
-     --quick          skip Part 1 and shorten the measurement quota (CI preset)
-     --json PATH      also write the Part-2 results as a machine-readable
+     --quick          shorten the measurement quota (CI preset)
+     --json PATH      also write the results as a machine-readable
                       BENCH_*.json report (name -> ns/run + minor allocs/run),
                       comparable against the committed BENCH_baseline.json
      --filter SUBSTR  run only the bench rows whose name contains SUBSTR
@@ -12,7 +12,6 @@
                       filter runs) *)
 
 open Bechamel
-module Experiments = Usched_experiments
 module Core = Usched_core
 module Strategy = Usched_core.Strategy
 module Instance = Usched_model.Instance
@@ -25,23 +24,6 @@ module Dispatch = Usched_desim.Dispatch
 module Arrival = Usched_desim.Arrival
 module Trace = Usched_faults.Trace
 module Recovery = Usched_faults.Recovery
-
-(* ------------------------------------------------------------------ *)
-(* Part 1: paper artifacts.                                           *)
-(* ------------------------------------------------------------------ *)
-
-let run_experiments () =
-  let config = { Experiments.Runner.default_config with reps = 30 } in
-  Printf.printf
-    "Reproduction harness: one section per table/figure of the paper.\n\
-     (seed %d, %d repetitions per sampled point, %d domains)\n"
-    config.Experiments.Runner.seed config.Experiments.Runner.reps
-    config.Experiments.Runner.domains;
-  Experiments.Registry.run_all config
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel micro-benchmarks.                                  *)
-(* ------------------------------------------------------------------ *)
 
 let bench_instance ~n ~m =
   Workload.generate
@@ -264,21 +246,6 @@ let benches () =
               (Engine.run_faulty ~speeds:his disp disp_realization ~faults
                  ~placement:disp_sets ~order:disp_order))));
     (* Substrates. *)
-    (let keys = Array.init 10_000 (fun i -> (i * 2_654_435_761) land 0xFFFFF) in
-     Test.make ~name:"pqueue/push-pop churn (10k)"
-       (Staged.stage (fun () ->
-            let q = Usched_desim.Pqueue.create ~compare:Int.compare () in
-            Array.iter (fun k -> Usched_desim.Pqueue.push q k) keys;
-            let acc = ref 0 in
-            let rec drain () =
-              match Usched_desim.Pqueue.pop q with
-              | Some k ->
-                  acc := !acc + k;
-                  drain ()
-              | None -> ()
-            in
-            drain ();
-            Sys.opaque_identity !acc |> ignore)));
     Test.make ~name:"prng/xoshiro256 float"
       (Staged.stage (fun () -> ignore (Rng.float rng)));
     Test.make ~name:"workload/uniform n=1000"
@@ -430,7 +397,7 @@ let () =
         "PATH  also write results as a machine-readable JSON report" );
       ( "--quick",
         Arg.Set quick,
-        "  skip the paper-artifact part and shorten the quota (CI preset)" );
+        "  shorten the measurement quota (CI preset)" );
       ( "--filter",
         Arg.String (fun s -> filters := s :: !filters),
         "SUBSTR  run only bench rows whose name contains SUBSTR (repeatable)"
@@ -438,7 +405,6 @@ let () =
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "bench [--quick] [--json PATH] [--filter SUBSTR]";
-  if (not !quick) && !filters = [] then run_experiments ();
   let quota_s = if !quick then 0.08 else 0.5 in
   let results = run_benches ~quota_s ~filters:!filters () in
   (match !json_path with

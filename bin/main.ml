@@ -502,7 +502,13 @@ let solve_cmd =
             Printf.eprintf "usched: %s\n" msg;
             exit 2
     in
-    let instance = Model.Io.load_instance ~path:file in
+    let instance =
+      match Model.Io.load_instance ~path:file with
+      | instance -> instance
+      | exception Failure msg ->
+          Printf.eprintf "usched: %s: %s\n" file msg;
+          exit 2
+    in
     let m = Model.Instance.m instance in
     let n = Model.Instance.n instance in
     (match speeds with

@@ -39,13 +39,6 @@ let placement ~budgets instance =
     order;
   Placement.of_sets ~m sets
 
-let algorithm ~budgets =
-  {
-    Two_phase.name = "Budgeted";
-    phase1 = (fun instance -> placement ~budgets instance);
-    phase2 = Two_phase.lpt_order_phase2;
-  }
-
 let uniform ~k =
   {
     Two_phase.name = Printf.sprintf "Budgeted(k=%d)" k;

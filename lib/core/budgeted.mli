@@ -21,9 +21,6 @@ val placement : budgets:int array -> Instance.t -> Placement.t
     budget is clamped to [1..m]. Raises [Invalid_argument] if the budget
     array's length differs from the instance. *)
 
-val algorithm : budgets:int array -> Two_phase.t
-(** Two-phase algorithm over {!placement}. *)
-
 val uniform : k:int -> Two_phase.t
 (** Every task gets the same budget [k] (clamped to [1..m]). *)
 

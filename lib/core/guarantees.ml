@@ -46,19 +46,9 @@ let ls_group ~m ~k ~alpha =
   (kf *. a2 /. (a2 +. kf -. 1.0) *. (1.0 +. ((kf -. 1.0) /. mf)))
   +. ((mf -. kf) /. mf)
 
-let replication_of_groups ~m ~k =
-  check_m m;
-  if k < 1 || k > m || m mod k <> 0 then
-    invalid_arg "Guarantees.replication_of_groups: k must divide m";
-  m / k
-
 let lpt_offline ~m =
   check_m m;
   (4.0 /. 3.0) -. (1.0 /. (3.0 *. float_of_int m))
-
-let multifit ~iterations =
-  if iterations < 0 then invalid_arg "Guarantees.multifit: negative iterations";
-  (13.0 /. 11.0) +. (2.0 ** float_of_int (-iterations))
 
 let sabo_makespan ~alpha ~delta ~rho1 =
   check_alpha alpha;
@@ -83,31 +73,6 @@ let abo_memory ~m ~delta ~rho2 =
   check_delta delta;
   check_rho rho2;
   (1.0 +. (float_of_int m /. delta)) *. rho2
-
-let check_staging s =
-  if Float.is_nan s || not (Float.is_finite s) || s < 0.0 then
-    invalid_arg "Guarantees: staging term must be finite and >= 0"
-
-let check_opt opt =
-  if Float.is_nan opt || not (Float.is_finite opt) || opt < 0.0 then
-    invalid_arg "Guarantees: opt must be finite and >= 0"
-
-(* Staging-aware makespan bounds. Staging occupies the executing machine
-   exactly like processing, so a ratio-[rho] list bound degrades to the
-   additive form [rho * opt + s_max]: the final task's machine pays at
-   most its own staging on top of a schedule the ratio already covers.
-   These return executable upper bounds (absolute makespans, not
-   ratios) — on the uniform topology [s_max = 0] and they collapse to
-   [rho * opt]. *)
-let list_scheduling_staged ~m ~s_max ~opt =
-  check_staging s_max;
-  check_opt opt;
-  (list_scheduling ~m *. opt) +. s_max
-
-let full_replication_staged ~m ~alpha ~s_max ~opt =
-  check_staging s_max;
-  check_opt opt;
-  (full_replication ~m ~alpha *. opt) +. s_max
 
 let tradeoff_impossibility ~makespan_ratio =
   if makespan_ratio <= 1.0 then

@@ -37,17 +37,10 @@ val ls_group : m:int -> k:int -> alpha:float -> float
     [kα²/(α²+k-1) · (1 + (k-1)/m) + (m-k)/m]-competitive. Requires
     [1 <= k <= m]. *)
 
-val replication_of_groups : m:int -> k:int -> int
-(** [m/k], the number of replicas per task under LS-Group — the x axis of
-    Figure 3. Requires [k] divides [m]. *)
-
 (** {1 Classical offline baselines (Section 2 of Related Work)} *)
 
 val lpt_offline : m:int -> float
 (** Graham 1969: [4/3 - 1/(3m)] for LPT with exact processing times. *)
-
-val multifit : iterations:int -> float
-(** Coffman-Garey-Johnson: [13/11 + 2^-iterations] for MULTIFIT. *)
 
 (** {1 The memory-aware model (Section 6)} *)
 
@@ -62,25 +55,6 @@ val abo_makespan : m:int -> alpha:float -> delta:float -> rho1:float -> float
 
 val abo_memory : m:int -> delta:float -> rho2:float -> float
 (** Theorem 8: ABO_Δ is [(1 + m/Δ)·ρ2]-approximate on memory. *)
-
-(** {1 Staging-aware bounds (topology extension)}
-
-    When the instance carries a topology, a machine pays a staging time
-    before its first copy of a task may start. Staging occupies the
-    machine like processing, so a ratio-[ρ] list bound degrades to the
-    additive form [ρ·C* + s_max], where [s_max] bounds any single
-    task's staging (e.g. the largest entry the placement's cheapest
-    holder admits). Both functions return an {e absolute} makespan
-    bound, not a ratio; with [s_max = 0] (uniform topology) they are
-    exactly [ρ·opt]. Raise [Invalid_argument] when [s_max] or [opt] is
-    NaN, infinite, or negative. *)
-
-val list_scheduling_staged : m:int -> s_max:float -> opt:float -> float
-(** [(2 - 1/m)·opt + s_max]. *)
-
-val full_replication_staged :
-  m:int -> alpha:float -> s_max:float -> opt:float -> float
-(** [{!full_replication}·opt + s_max]. *)
 
 val tradeoff_impossibility : makespan_ratio:float -> float
 (** The bold impossibility line of Figure 6: an algorithm that combines a

@@ -36,7 +36,7 @@ let tree_reset (tree : float array) msize m =
   done
 
 (* One FFD pass over [sorted] at [limit]: find each task's leftmost
-   admitting bin, add it there, optionally record the choice. Returns
+   admitting bin, add it there, record the choice. Returns
    true when everything fit. [cur] is the caller's scratch cursor. *)
 let ffd_pass (tree : float array) msize ~limit ~(sorted : float array) ~cur
     ~record =
@@ -65,17 +65,6 @@ let ffd_pass (tree : float array) msize ~limit ~(sorted : float array) ~cur
     incr k
   done;
   !ok
-
-let no_record _ _ = ()
-
-let ffd_fits ~capacity ~m p =
-  let sorted = Array.copy p in
-  Fsort.descending sorted;
-  let limit = capacity +. eps_for capacity in
-  let msize = pow2_ge m in
-  let tree = Array.make (2 * msize) 0.0 in
-  tree_reset tree msize m;
-  ffd_pass tree msize ~limit ~sorted ~cur:(ref 0) ~record:no_record
 
 let schedule ?(iterations = 20) ~m (p : float array) =
   if m < 1 then invalid_arg "Multifit: m must be >= 1";

@@ -6,10 +6,6 @@
     existence of arbitrarily good offline algorithms (dual approximation);
     MULTIFIT plays that role in our measured baselines. *)
 
-val ffd_fits : capacity:float -> m:int -> float array -> bool
-(** Whether first-fit-decreasing packs all tasks into [m] bins of the
-    given capacity. *)
-
 val schedule : ?iterations:int -> m:int -> float array -> Assign.result
 (** Assignment produced by MULTIFIT with [iterations] (default 20) binary
     search steps; falls back to LPT's assignment if FFD never fits (FFD

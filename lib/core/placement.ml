@@ -36,8 +36,6 @@ let replication t j = Bitset.cardinal t.sets.(j)
 let max_replication t =
   Array.fold_left (fun acc set -> Stdlib.max acc (Bitset.cardinal set)) 0 t.sets
 
-let degrees t = Array.map Bitset.cardinal t.sets
-
 let total_replicas t =
   Array.fold_left (fun acc set -> acc + Bitset.cardinal set) 0 t.sets
 
@@ -92,75 +90,7 @@ let replication_cost t ~topology ~sizes =
   end
   else Array.fold_left ( +. ) 0.0 (replication_costs t ~topology ~sizes)
 
-let without_machines t lost =
-  List.iter
-    (fun i ->
-      if i < 0 || i >= t.m then
-        invalid_arg "Placement.without_machines: machine id")
-    lost;
-  let exception Lost in
-  try
-    let sets =
-      Array.map
-        (fun set ->
-          let set = Bitset.copy set in
-          List.iter (Bitset.remove set) lost;
-          if Bitset.is_empty set then raise Lost;
-          set)
-        t.sets
-    in
-    Some { m = t.m; sets }
-  with Lost -> None
-
-let without_machine t i =
-  if i < 0 || i >= t.m then invalid_arg "Placement.without_machine: machine id";
-  without_machines t [ i ]
-
-let with_replica t ~task ~machine =
-  if task < 0 || task >= Array.length t.sets then
-    invalid_arg "Placement.with_replica: task id";
-  if machine < 0 || machine >= t.m then
-    invalid_arg "Placement.with_replica: machine id";
-  if Bitset.mem t.sets.(task) machine then t
-  else begin
-    let sets = Array.copy t.sets in
-    let set = Bitset.copy sets.(task) in
-    Bitset.add set machine;
-    sets.(task) <- set;
-    { m = t.m; sets }
-  end
-
-let under_replicated t ~r ~alive =
-  if r < 0 then invalid_arg "Placement.under_replicated: r < 0";
-  if Bitset.capacity alive <> t.m then
-    invalid_arg "Placement.under_replicated: alive set capacity mismatch";
-  let acc = ref [] in
-  for j = Array.length t.sets - 1 downto 0 do
-    if Bitset.cardinal (Bitset.inter t.sets.(j) alive) < r then acc := j :: !acc
-  done;
-  !acc
-
-let machine_loads t =
-  let loads = Array.make t.m 0 in
-  Array.iter (Bitset.iter (fun i -> loads.(i) <- loads.(i) + 1)) t.sets;
-  loads
-
-let survivors t ~task ~alive =
-  if Bitset.capacity alive <> t.m then
-    invalid_arg "Placement.survivors: alive set capacity mismatch";
-  Bitset.cardinal (Bitset.inter t.sets.(task) alive)
-
-let min_replication t =
-  Array.fold_left
-    (fun acc set -> Stdlib.min acc (Bitset.cardinal set))
-    t.m t.sets
-
-let survives_failures t ~f =
-  if f < 0 then invalid_arg "Placement.survives_failures: f < 0";
-  f < min_replication t && f < t.m
-
-let survives_any_failure t = survives_failures t ~f:1
-
-let pp ppf t =
-  Format.fprintf ppf "placement(n=%d, m=%d, max_replication=%d)" (n t) t.m
-    (max_replication t)
+(* Any single crash strands a task whose data lives on one machine;
+   with [m = 1] that is every task. *)
+let survives_any_failure t =
+  t.m > 1 && Array.for_all (fun set -> Bitset.cardinal set >= 2) t.sets

@@ -44,12 +44,6 @@ val replication : t -> int -> int
 val max_replication : t -> int
 (** The paper's replication bound [k = max_j |M_j|]. *)
 
-val degrees : t -> int array
-(** Fresh array of per-task replication degrees [|M_j|] — the quantity
-    the variable-degree engine plumbing (reliability solver placements,
-    [Recovery.Degree] healing) works in. A uniform-degree placement has
-    [degrees] constantly equal to {!max_replication}. *)
-
 val total_replicas : t -> int
 (** Sum over tasks of [|M_j|]: the global storage cost in replica count. *)
 
@@ -74,59 +68,7 @@ val replication_cost : t -> topology:Topology.t -> sizes:float array -> float
 (** Total transfer cost: sum of {!replication_costs} over all tasks —
     the x-axis of the replication-cost vs. robustness frontier. *)
 
-val without_machine : t -> int -> t option
-(** [without_machine t i] is the placement after machine [i] fails: [i]
-    is removed from every task's machine set (the data on the lost disk
-    is gone). [None] if some task kept its data only on [i] — the
-    workload can no longer complete. The machine count is unchanged;
-    the failed machine simply holds nothing. This is the fault-tolerance
-    reading of replication from the paper's introduction (HDFS keeps
-    replicas to survive exactly this event). *)
-
-val without_machines : t -> int list -> t option
-(** {!without_machine} generalized to a set of simultaneous failures:
-    the surviving placement after every listed machine is lost, or
-    [None] when some task's data lived only on lost machines. Raises
-    [Invalid_argument] on out-of-range machine ids. *)
-
-val with_replica : t -> task:int -> machine:int -> t
-(** The placement after re-replication lands a copy of [task]'s data on
-    [machine] — the static view of what the recovery engine's healer
-    does mid-run. Returns [t] itself when the machine already holds the
-    task; otherwise the changed set is replaced by a fresh copy (other
-    tasks keep sharing their sets). Raises [Invalid_argument] on
-    out-of-range ids. *)
-
-val under_replicated : t -> r:int -> alive:Bitset.t -> int list
-(** Tasks (ascending) with fewer than [r] live replica holders — the
-    healer's work queue under re-replication target [r]. Raises
-    [Invalid_argument] when [r < 0] or [alive] has the wrong
-    capacity. *)
-
-val machine_loads : t -> int array
-(** Per-machine replica count [|{j : i ∈ M_j}|] — the uniform-size
-    specialization of {!memory_loads}, and the load the healer's
-    least-loaded destination choice minimizes. *)
-
-val survivors : t -> task:int -> alive:Bitset.t -> int
-(** Number of machines still holding a replica of [task] given the set
-    of machines currently alive — the quantity the fault-injected
-    phase-2 engine consults on every crash. Raises [Invalid_argument]
-    if [alive] has the wrong capacity. *)
-
-val min_replication : t -> int
-(** [min_j |M_j|]: the weakest task's replica count, which bounds how
-    many simultaneous crashes the workload is guaranteed to survive. *)
-
 val survives_any_failure : t -> bool
 (** Whether every single-machine failure leaves the workload completable
     (every task has at least two replicas, or [m = 1] trivially never
     survives). *)
-
-val survives_failures : t -> f:int -> bool
-(** Whether {e any} [f] simultaneous machine failures leave the workload
-    completable: true iff [f < min_replication t] (and [f < m]). The
-    [f = 1] case is {!survives_any_failure}. Raises [Invalid_argument]
-    if [f < 0]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -9,11 +9,6 @@ let check_target target =
     invalid_arg
       (Printf.sprintf "Reliability: target %g must be in (0, 1)" target)
 
-let per_task_bound ~target ~n =
-  check_target target;
-  if n < 1 then invalid_arg "Reliability.per_task_bound: n < 1";
-  (1.0 -. target) /. float_of_int n
-
 let placement ?budget ~target instance =
   check_target target;
   (match budget with

@@ -21,7 +21,7 @@
     accumulated in log space. Replication degrees therefore vary per
     task with the profile — reliable clusters get singletons, flaky
     ones replicate more — which is what the variable-degree engine
-    plumbing ([Placement.degrees], [Recovery.Degree]) exists for.
+    plumbing ([Placement.replication], [Recovery.Degree]) exists for.
 
     The memory-budget-constrained variant restricts every choice to
     machines with at least the task's size of headroom left under a
@@ -36,11 +36,6 @@ exception Infeasible of string
     headroom under the budget) while the task's loss probability still
     exceeds its share of the failure budget. *)
 
-val per_task_bound : target:float -> n:int -> float
-(** [(1 - target) / n]: the per-task loss-probability budget the union
-    bound allots. Raises [Invalid_argument] unless [target ∈ (0, 1)]
-    and [n >= 1]. *)
-
 val placement : ?budget:float -> target:float -> Instance.t -> Placement.t
 (** The greedy cheapest replica-set solve described above. Uses the
     instance's failure profile, or [Failure.default_p] uniformly when it
@@ -52,11 +47,7 @@ val algorithm : ?budget:float -> target:float -> unit -> Two_phase.t
 (** {!placement} as phase 1 with the standard LPT-order phase 2. Named
     [Reliability(target=T)] / [Reliability(target=T, B=B)]. *)
 
-val stranding_bound : Instance.t -> Placement.t -> float
-(** The union bound [Σ_j P(all of M_j fail)] on the probability that
-    some task strands, from the instance's (or default) profile —
-    uncapped, so it can exceed 1 for hopeless placements. *)
-
 val survival_bound : Instance.t -> Placement.t -> float
-(** [max 0 (1 - stranding_bound)]: the analytic lower bound on
+(** [max 0 (1 - Σ_j P(all of M_j fail))], the union bound from the
+    instance's (or default) profile: the analytic lower bound on
     [P(no stranded task)] that solver placements hold at [>= target]. *)

@@ -34,12 +34,6 @@ type evaluation = {
   per_scenario : float array;
 }
 
-val evaluate : ?domains:int -> Two_phase.t -> Instance.t -> t -> evaluation
-(** Commit phase 1 once, replay phase 2 on every scenario. [domains]
-    (default 1) shards the scenario replays over that many domains; the
-    evaluation is bit-identical at any domain count (each scenario's
-    makespan is an independent pure replay). *)
-
 type criterion = Minimize_worst | Minimize_mean
 
 val select :
@@ -49,10 +43,13 @@ val select :
   Instance.t ->
   t ->
   evaluation
-(** Evaluate every portfolio member and return the best under the
-    criterion (ties broken by portfolio order, independent of
-    [domains]). Raises [Invalid_argument] on an empty portfolio or
-    empty scenario set. *)
+(** Evaluate every portfolio member — commit its phase 1 once, replay
+    phase 2 on every scenario — and return the best under the criterion
+    (ties broken by portfolio order). [domains] (default 1) shards the
+    scenario replays over that many domains; the evaluation is
+    bit-identical at any domain count (each scenario's makespan is an
+    independent pure replay). Raises [Invalid_argument] on an empty
+    portfolio or empty scenario set. *)
 
 val default_portfolio : m:int -> Two_phase.t list
 (** A sensible spread over the paper's strategies: no replication,

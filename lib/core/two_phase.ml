@@ -23,9 +23,6 @@ let engine_phase2 ?dispatch ~order instance placement realization =
   Engine.run ?dispatch instance realization
     ~placement:(Placement.sets placement) ~order:(order instance)
 
-let dispatch_phase2 ~dispatch ~order instance placement realization =
-  engine_phase2 ~dispatch ~order instance placement realization
-
 let lpt_order_phase2 instance placement realization =
   engine_phase2 ~order:Instance.lpt_order instance placement realization
 

@@ -37,16 +37,6 @@ val engine_phase2 :
     idle-machine rule; phase 1 stays oblivious to it, preserving the
     framework's information flow. *)
 
-val dispatch_phase2 :
-  dispatch:Usched_desim.Dispatch.spec ->
-  order:(Instance.t -> int array) ->
-  Instance.t ->
-  Placement.t ->
-  Realization.t ->
-  Schedule.t
-(** {!engine_phase2} with an explicit, required dispatch policy — the
-    phase 2 that policy sweeps build their algorithm variants from. *)
-
 val lpt_order_phase2 : Instance.t -> Placement.t -> Realization.t -> Schedule.t
 (** {!engine_phase2} with the estimate-descending (LPT) order. *)
 

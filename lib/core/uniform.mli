@@ -20,14 +20,12 @@ module Instance = Usched_model.Instance
 module Realization = Usched_model.Realization
 module Schedule = Usched_desim.Schedule
 
-val check_speeds : m:int -> float array -> unit
-(** Raises [Invalid_argument] unless there are exactly [m] strictly
-    positive finite speeds. *)
-
 val lpt_assignment : speeds:float array -> Instance.t -> Assign.result
 (** Offline ECT-LPT on estimates: tasks in decreasing estimate order,
     each to the machine that would finish it earliest. [loads] are
-    per-machine {e finish times} (work divided by speed). *)
+    per-machine {e finish times} (work divided by speed). Raises
+    [Invalid_argument] unless [speeds] holds exactly [m] strictly
+    positive finite speeds. *)
 
 val lower_bound : speeds:float array -> float array -> float
 (** Sound lower bound on the optimal uniform-machines makespan:
@@ -37,7 +35,7 @@ val lower_bound : speeds:float array -> float array -> float
     the [min m n] largest times are selected, never a full sort: O(n log
     m) time at worst and O(m) words, and the value is bit-for-bit the
     one a full descending sort gives. Raises [Invalid_argument] on bad
-    [speeds] (see {!check_speeds}) or on a task time that is negative
+    [speeds] (see {!lpt_assignment}) or on a task time that is negative
     or not finite (NaN, infinity). *)
 
 val lpt_no_choice : speeds:float array -> Two_phase.t

@@ -121,20 +121,6 @@ let generate t rng ~count =
       incr filled);
   out
 
-let generate_until t rng ~horizon =
-  if not (Float.is_finite horizon && horizon > 0.0) then
-    invalid_arg "Arrival.generate_until: horizon must be finite and > 0";
-  let acc = ref [] in
-  let n = ref 0 in
-  iter_arrivals t rng
-    ~continue:(fun now -> now < horizon)
-    ~emit:(fun x ->
-      acc := x :: !acc;
-      incr n);
-  let out = Array.make !n 0.0 in
-  List.iteri (fun i x -> out.(!n - 1 - i) <- x) !acc;
-  out
-
 let describe = function
   | Poisson { rate } -> Printf.sprintf "poisson:%g" rate
   | Mmpp { rates; switch } ->

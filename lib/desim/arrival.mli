@@ -9,9 +9,9 @@
     history — and so arrival sequences are paired across the strategies
     of a sweep, exactly like fault traces.
 
-    Drain conditions: a streaming run is bounded either by task count
-    ({!generate}) or by time horizon ({!generate_until}); the engine
-    then simulates until every admitted task is resolved. *)
+    Drain condition: a streaming run is bounded by task count
+    ({!generate}); the engine then simulates until every admitted task
+    is resolved. *)
 
 type t =
   | Poisson of { rate : float }
@@ -30,10 +30,6 @@ type t =
 val poisson : rate:float -> t
 (** Raises [Invalid_argument] unless [rate] is finite and > 0. *)
 
-val mmpp : rates:float array -> switch:float -> t
-(** Raises [Invalid_argument] unless every rate is finite and >= 0, at
-    least one rate is > 0, and [switch] is finite and > 0. *)
-
 val trace : float array -> t
 (** Validates the instants (finite, >= 0, non-decreasing; the array is
     copied). Raises [Invalid_argument] otherwise. *)
@@ -49,11 +45,6 @@ val generate : t -> Usched_prng.Rng.t -> count:int -> float array
     time 0. Deterministic given the generator state; [Trace] ignores the
     generator. Raises [Invalid_argument] if [count < 0] or a trace holds
     fewer than [count] instants. *)
-
-val generate_until : t -> Usched_prng.Rng.t -> horizon:float -> float array
-(** Every arrival instant strictly before [horizon] (a time-bounded
-    drain condition). Raises [Invalid_argument] unless [horizon] is
-    finite and > 0. *)
 
 val describe : t -> string
 (** Human/trace-meta rendering: ["poisson:2.5"], ["mmpp:4,0:10"],

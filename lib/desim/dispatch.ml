@@ -70,7 +70,6 @@ type t = {
 }
 
 let spec t = t.spec
-let policy_name t = name t.spec
 
 (* The paper's rule, exactly as the monolithic engine implemented it: a
    per-machine cursor over the priority order. Every position skipped by

@@ -123,7 +123,6 @@ val make : spec -> view -> t
     present but [size] does not cover every task. *)
 
 val spec : t -> spec
-val policy_name : t -> string
 
 val select : t -> time:float -> machine:int -> int option
 (** The task idle machine [machine] should start now, or [None] when it

@@ -317,8 +317,7 @@ val run_stream :
 (** Simulate the open system until it drains: every admitted task
     completes or strands. [arrivals] gives task [j]'s arrival instant
     (one per task, finite, [>= 0], any order — generate with
-    {!Arrival.generate} / {!Arrival.generate_until}); [faults] defaults
-    to the empty trace.
+    {!Arrival.generate}); [faults] defaults to the empty trace.
 
     Ordering contract: arrivals are events on the virtual source
     "machine" [-1] with class [Event_core.cls_arrival], so at an equal

@@ -1,11 +1,3 @@
-type 'a event = {
-  time : float;
-  machine : int;
-  cls : int;
-  seq : int;
-  payload : 'a;
-}
-
 let cls_fault = 0
 let cls_arrival = 1
 let cls_decision = 2
@@ -14,21 +6,8 @@ let cls_audit = 3
 (* Total order on simultaneous events: time, then machine id, then
    class, then insertion order. This is THE tie-break rule of the
    simulation — every determinism statement in the engine docs reduces
-   to this comparator plus [Dispatch.redispatch_order]. The heap
-   implements it natively over its lanes ([Event_heap.lt]); this record
-   form and comparator remain for callers that work with whole
-   events. *)
-let compare_event a b =
-  match Float.compare a.time b.time with
-  | 0 -> (
-      match Int.compare a.machine b.machine with
-      | 0 -> (
-          match Int.compare a.cls b.cls with
-          | 0 -> Int.compare a.seq b.seq
-          | c -> c)
-      | c -> c)
-  | c -> c
-
+   to this order plus [Dispatch.redispatch_order]. The heap implements
+   it natively over its lanes ([Event_heap.lt]). *)
 type 'a t = 'a Event_heap.t
 
 let create ?capacity ~dummy () = Event_heap.create ?capacity ~dummy ()
@@ -38,12 +17,3 @@ let push_aux t ~time ~machine ~cls ~aux ~aux2 payload =
   Event_heap.push_aux t ~time ~machine ~cls ~aux ~aux2 payload
 
 let length = Event_heap.length
-
-let drain t ~handle =
-  while not (Event_heap.is_empty t) do
-    let time = t.Event_heap.times.(0) in
-    let machine = t.Event_heap.machines.(0) in
-    let payload = t.Event_heap.payloads.(0) in
-    Event_heap.remove_min t;
-    handle ~time ~machine payload
-  done

@@ -2,30 +2,19 @@
 
     A single priority queue of timestamped events, each addressed to a
     machine and carrying an arbitrary payload. The engine's whole
-    determinism story lives in the comparator here: simultaneous events
+    determinism story lives in the event order here: simultaneous events
     fire ordered by machine id, then by {e class} (faults and failure
     detections strike before completions and data-transfer arrivals,
     completions before dispatch decisions, speculation audits last),
-    then by insertion order. Handlers may push further events while the
-    queue drains.
+    then by insertion order. The engine pops by reading the heap's root
+    lanes and calling [Event_heap.remove_min], and may push further
+    events while the queue drains.
 
     Backed by {!Event_heap} — an allocation-free struct-of-arrays
     4-ary heap whose lane order implements the same total order. The
     concrete equality [type 'a t = 'a Event_heap.t] is exposed so the
     engine's hot loops can push and pop through direct lane access;
     everyone else should stay on this interface. *)
-
-type 'a event = {
-  time : float;
-  machine : int;
-  cls : int;
-  seq : int;  (** Insertion order, assigned by {!push}. *)
-  payload : 'a;
-}
-
-val compare_event : 'a event -> 'a event -> int
-(** The total event order [(time, machine, cls, seq)] on record-form
-    events, e.g. for sorting externally collected streams. *)
 
 (** {2 Event classes}
 
@@ -54,7 +43,7 @@ val create : ?capacity:int -> dummy:'a -> unit -> 'a t
 
 val push : 'a t -> time:float -> machine:int -> cls:int -> 'a -> unit
 (** Enqueue an event; insertion order within equal (time, machine, cls)
-    is preserved. *)
+    is preserved (each push takes the next sequence number). *)
 
 val push_aux :
   'a t -> time:float -> machine:int -> cls:int -> aux:int -> aux2:int -> 'a -> unit
@@ -63,8 +52,3 @@ val push_aux :
 
 val length : 'a t -> int
 (** Current queue depth (the engine's high-water gauge reads this). *)
-
-val drain : 'a t -> handle:(time:float -> machine:int -> 'a -> unit) -> unit
-(** Pop-and-handle until the queue is empty. The handler may push.
-    Note: record-form handler — the engine's metrics-off loops bypass
-    this and read heap lanes directly to avoid boxing [time]. *)

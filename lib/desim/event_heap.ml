@@ -1,6 +1,6 @@
 (* Allocation-free 4-ary min-heap specialized to simulation events.
 
-   The old [Pqueue]-backed event loop paid for itself three times over
+   The old binary-heap event loop paid for itself three times over
    on hot paths: every pop boxed its result in an [option], every event
    was a 7-word record (with the timestamp boxed on top), and a full
    drain dropped the backing store so the next run re-grew it from
@@ -21,8 +21,7 @@
    while sift-down still touches a single cache line of each lane.
 
    Popped payload slots are overwritten with [dummy] so a drained heap
-   retains nothing (the weak-pointer test that pinned this on [Pqueue]
-   is ported to this heap). *)
+   retains nothing (a weak-pointer test pins this). *)
 
 type 'a t = {
   dummy : 'a;
@@ -172,30 +171,6 @@ let push_aux t ~time ~machine ~cls ~aux ~aux2 payload =
   t.aux2.(s) <- aux2;
   t.payloads.(s) <- payload;
   sift_up t s
-
-let min_time t =
-  if t.size = 0 then invalid_arg "Event_heap.min_time: empty heap";
-  t.times.(0)
-
-let min_machine t =
-  if t.size = 0 then invalid_arg "Event_heap.min_machine: empty heap";
-  t.machines.(0)
-
-let min_cls t =
-  if t.size = 0 then invalid_arg "Event_heap.min_cls: empty heap";
-  t.classes.(0)
-
-let min_aux t =
-  if t.size = 0 then invalid_arg "Event_heap.min_aux: empty heap";
-  t.aux.(0)
-
-let min_aux2 t =
-  if t.size = 0 then invalid_arg "Event_heap.min_aux2: empty heap";
-  t.aux2.(0)
-
-let min_payload t =
-  if t.size = 0 then invalid_arg "Event_heap.min_payload: empty heap";
-  t.payloads.(0)
 
 (* Remove the root. The vacated slot (and the root slot of a drained
    heap) is reset to [dummy] so no popped payload stays reachable;

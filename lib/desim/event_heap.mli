@@ -24,9 +24,9 @@ type 'a t = {
 }
 (** Exposed concretely so the engine's hot loop can write lanes of a
     freshly {!alloc}ed slot directly (avoiding boxed float arguments)
-    and read the root's lanes without an accessor call. Treat as
-    read-only outside that pattern; [size] elements of each lane are
-    live, a heap-ordered prefix. *)
+    and read the root's lanes: the root (the minimum) is slot 0 of every
+    lane when [size > 0]. Treat as read-only outside that pattern;
+    [size] elements of each lane are live, a heap-ordered prefix. *)
 
 val create : ?capacity:int -> dummy:'a -> unit -> 'a t
 (** [create ~dummy ()] makes an empty heap. [dummy] fills vacated
@@ -53,15 +53,6 @@ val push : 'a t -> time:float -> machine:int -> cls:int -> 'a -> unit
 val push_aux :
   'a t -> time:float -> machine:int -> cls:int -> aux:int -> aux2:int -> 'a -> unit
 (** {!push} that also sets the two integer payload words. *)
-
-val min_time : 'a t -> float
-val min_machine : 'a t -> int
-val min_cls : 'a t -> int
-val min_aux : 'a t -> int
-val min_aux2 : 'a t -> int
-
-val min_payload : 'a t -> 'a
-(** Root accessors; raise [Invalid_argument] on an empty heap. *)
 
 val remove_min : 'a t -> unit
 (** Drop the root. The vacated payload slot is overwritten with [dummy];

@@ -60,36 +60,6 @@ let create ?speeds ~m () =
     alive_set = Bitset.full m;
   }
 
-let m t = t.m
-let alive_set t = t.alive_set
-let base_speed t i = t.base.(i)
-let eff_speed t i = t.base.(i) *. t.factor.(i)
-let available t ~time i = t.alive.(i) && t.down_until.(i) <= time
-let idle t ~time i = available t ~time i && t.cur_task.(i) < 0
-
 let mark_crashed t i =
   t.alive.(i) <- false;
   Bitset.remove t.alive_set i
-
-let start_fresh t i ~task ~time ~work =
-  t.cur_task.(i) <- task;
-  t.cur_started.(i) <- time;
-  t.cur_remaining.(i) <- work;
-  t.cur_last.(i) <- time;
-  t.cur_base.(i) <- 0.0
-
-let start_resumed t i ~task ~time ~work ~banked =
-  t.cur_task.(i) <- task;
-  t.cur_started.(i) <- time;
-  t.cur_remaining.(i) <- work -. banked;
-  t.cur_last.(i) <- time;
-  t.cur_base.(i) <- banked
-
-let clear_current t i = t.cur_task.(i) <- -1
-
-let sync_remaining t i ~time ~speed =
-  t.cur_remaining.(i) <- t.cur_remaining.(i) -. ((time -. t.cur_last.(i)) *. speed);
-  t.cur_last.(i) <- time
-
-let remaining_at t i ~time ~speed =
-  Float.max 0.0 (t.cur_remaining.(i) -. ((time -. t.cur_last.(i)) *. speed))

@@ -11,10 +11,10 @@
     values ([orphan = -1], [undetected = nan], [ckpt_task = -1]).
 
     The engine mutates the lanes directly — this module is a state
-    container plus the clock/speed helpers, not an abstraction
-    boundary. Keeping the representation transparent (and off the
-    minor heap: full-length lanes are major-heap allocations) is what
-    lets the engine's hot loops run allocation-free. *)
+    container, not an abstraction boundary. Keeping the representation
+    transparent (and off the minor heap: full-length lanes are
+    major-heap allocations) is what lets the engine's hot loops run
+    allocation-free. *)
 
 module Bitset = Usched_model.Bitset
 
@@ -50,42 +50,6 @@ val create : ?speeds:float array -> m:int -> unit -> t
 (** All machines up, at their configured base speed (default 1.0),
     holding nothing. [speeds] is copied. *)
 
-val m : t -> int
-
-val alive_set : t -> Bitset.t
-
-val base_speed : t -> int -> float
-(** The configured speed, before any slowdown factor. *)
-
-val eff_speed : t -> int -> float
-(** [base_speed * factor]: the rate at which the machine currently
-    processes work. *)
-
-val available : t -> time:float -> int -> bool
-(** Alive and not inside an outage window. *)
-
-val idle : t -> time:float -> int -> bool
-(** {!available} and processing nothing. *)
-
 val mark_crashed : t -> int -> unit
 (** Permanently removes the machine: clears [alive] and updates
     [alive_set]. *)
-
-val start_fresh : t -> int -> task:int -> time:float -> work:float -> unit
-(** Install a fresh copy of [task] on machine [i]. *)
-
-val start_resumed :
-  t -> int -> task:int -> time:float -> work:float -> banked:float -> unit
-(** Install a copy resuming from [banked] checkpointed work. *)
-
-val clear_current : t -> int -> unit
-(** The machine holds nothing ([cur_task.(i) <- -1]). *)
-
-val sync_remaining : t -> int -> time:float -> speed:float -> unit
-(** Bank the work processed since the last sync at [speed] (used at
-    speed changes; intentionally unclamped, matching the engine's
-    slowdown arithmetic). *)
-
-val remaining_at : t -> int -> time:float -> speed:float -> float
-(** Non-mutating, clamped view of the work left at [time] if the copy
-    ran at [speed] since its last sync (used by checkpoint salvage). *)

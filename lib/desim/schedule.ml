@@ -43,8 +43,6 @@ let m t = t.m
 let entry t j =
   { machine = t.machines.(j); start = t.starts.(j); finish = t.finishes.(j) }
 
-let machine_of t j = t.machines.(j)
-
 let makespan t = Array.fold_left Float.max 0.0 t.finishes
 
 let loads t =
@@ -55,18 +53,10 @@ let loads t =
   done;
   loads
 
-let machine_tasks t i =
-  let tasks = ref [] in
-  for j = n t - 1 downto 0 do
-    if t.machines.(j) = i then tasks := j :: !tasks
-  done;
-  List.sort (fun a b -> Float.compare t.starts.(a) t.starts.(b)) !tasks
-
 (* Counting sort by machine: one pass counts, one pass drops task ids
    into their machine's bucket in ascending id order. A bucket whose
    starts are already non-decreasing is left alone; any other is
-   stable-sorted by start, which keeps ties in id order — the order
-   [machine_tasks] gives. *)
+   stable-sorted by start, which keeps ties in id order. *)
 let by_machine t =
   let counts = Array.make t.m 0 in
   Array.iter (fun i -> counts.(i) <- counts.(i) + 1) t.machines;
@@ -149,16 +139,3 @@ let validate ?placement ?speeds instance realization t =
     (by_machine t);
   ignore instance;
   List.rev !violations
-
-let pp_violation ppf = function
-  | Overlap { machine; task_a; task_b } ->
-      Format.fprintf ppf "overlap on machine %d between tasks %d and %d" machine
-        task_a task_b
-  | Wrong_duration { task; expected; got } ->
-      Format.fprintf ppf "task %d ran for %g instead of %g" task got expected
-  | Not_allowed { task; machine } ->
-      Format.fprintf ppf "task %d executed on machine %d without its data" task
-        machine
-
-let pp ppf t =
-  Format.fprintf ppf "schedule(n=%d, m=%d, makespan=%g)" (n t) t.m (makespan t)

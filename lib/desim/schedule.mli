@@ -30,23 +30,16 @@ val m : t -> int
 val entry : t -> int -> entry
 (** Entry of a task id. *)
 
-val machine_of : t -> int -> int
-
 val makespan : t -> float
 
 val loads : t -> float array
 (** Total busy time per machine. *)
 
-val machine_tasks : t -> int -> int list
-(** Tasks run by a machine, in increasing start order (ties by task
-    id). One O(n) scan per call: to visit every machine, use
-    {!by_machine}. *)
-
 val by_machine : t -> int array array
-(** Every machine's tasks at once: [(by_machine t).(i)] lists exactly
-    [machine_tasks t i], in the same order. One counting-sort pass,
-    O(n + m), plus a sort of each bucket whose starts are out of
-    order. *)
+(** Every machine's tasks: [(by_machine t).(i)] lists the tasks run by
+    machine [i] in increasing start order (ties by task id). One
+    counting-sort pass, O(n + m), plus a sort of each bucket whose
+    starts are out of order. *)
 
 val assignment : t -> int array
 (** Per-task machine, as a fresh array. *)
@@ -73,6 +66,3 @@ val validate :
     (divided by the executing machine's speed when [speeds] is given),
     tasks on one machine must not overlap, and each task must run on a
     machine holding its data. Empty list = valid. *)
-
-val pp_violation : Format.formatter -> violation -> unit
-val pp : Format.formatter -> t -> unit

@@ -177,9 +177,3 @@ let correlated_errors config =
      iid row toward the bias row: the fewer independent factors, the\n\
      closer the noise is to a harmless global rescaling. Replication's\n\
      advantage is largest under fully independent errors.)\n"
-
-let run config =
-  phase2_order config;
-  adversary_strength config;
-  selective_replication config;
-  correlated_errors config

@@ -24,6 +24,3 @@ val correlated_errors : Runner.config -> unit
     strategy. Bias provably leaves ratios untouched; correlation moves
     the iid case toward that harmless limit, so independent errors are
     where replication pays most. *)
-
-val run : Runner.config -> unit
-(** All three. *)

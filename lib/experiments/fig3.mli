@@ -12,8 +12,4 @@
 val divisors : int -> int list
 (** All positive divisors, ascending. *)
 
-val guarantee_series : m:int -> alpha:float -> (int * float) list
-(** [(replication m/k, LS-Group guarantee with k groups)] for every
-    divisor [k] of [m], ascending in replication. *)
-
 val run : Runner.config -> unit

@@ -7,11 +7,4 @@
     Also reports the crossover: for [α·ρ1 >= 2] ABO dominates on
     makespan, while SABO always dominates on memory. *)
 
-val sabo_curve :
-  alpha:float -> rho:float -> deltas:float list -> (float * float) list
-(** [(memory guarantee, makespan guarantee)] pairs along the sweep. *)
-
-val abo_curve :
-  m:int -> alpha:float -> rho:float -> deltas:float list -> (float * float) list
-
 val run : Runner.config -> unit

@@ -52,8 +52,6 @@ let is_none t = t == none
 let is_active t = not (is_none t)
 
 let heals t = match t.rereplication_target with Fixed r -> r > 0 | Degree -> true
-let target_for t ~degree =
-  match t.rereplication_target with Fixed r -> r | Degree -> degree
 
 let target_to_string = function
   | Fixed r -> string_of_int r

@@ -99,10 +99,6 @@ val heals : t -> bool
 (** Whether re-replication is on at all: [Fixed r] with [r > 0], or
     [Degree]. *)
 
-val target_for : t -> degree:int -> int
-(** The live-replica target for a task whose initial phase-1 replication
-    degree was [degree]: [r] under [Fixed r], [degree] under [Degree]. *)
-
 val target_to_string : target -> string
 (** ["0"], ["2"], ... for [Fixed]; ["degree"]. *)
 

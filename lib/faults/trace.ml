@@ -19,7 +19,6 @@ let empty ~m = of_events ~m []
 
 let m t = t.m
 let events t = t.events
-let is_empty t = t.events = []
 let length t = List.length t.events
 
 let crash_time t machine =
@@ -37,14 +36,6 @@ let crashed t =
        (fun (e : Fault.event) ->
          match e.kind with Fault.Crash -> Some e.machine | _ -> None)
        t.events)
-
-let outages t machine =
-  List.filter_map
-    (fun (e : Fault.event) ->
-      match e.kind with
-      | Fault.Outage until when e.machine = machine -> Some (e.time, until)
-      | _ -> None)
-    t.events
 
 let merge a b =
   if a.m <> b.m then invalid_arg "Trace.merge: machine counts differ";
@@ -125,10 +116,3 @@ let revelation ~m ~at factors =
         :: !events
   done;
   of_events ~m !events
-
-let pp ppf t =
-  Format.fprintf ppf "trace(m=%d, %d events:@ " t.m (length t);
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-    Fault.pp ppf t.events;
-  Format.fprintf ppf ")"

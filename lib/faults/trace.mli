@@ -21,7 +21,6 @@ val m : t -> int
 val events : t -> Fault.event list
 (** Chronological (time, then machine id) order. *)
 
-val is_empty : t -> bool
 val length : t -> int
 
 val crash_time : t -> int -> float option
@@ -29,9 +28,6 @@ val crash_time : t -> int -> float option
 
 val crashed : t -> int list
 (** Machines with at least one [Crash] event, ascending. *)
-
-val outages : t -> int -> (float * float) list
-(** [(from, until)] outage intervals of a machine, chronological. *)
 
 val merge : t -> t -> t
 (** Union of two traces over the same machine count. *)
@@ -84,5 +80,3 @@ val revelation : m:int -> at:float -> float array -> t
     runs under [run_faulty]/[run_stream] with recovery and dispatch
     unchanged. Raises [Invalid_argument] when [factors] does not have
     length [m] or an entry is not finite and positive. *)
-
-val pp : Format.formatter -> t -> unit

@@ -109,10 +109,6 @@ let choose t =
 let check_same_capacity a b =
   if a.len <> b.len then invalid_arg "Bitset: capacity mismatch"
 
-let union a b =
-  check_same_capacity a b;
-  { len = a.len; words = Array.map2 ( lor ) a.words b.words }
-
 let inter a b =
   check_same_capacity a b;
   { len = a.len; words = Array.map2 ( land ) a.words b.words }

@@ -42,9 +42,6 @@ val to_list : t -> int list
 val choose : t -> int
 (** Smallest member. Raises [Not_found] on the empty set. *)
 
-val union : t -> t -> t
-(** Functional union of two sets of equal capacity. *)
-
 val inter : t -> t -> t
 (** Functional intersection of two sets of equal capacity. *)
 

@@ -22,7 +22,6 @@ let uniform ~m ~p =
 
 let m t = Array.length t.p
 let p t i = t.p.(i)
-let to_array t = Array.copy t.p
 let log_loss t i = Float.log t.p.(i)
 
 let prob_all_lost t set =

@@ -33,9 +33,6 @@ val m : t -> int
 val p : t -> int -> float
 (** [p t i] is machine [i]'s failure probability. *)
 
-val to_array : t -> float array
-(** Fresh array of all probabilities, indexed by machine. *)
-
 val log_loss : t -> int -> float
 (** [log_loss t i] is [log (p t i)]: [neg_infinity] when the machine
     never fails, [0.] when it always does. *)

@@ -54,7 +54,6 @@ let m t = t.m
 let alpha t = t.alpha
 let alpha_value t = Uncertainty.to_float t.alpha
 let tasks t = Array.copy t.tasks
-let task t j = t.tasks.(j)
 let est t j = Task.est t.tasks.(j)
 let size t j = Task.size t.tasks.(j)
 let ests t = Array.map Task.est t.tasks
@@ -89,11 +88,6 @@ let topology_or_uniform t =
 let with_topology t topology =
   make ?failure:t.failure ?speed_band:t.speed_band ?topology ~m:t.m
     ~alpha:t.alpha t.tasks
-
-let total_est t = Array.fold_left (fun acc task -> acc +. Task.est task) 0.0 t.tasks
-
-let max_est t =
-  Array.fold_left (fun acc task -> Float.max acc (Task.est task)) 0.0 t.tasks
 
 let total_size t =
   Array.fold_left (fun acc task -> acc +. Task.size task) 0.0 t.tasks

@@ -44,7 +44,6 @@ val alpha_value : t -> float
 val tasks : t -> Task.t array
 (** A copy of the task array. *)
 
-val task : t -> int -> Task.t
 val est : t -> int -> float
 val size : t -> int -> float
 
@@ -96,8 +95,6 @@ val with_topology : t -> Topology.t option -> t
     [Invalid_argument] when the topology's machine count differs from
     [m]. *)
 
-val total_est : t -> float
-val max_est : t -> float
 val total_size : t -> float
 val max_size : t -> float
 

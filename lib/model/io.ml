@@ -1,7 +1,7 @@
 let parse_error line_number message =
   failwith (Printf.sprintf "Io: line %d: %s" line_number message)
 
-let header_line ~kind instance =
+let header_line instance =
   let failp =
     match Instance.failure instance with
     | None -> ""
@@ -17,11 +17,11 @@ let header_line ~kind instance =
     | None -> ""
     | Some tp -> " topology=" ^ Topology.to_string tp
   in
-  Printf.sprintf "# usched-%s m=%d alpha=%.17g%s%s%s" kind (Instance.m instance)
+  Printf.sprintf "# usched-instance m=%d alpha=%.17g%s%s%s" (Instance.m instance)
     (Instance.alpha_value instance) failp speedband topology
 
-let parse_header ~kind line =
-  let prefix = Printf.sprintf "# usched-%s " kind in
+let parse_header line =
+  let prefix = "# usched-instance " in
   let plen = String.length prefix in
   if String.length line < plen || String.sub line 0 plen <> prefix then
     parse_error 1 (Printf.sprintf "expected a '%s' header" prefix);
@@ -48,8 +48,16 @@ let parse_header ~kind line =
     | Some v -> v
     | None -> parse_error 1 (Printf.sprintf "missing %s= in header" key)
   in
-  let m = int_of_string (lookup "m") in
-  let alpha = float_of_string (lookup "alpha") in
+  let m =
+    match int_of_string_opt (lookup "m") with
+    | Some m when m >= 1 -> m
+    | Some _ | None -> parse_error 1 "m= must be an integer >= 1"
+  in
+  let alpha =
+    match float_of_string_opt (lookup "alpha") with
+    | Some a when Float.is_finite a && a >= 1.0 -> a
+    | Some _ | None -> parse_error 1 "alpha= must be a finite number >= 1"
+  in
   let failure =
     match lookup_opt "failp" with
     | None -> None
@@ -92,7 +100,7 @@ let add_task add task =
   add_float add (Task.size task)
 
 let write_instance add instance =
-  add (header_line ~kind:"instance" instance);
+  add (header_line instance);
   add "\nid,est,size\n";
   Array.iter
     (fun task ->
@@ -100,24 +108,10 @@ let write_instance add instance =
       add "\n")
     (Instance.tasks instance)
 
-let write_realization add realization =
-  let instance = Realization.instance realization in
-  add (header_line ~kind:"realization" instance);
-  add "\nid,est,size,actual\n";
-  Array.iter
-    (fun task ->
-      add_task add task;
-      add_float add (Realization.actual realization (Task.id task));
-      add "\n")
-    (Instance.tasks instance)
-
-let to_string write x =
+let instance_to_string instance =
   let buffer = Buffer.create 256 in
-  write (Buffer.add_string buffer) x;
+  write_instance (Buffer.add_string buffer) instance;
   Buffer.contents buffer
-
-let instance_to_string = to_string write_instance
-let realization_to_string = to_string write_realization
 
 (* Parsing builds no list of lines: one scan over the text counts the
    rows, a second parses them straight into the task array. Line [k]
@@ -166,9 +160,11 @@ let split_row line text start stop seps =
 
 let field text start stop = String.sub text start (stop - start)
 
-let id_field line raw =
+(* Task [k] must carry id [k]. *)
+let id_field line k raw =
   match int_of_string_opt raw with
-  | Some v -> v
+  | Some v when v = k -> v
+  | Some v -> parse_error line (Printf.sprintf "id %d out of order (expected %d)" v k)
   | None -> parse_error line (Printf.sprintf "bad id %S" raw)
 
 let float_field line_number name raw =
@@ -176,13 +172,15 @@ let float_field line_number name raw =
   | Some v -> v
   | None -> parse_error line_number (Printf.sprintf "bad %s %S" name raw)
 
-(* After the id, the fields of a row are read right to left ([actual],
-   then [size], then [estimate]), so a row with several bad fields
-   reports the id or else the rightmost one. *)
+(* After the id, the fields of a row are read right to left ([size],
+   then [estimate]), so a row with several bad fields reports the id or
+   else the rightmost one. *)
 let task_of_row line text seps ~id ~stop =
   let size = float_field line "size" (field text (seps.(1) + 1) stop) in
   let est = float_field line "estimate" (field text (seps.(0) + 1) seps.(1)) in
-  Task.make ~id ~est ~size ()
+  match Task.make ~id ~est ~size () with
+  | task -> task
+  | exception Invalid_argument msg -> parse_error line msg
 
 let header text =
   match String.index_opt text '\n' with
@@ -192,38 +190,25 @@ let header text =
 let placeholder = Task.make ~id:0 ~est:1.0 ()
 
 let instance_of_string text =
-  let m, alpha, failure, speed_band, topology =
-    parse_header ~kind:"instance" (header text)
-  in
+  let m, alpha, failure, speed_band, topology = parse_header (header text) in
   let tasks = Array.make (iter_rows text (fun _ _ _ _ -> ())) placeholder in
   let seps = Array.make 2 0 in
   ignore
     (iter_rows text (fun k line start stop ->
          split_row line text start stop seps;
-         let id = id_field line (field text start seps.(0)) in
+         let id = id_field line k (field text start seps.(0)) in
          tasks.(k) <- task_of_row line text seps ~id ~stop));
-  Instance.make ?failure ?speed_band ?topology ~m ~alpha tasks
+  (* Rows and [m] are valid by now, so what [Instance.make] can still
+     reject is an optional header field sized for another [m]. *)
+  match Instance.make ?failure ?speed_band ?topology ~m ~alpha tasks with
+  | instance -> instance
+  | exception Invalid_argument msg -> parse_error 1 msg
 
-let realization_of_string text =
-  let m, alpha, failure, speed_band, topology =
-    parse_header ~kind:"realization" (header text)
-  in
-  let n = iter_rows text (fun _ _ _ _ -> ()) in
-  let tasks = Array.make n placeholder and actuals = Array.make n 0.0 in
-  let seps = Array.make 3 0 in
-  ignore
-    (iter_rows text (fun k line start stop ->
-         split_row line text start stop seps;
-         let id = id_field line (field text start seps.(0)) in
-         let actual = float_field line "actual" (field text (seps.(2) + 1) stop) in
-         tasks.(k) <- task_of_row line text seps ~id ~stop:seps.(2);
-         actuals.(k) <- actual));
-  let instance = Instance.make ?failure ?speed_band ?topology ~m ~alpha tasks in
-  Realization.of_actuals instance actuals
-
-let save path write x =
+let save_instance ~path instance =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write (output_string oc) x)
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> write_instance (output_string oc) instance)
 
 let read_file path =
   let ic = open_in path in
@@ -231,9 +216,4 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let save_instance ~path instance = save path write_instance instance
 let load_instance ~path = instance_of_string (read_file path)
-
-let save_realization ~path realization = save path write_realization realization
-
-let load_realization ~path = realization_of_string (read_file path)

@@ -1,8 +1,8 @@
-(** Plain-text persistence of instances and realizations.
+(** Plain-text persistence of instances.
 
-    Experiments can save generated workloads and adversarial realizations
-    to CSV-like files and reload them later, so any single run is
-    shareable and replayable. Format (header line included):
+    Generated workloads can be saved to CSV-like files and reloaded
+    later, so any single run is shareable and replayable. Format (header
+    line included):
 
     {v
     # usched-instance m=<m> alpha=<alpha>[ failp=<p0>,...][ speedband=<b0>,...][ topology=<zones|bw|lat>]
@@ -11,7 +11,8 @@
     ...
     v}
 
-    The optional [failp=] field carries the per-machine failure profile
+    [m] is a positive integer and [alpha] a finite factor [>= 1]. The
+    optional [failp=] field carries the per-machine failure profile
     ({!Failure.t}), comma-separated with one probability per machine;
     the optional [speedband=] field carries the per-machine speed
     uncertainty band ({!Speed_band.t}) as comma-separated [lo:hi] pairs
@@ -19,22 +20,19 @@
     carries the cluster topology ({!Topology.t}) in its space-free
     [ZONES|BWROWS|LATROWS] form. All three round-trip bit-exactly;
     files written before any of the fields existed parse to instances
-    without them. Realizations append an [actual] column and reference
-    the instance parameters in the header. *)
+    without them. Rows list the tasks in id order [0, 1, ...]. *)
 
 val instance_to_string : Instance.t -> string
+
 val instance_of_string : string -> Instance.t
 (** Blank and whitespace-only lines after the column line are skipped.
-    Raises [Failure] on malformed input, with a message naming the
-    physical line (blank lines count). *)
+    Raises [Failure] on malformed input, with a message
+    ["Io: line <k>: ..."] naming the physical line (blank lines count);
+    header problems, including optional fields whose machine count is
+    not [m], name line 1. *)
 
 val save_instance : path:string -> Instance.t -> unit
+
 val load_instance : path:string -> Instance.t
-
-val realization_to_string : Realization.t -> string
-val realization_of_string : string -> Realization.t
-(** Rebuilds both the instance and its actual times; validates
-    admissibility via [Realization.of_actuals]. *)
-
-val save_realization : path:string -> Realization.t -> unit
-val load_realization : path:string -> Realization.t
+(** {!instance_of_string} on the file's contents; raises [Sys_error]
+    when the file cannot be read. *)

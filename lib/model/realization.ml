@@ -27,7 +27,6 @@ let exact instance = of_actuals instance (Instance.ests instance)
 let[@inline] actual t j = t.actuals.(j)
 let actuals t = Array.copy t.actuals
 let total t = Array.fold_left ( +. ) 0.0 t.actuals
-let max_actual t = Array.fold_left Float.max 0.0 t.actuals
 let instance t = t.instance
 
 let random_factors instance draw rng =
@@ -72,7 +71,3 @@ let clustered ~clusters instance rng =
   in
   of_factors instance
     (Array.init (Instance.n instance) (fun j -> cluster_factor.(j mod clusters)))
-
-let pp ppf t =
-  Format.fprintf ppf "realization(n=%d, total=%g)" (Array.length t.actuals)
-    (total t)

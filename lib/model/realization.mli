@@ -23,7 +23,6 @@ val actuals : t -> float array
 (** Fresh copy of all actual times. *)
 
 val total : t -> float
-val max_actual : t -> float
 
 val instance : t -> Instance.t
 (** The instance this realization belongs to. *)
@@ -56,5 +55,3 @@ val clustered : clusters:int -> Instance.t -> Usched_prng.Rng.t -> t
 (** Correlated errors: tasks are binned into [clusters] groups by id and
     every group shares one log-uniform factor — e.g. all tasks of one
     job class being mis-modelled the same way. [clusters >= 1]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -25,11 +25,9 @@ val make : (float * float) array -> t
 val uniform : m:int -> lo:float -> hi:float -> t
 (** The same band on all [m] machines. *)
 
-val degenerate : float array -> t
-(** Known speeds, zero uncertainty: [lo_i = hi_i = speeds.(i)]. *)
-
 val nominal : m:int -> t
-(** [degenerate [|1; ...; 1|]]: the identical-machines default. *)
+(** Known unit speeds, zero uncertainty ([lo_i = hi_i = 1]): the
+    identical-machines default. *)
 
 val tiered : ?fast:float -> ?slow:float -> m:int -> unit -> t
 (** The heterogeneous-cluster shape used by the [hetero] experiment:

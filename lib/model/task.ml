@@ -12,9 +12,3 @@ let size t = t.size
 
 let compare_est_desc a b =
   match Float.compare b.est a.est with 0 -> Int.compare a.id b.id | c -> c
-
-let compare_id a b = Int.compare a.id b.id
-
-let equal a b = a.id = b.id && a.est = b.est && a.size = b.size
-
-let pp ppf t = Format.fprintf ppf "task#%d(est=%g, size=%g)" t.id t.est t.size

@@ -19,8 +19,3 @@ val size : t -> float
 val compare_est_desc : t -> t -> int
 (** Orders by decreasing estimate, ties broken by increasing id — the LPT
     order used throughout the paper. *)
-
-val compare_id : t -> t -> int
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -62,12 +62,6 @@ val is_uniform : t -> bool
 
 val same_zone : t -> int -> int -> bool
 
-val zone_bandwidth : t -> src:int -> dst:int -> float
-(** Bandwidth between two {e zones}; [infinity] when [src = dst]. *)
-
-val zone_latency : t -> src:int -> dst:int -> float
-(** Latency between two {e zones}; [0] when [src = dst]. *)
-
 val path_bandwidth : t -> src:int -> dst:int -> float
 (** Bandwidth of the path between two {e machines} — [infinity] within
     a zone. *)

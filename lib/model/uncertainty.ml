@@ -5,8 +5,6 @@ let alpha a =
     invalid_arg "Uncertainty.alpha: factor must be finite and >= 1";
   a
 
-let alpha_exact = 1.0
-
 let to_float a = a
 
 let interval a ~est = (est /. a, est *. a)

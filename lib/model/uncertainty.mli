@@ -12,9 +12,6 @@ val alpha : float -> alpha
 (** Validates and wraps a factor. Raises [Invalid_argument] when [< 1]
     or not finite. *)
 
-val alpha_exact : alpha
-(** [α = 1]: estimates are exact (the classical offline problem). *)
-
 val to_float : alpha -> float
 
 val interval : alpha -> est:float -> float * float

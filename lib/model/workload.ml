@@ -100,12 +100,6 @@ let spec_name = function
   | Bricks _ -> "bricks"
   | Rocks _ -> "rocks"
 
-let size_spec_name = function
-  | Unit_sizes -> "unit"
-  | Proportional _ -> "proportional"
-  | Inverse _ -> "inverse"
-  | Uniform_sizes _ -> "uniform"
-
 let standard_suite ~m =
   [
     ("identical", Identical 1.0);

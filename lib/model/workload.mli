@@ -55,7 +55,6 @@ val generate :
     distribution parameters). *)
 
 val spec_name : spec -> string
-val size_spec_name : size_spec -> string
 
 val standard_suite : m:int -> (string * spec) list
 (** The named workload families exercised by the experiment harness. *)

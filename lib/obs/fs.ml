@@ -23,11 +23,13 @@ let with_atomic_oc ~path f =
   | dir -> mkdir_p dir);
   let temp = temp_path path in
   let oc = open_out temp in
-  match f oc with
-  | v ->
-      close_out oc;
-      Sys.rename temp path;
-      v
+  match
+    let v = f oc in
+    close_out oc;
+    Sys.rename temp path;
+    v
+  with
+  | v -> v
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       close_out_noerr oc;

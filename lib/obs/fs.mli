@@ -16,12 +16,6 @@ val write_atomic : path:string -> string -> unit
     untouched. On error the temp file is removed and the exception
     re-raised. *)
 
-val with_atomic_oc : path:string -> (out_channel -> 'a) -> 'a
-(** Streaming {!write_atomic}: runs [f] on a channel to the temp file,
-    then renames over [path]. If [f] raises, the temp file is removed,
-    [path] is untouched, and the exception re-raised with its
-    backtrace. *)
-
 val temp_path : string -> string
 (** The temp-file name the atomic writers use for a target path
     ([<path>.tmp.<pid>]) — exposed so tests and cleanup sweeps can

@@ -24,8 +24,6 @@ let create () = { live = true; items = Hashtbl.create 16 }
 let disabled = { live = false; items = Hashtbl.create 1 }
 let is_enabled t = t.live
 
-let reset t = if t.live then Hashtbl.reset t.items
-
 (* Shared sinks for disabled registries: their [*_live] flag is false, so
    no update ever mutates them. *)
 let dummy_counter = { count = 0; c_live = false }
@@ -52,7 +50,6 @@ let counter t name =
 
 let incr c = if c.c_live then c.count <- c.count + 1
 let add c n = if c.c_live then c.count <- c.count + n
-let counter_value c = c.count
 
 let gauge t name =
   if not t.live then dummy_gauge
@@ -76,8 +73,6 @@ let record_max g v =
     g.level <- v;
     g.g_set <- true
   end
-
-let gauge_value g = g.level
 
 let now_s = Unix.gettimeofday
 

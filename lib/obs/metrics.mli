@@ -23,9 +23,6 @@ val disabled : t
 
 val is_enabled : t -> bool
 
-val reset : t -> unit
-(** Drop every registered instrument (live registries only). *)
-
 (** {1 Instruments} *)
 
 type counter
@@ -36,7 +33,6 @@ val counter : t -> string -> counter
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val counter_value : counter -> int
 
 type gauge
 
@@ -48,8 +44,6 @@ val set : gauge -> float -> unit
 val record_max : gauge -> float -> unit
 (** Keep the running maximum (first observation wins an empty gauge). *)
 
-val gauge_value : gauge -> float
-
 type timer
 
 val timer : t -> string -> timer
@@ -58,9 +52,6 @@ val timer : t -> string -> timer
 val time : timer -> (unit -> 'a) -> 'a
 (** Run the thunk, adding its wall-clock duration as one span. The span
     is recorded even when the thunk raises. *)
-
-val add_span : timer -> float -> unit
-(** Fold an externally measured duration (seconds) in. *)
 
 type histogram
 

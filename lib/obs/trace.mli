@@ -18,7 +18,7 @@ val create : path:string -> t
 
 val emit : t -> Usched_report.Json.t -> unit
 (** Append one record as a single line. Raises [Invalid_argument] on a
-    closed (or discarded) sink. *)
+    closed sink. *)
 
 val path : t -> string
 
@@ -26,11 +26,7 @@ val close : t -> unit
 (** Flush, close, and atomically rename the temp file over the target;
     idempotent. *)
 
-val discard : t -> unit
-(** Close and delete the temp file without publishing anything; the
-    target path keeps whatever it had before. Idempotent, and a no-op
-    after {!close}. *)
-
 val with_file : path:string -> (t -> 'a) -> 'a
-(** Bracketed {!create}/{!close}; if the callback raises, the sink is
-    {!discard}ed (no partial file) and the exception re-raised. *)
+(** Bracketed {!create}/{!close}; if the callback raises, the temp file
+    is deleted without publishing anything (the target keeps whatever it
+    had before) and the exception re-raised. *)

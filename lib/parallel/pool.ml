@@ -60,9 +60,3 @@ let parallel_init ~domains n f =
     | None -> ());
     results
   end
-
-let parallel_map ~domains f a =
-  parallel_init ~domains (Array.length a) (fun i -> f a.(i))
-
-let parallel_for ~domains n f =
-  ignore (parallel_init ~domains n (fun i -> f i))

@@ -22,10 +22,3 @@ val parallel_init : domains:int -> int -> (int -> 'a) -> 'a array
     [domains] domains. [f] runs on arbitrary domains in arbitrary order.
     Exceptions in [f] are re-raised (one representative). Raises
     [Invalid_argument] if [domains < 1] or [n < 0]. *)
-
-val parallel_map : domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map] with the same contract as {!parallel_init}. *)
-
-val parallel_for : domains:int -> int -> (int -> unit) -> unit
-(** Parallel side-effecting loop over [0 .. n-1]; the callback must touch
-    only index-disjoint state. *)

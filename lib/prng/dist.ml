@@ -24,13 +24,3 @@ let lognormal rng ~mu ~sigma = exp (normal rng ~mu ~sigma)
 
 let bimodal rng ~p_long ~short ~long =
   if Rng.bernoulli rng ~p:p_long then long rng else short rng
-
-let truncated sampler ~lo ~hi rng =
-  if lo > hi then invalid_arg "Dist.truncated: lo > hi";
-  let rec attempt k =
-    if k >= 1_000_000 then Float.min hi (Float.max lo (sampler rng))
-    else
-      let x = sampler rng in
-      if x >= lo && x <= hi then x else attempt (k + 1)
-  in
-  attempt 0

@@ -20,16 +20,9 @@ val pareto : Rng.t -> shape:float -> scale:float -> float
 (** Pareto with minimum [scale] and tail index [shape] (both [> 0]).
     Heavy-tailed for [shape <= 2]. *)
 
-val normal : Rng.t -> mu:float -> sigma:float -> float
-(** Gaussian via the Box-Muller transform. *)
-
 val lognormal : Rng.t -> mu:float -> sigma:float -> float
-(** [exp] of a Gaussian with parameters [mu], [sigma]. *)
+(** [exp] of a Gaussian (Box-Muller) with parameters [mu], [sigma]. *)
 
 val bimodal :
   Rng.t -> p_long:float -> short:(Rng.t -> float) -> long:(Rng.t -> float) -> float
 (** With probability [p_long] sample from [long], otherwise from [short]. *)
-
-val truncated : (Rng.t -> float) -> lo:float -> hi:float -> Rng.t -> float
-(** Rejection-sample the given sampler into [[lo, hi]]. Gives up after 10^6
-    rejections and clamps, so it always terminates. *)

@@ -1,39 +1,16 @@
-type backend =
-  | Xoshiro of Xoshiro256.t
-  | Splitmix of Splitmix64.t
+type t = Xoshiro256.t
 
-type t = { backend : backend }
+let create ?(seed = 0x5EED) () = Xoshiro256.create (Int64.of_int seed)
+let int64 = Xoshiro256.next
 
-let create ?(seed = 0x5EED) () =
-  { backend = Xoshiro (Xoshiro256.create (Int64.of_int seed)) }
+let split x =
+  let child = Xoshiro256.copy x in
+  Xoshiro256.jump child;
+  (* Also advance the parent so repeated splits yield distinct streams. *)
+  ignore (Xoshiro256.next x);
+  Xoshiro256.create (Xoshiro256.next child)
 
-let of_xoshiro x = { backend = Xoshiro x }
-let of_splitmix s = { backend = Splitmix s }
-
-let copy t =
-  match t.backend with
-  | Xoshiro x -> { backend = Xoshiro (Xoshiro256.copy x) }
-  | Splitmix s -> { backend = Splitmix (Splitmix64.copy s) }
-
-let int64 t =
-  match t.backend with
-  | Xoshiro x -> Xoshiro256.next x
-  | Splitmix s -> Splitmix64.next s
-
-let split t =
-  match t.backend with
-  | Xoshiro x ->
-      let child = Xoshiro256.copy x in
-      Xoshiro256.jump child;
-      (* Also advance the parent so repeated splits yield distinct streams. *)
-      ignore (Xoshiro256.next x);
-      { backend = Xoshiro (Xoshiro256.create (Xoshiro256.next child)) }
-  | Splitmix s -> { backend = Splitmix (Splitmix64.split s) }
-
-let float t =
-  match t.backend with
-  | Xoshiro x -> Xoshiro256.next_float x
-  | Splitmix s -> Splitmix64.next_float s
+let float = Xoshiro256.next_float
 
 let float_range t ~lo ~hi =
   if lo > hi then invalid_arg "Rng.float_range: lo > hi";
@@ -52,22 +29,4 @@ let int t bound =
   in
   draw ()
 
-let int_range t ~lo ~hi =
-  if lo > hi then invalid_arg "Rng.int_range: lo > hi";
-  lo + int t (hi - lo + 1)
-
-let bool t = Int64.logand (int64 t) 1L = 1L
-
 let bernoulli t ~p = float t < p
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int t (Array.length a))

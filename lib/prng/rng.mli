@@ -2,7 +2,7 @@
 
     All randomness in workload generation, uncertainty realization, and
     experiment driving flows through a {!t}, so a single integer seed makes
-    any experiment reproducible. The default backend is {!Xoshiro256}. *)
+    any experiment reproducible. The generator is {!Xoshiro256}. *)
 
 type t
 (** A mutable stream of pseudo-random values. *)
@@ -10,15 +10,6 @@ type t
 val create : ?seed:int -> unit -> t
 (** [create ~seed ()] builds a generator from an integer seed
     (default [0x5EED]). *)
-
-val of_xoshiro : Xoshiro256.t -> t
-(** Wrap an explicit xoshiro state. *)
-
-val of_splitmix : Splitmix64.t -> t
-(** Wrap an explicit splitmix state (useful for tiny test fixtures). *)
-
-val copy : t -> t
-(** Independent generator with the same current state. *)
 
 val split : t -> t
 (** [split t] derives an independent child stream and advances [t]; the
@@ -37,17 +28,5 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [[0, bound)]. Raises [Invalid_argument]
     if [bound <= 0]. Uses rejection sampling, so it is exactly uniform. *)
 
-val int_range : t -> lo:int -> hi:int -> int
-(** Uniform integer in the inclusive range [[lo, hi]]. *)
-
-val bool : t -> bool
-(** A fair coin. *)
-
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is [true] with probability [p]. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniformly random element. Raises [Invalid_argument] on empty array. *)

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
 
-let copy t = { state = t.state }
-
 (* The output mixing function of SplitMix64 (variant "mix64"). *)
 let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -15,12 +13,3 @@ let mix z =
 let next t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
-
-(* 2^-53, the spacing of doubles in [1, 2). *)
-let two_pow_minus_53 = 1.0 /. 9007199254740992.0
-
-let next_float t =
-  let bits = Int64.shift_right_logical (next t) 11 in
-  Int64.to_float bits *. two_pow_minus_53
-
-let split t = create (next t)

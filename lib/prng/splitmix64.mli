@@ -1,8 +1,8 @@
 (** SplitMix64 pseudo-random number generator.
 
     A small, fast, high-quality 64-bit generator (Steele, Lea & Flood,
-    "Fast splittable pseudorandom number generators", OOPSLA 2014). It is
-    used directly for light-weight randomness and to seed {!Xoshiro256}.
+    "Fast splittable pseudorandom number generators", OOPSLA 2014). It
+    seeds {!Xoshiro256}.
     The implementation is self-contained so that every experiment in this
     repository is reproducible bit-for-bit across OCaml releases. *)
 
@@ -13,16 +13,5 @@ val create : int64 -> t
 (** [create seed] returns a fresh generator. Any seed is acceptable,
     including [0L]. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val next : t -> int64
 (** [next t] advances the state and returns 64 pseudo-random bits. *)
-
-val next_float : t -> float
-(** [next_float t] is a float drawn uniformly from [[0, 1)], using the top
-    53 bits of {!next}. *)
-
-val split : t -> t
-(** [split t] advances [t] and derives a statistically independent child
-    generator, for handing to sub-computations (e.g. parallel workers). *)

@@ -16,11 +16,6 @@ let create seed =
   let s3 = Splitmix64.next sm in
   { s0; s1; s2; s3 }
 
-let of_state (s0, s1, s2, s3) =
-  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then
-    invalid_arg "Xoshiro256.of_state: all-zero state";
-  { s0; s1; s2; s3 }
-
 let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
 
 let next t =

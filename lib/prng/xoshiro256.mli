@@ -11,10 +11,6 @@ val create : int64 -> t
 (** [create seed] seeds the 256-bit state from [seed] via SplitMix64, as
     recommended by the authors. *)
 
-val of_state : int64 * int64 * int64 * int64 -> t
-(** [of_state s] installs an explicit state. Raises [Invalid_argument] if
-    all four words are zero (the all-zero state is a fixed point). *)
-
 val copy : t -> t
 (** [copy t] is an independent generator with the same current state. *)
 

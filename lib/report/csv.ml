@@ -15,9 +15,3 @@ let to_string ~header rows =
       if List.length r <> arity then invalid_arg "Csv.to_string: arity mismatch")
     rows;
   String.concat "\n" (row header :: List.map row rows) ^ "\n"
-
-let write_file ~path ~header rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ~header rows))

@@ -2,15 +2,10 @@
 
     Experiments can dump their raw series for external plotting. *)
 
-val escape : string -> string
-(** Quote a field if it contains a comma, quote, or newline. *)
-
 val row : string list -> string
-(** One CSV line (no trailing newline). *)
+(** One CSV line (no trailing newline); a field containing a comma,
+    quote, or newline is quoted, with quotes doubled. *)
 
 val to_string : header:string list -> string list list -> string
 (** Full document with header line. Raises [Invalid_argument] if a row's
     arity differs from the header. *)
-
-val write_file : path:string -> header:string list -> string list list -> unit
-(** {!to_string} to a file. *)

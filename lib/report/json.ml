@@ -71,10 +71,6 @@ let output_line oc v =
   output oc v;
   output_char oc '\n'
 
-let write_file ~path v =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_line oc v)
-
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None

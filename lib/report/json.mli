@@ -24,14 +24,8 @@ val to_string : t -> string
     RFC 8259: quote, backslash, and control characters below [0x20];
     other bytes pass through verbatim (UTF-8 assumed). *)
 
-val output : out_channel -> t -> unit
-(** {!to_string} to a channel. *)
-
 val output_line : out_channel -> t -> unit
 (** One JSONL record: the compact rendering followed by a newline. *)
-
-val write_file : path:string -> t -> unit
-(** The compact rendering (plus trailing newline) as the whole file. *)
 
 val of_string : string -> (t, string) result
 (** Parse one JSON document (used by round-trip tests and trace

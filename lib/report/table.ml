@@ -1,11 +1,9 @@
 type align = Left | Right
 
-type row = Cells of string list | Rule
-
 type t = {
   headers : string list;
   aligns : align list;
-  mutable rows : row list;  (* reversed *)
+  mutable rows : string list list;  (* reversed *)
 }
 
 let create ~columns =
@@ -14,9 +12,7 @@ let create ~columns =
 let add_row t cells =
   if List.length cells <> List.length t.headers then
     invalid_arg "Table.add_row: arity mismatch";
-  t.rows <- Cells cells :: t.rows
-
-let add_rule t = t.rows <- Rule :: t.rows
+  t.rows <- cells :: t.rows
 
 let pad align width s =
   let n = String.length s in
@@ -32,10 +28,7 @@ let render t =
     List.mapi
       (fun c header ->
         List.fold_left
-          (fun acc row ->
-            match row with
-            | Rule -> acc
-            | Cells cells -> Stdlib.max acc (String.length (List.nth cells c)))
+          (fun acc cells -> Stdlib.max acc (String.length (List.nth cells c)))
           (String.length header) rows)
       t.headers
   in
@@ -61,9 +54,7 @@ let render t =
   horizontal ();
   line t.headers;
   horizontal ();
-  List.iter
-    (fun row -> match row with Rule -> horizontal () | Cells cells -> line cells)
-    rows;
+  List.iter line rows;
   horizontal ();
   Buffer.contents buffer
 

@@ -13,9 +13,6 @@ val create : columns:(string * align) list -> t
 val add_row : t -> string list -> unit
 (** Appends a row. Raises [Invalid_argument] on arity mismatch. *)
 
-val add_rule : t -> unit
-(** Appends a horizontal separator. *)
-
 val render : t -> string
 (** The full table with borders and a header rule. *)
 

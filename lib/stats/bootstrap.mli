@@ -2,8 +2,8 @@
 
     Nonparametric percentile-bootstrap intervals for statistics whose
     sampling distribution is awkward (e.g. the {e maximum} measured
-    ratio of an experiment sweep, where the normal approximation of
-    {!Ci} does not apply). *)
+    ratio of an experiment sweep, where a normal approximation does not
+    apply). *)
 
 type interval = { lo : float; hi : float; point : float }
 

@@ -52,13 +52,11 @@ let of_data ?(bins = 10) data =
 let bins t = Array.length t.counts
 let counts t = Array.copy t.counts
 let total t = Array.fold_left ( + ) 0 t.counts
-let underflow t = t.underflow
 let overflow t = t.overflow
 
+(* Bin [i] covers [[lo, hi)], the last one also [hi]. *)
 let bin_range t i =
-  let n = bins t in
-  if i < 0 || i >= n then invalid_arg "Histogram.bin_range: index";
-  let width = (t.hi -. t.lo) /. float_of_int n in
+  let width = (t.hi -. t.lo) /. float_of_int (bins t) in
   (t.lo +. (float_of_int i *. width), t.lo +. (float_of_int (i + 1) *. width))
 
 let pp ppf t =

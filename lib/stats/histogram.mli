@@ -11,7 +11,7 @@ type t
 val create : ?bins:int -> lo:float -> hi:float -> float array -> t
 (** [create ~bins ~lo ~hi data] counts each datum into one of [bins]
     equal-width bins (default 10). [hi] itself lands in the last bin;
-    data strictly outside [[lo, hi]] is tallied in {!underflow} /
+    data strictly outside [[lo, hi]] is tallied as underflow /
     {!overflow} rather than silently folded into the edge bins (folding
     misreports exactly the tails a latency distribution is measured
     for). Raises [Invalid_argument] if [bins <= 0], [lo >= hi], or any
@@ -28,18 +28,11 @@ val bins : t -> int
 val counts : t -> int array
 
 val total : t -> int
-(** In-range samples only; [total t + underflow t + overflow t] is the
-    input length. *)
-
-val underflow : t -> int
-(** Samples strictly below [lo]. Always 0 for {!of_data}. *)
+(** In-range samples only; [total t + overflow t] plus the samples
+    strictly below [lo] is the input length. *)
 
 val overflow : t -> int
 (** Samples strictly above [hi]. Always 0 for {!of_data}. *)
-
-val bin_range : t -> int -> float * float
-(** Inclusive-exclusive range covered by bin [i] (the last bin also
-    includes [hi]). *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line bar rendering; appends an out-of-range line when

@@ -38,7 +38,3 @@ let quartiles a =
   match quantiles a ~qs:[| 0.25; 0.5; 0.75 |] with
   | [| q1; q2; q3 |] -> (q1, q2, q3)
   | _ -> assert false
-
-let iqr a =
-  let q1, _, q3 = quartiles a in
-  q3 -. q1

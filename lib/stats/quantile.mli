@@ -16,8 +16,5 @@ val median : float array -> float
 val quartiles : float array -> float * float * float
 (** [(q1, median, q3)]. *)
 
-val iqr : float array -> float
-(** Interquartile range [q3 - q1]. *)
-
 val quantiles : float array -> qs:float array -> float array
 (** Batched {!quantile}, sorting the input only once. *)

@@ -1,30 +1,24 @@
 type t = {
   mutable n : int;
   mutable mean : float;
-  mutable m2 : float; (* sum of squared deviations from the running mean *)
   mutable min : float;
   mutable max : float;
   mutable sum : float;
 }
 
 let create () =
-  { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; sum = 0.0 }
+  { n = 0; mean = 0.0; min = infinity; max = neg_infinity; sum = 0.0 }
 
 let add t x =
   t.n <- t.n + 1;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x;
   t.sum <- t.sum +. x
 
-let add_array t a = Array.iter (add t) a
-
 let count t = t.n
 let mean t = if t.n = 0 then nan else t.mean
-let variance t = if t.n < 2 then nan else t.m2 /. float_of_int (t.n - 1)
-let stddev t = sqrt (variance t)
 let min t = t.min
 let max t = t.max
 let sum t = t.sum
@@ -36,14 +30,9 @@ let merge a b =
     let n = a.n + b.n in
     let delta = b.mean -. a.mean in
     let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-    let m2 =
-      a.m2 +. b.m2
-      +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
-    in
     {
       n;
       mean;
-      m2;
       min = Float.min a.min b.min;
       max = Float.max a.max b.max;
       sum = a.sum +. b.sum;
@@ -52,9 +41,5 @@ let merge a b =
 
 let of_array a =
   let t = create () in
-  add_array t a;
+  Array.iter (add t) a;
   t
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g" t.n (mean t)
-    (stddev t) t.min t.max

@@ -1,8 +1,9 @@
-(** Online descriptive statistics (Welford's algorithm).
+(** Online descriptive statistics.
 
-    Accumulates count, mean, variance, min and max in a single pass with
-    numerically stable updates. Used by experiment runners to summarize
-    measured ratios across many random repetitions. *)
+    Accumulates count, mean, min, max and sum in a single pass; the mean
+    uses Welford's numerically stable running update. Used by experiment
+    runners to summarize measured ratios across many random
+    repetitions. *)
 
 type t
 (** Mutable accumulator. *)
@@ -13,20 +14,11 @@ val create : unit -> t
 val add : t -> float -> unit
 (** Fold one observation in. *)
 
-val add_array : t -> float array -> unit
-(** Fold every element of the array in. *)
-
 val count : t -> int
 (** Number of observations so far. *)
 
 val mean : t -> float
 (** Arithmetic mean; [nan] when empty. *)
-
-val variance : t -> float
-(** Unbiased sample variance; [nan] for fewer than two observations. *)
-
-val stddev : t -> float
-(** Square root of {!variance}. *)
 
 val min : t -> float
 (** Smallest observation; [infinity] when empty. *)
@@ -43,6 +35,3 @@ val merge : t -> t -> t
 
 val of_array : float array -> t
 (** Summary of an array in one call. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable one-line rendering. *)

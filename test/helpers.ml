@@ -1,0 +1,64 @@
+(* Small helpers several test suites share, kept here because nothing
+   the library ships needs them. *)
+
+module Rng = Usched_prng.Rng
+
+(* In-place Fisher-Yates shuffle drawing from [rng]. *)
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done
+
+module Event_heap = Usched_desim.Event_heap
+
+(* Pops [heap] to empty through its root lanes (slot 0), as the engine
+   does, handing each event to [handle]; the handler may push. *)
+let drain heap ~handle =
+  while not (Event_heap.is_empty heap) do
+    let time = heap.Event_heap.times.(0) in
+    let machine = heap.Event_heap.machines.(0) in
+    let payload = heap.Event_heap.payloads.(0) in
+    Event_heap.remove_min heap;
+    handle ~time ~machine payload
+  done
+
+module Schedule = Usched_desim.Schedule
+
+let machine_of schedule j = (Schedule.entry schedule j).Schedule.machine
+
+(* Tasks run by machine [i], in increasing start order (ties by task
+   id): the O(n) per-machine definition [Schedule.by_machine] is checked
+   against. *)
+let machine_tasks schedule i =
+  let start j = (Schedule.entry schedule j).Schedule.start in
+  List.filter (fun j -> machine_of schedule j = i) (List.init (Schedule.n schedule) Fun.id)
+  |> List.stable_sort (fun a b -> Float.compare (start a) (start b))
+
+let pp_violation ppf = function
+  | Schedule.Overlap { machine; task_a; task_b } ->
+      Format.fprintf ppf "overlap on machine %d between tasks %d and %d" machine
+        task_a task_b
+  | Schedule.Wrong_duration { task; expected; got } ->
+      Format.fprintf ppf "task %d ran for %g instead of %g" task got expected
+  | Schedule.Not_allowed { task; machine } ->
+      Format.fprintf ppf "task %d executed on machine %d without its data" task
+        machine
+
+module Fault = Usched_faults.Fault
+
+(* [(from, until)] outage intervals of [machine] in a fault trace,
+   chronological. *)
+let outages trace machine =
+  List.filter_map
+    (fun (e : Fault.event) ->
+      match e.kind with
+      | Fault.Outage until when e.machine = machine -> Some (e.time, until)
+      | _ -> None)
+    (Usched_faults.Trace.events trace)
+
+(* Per-task replication degrees [|M_j|] of a placement. *)
+let degrees p =
+  Array.init (Usched_core.Placement.n p) (Usched_core.Placement.replication p)

@@ -23,7 +23,6 @@ module Fault = Usched_faults.Fault
 module Trace = Usched_faults.Trace
 module Recovery = Usched_faults.Recovery
 module Metrics = Usched_obs.Metrics
-module Pqueue = Usched_desim.Pqueue
 module Schedule = Usched_desim.Schedule
 module Dispatch = Usched_desim.Dispatch
 module Engine = Usched_desim.Engine

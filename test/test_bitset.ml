@@ -63,17 +63,33 @@ let fold_sums () =
   let s = Bitset.of_list 10 [ 1; 2; 3 ] in
   checki "fold" 6 (Bitset.fold ( + ) 0 s)
 
-let union_inter () =
+let inter () =
   let a = Bitset.of_list 128 [ 1; 64; 100 ] in
   let b = Bitset.of_list 128 [ 64; 100; 2 ] in
-  check_list "union" [ 1; 2; 64; 100 ] (Bitset.to_list (Bitset.union a b));
   check_list "inter" [ 64; 100 ] (Bitset.to_list (Bitset.inter a b))
+
+let inter_scans () =
+  let a = Bitset.of_list 128 [ 1; 61; 62; 127 ] in
+  let b = Bitset.of_list 128 [ 2; 62; 127 ] in
+  let c = Bitset.of_list 128 [ 0; 63; 126 ] in
+  checki "inter_cardinal across words" 2 (Bitset.inter_cardinal a b);
+  checkb "overlap in a later word" false (Bitset.inter_is_empty a b);
+  checki "disjoint cardinal" 0 (Bitset.inter_cardinal a c);
+  checkb "disjoint" true (Bitset.inter_is_empty a c);
+  checkb "empty set meets nothing" true (Bitset.inter_is_empty (Bitset.create 128) a);
+  checki "self" 4 (Bitset.inter_cardinal a a);
+  Alcotest.check_raises "inter_is_empty mismatch"
+    (Invalid_argument "Bitset: capacity mismatch") (fun () ->
+      ignore (Bitset.inter_is_empty a (Bitset.create 64)));
+  Alcotest.check_raises "inter_cardinal mismatch"
+    (Invalid_argument "Bitset: capacity mismatch") (fun () ->
+      ignore (Bitset.inter_cardinal a (Bitset.create 64)))
 
 let capacity_mismatch_rejected () =
   let a = Bitset.create 10 and b = Bitset.create 20 in
-  Alcotest.check_raises "union mismatch"
+  Alcotest.check_raises "inter mismatch"
     (Invalid_argument "Bitset: capacity mismatch") (fun () ->
-      ignore (Bitset.union a b))
+      ignore (Bitset.inter a b))
 
 let subset_equal () =
   let a = Bitset.of_list 64 [ 1; 2 ] in
@@ -125,8 +141,21 @@ let prop_union_cardinality =
     QCheck.(pair (small_list (int_bound 99)) (small_list (int_bound 99)))
     (fun (xs, ys) ->
       let a = Bitset.of_list 100 xs and b = Bitset.of_list 100 ys in
-      Bitset.cardinal (Bitset.union a b) + Bitset.cardinal (Bitset.inter a b)
+      let union = List.length (List.sort_uniq compare (xs @ ys)) in
+      union + Bitset.cardinal (Bitset.inter a b)
       = Bitset.cardinal a + Bitset.cardinal b)
+
+let prop_inter_scans_match_inter =
+  QCheck.Test.make ~name:"inter_is_empty/inter_cardinal match inter" ~count:300
+    QCheck.(
+      triple (int_bound 200) (small_list (int_bound 199)) (small_list (int_bound 199)))
+    (fun (capacity, xs, ys) ->
+      let capacity = capacity + 1 in
+      let a = Bitset.of_list capacity (List.map (fun x -> x mod capacity) xs) in
+      let b = Bitset.of_list capacity (List.map (fun y -> y mod capacity) ys) in
+      let both = Bitset.inter a b in
+      Bitset.inter_cardinal a b = Bitset.cardinal both
+      && Bitset.inter_is_empty a b = Bitset.is_empty both)
 
 (* Oracle for the word-level scans: the per-position definition, one
    bounds-checked [mem] per bit position. *)
@@ -204,7 +233,8 @@ let () =
           Alcotest.test_case "choose empty" `Quick choose_empty_raises;
           Alcotest.test_case "iteration order" `Quick iter_ascending;
           Alcotest.test_case "fold" `Quick fold_sums;
-          Alcotest.test_case "union/inter" `Quick union_inter;
+          Alcotest.test_case "inter" `Quick inter;
+          Alcotest.test_case "inter scans" `Quick inter_scans;
           Alcotest.test_case "capacity mismatch" `Quick capacity_mismatch_rejected;
           Alcotest.test_case "subset/equal" `Quick subset_equal;
           Alcotest.test_case "copy independence" `Quick copy_is_independent;
@@ -214,5 +244,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_matches_reference; prop_union_cardinality; prop_scans_match_mem ] );
+          [
+            prop_matches_reference;
+            prop_union_cardinality;
+            prop_inter_scans_match_inter;
+            prop_scans_match_mem;
+          ] );
     ]

@@ -1,0 +1,62 @@
+(* The [usched solve] command line on malformed instance files: a usage
+   error (exit 2) naming the offending line, never an uncaught
+   exception. Runs the built binary. *)
+
+let usched = Filename.concat Filename.parent_dir_name "bin/main.exe"
+
+(* Exit code and stderr of [usched solve] on an instance file holding
+   [contents]. *)
+let solve contents =
+  let input = Filename.temp_file "usched_cli" ".usched" in
+  let errors = Filename.temp_file "usched_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ input; errors ])
+    (fun () ->
+      Out_channel.with_open_bin input (fun oc -> output_string oc contents);
+      let code =
+        Sys.command
+          (Printf.sprintf "%s solve %s >/dev/null 2>%s" (Filename.quote usched)
+             (Filename.quote input) (Filename.quote errors))
+      in
+      (code, In_channel.with_open_bin errors In_channel.input_all))
+
+let contains text fragment =
+  let k = String.length fragment in
+  let rec scan i =
+    i + k <= String.length text && (String.sub text i k = fragment || scan (i + 1))
+  in
+  scan 0
+
+let rejected ~line contents () =
+  let code, stderr = solve contents in
+  Alcotest.(check int) "usage error exit code" 2 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "message names line %d: %S" line stderr)
+    true
+    (contains stderr (Printf.sprintf "Io: line %d:" line));
+  Alcotest.(check bool) "no uncaught exception" false (contains stderr "exception")
+
+let accepted () =
+  let code, stderr =
+    solve "# usched-instance m=2 alpha=2\nid,est,size\n0,4,1\n1,3,1\n2,2,1\n"
+  in
+  Alcotest.(check int) (Printf.sprintf "exit code (stderr %S)" stderr) 0 code
+
+let header rest = Printf.sprintf "# usched-instance %s\nid,est,size\n0,4,1\n" rest
+
+let () =
+  Alcotest.run "cli"
+    [
+      ( "solve",
+        [
+          Alcotest.test_case "well-formed instance" `Quick accepted;
+          Alcotest.test_case "non-integer m" `Quick
+            (rejected ~line:1 (header "m=abc alpha=2"));
+          Alcotest.test_case "zero machines" `Quick
+            (rejected ~line:1 (header "m=0 alpha=2"));
+          Alcotest.test_case "alpha below 1" `Quick
+            (rejected ~line:1 (header "m=2 alpha=0.5"));
+          Alcotest.test_case "bad row" `Quick
+            (rejected ~line:4 (header "m=2 alpha=2" ^ "1,abc,1\n"));
+        ] );
+    ]

@@ -68,6 +68,30 @@ let spec_names () =
   | Error _ -> ());
   checki "five built-in families" 5 (List.length Dispatch.builtin)
 
+(* Every name the usage string advertises parses, and every builtin
+   policy family is advertised. *)
+let known_names_parse () =
+  let advertised =
+    String.split_on_char '|' Dispatch.known_names |> List.map String.trim
+  in
+  Alcotest.(check int) "five families" 5 (List.length advertised);
+  List.iter
+    (fun name ->
+      let concrete =
+        match String.index_opt name ':' with
+        | Some k -> String.sub name 0 k ^ ":7"
+        | None -> name
+      in
+      checkb (Printf.sprintf "%s parses" concrete) true
+        (Result.is_ok (Dispatch.spec_of_string concrete)))
+    advertised;
+  List.iter
+    (fun spec ->
+      let family = List.hd (String.split_on_char ':' (Dispatch.name spec)) in
+      checkb (Printf.sprintf "%s advertised" family) true
+        (List.exists (String.starts_with ~prefix:family) advertised))
+    Dispatch.builtin
+
 (* ----------------------- golden equivalence ------------------------- *)
 
 let scenario_gen =
@@ -393,7 +417,7 @@ let least_loaded_defers () =
 (* Earliest estimated completion = SPT restricted to held data. *)
 let earliest_completion_is_spt () =
   let instance =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 9.0; 2.0; 5.0 |]
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 9.0; 2.0; 5.0 |]
   in
   let realization = Realization.exact instance in
   let placement =
@@ -415,7 +439,7 @@ let earliest_completion_is_spt () =
   (* Ties fall back to priority order: with all-equal estimates the
      policy is bit-for-bit list-priority. *)
   let tied =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 3.0; 3.0; 3.0 |]
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 3.0; 3.0; 3.0 |]
   in
   let tied_r = Realization.exact tied in
   let tied_p = Array.make 3 (Bitset.full 2) in
@@ -432,7 +456,7 @@ let random_tiebreak_behavior () =
   (* Distinct estimates: no ties, so any seed coincides with the default
      rule. *)
   let distinct =
-    Instance.of_ests ~m:3 ~alpha:Uncertainty.alpha_exact
+    Instance.of_ests ~m:3 ~alpha:(Uncertainty.alpha 1.0)
       [| 7.0; 5.0; 3.0; 2.0; 1.0 |]
   in
   let r = Realization.exact distinct in
@@ -454,7 +478,7 @@ let random_tiebreak_behavior () =
   (* Identical estimates: the rule is deterministic given the seed, and
      some seed pair must disagree on the assignment. *)
   let tied =
-    Instance.of_ests ~m:3 ~alpha:Uncertainty.alpha_exact (Array.make 9 4.0)
+    Instance.of_ests ~m:3 ~alpha:(Uncertainty.alpha 1.0) (Array.make 9 4.0)
   in
   let tied_r = Realization.exact tied in
   let tied_p = Array.make 9 (Bitset.full 3) in
@@ -514,7 +538,7 @@ let prop_least_loaded_matches_reference =
     view_scenario (fun (n, m, seed) ->
       let rng = Rng.create ~seed () in
       let order = Array.init n (fun j -> j) in
-      Rng.shuffle rng order;
+      Helpers.shuffle rng order;
       let pos_of = Array.make n 0 in
       Array.iteri (fun p j -> pos_of.(j) <- p) order;
       let holders =
@@ -586,7 +610,7 @@ let prop_list_priority_matches_reference =
     ~count:500 view_scenario (fun (n, m, seed) ->
       let rng = Rng.create ~seed () in
       let order = Array.init n (fun j -> j) in
-      Rng.shuffle rng order;
+      Helpers.shuffle rng order;
       let pos_of = Array.make n 0 in
       Array.iteri (fun p j -> pos_of.(j) <- p) order;
       (* A small pool of physically shared holder sets: group placements
@@ -680,7 +704,7 @@ let prop_earliest_completion_matches_reference =
     ~count:500 view_scenario (fun (n, m, seed) ->
       let rng = Rng.create ~seed () in
       let order = Array.init n (fun j -> j) in
-      Rng.shuffle rng order;
+      Helpers.shuffle rng order;
       let pos_of = Array.make n 0 in
       Array.iteri (fun p j -> pos_of.(j) <- p) order;
       let holders =
@@ -791,7 +815,7 @@ let locality_prices_staging () =
    faulty engine must respect availability under every policy. *)
 let policies_respect_eligibility () =
   let instance =
-    Instance.of_ests ~m:3 ~alpha:Uncertainty.alpha_exact [| 2.0; 3.0; 4.0 |]
+    Instance.of_ests ~m:3 ~alpha:(Uncertainty.alpha 1.0) [| 2.0; 3.0; 4.0 |]
   in
   let realization = Realization.exact instance in
   let placement =
@@ -820,6 +844,7 @@ let () =
       ( "spec",
         [
           Alcotest.test_case "names and parsing" `Quick spec_names;
+          Alcotest.test_case "advertised names parse" `Quick known_names_parse;
         ] );
       ( "golden",
         [

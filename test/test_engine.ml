@@ -14,7 +14,7 @@ let checkb = Alcotest.(check bool)
 let submission_order n = Array.init n (fun j -> j)
 
 let instance_of ests =
-  Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact ests
+  Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) ests
 
 let graham_ls_example () =
   (* 4 tasks (3,3,2,2) on 2 machines, submission order: t0->m0, t1->m1,
@@ -34,10 +34,10 @@ let online_lpt_order () =
   let placement = Array.init 3 (fun _ -> Bitset.full 2) in
   let order = [| 1; 2; 0 |] in
   let s = Engine.run instance realization ~placement ~order in
-  Alcotest.(check int) "longest first on machine 0" 0 (Schedule.machine_of s 1);
-  Alcotest.(check int) "second on machine 1" 1 (Schedule.machine_of s 2);
+  Alcotest.(check int) "longest first on machine 0" 0 (Helpers.machine_of s 1);
+  Alcotest.(check int) "second on machine 1" 1 (Helpers.machine_of s 2);
   (* Machine 1 (busy 3.0) frees before machine 0 (busy 5.0). *)
-  Alcotest.(check int) "third to first idle" 1 (Schedule.machine_of s 0);
+  Alcotest.(check int) "third to first idle" 1 (Helpers.machine_of s 0);
   close "makespan" 5.0 (Schedule.makespan s)
 
 let respects_singleton_placement () =
@@ -48,12 +48,12 @@ let respects_singleton_placement () =
   let s = Engine.run instance realization ~placement ~order:(submission_order 4) in
   close "serialized" 4.0 (Schedule.makespan s);
   Array.iteri
-    (fun j _ -> Alcotest.(check int) "on machine 1" 1 (Schedule.machine_of s j))
+    (fun j _ -> Alcotest.(check int) "on machine 1" 1 (Helpers.machine_of s j))
     (Instance.tasks instance)
 
 let respects_group_placement () =
   let instance =
-    Instance.of_ests ~m:4 ~alpha:Uncertainty.alpha_exact
+    Instance.of_ests ~m:4 ~alpha:(Uncertainty.alpha 1.0)
       [| 2.0; 2.0; 2.0; 2.0; 2.0; 2.0 |]
   in
   let realization = Realization.exact instance in
@@ -62,11 +62,11 @@ let respects_group_placement () =
   let s = Engine.run instance realization ~placement ~order:(submission_order 6) in
   List.iter
     (fun j ->
-      checkb "group 0 tasks stay in group 0" true (Schedule.machine_of s j < 2))
+      checkb "group 0 tasks stay in group 0" true (Helpers.machine_of s j < 2))
     [ 0; 1; 2 ];
   List.iter
     (fun j ->
-      checkb "group 1 tasks stay in group 1" true (Schedule.machine_of s j >= 2))
+      checkb "group 1 tasks stay in group 1" true (Helpers.machine_of s j >= 2))
     [ 3; 4; 5 ];
   close "balanced inside groups" 4.0 (Schedule.makespan s)
 
@@ -82,7 +82,7 @@ let semi_clairvoyance () =
   let order = [| 0; 1; 2 |] in
   let s = Engine.run instance realization ~placement ~order in
   Alcotest.(check int) "third task follows actual idleness" 0
-    (Schedule.machine_of s 2);
+    (Helpers.machine_of s 2);
   close "makespan" 6.0 (Schedule.makespan s)
 
 let deterministic_tie_breaking () =
@@ -91,8 +91,8 @@ let deterministic_tie_breaking () =
   let placement = Array.init 2 (fun _ -> Bitset.full 2) in
   let s = Engine.run instance realization ~placement ~order:(submission_order 2) in
   (* Both machines idle at 0; lower machine id serves the first task. *)
-  Alcotest.(check int) "task 0 on machine 0" 0 (Schedule.machine_of s 0);
-  Alcotest.(check int) "task 1 on machine 1" 1 (Schedule.machine_of s 1)
+  Alcotest.(check int) "task 0 on machine 0" 0 (Helpers.machine_of s 0);
+  Alcotest.(check int) "task 1 on machine 1" 1 (Helpers.machine_of s 1)
 
 let rejects_empty_placement () =
   let instance = instance_of [| 1.0 |] in
@@ -144,7 +144,7 @@ let no_idle_while_work_eligible () =
   for _ = 1 to 20 do
     let n = 5 + Rng.int rng 20 in
     let ests = Array.init n (fun _ -> 0.5 +. Rng.float rng) in
-    let instance = Instance.of_ests ~m:3 ~alpha:Uncertainty.alpha_exact ests in
+    let instance = Instance.of_ests ~m:3 ~alpha:(Uncertainty.alpha 1.0) ests in
     let realization = Realization.exact instance in
     let placement = Array.init n (fun _ -> Bitset.full 3) in
     let s = Engine.run instance realization ~placement ~order:(submission_order n) in
@@ -161,7 +161,7 @@ let stress_large_instance () =
   let n = 100_000 and m = 64 in
   let rng = Rng.create ~seed:77 () in
   let ests = Array.init n (fun _ -> 0.1 +. Rng.float rng) in
-  let instance = Instance.of_ests ~m ~alpha:Uncertainty.alpha_exact ests in
+  let instance = Instance.of_ests ~m ~alpha:(Uncertainty.alpha 1.0) ests in
   let realization = Realization.exact instance in
   let placement = Array.init n (fun _ -> Bitset.full m) in
   let started = Unix.gettimeofday () in
@@ -180,7 +180,7 @@ let stress_group_placement () =
   let n = 50_000 and m = 32 in
   let rng = Rng.create ~seed:78 () in
   let ests = Array.init n (fun _ -> 0.1 +. Rng.float rng) in
-  let instance = Instance.of_ests ~m ~alpha:Uncertainty.alpha_exact ests in
+  let instance = Instance.of_ests ~m ~alpha:(Uncertainty.alpha 1.0) ests in
   let realization = Realization.exact instance in
   let group_sets =
     Array.init 8 (fun g -> Bitset.of_list m (List.init 4 (fun i -> (4 * g) + i)))
@@ -216,7 +216,7 @@ let prop_valid_schedules =
             set)
       in
       let order = Array.init n (fun j -> j) in
-      Rng.shuffle rng order;
+      Helpers.shuffle rng order;
       let s = Engine.run instance realization ~placement ~order in
       Schedule.validate ~placement instance realization s = []
       && Schedule.n s = n)
@@ -227,7 +227,7 @@ let prop_trace_matches_schedule =
     (fun (m, ests) ->
       let n = List.length ests in
       let instance =
-        Instance.of_ests ~m ~alpha:Uncertainty.alpha_exact (Array.of_list ests)
+        Instance.of_ests ~m ~alpha:(Uncertainty.alpha 1.0) (Array.of_list ests)
       in
       let realization = Realization.exact instance in
       let placement = Array.init n (fun _ -> Bitset.full m) in
@@ -257,7 +257,7 @@ let prop_makespan_is_max_load =
     (fun (m, ests) ->
       let n = List.length ests in
       let instance =
-        Instance.of_ests ~m ~alpha:Uncertainty.alpha_exact (Array.of_list ests)
+        Instance.of_ests ~m ~alpha:(Uncertainty.alpha 1.0) (Array.of_list ests)
       in
       let realization = Realization.exact instance in
       let placement = Array.init n (fun _ -> Bitset.full m) in
@@ -267,6 +267,102 @@ let prop_makespan_is_max_load =
       in
       let max_load = Array.fold_left Float.max 0.0 (Schedule.loads s) in
       Float.abs (Schedule.makespan s -. max_load) < 1e-9)
+
+(* ------------------------- JSON serialization ----------------------- *)
+
+module Json = Usched_report.Json
+module Fault = Usched_faults.Fault
+module Trace = Usched_faults.Trace
+
+let checks = Alcotest.(check string)
+
+let event_json_records () =
+  List.iter
+    (fun (event, expected) -> checks expected expected (Json.to_string (Engine.event_json event)))
+    [
+      ( Engine.Arrived { time = 0.5; task = 3 },
+        {|{"type":"event","kind":"arrived","t":0.5,"task":3}|} );
+      ( Engine.Started { time = 1.0; machine = 2; task = 7 },
+        {|{"type":"event","kind":"started","t":1,"machine":2,"task":7}|} );
+      ( Engine.Machine_down { time = 2.0; machine = 1; until = 4.5 },
+        {|{"type":"event","kind":"machine_down","t":2,"machine":1,"until":4.5}|} );
+      ( Engine.Machine_slowed { time = 3.0; machine = 0; factor = 0.25 },
+        {|{"type":"event","kind":"machine_slowed","t":3,"machine":0,"factor":0.25}|} );
+      ( Engine.Rereplication_aborted { time = 6.0; task = 4; src = 0; dst = 1 },
+        {|{"type":"event","kind":"rereplication_aborted","t":6,"task":4,"src":0,"dst":1}|} );
+      ( Engine.Checkpoint_resumed { time = 7.0; machine = 3; task = 5; progress = 1.5 },
+        {|{"type":"event","kind":"checkpoint_resumed","t":7,"machine":3,"task":5,"progress":1.5}|} );
+    ];
+  (* JSON has no infinity: a non-finite time renders as null. *)
+  checks "non-finite until is null"
+    {|{"type":"event","kind":"machine_down","t":1,"machine":0,"until":null}|}
+    (Json.to_string
+       (Engine.event_json (Engine.Machine_down { time = 1.0; machine = 0; until = infinity })))
+
+let traced_events_serialize () =
+  let instance = instance_of [| 3.0; 1.0; 2.0; 2.0; 1.0 |] in
+  let realization = Realization.exact instance in
+  let placement = Array.init 5 (fun _ -> Bitset.full 2) in
+  let _, events =
+    Engine.run_traced instance realization ~placement ~order:(submission_order 5)
+  in
+  let records = List.map Engine.event_json events in
+  let kind r =
+    match Json.member "kind" r with Some (Json.String k) -> k | _ -> "?"
+  in
+  let time r =
+    match Json.member "t" r with
+    | Some (Json.Int t) -> float_of_int t
+    | Some (Json.Float t) -> t
+    | _ -> Float.nan
+  in
+  List.iter
+    (fun r ->
+      checkb "record re-renders identically after parsing" true
+        (Result.map Json.to_string (Json.of_string (Json.to_string r))
+        = Ok (Json.to_string r));
+      checkb "typed as an event" true (Json.member "type" r = Some (Json.String "event")))
+    records;
+  let count k = List.length (List.filter (fun r -> kind r = k) records) in
+  Alcotest.(check int) "one start per task" 5 (count "started");
+  Alcotest.(check int) "one completion per task" 5 (count "completed");
+  let times = List.map time records in
+  checkb "times non-decreasing" true
+    (fst
+       (List.fold_left
+          (fun (ok, prev) t -> (ok && t >= prev, t))
+          (true, Float.neg_infinity) times))
+
+let outcome_json_record () =
+  (* Task 1's only holder crashes before it runs: it strands. *)
+  let instance = instance_of [| 2.0; 2.0; 1.0 |] in
+  let realization = Realization.exact instance in
+  let placement =
+    [| Bitset.singleton 2 0; Bitset.singleton 2 1; Bitset.full 2 |]
+  in
+  let faults =
+    Trace.of_events ~m:2 [ { Fault.machine = 1; time = 1.0; kind = Fault.Crash } ]
+  in
+  let outcome =
+    Engine.run_faulty instance realization ~faults ~placement
+      ~order:(submission_order 3)
+  in
+  let record = Engine.outcome_json outcome in
+  checkb "typed as the outcome" true
+    (Json.member "type" record = Some (Json.String "outcome"));
+  checkb "completed count" true
+    (Json.member "completed" record = Some (Json.Int outcome.Engine.completed));
+  checkb "stranded ids" true
+    (Json.member "stranded" record = Some (Json.List [ Json.Int 1 ]));
+  checkb "makespan" true
+    (Json.member "makespan" record = Some (Json.float outcome.Engine.makespan));
+  checkb "wasted work" true
+    (Json.member "wasted" record = Some (Json.float outcome.Engine.wasted));
+  checkb "metrics object" true
+    (match Json.member "metrics" record with Some (Json.Obj _) -> true | _ -> false);
+  checkb "re-renders identically after parsing" true
+    (Result.map Json.to_string (Json.of_string (Json.to_string record))
+    = Ok (Json.to_string record))
 
 let () =
   Alcotest.run "engine"
@@ -284,6 +380,13 @@ let () =
           Alcotest.test_case "rejects wrong capacity" `Quick rejects_wrong_capacity;
           Alcotest.test_case "trace" `Quick trace_is_chronological_and_complete;
           Alcotest.test_case "LS bound sanity" `Quick no_idle_while_work_eligible;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "event records" `Quick event_json_records;
+          Alcotest.test_case "traced events serialize" `Quick
+            traced_events_serialize;
+          Alcotest.test_case "outcome record" `Quick outcome_json_record;
         ] );
       ( "stress",
         [

@@ -2,12 +2,22 @@
    equivalence with the binary [Pqueue] under the engine's total event
    order (the refactor's claim that arity and layout cannot change the
    pop sequence), the alloc/sift_up direct-lane push pattern, and the
-   no-retention-after-drain guarantee ported from the Pqueue suite. *)
+   no-retention-after-drain guarantee ported from the Pqueue suite. The
+   record-form events and their comparator are the frozen reference
+   engine's ([Reference_engine.R_event]). *)
 
 module Event_core = Usched_desim.Event_core
 module Event_heap = Usched_desim.Event_heap
-module Pqueue = Usched_desim.Pqueue
 module Rng = Usched_prng.Rng
+module R_event = Reference_engine.R_event
+
+(* Root lanes: slot 0 holds the minimum of a non-empty heap. *)
+let root_time q = q.Event_heap.times.(0)
+let root_machine q = q.Event_heap.machines.(0)
+let root_cls q = q.Event_heap.classes.(0)
+let root_aux q = q.Event_heap.aux.(0)
+let root_aux2 q = q.Event_heap.aux2.(0)
+let root_payload q = q.Event_heap.payloads.(0)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -18,9 +28,6 @@ let empty_behaviour () =
   let q = Event_core.create ~dummy:(-1) () in
   checkb "is_empty" true (Event_heap.is_empty q);
   checki "length 0" 0 (Event_core.length q);
-  Alcotest.check_raises "min_time raises"
-    (Invalid_argument "Event_heap.min_time: empty heap") (fun () ->
-      ignore (Event_heap.min_time q));
   Alcotest.check_raises "remove_min raises"
     (Invalid_argument "Event_heap.remove_min: empty heap") (fun () ->
       Event_heap.remove_min q)
@@ -31,13 +38,13 @@ let aux_lanes_round_trip () =
     ~aux:17 ~aux2:23 5;
   Event_core.push q ~time:1.0 ~machine:0 ~cls:Event_core.cls_fault 9;
   (* plain push zeroes the aux words *)
-  checki "root aux zeroed by push" 0 (Event_heap.min_aux q);
-  checki "root aux2 zeroed by push" 0 (Event_heap.min_aux2 q);
-  checki "root payload" 9 (Event_heap.min_payload q);
+  checki "root aux zeroed by push" 0 (root_aux q);
+  checki "root aux2 zeroed by push" 0 (root_aux2 q);
+  checki "root payload" 9 (root_payload q);
   Event_heap.remove_min q;
-  checki "aux survives sifting" 17 (Event_heap.min_aux q);
-  checki "aux2 survives sifting" 23 (Event_heap.min_aux2 q);
-  checki "payload survives sifting" 5 (Event_heap.min_payload q)
+  checki "aux survives sifting" 17 (root_aux q);
+  checki "aux2 survives sifting" 23 (root_aux2 q);
+  checki "payload survives sifting" 5 (root_payload q)
 
 (* The engine's hot-loop push pattern — alloc, direct lane writes,
    sift_up — must be observationally the convenience [push]. *)
@@ -64,8 +71,8 @@ let alloc_pattern_is_push () =
       Event_heap.sift_up via_alloc s)
     events;
   while not (Event_heap.is_empty via_push) do
-    checki "same payload at the root" (Event_heap.min_payload via_push)
-      (Event_heap.min_payload via_alloc);
+    checki "same payload at the root" (root_payload via_push)
+      (root_payload via_alloc);
     Event_heap.remove_min via_push;
     Event_heap.remove_min via_alloc
   done;
@@ -104,7 +111,7 @@ let no_retention_after_drain () =
   checki "no payload survives a full drain" 0 !leaked;
   (* The heap stays usable, with capacity retained. *)
   Event_core.push q ~time:1.0 ~machine:0 ~cls:0 (42, ref 42);
-  checki "reusable" 42 (fst (Event_heap.min_payload q))
+  checki "reusable" 42 (fst (root_payload q))
 
 (* --------------------- equivalence with Pqueue ---------------------- *)
 
@@ -126,7 +133,7 @@ let stream_scenario =
 
 let random_event rng k =
   {
-    Event_core.time = float_of_int (Rng.int rng 6) /. 2.0;
+    R_event.time = float_of_int (Rng.int rng 6) /. 2.0;
     machine = Rng.int rng 4 - 1;
     (* -1 is the streaming engine's virtual source machine *)
     cls = Rng.int rng 4;
@@ -140,21 +147,21 @@ let prop_drain_matches_pqueue =
       let rng = Rng.create ~seed () in
       let events = Array.init len (random_event rng) in
       let heap = Event_core.create ~dummy:(-1) () in
-      let pq = Pqueue.create ~compare:Event_core.compare_event () in
+      let pq = Pqueue.create ~compare:R_event.compare_event () in
       Array.iter
         (fun e ->
-          Event_core.push heap ~time:e.Event_core.time
-            ~machine:e.Event_core.machine ~cls:e.Event_core.cls
-            e.Event_core.payload;
+          Event_core.push heap ~time:e.R_event.time
+            ~machine:e.R_event.machine ~cls:e.R_event.cls
+            e.R_event.payload;
           Pqueue.push pq e)
         events;
       let popped = ref [] in
-      Event_core.drain heap ~handle:(fun ~time ~machine payload ->
+      Helpers.drain heap ~handle:(fun ~time ~machine payload ->
           popped := (time, machine, payload) :: !popped);
       let expected =
         List.map
           (fun e ->
-            (e.Event_core.time, e.Event_core.machine, e.Event_core.payload))
+            (e.R_event.time, e.R_event.machine, e.R_event.payload))
           (Pqueue.drain pq)
       in
       List.rev !popped = expected)
@@ -167,25 +174,25 @@ let prop_interleaved_matches_pqueue =
     ~count:400 stream_scenario (fun (len, seed) ->
       let rng = Rng.create ~seed () in
       let heap = Event_core.create ~dummy:(-1) () in
-      let pq = Pqueue.create ~compare:Event_core.compare_event () in
+      let pq = Pqueue.create ~compare:R_event.compare_event () in
       let next = ref 0 in
       let ok = ref true in
       for _ = 1 to len do
         if Rng.bernoulli rng ~p:0.6 || Event_heap.is_empty heap then begin
           let e = random_event rng !next in
           incr next;
-          Event_core.push heap ~time:e.Event_core.time
-            ~machine:e.Event_core.machine ~cls:e.Event_core.cls
-            e.Event_core.payload;
+          Event_core.push heap ~time:e.R_event.time
+            ~machine:e.R_event.machine ~cls:e.R_event.cls
+            e.R_event.payload;
           Pqueue.push pq e
         end
         else begin
           let e = Pqueue.pop_exn pq in
           if
-            Event_heap.min_time heap <> e.Event_core.time
-            || Event_heap.min_machine heap <> e.Event_core.machine
-            || Event_heap.min_cls heap <> e.Event_core.cls
-            || Event_heap.min_payload heap <> e.Event_core.payload
+            root_time heap <> e.R_event.time
+            || root_machine heap <> e.R_event.machine
+            || root_cls heap <> e.R_event.cls
+            || root_payload heap <> e.R_event.payload
           then ok := false;
           Event_heap.remove_min heap
         end

@@ -33,7 +33,7 @@ let crash_redispatch () =
      units of work are lost; m1 is busy with t1 until 4, then re-runs
      t0 from scratch, 4..8. *)
   let instance =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 4.0; 4.0 |]
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 4.0; 4.0 |]
   in
   let realization = Realization.exact instance in
   let placement = Array.init 2 (fun _ -> Bitset.full 2) in
@@ -54,7 +54,7 @@ let stranded_singleton () =
   (* t0's data lives only on machine 0; t1 is replicated. The crash
      strands t0 but t1 still finishes — reported, not raised. *)
   let instance =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 4.0; 3.0 |]
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 4.0; 3.0 |]
   in
   let realization = Realization.exact instance in
   let placement = [| Bitset.singleton 2 0; Bitset.full 2 |] in
@@ -76,7 +76,7 @@ let outage_kills_and_restarts () =
      copy — the work is not checkpointed — and the machine restarts it
      from scratch on recovery: 5..9. *)
   let instance =
-    Instance.of_ests ~m:1 ~alpha:Uncertainty.alpha_exact [| 4.0 |]
+    Instance.of_ests ~m:1 ~alpha:(Uncertainty.alpha 1.0) [| 4.0 |]
   in
   let realization = Realization.exact instance in
   let placement = [| Bitset.full 1 |] in
@@ -97,7 +97,7 @@ let slowdown_stretches_remaining () =
   (* One task of 4 started at 0; the machine slows to half speed at 2.
      Two units done, two remaining at speed 0.5: finish = 2 + 2/0.5. *)
   let instance =
-    Instance.of_ests ~m:1 ~alpha:Uncertainty.alpha_exact [| 4.0 |]
+    Instance.of_ests ~m:1 ~alpha:(Uncertainty.alpha 1.0) [| 4.0 |]
   in
   let realization = Realization.exact instance in
   let placement = [| Bitset.full 1 |] in
@@ -117,7 +117,7 @@ let speedup_compresses_remaining () =
      the machine doubles its speed at 2. Two units done, two remaining
      at speed 2: finish = 2 + 2/2. *)
   let instance =
-    Instance.of_ests ~m:1 ~alpha:Uncertainty.alpha_exact [| 4.0 |]
+    Instance.of_ests ~m:1 ~alpha:(Uncertainty.alpha 1.0) [| 4.0 |]
   in
   let realization = Realization.exact instance in
   let placement = [| Bitset.full 1 |] in
@@ -261,7 +261,7 @@ let speculation_needs_a_holder () =
    killed, not completed — and killed exactly once. *)
 let outage_at_completion_time () =
   let instance =
-    Instance.of_ests ~m:1 ~alpha:Uncertainty.alpha_exact [| 4.0 |]
+    Instance.of_ests ~m:1 ~alpha:(Uncertainty.alpha 1.0) [| 4.0 |]
   in
   let realization = Realization.exact instance in
   let placement = [| Bitset.full 1 |] in
@@ -285,7 +285,7 @@ let outage_at_completion_time () =
    work is wasted once, whatever the trace order. *)
 let simultaneous_crash_and_outage order_name evs () =
   let instance =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 4.0 |]
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 4.0 |]
   in
   let realization = Realization.exact instance in
   let placement = [| Bitset.full 2 |] in
@@ -407,7 +407,7 @@ let prop_no_work_on_dead_machines =
               && List.for_all
                    (fun (from, until) ->
                      e.Schedule.finish <= from || e.Schedule.start >= until)
-                   (Trace.outages faults e.Schedule.machine))
+                   (Helpers.outages faults e.Schedule.machine))
         outcome.Engine.fates)
 
 let prop_locality =

@@ -90,19 +90,9 @@ let th4_beats_no_choice_with_few_replicas () =
   checkb "k=70 (3 replicas) beats strategy 1" true
     (G.ls_group ~m ~k:70 ~alpha < no_choice)
 
-let replication_of_groups () =
-  Alcotest.(check int) "m/k" 3 (G.replication_of_groups ~m:210 ~k:70);
-  Alcotest.check_raises "k must divide m"
-    (Invalid_argument "Guarantees.replication_of_groups: k must divide m")
-    (fun () -> ignore (G.replication_of_groups ~m:10 ~k:3))
-
-(* --- Classical baselines --- *)
-
 let classical_bounds () =
   close "LS" 1.75 (G.list_scheduling ~m:4);
-  close "LPT" (4.0 /. 3.0 -. 1.0 /. 12.0) (G.lpt_offline ~m:4);
-  close "MULTIFIT limit" (13.0 /. 11.0 +. 1.0) (G.multifit ~iterations:0);
-  closeish "MULTIFIT converges" (13.0 /. 11.0) (G.multifit ~iterations:40)
+  close "LPT" (4.0 /. 3.0 -. 1.0 /. 12.0) (G.lpt_offline ~m:4)
 
 (* --- Theorems 5-8: memory-aware --- *)
 
@@ -207,7 +197,6 @@ let () =
           Alcotest.test_case "Th4 monotone in k" `Quick th4_monotone_in_k;
           Alcotest.test_case "Th4 beats strategy 1" `Quick
             th4_beats_no_choice_with_few_replicas;
-          Alcotest.test_case "replication of groups" `Quick replication_of_groups;
           Alcotest.test_case "classical bounds" `Quick classical_bounds;
         ] );
       ( "memory-aware model",

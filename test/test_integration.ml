@@ -147,6 +147,90 @@ let csv_export_writes_files () =
   Runner.maybe_csv tiny_config ~name:"probe" ~header:[ "a" ] [ [ "1" ] ];
   checkb "no-op without dir" true true
 
+(* A fresh directory for one test, removed (one level deep) afterwards. *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "usched" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () -> f dir)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let ring_placement_nested () =
+  let m = 5 and n = 7 in
+  let sets k = Core.Placement.sets (Runner.ring_placement ~m ~n ~k) in
+  Array.iteri
+    (fun j set ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "task %d ring" j)
+        (List.sort compare [ j mod m; (j + 1) mod m; (j + 2) mod m ])
+        (Usched_model.Bitset.to_list set))
+    (sets 3);
+  for k = 1 to m - 1 do
+    checkb
+      (Printf.sprintf "k=%d rings nest in k=%d" k (k + 1))
+      true
+      (Array.for_all2 Usched_model.Bitset.subset (sets k) (sets (k + 1)))
+  done;
+  checkb "k = m is full replication" true
+    (Array.for_all (fun s -> Usched_model.Bitset.cardinal s = m) (sets m))
+
+module Engine = Usched_desim.Engine
+
+let manifest_records_specs () =
+  with_temp_dir (fun dir ->
+      let config = Runner.fresh_metrics { tiny_config with Runner.csv_dir = Some dir } in
+      Runner.record_spec config (Core.Strategy.budgeted ~k:2);
+      ignore (Runner.strategy config ~m:4 (Core.Strategy.group ~order:Core.Strategy.Ls ~k:2));
+      Runner.record_spec config (Core.Strategy.budgeted ~k:2);
+      Runner.maybe_manifest config ~id:"probe" ~title:"Probe" ~wall_time_s:0.5;
+      let json =
+        Usched_report.Json.of_string_exn
+          (read_file (Filename.concat dir "probe.manifest.json"))
+      in
+      let field name = Usched_report.Json.member name json in
+      checkb "experiment id" true (field "experiment" = Some (Usched_report.Json.String "probe"));
+      checkb "seed" true (field "seed" = Some (Usched_report.Json.Int tiny_config.Runner.seed));
+      checkb "specs deduplicated in first-use order" true
+        (field "algo_specs"
+        = Some
+            (Usched_report.Json.List
+               (List.map
+                  (fun s -> Usched_report.Json.String s)
+                  [
+                    Core.Strategy.to_string (Core.Strategy.budgeted ~k:2);
+                    Core.Strategy.to_string (Core.Strategy.group ~order:Core.Strategy.Ls ~k:2);
+                  ])));
+      checkb "fresh_metrics starts a new spec record" true
+        (!((Runner.fresh_metrics config).Runner.algo_specs) = []);
+      checkb "and leaves the old one alone" true
+        (List.length !(config.Runner.algo_specs) = 2));
+  (* Without a CSV directory nothing is written. *)
+  Runner.maybe_manifest tiny_config ~id:"probe" ~title:"Probe" ~wall_time_s:0.5
+
+let generate_workload () =
+  let rng () = Rng.create ~seed:13 () in
+  let instance, realization = Runner.generate ~n:40 ~m:4 ~alpha:2.0 (rng ()) in
+  Alcotest.(check int) "n" 40 (Instance.n instance);
+  Alcotest.(check int) "m" 4 (Instance.m instance);
+  checkb "estimates uniform on [1, 10]" true
+    (Array.for_all (fun e -> e >= 1.0 && e <= 10.0) (Instance.ests instance));
+  checkb "actuals admissible" true
+    (Array.for_all
+       (fun j ->
+         Uncertainty.admissible (Instance.alpha instance) ~est:(Instance.est instance j)
+           ~actual:(Realization.actual realization j))
+       (Array.init 40 Fun.id));
+  let instance', realization' = Runner.generate ~n:40 ~m:4 ~alpha:2.0 (rng ()) in
+  checkb "deterministic per generator" true
+    (Instance.ests instance = Instance.ests instance'
+    && Realization.actuals realization = Realization.actuals realization')
+
 (* Cheap experiments must run end-to-end without raising. The heavyweight
    ones (tab1, fig3) are exercised by the bench harness. *)
 let cheap_experiments_run () =
@@ -169,41 +253,68 @@ let fig3_divisors () =
     [ 1; 2; 3; 4; 6; 12 ]
     (Experiments.Fig3.divisors 12)
 
-let fig3_guarantee_series_shape () =
-  let series = Experiments.Fig3.guarantee_series ~m:210 ~alpha:2.0 in
-  Alcotest.(check int) "one point per divisor" 16 (List.length series);
-  let replications = List.map fst series in
-  checkb "starts at 1 replica" true (List.hd replications = 1);
-  checkb "ends at 210 replicas" true
-    (List.nth replications (List.length replications - 1) = 210);
-  (* Ratio improves (decreases) as replication grows. *)
-  let ratios = List.map snd series in
-  let rec decreasing = function
-    | a :: (b :: _ as rest) -> a >= b -. 1e-9 && decreasing rest
-    | _ -> true
-  in
-  checkb "monotone improvement" true (decreasing ratios)
-
-let fig6_curves_shapes () =
-  let deltas = [ 0.25; 0.5; 1.0; 2.0; 4.0 ] in
-  let sabo = Experiments.Fig6.sabo_curve ~alpha:(sqrt 2.0) ~rho:1.0 ~deltas in
-  (* Along growing delta: memory guarantee falls, makespan guarantee
-     rises. *)
-  let rec shape = function
-    | (mem_a, mk_a) :: ((mem_b, mk_b) :: _ as rest) ->
-        mem_a >= mem_b -. 1e-9 && mk_a <= mk_b +. 1e-9 && shape rest
-    | _ -> true
-  in
-  checkb "SABO tradeoff curve" true (shape sabo);
-  let abo = Experiments.Fig6.abo_curve ~m:5 ~alpha:(sqrt 2.0) ~rho:1.0 ~deltas in
-  checkb "ABO tradeoff curve" true (shape abo)
-
 let example_instance_is_mixed () =
   let instance = Experiments.Fig45.example_instance () in
   checkb "has time-heavy tasks" true
     (Array.exists (fun t -> Usched_model.Task.est t > 4.0) (Instance.tasks instance));
   checkb "has memory-heavy tasks" true
     (Array.exists (fun t -> Usched_model.Task.size t > 4.0) (Instance.tasks instance))
+
+module Speed_band = Usched_model.Speed_band
+
+let speed_assessment () =
+  let instance =
+    Instance.of_ests ~m:4 ~alpha:(Uncertainty.alpha 1.0)
+      [| 5.0; 4.0; 4.0; 3.0; 2.0; 2.0; 1.0; 1.0 |]
+  in
+  let realization = Realization.exact instance in
+  let placement = Core.Placement.full ~m:4 ~n:8 in
+  let band = Speed_band.uniform ~m:4 ~lo:0.5 ~hi:2.0 in
+  let rng = Rng.create ~seed:3 () in
+  let draws = Array.init 3 (fun _ -> Speed_band.sample band rng) in
+  let a =
+    Experiments.Speed_sweep.assess ~domains:1 ~draws instance realization placement band
+  in
+  Alcotest.(check int) "one ratio per draw" 3 (Array.length a.mc_ratios);
+  checkb "adversary stays in the band" true (Speed_band.contains band a.adv_speeds);
+  checkb "adversary dominates every draw" true
+    (Array.for_all (fun r -> r <= a.ratio_adv +. 1e-12) a.mc_ratios);
+  checkb "revelation mid-run" true (a.reveal_at > 0.0 && Float.is_finite a.makespan_reveal);
+  (* Known unit speeds: every revelation is the same, and revealing
+     them mid-run changes nothing. *)
+  let nominal = Speed_band.nominal ~m:4 in
+  let d =
+    Experiments.Speed_sweep.assess ~domains:1
+      ~draws:[| Array.make 4 1.0 |]
+      instance realization placement nominal
+  in
+  close "degenerate draw = adversary" d.ratio_adv d.mc_ratios.(0);
+  close "degenerate revelation = plain replay"
+    (Usched_desim.Schedule.makespan
+       (Engine.run instance realization ~placement:(Core.Placement.sets placement)
+          ~order:(Instance.lpt_order instance)))
+    d.makespan_reveal
+
+let stream_utilization () =
+  let instance = Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 2.0; 2.0 |] in
+  let realization = Realization.exact instance in
+  let run placement faults =
+    Engine.run_faulty instance realization ~placement ~order:[| 0; 1 |]
+      ~faults:(Usched_faults.Trace.of_events ~m:2 faults)
+  in
+  let utilization = Experiments.Stream_sweep.utilization ~m:2 realization in
+  let both = Array.init 2 (fun _ -> Usched_model.Bitset.full 2) in
+  close "both machines busy throughout" 1.0 (utilization (run both []));
+  let serial = Array.init 2 (fun _ -> Usched_model.Bitset.singleton 2 0) in
+  close "one of two machines busy" 0.5 (utilization (run serial []));
+  (* Machine 0 crashes at 1: task 0's first copy is wasted work and
+     counts as consumed machine time. *)
+  let crash = { Usched_faults.Fault.machine = 0; time = 1.0; kind = Usched_faults.Fault.Crash } in
+  let outcome = run both [ crash ] in
+  close "wasted work counts"
+    ((outcome.Engine.wasted +. 4.0) /. (2.0 *. outcome.Engine.makespan))
+    (utilization outcome);
+  close "nothing ran" 0.0 (utilization (run serial [ { crash with time = 0.0 } ]))
 
 let () =
   Alcotest.run "integration"
@@ -228,14 +339,17 @@ let () =
           Alcotest.test_case "adversarial ratio" `Quick adversarial_ratio_sound;
           Alcotest.test_case "quick config" `Quick quick_config_caps_reps;
           Alcotest.test_case "csv export" `Quick csv_export_writes_files;
+          Alcotest.test_case "ring placement" `Quick ring_placement_nested;
+          Alcotest.test_case "manifest specs" `Quick manifest_records_specs;
+          Alcotest.test_case "replay workload" `Quick generate_workload;
         ] );
       ( "experiments",
         [
           Alcotest.test_case "cheap experiments run" `Slow cheap_experiments_run;
           Alcotest.test_case "fig1 ratio curve" `Quick fig1_theoretical_ratio_monotone;
           Alcotest.test_case "fig3 divisors" `Quick fig3_divisors;
-          Alcotest.test_case "fig3 guarantee series" `Quick fig3_guarantee_series_shape;
-          Alcotest.test_case "fig6 curve shapes" `Quick fig6_curves_shapes;
           Alcotest.test_case "fig45 instance" `Quick example_instance_is_mixed;
+          Alcotest.test_case "speed assessment" `Quick speed_assessment;
+          Alcotest.test_case "stream utilization" `Quick stream_utilization;
         ] );
     ]

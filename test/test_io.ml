@@ -1,8 +1,7 @@
-(* Tests for instance/realization persistence. *)
+(* Tests for instance persistence. *)
 
 module Io = Usched_model.Io
 module Instance = Usched_model.Instance
-module Realization = Usched_model.Realization
 module Uncertainty = Usched_model.Uncertainty
 module Workload = Usched_model.Workload
 module Rng = Usched_prng.Rng
@@ -37,17 +36,6 @@ let instance_round_trip_exact_floats () =
   let back = Io.instance_of_string (Io.instance_to_string inst) in
   checkb "bit-exact floats" true (same_instance inst back)
 
-let realization_round_trip () =
-  let inst = sample_instance () in
-  let rng = Rng.create ~seed:3 () in
-  let realization = Realization.uniform_factor inst rng in
-  let back = Io.realization_of_string (Io.realization_to_string realization) in
-  checkb "instance preserved" true
-    (same_instance inst (Realization.instance back));
-  Alcotest.(check (array (float 0.0))) "actuals preserved"
-    (Realization.actuals realization)
-    (Realization.actuals back)
-
 let file_round_trip () =
   let inst = sample_instance () in
   let path = Filename.temp_file "usched" ".inst" in
@@ -77,14 +65,6 @@ let failure_profile_round_trip () =
   (match Instance.failure back with
   | Some g -> checkb "profile bit-exact" true (Failure.equal g f)
   | None -> Alcotest.fail "failp field lost");
-  (* Realization files carry the profile too. *)
-  let r = Realization.exact inst in
-  (match
-     Instance.failure
-       (Realization.instance (Io.realization_of_string (Io.realization_to_string r)))
-   with
-  | Some g -> checkb "realization keeps the profile" true (Failure.equal g f)
-  | None -> Alcotest.fail "failp lost through realization io");
   (* Pre-profile files (no failp field) still parse, with no profile. *)
   let legacy = "# usched-instance m=2 alpha=1.5\nid,est,size\n0,4,1\n" in
   checkb "old headers parse as no profile" true
@@ -102,14 +82,6 @@ let speed_band_round_trip () =
   (match Instance.speed_band back with
   | Some g -> checkb "band bit-exact" true (Speed_band.equal g b)
   | None -> Alcotest.fail "speedband field lost");
-  (* Realization files carry the band too. *)
-  let r = Realization.exact inst in
-  (match
-     Instance.speed_band
-       (Realization.instance (Io.realization_of_string (Io.realization_to_string r)))
-   with
-  | Some g -> checkb "realization keeps the band" true (Speed_band.equal g b)
-  | None -> Alcotest.fail "speedband lost through realization io");
   (* Pre-band files (no speedband field) still parse, with no band. *)
   let legacy = "# usched-instance m=2 alpha=1.5\nid,est,size\n0,4,1\n" in
   checkb "old headers parse as no band" true
@@ -142,14 +114,6 @@ let topology_round_trip () =
   (match Instance.topology back with
   | Some g -> checkb "topology bit-exact" true (Topology.equal g topo)
   | None -> Alcotest.fail "topology field lost");
-  (* Realization files carry the topology too. *)
-  let r = Realization.exact inst in
-  (match
-     Instance.topology
-       (Realization.instance (Io.realization_of_string (Io.realization_to_string r)))
-   with
-  | Some g -> checkb "realization keeps the topology" true (Topology.equal g topo)
-  | None -> Alcotest.fail "topology lost through realization io");
   (* Pre-topology files (no topology field) still parse, with none. *)
   let legacy = "# usched-instance m=2 alpha=1.5\nid,est,size\n0,4,1\n" in
   checkb "old headers parse as no topology" true
@@ -232,7 +196,7 @@ let rejects_bad_topology () =
     (try
        ignore (Io.instance_of_string mismatched);
        false
-     with Invalid_argument _ -> true)
+     with Failure msg -> String.starts_with ~prefix:"Io: line 1: " msg)
 
 let rejects_bad_speed_band () =
   List.iter
@@ -261,7 +225,7 @@ let rejects_bad_speed_band () =
     (try
        ignore (Io.instance_of_string mismatched);
        false
-     with Invalid_argument _ -> true)
+     with Failure msg -> String.starts_with ~prefix:"Io: line 1: " msg)
 
 let rejects_bad_failure_profile () =
   List.iter
@@ -288,13 +252,14 @@ let rejects_bad_failure_profile () =
     (try
        ignore (Io.instance_of_string mismatched);
        false
-     with Invalid_argument _ -> true)
+     with Failure msg -> String.starts_with ~prefix:"Io: line 1: " msg)
 
 let rejects_wrong_kind () =
-  let inst = sample_instance () in
-  checkb "instance parser rejects realization file" true
+  checkb "instance parser rejects another header" true
     (try
-       ignore (Io.instance_of_string (Io.realization_to_string (Realization.exact inst)));
+       ignore
+         (Io.instance_of_string
+            "# usched-realization m=2 alpha=1.5\nid,est,size,actual\n0,4,1,4\n");
        false
      with Failure _ -> true)
 
@@ -320,18 +285,6 @@ let rejects_missing_header_field () =
        false
      with Failure _ -> true)
 
-let rejects_inadmissible_actuals () =
-  (* A tampered realization file whose actual violates the alpha bound
-     must be rejected by the underlying validation. *)
-  let bad =
-    "# usched-realization m=2 alpha=1.5\nid,est,size,actual\n0,4,1,40\n"
-  in
-  checkb "inadmissible actual" true
-    (try
-       ignore (Io.realization_of_string bad);
-       false
-     with Invalid_argument _ -> true)
-
 let prop_random_round_trip =
   QCheck.Test.make ~name:"random instances round trip bit-exactly" ~count:150
     QCheck.(
@@ -345,20 +298,6 @@ let prop_random_round_trip =
       Instance.ests back = ests
       && Instance.m back = m
       && Instance.alpha_value back = alpha)
-
-let prop_realization_round_trip =
-  QCheck.Test.make ~name:"random realizations round trip bit-exactly" ~count:150
-    QCheck.(pair (int_range 1 4) (int_range 1 20))
-    (fun (m, n) ->
-      let rng = Rng.create ~seed:(m + (100 * n)) () in
-      let inst =
-        Instance.of_ests ~m
-          ~alpha:(Uncertainty.alpha 2.0)
-          (Array.init n (fun _ -> 0.1 +. (10.0 *. Rng.float rng)))
-      in
-      let r = Realization.uniform_factor inst rng in
-      let back = Io.realization_of_string (Io.realization_to_string r) in
-      Realization.actuals back = Realization.actuals r)
 
 (* The writer's bytes, pinned: files written today must stay
    byte-identical to files written before. *)
@@ -378,15 +317,6 @@ let writer_golden_strings () =
      2,1e+22,1e-300\n\
      3,4.9406564584124654e-324,0\n"
     (Io.instance_to_string inst);
-  let r = Realization.of_actuals inst [| Float.pi *. 1.5; 0.5; 1e22; 5e-324 |] in
-  Alcotest.(check string) "realization file"
-    "# usched-realization m=2 alpha=1.75\n\
-     id,est,size,actual\n\
-     0,3.1415926535897931,1,4.7123889803846897\n\
-     1,0.33333333333333331,0.10000000000000001,0.5\n\
-     2,1e+22,1e-300,1e+22\n\
-     3,4.9406564584124654e-324,0,4.9406564584124654e-324\n"
-    (Io.realization_to_string r);
   let path = Filename.temp_file "usched" ".inst" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -434,33 +364,33 @@ let parse_error text =
   | _ -> "parsed"
   | exception Failure msg -> msg
 
-let realization_parse_error text =
-  match Io.realization_of_string text with
-  | _ -> "parsed"
-  | exception Failure msg -> msg
-
 let error_texts () =
   let check = Alcotest.(check string) in
   let inst = "# usched-instance m=2 alpha=1.5\nid,est,size\n" in
-  let real = "# usched-realization m=2 alpha=1.5\nid,est,size,actual\n" in
   check "2-field row" "Io: line 3: expected 3 comma-separated fields"
     (parse_error (inst ^ "0,1\n"));
   check "4-field row" "Io: line 3: expected 3 comma-separated fields"
     (parse_error (inst ^ "0,1,1,1\n"));
-  check "3-field realization row" "Io: line 3: expected 4 comma-separated fields"
-    (realization_parse_error (real ^ "0,1,1\n"));
-  check "5-field realization row" "Io: line 3: expected 4 comma-separated fields"
-    (realization_parse_error (real ^ "0,1,1,1,1\n"));
   check "bad id" "Io: line 3: bad id \" 0\"" (parse_error (inst ^ " 0,1,1\n"));
   check "size before estimate" "Io: line 3: bad size \"z\"" (parse_error (inst ^ "0,y,z\n"));
-  check "actual first" "Io: line 3: bad actual \"w\""
-    (realization_parse_error (real ^ "0,y,z,w\n"));
   check "blank line before a malformed row" "Io: line 5: expected 3 comma-separated fields"
     (parse_error (inst ^ "0,4,1\n\n1,oops\n"));
   check "whitespace lines before a malformed row" "Io: line 6: bad estimate \"x\""
     (parse_error (inst ^ "  \n0,4,1\n\t\r\n1,x,1\n"));
-  check "realization blank lines" "Io: line 5: bad actual \"a\""
-    (realization_parse_error (real ^ "\n\n0,4,1,a\n"))
+  check "bad m" "Io: line 1: m= must be an integer >= 1"
+    (parse_error "# usched-instance m=abc alpha=1.5\nid,est,size\n0,4,1\n");
+  check "no machines" "Io: line 1: m= must be an integer >= 1"
+    (parse_error "# usched-instance m=0 alpha=1.5\nid,est,size\n0,4,1\n");
+  check "alpha below 1" "Io: line 1: alpha= must be a finite number >= 1"
+    (parse_error "# usched-instance m=2 alpha=0.5\nid,est,size\n0,4,1\n");
+  check "infinite alpha" "Io: line 1: alpha= must be a finite number >= 1"
+    (parse_error "# usched-instance m=2 alpha=inf\nid,est,size\n0,4,1\n");
+  check "bad estimate" "Io: line 3: bad estimate \"abc\""
+    (parse_error (inst ^ "0,abc,1\n"));
+  check "non-positive estimate" "Io: line 4: Task.make: estimate must be > 0"
+    (parse_error (inst ^ "0,4,1\n1,-2,1\n"));
+  check "ids out of order" "Io: line 4: id 2 out of order (expected 1)"
+    (parse_error (inst ^ "0,4,1\n2,4,1\n"))
 
 let prop_blank_lines_ignored =
   QCheck.Test.make ~name:"blank and whitespace-only lines anywhere in the body are skipped"
@@ -472,7 +402,6 @@ let prop_blank_lines_ignored =
         Instance.of_ests ~m:3 ~alpha:(Uncertainty.alpha 2.0)
           (Array.init n (fun _ -> 0.1 +. Random.State.float rng 10.0))
       in
-      let r = Realization.uniform_factor inst (Rng.create ~seed ()) in
       let blanks = [| ""; " "; "\t"; "  \t "; "\r"; "\012" |] in
       let sprinkle text =
         match String.split_on_char '\n' text with
@@ -488,10 +417,7 @@ let prop_blank_lines_ignored =
             String.concat "\n" (header :: columns :: padded)
         | _ -> text
       in
-      same_instance inst (Io.instance_of_string (sprinkle (Io.instance_to_string inst)))
-      && Realization.actuals
-           (Io.realization_of_string (sprinkle (Io.realization_to_string r)))
-         = Realization.actuals r)
+      same_instance inst (Io.instance_of_string (sprinkle (Io.instance_to_string inst))))
 
 let () =
   Alcotest.run "io"
@@ -500,7 +426,6 @@ let () =
         [
           Alcotest.test_case "instance" `Quick instance_round_trip;
           Alcotest.test_case "exact floats" `Quick instance_round_trip_exact_floats;
-          Alcotest.test_case "realization" `Quick realization_round_trip;
           Alcotest.test_case "file" `Quick file_round_trip;
           Alcotest.test_case "generated workloads" `Quick
             generated_workloads_round_trip;
@@ -518,15 +443,12 @@ let () =
           Alcotest.test_case "bad topology" `Quick rejects_bad_topology;
           Alcotest.test_case "malformed rows" `Quick rejects_malformed_rows;
           Alcotest.test_case "missing header" `Quick rejects_missing_header_field;
-          Alcotest.test_case "inadmissible actuals" `Quick
-            rejects_inadmissible_actuals;
           Alcotest.test_case "error texts and line numbers" `Quick error_texts;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_random_round_trip;
-            prop_realization_round_trip;
             prop_all_optional_fields_round_trip;
             prop_writer_matches_printf;
             prop_blank_lines_ignored;

@@ -68,7 +68,7 @@ let sbo_delta_monotone () =
 
 let sbo_zero_sizes_all_time_intensive () =
   let instance =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0)
       ~sizes:[| 0.0; 0.0 |] [| 1.0; 2.0 |]
   in
   let split = Core.Sbo.split ~delta:1.0 instance in
@@ -90,7 +90,7 @@ let sabo_schedule_valid () =
   let placement, schedule = Core.Two_phase.run_full algo instance realization in
   Alcotest.(check (list string)) "valid" []
     (List.map
-       (Format.asprintf "%a" Schedule.pp_violation)
+       (Format.asprintf "%a" Helpers.pp_violation)
        (Schedule.validate ~placement:(Core.Placement.sets placement) instance
           realization schedule))
 
@@ -145,7 +145,7 @@ let abo_schedule_valid () =
   let placement, schedule = Core.Two_phase.run_full algo instance realization in
   Alcotest.(check (list string)) "valid" []
     (List.map
-       (Format.asprintf "%a" Schedule.pp_violation)
+       (Format.asprintf "%a" Helpers.pp_violation)
        (Schedule.validate ~placement:(Core.Placement.sets placement) instance
           realization schedule))
 

@@ -36,7 +36,7 @@ let alpha_validation () =
   Alcotest.check_raises "alpha nan"
     (Invalid_argument "Uncertainty.alpha: factor must be finite and >= 1")
     (fun () -> ignore (Uncertainty.alpha Float.nan));
-  close "exact alpha" 1.0 (Uncertainty.to_float Uncertainty.alpha_exact)
+  close "exact alpha" 1.0 (Uncertainty.to_float (Uncertainty.alpha 1.0))
 
 let alpha_interval () =
   let a = Uncertainty.alpha 2.0 in
@@ -64,30 +64,28 @@ let instance_construction () =
   in
   Alcotest.(check int) "n" 3 (Instance.n inst);
   Alcotest.(check int) "m" 3 (Instance.m inst);
-  close "total" 6.0 (Instance.total_est inst);
-  close "max" 3.0 (Instance.max_est inst);
   close "est of task 2" 2.0 (Instance.est inst 2)
 
 let instance_id_check () =
   let tasks = [| Task.make ~id:1 ~est:1.0 () |] in
   Alcotest.check_raises "bad ids"
     (Invalid_argument "Instance.make: task ids must be 0..n-1 in order")
-    (fun () -> ignore (Instance.make ~m:1 ~alpha:Uncertainty.alpha_exact tasks))
+    (fun () -> ignore (Instance.make ~m:1 ~alpha:(Uncertainty.alpha 1.0) tasks))
 
 let instance_m_check () =
   Alcotest.check_raises "m = 0"
     (Invalid_argument "Instance.make: need at least one machine") (fun () ->
-      ignore (Instance.make ~m:0 ~alpha:Uncertainty.alpha_exact [||]))
+      ignore (Instance.make ~m:0 ~alpha:(Uncertainty.alpha 1.0) [||]))
 
 let instance_lpt_order () =
   let inst =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 1.0; 3.0; 2.0; 3.0 |]
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 1.0; 3.0; 2.0; 3.0 |]
   in
   Alcotest.(check (array int)) "order" [| 1; 3; 2; 0 |] (Instance.lpt_order inst)
 
 let instance_sizes () =
   let inst =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0)
       ~sizes:[| 5.0; 6.0 |] [| 1.0; 2.0 |]
   in
   close "total size" 11.0 (Instance.total_size inst);
@@ -97,7 +95,7 @@ let instance_sizes_length_check () =
   Alcotest.check_raises "sizes mismatch"
     (Invalid_argument "Instance.of_ests: sizes length mismatch") (fun () ->
       ignore
-        (Instance.of_ests ~m:1 ~alpha:Uncertainty.alpha_exact ~sizes:[| 1.0 |]
+        (Instance.of_ests ~m:1 ~alpha:(Uncertainty.alpha 1.0) ~sizes:[| 1.0 |]
            [| 1.0; 2.0 |]))
 
 let realization_validation () =
@@ -110,8 +108,7 @@ let realization_validation () =
      with Invalid_argument _ -> true);
   let r = Realization.of_actuals inst [| 2.0; 8.0 |] in
   close "actual 0" 2.0 (Realization.actual r 0);
-  close "total" 10.0 (Realization.total r);
-  close "max" 8.0 (Realization.max_actual r)
+  close "total" 10.0 (Realization.total r)
 
 let realization_of_factors () =
   let inst = Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 2.0) [| 4.0; 6.0 |] in
@@ -186,7 +183,7 @@ let realization_clustered () =
      with Invalid_argument _ -> true)
 
 let realization_alpha_one_is_exact () =
-  let inst = Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 4.0; 6.0 |] in
+  let inst = Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 4.0; 6.0 |] in
   let rng = Rng.create ~seed:5 () in
   let r = Realization.log_uniform_factor inst rng in
   Alcotest.(check (array (float 1e-12))) "no wiggle room" [| 4.0; 6.0 |]
@@ -252,6 +249,46 @@ let instance_failure_profile () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+let failure_log_loss () =
+  let f = Failure.make [| 0.0; 0.25; 1.0 |] in
+  checkb "never-failing machine" true (Failure.log_loss f 0 = Float.neg_infinity);
+  close "log of p" (Float.log 0.25) (Failure.log_loss f 1);
+  close "always-failing machine" 0.0 (Failure.log_loss f 2);
+  (* prob_all_lost is exp of the summed logs over the set. *)
+  let g = Failure.make [| 0.1; 0.2; 0.3 |] in
+  close "set loss is exp of summed log losses"
+    (Float.exp (Failure.log_loss g 0 +. Failure.log_loss g 2))
+    (Failure.prob_all_lost g (Bitset.of_list 3 [ 0; 2 ]))
+
+module Speed_band = Usched_model.Speed_band
+module Topology = Usched_model.Topology
+
+let instance_speed_band_default () =
+  let inst = Instance.of_ests ~m:3 ~alpha:(Uncertainty.alpha 1.5) [| 1.0; 2.0 |] in
+  let nominal = Instance.speed_band_or_nominal inst in
+  checkb "no band: the nominal all-1 band" true
+    (Speed_band.equal nominal (Speed_band.nominal ~m:3));
+  let band = Speed_band.uniform ~m:3 ~lo:0.5 ~hi:2.0 in
+  let with_band = Instance.with_speed_band inst (Some band) in
+  checkb "attached band returned" true
+    (Speed_band.equal (Instance.speed_band_or_nominal with_band) band);
+  checkb "removing the band restores the default" true
+    (Speed_band.equal
+       (Instance.speed_band_or_nominal (Instance.with_speed_band with_band None))
+       nominal)
+
+let instance_topology_default () =
+  let inst = Instance.of_ests ~m:4 ~alpha:(Uncertainty.alpha 1.5) [| 1.0; 2.0 |] in
+  let default = Instance.topology_or_uniform inst in
+  checkb "no topology: the single-zone uniform one" true
+    (Topology.equal default (Topology.uniform ~m:4));
+  let zoned = Topology.zoned ~m:4 ~zones:2 ~bandwidth:3.0 () in
+  let with_topology = Instance.with_topology inst (Some zoned) in
+  checkb "attached topology returned" true
+    (Topology.equal (Instance.topology_or_uniform with_topology) zoned);
+  checkb "original instance untouched" true
+    (Topology.equal (Instance.topology_or_uniform inst) default)
+
 let () =
   Alcotest.run "model"
     [
@@ -276,6 +313,9 @@ let () =
           Alcotest.test_case "LPT order" `Quick instance_lpt_order;
           Alcotest.test_case "sizes" `Quick instance_sizes;
           Alcotest.test_case "sizes length" `Quick instance_sizes_length_check;
+          Alcotest.test_case "speed band default" `Quick
+            instance_speed_band_default;
+          Alcotest.test_case "topology default" `Quick instance_topology_default;
         ] );
       ( "failure",
         [
@@ -286,6 +326,7 @@ let () =
             failure_string_round_trip;
           Alcotest.test_case "instance profile plumbing" `Quick
             instance_failure_profile;
+          Alcotest.test_case "log loss" `Quick failure_log_loss;
         ] );
       ( "realization",
         [

@@ -24,23 +24,39 @@ let checks = Alcotest.(check string)
 
 (* ------------------------- metrics registry ------------------------ *)
 
+let counter_value t name =
+  match Metrics.find (Metrics.snapshot t) name with
+  | Some (Metrics.Counter n) -> n
+  | _ -> Alcotest.fail (name ^ ": no such counter")
+
+let gauge_value t name =
+  match Metrics.find (Metrics.snapshot t) name with
+  | Some (Metrics.Gauge v) -> v
+  | _ -> Alcotest.fail (name ^ ": no such gauge")
+
 let metrics_basics () =
   let t = Metrics.create () in
   let c = Metrics.counter t "c" in
   Metrics.incr c;
   Metrics.add c 4;
-  checki "counter accumulates" 5 (Metrics.counter_value c);
-  checki "get-or-create shares state" 5
-    (Metrics.counter_value (Metrics.counter t "c"));
+  checki "counter accumulates" 5 (counter_value t "c");
+  Metrics.incr (Metrics.counter t "c");
+  checki "get-or-create shares state" 6 (counter_value t "c");
   let g = Metrics.gauge t "g" in
   Metrics.set g 2.5;
   Metrics.record_max g 1.0;
-  close "max keeps the larger" 2.5 (Metrics.gauge_value g);
+  close "max keeps the larger" 2.5 (gauge_value t "g");
   Metrics.record_max g 7.0;
-  close "max advances" 7.0 (Metrics.gauge_value g);
+  close "max advances" 7.0 (gauge_value t "g");
   let tm = Metrics.timer t "t" in
-  Metrics.add_span tm 0.25;
-  Metrics.add_span tm 0.75;
+  let wait d =
+    let t0 = Metrics.now_s () in
+    while Metrics.now_s () -. t0 < d do () done
+  in
+  let before = Metrics.now_s () in
+  checki "time returns the thunk's value" 3 (Metrics.time tm (fun () -> wait 0.01; 3));
+  Metrics.time tm (fun () -> wait 0.01);
+  let elapsed = Metrics.now_s () -. before in
   let h = Metrics.histogram t "h" in
   List.iter (Metrics.observe h) [ 3.0; 1.0; 2.0 ];
   let snap = Metrics.snapshot t in
@@ -49,7 +65,8 @@ let metrics_basics () =
     (List.map fst snap = List.sort String.compare (List.map fst snap));
   (match Metrics.find snap "t" with
   | Some (Metrics.Timer { total_s; spans }) ->
-      close "timer total" 1.0 total_s;
+      checkb "timer adds up both spans" true (total_s >= 0.02);
+      checkb "timer total within the wall clock" true (total_s <= elapsed);
       checki "timer spans" 2 spans
   | _ -> Alcotest.fail "timer missing");
   match Metrics.find snap "h" with
@@ -60,16 +77,21 @@ let metrics_basics () =
       close "hist max" 3.0 max
   | _ -> Alcotest.fail "histogram missing"
 
+let metrics_wall_clock () =
+  let before = Unix.gettimeofday () in
+  let a = Metrics.now_s () in
+  let b = Metrics.now_s () in
+  let after = Unix.gettimeofday () in
+  checkb "reads the wall clock" true (before <= a && b <= after);
+  checkb "non-decreasing" true (a <= b)
+
 let metrics_disabled () =
   let t = Metrics.disabled in
   checkb "disabled" true (not (Metrics.is_enabled t));
   let c = Metrics.counter t "c" in
   Metrics.incr c;
   Metrics.add c 10;
-  checki "no-op counter" 0 (Metrics.counter_value c);
-  let g = Metrics.gauge t "g" in
-  Metrics.set g 9.0;
-  close "no-op gauge" 0.0 (Metrics.gauge_value g);
+  Metrics.set (Metrics.gauge t "g") 9.0;
   let ran = ref false in
   let x = Metrics.time (Metrics.timer t "t") (fun () -> ran := true; 42) in
   checki "timer still runs the thunk" 42 x;
@@ -106,7 +128,7 @@ let get_gauge snap name =
    task), one kill, two units wasted, makespan 8. *)
 let engine_crash_metrics () =
   let instance =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 4.0; 4.0 |]
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 4.0; 4.0 |]
   in
   let realization = Realization.exact instance in
   let placement = Array.init 2 (fun _ -> Bitset.full 2) in
@@ -174,7 +196,7 @@ let engine_plain_run_metrics () =
   (* Two machines, three unit tasks fully replicated, submission order:
      m0 runs t0 then t2 (busy 2), m1 runs t1 (busy 1, idle 1). *)
   let instance =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 1.0; 1.0; 1.0 |]
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 1.0; 1.0; 1.0 |]
   in
   let realization = Realization.exact instance in
   let placement = Array.init 3 (fun _ -> Bitset.full 2) in
@@ -366,6 +388,19 @@ let read_file path =
   close_in ic;
   s
 
+let jsonl_output_line () =
+  let dir = temp_dir () in
+  let path = Filename.concat dir "lines.jsonl" in
+  let records =
+    [ Json.Obj [ ("k", Json.String "a\nb") ]; Json.List [ Json.Int 1; Json.Null ] ]
+  in
+  let oc = open_out_bin path in
+  List.iter (Json.output_line oc) records;
+  close_out oc;
+  checks "compact renderings, one per line"
+    (String.concat "" (List.map (fun r -> Json.to_string r ^ "\n") records))
+    (read_file path)
+
 let atomic_write_cases () =
   let dir = temp_dir () in
   let path = Filename.concat dir "sub/report.json" in
@@ -375,24 +410,25 @@ let atomic_write_cases () =
   Fs.write_atomic ~path "second";
   checkb "overwrite replaces" true (read_file path = "second")
 
-exception Boom
-
+(* A rename onto a non-empty directory fails after the temp file is
+   complete: the target and its contents survive, and the temp file is
+   cleaned up. *)
 let atomic_write_failure_keeps_old_content () =
   let dir = temp_dir () in
-  let path = Filename.concat dir "out.csv" in
-  Fs.write_atomic ~path "precious";
-  checkb "writer exception propagates" true
+  let path = Filename.concat dir "out" in
+  Fs.write_atomic ~path:(Filename.concat path "inner.csv") "precious";
+  checkb "failed publish raises" true
     (try
-       (Fs.with_atomic_oc ~path (fun oc ->
-            output_string oc "torn torn torn";
-            raise Boom)
-         : unit);
+       Fs.write_atomic ~path "torn";
        false
-     with Boom -> true);
+     with Sys_error _ -> true);
+  checkb "old target still a directory" true (Sys.is_directory path);
   checkb "old content survives a failed rewrite" true
-    (read_file path = "precious");
+    (read_file (Filename.concat path "inner.csv") = "precious");
   checkb "failed writer leaves no temp file" false
     (Sys.file_exists (Fs.temp_path path))
+
+exception Boom
 
 let sink_discard_on_exception () =
   let dir = temp_dir () in
@@ -459,6 +495,7 @@ let () =
           Alcotest.test_case "basics" `Quick metrics_basics;
           Alcotest.test_case "disabled registry" `Quick metrics_disabled;
           Alcotest.test_case "kind mismatch" `Quick metrics_kind_mismatch;
+          Alcotest.test_case "wall clock" `Quick metrics_wall_clock;
         ] );
       ( "engine instrumentation",
         [
@@ -475,6 +512,7 @@ let () =
           Alcotest.test_case "serialization" `Quick json_serialization;
           Alcotest.test_case "round trip" `Quick json_round_trip;
           Alcotest.test_case "jsonl sink" `Quick jsonl_sink;
+          Alcotest.test_case "output_line" `Quick jsonl_output_line;
         ] );
       ( "fs",
         [

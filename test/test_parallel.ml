@@ -13,6 +13,11 @@ module Speed_band = Usched_model.Speed_band
 module Core = Usched_core
 module Rng = Usched_prng.Rng
 
+(* One strategy's evaluation: a singleton portfolio. *)
+let evaluate ?domains algo instance scenarios =
+  Core.Scenarios.select ?domains Core.Scenarios.Minimize_worst ~portfolio:[ algo ] instance
+    scenarios
+
 let checkb = Alcotest.(check bool)
 
 let recommended_positive () =
@@ -28,19 +33,6 @@ let init_matches_sequential () =
         expected
         (Pool.parallel_init ~domains 1000 f))
     [ 1; 2; 4 ]
-
-let map_matches_sequential () =
-  let a = Array.init 500 (fun i -> float_of_int i) in
-  Alcotest.(check (array (float 1e-12)))
-    "map" (Array.map sqrt a)
-    (Pool.parallel_map ~domains:3 sqrt a)
-
-let for_covers_all_indices () =
-  let n = 2000 in
-  let hits = Array.make n 0 in
-  (* Index-disjoint writes only. *)
-  Pool.parallel_for ~domains:4 n (fun i -> hits.(i) <- hits.(i) + 1);
-  checkb "each exactly once" true (Array.for_all (fun h -> h = 1) hits)
 
 let empty_and_singleton () =
   Alcotest.(check (array int)) "empty" [||] (Pool.parallel_init ~domains:4 0 (fun i -> i));
@@ -148,10 +140,10 @@ let prop_scenarios_domain_independent =
           ~rng instance
       in
       let algo = Core.Full_replication.lpt_no_restriction in
-      let base = Core.Scenarios.evaluate ~domains:1 algo instance scenarios in
+      let base = evaluate ~domains:1 algo instance scenarios in
       List.for_all
         (fun d ->
-          let e = Core.Scenarios.evaluate ~domains:d algo instance scenarios in
+          let e = evaluate ~domains:d algo instance scenarios in
           e.Core.Scenarios.worst = base.Core.Scenarios.worst
           && e.Core.Scenarios.mean = base.Core.Scenarios.mean
           && e.Core.Scenarios.per_scenario = base.Core.Scenarios.per_scenario)
@@ -164,8 +156,6 @@ let () =
         [
           Alcotest.test_case "recommended" `Quick recommended_positive;
           Alcotest.test_case "init correct" `Quick init_matches_sequential;
-          Alcotest.test_case "map correct" `Quick map_matches_sequential;
-          Alcotest.test_case "for covers indices" `Quick for_covers_all_indices;
           Alcotest.test_case "edge sizes" `Quick empty_and_singleton;
           Alcotest.test_case "exception propagation" `Quick propagates_exceptions;
           Alcotest.test_case "invalid inputs" `Quick invalid_inputs;

@@ -53,11 +53,11 @@ let degrees_per_task () =
     Placement.of_sets ~m:4
       [| Bitset.of_list 4 [ 0 ]; Bitset.of_list 4 [ 1; 3 ]; Bitset.full 4 |]
   in
+  let degrees = Array.init (Placement.n p) (Placement.replication p) in
   Alcotest.(check (array int)) "one entry per task, its replica count"
-    [| 1; 2; 4 |] (Placement.degrees p);
+    [| 1; 2; 4 |] degrees;
   checki "max replication agrees" 4 (Placement.max_replication p);
-  checki "total replicas agree" 7
-    (Array.fold_left ( + ) 0 (Placement.degrees p))
+  checki "total replicas agree" 7 (Placement.total_replicas p)
 
 let memory_sizes_length_checked () =
   let p = Placement.full ~m:2 ~n:2 in
@@ -66,32 +66,19 @@ let memory_sizes_length_checked () =
       ignore (Placement.memory_loads p ~sizes:[| 1.0 |]))
 
 let failure_with_replication_survives () =
-  let p = Placement.full ~m:3 ~n:2 in
-  (match Placement.without_machine p 1 with
-  | None -> Alcotest.fail "full replication must survive"
-  | Some degraded ->
-      checkb "machine 1 removed" false
-        (Placement.allowed degraded ~task:0 ~machine:1);
-      checkb "others kept" true (Placement.allowed degraded ~task:0 ~machine:0);
-      checki "m unchanged" 3 (Placement.m degraded));
-  checkb "survives any failure" true (Placement.survives_any_failure p)
+  checkb "survives any failure" true
+    (Placement.survives_any_failure (Placement.full ~m:3 ~n:2));
+  checkb "one machine never survives" false
+    (Placement.survives_any_failure (Placement.full ~m:1 ~n:2))
 
 let failure_without_replication_fatal () =
   let p = Placement.singletons ~m:2 [| 0; 1 |] in
-  checkb "losing machine 0 strands task 0" true
-    (Placement.without_machine p 0 = None);
-  checkb "does not survive" false (Placement.survives_any_failure p)
-
-let failure_original_untouched () =
-  let p = Placement.full ~m:2 ~n:1 in
-  ignore (Placement.without_machine p 0);
-  checkb "original intact" true (Placement.allowed p ~task:0 ~machine:0)
-
-let failure_bad_machine_rejected () =
-  let p = Placement.full ~m:2 ~n:1 in
-  Alcotest.check_raises "machine id"
-    (Invalid_argument "Placement.without_machine: machine id") (fun () ->
-      ignore (Placement.without_machine p 2))
+  checkb "does not survive" false (Placement.survives_any_failure p);
+  let mixed =
+    Placement.of_sets ~m:3 [| Bitset.of_list 3 [ 0; 1 ]; Bitset.singleton 3 2 |]
+  in
+  checkb "one single-replica task is enough to fail" false
+    (Placement.survives_any_failure mixed)
 
 let sets_are_fresh_array () =
   let p = Placement.full ~m:2 ~n:2 in
@@ -100,45 +87,6 @@ let sets_are_fresh_array () =
   (* Mutating the returned array must not corrupt the placement. *)
   sets.(0) <- Bitset.create 2;
   checkb "placement unchanged" true (Placement.allowed p ~task:0 ~machine:0)
-
-(* ----------------- recovery-layer static helpers ------------------- *)
-
-let with_replica_grows_one_set () =
-  let p = Placement.singletons ~m:3 [| 0; 1 |] in
-  let q = Placement.with_replica p ~task:0 ~machine:2 in
-  checkb "replica added" true (Placement.allowed q ~task:0 ~machine:2);
-  checkb "original untouched" false (Placement.allowed p ~task:0 ~machine:2);
-  checkb "other task shared" true (Placement.set q 1 == Placement.set p 1);
-  checki "replication grew" 2 (Placement.replication q 0);
-  (* Already a holder: the placement is returned physically unchanged. *)
-  checkb "idempotent on holders" true (Placement.with_replica q ~task:0 ~machine:2 == q);
-  Alcotest.check_raises "bad task"
-    (Invalid_argument "Placement.with_replica: task id") (fun () ->
-      ignore (Placement.with_replica p ~task:9 ~machine:0))
-
-let under_replicated_reports_ascending () =
-  let p =
-    Placement.of_sets ~m:3
-      [| Bitset.of_list 3 [ 0; 1 ]; Bitset.singleton 3 2; Bitset.singleton 3 0 |]
-  in
-  let alive = Bitset.of_list 3 [ 0; 1 ] in
-  Alcotest.(check (list int))
-    "tasks below r=2 among alive machines" [ 1; 2 ]
-    (Placement.under_replicated p ~r:2 ~alive);
-  Alcotest.(check (list int))
-    "r=1 only flags the dead-data task" [ 1 ]
-    (Placement.under_replicated p ~r:1 ~alive);
-  Alcotest.(check (list int))
-    "r=0 flags nothing" []
-    (Placement.under_replicated p ~r:0 ~alive)
-
-let machine_loads_count_replicas () =
-  let p =
-    Placement.of_sets ~m:3
-      [| Bitset.of_list 3 [ 0; 1 ]; Bitset.singleton 3 0 |]
-  in
-  Alcotest.(check (array int))
-    "replica count per machine" [| 2; 1; 0 |] (Placement.machine_loads p)
 
 (* Oracles for the word-level scans: per-task folds that walk each set
    one bounds-checked position at a time, in ascending order. *)
@@ -150,13 +98,6 @@ let memory_loads_oracle p ~sizes =
   let loads = Array.make (Placement.m p) 0.0 in
   Array.iteri
     (fun j set -> List.iter (fun i -> loads.(i) <- loads.(i) +. sizes.(j)) (members set))
-    (Placement.sets p);
-  loads
-
-let machine_loads_oracle p =
-  let loads = Array.make (Placement.m p) 0 in
-  Array.iter
-    (fun set -> List.iter (fun i -> loads.(i) <- loads.(i) + 1) (members set))
     (Placement.sets p);
   loads
 
@@ -196,7 +137,7 @@ let random_topology rng ~m ~zones =
 
 let prop_scans_match_oracles =
   QCheck.Test.make
-    ~name:"memory/machine loads and replication costs match the oracles bit for bit"
+    ~name:"memory loads and replication costs match the oracles bit for bit"
     ~count:300
     QCheck.(quad (int_range 1 130) (int_range 1 40) (int_range 1 4) int)
     (fun (m, n, zones, seed) ->
@@ -216,7 +157,6 @@ let prop_scans_match_oracles =
       let costs = Placement.replication_costs p ~topology ~sizes in
       let oracle = replication_costs_oracle p ~topology ~sizes in
       same_bits (Placement.memory_loads p ~sizes) (memory_loads_oracle p ~sizes)
-      && Placement.machine_loads p = machine_loads_oracle p
       && same_bits costs oracle
       && Int64.bits_of_float (Placement.replication_cost p ~topology ~sizes)
          = Int64.bits_of_float (Array.fold_left ( +. ) 0.0 oracle))
@@ -257,15 +197,6 @@ let () =
             failure_with_replication_survives;
           Alcotest.test_case "no replication is fatal" `Quick
             failure_without_replication_fatal;
-          Alcotest.test_case "original untouched" `Quick failure_original_untouched;
-          Alcotest.test_case "bad machine id" `Quick failure_bad_machine_rejected;
-        ] );
-      ( "recovery helpers",
-        [
-          Alcotest.test_case "with_replica" `Quick with_replica_grows_one_set;
-          Alcotest.test_case "under_replicated" `Quick
-            under_replicated_reports_ascending;
-          Alcotest.test_case "machine_loads" `Quick machine_loads_count_replicas;
         ] );
       ( "scans",
         Alcotest.test_case "uniform cost still validates" `Quick

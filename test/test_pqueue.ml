@@ -1,6 +1,5 @@
 (* Unit and property tests for the binary heap. *)
 
-module Pqueue = Usched_desim.Pqueue
 
 let checkb = Alcotest.(check bool)
 let int_compare = Int.compare

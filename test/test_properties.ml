@@ -182,9 +182,9 @@ let prop_lemma1_no_restriction =
         (Instance.tasks instance);
       if !critical < 0 then true
       else begin
-        let machine = Schedule.machine_of schedule !critical in
+        let machine = Helpers.machine_of schedule !critical in
         let tasks_there =
-          List.length (Schedule.machine_tasks schedule machine)
+          List.length (Helpers.machine_tasks schedule machine)
         in
         if tasks_there < 2 then true
         else begin
@@ -281,7 +281,7 @@ let prop_alpha_one_no_uncertainty_penalty =
     QCheck.(pair (int_range 1 5) (list_of_size Gen.(int_range 1 12) (float_range 0.1 10.0)))
     (fun (m, ests) ->
       let ests = Array.of_list ests in
-      let instance = Instance.of_ests ~m ~alpha:Uncertainty.alpha_exact ests in
+      let instance = Instance.of_ests ~m ~alpha:(Uncertainty.alpha 1.0) ests in
       let realization = Realization.exact instance in
       let makespan =
         Core.Two_phase.makespan Core.No_replication.lpt_no_choice instance

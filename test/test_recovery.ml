@@ -89,15 +89,7 @@ let target_grammar () =
   checkb "Fixed 2 heals" true
     (Recovery.heals (Recovery.make ~rereplication_target:(Recovery.Fixed 2) ()));
   checkb "Degree heals" true
-    (Recovery.heals (Recovery.make ~rereplication_target:Recovery.Degree ()));
-  checki "Fixed ignores the degree" 2
-    (Recovery.target_for
-       (Recovery.make ~rereplication_target:(Recovery.Fixed 2) ())
-       ~degree:5);
-  checki "Degree follows the degree" 5
-    (Recovery.target_for
-       (Recovery.make ~rereplication_target:Recovery.Degree ())
-       ~degree:5)
+    (Recovery.heals (Recovery.make ~rereplication_target:Recovery.Degree ()))
 
 let backoff_values () =
   let r = Recovery.make ~detection_latency:1.5 ~max_retries:3 () in
@@ -120,7 +112,7 @@ let heal_rescues_singleton () =
      data. Machine 0 crashes at 3: passive engine strands the task, the
      healed engine re-dispatches it to m1 (3..7). *)
   let instance =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 4.0 |]
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 4.0 |]
   in
   let realization = Realization.exact instance in
   let placement () = [| Bitset.singleton 2 0 |] in
@@ -162,7 +154,7 @@ let detection_latency_delays_redispatch () =
      with a detection latency of 2 the orphan is only released when the
      detector fires at 3 (finish 7). *)
   let instance =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 4.0 |]
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 4.0 |]
   in
   let realization = Realization.exact instance in
   let placement () = [| Bitset.full 2 |] in
@@ -198,7 +190,7 @@ let checkpoint_resume_on_rejoin () =
      resumes from the checkpoint: 6 remaining units, finish 14 instead
      of the passive restart's 18. *)
   let instance =
-    Instance.of_ests ~m:1 ~alpha:Uncertainty.alpha_exact [| 10.0 |]
+    Instance.of_ests ~m:1 ~alpha:(Uncertainty.alpha 1.0) [| 10.0 |]
   in
   let realization = Realization.exact instance in
   let placement () = [| Bitset.full 1 |] in
@@ -246,7 +238,7 @@ let crash_destroys_checkpoint () =
      task, so the checkpointed resume on m0 happens first; only after
      the crash does m1 pick t0 up — from scratch. *)
   let instance =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 10.0; 20.0 |]
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 10.0; 20.0 |]
   in
   let realization = Realization.exact instance in
   let placement = [| Bitset.full 2; Bitset.singleton 2 1 |] in
@@ -267,7 +259,7 @@ let backoff_delays_redispatch () =
      machine is distrusted for detection_latency * 2^(blinks-1) after
      rejoining: restart at 5 instead of 4. *)
   let instance =
-    Instance.of_ests ~m:1 ~alpha:Uncertainty.alpha_exact [| 3.0 |]
+    Instance.of_ests ~m:1 ~alpha:(Uncertainty.alpha 1.0) [| 3.0 |]
   in
   let realization = Realization.exact instance in
   let placement () = [| Bitset.full 1 |] in
@@ -477,7 +469,7 @@ let prop_checkpoint_dominates_restart =
       let rng = Rng.create ~seed () in
       let actual = Rng.float_range rng ~lo:2.0 ~hi:15.0 in
       let instance =
-        Instance.of_ests ~m:1 ~alpha:Uncertainty.alpha_exact [| actual |]
+        Instance.of_ests ~m:1 ~alpha:(Uncertainty.alpha 1.0) [| actual |]
       in
       let realization = Realization.exact instance in
       let placement () = [| Bitset.full 1 |] in

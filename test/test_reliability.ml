@@ -23,14 +23,11 @@ let instance_of ?failure ~m ests =
 
 (* --------------------------- unit solves ---------------------------- *)
 
-let per_task_bound () =
-  close "0.99 over 10 tasks" 0.001 (Reliability.per_task_bound ~target:0.99 ~n:10);
+let target_validated () =
+  let instance = instance_of ~m:2 [| 1.0 |] in
   Alcotest.check_raises "target 1 rejected"
     (Invalid_argument "Reliability: target 1 must be in (0, 1)")
-    (fun () -> ignore (Reliability.per_task_bound ~target:1.0 ~n:10));
-  Alcotest.check_raises "n 0 rejected"
-    (Invalid_argument "Reliability.per_task_bound: n < 1") (fun () ->
-      ignore (Reliability.per_task_bound ~target:0.9 ~n:0))
+    (fun () -> ignore (Reliability.placement ~target:1.0 instance))
 
 let sets_meet_their_budget () =
   (* Uniform p = 0.05, target 0.99 over 12 tasks: per-task loss budget is
@@ -40,7 +37,7 @@ let sets_meet_their_budget () =
   let failure = Failure.uniform ~m ~p:0.05 in
   let instance = instance_of ~failure ~m (Array.make n 1.0) in
   let placement = Reliability.placement ~target:0.99 instance in
-  let eps = Reliability.per_task_bound ~target:0.99 ~n in
+  let eps = (1.0 -. 0.99) /. float_of_int n in
   Array.iteri
     (fun j degree ->
       checki (Printf.sprintf "task %d degree" j) 3 degree;
@@ -48,7 +45,7 @@ let sets_meet_their_budget () =
         (Printf.sprintf "task %d loss within budget" j)
         true
         (Failure.prob_all_lost failure (Placement.set placement j) <= eps))
-    (Placement.degrees placement);
+    (Helpers.degrees placement);
   checkb "survival bound holds the target" true
     (Reliability.survival_bound instance placement >= 0.99)
 
@@ -57,7 +54,7 @@ let reliable_machines_mean_singletons () =
   let failure = Failure.uniform ~m ~p:1e-6 in
   let instance = instance_of ~failure ~m [| 3.0; 2.0; 1.0; 5.0; 4.0 |] in
   let placement = Reliability.placement ~target:0.999 instance in
-  Array.iter (fun d -> checki "singleton" 1 d) (Placement.degrees placement)
+  Array.iter (fun d -> checki "singleton" 1 d) (Helpers.degrees placement)
 
 let degrees_follow_the_profile () =
   (* Tiered profile: the solver prefers the reliable tier for replicas,
@@ -68,7 +65,7 @@ let degrees_follow_the_profile () =
   let total profile =
     let instance = instance_of ~failure:profile ~m (Array.make n 1.0) in
     Array.fold_left ( + ) 0
-      (Placement.degrees (Reliability.placement ~target:0.99 instance))
+      (Helpers.degrees (Reliability.placement ~target:0.99 instance))
   in
   checkb "flaky needs more replicas than calm" true (total flaky > total calm)
 
@@ -87,7 +84,7 @@ let budget_is_respected () =
     (Placement.memory_max placement ~sizes:(Instance.sizes instance)
     <= 10.0 +. 1e-9);
   checkb "the cap binds below full replication" true
-    (Array.for_all (fun d -> d = 3) (Placement.degrees placement));
+    (Array.for_all (fun d -> d = 3) (Helpers.degrees placement));
   checkb "survival bound still holds" true
     (Reliability.survival_bound instance placement >= 0.9)
 
@@ -143,7 +140,6 @@ let analytic_bounds () =
   let placement =
     Placement.of_sets ~m:2 (Array.make 3 (Bitset.singleton 2 0))
   in
-  close "stranding union bound" 0.3 (Reliability.stranding_bound instance placement);
   close "survival bound" 0.7 (Reliability.survival_bound instance placement);
   let hopeless =
     Placement.of_sets ~m:2
@@ -229,7 +225,7 @@ let () =
     [
       ( "solver",
         [
-          Alcotest.test_case "per-task bound" `Quick per_task_bound;
+          Alcotest.test_case "target validated" `Quick target_validated;
           Alcotest.test_case "sets meet their loss budget" `Quick
             sets_meet_their_budget;
           Alcotest.test_case "reliable machines mean singletons" `Quick

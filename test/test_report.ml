@@ -35,25 +35,16 @@ let table_arity_checked () =
   Alcotest.check_raises "arity" (Invalid_argument "Table.add_row: arity mismatch")
     (fun () -> Table.add_row t [ "x"; "y" ])
 
-let table_rule () =
-  let t = Table.create ~columns:[ ("a", Table.Left) ] in
-  Table.add_row t [ "1" ];
-  Table.add_rule t;
-  Table.add_row t [ "2" ];
-  let lines = String.split_on_char '\n' (Table.render t) in
-  (* 4 border rules (top, under header, mid, bottom) + 3 content lines. *)
-  Alcotest.(check int) "line count" 8 (List.length lines)
-
 let cell_float_formats () =
   checks "integer sheds decimals" "3" (Table.cell_float 3.0);
   checks "four decimals" "3.1416" (Table.cell_float 3.14159265);
   checks "custom decimals" "3.14" (Table.cell_float ~decimals:2 3.14159265)
 
 let csv_escaping () =
-  checks "plain" "abc" (Csv.escape "abc");
-  checks "comma" "\"a,b\"" (Csv.escape "a,b");
-  checks "quote doubled" "\"a\"\"b\"" (Csv.escape "a\"b");
-  checks "newline" "\"a\nb\"" (Csv.escape "a\nb")
+  checks "plain" "abc" (Csv.row [ "abc" ]);
+  checks "comma" "\"a,b\"" (Csv.row [ "a,b" ]);
+  checks "quote doubled" "\"a\"\"b\"" (Csv.row [ "a\"b" ]);
+  checks "newline" "\"a\nb\"" (Csv.row [ "a\nb" ])
 
 let csv_document () =
   let doc = Csv.to_string ~header:[ "x"; "y" ] [ [ "1"; "2" ]; [ "3"; "4" ] ] in
@@ -62,17 +53,6 @@ let csv_document () =
 let csv_arity_checked () =
   Alcotest.check_raises "arity" (Invalid_argument "Csv.to_string: arity mismatch")
     (fun () -> ignore (Csv.to_string ~header:[ "x" ] [ [ "1"; "2" ] ]))
-
-let csv_round_trip_file () =
-  let path = Filename.temp_file "usched" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Csv.write_file ~path ~header:[ "a" ] [ [ "1" ] ];
-      let ic = open_in path in
-      let content = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      checks "written" "a\n1\n" content)
 
 let plot_renders_series () =
   let text =
@@ -109,7 +89,6 @@ let () =
           Alcotest.test_case "render" `Quick table_renders_header_and_rows;
           Alcotest.test_case "alignment" `Quick table_alignment;
           Alcotest.test_case "arity" `Quick table_arity_checked;
-          Alcotest.test_case "rules" `Quick table_rule;
           Alcotest.test_case "float cells" `Quick cell_float_formats;
         ] );
       ( "csv",
@@ -117,7 +96,6 @@ let () =
           Alcotest.test_case "escaping" `Quick csv_escaping;
           Alcotest.test_case "document" `Quick csv_document;
           Alcotest.test_case "arity" `Quick csv_arity_checked;
-          Alcotest.test_case "file round trip" `Quick csv_round_trip_file;
         ] );
       ( "plot",
         [

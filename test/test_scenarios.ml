@@ -6,6 +6,11 @@ module Realization = Usched_model.Realization
 module Uncertainty = Usched_model.Uncertainty
 module Rng = Usched_prng.Rng
 
+(* One strategy's evaluation: a singleton portfolio. *)
+let evaluate ?domains algo instance scenarios =
+  Core.Scenarios.select ?domains Core.Scenarios.Minimize_worst ~portfolio:[ algo ] instance
+    scenarios
+
 let checkb = Alcotest.(check bool)
 let close = Alcotest.(check (float 1e-9))
 
@@ -29,7 +34,7 @@ let sample_counts () =
 
 let evaluate_consistency () =
   let e =
-    Core.Scenarios.evaluate Core.Full_replication.lpt_no_restriction (instance ())
+    evaluate Core.Full_replication.lpt_no_restriction (instance ())
       (scenarios 2)
   in
   Alcotest.(check int) "one makespan per scenario" 12
@@ -45,8 +50,8 @@ let evaluate_consistency () =
 let evaluation_commits_phase1_once () =
   (* Deterministic phase 1: two evaluations agree exactly. *)
   let s = scenarios 3 in
-  let a = Core.Scenarios.evaluate Core.No_replication.lpt_no_choice (instance ()) s in
-  let b = Core.Scenarios.evaluate Core.No_replication.lpt_no_choice (instance ()) s in
+  let a = evaluate Core.No_replication.lpt_no_choice (instance ()) s in
+  let b = evaluate Core.No_replication.lpt_no_choice (instance ()) s in
   Alcotest.(check (array (float 0.0))) "reproducible"
     a.Core.Scenarios.per_scenario b.Core.Scenarios.per_scenario
 
@@ -64,7 +69,7 @@ let select_picks_best () =
   (* Whatever is chosen must weakly beat every member on the criterion. *)
   List.iter
     (fun algo ->
-      let e = Core.Scenarios.evaluate algo (instance ()) s in
+      let e = evaluate algo (instance ()) s in
       checkb "chosen is minimal" true
         (chosen.Core.Scenarios.worst <= e.Core.Scenarios.worst +. 1e-9))
     portfolio
@@ -77,7 +82,7 @@ let select_mean_criterion () =
   in
   List.iter
     (fun algo ->
-      let e = Core.Scenarios.evaluate algo (instance ()) s in
+      let e = evaluate algo (instance ()) s in
       checkb "chosen minimizes mean" true
         (chosen.Core.Scenarios.mean <= e.Core.Scenarios.mean +. 1e-9))
     portfolio
@@ -93,7 +98,7 @@ let select_rejects_degenerate () =
   checkb "empty scenarios" true
     (try
        ignore
-         (Core.Scenarios.evaluate Core.No_replication.lpt_no_choice (instance ())
+         (evaluate Core.No_replication.lpt_no_choice (instance ())
             []);
        false
      with Invalid_argument _ -> true)

@@ -21,7 +21,7 @@ let basic_measures () =
   close "makespan" 5.0 (Schedule.makespan s);
   Alcotest.(check (array (float 1e-12))) "loads" [| 5.0; 3.0 |] (Schedule.loads s);
   Alcotest.(check (list int)) "machine 0 tasks in start order" [ 0; 2 ]
-    (Schedule.machine_tasks s 0);
+    (Helpers.machine_tasks s 0);
   Alcotest.(check (array int)) "assignment" [| 0; 1; 0 |] (Schedule.assignment s)
 
 let make_validation () =
@@ -31,6 +31,44 @@ let make_validation () =
   Alcotest.check_raises "finish before start"
     (Invalid_argument "Schedule.make: task 0 has bad times") (fun () ->
       ignore (Schedule.make ~m:2 [| entry 0 2.0 1.0 |]))
+
+let of_soa_matches_make () =
+  let entries = [| entry 1 0.0 2.0; entry 0 0.5 3.0; entry 1 2.0 4.5 |] in
+  let made = Schedule.make ~m:2 entries in
+  let soa =
+    Schedule.of_soa ~m:2 ~machines:[| 1; 0; 1 |] ~starts:[| 0.0; 0.5; 2.0 |]
+      ~finishes:[| 2.0; 3.0; 4.5 |]
+  in
+  Alcotest.(check int) "n" (Schedule.n made) (Schedule.n soa);
+  Array.iteri
+    (fun j e -> checkb (Printf.sprintf "entry %d" j) true (Schedule.entry soa j = e))
+    entries;
+  Alcotest.(check (array (float 0.0))) "loads" (Schedule.loads made) (Schedule.loads soa);
+  close "makespan" (Schedule.makespan made) (Schedule.makespan soa);
+  Alcotest.(check (array int)) "assignment" (Schedule.assignment made)
+    (Schedule.assignment soa);
+  Alcotest.(check int) "empty lanes" 0
+    (Schedule.n (Schedule.of_soa ~m:1 ~machines:[||] ~starts:[||] ~finishes:[||]))
+
+let of_soa_validation () =
+  Alcotest.check_raises "lane length mismatch"
+    (Invalid_argument "Schedule.of_soa: length mismatch") (fun () ->
+      ignore
+        (Schedule.of_soa ~m:2 ~machines:[| 0; 1 |] ~starts:[| 0.0 |]
+           ~finishes:[| 1.0; 1.0 |]));
+  Alcotest.check_raises "machine out of range"
+    (Invalid_argument "Schedule.make: task 1 on machine 2") (fun () ->
+      ignore
+        (Schedule.of_soa ~m:2 ~machines:[| 0; 2 |] ~starts:[| 0.0; 0.0 |]
+           ~finishes:[| 1.0; 1.0 |]));
+  Alcotest.check_raises "negative start"
+    (Invalid_argument "Schedule.make: task 0 has bad times") (fun () ->
+      ignore
+        (Schedule.of_soa ~m:2 ~machines:[| 0 |] ~starts:[| -1.0 |] ~finishes:[| 1.0 |]));
+  Alcotest.check_raises "finish before start"
+    (Invalid_argument "Schedule.make: task 0 has bad times") (fun () ->
+      ignore
+        (Schedule.of_soa ~m:2 ~machines:[| 1 |] ~starts:[| 2.0 |] ~finishes:[| 1.0 |]))
 
 let of_assignment_packs_back_to_back () =
   let s =
@@ -42,7 +80,7 @@ let of_assignment_packs_back_to_back () =
 
 let fixture () =
   let instance =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 2.0; 3.0 |]
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 2.0; 3.0 |]
   in
   let realization = Realization.exact instance in
   (instance, realization)
@@ -125,7 +163,7 @@ let overlaps_oracle t =
           check rest
       | _ -> ()
     in
-    check (Schedule.machine_tasks t i)
+    check (Helpers.machine_tasks t i)
   done;
   List.rev !acc
 
@@ -141,7 +179,7 @@ let track_oracle ~width ~scale schedule i =
       for c = first to last do
         Bytes.set row c (Char.chr (Char.code '0' + (task mod 10)))
       done)
-    (Schedule.machine_tasks schedule i);
+    (Helpers.machine_tasks schedule i);
   Bytes.to_string row
 
 let render_oracle ~width schedule =
@@ -185,7 +223,7 @@ let prop_by_machine_matches_machine_tasks =
       let buckets = Schedule.by_machine s in
       Array.length buckets = Schedule.m s
       && Array.for_all Fun.id
-           (Array.mapi (fun i b -> Array.to_list b = Schedule.machine_tasks s i) buckets))
+           (Array.mapi (fun i b -> Array.to_list b = Helpers.machine_tasks s i) buckets))
 
 let prop_validate_and_gantt_unchanged =
   QCheck.Test.make ~name:"overlap violations and Gantt text match the per-machine scans"
@@ -193,7 +231,7 @@ let prop_validate_and_gantt_unchanged =
       let s = random_schedule (m, n, seed) in
       let other = random_schedule (m, n / 2, seed + 1) in
       let instance =
-        Instance.of_ests ~m:(Schedule.m s) ~alpha:Uncertainty.alpha_exact
+        Instance.of_ests ~m:(Schedule.m s) ~alpha:(Uncertainty.alpha 1.0)
           (Array.init n (fun j ->
                let e = Schedule.entry s j in
                Float.max 1e-3 (e.Schedule.finish -. e.Schedule.start)))
@@ -216,6 +254,8 @@ let () =
           Alcotest.test_case "basic" `Quick basic_measures;
           Alcotest.test_case "construction validation" `Quick make_validation;
           Alcotest.test_case "of_assignment" `Quick of_assignment_packs_back_to_back;
+          Alcotest.test_case "of_soa matches make" `Quick of_soa_matches_make;
+          Alcotest.test_case "of_soa validation" `Quick of_soa_validation;
         ] );
       ( "validate",
         [

@@ -47,6 +47,21 @@ let rejects_bad_bands () =
        false
      with Invalid_argument _ -> true)
 
+let bound_arrays () =
+  let band = Speed_band.make [| (0.5, 1.5); (2.0, 2.0); (1.0, 4.0) |] in
+  let farr = Alcotest.(array (float 0.0)) in
+  Alcotest.check farr "los" [| 0.5; 2.0; 1.0 |] (Speed_band.los band);
+  Alcotest.check farr "his" [| 1.5; 2.0; 4.0 |] (Speed_band.his band);
+  Alcotest.check farr "mids" [| 1.0; 2.0; 2.5 |] (Speed_band.mids band);
+  checkb "every corner array lies in the band" true
+    (List.for_all (Speed_band.contains band)
+       [ Speed_band.los band; Speed_band.his band; Speed_band.mids band ]);
+  (* The arrays are fresh: writing into one leaves the band alone. *)
+  let his = Speed_band.his band in
+  his.(0) <- 99.0;
+  close "band unchanged by a caller's write" 1.5 (Speed_band.hi band 0);
+  close "next read unchanged" 1.5 (Speed_band.his band).(0)
+
 let tiered_matches_hetero_array () =
   let t = Speed_band.tiered ~m:8 () in
   checkb "degenerate" true (Speed_band.is_degenerate t);
@@ -90,7 +105,7 @@ let of_spec_grammar () =
 
 let sample_degenerate_is_exact () =
   let speeds = [| 2.0; 2.0; 1.0; 0.5 |] in
-  let band = Speed_band.degenerate speeds in
+  let band = Speed_band.make (Array.map (fun s -> (s, s)) speeds) in
   let rng = Rng.create ~seed:7 () in
   for _ = 1 to 20 do
     Alcotest.(check (array (float 0.0)))
@@ -152,7 +167,7 @@ let prop_degenerate_lower_bound_reduces =
     (fun (actuals, speeds) ->
       let actuals = Array.of_list actuals
       and speeds = Array.of_list speeds in
-      let band = Speed_band.degenerate speeds in
+      let band = Speed_band.make (Array.map (fun s -> (s, s)) speeds) in
       Core.Speed_adversary.lower_bound band actuals
       = Core.Uniform.lower_bound ~speeds actuals)
 
@@ -386,7 +401,7 @@ let exhaustive_finds_the_corner () =
   (* Two machines, one task pinned to machine 0: the worst corner is
      machine 0 slow, and exhaustive search must find exactly it. *)
   let instance =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 4.0 |]
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 4.0 |]
   in
   let realization = Realization.exact instance in
   let band = Speed_band.uniform ~m:2 ~lo:0.5 ~hi:2.0 in
@@ -408,7 +423,7 @@ let exhaustive_finds_the_corner () =
 
 let worst_case_rejects_out_of_band_candidates () =
   let instance =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 1.0 |]
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 1.0 |]
   in
   let band = Speed_band.uniform ~m:2 ~lo:0.5 ~hi:2.0 in
   let instance' = Instance.with_speed_band instance (Some band) in
@@ -427,7 +442,7 @@ let critical_load_counts_shares () =
   (* Two tasks: t0 (est 4) replicated on both machines, t1 (est 2)
      pinned on machine 0. Machine 0 carries 4/2 + 2, machine 1 4/2. *)
   let instance =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 4.0; 2.0 |]
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 4.0; 2.0 |]
   in
   let placement =
     Core.Placement.of_sets ~m:2 [| Bitset.full 2; Bitset.singleton 2 0 |]
@@ -442,6 +457,7 @@ let () =
       ( "bands",
         [
           Alcotest.test_case "constructor rejections" `Quick rejects_bad_bands;
+          Alcotest.test_case "bound arrays" `Quick bound_arrays;
           Alcotest.test_case "tiered matches hetero" `Quick
             tiered_matches_hetero_array;
           Alcotest.test_case "of_spec grammar" `Quick of_spec_grammar;

@@ -3,8 +3,6 @@
 module Summary = Usched_stats.Summary
 module Quantile = Usched_stats.Quantile
 module Histogram = Usched_stats.Histogram
-module Ci = Usched_stats.Ci
-module Regression = Usched_stats.Regression
 
 let close = Alcotest.(check (float 1e-9))
 let checkb = Alcotest.(check bool)
@@ -13,7 +11,6 @@ let summary_basic () =
   let s = Summary.of_array [| 1.0; 2.0; 3.0; 4.0 |] in
   Alcotest.(check int) "count" 4 (Summary.count s);
   close "mean" 2.5 (Summary.mean s);
-  close "variance" (5.0 /. 3.0) (Summary.variance s);
   close "min" 1.0 (Summary.min s);
   close "max" 4.0 (Summary.max s);
   close "sum" 10.0 (Summary.sum s)
@@ -21,13 +18,12 @@ let summary_basic () =
 let summary_empty () =
   let s = Summary.create () in
   checkb "mean nan" true (Float.is_nan (Summary.mean s));
-  checkb "variance nan" true (Float.is_nan (Summary.variance s));
   close "min" infinity (Summary.min s)
 
 let summary_single () =
   let s = Summary.of_array [| 7.0 |] in
   close "mean" 7.0 (Summary.mean s);
-  checkb "variance nan for n=1" true (Float.is_nan (Summary.variance s))
+  close "min = max" (Summary.min s) (Summary.max s)
 
 let summary_merge_equals_whole () =
   let data = Array.init 101 (fun i -> sin (float_of_int i)) in
@@ -37,8 +33,6 @@ let summary_merge_equals_whole () =
   let merged = Summary.merge left right in
   Alcotest.(check int) "count" (Summary.count whole) (Summary.count merged);
   close "mean" (Summary.mean whole) (Summary.mean merged);
-  Alcotest.(check (float 1e-6)) "variance" (Summary.variance whole)
-    (Summary.variance merged);
   close "min" (Summary.min whole) (Summary.min merged);
   close "max" (Summary.max whole) (Summary.max merged)
 
@@ -49,12 +43,11 @@ let summary_merge_with_empty () =
   close "right empty" 1.5 (Summary.mean (Summary.merge s e))
 
 let summary_welford_stability () =
-  (* Large offset: naive sum-of-squares would lose precision. *)
+  (* Large offset: the running update keeps the mean's low digits. *)
   let offset = 1e9 in
   let data = Array.init 1000 (fun i -> offset +. float_of_int (i mod 10)) in
   let s = Summary.of_array data in
-  let expected_var = 8.2582582582582 in
-  Alcotest.(check (float 1e-3)) "variance stable" expected_var (Summary.variance s)
+  Alcotest.(check (float 1e-6)) "mean stable" (offset +. 4.5) (Summary.mean s)
 
 let quantile_median_odd () =
   close "median" 3.0 (Quantile.median [| 5.0; 1.0; 3.0; 2.0; 4.0 |])
@@ -76,8 +69,7 @@ let quantile_quartiles () =
   let q1, q2, q3 = Quantile.quartiles (Array.init 101 (fun i -> float_of_int i)) in
   close "q1" 25.0 q1;
   close "q2" 50.0 q2;
-  close "q3" 75.0 q3;
-  close "iqr" 50.0 (Quantile.iqr (Array.init 101 (fun i -> float_of_int i)))
+  close "q3" 75.0 q3
 
 let quantile_empty_rejected () =
   Alcotest.check_raises "empty" (Invalid_argument "Quantile: empty sample")
@@ -97,9 +89,11 @@ let histogram_counts_outliers () =
   let h = Histogram.create ~bins:2 ~lo:0.0 ~hi:2.0 [| -5.0; 0.5; 10.0 |] in
   Alcotest.(check (array int)) "edge bins untouched" [| 1; 0 |]
     (Histogram.counts h);
-  Alcotest.(check int) "underflow" 1 (Histogram.underflow h);
   Alcotest.(check int) "overflow" 1 (Histogram.overflow h);
-  Alcotest.(check int) "total is in-range only" 1 (Histogram.total h)
+  Alcotest.(check int) "total is in-range only" 1 (Histogram.total h);
+  checkb "underflow rendered" true
+    (String.ends_with ~suffix:"out of range: 1 below, 1 above\n"
+       (Format.asprintf "%a" Histogram.pp h))
 
 let histogram_hi_lands_in_last_bin () =
   let h = Histogram.create ~bins:2 ~lo:0.0 ~hi:2.0 [| 2.0 |] in
@@ -122,57 +116,18 @@ let histogram_degenerate_data () =
   Alcotest.(check int) "empty total" 0 (Histogram.total empty);
   let equal = Histogram.of_data ~bins:3 [| 4.0; 4.0; 4.0 |] in
   Alcotest.(check int) "all-equal total" 3 (Histogram.total equal);
-  Alcotest.(check int) "all-equal underflow" 0 (Histogram.underflow equal);
   Alcotest.(check int) "all-equal overflow" 0 (Histogram.overflow equal)
 
 let histogram_bin_range () =
   let h = Histogram.create ~bins:4 ~lo:0.0 ~hi:8.0 [||] in
-  let lo, hi = Histogram.bin_range h 1 in
-  close "bin lo" 2.0 lo;
-  close "bin hi" 4.0 hi
+  let rows = String.split_on_char '\n' (Format.asprintf "%a" Histogram.pp h) in
+  checkb "second bin is [2, 4)" true
+    (String.starts_with ~prefix:(Printf.sprintf "[%10.4g, %10.4g)" 2.0 4.0)
+       (List.nth rows 1))
 
 let histogram_of_data_auto_range () =
   let h = Histogram.of_data ~bins:2 [| 1.0; 2.0; 3.0 |] in
   Alcotest.(check int) "total preserved" 3 (Histogram.total h)
-
-let ci_narrows_with_n () =
-  let small = Summary.of_array (Array.init 10 (fun i -> float_of_int (i mod 5))) in
-  let large = Summary.of_array (Array.init 1000 (fun i -> float_of_int (i mod 5))) in
-  let ci_small = Ci.mean_ci small and ci_large = Ci.mean_ci large in
-  checkb "more data, tighter interval" true
-    (ci_large.Ci.half_width < ci_small.Ci.half_width)
-
-let ci_contains_mean () =
-  let s = Summary.of_array [| 1.0; 2.0; 3.0 |] in
-  let ci = Ci.mean_ci s in
-  checkb "mean inside" true (ci.Ci.lo <= 2.0 && 2.0 <= ci.Ci.hi)
-
-let ci_rejects_level () =
-  Alcotest.check_raises "unsupported level"
-    (Invalid_argument "Ci.z_value: supported levels are 0.90, 0.95, 0.99")
-    (fun () -> ignore (Ci.z_value 0.8))
-
-let regression_exact_line () =
-  let xs = [| 0.0; 1.0; 2.0; 3.0 |] in
-  let ys = Array.map (fun x -> (2.0 *. x) +. 1.0) xs in
-  let fit = Regression.ols ~xs ~ys in
-  close "slope" 2.0 fit.Regression.slope;
-  close "intercept" 1.0 fit.Regression.intercept;
-  close "r2" 1.0 fit.Regression.r2;
-  close "predict" 9.0 (Regression.predict fit 4.0)
-
-let regression_crossover () =
-  let a = { Regression.slope = 1.0; intercept = 0.0; r2 = 1.0 } in
-  let b = { Regression.slope = -1.0; intercept = 4.0; r2 = 1.0 } in
-  (match Regression.crossover a b with
-  | Some x -> close "crossing at 2" 2.0 x
-  | None -> Alcotest.fail "expected a crossover");
-  checkb "parallel lines" true (Regression.crossover a a = None)
-
-let regression_degenerate_rejected () =
-  Alcotest.check_raises "all x equal"
-    (Invalid_argument "Regression.ols: degenerate x values") (fun () ->
-      ignore (Regression.ols ~xs:[| 1.0; 1.0 |] ~ys:[| 1.0; 2.0 |]))
 
 let () =
   Alcotest.run "stats"
@@ -205,17 +160,5 @@ let () =
           Alcotest.test_case "degenerate data" `Quick histogram_degenerate_data;
           Alcotest.test_case "bin ranges" `Quick histogram_bin_range;
           Alcotest.test_case "auto range" `Quick histogram_of_data_auto_range;
-        ] );
-      ( "ci",
-        [
-          Alcotest.test_case "narrows with n" `Quick ci_narrows_with_n;
-          Alcotest.test_case "contains mean" `Quick ci_contains_mean;
-          Alcotest.test_case "rejects odd levels" `Quick ci_rejects_level;
-        ] );
-      ( "regression",
-        [
-          Alcotest.test_case "exact line" `Quick regression_exact_line;
-          Alcotest.test_case "crossover" `Quick regression_crossover;
-          Alcotest.test_case "degenerate rejected" `Quick regression_degenerate_rejected;
         ] );
     ]

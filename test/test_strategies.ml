@@ -43,7 +43,7 @@ let lpt_no_choice_static_under_perturbation () =
       (fun j _ ->
         checkb "pinned" true
           (Core.Placement.allowed placement ~task:j
-             ~machine:(Schedule.machine_of s j)))
+             ~machine:(Helpers.machine_of s j)))
       (Instance.tasks instance)
   done
 
@@ -154,7 +154,7 @@ let ls_group_respects_groups () =
   let placement, schedule = Core.Two_phase.run_full algo instance realization in
   Alcotest.(check (list string)) "valid vs placement" []
     (List.map
-       (Format.asprintf "%a" Schedule.pp_violation)
+       (Format.asprintf "%a" Helpers.pp_violation)
        (Schedule.validate ~placement:(Core.Placement.sets placement) instance
           realization schedule))
 
@@ -168,6 +168,61 @@ let lpt_group_uses_lpt_order () =
        realization)
     (Core.Two_phase.makespan (Core.Group_replication.lpt_group ~k:1) instance
        realization)
+
+(* --- The phase-2 building blocks --- *)
+
+module Engine = Usched_desim.Engine
+module Dispatch = Usched_desim.Dispatch
+
+let same_schedule a b =
+  Schedule.n a = Schedule.n b
+  && List.for_all
+       (fun j -> Schedule.entry a j = Schedule.entry b j)
+       (List.init (Schedule.n a) Fun.id)
+
+let start_order s =
+  List.init (Schedule.n s) Fun.id
+  |> List.sort (fun a b ->
+         compare (Schedule.entry s a).Schedule.start (Schedule.entry s b).Schedule.start)
+
+let lpt_phase2_is_engine_lpt () =
+  let instance = instance_of ~m:3 ~alpha:2.0 [| 2.0; 7.0; 1.0; 4.0; 4.0; 3.0 |] in
+  let realization = Realization.uniform_factor instance (Rng.create ~seed:4 ()) in
+  let placement = Core.Placement.full ~m:3 ~n:6 in
+  let direct =
+    Engine.run instance realization ~placement:(Core.Placement.sets placement)
+      ~order:(Instance.lpt_order instance)
+  in
+  checkb "LPT phase 2 = engine under the LPT order" true
+    (same_schedule direct (Core.Two_phase.lpt_order_phase2 instance placement realization));
+  checkb "default dispatch is list priority" true
+    (same_schedule direct
+       (Core.Two_phase.engine_phase2 ~dispatch:Dispatch.List_priority
+          ~order:Instance.lpt_order instance placement realization))
+
+let submission_phase2_follows_ids () =
+  (* One machine holds everything: execution order is the priority
+     order, so submission order runs tasks by id and LPT by estimate. *)
+  let instance = instance_of ~m:2 [| 1.0; 5.0; 3.0; 2.0 |] in
+  let realization = Realization.exact instance in
+  let placement = Core.Placement.singletons ~m:2 [| 0; 0; 0; 0 |] in
+  Alcotest.(check (list int)) "by id" [ 0; 1; 2; 3 ]
+    (start_order (Core.Two_phase.submission_order_phase2 instance placement realization));
+  Alcotest.(check (list int)) "by estimate, longest first" [ 1; 2; 3; 0 ]
+    (start_order (Core.Two_phase.lpt_order_phase2 instance placement realization))
+
+let engine_phase2_takes_any_order () =
+  let instance = instance_of ~m:2 [| 1.0; 5.0; 3.0; 2.0 |] in
+  let realization = Realization.exact instance in
+  let placement = Core.Placement.singletons ~m:2 [| 1; 1; 1; 1 |] in
+  let reversed inst = Array.init (Instance.n inst) (fun j -> Instance.n inst - 1 - j) in
+  let s = Core.Two_phase.engine_phase2 ~order:reversed instance placement realization in
+  Alcotest.(check (list int)) "reverse priority" [ 3; 2; 1; 0 ] (start_order s);
+  checkb "stays on the placement" true
+    (List.for_all
+       (fun j -> (Schedule.entry s j).Schedule.machine = 1)
+       [ 0; 1; 2; 3 ]);
+  close "serial makespan" 11.0 (Schedule.makespan s)
 
 let () =
   Alcotest.run "strategies"
@@ -198,5 +253,14 @@ let () =
           Alcotest.test_case "k=m = singletons" `Quick ls_group_km_is_singleton;
           Alcotest.test_case "stays in groups" `Quick ls_group_respects_groups;
           Alcotest.test_case "LPT-Group order" `Quick lpt_group_uses_lpt_order;
+        ] );
+      ( "phase 2",
+        [
+          Alcotest.test_case "LPT phase 2 is the engine's" `Quick
+            lpt_phase2_is_engine_lpt;
+          Alcotest.test_case "submission order runs by id" `Quick
+            submission_phase2_follows_ids;
+          Alcotest.test_case "engine phase 2 takes any order" `Quick
+            engine_phase2_takes_any_order;
         ] );
     ]

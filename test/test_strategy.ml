@@ -240,6 +240,42 @@ let smart_constructors_reject () =
          Strategy.uniform ~variant:Strategy.U_no_choice ~speeds:[| 1.0; Float.nan |]));
   checkb "valid sabo accepted" true (Strategy.sabo ~delta:0.5 = Strategy.Sabo 0.5)
 
+let no_replication_pins_tasks () =
+  let instance =
+    Instance.of_ests ~m:3 ~alpha:(Uncertainty.alpha 2.0) [| 4.0; 1.0; 3.0; 2.0; 5.0 |]
+  in
+  List.iter
+    (fun order ->
+      let spec = Strategy.no_replication order in
+      checkb "plain constructor" true (spec = Strategy.No_replication order);
+      checkb "grammar round trip" true
+        (Strategy.of_string (Strategy.to_string spec) = Ok spec);
+      let algo = Strategy.build spec ~m:3 in
+      let realization = Realization.uniform_factor instance (Rng.create ~seed:2 ()) in
+      let placement, schedule = Core.Two_phase.run_full algo instance realization in
+      Array.iteri
+        (fun j set ->
+          checki "one replica" 1 (Bitset.cardinal set);
+          checki "runs where placed" (Bitset.choose set)
+            (Schedule.entry schedule j).Schedule.machine)
+        (Core.Placement.sets placement))
+    [ Strategy.Lpt; Strategy.Ls ]
+
+let speed_robust_constructor () =
+  let rejects f = try ignore (f ()); false with Invalid_argument _ -> true in
+  checkb "k=0 rejected" true (rejects (fun () -> Strategy.speed_robust ~k:0));
+  checkb "negative k rejected" true (rejects (fun () -> Strategy.speed_robust ~k:(-2)));
+  let spec = Strategy.speed_robust ~k:2 in
+  checkb "valid k accepted" true (spec = Strategy.Speed_robust { k = 2 });
+  checkb "grammar round trip" true (Strategy.of_string (Strategy.to_string spec) = Ok spec);
+  (* Without a band the instance falls back to nominal speeds; the k
+     classes still split the machines, one replica in each. *)
+  let instance = Instance.of_ests ~m:4 ~alpha:(Uncertainty.alpha 1.5) [| 3.0; 2.0; 1.0 |] in
+  let placement = (Strategy.build spec ~m:4).Core.Two_phase.phase1 instance in
+  Array.iter
+    (fun set -> checki "one replica per class" 2 (Bitset.cardinal set))
+    (Core.Placement.sets placement)
+
 let build_rejects_m_mismatch () =
   let rejects f = try ignore (f ()); false with Invalid_argument _ -> true in
   checkb "group k > m" true
@@ -427,6 +463,10 @@ let () =
         [
           Alcotest.test_case "smart constructors" `Quick smart_constructors_reject;
           Alcotest.test_case "build m checks" `Quick build_rejects_m_mismatch;
+          Alcotest.test_case "no replication pins tasks" `Quick
+            no_replication_pins_tasks;
+          Alcotest.test_case "speed-robust constructor" `Quick
+            speed_robust_constructor;
         ] );
       ( "registry",
         [

@@ -40,14 +40,11 @@ let arrival_constructors () =
   checkb "poisson rejects 0" true (raises_invalid (fun () -> Arrival.poisson ~rate:0.0));
   checkb "poisson rejects nan" true
     (raises_invalid (fun () -> Arrival.poisson ~rate:Float.nan));
-  checkb "mmpp rejects empty" true
-    (raises_invalid (fun () -> Arrival.mmpp ~rates:[||] ~switch:1.0));
+  checkb "mmpp rejects empty" true (Result.is_error (Arrival.of_string "mmpp::1"));
   checkb "mmpp rejects all-zero" true
-    (raises_invalid (fun () -> Arrival.mmpp ~rates:[| 0.0; 0.0 |] ~switch:1.0));
+    (Result.is_error (Arrival.of_string "mmpp:0,0:1"));
   checkb "mmpp accepts silence states" true
-    (match Arrival.mmpp ~rates:[| 4.0; 0.0 |] ~switch:10.0 with
-    | _ -> true
-    | exception Invalid_argument _ -> false);
+    (Result.is_ok (Arrival.of_string "mmpp:4,0:10"));
   checkb "trace rejects decreasing" true
     (raises_invalid (fun () -> Arrival.trace [| 1.0; 0.5 |]));
   checkb "trace rejects negative" true
@@ -63,21 +60,35 @@ let arrival_generate () =
   checkb "deterministic" true
     (a = Arrival.generate (Arrival.poisson ~rate:2.0) (rng ()) ~count:200);
   let b =
-    Arrival.generate
-      (Arrival.mmpp ~rates:[| 5.0; 0.0 |] ~switch:2.0)
-      (rng ()) ~count:100
+    match Arrival.of_string "mmpp:5,0:2" with
+    | Ok mmpp -> Arrival.generate mmpp (rng ()) ~count:100
+    | Error msg -> Alcotest.fail msg
   in
   checkb "mmpp nondecreasing" true (nondecreasing b);
   let t = Arrival.trace [| 0.0; 1.0; 1.0; 4.0 |] in
   checkb "trace replay" true
     (Arrival.generate t (rng ()) ~count:3 = [| 0.0; 1.0; 1.0 |]);
   checkb "trace too short raises" true
-    (raises_invalid (fun () -> Arrival.generate t (rng ()) ~count:5));
-  let u =
-    Arrival.generate_until (Arrival.poisson ~rate:3.0) (rng ()) ~horizon:10.0
-  in
-  checkb "horizon respected" true (Array.for_all (fun x -> x < 10.0) u);
-  checkb "horizon nondecreasing" true (nondecreasing u)
+    (raises_invalid (fun () -> Arrival.generate t (rng ()) ~count:5))
+
+let arrival_mean_rate () =
+  close "poisson" 2.5 (Arrival.mean_rate (Arrival.poisson ~rate:2.5));
+  (match Arrival.of_string "mmpp:4,0,2:10" with
+  | Ok mmpp -> close "mmpp averages its states" 2.0 (Arrival.mean_rate mmpp)
+  | Error msg -> Alcotest.fail msg);
+  close "trace: count over span" 2.0
+    (Arrival.mean_rate (Arrival.trace [| 0.5; 1.0; 1.5; 2.0 |]));
+  close "empty trace" 0.0 (Arrival.mean_rate (Arrival.trace [||]));
+  close "all arrivals at time 0" 0.0
+    (Arrival.mean_rate (Arrival.trace [| 0.0; 0.0 |]));
+  (* The long-run rate is what generation delivers: 4000 Poisson
+     arrivals at rate 2 span about 2000 time units. *)
+  let a = Arrival.generate (Arrival.poisson ~rate:2.0) (Rng.create ~seed:3 ()) ~count:4000 in
+  let empirical = float_of_int (Array.length a) /. a.(Array.length a - 1) in
+  checkb
+    (Printf.sprintf "empirical rate %.3f within 10%% of 2" empirical)
+    true
+    (Float.abs (empirical -. 2.0) < 0.2)
 
 let arrival_of_string () =
   let ok s expected =
@@ -161,7 +172,7 @@ let prop_ordering_under_injection =
       done;
       let handled = ref [] in
       let budget = ref (3 * n) in
-      Event_core.drain q ~handle:(fun ~time ~machine payload ->
+      Helpers.drain q ~handle:(fun ~time ~machine payload ->
           handled := (time, machine, payload) :: !handled;
           (* Inject arrivals and decisions at or after the current
              instant, as [on_arrive]'s wake-ups do. *)
@@ -196,7 +207,7 @@ let ordering_pinned () =
   Event_core.push q ~time:0.0 ~machine:0 ~cls:Event_core.cls_audit 3;
   Event_core.push q ~time:1.0 ~machine:0 ~cls:Event_core.cls_fault 6;
   let order = ref [] in
-  Event_core.drain q ~handle:(fun ~time ~machine:_ payload ->
+  Helpers.drain q ~handle:(fun ~time ~machine:_ payload ->
       (* When the first fault at t=0 fires, a same-instant completion
          lands behind it but before the audit: cls ordering, not push
          order. And a t=1 arrival beats the t=1 fault despite being
@@ -319,7 +330,7 @@ let prop_latencies_match_fates =
    The queue builds up: waits 0, 4, 8 -> latencies 5, 9, 13. *)
 let fcfs_single_machine () =
   let instance =
-    Instance.of_ests ~m:1 ~alpha:Uncertainty.alpha_exact [| 5.0; 5.0; 5.0 |]
+    Instance.of_ests ~m:1 ~alpha:(Uncertainty.alpha 1.0) [| 5.0; 5.0; 5.0 |]
   in
   let realization = Realization.exact instance in
   let so =
@@ -337,7 +348,7 @@ let fcfs_single_machine () =
    it. *)
 let arrival_gap_restarts () =
   let instance =
-    Instance.of_ests ~m:1 ~alpha:Uncertainty.alpha_exact [| 2.0; 3.0 |]
+    Instance.of_ests ~m:1 ~alpha:(Uncertainty.alpha 1.0) [| 2.0; 3.0 |]
   in
   let realization = Realization.exact instance in
   let so =
@@ -385,7 +396,7 @@ let speculation_cancels_loser () =
    late task, and the healer re-replicates its data in time. *)
 let stream_composes_with_faults () =
   let instance =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 2.0; 2.0 |]
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 2.0; 2.0 |]
   in
   let realization = Realization.exact instance in
   (* t1's data only on machine 1, which crashes before t1 arrives. *)
@@ -407,7 +418,7 @@ let stream_composes_with_faults () =
    must not grow new keys (handles register on creation). *)
 let stream_metrics_registered () =
   let instance =
-    Instance.of_ests ~m:1 ~alpha:Uncertainty.alpha_exact [| 1.0; 1.0 |]
+    Instance.of_ests ~m:1 ~alpha:(Uncertainty.alpha 1.0) [| 1.0; 1.0 |]
   in
   let realization = Realization.exact instance in
   let placement = Array.make 2 (Bitset.full 1) in
@@ -434,7 +445,7 @@ let stream_metrics_registered () =
 
 let stream_validates_arrivals () =
   let instance =
-    Instance.of_ests ~m:1 ~alpha:Uncertainty.alpha_exact [| 1.0; 1.0 |]
+    Instance.of_ests ~m:1 ~alpha:(Uncertainty.alpha 1.0) [| 1.0; 1.0 |]
   in
   let realization = Realization.exact instance in
   let placement = Array.make 2 (Bitset.full 1) in
@@ -456,6 +467,7 @@ let () =
         [
           Alcotest.test_case "constructors validate" `Quick arrival_constructors;
           Alcotest.test_case "generation" `Quick arrival_generate;
+          Alcotest.test_case "mean rate" `Quick arrival_mean_rate;
           Alcotest.test_case "of_string grammar" `Quick arrival_of_string;
         ] );
       ( "ordering",

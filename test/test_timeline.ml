@@ -42,7 +42,7 @@ let engine_schedules_have_no_gaps () =
   (* The engine never leaves a machine idle while it has eligible
      work, so idle_before_finish must be 0 everywhere. *)
   let instance =
-    Instance.of_ests ~m:3 ~alpha:Uncertainty.alpha_exact
+    Instance.of_ests ~m:3 ~alpha:(Uncertainty.alpha 1.0)
       [| 4.0; 3.0; 3.0; 2.0; 2.0; 1.0 |]
   in
   let realization = Realization.exact instance in
@@ -87,7 +87,7 @@ let render_stats_mentions_utilization () =
    machine, folding busy time and finish in (start, id) order. *)
 let machine_stats_oracle schedule =
   Array.init (Schedule.m schedule) (fun i ->
-      let tasks = Schedule.machine_tasks schedule i in
+      let tasks = Helpers.machine_tasks schedule i in
       let busy, finish =
         List.fold_left
           (fun (busy, finish) task ->

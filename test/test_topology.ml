@@ -23,6 +23,7 @@ module Rng = Usched_prng.Rng
 module Placement = Usched_core.Placement
 module Lower_bounds = Usched_core.Lower_bounds
 module Zone_placement = Usched_core.Zone_placement
+module Two_phase = Usched_core.Two_phase
 
 let close = Alcotest.(check (float 1e-9))
 let checkb = Alcotest.(check bool)
@@ -64,6 +65,28 @@ let constructors () =
   close "zone_cost diagonal" 0.0 (Topology.zone_cost zl ~src:1 ~dst:1 ~size:9.0);
   close "zone_cost off-diagonal" 2.5
     (Topology.zone_cost zl ~src:0 ~dst:1 ~size:4.0)
+
+let machine_paths () =
+  let t = two_zone ~bandwidth:4.0 ~latency:0.25 () in
+  checkb "same machine: infinite bandwidth" true
+    (Topology.path_bandwidth t ~src:0 ~dst:0 = infinity);
+  close "same machine: zero latency" 0.0 (Topology.path_latency t ~src:1 ~dst:1);
+  close "cross-zone bandwidth" 4.0 (Topology.path_bandwidth t ~src:0 ~dst:1);
+  close "cross-zone latency" 0.25 (Topology.path_latency t ~src:1 ~dst:0);
+  (* Machine paths resolve through zones: machines 0,1 share zone 0 and
+     2,3 share zone 1. *)
+  let z = Topology.zoned ~latency:0.5 ~m:4 ~zones:2 ~bandwidth:2.0 () in
+  checkb "intra-zone machines: infinite bandwidth" true
+    (Topology.path_bandwidth z ~src:0 ~dst:1 = infinity);
+  close "intra-zone machines: zero latency" 0.0
+    (Topology.path_latency z ~src:3 ~dst:2);
+  List.iter
+    (fun (src, dst) ->
+      close "staging = latency + size / bandwidth"
+        (Topology.staging_time z ~src ~dst ~size:3.0)
+        (Topology.path_latency z ~src ~dst
+        +. (3.0 /. Topology.path_bandwidth z ~src ~dst)))
+    [ (0, 2); (1, 3); (2, 0); (3, 1) ]
 
 let validation () =
   let bw2 = [| [| infinity; 1.0 |]; [| 1.0; infinity |] |] in
@@ -368,7 +391,7 @@ let prop_uniform_topology_is_golden_healthy =
 let staging_delays_first_copy () =
   let topo = two_zone ~bandwidth:1.0 ~latency:0.5 () in
   let instance =
-    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact ~sizes:[| 2.0 |]
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) ~sizes:[| 2.0 |]
       ~topology:topo [| 4.0 |]
   in
   let realization = Realization.exact instance in
@@ -431,13 +454,31 @@ let zone_of_replicas topo set =
   Bitset.iter (fun i -> zs := Topology.zone topo i :: !zs) set;
   List.sort_uniq Int.compare !zs
 
+
+(* Phase 1 of the zone-aware strategies. *)
+let zone_group_placement ~k instance =
+  (Zone_placement.zone_group ~k).Two_phase.phase1 instance
+
+let local_budget_placement ~budget instance =
+  (Zone_placement.local_budget ~budget).Two_phase.phase1 instance
+
+(* [min_j |M_j|]: how many simultaneous crashes every task survives. *)
+let min_replication p =
+  List.fold_left min max_int (List.init (Placement.n p) (Placement.replication p))
+
+(* Whether every task keeps a replica on a machine outside [lost]. *)
+let survives_loss p lost =
+  List.for_all
+    (fun j ->
+      List.exists (fun i -> not (List.mem i lost)) (Bitset.to_list (Placement.set p j)))
+    (List.init (Placement.n p) Fun.id)
 let zonegroup_shape () =
   let topo = multi_zone ~m:6 ~zones:3 ~bandwidth:1.0 in
   let instance =
     Instance.of_ests ~m:6 ~alpha:(Uncertainty.alpha 2.0) ~topology:topo
       (Array.init 8 (fun j -> float_of_int (j + 1)))
   in
-  let p = Zone_placement.zone_group_placement ~k:2 instance in
+  let p = zone_group_placement ~k:2 instance in
   for j = 0 to Placement.n p - 1 do
     let set = Placement.set p j in
     checki (Printf.sprintf "task %d has 2 replicas" j) 2 (Bitset.cardinal set);
@@ -450,10 +491,10 @@ let zonegroup_shape () =
   done;
   (* k clamped to the zone count; uniform topology degenerates to one
      replica. *)
-  let huge = Zone_placement.zone_group_placement ~k:99 instance in
+  let huge = zone_group_placement ~k:99 instance in
   checki "k clamps to the zone count" 3 (Placement.max_replication huge);
   let bare =
-    Zone_placement.zone_group_placement ~k:3
+    zone_group_placement ~k:3
       (Instance.with_topology instance None)
   in
   checki "no topology = single zone = one replica" 1
@@ -466,7 +507,7 @@ let localbudget_shape () =
     Instance.of_ests ~m:6 ~alpha:(Uncertainty.alpha 2.0) ~sizes ~topology:topo
       (Array.init 8 (fun j -> float_of_int (j + 1)))
   in
-  let home_only = Zone_placement.local_budget_placement ~budget:0.0 instance in
+  let home_only = local_budget_placement ~budget:0.0 instance in
   for j = 0 to 7 do
     checki (Printf.sprintf "B=0: task %d home only" j) 1
       (Placement.replication home_only j);
@@ -478,11 +519,11 @@ let localbudget_shape () =
   done;
   close "B=0 placement is free" 0.0
     (Placement.replication_cost home_only ~topology:topo ~sizes);
-  let everywhere = Zone_placement.local_budget_placement ~budget:1e6 instance in
-  checki "huge budget covers every zone" 3 (Placement.min_replication everywhere);
+  let everywhere = local_budget_placement ~budget:1e6 instance in
+  checki "huge budget covers every zone" 3 (min_replication everywhere);
   (* The budget is a hard per-task cap. *)
   let budget = 1.2 in
-  let capped = Zone_placement.local_budget_placement ~budget instance in
+  let capped = local_budget_placement ~budget instance in
   let costs = Placement.replication_costs capped ~topology:topo ~sizes in
   Array.iteri
     (fun j c ->
@@ -499,7 +540,7 @@ let zonegroup_cheaper_than_full () =
     Instance.of_ests ~m:6 ~alpha:(Uncertainty.alpha 2.0) ~sizes ~topology:topo
       (Array.init 8 (fun j -> float_of_int (j + 1)))
   in
-  let zg = Zone_placement.zone_group_placement ~k:2 instance in
+  let zg = zone_group_placement ~k:2 instance in
   let full = Placement.full ~m:6 ~n:8 in
   let cost p = Placement.replication_cost p ~topology:topo ~sizes in
   checkb "zonegroup strictly cheaper than full replication" true
@@ -515,7 +556,7 @@ let zonegroup_cheaper_than_full () =
       checkb
         (Printf.sprintf "zonegroup survives zone %d outage" z)
         true
-        (Placement.without_machines zg !lost <> None))
+        (survives_loss zg !lost))
     [ 0; 1; 2 ]
 
 (* ------------------------------ suite ------------------------------- *)
@@ -529,6 +570,7 @@ let () =
             constructors;
           Alcotest.test_case "validation rejects malformed input" `Quick
             validation;
+          Alcotest.test_case "machine path lookups" `Quick machine_paths;
           Alcotest.test_case "of_spec grammar" `Quick spec_grammar;
           QCheck_alcotest.to_alcotest prop_round_trip;
         ] );

@@ -39,7 +39,7 @@ let engine_fast_machine_serves_more () =
     Engine.run ~speeds:[| 4.0; 1.0 |] instance realization ~placement
       ~order:[| 0; 1; 2; 3; 4 |]
   in
-  let on_fast = List.length (Schedule.machine_tasks s 0) in
+  let on_fast = List.length (Helpers.machine_tasks s 0) in
   checkb "fast machine runs the majority" true (on_fast >= 4)
 
 let engine_rejects_bad_speeds () =
@@ -313,12 +313,15 @@ let unit_speeds_match_identical_pipeline () =
        instance realization)
 
 let check_speeds_validation () =
+  let on m =
+    Instance.of_ests ~m ~alpha:(Uncertainty.alpha 1.0) (Array.make m 1.0)
+  in
   Alcotest.check_raises "length"
     (Invalid_argument "Uniform: speeds length differs from machine count")
-    (fun () -> ignore (Core.Uniform.check_speeds ~m:3 [| 1.0 |]));
+    (fun () -> ignore (Core.Uniform.lpt_assignment ~speeds:[| 1.0 |] (on 3)));
   Alcotest.check_raises "domain"
     (Invalid_argument "Uniform: speeds must be finite and > 0") (fun () ->
-      ignore (Core.Uniform.check_speeds ~m:1 [| 0.0 |]))
+      ignore (Core.Uniform.lpt_assignment ~speeds:[| 0.0 |] (on 1)))
 
 let () =
   Alcotest.run "uniform"
