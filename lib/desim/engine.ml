@@ -338,12 +338,12 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   | _ -> ());
   let spec_on = match speculation with Some _ -> true | None -> false in
   let spec_beta = match speculation with Some b -> b | None -> 0.0 in
-  (* [Recovery.none] is recognized physically: the engine then runs the
-     exact pre-recovery code path (same branches, same float operations,
-     same event sequence numbers), which the golden qcheck property in
-     test_recovery checks bit-for-bit against a structurally-neutral
-     active policy. *)
-  let rec_active = Recovery.is_active recovery in
+  (* Every recovery mechanism is gated by its own parameter: detection
+     by [det_latency > 0], healing by [heals], backoff by
+     [Recovery.backoff] (0 under [none]), acknowledgement by a pending
+     detection. [Recovery.none] therefore runs none of them, and the
+     golden qcheck property in test_recovery checks it bit-for-bit
+     against a structurally-neutral policy. *)
   let det_latency = recovery.Recovery.detection_latency in
   (* The live-replica target is per task: [Fixed r] heals everything
      toward the same count (constant function — bit-for-bit the old
@@ -786,7 +786,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
              copies_tail.(j) <- rest
        else copies_tail.(j) <- remove_machine i copies_tail.(j));
       if copies_head.(j) < 0 then
-        if rec_active && det_latency > 0.0 then orphan.(i) <- j
+        if det_latency > 0.0 then orphan.(i) <- j
         else release_task ~time j
     end
   in
@@ -955,7 +955,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
           ckpt_task.(i) <- -1;
           if heals then abort_transfers ~time i;
           kill_current ~salvage:false ~time i;
-          if rec_active && det_latency > 0.0 then begin
+          if det_latency > 0.0 then begin
             (* The scheduler only reacts once the detector fires. *)
             if Float.is_nan undetected.(i) then undetected.(i) <- time;
             push ~time:(time +. det_latency) ~machine:i
@@ -965,7 +965,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
             (* Strand every waiting task whose last replica the dead disk
                held, then re-replicate whatever it left under target. *)
             strand_scan i;
-            if rec_active then heal ~time
+            heal ~time
           end
         end
     | Fault.Outage until ->
@@ -975,18 +975,16 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
           if tr then
             emit (Machine_down { time; machine = i; until = down_until.(i) });
           kill_current ~salvage:true ~time i;
-          if rec_active then begin
-            blinks.(i) <- blinks.(i) + 1;
-            let b = Recovery.backoff recovery ~blinks:(blinks.(i)) in
-            if b > 0.0 then
-              trust_after.(i) <- Float.max trust_after.(i) (down_until.(i) +. b);
-            (* Detection only matters when a copy was orphaned: the
-               outage's other effects wait for the rejoin anyway. *)
-            if det_latency > 0.0 && orphan.(i) >= 0 then begin
-              if Float.is_nan undetected.(i) then undetected.(i) <- time;
-              push ~time:(time +. det_latency) ~machine:i
-                ~cls:Event_core.cls_fault Sim_detect
-            end
+          blinks.(i) <- blinks.(i) + 1;
+          let b = Recovery.backoff recovery ~blinks:(blinks.(i)) in
+          if b > 0.0 then
+            trust_after.(i) <- Float.max trust_after.(i) (down_until.(i) +. b);
+          (* Detection only matters when a copy was orphaned: the
+             outage's other effects wait for the rejoin anyway. *)
+          if det_latency > 0.0 && orphan.(i) >= 0 then begin
+            if Float.is_nan undetected.(i) then undetected.(i) <- time;
+            push ~time:(time +. det_latency) ~machine:i
+              ~cls:Event_core.cls_fault Sim_detect
           end;
           push ~time:(down_until.(i)) ~machine:i ~cls:Event_core.cls_fault
             Sim_up
@@ -1010,13 +1008,11 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   let on_up ~time i =
     if alive.(i) && time >= down_until.(i) then begin
       if tr then emit (Machine_up { time; machine = i });
-      if rec_active then begin
-        (* The machine reports its own fate truthfully on rejoin, which
-           may beat the detector; its return may also unblock healing
-           (as a transfer source or destination). *)
-        acknowledge ~time i;
-        heal ~time
-      end;
+      (* The machine reports its own fate truthfully on rejoin, which may
+         beat the detector; its return may also unblock healing (as a
+         transfer source or destination). *)
+      acknowledge ~time i;
+      heal ~time;
       if time >= trust_after.(i) then dispatch_machine ~time i
       else
         (* Backoff: the machine blinked recently, so it only receives

@@ -244,10 +244,11 @@ val run_faulty :
       [Usched_faults.Recovery] for the four mechanisms (failure
       detection with latency, online re-replication that grows
       eligibility sets mid-run, checkpoint/resume across outages,
-      capped-backoff distrust of blinking machines). With the default
-      [none] policy the engine runs the exact pre-recovery code path:
-      same branches, same float operations, same events, same metrics —
-      bit-for-bit.
+      capped-backoff distrust of blinking machines). Each mechanism is
+      gated by its own parameter, so the default [none] policy (and any
+      structurally equal one) takes none of their branches: same float
+      operations, same events, same metrics as the engine without
+      recovery — bit-for-bit.
 
     Determinism: simultaneous events are ordered by time, then machine
     id, then class (fault events and failure detections before

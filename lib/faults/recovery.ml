@@ -1,9 +1,8 @@
 (* Recovery policies. See recovery.mli for the model description.
 
-   [none] must stay a single shared constant: the engine recognizes it
-   physically ([==]) to take the exact pre-recovery code path, while a
-   structurally-equal policy built by [make ()] exercises the recovery
-   machinery (the golden test relies on that distinction). *)
+   [none] stays a single shared constant so that [is_none] can
+   recognize it physically ([==]); the engine does not, since each
+   recovery mechanism is gated by its own parameter. *)
 
 type target = Fixed of int | Degree
 

@@ -38,14 +38,14 @@
       [detection_latency * 2^(min (b-1) (max_retries-1))] time units
       after rejoining. It still serves data transfers meanwhile.
 
-    {!none} disables all four mechanisms and is recognized {e
-    physically} ([==]) by the engine, which then takes exactly the
-    pre-recovery code path — [Engine.run_faulty] with the default policy
-    is bit-for-bit the engine of PR 1. A policy built by [make ()] with
-    all defaults is {e structurally} neutral but still exercises the
-    recovery machinery; the golden qcheck property in [test_recovery]
-    proves both produce identical schedules, events, outcomes, and
-    metrics. *)
+    {!none} disables all four mechanisms. The engine gates each one on
+    its own parameter (a positive latency, a re-replication target, a
+    backoff), so under [none] it takes none of their branches and
+    [Engine.run_faulty] with the default policy is bit-for-bit the
+    engine without recovery. A policy built by [make ()] with all
+    defaults is structurally equal and runs the same way; the golden
+    qcheck property in [test_recovery] proves both produce identical
+    schedules, events, outcomes, and metrics. *)
 
 type target =
   | Fixed of int
@@ -89,8 +89,9 @@ val make :
 
 val is_none : t -> bool
 (** Physical equality with {!none}: true only for the shared constant,
-    so [make ()] — structurally equal — still drives the engine through
-    the (behaviour-neutral) recovery code path. *)
+    not for a structurally equal [make ()]. Callers use it to tell "no
+    recovery asked for" from an explicit neutral policy; the engine
+    does not look. *)
 
 val is_active : t -> bool
 (** [not (is_none t)]. *)

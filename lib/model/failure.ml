@@ -50,6 +50,25 @@ let of_string text =
   | Ok [] -> Error "empty failure profile"
   | Ok probs -> Ok { p = Array.of_list probs }
 
+let of_spec ~m:mm text =
+  let parsed =
+    match String.split_on_char ':' text with
+    | [ "uniform"; raw ] -> (
+        match float_of_string_opt raw with
+        | Some p when valid_prob p -> Ok (uniform ~m:mm ~p)
+        | _ ->
+            Error
+              (Printf.sprintf "uniform failure probability %S not in [0, 1]"
+                 raw))
+    | _ -> of_string text
+  in
+  match parsed with
+  | Ok t when m t <> mm ->
+      Error
+        (Printf.sprintf "profile lists %d probabilities for %d machines" (m t)
+           mm)
+  | r -> r
+
 let pp ppf t =
   Format.fprintf ppf "failure-profile[%a]"
     (Format.pp_print_list

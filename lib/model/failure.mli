@@ -55,4 +55,9 @@ val of_string : string -> (t, string) result
     machine. Returns [Error] with a human-readable message on malformed
     input (bad float, out-of-range probability, empty list). *)
 
+val of_spec : m:int -> string -> (t, string) result
+(** The CLI grammar behind [--failp] for [m >= 1] machines:
+    [uniform:P] (every machine fails with probability [P]) or the
+    {!of_string} form, which must list [m] probabilities. *)
+
 val pp : Format.formatter -> t -> unit

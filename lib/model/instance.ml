@@ -7,6 +7,14 @@ type t = {
   topology : Topology.t option;
 }
 
+(* An attachment must cover exactly the instance's [m] machines. *)
+let check_covers what machines_of ~m =
+  Option.iter (fun x ->
+      if machines_of x <> m then
+        invalid_arg
+          (Printf.sprintf "Instance.make: %s covers %d machines, instance has %d"
+             what (machines_of x) m))
+
 let make ?failure ?speed_band ?topology ~m ~alpha tasks =
   if m < 1 then invalid_arg "Instance.make: need at least one machine";
   Array.iteri
@@ -14,27 +22,9 @@ let make ?failure ?speed_band ?topology ~m ~alpha tasks =
       if Task.id task <> i then
         invalid_arg "Instance.make: task ids must be 0..n-1 in order")
     tasks;
-  (match failure with
-  | Some f when Failure.m f <> m ->
-      invalid_arg
-        (Printf.sprintf
-           "Instance.make: failure profile covers %d machines, instance has %d"
-           (Failure.m f) m)
-  | _ -> ());
-  (match speed_band with
-  | Some b when Speed_band.m b <> m ->
-      invalid_arg
-        (Printf.sprintf
-           "Instance.make: speed band covers %d machines, instance has %d"
-           (Speed_band.m b) m)
-  | _ -> ());
-  (match topology with
-  | Some tp when Topology.m tp <> m ->
-      invalid_arg
-        (Printf.sprintf
-           "Instance.make: topology covers %d machines, instance has %d"
-           (Topology.m tp) m)
-  | _ -> ());
+  check_covers "failure profile" Failure.m ~m failure;
+  check_covers "speed band" Speed_band.m ~m speed_band;
+  check_covers "topology" Topology.m ~m topology;
   { m; alpha; tasks = Array.copy tasks; failure; speed_band; topology }
 
 let of_ests ?failure ?speed_band ?topology ~m ~alpha ?sizes ests =
@@ -65,9 +55,10 @@ let failure_or_default t =
   | Some f -> f
   | None -> Failure.uniform ~m:t.m ~p:Failure.default_p
 
+(* The [with_*] copies share [t]'s task array: nothing mutates it. *)
 let with_failure t failure =
-  make ?failure ?speed_band:t.speed_band ?topology:t.topology ~m:t.m
-    ~alpha:t.alpha t.tasks
+  check_covers "failure profile" Failure.m ~m:t.m failure;
+  { t with failure }
 
 let speed_band t = t.speed_band
 
@@ -77,8 +68,8 @@ let speed_band_or_nominal t =
   | None -> Speed_band.nominal ~m:t.m
 
 let with_speed_band t speed_band =
-  make ?failure:t.failure ?speed_band ?topology:t.topology ~m:t.m ~alpha:t.alpha
-    t.tasks
+  check_covers "speed band" Speed_band.m ~m:t.m speed_band;
+  { t with speed_band }
 
 let topology t = t.topology
 
@@ -86,8 +77,8 @@ let topology_or_uniform t =
   match t.topology with Some tp -> tp | None -> Topology.uniform ~m:t.m
 
 let with_topology t topology =
-  make ?failure:t.failure ?speed_band:t.speed_band ?topology ~m:t.m
-    ~alpha:t.alpha t.tasks
+  check_covers "topology" Topology.m ~m:t.m topology;
+  { t with topology }
 
 let total_size t =
   Array.fold_left (fun acc task -> acc +. Task.size task) 0.0 t.tasks

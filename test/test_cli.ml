@@ -1,6 +1,7 @@
-(* The [usched solve] command line on malformed instance files: a usage
-   error (exit 2) naming the offending line, never an uncaught
-   exception. Runs the built binary. *)
+(* The [usched] command line on bad input: [solve] on malformed instance
+   files and [gen] on bad flag values are usage errors (exit 2) naming
+   the offending line or flag, never an uncaught exception. Runs the
+   built binary. *)
 
 let usched = Filename.concat Filename.parent_dir_name "bin/main.exe"
 
@@ -17,6 +18,22 @@ let solve contents =
         Sys.command
           (Printf.sprintf "%s solve %s >/dev/null 2>%s" (Filename.quote usched)
              (Filename.quote input) (Filename.quote errors))
+      in
+      (code, In_channel.with_open_bin errors In_channel.input_all))
+
+(* Exit code and stderr of [usched gen] with [args]. *)
+let gen args =
+  let output = Filename.temp_file "usched_cli" ".usched" in
+  let errors = Filename.temp_file "usched_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ output; errors ])
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s gen %s %s >/dev/null 2>%s" (Filename.quote usched)
+             (Filename.quote output)
+             (String.concat " " (List.map Filename.quote args))
+             (Filename.quote errors))
       in
       (code, In_channel.with_open_bin errors In_channel.input_all))
 
@@ -42,6 +59,14 @@ let accepted () =
   in
   Alcotest.(check int) (Printf.sprintf "exit code (stderr %S)" stderr) 0 code
 
+let gen_rejected ~flag args () =
+  let code, stderr = gen args in
+  Alcotest.(check int) (Printf.sprintf "exit code (stderr %S)" stderr) 2 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "message names %s: %S" flag stderr)
+    true (contains stderr flag);
+  Alcotest.(check bool) "no uncaught exception" false (contains stderr "exception")
+
 let header rest = Printf.sprintf "# usched-instance %s\nid,est,size\n0,4,1\n" rest
 
 let () =
@@ -59,4 +84,18 @@ let () =
           Alcotest.test_case "bad row" `Quick
             (rejected ~line:4 (header "m=2 alpha=2" ^ "1,abc,1\n"));
         ] );
+      ( "gen",
+        List.map
+          (fun (name, flag, args) ->
+            Alcotest.test_case name `Quick (gen_rejected ~flag args))
+          [
+            ("alpha below 1", "--alpha", [ "--alpha"; "0.5" ]);
+            ("zero machines", "--machines", [ "--machines"; "0" ]);
+            ("empty uniform range", "--workload", [ "--workload"; "uniform:5:1" ]);
+            ("negative mean", "--workload", [ "--workload"; "exponential:-1" ]);
+            ("non-numeric bound", "--workload", [ "--workload"; "uniform:abc:1" ]);
+            ( "failure profile of the wrong length",
+              "--failp",
+              [ "--machines"; "3"; "--failp"; "0.1,0.2" ] );
+          ] );
     ]
