@@ -32,5 +32,6 @@ val default : options
 val run : options -> string -> (unit, string) result
 (** [run options file] solves the instance in [file]. A usage error (an
     unreadable file, a value out of range, a spec that does not fit the
-    machine count) is an [Error] naming the file or the flag, returned
-    before anything is printed or written. *)
+    machine count, a trace path whose directory cannot be created) is an
+    [Error] naming the file or the flag, returned before anything is
+    printed or written. *)

@@ -25,21 +25,51 @@ let add_escaped buf s =
     s;
   Buffer.add_char buf '"'
 
-(* Shortest representation that parses back to the same float; falls back
-   to 17 significant digits (always exact for binary64). *)
-let float_repr f =
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+external format_float : string -> float -> string = "caml_format_float"
 
-let add_float buf f =
-  if not (Float.is_finite f) then Buffer.add_string buf "null"
-  else Buffer.add_string buf (float_repr f)
+(* Significant digits 13 to 17 of a ["%.17g"] rendering, as an integer
+   in [0, 99999]; digits [%g] dropped as trailing zeros count as 0. *)
+let tail_digits s =
+  let r = ref 0 and k = ref 0 and i = ref 0 in
+  let len = String.length s in
+  while !i < len && s.[!i] <> 'e' do
+    (match s.[!i] with
+    | '0' .. '9' as c ->
+        if !k > 0 || c <> '0' then begin
+          incr k;
+          if !k >= 13 then r := (!r * 10) + (Char.code c - 48)
+        end
+    | _ -> ());
+    incr i
+  done;
+  for _ = max 13 (!k + 1) to 17 do
+    r := !r * 10
+  done;
+  !r
+
+(* Twelve significant digits when they parse back to the same float,
+   else seventeen (always exact for binary64). The rule formats once
+   with [%.17g] and tries the [%.12g] candidate only when it can round
+   trip. If it does, it lies within half an ulp of [f], and [%.17g]
+   within half a unit of the 17th digit; for a normal float half an ulp
+   is under 11.1 such units, so digits 13 to 17 of [%.17g] sit within
+   11 of a multiple of 10^5. Zero and subnormals (whose ulp is
+   relatively larger) always take the full rule. *)
+let float_repr f =
+  let s17 = format_float "%.17g" f in
+  let d = if Float.abs f >= Float.min_float then tail_digits s17 else 0 in
+  if d > 11 && d < 99_989 then s17
+  else
+    let s12 = format_float "%.12g" f in
+    if float_of_string s12 = f then s12 else s17
+
+let float_string f = if Float.is_finite f then float_repr f else "null"
 
 let rec add buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> add_float buf f
+  | Float f -> Buffer.add_string buf (float_string f)
   | String s -> add_escaped buf s
   | List items ->
       Buffer.add_char buf '[';

@@ -199,11 +199,13 @@ let usage_error ~flag options () =
       Sys.remove arrivals;
       Sys.rmdir tmp)
   @@ fun () ->
-  let result = ref (Ok ()) in
-  let out =
-    capture_stdout (fun () ->
-        result := Pipeline.run { (options arrivals) with trace = Some path } plain)
+  let options = options arrivals in
+  let options =
+    if options.Pipeline.trace = None then { options with trace = Some path }
+    else options
   in
+  let result = ref (Ok ()) in
+  let out = capture_stdout (fun () -> result := Pipeline.run options plain) in
   (match !result with
   | Ok () -> Alcotest.fail "accepted"
   | Error msg ->
@@ -214,7 +216,8 @@ let usage_error ~flag options () =
   Alcotest.(check string) "stdout" "" out;
   Alcotest.(check bool) "no trace" false (Sys.file_exists path)
 
-(* (flag, options given a two-line arrival trace file) *)
+(* (flag, options given a two-line arrival trace file); a case without
+   a trace path gets one in a fresh directory *)
 let usage_errors =
   let d = Pipeline.default in
   [
@@ -226,6 +229,9 @@ let usage_errors =
       fun file ->
         let arrival = Usched_desim.Arrival.of_string ("trace:" ^ file) in
         { d with stream = true; arrival = Result.get_ok arrival } );
+    (* the trace's directory would sit under a regular file *)
+    ( "--trace",
+      fun file -> { d with trace = Some (Filename.concat file "x/t.jsonl") } );
   ]
 
 let () =

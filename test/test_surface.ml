@@ -45,6 +45,10 @@ let allowlist =
     ( "lib/core/speed_adversary",
       "critical_load",
       "the greedy adversary's slowdown priority, checked on a hand-computed case" );
+    ( "lib/desim/engine",
+      "run_stream_traced",
+      "the stream loop's event log, compared event for event with the frozen \
+       reference engine" );
     ( "lib/desim/timeline",
       "machine_stats",
       "the numbers render_stats prints, pinned bit for bit to an oracle" );
@@ -60,6 +64,9 @@ let allowlist =
     ( "lib/model/io",
       "instance_to_string",
       "in-memory writer behind save_instance; pins the file bytes" );
+    ( "lib/report/json",
+      "output_line",
+      "the tree printer the trace sink's streamed bytes are checked against" );
     ( "lib/model/topology",
       "zoned",
       "constructor the topology grammar builds on; tests build zoned topologies with it" );
