@@ -748,11 +748,35 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
           push_aux ~time:t ~machine:(-1) ~cls:Event_core.cls_arrival ~aux:j
             ~aux2:0 Sim_arrive)
         a);
-  let wake_idle ~time =
-    for i = 0 to m - 1 do
+  (* Task [j] (re-)entered the pool or gained a holder: wake its idle
+     holders. [Dispatch]'s work-conservation contract makes
+     [select_machine] return -1 exactly when a machine holds no
+     dispatchable task, so any other machine's wake could act only
+     through [spec_scan]; and every other way a machine becomes able to
+     start a backup (going idle, rejoining, its distrust window
+     closing, a task entering the speculation pool) dispatches it
+     directly. The skipped wakes would do nothing, and dropping them
+     moves no other event in the (time, machine, class, seq) order.
+
+     Two paths make a backup startable on an already idle machine
+     without waking it: a kill leaves a speculated task with one copy,
+     or a transfer lands on a pool member. Waking all idle machines
+     used to start such a backup at the next unrelated wake, so either
+     path sets the sticky [wake_all] and every later wake scans all m
+     machines again. Both need speculation plus a kill or a
+     re-replication. *)
+  let wake_all = ref false in
+  let everyone = Bitset.full m in
+  let rec wake_members ~time h i =
+    let i = Bitset.next h i in
+    if i >= 0 then begin
       if idle ~time i then
-        push ~time ~machine:i ~cls:Event_core.cls_decision Sim_dispatch
-    done
+        push ~time ~machine:i ~cls:Event_core.cls_decision Sim_dispatch;
+      wake_members ~time h (i + 1)
+    end
+  in
+  let wake_idle ~time j =
+    wake_members ~time (if !wake_all then everyone else data.(j)) 0
   in
   (* A task arrives: it becomes visible to the scheduler and, if still
      alive (early faults may have stranded it before it even showed up),
@@ -764,7 +788,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
     if status.(j) = st_pending then begin
       dispatchable.(j) <- true;
       Dispatch.notify_available policy ~task:j;
-      wake_idle ~time
+      wake_idle ~time j
     end
   in
   (* Online re-replication: copy every under-replicated task's data from
@@ -919,7 +943,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
     else begin
       set_status j st_pending;
       Dispatch.notify_available policy ~task:j;
-      wake_idle ~time
+      wake_idle ~time j
     end
   in
   (* Kill the in-flight copy of machine [i] (crash or outage): the work
@@ -978,9 +1002,9 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
              copies_head.(j) <- k;
              copies_tail.(j) <- rest
        else copies_tail.(j) <- remove_machine i copies_tail.(j));
-      if copies_head.(j) < 0 then
-        if det_latency > 0.0 then orphan.(i) <- j
-        else release_task ~time j
+      if copies_head.(j) >= 0 then wake_all := true
+      else if det_latency > 0.0 then orphan.(i) <- j
+      else release_task ~time j
     end
   in
   (* The disk of a dead machine [i] is gone: strand every waiting task
@@ -1034,8 +1058,9 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
           (transfer_duration ~src ~dst task);
         if status.(task) = st_pending then begin
           Dispatch.notify_available policy ~task;
-          wake_idle ~time
-        end;
+          wake_idle ~time task
+        end
+        else if spec_on && spec_slot.(task) >= 0 then wake_all := true;
         heal ~time
     | _ -> () (* aborted (and possibly re-issued): stale delivery *)
   in
@@ -1074,7 +1099,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
         else if spec_on then begin
           let sj = spec_scan i 0 (-1) max_int in
           if sj >= 0 then start_copy ~resume:false ~banked:0.0 ~time i sj
-          (* else idle; woken again if work returns to the pool *)
+          (* else idle; woken again when a task it holds returns *)
         end
       end
     end

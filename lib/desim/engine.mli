@@ -45,7 +45,10 @@
     (write-only — metrics never influence the simulation, so outputs are
     bit-for-bit identical with metrics on or off):
 
-    - [engine.events] (counter): simulation events processed;
+    - [engine.events] (counter): simulation events processed, each
+      pushed event counted once when it leaves the queue. A task
+      entering the pool wakes only its idle holders, so this is not
+      m events per arrival;
     - [engine.dispatches] (counter): task copies started;
     - [engine.redispatches] (counter): copies started for a task whose
       previous copies were all killed (fault recovery);

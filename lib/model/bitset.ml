@@ -95,16 +95,29 @@ let fold f init t =
 
 let to_list t = List.rev (fold (fun acc i -> i :: acc) [] t)
 
-let rec lowest_bit w i = if w land 1 <> 0 then i else lowest_bit (w lsr 1) (i + 1)
+(* [w <> 0]; zero bytes are skipped a byte at a time, as in [iter]. *)
+let rec lowest_bit w i =
+  if w land 0xff = 0 then lowest_bit (w lsr 8) (i + 8)
+  else if w land 1 <> 0 then i
+  else lowest_bit (w lsr 1) (i + 1)
+
+(* The smallest member in words [k ..], or -1. *)
+let rec first_from words k =
+  if k >= Array.length words then -1
+  else if words.(k) = 0 then first_from words (k + 1)
+  else lowest_bit words.(k) (k * bits_per_word)
 
 let choose t =
-  let words = t.words in
-  let rec first k =
-    if k >= Array.length words then raise Not_found
-    else if words.(k) = 0 then first (k + 1)
-    else lowest_bit words.(k) (k * bits_per_word)
-  in
-  first 0
+  let i = first_from t.words 0 in
+  if i < 0 then raise Not_found else i
+
+let next t i =
+  if i < 0 then invalid_arg "Bitset.next: negative start";
+  if i >= t.len then -1
+  else
+    let k = i / bits_per_word in
+    let w = t.words.(k) lsr (i mod bits_per_word) in
+    if w <> 0 then lowest_bit w i else first_from t.words (k + 1)
 
 let check_same_capacity a b =
   if a.len <> b.len then invalid_arg "Bitset: capacity mismatch"

@@ -42,6 +42,11 @@ val to_list : t -> int list
 val choose : t -> int
 (** Smallest member. Raises [Not_found] on the empty set. *)
 
+val next : t -> int -> int
+(** [next t i] is the smallest member [>= i], or [-1] when there is
+    none ([i >= 0]). A loop over integers with it visits the members in
+    increasing order without [iter]'s closure. *)
+
 val inter : t -> t -> t
 (** Functional intersection of two sets of equal capacity. *)
 

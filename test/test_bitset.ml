@@ -174,10 +174,19 @@ let scans_agree s =
   visits Bitset.iter s = expected
   && Bitset.fold (fun acc i -> i :: acc) [] s = List.rev expected
   &&
-  match expected with
+  (match expected with
   | [] -> (
       match Bitset.choose s with _ -> false | exception Not_found -> true)
-  | smallest :: _ -> Bitset.choose s = smallest
+  | smallest :: _ -> Bitset.choose s = smallest)
+  && List.for_all
+       (fun start ->
+         let want =
+           match List.find_opt (fun i -> i >= start) expected with
+           | Some i -> i
+           | None -> -1
+         in
+         Bitset.next s start = want)
+       (List.init (Bitset.capacity s + 2) Fun.id)
 
 (* Capacities around the 62-bit word boundaries. *)
 let boundary_capacities = [ 0; 1; 61; 62; 63; 124; 125 ]

@@ -90,6 +90,25 @@ let entries_equal (a : Schedule.entry) (b : Schedule.entry) =
   && a.Schedule.start = b.Schedule.start
   && a.Schedule.finish = b.Schedule.finish
 
+(* The reference wakes every idle machine when a task enters the pool;
+   the live engine wakes only the task's holders, so it processes fewer
+   events and its queue peaks no higher. Those two instruments may only
+   shrink; every other one must match exactly. *)
+let wake_counted = [ "engine.events"; "engine.queue_depth_max" ]
+
+let metrics_match (a : Metrics.snapshot) (b : Metrics.snapshot) =
+  let rest s = List.filter (fun (k, _) -> not (List.mem k wake_counted)) s in
+  Json.to_string (Metrics.to_json (rest a))
+  = Json.to_string (Metrics.to_json (rest b))
+  && List.for_all
+       (fun k ->
+         match (Metrics.find a k, Metrics.find b k) with
+         | Some (Metrics.Counter x), Some (Metrics.Counter y) -> x <= y
+         | Some (Metrics.Gauge x), Some (Metrics.Gauge y) -> x <= y
+         | None, None -> true
+         | _ -> false)
+       wake_counted
+
 let outcomes_identical (a : Engine.outcome) (b : Engine.outcome) =
   a.Engine.completed = b.Engine.completed
   && a.Engine.stranded = b.Engine.stranded
@@ -102,8 +121,7 @@ let outcomes_identical (a : Engine.outcome) (b : Engine.outcome) =
          | Engine.Finished e, Engine.Finished f -> entries_equal e f
          | _ -> false)
        a.Engine.fates b.Engine.fates
-  && Json.to_string (Metrics.to_json a.Engine.metrics)
-     = Json.to_string (Metrics.to_json b.Engine.metrics)
+  && metrics_match a.Engine.metrics b.Engine.metrics
 
 (* ------------------------------ faulty ------------------------------ *)
 
@@ -292,9 +310,9 @@ let prop_wide_stream_matches_reference =
 
 (* --------------------------- hand-built ----------------------------- *)
 
-(* Three paths the random scenarios reach only by chance, each run
-   through both engines and checked for the event that proves the path
-   was taken. *)
+(* Paths the random scenarios reach only by chance, each run through
+   both engines and checked for the event that proves the path was
+   taken. *)
 
 let crash ~machine ~time = { Usched_faults.Fault.machine; time; kind = Crash }
 
@@ -315,6 +333,74 @@ let matches_reference ?speculation ~recovery ~faults instance realization
     (outcomes_identical a b);
   Alcotest.(check bool) "event log matches the reference" true (ev_a = ev_b);
   ev_a
+
+let stream_matches_reference ~speculation ~recovery ?faults instance
+    realization ~arrivals ~placement ~order =
+  let a, ev_a =
+    Engine.run_stream_traced ~speculation ~recovery
+      ~metrics:(Metrics.create ()) ?faults instance realization ~arrivals
+      ~placement:(placement ()) ~order
+  in
+  let b, ev_b =
+    Reference_engine.run_stream_traced ~speculation ~recovery
+      ~metrics:(Metrics.create ()) ?faults instance realization ~arrivals
+      ~placement:(placement ()) ~order
+  in
+  Alcotest.(check bool) "outcome matches the reference" true
+    (outcomes_identical a.Engine.outcome b.Engine.outcome);
+  Alcotest.(check bool) "event log matches the reference" true (ev_a = ev_b);
+  ev_a
+
+(* A kill leaves a speculated task with one copy while a holder sits
+   idle: task 0 (est 4, actual 20) runs on m0, its straggler check
+   backs it up on m1 at t=4, and the crash of m1 at t=6 kills the
+   backup. Idle m2 also holds task 0, but nothing wakes it until task 1
+   arrives at t=7 — and task 1 lives on busy m0 alone. The engine must
+   still let m2 pick up the backup then, as waking every idle machine
+   does. *)
+let kill_leaves_latent_backup () =
+  let instance =
+    Instance.of_ests ~m:3 ~alpha:(Uncertainty.alpha 8.0) [| 4.0; 8.0 |]
+  in
+  let realization = Realization.of_actuals instance [| 20.0; 8.0 |] in
+  let placement () = [| Bitset.full 3; Bitset.of_list 3 [ 0 ] |] in
+  let faults = Trace.of_events ~m:3 [ crash ~machine:1 ~time:6.0 ] in
+  let events =
+    stream_matches_reference ~speculation:1.0 ~recovery:Recovery.none ~faults
+      instance realization ~arrivals:[| 0.0; 7.0 |] ~placement
+      ~order:[| 0; 1 |]
+  in
+  let has e = List.mem e events in
+  Alcotest.(check bool) "crash kills the backup on m1" true
+    (has (Engine.Killed { time = 6.0; machine = 1; task = 0 }));
+  Alcotest.(check bool) "task 1's arrival lets m2 back task 0 up" true
+    (has (Engine.Started { time = 7.0; machine = 2; task = 0 }))
+
+(* The same latent backup through a landed transfer: task 0 lives on m0
+   alone with target 2, so the t=0 heal copies it to m1 (5 time units).
+   Its straggler check at t=4 finds no idle holder; the copy lands on
+   idle m1 at t=5 while task 0 is running. Task 1 arrives at t=7 on
+   {m0, m2}, and m1 must start the backup then. *)
+let transfer_leaves_latent_backup () =
+  let instance =
+    Instance.of_ests ~m:3 ~alpha:(Uncertainty.alpha 8.0) ~sizes:[| 5.0; 1.0 |]
+      [| 4.0; 8.0 |]
+  in
+  let realization = Realization.of_actuals instance [| 20.0; 8.0 |] in
+  let placement () = [| Bitset.of_list 3 [ 0 ]; Bitset.of_list 3 [ 0; 2 ] |] in
+  let recovery =
+    Recovery.make ~rereplication_target:(Recovery.Fixed 2) ~bandwidth:1.0 ()
+  in
+  let events =
+    stream_matches_reference ~speculation:1.0 ~recovery instance realization
+      ~arrivals:[| 0.0; 7.0 |] ~placement ~order:[| 0; 1 |]
+  in
+  let has e = List.mem e events in
+  Alcotest.(check bool) "task 0's data lands on m1 at t=5" true
+    (has
+       (Engine.Rereplication_completed { time = 5.0; task = 0; src = 0; dst = 1 }));
+  Alcotest.(check bool) "task 1's arrival lets m1 back task 0 up" true
+    (has (Engine.Started { time = 7.0; machine = 1; task = 0 }))
 
 (* Task 0 (est 4, actual 20) runs on m0; its straggler check fires at
    t=4 and starts a backup on idle m1. The crash of m1 at t=6 kills the
@@ -456,5 +542,9 @@ let () =
             `Quick heal_waits_for_destination;
           Alcotest.test_case "aborted transfer keeps the task needy" `Quick
             aborted_transfer_stays_needy;
+          Alcotest.test_case "a kill leaves a latent backup" `Quick
+            kill_leaves_latent_backup;
+          Alcotest.test_case "a landed transfer leaves a latent backup" `Quick
+            transfer_leaves_latent_backup;
         ] );
     ]

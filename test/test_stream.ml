@@ -458,6 +458,33 @@ let stream_validates_arrivals () =
   checkb "nan" true (raises_invalid (run [| 0.0; Float.nan |]));
   checkb "infinite" true (raises_invalid (run [| 0.0; infinity |]))
 
+(* An arrival wakes only its task's idle holders. With one holder per
+   task and no speculation, a run processes the m initial dispatch
+   decisions, then per task at most one arrival, one wake and one
+   completion: events <= m + 3n. Waking every idle machine per arrival
+   instead costs about one event per idle machine per task. *)
+let arrival_wakes_only_holders () =
+  let m = 64 and n = 2000 in
+  let rng = Rng.create ~seed:19 () in
+  let ests = Array.init n (fun _ -> Rng.float_range rng ~lo:0.5 ~hi:2.0) in
+  let instance = Instance.of_ests ~m ~alpha:(Uncertainty.alpha 1.0) ests in
+  let realization = Realization.exact instance in
+  let placement = Array.init n (fun j -> Bitset.singleton m (j mod m)) in
+  let order = Instance.lpt_order instance in
+  let arrivals = Array.init n (fun j -> 0.05 *. float_of_int j) in
+  let metrics = Metrics.create () in
+  let so =
+    Engine.run_stream ~metrics instance realization ~arrivals ~placement ~order
+  in
+  checki "every task finishes" n so.Engine.outcome.Engine.completed;
+  match Metrics.find so.Engine.outcome.Engine.metrics "engine.events" with
+  | Some (Metrics.Counter events) ->
+      checkb
+        (Printf.sprintf "%d events <= m + 3n = %d" events ((3 * n) + m))
+        true
+        (events <= (3 * n) + m)
+  | _ -> Alcotest.fail "engine.events missing"
+
 (* ------------------------------ suite ------------------------------- *)
 
 let () =
@@ -492,5 +519,7 @@ let () =
             stream_metrics_registered;
           Alcotest.test_case "arrival validation" `Quick
             stream_validates_arrivals;
+          Alcotest.test_case "arrivals wake only holders" `Quick
+            arrival_wakes_only_holders;
         ] );
     ]

@@ -79,10 +79,11 @@ let healthy_is_allocation_free () =
 (* The faulty engine's epilogue materializes one [Finished] fate per
    task (a boxed entry), so per-run minor words grow with n — but the
    slope must stay a small constant, not the old per-event record and
-   option churn. Measured slope is ~14 words/task bare, ~21 with
-   recovery + speculation and ~46 for a speculating stream (whose
-   backup-copy search runs on every idle dispatch); the gate allows
-   64. *)
+   option churn. Measured slope is 13.5 words/task bare, 21.0 with
+   recovery + speculation and 45.8 for a speculating stream (whose
+   backup-copy search runs on every idle dispatch). Every task here is
+   held by all m machines, so each wake reaches every idle machine. The
+   gate allows 64. *)
 let faulty_slope_is_bounded () =
   let recovery =
     Recovery.make ~detection_latency:0.5
