@@ -1,9 +1,3 @@
-type result = {
-  assignment : Assign.result;
-  target : float;
-  epsilon : float;
-}
-
 (* ------------------------------------------------------------------ *)
 (* The dual test at a fixed target t.                                  *)
 (* ------------------------------------------------------------------ *)
@@ -184,12 +178,7 @@ let schedule ?(epsilon = 1.0 /. 3.0) ?(search_steps = 40) ~m p =
   Array.iter (fun x -> if x < 0.0 then invalid_arg "Dual_approx: negative time") p;
   if not (epsilon > 0.0 && epsilon <= 1.0) then
     invalid_arg "Dual_approx: epsilon must be in (0, 1]";
-  if Array.length p = 0 then
-    {
-      assignment = { Assign.assignment = [||]; loads = Array.make m 0.0 };
-      target = 0.0;
-      epsilon;
-    }
+  if Array.length p = 0 then { Assign.assignment = [||]; loads = Array.make m 0.0 }
   else begin
     let lpt = Assign.lpt ~m ~weights:p in
     let lo = ref (Float.max 1e-300 (Lower_bounds.best ~m p)) in
@@ -198,22 +187,20 @@ let schedule ?(epsilon = 1.0 /. 3.0) ?(search_steps = 40) ~m p =
        Keep whichever feasible assignment has the smallest realized
        makespan — a successful probe guarantees only (1+eps)*t, which
        near the end of the search can exceed an earlier incumbent. *)
-    let best = ref (lpt, !hi) in
-    let consider assignment target =
-      if Assign.makespan assignment < Assign.makespan (fst !best) then
-        best := (assignment, target)
+    let best = ref lpt in
+    let consider assignment =
+      if Assign.makespan assignment < Assign.makespan !best then best := assignment
     in
     for _ = 1 to search_steps do
       let t = 0.5 *. (!lo +. !hi) in
       match feasible_at ~epsilon ~t ~m p with
       | Some assignment ->
-          consider assignment t;
+          consider assignment;
           hi := t
       | None -> lo := t
     done;
-    let assignment, target = !best in
-    { assignment; target; epsilon }
+    !best
   end
 
 let makespan ?epsilon ?search_steps ~m p =
-  Assign.makespan (schedule ?epsilon ?search_steps ~m p).assignment
+  Assign.makespan (schedule ?epsilon ?search_steps ~m p)

@@ -22,19 +22,12 @@
     [epsilon] shrinks; intended for [epsilon >= 0.2] and a few hundred
     jobs, where it beats MULTIFIT's 13/11 guarantee. *)
 
-type result = {
-  assignment : Assign.result;
-  target : float;  (** Final accepted target [t]. *)
-  epsilon : float;
-}
-
-val schedule : ?epsilon:float -> ?search_steps:int -> m:int -> float array -> result
-(** [schedule ~epsilon ~m p] runs the full scheme (default
-    [epsilon = 1/3], 40 binary-search steps). Raises [Invalid_argument]
-    if [m < 1], a time is negative, or [epsilon] is outside (0, 1]. *)
-
 val makespan : ?epsilon:float -> ?search_steps:int -> m:int -> float array -> float
-(** Makespan of {!schedule} — at most [(1+epsilon)·OPT]. *)
+(** [makespan ~epsilon ~m p] runs the full scheme (default
+    [epsilon = 1/3], 40 binary-search steps) and returns the makespan of
+    the best schedule it found — at most [(1+epsilon)·OPT]. Raises
+    [Invalid_argument] if [m < 1], a time is negative, or [epsilon] is
+    outside (0, 1]. *)
 
 val feasible_at : epsilon:float -> t:float -> m:int -> float array -> Assign.result option
 (** One dual test at target [t]: [Some assignment] with every load at

@@ -49,35 +49,3 @@ let packing ~m p =
 let best ~m p =
   check m p;
   Float.max (average ~m p) (Float.max (largest p) (packing ~m p))
-
-(* Staging-aware bound: before any copy of task [j] can start, the
-   machine running it must hold the data, so the schedule pays at least
-   the cheapest staging from the home machine [j mod m] to some holder
-   on top of [p_j]. Inflating each task by that unavoidable minimum
-   keeps all three bounds valid (staging occupies the machine exactly
-   like processing does). On the uniform topology every staging time is
-   0 and this collapses to [best]. *)
-let staged ~topology ~sizes ~sets ~m (p : float array) =
-  check m p;
-  let n = Array.length p in
-  if Array.length sizes <> n then
-    invalid_arg "Lower_bounds.staged: sizes length mismatch";
-  if Array.length sets <> n then
-    invalid_arg "Lower_bounds.staged: sets length mismatch";
-  if Usched_model.Topology.m topology <> m then
-    invalid_arg "Lower_bounds.staged: topology machine count mismatch";
-  let inflated = Array.make n 0.0 in
-  for j = 0 to n - 1 do
-    let cheapest = Array.make 1 infinity in
-    Usched_model.Bitset.iter
-      (fun i ->
-        let s =
-          Usched_model.Topology.staging_time topology ~src:(j mod m) ~dst:i
-            ~size:sizes.(j)
-        in
-        if s < cheapest.(0) then cheapest.(0) <- s)
-      sets.(j);
-    let extra = if cheapest.(0) = infinity then 0.0 else cheapest.(0) in
-    inflated.(j) <- p.(j) +. extra
-  done;
-  best ~m inflated

@@ -21,17 +21,3 @@ val packing : m:int -> float array -> float
 val best : m:int -> float array -> float
 (** Max of all bounds above. Raises [Invalid_argument] if [m < 1] or a
     processing time is negative. *)
-
-val staged :
-  topology:Usched_model.Topology.t ->
-  sizes:float array ->
-  sets:Usched_model.Bitset.t array ->
-  m:int ->
-  float array ->
-  float
-(** {!best} with the unavoidable staging term: whichever holder runs
-    task [j], it first stages the data from the home machine [j mod m],
-    so [p_j] is inflated by the cheapest staging time over [j]'s holder
-    set before the bounds are taken. Equals [best ~m p] on the uniform
-    topology (all staging times are 0). Raises [Invalid_argument] on a
-    length or machine-count mismatch, or as {!best} does. *)

@@ -16,12 +16,10 @@ exception Infeasible of string
 (** Raised when even an unreplicated placement cannot fit: a single task
     larger than the budget, or total size above [m * budget]. *)
 
-val placement : budget:float -> Instance.t -> Placement.t
-(** Greedy budget-constrained placement. Raises {!Infeasible} when no
-    replica-free placement fits, [Invalid_argument] if [budget <= 0]. *)
-
 val algorithm : budget:float -> Two_phase.t
-(** Two-phase algorithm over {!placement}, online LPT in phase 2. *)
+(** Two-phase algorithm: the greedy budget-constrained placement as
+    phase 1, online LPT in phase 2. Phase 1 raises {!Infeasible} when no
+    replica-free placement fits, [Invalid_argument] if [budget <= 0]. *)
 
 val max_memory_load : Instance.t -> Placement.t -> float
 (** Convenience re-export of the placement's memory high-water mark. *)

@@ -27,7 +27,6 @@ let of_group_assignment ~m ~groups assignment =
   of_sets ~m (Array.map (fun g -> group_sets.(g)) assignment)
 
 let n t = Array.length t.sets
-let m t = t.m
 let set t j = t.sets.(j)
 let sets t = Array.copy t.sets
 let allowed t ~task ~machine = Bitset.mem t.sets.(task) machine

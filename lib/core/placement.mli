@@ -28,7 +28,6 @@ val of_group_assignment : m:int -> groups:int array array -> int array -> t
     regime). *)
 
 val n : t -> int
-val m : t -> int
 val set : t -> int -> Bitset.t
 (** The machine set of a task (shared, do not mutate). *)
 

@@ -1,10 +1,8 @@
 module Instance = Usched_model.Instance
 
-let split ~delta instance = Sbo.split ~delta instance
-
 let placement ~delta instance =
   Placement.singletons ~m:(Instance.m instance)
-    (Sbo.assignment (split ~delta instance))
+    (Sbo.assignment (Sbo.split ~delta instance))
 
 let algorithm ~delta =
   {

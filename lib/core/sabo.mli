@@ -12,6 +12,3 @@ val algorithm : delta:float -> Two_phase.t
 
 val placement : delta:float -> Instance.t -> Placement.t
 (** Its phase-1 placement (singletons), exposed for memory accounting. *)
-
-val split : delta:float -> Instance.t -> Sbo.split
-(** The underlying SBO split (same as {!Sbo.split}). *)

@@ -53,6 +53,3 @@ let select ?domains criterion ~portfolio instance scenarios =
           else best)
         (evaluate ?domains first instance scenarios)
         rest
-
-let default_portfolio ~m =
-  List.map (fun spec -> Strategy.build spec ~m) (Strategy.default_portfolio ~m)

@@ -50,9 +50,3 @@ val select :
     bit-identical at any domain count (each scenario's makespan is an
     independent pure replay). Raises [Invalid_argument] on an empty
     portfolio or empty scenario set. *)
-
-val default_portfolio : m:int -> Two_phase.t list
-(** A sensible spread over the paper's strategies: no replication,
-    groups at several k (divisors of [m]), budgeted overlap, and full
-    replication. Derived from the {!Strategy} registry
-    ([Strategy.default_portfolio] built at [m]). *)

@@ -98,6 +98,3 @@ let worst_case ?(exact_limit = 10) ?(candidates = []) ?domains ~run instance
       ([ Speed_band.los band; Speed_band.his band; Speed_band.mids band ]
       @ candidates)
   end
-
-let lower_bound band actuals =
-  Uniform.lower_bound ~speeds:(Speed_band.los band) actuals

@@ -38,17 +38,6 @@ val exhaustive :
     is bit-identical at any domain count. Raises [Invalid_argument]
     for [m > 16]. *)
 
-val greedy :
-  ?sweeps:int ->
-  run:(float array -> float) ->
-  order:int array ->
-  Speed_band.t ->
-  float array * float
-(** Start with every machine fast ([hi]); in [order] (typically
-    decreasing {!critical_load}), slow each machine to its [lo] and keep
-    the flip iff the makespan grows. [sweeps] (default 2) passes over
-    the machines. *)
-
 val worst_case :
   ?exact_limit:int ->
   ?candidates:float array list ->
@@ -68,9 +57,3 @@ val worst_case :
     Returns the worst (speeds, makespan). On a degenerate band the only
     revelation is the band itself. Raises [Invalid_argument] when a
     candidate leaves the band or machine counts disagree. *)
-
-val lower_bound : Speed_band.t -> float array -> float
-(** Sound lower bound on the optimal makespan under the worst in-band
-    revelation: {!Uniform.lower_bound} at the pessimistic (all-[lo])
-    speeds. On a degenerate band this {e is} the uniform-machines lower
-    bound at the known speeds (the reduction pinned by qcheck). *)

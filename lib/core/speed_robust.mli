@@ -26,14 +26,11 @@ val classes : k:int -> Instance.t -> int array array
     contiguous classes of near-equal size, fastest first. Raises
     [Invalid_argument] unless [1 <= k <= m]. *)
 
-val placement : k:int -> Instance.t -> Placement.t
-(** One replica per class for every task, greedily balancing estimated
-    pessimistic finish times inside each class, tasks in LPT order.
-    Tasks with the same machine choice in every class share one set
-    (at most the product of the class sizes distinct sets), so
-    list-priority dispatch groups them into buckets instead of scanning
-    per-machine cursors. The sets are shared: do not mutate them. *)
-
 val algorithm : k:int -> Two_phase.t
-(** The catalog entry point ([speedrobust:K]): {!placement} as phase 1,
-    LPT-order engine phase 2. *)
+(** The catalog entry point ([speedrobust:K]). Phase 1 gives every
+    task one replica in each of the {!classes}, greedily balancing estimated
+    pessimistic finish times inside each class, tasks in LPT order.
+    Tasks with the same machine choice in every class share one set, so
+    list-priority dispatch groups them into buckets instead of scanning
+    per-machine cursors; the sets are shared, so do not mutate them.
+    Phase 2 is the LPT-order engine. *)

@@ -105,7 +105,6 @@ let no_replication order = No_replication order
 let full_replication order = Full_replication order
 let group ~order ~k = checked (Group { order; k })
 let budgeted ~k = checked (Budgeted k)
-let proportional ~fraction = checked (Proportional fraction)
 let selective ~count = checked (Selective count)
 let sabo ~delta = checked (Sabo delta)
 let abo ~delta = checked (Abo delta)
@@ -405,10 +404,6 @@ let all =
       portfolio = (fun ~m:_ -> []);
     };
   ]
-
-let find keyword =
-  let keyword = if keyword = "group" then "ls-group" else keyword in
-  List.find_opt (fun e -> e.keyword = keyword) all
 
 let grammar =
   let lines =

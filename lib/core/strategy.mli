@@ -78,7 +78,6 @@ val no_replication : order -> t
 val full_replication : order -> t
 val group : order:order -> k:int -> t
 val budgeted : k:int -> t
-val proportional : fraction:float -> t
 val selective : count:int -> t
 val sabo : delta:float -> t
 val abo : delta:float -> t
@@ -88,11 +87,6 @@ val uniform : variant:uniform_variant -> speeds:float array -> t
 val speed_robust : k:int -> t
 val zone_group : k:int -> t
 val local_budget : budget:float -> t
-
-val validate : t -> (unit, string) result
-(** The m-independent domain checks behind the smart constructors, for
-    specs built directly from the ADT (e.g. by a parser or a test
-    generator). [Ok ()] iff every parameter is in domain. *)
 
 (** {1 Grammar} *)
 
@@ -150,9 +144,6 @@ val all : entry list
 (** Every family, in presentation order: replication degree ascending
     (no-choice, groups, budgeted, selective, memory-aware, no
     restriction), then the related-machines extensions. *)
-
-val find : string -> entry option
-(** Look up a family by grammar keyword (aliases included). *)
 
 val grammar : string
 (** Human-readable listing of every accepted spec form with its

@@ -24,22 +24,9 @@ val run_full : t -> Instance.t -> Realization.t -> Placement.t * Schedule.t
 
 val makespan : t -> Instance.t -> Realization.t -> float
 
-val engine_phase2 :
-  ?dispatch:Usched_desim.Dispatch.spec ->
-  order:(Instance.t -> int array) ->
-  Instance.t ->
-  Placement.t ->
-  Realization.t ->
-  Schedule.t
-(** A phase 2 that feeds the desim engine with the given task priority
-    order — the building block of every algorithm in the paper.
-    [dispatch] (default [Dispatch.List_priority]) selects the engine's
-    idle-machine rule; phase 1 stays oblivious to it, preserving the
-    framework's information flow. *)
-
 val lpt_order_phase2 : Instance.t -> Placement.t -> Realization.t -> Schedule.t
-(** {!engine_phase2} with the estimate-descending (LPT) order. *)
+(** A phase 2 that feeds the desim engine with the estimate-descending
+    (LPT) task priority order. *)
 
 val submission_order_phase2 : Instance.t -> Placement.t -> Realization.t -> Schedule.t
-(** {!engine_phase2} with the task-id (submission / list scheduling)
-    order. *)
+(** The same with the task-id (submission / list scheduling) order. *)

@@ -20,13 +20,6 @@ module Instance = Usched_model.Instance
 module Realization = Usched_model.Realization
 module Schedule = Usched_desim.Schedule
 
-val lpt_assignment : speeds:float array -> Instance.t -> Assign.result
-(** Offline ECT-LPT on estimates: tasks in decreasing estimate order,
-    each to the machine that would finish it earliest. [loads] are
-    per-machine {e finish times} (work divided by speed). Raises
-    [Invalid_argument] unless [speeds] holds exactly [m] strictly
-    positive finite speeds. *)
-
 val lower_bound : speeds:float array -> float array -> float
 (** Sound lower bound on the optimal uniform-machines makespan:
     max over [k] of (sum of the [k] largest tasks) / (sum of the [k]
@@ -35,12 +28,13 @@ val lower_bound : speeds:float array -> float array -> float
     the [min m n] largest times are selected, never a full sort: O(n log
     m) time at worst and O(m) words, and the value is bit-for-bit the
     one a full descending sort gives. Raises [Invalid_argument] on bad
-    [speeds] (see {!lpt_assignment}) or on a task time that is negative
-    or not finite (NaN, infinity). *)
+    [speeds] (not exactly [m] strictly positive finite speeds) or on a
+    task time that is negative or not finite (NaN, infinity). *)
 
 val lpt_no_choice : speeds:float array -> Two_phase.t
-(** Strategy 1 on uniform machines: ECT-LPT placement, pinned
-    execution. *)
+(** Strategy 1 on uniform machines: ECT-LPT placement (tasks in
+    decreasing estimate order, each to the machine that would finish it
+    earliest), pinned execution. *)
 
 val lpt_no_restriction : speeds:float array -> Two_phase.t
 (** Strategy 2 on uniform machines: replicate everywhere, online LPT

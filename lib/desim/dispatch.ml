@@ -66,7 +66,6 @@ type t = {
   spec : spec;
   select_m : machine:int -> int;
   notify : task:int -> unit;
-  now : float array;
 }
 
 let spec t = t.spec
@@ -103,7 +102,7 @@ let make_list_priority_plain v =
       if cursor.(i) > p then cursor.(i) <- p
     done
   in
-  { spec = List_priority; select_m; notify; now = v.now }
+  { spec = List_priority; select_m; notify }
 
 (* Bucketed list-priority for large instances: tasks sharing a holder
    set (physically — group placements share the bitset across the
@@ -206,7 +205,7 @@ let make_list_priority_bucketed v task_bucket buckets =
     let ix = s.idx_in.(task) in
     if s.cursor.(b) > ix then s.cursor.(b) <- ix
   in
-  { spec = List_priority; select_m; notify; now = v.now }
+  { spec = List_priority; select_m; notify }
 
 let make_list_priority v =
   if not v.holders_stable then make_list_priority_plain v
@@ -265,7 +264,7 @@ let rec ll_scan v i ~fallback pos =
 
 let make_least_loaded v =
   let select_m ~machine:i = ll_scan v i ~fallback:(-1) 0 in
-  { spec = Least_loaded_holder; select_m; notify = (fun ~task:_ -> ()); now = v.now }
+  { spec = Least_loaded_holder; select_m; notify = (fun ~task:_ -> ()) }
 
 (* Shortest-estimated-processing-time on this machine: take the eligible
    task minimizing est(j) / speed(i) — the copy this machine can finish
@@ -293,7 +292,7 @@ let rec ec_scan v i pos best =
 
 let make_earliest_completion v =
   let select_m ~machine:i = ec_scan v i 0 (-1) in
-  { spec = Earliest_estimated_completion; select_m; notify = (fun ~task:_ -> ()); now = v.now }
+  { spec = Earliest_estimated_completion; select_m; notify = (fun ~task:_ -> ()) }
 
 (* Locality-aware least-loaded: the deferral rule of [Least_loaded_holder]
    with each candidate holder's load inflated by the staging time it
@@ -332,7 +331,7 @@ let make_locality v =
   | None -> { (make_least_loaded v) with spec = Locality }
   | Some topo ->
       let select_m ~machine:i = loc_scan v topo i ~fallback:(-1) 0 in
-      { spec = Locality; select_m; notify = (fun ~task:_ -> ()); now = v.now }
+      { spec = Locality; select_m; notify = (fun ~task:_ -> ()) }
 
 (* List priority with seeded random resolution of genuine priority ties:
    among the eligible tasks whose estimate equals the highest-priority
@@ -368,7 +367,7 @@ let make_random_tiebreak seed v =
       if !count <= 1 then j0 else candidates.(Rng.int rng !count)
     end
   in
-  { spec = Random_tiebreak seed; select_m; notify = (fun ~task:_ -> ()); now = v.now }
+  { spec = Random_tiebreak seed; select_m; notify = (fun ~task:_ -> ()) }
 
 let make spec v =
   if v.n <> Array.length v.order || v.n <> Array.length v.pos_of then
@@ -392,10 +391,6 @@ let make spec v =
   | Random_tiebreak seed -> make_random_tiebreak seed v
 
 let select_machine t ~machine = t.select_m ~machine
-
-let select t ~time ~machine =
-  t.now.(0) <- time;
-  match t.select_m ~machine with -1 -> None | j -> Some j
 
 let notify_available t ~task = t.notify ~task
 

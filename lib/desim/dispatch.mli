@@ -13,7 +13,7 @@
     per-machine dispatched load and configured speeds, and machine
     availability. Policies never see actual processing times — the
     semi-clairvoyant model — and they never refuse available work: when
-    some eligible task exists, {!select} returns one ({e
+    some eligible task exists, {!select_machine} returns one ({e
     work-conservation}; the engine's completeness argument and the
     policy/fault reachability property in the tests rely on it).
 
@@ -25,7 +25,7 @@
     its seed.
 
     Selection is allocation-free for the default, least-loaded,
-    earliest-completion, and (topology-free) locality policies: the raw
+    earliest-completion, and (topology-free) locality policies:
     {!select_machine} returns a plain int ([-1] = no eligible task) and
     reads the simulation clock from the shared [now] cell instead of
     taking a (boxed) float argument. *)
@@ -124,16 +124,11 @@ val make : spec -> view -> t
 
 val spec : t -> spec
 
-val select : t -> time:float -> machine:int -> int option
-(** The task idle machine [machine] should start now, or [None] when it
-    holds no eligible task. Work-conserving: [None] implies no
-    dispatchable task has [machine] among its holders. Stores [time]
-    into the view's [now] cell, then defers to {!select_machine}. *)
-
 val select_machine : t -> machine:int -> int
-(** Raw allocation-free selection: the chosen task, or [-1] for none.
-    The caller must have stored the current time in the view's [now]
-    cell. The engine's hot loops call this instead of {!select}. *)
+(** The task idle machine [machine] should start now, or [-1] when it
+    holds no eligible task. Work-conserving: [-1] implies no dispatchable
+    task has [machine] among its holders. The caller must have stored
+    the current time in the view's [now] cell. *)
 
 val notify_available : t -> task:int -> unit
 (** The task (re-)entered the pool or grew its holder set — a kill

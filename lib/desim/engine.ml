@@ -1,15 +1,14 @@
-(* The phase-2 engine, as a thin composition of the desim layers:
+(* The phase-2 engine, over two desim layers:
 
-   - [Machine_state]: per-machine clocks, speeds, up/down state, the
-     in-flight copy, and the recovery bookkeeping — flat int/float
-     lanes the engine destructures into locals and indexes directly;
-   - [Event_core] / [Event_heap]: the typed event loop (struct-of-arrays
-     4-ary heap) and the simultaneous-event ordering contract;
+   - [Event_heap]: the event queue (struct-of-arrays 4-ary heap) and the
+     simultaneous-event ordering contract;
    - [Dispatch]: the pluggable policy deciding which eligible task an
      idle machine starts, and the re-dispatch order of machines freed
      at the same instant.
 
-   What remains here is the physics: what a crash, outage, slowdown,
+   Per-machine state (clocks, speeds, up/down state, the in-flight copy,
+   the recovery bookkeeping) is flat int/float lanes local to the faulty
+   loop. What remains here is the physics: what a crash, outage, slowdown,
    completion, transfer, checkpoint, or speculation event does to the
    shared task state, and the observability taps around it.
 
@@ -210,39 +209,18 @@ let event_of_json j =
         }
   | _ -> assert false
 
-let time_of = function
-  | Arrived { time; _ }
-  | Started { time; _ }
-  | Completed { time; _ }
-  | Killed { time; _ }
-  | Cancelled { time; _ }
-  | Machine_crashed { time; _ }
-  | Machine_down { time; _ }
-  | Machine_up { time; _ }
-  | Machine_slowed { time; _ }
-  | Failure_detected { time; _ }
-  | Rereplication_started { time; _ }
-  | Rereplication_completed { time; _ }
-  | Rereplication_aborted { time; _ }
-  | Checkpoint_resumed { time; _ } -> time
-
 (* Run [f] on a memory sink and read its records back as events: the
-   event lists of the [_traced] entry points are the trace, parsed. The
-   stable sort by time leaves an in-order trace as it is; it only moves
-   a completion that a slowdown at its predicted finish let out up to a
-   few hundred ulps early, so the lists stay chronological. *)
+   event lists of the [_traced] entry points are the trace, parsed, in
+   the order it was written, which is chronological. *)
 let logged f =
   let sink = Sink.memory () in
   let result = f sink in
   let lines = String.split_on_char '\n' (Sink.contents sink) in
   ( result,
-    List.stable_sort
-      (fun a b -> Float.compare (time_of a) (time_of b))
-      (List.filter_map
-         (fun line ->
-           if line = "" then None
-           else Some (event_of_json (Json.of_string_exn line)))
-         lines) )
+    List.filter_map
+      (fun line ->
+        if line = "" then None else Some (event_of_json (Json.of_string_exn line)))
+      lines )
 
 let check_inputs ?speeds ~name instance ~placement ~order =
   let n = Instance.n instance and m = Instance.m instance in
@@ -313,9 +291,10 @@ let run_internal ?speeds ~dispatch ~metrics ~sink instance realization
   (* Staging: with a topology, a machine's (only) copy of task j first
      pulls j's data from its home machine [j mod m]; the pull extends
      the copy's duration by the cross-zone staging time (zero within the
-     home zone). Without a topology the float arithmetic below is
-     untouched — [None] keeps this run bit-for-bit the pre-topology
-     engine. *)
+     home zone). It is charged as work at the machine's speed, exactly
+     as the faulty loop charges it, so an empty fault trace reproduces
+     this run bit for bit. Without a topology, or within the home zone,
+     the float arithmetic below is the pre-topology engine's. *)
   let topo = Instance.topology instance in
   (* Observability. Every update is guarded (a disabled registry hands
      out no-op instruments), and nothing below reads a metric back, so
@@ -356,9 +335,9 @@ let run_internal ?speeds ~dispatch ~metrics ~sink instance realization
         size = sizes;
       }
   in
-  let queue = Event_core.create ~dummy:() () in
+  let queue = Event_heap.create ~dummy:() () in
   for i = 0 to m - 1 do
-    Event_core.push queue ~time:0.0 ~machine:i ~cls:Event_core.cls_decision ()
+    Event_heap.push queue ~time:0.0 ~machine:i ~cls:Event_heap.cls_decision ()
   done;
   (* Tracing: a copy's Started and Completed records are both known at
      dispatch, but Completed belongs at [finish]. It waits in [held],
@@ -367,12 +346,12 @@ let run_internal ?speeds ~dispatch ~metrics ~sink instance realization
      out in (time, emission) order. A machine re-dispatches only at its
      own finish, so at most one record per machine waits. *)
   let held =
-    Event_core.create
+    Event_heap.create
       ~capacity:(match sink with None -> 1 | Some _ -> m)
       ~dummy:() ()
   in
   if live then
-    Metrics.record_max mg_queue (float_of_int (Event_core.length queue));
+    Metrics.record_max mg_queue (float_of_int (Event_heap.length queue));
   while not (Event_heap.is_empty queue) do
     let time = queue.Event_heap.times.(0) in
     let i = queue.Event_heap.machines.(0) in
@@ -382,13 +361,15 @@ let run_internal ?speeds ~dispatch ~metrics ~sink instance realization
     let j = Dispatch.select_machine policy ~machine:i in
     (* [j < 0]: machine i retires — nothing it holds remains. *)
     if j >= 0 then begin
-      let finish =
+      let staging =
         match topo with
-        | None -> time +. (actuals.(j) /. base.(i))
-        | Some tp ->
-            time
-            +. (actuals.(j) /. base.(i))
-            +. Topology.staging_time tp ~src:(j mod m) ~dst:i ~size:sizes.(j)
+        | None -> 0.0
+        | Some tp -> Topology.staging_time tp ~src:(j mod m) ~dst:i ~size:sizes.(j)
+      in
+      let finish =
+        if staging > 0.0 then
+          time +. ((actuals.(j) +. (staging *. base.(i))) /. base.(i))
+        else time +. (actuals.(j) /. base.(i))
       in
       e_machine.(j) <- i;
       e_start.(j) <- time;
@@ -413,10 +394,10 @@ let run_internal ?speeds ~dispatch ~metrics ~sink instance realization
       let s = Event_heap.alloc queue in
       queue.Event_heap.times.(s) <- finish;
       queue.Event_heap.machines.(s) <- i;
-      queue.Event_heap.classes.(s) <- Event_core.cls_decision;
+      queue.Event_heap.classes.(s) <- Event_heap.cls_decision;
       Event_heap.sift_up queue s;
       if live then
-        Metrics.record_max mg_queue (float_of_int (Event_core.length queue))
+        Metrics.record_max mg_queue (float_of_int (Event_heap.length queue))
     end
   done;
   (match sink with Some s -> release_held s held ~upto:infinity | None -> ());
@@ -480,7 +461,7 @@ let st_running = 1
 let st_done = 2
 let st_lost = 3
 
-(* Simulation event payloads; [Event_core] classes rank simultaneous
+(* Simulation event payloads; [Event_heap] classes rank simultaneous
    events on one machine: faults (and failure detections) strike before
    completions (and data-transfer arrivals), completions before dispatch
    decisions, speculation checks last.
@@ -605,26 +586,39 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
     | None -> [||]
     | Some _ -> Array.init n (fun _ -> Bitset.create m)
   in
-  (* The machine lanes, destructured into locals once; every handler
-     below indexes them directly. *)
-  let st = Machine_state.create ?speeds ~m () in
-  let base = st.Machine_state.base in
-  let alive = st.Machine_state.alive in
-  let down_until = st.Machine_state.down_until in
-  let factor = st.Machine_state.factor in
-  let gen = st.Machine_state.gen in
-  let cur_task = st.Machine_state.cur_task in
-  let cur_started = st.Machine_state.cur_started in
-  let cur_remaining = st.Machine_state.cur_remaining in
-  let cur_last = st.Machine_state.cur_last in
-  let cur_base = st.Machine_state.cur_base in
-  let orphan = st.Machine_state.orphan in
-  let undetected = st.Machine_state.undetected in
-  let blinks = st.Machine_state.blinks in
-  let trust_after = st.Machine_state.trust_after in
-  let ckpt_task = st.Machine_state.ckpt_task in
-  let ckpt_work = st.Machine_state.ckpt_work in
-  let alive_set = st.Machine_state.alive_set in
+  (* Per-machine state, one unboxed int/float lane per field (full-length
+     lanes land in the major heap, so mutating them never touches the
+     minor allocator); every handler below indexes them directly. The
+     in-flight copy is the [cur_*] lanes, with [cur_task = -1] meaning
+     idle; the recovery bookkeeping uses sentinels ([orphan = -1],
+     [undetected = nan], [ckpt_task = -1]) and keeps its initial values
+     throughout under [Recovery.none]. *)
+  let base = match speeds with None -> Array.make m 1.0 | Some s -> Array.copy s in
+  let alive = Array.make m true in
+  let alive_set = Bitset.full m in
+  (* The machine is unavailable while [now < down_until]. *)
+  let down_until = Array.make m 0.0 in
+  (* Straggler speed multiplier. *)
+  let factor = Array.make m 1.0 in
+  (* Bumped to invalidate the machine's queued completion events. *)
+  let gen = Array.make m 0 in
+  let cur_task = Array.make m (-1) in
+  let cur_started = Array.make m 0.0 in
+  (* Actual-time units of work left, as of [cur_last]. *)
+  let cur_remaining = Array.make m 0.0 in
+  let cur_last = Array.make m 0.0 in
+  (* Actual-time units the copy resumed from a checkpoint. *)
+  let cur_base = Array.make m 0.0 in
+  (* The copy an undetected failure killed, and that failure's time. *)
+  let orphan = Array.make m (-1) in
+  let undetected = Array.make m Float.nan in
+  (* Outages suffered so far (they drive backoff), and the time before
+     which the machine gets no dispatch. *)
+  let blinks = Array.make m 0 in
+  let trust_after = Array.make m 0.0 in
+  (* The task the machine's last checkpoint preserved, and its work. *)
+  let ckpt_task = Array.make m (-1) in
+  let ckpt_work = Array.make m 0.0 in
   let available ~time i = alive.(i) && down_until.(i) <= time in
   let idle ~time i = available ~time i && cur_task.(i) < 0 in
   let status = Array.make n st_pending in
@@ -717,23 +711,23 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
         size = sizes;
       }
   in
-  let queue = Event_core.create ~dummy:Sim_dispatch () in
+  let queue = Event_heap.create ~dummy:Sim_dispatch () in
   let push ~time ~machine ~cls sim =
-    Event_core.push queue ~time ~machine ~cls sim;
+    Event_heap.push queue ~time ~machine ~cls sim;
     if live then
-      Metrics.record_max mg_queue (float_of_int (Event_core.length queue))
+      Metrics.record_max mg_queue (float_of_int (Event_heap.length queue))
   in
   let push_aux ~time ~machine ~cls ~aux ~aux2 sim =
-    Event_core.push_aux queue ~time ~machine ~cls ~aux ~aux2 sim;
+    Event_heap.push_aux queue ~time ~machine ~cls ~aux ~aux2 sim;
     if live then
-      Metrics.record_max mg_queue (float_of_int (Event_core.length queue))
+      Metrics.record_max mg_queue (float_of_int (Event_heap.length queue))
   in
   for i = 0 to m - 1 do
-    push ~time:0.0 ~machine:i ~cls:Event_core.cls_decision Sim_dispatch
+    push ~time:0.0 ~machine:i ~cls:Event_heap.cls_decision Sim_dispatch
   done;
   List.iter
     (fun (e : Fault.event) ->
-      push ~time:e.Fault.time ~machine:e.Fault.machine ~cls:Event_core.cls_fault
+      push ~time:e.Fault.time ~machine:e.Fault.machine ~cls:Event_heap.cls_fault
         (Sim_fault e.Fault.kind))
     (Trace.events faults);
   (* Arrivals ride the virtual source "machine" -1: at an equal instant
@@ -745,7 +739,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   | Some a ->
       Array.iteri
         (fun j t ->
-          push_aux ~time:t ~machine:(-1) ~cls:Event_core.cls_arrival ~aux:j
+          push_aux ~time:t ~machine:(-1) ~cls:Event_heap.cls_arrival ~aux:j
             ~aux2:0 Sim_arrive)
         a);
   (* Task [j] (re-)entered the pool or gained a holder: wake its idle
@@ -771,7 +765,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
     let i = Bitset.next h i in
     if i >= 0 then begin
       if idle ~time i then
-        push ~time ~machine:i ~cls:Event_core.cls_decision Sim_dispatch;
+        push ~time ~machine:i ~cls:Event_heap.cls_decision Sim_dispatch;
       wake_members ~time h (i + 1)
     end
   in
@@ -857,7 +851,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
                 | None -> ());
                 push
                   ~time:(time +. transfer_duration ~src:!src ~dst:!dst j)
-                  ~machine:!dst ~cls:Event_core.cls_arrival
+                  ~machine:!dst ~cls:Event_heap.cls_arrival
                   (Sim_transfer
                      { task = j; src = !src; dst = !dst; id = !transfer_id })
               end
@@ -919,7 +913,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
       Metrics.incr (Metrics.counter metrics "engine.checkpoint_resumes")
     end;
     let finish = time +. (cur_remaining.(i) /. (base.(i) *. factor.(i))) in
-    push_aux ~time:finish ~machine:i ~cls:Event_core.cls_arrival
+    push_aux ~time:finish ~machine:i ~cls:Event_heap.cls_arrival
       ~aux:(gen.(i)) ~aux2:0 Sim_complete;
     if spec_on && was_primary then begin
       (* Arm the straggler check from estimates only: the scheduler is
@@ -927,7 +921,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
       let expected = ests.(j) /. base.(i) in
       push_aux
         ~time:(time +. (spec_beta *. expected))
-        ~machine:i ~cls:Event_core.cls_audit ~aux:j
+        ~machine:i ~cls:Event_heap.cls_audit ~aux:j
         ~aux2:(task_gen.(j)) Sim_speculate
     end
   in
@@ -1160,7 +1154,8 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
     | Fault.Crash ->
         if alive.(i) then begin
           Metrics.incr mc_crashes;
-          Machine_state.mark_crashed st i;
+          alive.(i) <- false;
+          Bitset.remove alive_set i;
           (* Every task the dead disk held lost a live holder: re-check
              its healer membership now, not at detection, because a
              transfer landing before then heals against [alive_set]. *)
@@ -1179,7 +1174,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
             (* The scheduler only reacts once the detector fires. *)
             if Float.is_nan undetected.(i) then undetected.(i) <- time;
             push ~time:(time +. det_latency) ~machine:i
-              ~cls:Event_core.cls_fault Sim_detect
+              ~cls:Event_heap.cls_fault Sim_detect
           end
           else begin
             (* Strand every waiting task whose last replica the dead disk
@@ -1205,9 +1200,9 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
           if det_latency > 0.0 && orphan.(i) >= 0 then begin
             if Float.is_nan undetected.(i) then undetected.(i) <- time;
             push ~time:(time +. det_latency) ~machine:i
-              ~cls:Event_core.cls_fault Sim_detect
+              ~cls:Event_heap.cls_fault Sim_detect
           end;
-          push ~time:(down_until.(i)) ~machine:i ~cls:Event_core.cls_fault
+          push ~time:(down_until.(i)) ~machine:i ~cls:Event_heap.cls_fault
             Sim_up
         end
     | Fault.Slowdown f ->
@@ -1218,13 +1213,18 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
         | Some s -> rec_mx s k_slowed {|,"factor":|} time i f
         | None -> ());
         if cur_task.(i) >= 0 then begin
+          (* Clamped at zero, as [kill_current] does: a slowdown at the
+             copy's predicted finish can round the remaining work a few
+             ulps below zero, which would complete the copy before the
+             slowdown's time. *)
           cur_remaining.(i) <-
-            cur_remaining.(i) -. ((time -. cur_last.(i)) *. old_speed);
+            Float.max 0.0
+              (cur_remaining.(i) -. ((time -. cur_last.(i)) *. old_speed));
           cur_last.(i) <- time;
           gen.(i) <- gen.(i) + 1;
           push_aux
             ~time:(time +. (cur_remaining.(i) /. (base.(i) *. factor.(i))))
-            ~machine:i ~cls:Event_core.cls_arrival ~aux:(gen.(i)) ~aux2:0
+            ~machine:i ~cls:Event_heap.cls_arrival ~aux:(gen.(i)) ~aux2:0
             Sim_complete
         end
   in
@@ -1240,7 +1240,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
       else
         (* Backoff: the machine blinked recently, so it only receives
            new work once its distrust window expires. *)
-        push ~time:(trust_after.(i)) ~machine:i ~cls:Event_core.cls_decision
+        push ~time:(trust_after.(i)) ~machine:i ~cls:Event_heap.cls_decision
           Sim_dispatch
     end
   in

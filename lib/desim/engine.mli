@@ -1,9 +1,7 @@
-(** The phase-2 execution engine — a thin composition of the layered
-    desim core: [Machine_state] (per-machine clocks, speeds, up/down
-    state, checkpoint store), [Event_core] (the typed priority-queue
-    event loop with its simultaneous-event ordering contract), and
-    {!Dispatch} (the pluggable policy deciding which eligible task an
-    idle machine starts).
+(** The phase-2 execution engine, over {!Event_heap} (the event queue
+    and its simultaneous-event ordering contract) and {!Dispatch} (the
+    pluggable policy deciding which eligible task an idle machine
+    starts).
 
     Every online policy in the paper is an instance of {e
     eligibility-restricted list scheduling}: tasks carry a fixed priority
@@ -87,10 +85,7 @@
     non-decreasing time order (simultaneous records in the order the
     engine produced them), with the layout {!event_json} documents. Like
     metrics, tracing is write-only: results are bit-for-bit identical
-    with or without a sink. One exception to the order: a slowdown that
-    strikes exactly at a running copy's predicted finish can round the
-    copy's remaining work below zero, and the copy then completes (and
-    its record is written) a few ulps before the slowdown's time. *)
+    with or without a sink. *)
 
 module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
@@ -181,8 +176,7 @@ val run_traced :
   order:int array ->
   Schedule.t * event list
 (** Like {!run}, also returning the chronological event log: the records
-    {!run} writes to a sink, read back as events and stably sorted by
-    time. *)
+    {!run} writes to a sink, read back as events. *)
 
 (** {1 Fault injection} *)
 
@@ -296,11 +290,7 @@ val run_faulty_traced :
 (** Like {!run_faulty}, also returning the chronological event log
     (including kills, cancellations, machine state changes, and the
     recovery events: detections, re-replications, checkpoint resumes) —
-    the records {!run_faulty} writes to a sink, read back as events and
-    stably sorted by time. A sink receives them in the order they
-    happen, which is the same order except that a slowdown landing on a
-    copy's predicted finish can let its completion out up to a few
-    hundred ulps early. *)
+    the records {!run_faulty} writes to a sink, read back as events. *)
 
 (** {1 Open-system streaming service mode}
 
@@ -346,7 +336,7 @@ val run_stream :
     {!Arrival.generate}); [faults] defaults to the empty trace.
 
     Ordering contract: arrivals are events on the virtual source
-    "machine" [-1] with class [Event_core.cls_arrival], so at an equal
+    "machine" [-1] with class [Event_heap.cls_arrival], so at an equal
     instant every arrival strikes before any per-machine event. In
     particular a stream whose arrivals all land at t = 0 sees the whole
     workload before the first dispatch decision and reproduces the batch
@@ -374,8 +364,7 @@ val run_stream_traced :
   order:int array ->
   stream_outcome * event list
 (** Like {!run_stream}, also returning the chronological event log
-    (arrivals included), read back and sorted as in
-    {!run_faulty_traced}. *)
+    (arrivals included), read back as in {!run_faulty_traced}. *)
 
 (** {1 JSON serialization}
 

@@ -23,6 +23,11 @@
    Popped payload slots are overwritten with [dummy] so a drained heap
    retains nothing (a weak-pointer test pins this). *)
 
+let cls_fault = 0
+let cls_arrival = 1
+let cls_decision = 2
+let cls_audit = 3
+
 type 'a t = {
   dummy : 'a;
   mutable size : int;

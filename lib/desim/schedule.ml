@@ -45,14 +45,6 @@ let entry t j =
 
 let makespan t = Array.fold_left Float.max 0.0 t.finishes
 
-let loads t =
-  let loads = Array.make t.m 0.0 in
-  for j = 0 to n t - 1 do
-    let i = t.machines.(j) in
-    loads.(i) <- loads.(i) +. (t.finishes.(j) -. t.starts.(j))
-  done;
-  loads
-
 (* Counting sort by machine: one pass counts, one pass drops task ids
    into their machine's bucket in ascending id order. A bucket whose
    starts are already non-decreasing is left alone; any other is
@@ -76,8 +68,6 @@ let by_machine t =
       if not (ordered 1) then Array.stable_sort by_start bucket)
     buckets;
   buckets
-
-let assignment t = Array.copy t.machines
 
 let of_assignment ~m ~durations assignment =
   let n = Array.length assignment in

@@ -32,17 +32,11 @@ val entry : t -> int -> entry
 
 val makespan : t -> float
 
-val loads : t -> float array
-(** Total busy time per machine. *)
-
 val by_machine : t -> int array array
 (** Every machine's tasks: [(by_machine t).(i)] lists the tasks run by
     machine [i] in increasing start order (ties by task id). One
     counting-sort pass, O(n + m), plus a sort of each bucket whose
     starts are out of order. *)
-
-val assignment : t -> int array
-(** Per-task machine, as a fresh array. *)
 
 val of_assignment : m:int -> durations:float array -> int array -> t
 (** Build the schedule that runs each task on its assigned machine

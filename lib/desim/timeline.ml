@@ -27,15 +27,13 @@ let machine_stats schedule =
       })
     (Schedule.by_machine schedule)
 
-let utilization_of schedule stats =
+let utilization schedule stats =
   let horizon = Schedule.makespan schedule in
   if horizon <= 0.0 then 0.0
   else begin
     let busy = Array.fold_left (fun acc s -> acc +. s.busy) 0.0 stats in
     busy /. (float_of_int (Schedule.m schedule) *. horizon)
   end
-
-let utilization schedule = utilization_of schedule (machine_stats schedule)
 
 let render_events events =
   let buffer = Buffer.create 256 in
@@ -97,5 +95,5 @@ let render_stats schedule =
     stats;
   Buffer.add_string buffer
     (Printf.sprintf "utilization: %.1f%% of m * makespan\n"
-       (100.0 *. utilization_of schedule stats));
+       (100.0 *. utilization schedule stats));
   Buffer.contents buffer

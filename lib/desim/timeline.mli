@@ -19,10 +19,6 @@ type machine_stats = {
 val machine_stats : Schedule.t -> machine_stats array
 (** Per-machine statistics, indexed by machine id. *)
 
-val utilization : Schedule.t -> float
-(** Aggregate busy time divided by [m * makespan]; 1.0 means no machine
-    ever idles before the makespan. 0 on empty schedules. *)
-
 val render_events : Engine.event list -> string
 (** One line per event: [t=12.50 m3 start task 7]. *)
 

@@ -9,7 +9,4 @@
     workloads at selected replication degrees, confirming the shape:
     a few replicas already recover most of the makespan guarantee. *)
 
-val divisors : int -> int list
-(** All positive divisors, ascending. *)
-
 val run : Runner.config -> unit

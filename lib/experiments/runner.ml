@@ -98,13 +98,6 @@ let opt_estimate config ~m actuals =
   end
   else (Core.Lower_bounds.best ~m actuals, false)
 
-let ratio config algo instance realization =
-  let makespan = Core.Two_phase.makespan algo instance realization in
-  let opt, _ =
-    opt_estimate config ~m:(Instance.m instance) (Realization.actuals realization)
-  in
-  makespan /. opt
-
 (* One generator per repetition, split in order off a master seeded
    [seed + salt]: repetition [r] sees the same stream whether the
    repetitions run in a loop or fan out over domains. *)

@@ -70,10 +70,6 @@ val opt_estimate : config -> m:int -> float array -> float * bool
     realized times, and whether it is exact. Measured ratios divide by
     this, so they upper-bound the true competitive ratio. *)
 
-val ratio :
-  config -> Core.Two_phase.t -> Instance.t -> Realization.t -> float
-(** [C_max / opt_estimate] for one run. *)
-
 (** {1 Paired repetitions}
 
     Sweeps compare cells (strategies, policies, degrees) on the same

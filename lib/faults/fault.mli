@@ -36,9 +36,6 @@ val check : m:int -> event -> unit
 (** Raises [Invalid_argument] unless [machine] is in [[0, m)], [time] is
     finite and non-negative, outages end strictly after they start, and
     speed factors are finite and strictly positive. The message names
-    the offending event via {!pp}. *)
-
-val pp : Format.formatter -> event -> unit
-(** Renders as [crash(m2 @ 3.5)], [outage(m0 @ 1 until 4)],
-    [slowdown(m1 @ 2 x0.5)] ([speedup(...)] when the factor
-    exceeds 1). *)
+    the offending event, rendered as [crash(m2 @ 3.5)],
+    [outage(m0 @ 1 until 4)] or [slowdown(m1 @ 2 x0.5)] ([speedup(...)]
+    when the factor exceeds 1). *)

@@ -19,16 +19,6 @@ let empty ~m = of_events ~m []
 
 let m t = t.m
 let events t = t.events
-let length t = List.length t.events
-
-let crash_time t machine =
-  (* Events are chronological, so the first match is the earliest. *)
-  List.find_map
-    (fun (e : Fault.event) ->
-      match e.kind with
-      | Fault.Crash when e.machine = machine -> Some e.time
-      | _ -> None)
-    t.events
 
 let crashed t =
   List.sort_uniq Int.compare
@@ -36,10 +26,6 @@ let crashed t =
        (fun (e : Fault.event) ->
          match e.kind with Fault.Crash -> Some e.machine | _ -> None)
        t.events)
-
-let merge a b =
-  if a.m <> b.m then invalid_arg "Trace.merge: machine counts differ";
-  of_events ~m:a.m (a.events @ b.events)
 
 let check_gen ~p ~horizon name =
   if not (p >= 0.0 && p <= 1.0) then

@@ -21,16 +21,8 @@ val m : t -> int
 val events : t -> Fault.event list
 (** Chronological (time, then machine id) order. *)
 
-val length : t -> int
-
-val crash_time : t -> int -> float option
-(** Earliest permanent crash of a machine, if any. *)
-
 val crashed : t -> int list
 (** Machines with at least one [Crash] event, ascending. *)
-
-val merge : t -> t -> t
-(** Union of two traces over the same machine count. *)
 
 (** {1 Random trace generators}
 

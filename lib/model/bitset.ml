@@ -93,8 +93,6 @@ let fold f init t =
   iter (fun i -> acc := f !acc i) t;
   !acc
 
-let to_list t = List.rev (fold (fun acc i -> i :: acc) [] t)
-
 (* [w <> 0]; zero bytes are skipped a byte at a time, as in [iter]. *)
 let rec lowest_bit w i =
   if w land 0xff = 0 then lowest_bit (w lsr 8) (i + 8)
@@ -144,15 +142,6 @@ let inter_cardinal a b =
   check_same_capacity a b;
   words_inter_count a.words b.words 0 0
 
-let equal a b = a.len = b.len && a.words = b.words
-
 let subset a b =
   check_same_capacity a b;
   Array.for_all2 (fun wa wb -> wa land lnot wb = 0) a.words b.words
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       Format.pp_print_int)
-    (to_list t)

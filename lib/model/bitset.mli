@@ -37,7 +37,6 @@ val iter : (int -> unit) -> t -> unit
 (** Visit members in increasing order. *)
 
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
-val to_list : t -> int list
 
 val choose : t -> int
 (** Smallest member. Raises [Not_found] on the empty set. *)
@@ -58,8 +57,4 @@ val inter_cardinal : t -> t -> int
 (** [inter_cardinal a b = cardinal (inter a b)] without allocating the
     intermediate set. *)
 
-val equal : t -> t -> bool
 val subset : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-(** Renders as [{0, 3, 5}]. *)

@@ -28,7 +28,6 @@ let prob_all_lost t set =
   let log_sum = Bitset.fold (fun acc i -> acc +. log_loss t i) 0.0 set in
   Float.exp log_sum
 
-let equal a b = a.p = b.p
 
 let to_string t =
   String.concat ","

@@ -43,9 +43,6 @@ val prob_all_lost : t -> Bitset.t -> float
     empty set has lost all of its (zero) members with certainty, so the
     result is [1.] — an empty replica set never protects anything. *)
 
-val equal : t -> t -> bool
-(** Pointwise equality (same [m], identical probabilities). *)
-
 val to_string : t -> string
 (** Comma-separated probabilities, round-trip precise ([%.17g]) —
     the wire form used by the [failp=] instance-header field. *)

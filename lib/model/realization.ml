@@ -1,4 +1,4 @@
-type t = { instance : Instance.t; actuals : float array }
+type t = { actuals : float array }
 
 let of_actuals instance actuals =
   if Array.length actuals <> Instance.n instance then
@@ -14,7 +14,7 @@ let of_actuals instance actuals =
               interval of estimate %g"
              j actual (Instance.est instance j)))
     actuals;
-  { instance; actuals = Array.copy actuals }
+  { actuals = Array.copy actuals }
 
 let of_factors instance factors =
   if Array.length factors <> Instance.n instance then
@@ -27,7 +27,6 @@ let exact instance = of_actuals instance (Instance.ests instance)
 let[@inline] actual t j = t.actuals.(j)
 let actuals t = Array.copy t.actuals
 let total t = Array.fold_left ( +. ) 0.0 t.actuals
-let instance t = t.instance
 
 let random_factors instance draw rng =
   let a = Instance.alpha_value instance in

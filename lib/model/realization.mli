@@ -24,9 +24,6 @@ val actuals : t -> float array
 
 val total : t -> float
 
-val instance : t -> Instance.t
-(** The instance this realization belongs to. *)
-
 (** {1 Random realization models}
 
     Oblivious stochastic adversaries: they draw actual times independently

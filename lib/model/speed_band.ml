@@ -74,7 +74,6 @@ let sample t rng =
       let draw = Rng.float_range rng ~lo:t.lo.(i) ~hi:t.hi.(i) in
       if t.lo.(i) = t.hi.(i) then t.lo.(i) else draw)
 
-let equal a b = a.lo = b.lo && a.hi = b.hi
 
 (* Bit-exact floats for the header round trip, same scheme as
    [Strategy.float_str]. *)

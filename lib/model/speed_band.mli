@@ -67,8 +67,6 @@ val sample : t -> Usched_prng.Rng.t -> float array
     bands of the same [m] — the same discipline as the fault-trace
     generators. *)
 
-val equal : t -> t -> bool
-
 val to_string : t -> string
 (** Comma-separated [LO:HI] pairs (a degenerate machine prints as the
     single speed), printed so parsing returns the bit-identical band —
@@ -78,12 +76,9 @@ val of_string : string -> (t, string) result
 (** Inverse of {!to_string}. Each comma-separated entry is [LO:HI] or a
     single speed [S] (meaning [S:S]). *)
 
-val spec_grammar : string
-(** One-line grammar of {!of_spec} for CLI usage errors. *)
-
 val of_spec : m:int -> string -> (t, string) result
 (** The CLI grammar behind [--speed-band]: [uniform:LO:HI] (the same
     band on every machine) or [M] comma-separated [LO:HI] / [S] entries.
-    Errors carry {!spec_grammar}. *)
+    Errors end with a one-line description of the grammar. *)
 
 val pp : Format.formatter -> t -> unit

@@ -126,29 +126,6 @@ let staging_time t ~src ~dst ~size =
   let zs = t.zone_of.(src) and zd = t.zone_of.(dst) in
   if zs = zd then 0.0 else t.latency.(zs).(zd) +. (size /. t.bandwidth.(zs).(zd))
 
-let float_array_equal a b =
-  Array.length a = Array.length b
-  && begin
-       let ok = ref true in
-       Array.iteri (fun i x -> if not (Float.equal x b.(i)) then ok := false) a;
-       !ok
-     end
-
-let matrix_equal a b =
-  Array.length a = Array.length b
-  && begin
-       let ok = ref true in
-       Array.iteri
-         (fun i row -> if not (float_array_equal row b.(i)) then ok := false)
-         a;
-       !ok
-     end
-
-let equal a b =
-  a.zones = b.zones && a.zone_of = b.zone_of
-  && matrix_equal a.bandwidth b.bandwidth
-  && matrix_equal a.latency b.latency
-
 (* Bit-exact floats for the header round trip, same scheme as
    [Speed_band.float_str]. [%g] renders infinity as "inf", which
    [float_of_string] reads back. *)

@@ -81,9 +81,6 @@ val staging_time : t -> src:int -> dst:int -> size:float -> float
     and the delay the engine imposes before a machine's first copy of a
     task may start. *)
 
-val equal : t -> t -> bool
-(** Structural equality (zone map and both matrices). *)
-
 val to_string : t -> string
 (** Serialized form [ZONES|BWROWS|LATROWS]: zone ids comma-separated,
     matrix rows colon-separated with comma-separated bit-exact entries
@@ -93,14 +90,10 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Inverse of {!to_string}; validates like {!make}. *)
 
-val spec_grammar : string
-(** Human-readable description of the {!of_spec} grammar, embedded in
-    every [of_spec] error. *)
-
 val of_spec : m:int -> string -> (t, string) result
 (** The CLI grammar behind [--topology]: [uniform], [zones:Z:BW[:LAT]]
     (Z balanced contiguous zones, one cross-zone bandwidth/latency), or
     the serialized {!to_string} form. The machine count must match
-    [m]. *)
+    [m]. Errors end with a description of the grammar. *)
 
 val pp : Format.formatter -> t -> unit

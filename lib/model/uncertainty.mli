@@ -14,9 +14,6 @@ val alpha : float -> alpha
 
 val to_float : alpha -> float
 
-val interval : alpha -> est:float -> float * float
-(** [(p̃/α, α·p̃)], the admissible range of the actual time. *)
-
 val admissible : alpha -> est:float -> actual:float -> bool
 (** Whether an actual time is consistent with Equation 1 (with a 1e-9
     relative tolerance for float round-off). *)

@@ -15,9 +15,6 @@ val split : t -> t
 (** [split t] derives an independent child stream and advances [t]; the
     child and parent streams do not overlap. *)
 
-val int64 : t -> int64
-(** 64 uniform pseudo-random bits. *)
-
 val float : t -> float
 (** Uniform in [[0, 1)]. *)
 

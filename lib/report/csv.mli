@@ -2,10 +2,8 @@
 
     Experiments can dump their raw series for external plotting. *)
 
-val row : string list -> string
-(** One CSV line (no trailing newline); a field containing a comma,
-    quote, or newline is quoted, with quotes doubled. *)
-
 val to_string : header:string list -> string list list -> string
-(** Full document with header line. Raises [Invalid_argument] if a row's
-    arity differs from the header. *)
+(** Full document with header line, one line per row; a field
+    containing a comma, quote, or newline is quoted, with quotes
+    doubled. Raises [Invalid_argument] if a row's arity differs from the
+    header. *)

@@ -1,6 +1,6 @@
 (** Online descriptive statistics.
 
-    Accumulates count, mean, min, max and sum in a single pass; the mean
+    Accumulates count, mean, min and max in a single pass; the mean
     uses Welford's numerically stable running update. Used by experiment
     runners to summarize measured ratios across many random
     repetitions. *)
@@ -25,13 +25,6 @@ val min : t -> float
 
 val max : t -> float
 (** Largest observation; [neg_infinity] when empty. *)
-
-val sum : t -> float
-(** Sum of all observations. *)
-
-val merge : t -> t -> t
-(** [merge a b] summarizes the union of both observation streams
-    (parallel-reduction friendly). Neither input is mutated. *)
 
 val of_array : float array -> t
 (** Summary of an array in one call. *)

@@ -12,6 +12,35 @@ let shuffle rng a =
     a.(j) <- tmp
   done
 
+module Bitset = Usched_model.Bitset
+module Failure = Usched_model.Failure
+module Speed_band = Usched_model.Speed_band
+module Topology = Usched_model.Topology
+
+(* Bit-exact equality through the round-trip-precise wire forms. *)
+let failure_equal a b = Failure.to_string a = Failure.to_string b
+let band_equal a b = Speed_band.to_string a = Speed_band.to_string b
+let topology_equal a b = Topology.to_string a = Topology.to_string b
+
+(* The members of [s], ascending. *)
+let elements s = List.rev (Bitset.fold (fun acc i -> i :: acc) [] s)
+
+module Fault = Usched_faults.Fault
+module Fault_trace = Usched_faults.Trace
+
+(* Union of two fault traces over the same machine count. *)
+let merge_traces a b =
+  Fault_trace.of_events ~m:(Fault_trace.m a) (Fault_trace.events a @ Fault_trace.events b)
+
+(* Earliest permanent crash of [machine] in [trace], if any. *)
+let crash_time trace machine =
+  List.find_map
+    (fun (e : Fault.event) ->
+      match e.Fault.kind with
+      | Fault.Crash when e.Fault.machine = machine -> Some e.Fault.time
+      | _ -> None)
+    (Fault_trace.events trace)
+
 module Event_heap = Usched_desim.Event_heap
 
 (* Pops [heap] to empty through its root lanes (slot 0), as the engine
@@ -28,6 +57,18 @@ let drain heap ~handle =
 module Schedule = Usched_desim.Schedule
 
 let machine_of schedule j = (Schedule.entry schedule j).Schedule.machine
+
+(* Per-task machine. *)
+let assignment schedule = Array.init (Schedule.n schedule) (machine_of schedule)
+
+(* Total busy time per machine. *)
+let loads schedule =
+  let loads = Array.make (Schedule.m schedule) 0.0 in
+  for j = 0 to Schedule.n schedule - 1 do
+    let { Schedule.machine = i; start; finish } = Schedule.entry schedule j in
+    loads.(i) <- loads.(i) +. (finish -. start)
+  done;
+  loads
 
 (* Tasks run by machine [i], in increasing start order (ties by task
    id): the O(n) per-machine definition [Schedule.by_machine] is checked
@@ -46,8 +87,6 @@ let pp_violation ppf = function
   | Schedule.Not_allowed { task; machine } ->
       Format.fprintf ppf "task %d executed on machine %d without its data" task
         machine
-
-module Fault = Usched_faults.Fault
 
 (* [(from, until)] outage intervals of [machine] in a fault trace,
    chronological. *)

@@ -3,9 +3,9 @@
    This is the engine exactly as it stood before the zero-allocation
    rewrite — binary [Pqueue]-backed event core, per-machine mutable
    records with [copy option] chains, closure-based dispatch views —
-   with its then-private dependencies ([Event_core], [Machine_state],
-   [Dispatch]'s policy implementations) inlined, since the live modules
-   changed representation. test_golden_engine checks the rewritten
+   with its then-private dependencies (the event-queue and machine-state
+   layers, [Dispatch]'s policy implementations) inlined, since the live
+   modules changed representation or are gone. test_golden_engine checks the rewritten
    engine against this one bit-for-bit (schedules, outcomes, event
    logs, metrics snapshots) over hundreds of fault scenarios; the code
    here must therefore never be "improved" — it is a spec.
@@ -28,7 +28,7 @@ module Dispatch = Usched_desim.Dispatch
 module Engine = Usched_desim.Engine
 open Engine
 
-(* The old [Event_core]: a binary [Pqueue] of boxed event records. *)
+(* The old event-queue layer: a binary [Pqueue] of boxed event records. *)
 module R_event = struct
   type 'a event = {
     time : float;
@@ -75,7 +75,7 @@ module R_event = struct
     loop ()
 end
 
-(* The old [Machine_state]: one mutable record per machine, the
+(* The old machine-state layer: one mutable record per machine, the
    in-flight copy as a [copy option]. *)
 module R_ms = struct
   type copy = {

@@ -123,9 +123,9 @@ let build (n, m, k, p, seed) =
   let order = Instance.lpt_order instance in
   let horizon = 2.0 *. Realization.total realization in
   let faults =
-    Trace.merge
+    Helpers.merge_traces
       (Trace.random_crashes rng ~m ~p ~horizon)
-      (Trace.merge
+      (Helpers.merge_traces
          (Trace.random_outages rng ~m ~p ~horizon ~duration:(0.5, 5.0))
          (Trace.random_slowdowns rng ~m ~p ~horizon ~factor:(0.2, 0.9)))
   in
@@ -366,6 +366,10 @@ let redispatch_order_pinned () =
 
 (* ----------------------- alternative policies ----------------------- *)
 
+(* The task [t] hands idle [machine] at the view's clock, if any. *)
+let select t ~machine =
+  match Dispatch.select_machine t ~machine with -1 -> None | j -> Some j
+
 (* Least-loaded holder, probed directly on the view: machine 0 carries
    load 10 while machine 1 — available, load 0 — also holds t0. The
    deferral is visible only mid-run (loads start all-equal, and with two
@@ -399,20 +403,20 @@ let least_loaded_defers () =
   let lp = Dispatch.make Dispatch.List_priority view in
   Alcotest.(check (option int))
     "default takes the first eligible task" (Some 0)
-    (Dispatch.select lp ~time:0.0 ~machine:0);
+    (select lp ~machine:0);
   Alcotest.(check (option int))
     "least-loaded defers t0 to the idle holder and takes t1" (Some 1)
-    (Dispatch.select ll ~time:0.0 ~machine:0);
+    (select ll ~machine:0);
   Alcotest.(check (option int))
     "machine 1 is its own least-loaded holder" (Some 0)
-    (Dispatch.select ll ~time:0.0 ~machine:1);
+    (select ll ~machine:1);
   (* Fallback keeps the rule work-conserving: with t1 out of the pool,
      m0's only eligible task still prefers the lighter holder, but m0
      must take it rather than idle. *)
   dispatchable.(1) <- false;
   Alcotest.(check (option int))
     "work-conserving fallback: deferring everything still selects" (Some 0)
-    (Dispatch.select ll ~time:0.0 ~machine:0)
+    (select ll ~machine:0)
 
 (* Earliest estimated completion = SPT restricted to held data. *)
 let earliest_completion_is_spt () =
@@ -580,7 +584,7 @@ let prop_least_loaded_matches_reference =
       let ll = Dispatch.make Dispatch.Least_loaded_holder view in
       Array.for_all
         (fun i ->
-          Dispatch.select ll ~time:0.0 ~machine:i
+          select ll ~machine:i
           = reference_least_loaded view ~machine:i)
         (Array.init m (fun i -> i)))
 
@@ -745,7 +749,7 @@ let prop_earliest_completion_matches_reference =
       let ec = Dispatch.make Dispatch.Earliest_estimated_completion view in
       Array.for_all
         (fun i ->
-          Dispatch.select ec ~time:0.0 ~machine:i
+          select ec ~machine:i
           = reference_earliest_completion view ~machine:i)
         (Array.init m (fun i -> i)))
 
@@ -798,18 +802,18 @@ let locality_prices_staging () =
   let plain = Dispatch.make Dispatch.Locality (mk None [||]) in
   Alcotest.(check (option int))
     "without a topology, locality defers like least-loaded" (Some 1)
-    (Dispatch.select plain ~time:0.0 ~machine:0);
+    (select plain ~machine:0);
   let priced =
     Dispatch.make Dispatch.Locality (mk (Some topo) [| 1.0; 1.0 |])
   in
   Alcotest.(check (option int))
     "cross-zone staging outweighs the idle holder: m0 keeps t0" (Some 0)
-    (Dispatch.select priced ~time:0.0 ~machine:0);
+    (select priced ~machine:0);
   (* The idle cross-zone machine still takes its best option when asked:
      work conservation is untouched by the pricing. *)
   Alcotest.(check (option int))
     "m1 keeps serving what it holds" (Some 0)
-    (Dispatch.select priced ~time:0.0 ~machine:1)
+    (select priced ~machine:1)
 
 (* Every policy must refuse work the machine has no data for, and the
    faulty engine must respect availability under every policy. *)

@@ -25,7 +25,7 @@ let graham_ls_example () =
   let s = Engine.run instance realization ~placement ~order:(submission_order 4) in
   close "makespan" 5.0 (Schedule.makespan s);
   Alcotest.(check (array int)) "round robin by idleness" [| 0; 1; 0; 1 |]
-    (Schedule.assignment s)
+    (Helpers.assignment s)
 
 let online_lpt_order () =
   (* Order by decreasing estimate changes who goes first. *)
@@ -265,7 +265,7 @@ let prop_makespan_is_max_load =
         Engine.run instance realization ~placement
           ~order:(Array.init n (fun j -> j))
       in
-      let max_load = Array.fold_left Float.max 0.0 (Schedule.loads s) in
+      let max_load = Array.fold_left Float.max 0.0 (Helpers.loads s) in
       Float.abs (Schedule.makespan s -. max_load) < 1e-9)
 
 (* ------------------------- JSON serialization ----------------------- *)

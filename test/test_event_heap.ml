@@ -6,7 +6,6 @@
    record-form events and their comparator are the frozen reference
    engine's ([Reference_engine.R_event]). *)
 
-module Event_core = Usched_desim.Event_core
 module Event_heap = Usched_desim.Event_heap
 module Rng = Usched_prng.Rng
 module R_event = Reference_engine.R_event
@@ -25,18 +24,18 @@ let checki = Alcotest.(check int)
 (* ------------------------------ unit -------------------------------- *)
 
 let empty_behaviour () =
-  let q = Event_core.create ~dummy:(-1) () in
+  let q = Event_heap.create ~dummy:(-1) () in
   checkb "is_empty" true (Event_heap.is_empty q);
-  checki "length 0" 0 (Event_core.length q);
+  checki "length 0" 0 (Event_heap.length q);
   Alcotest.check_raises "remove_min raises"
     (Invalid_argument "Event_heap.remove_min: empty heap") (fun () ->
       Event_heap.remove_min q)
 
 let aux_lanes_round_trip () =
-  let q = Event_core.create ~dummy:(-1) () in
-  Event_core.push_aux q ~time:2.0 ~machine:1 ~cls:Event_core.cls_arrival
+  let q = Event_heap.create ~dummy:(-1) () in
+  Event_heap.push_aux q ~time:2.0 ~machine:1 ~cls:Event_heap.cls_arrival
     ~aux:17 ~aux2:23 5;
-  Event_core.push q ~time:1.0 ~machine:0 ~cls:Event_core.cls_fault 9;
+  Event_heap.push q ~time:1.0 ~machine:0 ~cls:Event_heap.cls_fault 9;
   (* plain push zeroes the aux words *)
   checki "root aux zeroed by push" 0 (root_aux q);
   checki "root aux2 zeroed by push" 0 (root_aux2 q);
@@ -58,11 +57,11 @@ let alloc_pattern_is_push () =
           k ))
   in
   let events = stream (Rng.create ~seed ()) in
-  let via_push = Event_core.create ~dummy:(-1) () in
-  let via_alloc = Event_core.create ~dummy:(-1) () in
+  let via_push = Event_heap.create ~dummy:(-1) () in
+  let via_alloc = Event_heap.create ~dummy:(-1) () in
   Array.iter
     (fun (time, machine, cls, payload) ->
-      Event_core.push via_push ~time ~machine ~cls payload;
+      Event_heap.push via_push ~time ~machine ~cls payload;
       let s = Event_heap.alloc via_alloc in
       via_alloc.Event_heap.times.(s) <- time;
       via_alloc.Event_heap.machines.(s) <- machine;
@@ -84,13 +83,13 @@ let alloc_pattern_is_push () =
    [dummy] overwrite on [remove_min] is what prevents it. *)
 let no_retention_after_drain () =
   let dummy = (-1, ref (-1)) in
-  let q = Event_core.create ~dummy () in
+  let q = Event_heap.create ~dummy () in
   let n = 64 in
   let weak = Weak.create n in
   for i = 0 to n - 1 do
     let boxed = (i, ref i) in
     Weak.set weak i (Some boxed);
-    Event_core.push q ~time:(float_of_int (i mod 7)) ~machine:(i mod 3)
+    Event_heap.push q ~time:(float_of_int (i mod 7)) ~machine:(i mod 3)
       ~cls:(i mod 4) boxed
   done;
   (* Grow, shrink and re-grow so vacated-slot aliasing is exercised. *)
@@ -98,7 +97,7 @@ let no_retention_after_drain () =
     Event_heap.remove_min q
   done;
   for i = n to n + 7 do
-    Event_core.push q ~time:0.5 ~machine:0 ~cls:1 (i, ref i)
+    Event_heap.push q ~time:0.5 ~machine:0 ~cls:1 (i, ref i)
   done;
   while not (Event_heap.is_empty q) do
     Event_heap.remove_min q
@@ -110,7 +109,7 @@ let no_retention_after_drain () =
   done;
   checki "no payload survives a full drain" 0 !leaked;
   (* The heap stays usable, with capacity retained. *)
-  Event_core.push q ~time:1.0 ~machine:0 ~cls:0 (42, ref 42);
+  Event_heap.push q ~time:1.0 ~machine:0 ~cls:0 (42, ref 42);
   checki "reusable" 42 (fst (root_payload q))
 
 (* --------------------- equivalence with Pqueue ---------------------- *)
@@ -146,11 +145,11 @@ let prop_drain_matches_pqueue =
     ~count:400 stream_scenario (fun (len, seed) ->
       let rng = Rng.create ~seed () in
       let events = Array.init len (random_event rng) in
-      let heap = Event_core.create ~dummy:(-1) () in
+      let heap = Event_heap.create ~dummy:(-1) () in
       let pq = Pqueue.create ~compare:R_event.compare_event () in
       Array.iter
         (fun e ->
-          Event_core.push heap ~time:e.R_event.time
+          Event_heap.push heap ~time:e.R_event.time
             ~machine:e.R_event.machine ~cls:e.R_event.cls
             e.R_event.payload;
           Pqueue.push pq e)
@@ -173,7 +172,7 @@ let prop_interleaved_matches_pqueue =
   QCheck.Test.make ~name:"interleaved push/pop matches the Pqueue model"
     ~count:400 stream_scenario (fun (len, seed) ->
       let rng = Rng.create ~seed () in
-      let heap = Event_core.create ~dummy:(-1) () in
+      let heap = Event_heap.create ~dummy:(-1) () in
       let pq = Pqueue.create ~compare:R_event.compare_event () in
       let next = ref 0 in
       let ok = ref true in
@@ -181,7 +180,7 @@ let prop_interleaved_matches_pqueue =
         if Rng.bernoulli rng ~p:0.6 || Event_heap.is_empty heap then begin
           let e = random_event rng !next in
           incr next;
-          Event_core.push heap ~time:e.R_event.time
+          Event_heap.push heap ~time:e.R_event.time
             ~machine:e.R_event.machine ~cls:e.R_event.cls
             e.R_event.payload;
           Pqueue.push pq e
@@ -197,7 +196,7 @@ let prop_interleaved_matches_pqueue =
           Event_heap.remove_min heap
         end
       done;
-      !ok && Event_core.length heap = Pqueue.length pq)
+      !ok && Event_heap.length heap = Pqueue.length pq)
 
 (* ------------------------------ suite ------------------------------- *)
 

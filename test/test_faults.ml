@@ -10,6 +10,9 @@ module Uncertainty = Usched_model.Uncertainty
 module Fault = Usched_faults.Fault
 module Trace = Usched_faults.Trace
 module Rng = Usched_prng.Rng
+module Topology = Usched_model.Topology
+module Sink = Usched_obs.Trace
+module Json = Usched_report.Json
 
 let close = Alcotest.(check (float 1e-9))
 let checkb = Alcotest.(check bool)
@@ -130,13 +133,21 @@ let speedup_compresses_remaining () =
   in
   close "remaining work compressed" 3.0 outcome.Engine.makespan;
   checki "still completes" 1 outcome.Engine.completed;
-  (* pp renders factors above 1 as a speedup. *)
+  (* Validation errors render factors above 1 as a speedup. *)
   let rendered =
-    Format.asprintf "%a" Fault.pp
-      { Fault.machine = 0; time = 2.0; kind = Fault.Slowdown 2.0 }
+    try
+      Fault.check ~m:1 { Fault.machine = 3; time = 2.0; kind = Fault.Slowdown 2.0 };
+      ""
+    with Invalid_argument msg -> msg
   in
-  checkb "pp says speedup" true
-    (String.length rendered >= 7 && String.sub rendered 0 7 = "speedup")
+  let says_speedup =
+    let k = String.length "speedup(m3" in
+    let rec scan i =
+      i + k <= String.length rendered && (String.sub rendered i k = "speedup(m3" || scan (i + 1))
+    in
+    scan 0
+  in
+  checkb "error says speedup" true says_speedup
 
 let rejects_bad_slowdown_factor () =
   List.iter
@@ -360,16 +371,31 @@ let entries_equal (a : Schedule.entry) (b : Schedule.entry) =
   && a.Schedule.finish = b.Schedule.finish
 
 (* The golden test: an empty trace reproduces [run] bit-for-bit — same
-   machines, same start/finish floats, zero waste. *)
+   machines, same start/finish floats, zero waste — with and without
+   machine speeds, and on priced multi-zone topologies, where a copy
+   placed outside its data's home zone pays staging. *)
 let prop_empty_trace_golden =
   QCheck.Test.make ~name:"run_faulty on the empty trace equals run exactly"
     ~count:500 scenario (fun ((n, m, _, _, seed) as s) ->
       let instance, realization, placement, order, _ = build s in
+      let rng = Rng.create ~seed:(seed + 1) () in
       let speeds =
         if seed mod 2 = 0 then None
+        else Some (Array.init m (fun _ -> Rng.float_range rng ~lo:0.5 ~hi:2.0))
+      in
+      let instance =
+        if seed mod 3 = 0 || m = 1 then instance
         else
-          let rng = Rng.create ~seed:(seed + 1) () in
-          Some (Array.init m (fun _ -> Rng.float_range rng ~lo:0.5 ~hi:2.0))
+          let sizes = Array.init n (fun _ -> Rng.float_range rng ~lo:0.1 ~hi:8.0) in
+          let topology =
+            Topology.zoned ~m
+              ~zones:(2 + (seed mod (m - 1)))
+              ~bandwidth:(Rng.float_range rng ~lo:0.3 ~hi:3.0)
+              ~latency:(Rng.float_range rng ~lo:0.0 ~hi:1.5)
+              ()
+          in
+          Instance.of_ests ~topology ~m ~alpha:(Uncertainty.alpha 2.0) ~sizes
+            (Instance.ests instance)
       in
       let reference =
         Engine.run ?speeds instance realization ~placement ~order
@@ -387,6 +413,49 @@ let prop_empty_trace_golden =
              entries_equal (finished_entry outcome j) (Schedule.entry reference j))
            (Array.init n (fun j -> j)))
 
+(* A slowdown striking exactly at a running copy's predicted finish must
+   not let the completion out before the slowdown: the trace's clock
+   never steps back. The slowdown goes on one machine at one of its
+   copies' healthy finish; with no earlier fault, the run up to that
+   instant is the healthy run, so the finish is exactly the one the
+   engine predicted. *)
+let prop_trace_time_monotone =
+  QCheck.Test.make ~name:"a slowdown at a predicted finish keeps trace time monotone"
+    ~count:2000 scenario (fun ((n, m, _, _, seed) as s) ->
+      let instance, realization, placement, order, _ = build s in
+      let rng = Rng.create ~seed:(seed + 7) () in
+      let speeds = Array.init m (fun _ -> Rng.float_range rng ~lo:0.3 ~hi:3.0) in
+      let healthy = Engine.run ~speeds instance realization ~placement ~order in
+      let e = Schedule.entry healthy (Rng.int rng n) in
+      let faults =
+        trace_of ~m
+          [
+            {
+              Fault.machine = e.Schedule.machine;
+              time = e.Schedule.finish;
+              kind = Fault.Slowdown (Rng.float_range rng ~lo:0.2 ~hi:5.0);
+            };
+          ]
+      in
+      let sink = Sink.memory () in
+      ignore (Engine.run_faulty ~speeds ~sink instance realization ~faults ~placement ~order);
+      let times =
+        List.filter_map
+          (fun line ->
+            if line = "" then None
+            else
+              match Json.member "t" (Json.of_string_exn line) with
+              | Some (Json.Float t) -> Some t
+              | Some (Json.Int t) -> Some (float_of_int t)
+              | _ -> None)
+          (String.split_on_char '\n' (Sink.contents sink))
+      in
+      let rec non_decreasing = function
+        | a :: (b :: _ as rest) -> a <= b && non_decreasing rest
+        | _ -> true
+      in
+      non_decreasing times)
+
 (* No completed work on a dead machine: every surviving entry fits
    before its machine's crash and inside no outage window. *)
 let prop_no_work_on_dead_machines =
@@ -401,7 +470,7 @@ let prop_no_work_on_dead_machines =
         (function
           | Engine.Stranded -> true
           | Engine.Finished e ->
-              (match Trace.crash_time faults e.Schedule.machine with
+              (match Helpers.crash_time faults e.Schedule.machine with
               | Some t -> e.Schedule.finish <= t
               | None -> true)
               && List.for_all
@@ -438,7 +507,7 @@ let prop_surviving_holder_completes =
           let has_survivor =
             List.exists
               (fun i -> not (List.mem i crashed))
-              (Bitset.to_list placement.(j))
+              (Helpers.elements placement.(j))
           in
           match outcome.Engine.fates.(j) with
           | Engine.Finished e ->
@@ -577,7 +646,7 @@ let prop_profile_structure =
              i >= 0 && i < m
              && p.(i) > 0.0
              &&
-             match Trace.crash_time faults i with
+             match Helpers.crash_time faults i with
              | Some t -> t >= 0.0 && t < horizon
              | None -> false)
            crashed
@@ -623,6 +692,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_empty_trace_golden;
+            prop_trace_time_monotone;
             prop_no_work_on_dead_machines;
             prop_locality;
             prop_surviving_holder_completes;

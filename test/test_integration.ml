@@ -68,11 +68,11 @@ let ratio_at_least_one () =
       [| 4.0; 3.0; 2.0; 1.0 |]
   in
   let realization = Realization.exact instance in
-  let r =
-    Runner.ratio tiny_config Core.Full_replication.lpt_no_restriction instance
-      realization
+  let makespan =
+    Core.Two_phase.makespan Core.Full_replication.lpt_no_restriction instance realization
   in
-  checkb "ratio >= 1" true (r >= 1.0 -. 1e-9)
+  let opt, _ = Runner.opt_estimate tiny_config ~m:3 (Realization.actuals realization) in
+  checkb "ratio >= 1" true (makespan /. opt >= 1.0 -. 1e-9)
 
 let random_sweep_reproducible () =
   let sweep () =
@@ -169,7 +169,7 @@ let ring_placement_nested () =
       Alcotest.(check (list int))
         (Printf.sprintf "task %d ring" j)
         (List.sort compare [ j mod m; (j + 1) mod m; (j + 2) mod m ])
-        (Usched_model.Bitset.to_list set))
+        (Helpers.elements set))
     (sets 3);
   for k = 1 to m - 1 do
     checkb
@@ -247,11 +247,6 @@ let fig1_theoretical_ratio_monotone () =
   checkb "grows with lambda" true (r 1 < r 2 && r 2 < r 10 && r 10 < r 100);
   checkb "bounded by the limit" true
     (r 1000 < Core.Guarantees.no_replication_lower_bound ~m ~alpha)
-
-let fig3_divisors () =
-  Alcotest.(check (list int)) "divisors of 12"
-    [ 1; 2; 3; 4; 6; 12 ]
-    (Experiments.Fig3.divisors 12)
 
 let example_instance_is_mixed () =
   let instance = Experiments.Fig45.example_instance () in
@@ -347,7 +342,6 @@ let () =
         [
           Alcotest.test_case "cheap experiments run" `Slow cheap_experiments_run;
           Alcotest.test_case "fig1 ratio curve" `Quick fig1_theoretical_ratio_monotone;
-          Alcotest.test_case "fig3 divisors" `Quick fig3_divisors;
           Alcotest.test_case "fig45 instance" `Quick example_instance_is_mixed;
           Alcotest.test_case "speed assessment" `Quick speed_assessment;
           Alcotest.test_case "stream utilization" `Quick stream_utilization;

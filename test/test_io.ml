@@ -63,7 +63,7 @@ let failure_profile_round_trip () =
   let back = Io.instance_of_string (Io.instance_to_string inst) in
   checkb "tasks preserved" true (same_instance inst back);
   (match Instance.failure back with
-  | Some g -> checkb "profile bit-exact" true (Failure.equal g f)
+  | Some g -> checkb "profile bit-exact" true (Helpers.failure_equal g f)
   | None -> Alcotest.fail "failp field lost");
   (* Pre-profile files (no failp field) still parse, with no profile. *)
   let legacy = "# usched-instance m=2 alpha=1.5\nid,est,size\n0,4,1\n" in
@@ -80,7 +80,7 @@ let speed_band_round_trip () =
   let back = Io.instance_of_string (Io.instance_to_string inst) in
   checkb "tasks preserved" true (same_instance inst back);
   (match Instance.speed_band back with
-  | Some g -> checkb "band bit-exact" true (Speed_band.equal g b)
+  | Some g -> checkb "band bit-exact" true (Helpers.band_equal g b)
   | None -> Alcotest.fail "speedband field lost");
   (* Pre-band files (no speedband field) still parse, with no band. *)
   let legacy = "# usched-instance m=2 alpha=1.5\nid,est,size\n0,4,1\n" in
@@ -93,11 +93,11 @@ let speed_band_round_trip () =
   let back = Io.instance_of_string (Io.instance_to_string both) in
   checkb "failp and speedband coexist" true
     ((match Instance.failure back with
-     | Some g -> Failure.equal g f
+     | Some g -> Helpers.failure_equal g f
      | None -> false)
     &&
     match Instance.speed_band back with
-    | Some g -> Speed_band.equal g b
+    | Some g -> Helpers.band_equal g b
     | None -> false)
 
 let topology_round_trip () =
@@ -112,7 +112,7 @@ let topology_round_trip () =
   let back = Io.instance_of_string (Io.instance_to_string inst) in
   checkb "tasks preserved" true (same_instance inst back);
   (match Instance.topology back with
-  | Some g -> checkb "topology bit-exact" true (Topology.equal g topo)
+  | Some g -> checkb "topology bit-exact" true (Helpers.topology_equal g topo)
   | None -> Alcotest.fail "topology field lost");
   (* Pre-topology files (no topology field) still parse, with none. *)
   let legacy = "# usched-instance m=2 alpha=1.5\nid,est,size\n0,4,1\n" in
@@ -155,14 +155,14 @@ let prop_all_optional_fields_round_trip =
       let back = Io.instance_of_string (Io.instance_to_string inst) in
       same_instance inst back
       && (match Instance.failure back with
-         | Some g -> Failure.equal g f
+         | Some g -> Helpers.failure_equal g f
          | None -> false)
       && (match Instance.speed_band back with
-         | Some g -> Speed_band.equal g b
+         | Some g -> Helpers.band_equal g b
          | None -> false)
       &&
       match Instance.topology back with
-      | Some g -> Topology.equal g topo
+      | Some g -> Helpers.topology_equal g topo
       | None -> false)
 
 let rejects_bad_topology () =

@@ -40,9 +40,8 @@ let alpha_validation () =
 
 let alpha_interval () =
   let a = Uncertainty.alpha 2.0 in
-  let lo, hi = Uncertainty.interval a ~est:8.0 in
-  close "lower" 4.0 lo;
-  close "upper" 16.0 hi
+  close "lower" 4.0 (Uncertainty.clamp a ~est:8.0 0.0);
+  close "upper" 16.0 (Uncertainty.clamp a ~est:8.0 100.0)
 
 let alpha_admissible () =
   let a = Uncertainty.alpha 2.0 in
@@ -223,7 +222,7 @@ let failure_loss_probabilities () =
 let failure_string_round_trip () =
   let f = Failure.make [| 0.1; 1.0 /. 3.0; Float.epsilon |] in
   (match Failure.of_string (Failure.to_string f) with
-  | Ok back -> checkb "bit-exact round trip" true (Failure.equal back f)
+  | Ok back -> checkb "bit-exact round trip" true (Helpers.failure_equal back f)
   | Error msg -> Alcotest.failf "round trip failed: %s" msg);
   let rejected s =
     match Failure.of_string s with Error _ -> true | Ok _ -> false
@@ -241,7 +240,7 @@ let instance_failure_profile () =
   let f = Failure.make [| 0.2; 0.3 |] in
   let with_f = Instance.with_failure inst (Some f) in
   (match Instance.failure with_f with
-  | Some g -> checkb "attached profile returned" true (Failure.equal g f)
+  | Some g -> checkb "attached profile returned" true (Helpers.failure_equal g f)
   | None -> Alcotest.fail "profile lost");
   checkb "original instance untouched" true (Instance.failure inst = None);
   checkb "machine-count mismatch rejected" true
@@ -267,13 +266,13 @@ let instance_speed_band_default () =
   let inst = Instance.of_ests ~m:3 ~alpha:(Uncertainty.alpha 1.5) [| 1.0; 2.0 |] in
   let nominal = Instance.speed_band_or_nominal inst in
   checkb "no band: the nominal all-1 band" true
-    (Speed_band.equal nominal (Speed_band.nominal ~m:3));
+    (Helpers.band_equal nominal (Speed_band.nominal ~m:3));
   let band = Speed_band.uniform ~m:3 ~lo:0.5 ~hi:2.0 in
   let with_band = Instance.with_speed_band inst (Some band) in
   checkb "attached band returned" true
-    (Speed_band.equal (Instance.speed_band_or_nominal with_band) band);
+    (Helpers.band_equal (Instance.speed_band_or_nominal with_band) band);
   checkb "removing the band restores the default" true
-    (Speed_band.equal
+    (Helpers.band_equal
        (Instance.speed_band_or_nominal (Instance.with_speed_band with_band None))
        nominal)
 
@@ -281,13 +280,13 @@ let instance_topology_default () =
   let inst = Instance.of_ests ~m:4 ~alpha:(Uncertainty.alpha 1.5) [| 1.0; 2.0 |] in
   let default = Instance.topology_or_uniform inst in
   checkb "no topology: the single-zone uniform one" true
-    (Topology.equal default (Topology.uniform ~m:4));
+    (Helpers.topology_equal default (Topology.uniform ~m:4));
   let zoned = Topology.zoned ~m:4 ~zones:2 ~bandwidth:3.0 () in
   let with_topology = Instance.with_topology inst (Some zoned) in
   checkb "attached topology returned" true
-    (Topology.equal (Instance.topology_or_uniform with_topology) zoned);
+    (Helpers.topology_equal (Instance.topology_or_uniform with_topology) zoned);
   checkb "original instance untouched" true
-    (Topology.equal (Instance.topology_or_uniform inst) default)
+    (Helpers.topology_equal (Instance.topology_or_uniform inst) default)
 
 let () =
   Alcotest.run "model"

@@ -630,9 +630,9 @@ let trace_scenario ~n ~m ~seed =
   in
   let horizon = 2.0 *. Realization.total realization /. float_of_int m in
   let faults =
-    Trace.merge
+    Helpers.merge_traces
       (Trace.random_crashes rng ~m ~p:0.3 ~horizon)
-      (Trace.merge
+      (Helpers.merge_traces
          (Trace.random_outages rng ~m ~p:0.5 ~horizon ~duration:(0.5, 3.0))
          (Trace.random_slowdowns rng ~m ~p:0.5 ~horizon ~factor:(0.3, 0.9)))
   in

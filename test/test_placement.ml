@@ -10,7 +10,7 @@ let checki = Alcotest.(check int)
 let singletons_basic () =
   let p = Placement.singletons ~m:3 [| 0; 2; 2 |] in
   checki "n" 3 (Placement.n p);
-  checki "m" 3 (Placement.m p);
+  checki "m" 3 (Bitset.capacity (Placement.set p 0));
   checkb "task 0 on machine 0" true (Placement.allowed p ~task:0 ~machine:0);
   checkb "task 0 not on machine 1" false (Placement.allowed p ~task:0 ~machine:1);
   checki "replication" 1 (Placement.replication p 1);
@@ -92,10 +92,11 @@ let sets_are_fresh_array () =
    one bounds-checked position at a time, in ascending order. *)
 module Topology = Usched_model.Topology
 
+let machines p = Bitset.capacity (Placement.set p 0)
 let members set = List.filter (Bitset.mem set) (List.init (Bitset.capacity set) Fun.id)
 
 let memory_loads_oracle p ~sizes =
-  let loads = Array.make (Placement.m p) 0.0 in
+  let loads = Array.make (machines p) 0.0 in
   Array.iteri
     (fun j set -> List.iter (fun i -> loads.(i) <- loads.(i) +. sizes.(j)) (members set))
     (Placement.sets p);
@@ -107,7 +108,7 @@ let replication_costs_oracle p ~topology ~sizes =
       List.fold_left
         (fun acc i ->
           acc
-          +. Topology.staging_time topology ~src:(j mod Placement.m p) ~dst:i
+          +. Topology.staging_time topology ~src:(j mod machines p) ~dst:i
                ~size:sizes.(j))
         0.0 (members set))
     (Placement.sets p)

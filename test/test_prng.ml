@@ -83,8 +83,8 @@ let rng_split_independent () =
   let rng = Rng.create ~seed:6 () in
   let child1 = Rng.split rng in
   let child2 = Rng.split rng in
-  let s1 = List.init 20 (fun _ -> Rng.int64 child1) in
-  let s2 = List.init 20 (fun _ -> Rng.int64 child2) in
+  let s1 = List.init 20 (fun _ -> Rng.float child1) in
+  let s2 = List.init 20 (fun _ -> Rng.float child2) in
   checkb "children differ" true (s1 <> s2)
 
 let rng_bernoulli_frequency () =

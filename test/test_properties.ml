@@ -42,15 +42,13 @@ let build (m, alpha, ests, sizes, extreme, seed) =
   in
   (instance, realization)
 
-let opt_of realization =
-  Core.Opt.makespan
-    ~m:(Instance.m (Realization.instance realization))
-    (Realization.actuals realization)
+let opt_of instance realization =
+  Core.Opt.makespan ~m:(Instance.m instance) (Realization.actuals realization)
 
 let check_guarantee algo guarantee_of scenario_value =
   let instance, realization = build scenario_value in
   let makespan = Core.Two_phase.makespan algo instance realization in
-  let opt = opt_of realization in
+  let opt = opt_of instance realization in
   let bound = guarantee_of instance in
   makespan <= (bound *. opt) +. (1e-9 *. opt)
 
@@ -80,7 +78,7 @@ let prop_theorem4 =
     ~count:150 scenario (fun scenario_value ->
       let instance, realization = build scenario_value in
       let m = Instance.m instance in
-      let opt = opt_of realization in
+      let opt = opt_of instance realization in
       List.for_all
         (fun k ->
           if m mod k <> 0 then true
@@ -126,7 +124,7 @@ let prop_makespan_never_below_opt =
   QCheck.Test.make ~name:"no algorithm beats the clairvoyant optimum" ~count:200
     scenario (fun scenario_value ->
       let instance, realization = build scenario_value in
-      let opt = opt_of realization in
+      let opt = opt_of instance realization in
       List.for_all
         (fun algo ->
           Core.Two_phase.makespan algo instance realization >= opt -. (1e-9 *. opt))
@@ -190,7 +188,7 @@ let prop_lemma1_no_restriction =
         else begin
           let alpha = Instance.alpha_value instance in
           let p_l = Realization.actual realization !critical in
-          opt_of realization >= (2.0 *. p_l /. (alpha *. alpha)) -. 1e-9
+          opt_of instance realization >= (2.0 *. p_l /. (alpha *. alpha)) -. 1e-9
         end
       end)
 
@@ -228,7 +226,7 @@ let prop_sabo_theorems =
       let m = Instance.m instance in
       let alpha = Instance.alpha_value instance in
       let rho = Core.Guarantees.lpt_offline ~m in
-      let opt = opt_of realization in
+      let opt = opt_of instance realization in
       List.for_all
         (fun delta ->
           let algo = Core.Sabo.algorithm ~delta in
@@ -254,7 +252,7 @@ let prop_abo_theorems =
       let m = Instance.m instance in
       let alpha = Instance.alpha_value instance in
       let rho = Core.Guarantees.lpt_offline ~m in
-      let opt = opt_of realization in
+      let opt = opt_of instance realization in
       List.for_all
         (fun delta ->
           let algo = Core.Abo.algorithm ~delta in

@@ -316,9 +316,9 @@ let build (n, m, k, p, seed) =
   let order = Instance.lpt_order instance in
   let horizon = 2.0 *. Realization.total realization in
   let faults =
-    Trace.merge
+    Helpers.merge_traces
       (Trace.random_crashes rng ~m ~p ~horizon)
-      (Trace.merge
+      (Helpers.merge_traces
          (Trace.random_outages rng ~m ~p ~horizon ~duration:(0.5, 5.0))
          (Trace.random_slowdowns rng ~m ~p ~horizon ~factor:(0.2, 0.9)))
   in

@@ -41,10 +41,11 @@ let cell_float_formats () =
   checks "custom decimals" "3.14" (Table.cell_float ~decimals:2 3.14159265)
 
 let csv_escaping () =
-  checks "plain" "abc" (Csv.row [ "abc" ]);
-  checks "comma" "\"a,b\"" (Csv.row [ "a,b" ]);
-  checks "quote doubled" "\"a\"\"b\"" (Csv.row [ "a\"b" ]);
-  checks "newline" "\"a\nb\"" (Csv.row [ "a\nb" ])
+  let row cells = Csv.to_string ~header:cells [] in
+  checks "plain" "abc\n" (row [ "abc" ]);
+  checks "comma" "\"a,b\"\n" (row [ "a,b" ]);
+  checks "quote doubled" "\"a\"\"b\"\n" (row [ "a\"b" ]);
+  checks "newline" "\"a\nb\"\n" (row [ "a\nb" ])
 
 let csv_document () =
   let doc = Csv.to_string ~header:[ "x"; "y" ] [ [ "1"; "2" ]; [ "3"; "4" ] ] in

@@ -23,6 +23,9 @@ let realize instance rng = Realization.extremes ~p_high:0.3 instance rng
 let scenarios ?(count = 12) seed =
   Core.Scenarios.sample ~count ~realize ~rng:(Rng.create ~seed ()) (instance ())
 
+let default_portfolio ~m =
+  List.map (fun spec -> Core.Strategy.build spec ~m) (Core.Strategy.default_portfolio ~m)
+
 let sample_counts () =
   Alcotest.(check int) "count" 12 (List.length (scenarios 1));
   checkb "count < 1 rejected" true
@@ -76,7 +79,7 @@ let select_picks_best () =
 
 let select_mean_criterion () =
   let s = scenarios 5 in
-  let portfolio = Core.Scenarios.default_portfolio ~m:4 in
+  let portfolio = default_portfolio ~m:4 in
   let chosen =
     Core.Scenarios.select Core.Scenarios.Minimize_mean ~portfolio (instance ()) s
   in
@@ -104,7 +107,7 @@ let select_rejects_degenerate () =
      with Invalid_argument _ -> true)
 
 let default_portfolio_contents () =
-  let portfolio = Core.Scenarios.default_portfolio ~m:6 in
+  let portfolio = default_portfolio ~m:6 in
   (* no-repl + groups k in {2, 3} + budgeted + full = 5 members. *)
   Alcotest.(check int) "size" 5 (List.length portfolio);
   checkb "starts with no replication" true
@@ -116,11 +119,10 @@ let default_portfolio_matches_registry () =
   List.iter
     (fun m ->
       let specs = Core.Strategy.default_portfolio ~m in
-      let portfolio = Core.Scenarios.default_portfolio ~m in
       Alcotest.(check (list string))
         (Printf.sprintf "names at m=%d" m)
         (List.map Core.Strategy.name specs)
-        (List.map (fun a -> a.Core.Two_phase.name) portfolio);
+        (List.map (fun a -> a.Core.Two_phase.name) (default_portfolio ~m));
       List.iter
         (fun spec ->
           checkb "spec string parses back" true
@@ -133,7 +135,7 @@ let select_winner_stable_across_refactor () =
      hardcoded portfolio produced: the members (and their order) are
      unchanged, so the selected algorithm's identity is pinned here. *)
   let s = scenarios 7 in
-  let portfolio = Core.Scenarios.default_portfolio ~m:4 in
+  let portfolio = default_portfolio ~m:4 in
   let old_style =
     [
       Core.No_replication.lpt_no_choice;

@@ -19,10 +19,8 @@ let basic_measures () =
   Alcotest.(check int) "n" 3 (Schedule.n s);
   Alcotest.(check int) "m" 2 (Schedule.m s);
   close "makespan" 5.0 (Schedule.makespan s);
-  Alcotest.(check (array (float 1e-12))) "loads" [| 5.0; 3.0 |] (Schedule.loads s);
   Alcotest.(check (list int)) "machine 0 tasks in start order" [ 0; 2 ]
-    (Helpers.machine_tasks s 0);
-  Alcotest.(check (array int)) "assignment" [| 0; 1; 0 |] (Schedule.assignment s)
+    (Helpers.machine_tasks s 0)
 
 let make_validation () =
   Alcotest.check_raises "machine out of range"
@@ -43,10 +41,7 @@ let of_soa_matches_make () =
   Array.iteri
     (fun j e -> checkb (Printf.sprintf "entry %d" j) true (Schedule.entry soa j = e))
     entries;
-  Alcotest.(check (array (float 0.0))) "loads" (Schedule.loads made) (Schedule.loads soa);
   close "makespan" (Schedule.makespan made) (Schedule.makespan soa);
-  Alcotest.(check (array int)) "assignment" (Schedule.assignment made)
-    (Schedule.assignment soa);
   Alcotest.(check int) "empty lanes" 0
     (Schedule.n (Schedule.of_soa ~m:1 ~machines:[||] ~starts:[||] ~finishes:[||]))
 

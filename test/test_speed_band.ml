@@ -78,12 +78,12 @@ let of_spec_grammar () =
   (match Speed_band.of_spec ~m:3 "uniform:0.5:2" with
   | Ok b ->
       checkb "uniform band" true
-        (Speed_band.equal b (Speed_band.uniform ~m:3 ~lo:0.5 ~hi:2.0))
+        (Helpers.band_equal b (Speed_band.uniform ~m:3 ~lo:0.5 ~hi:2.0))
   | Error e -> Alcotest.failf "uniform spec rejected: %s" e);
   (match Speed_band.of_spec ~m:3 "1,0.5:2,3" with
   | Ok b ->
       checkb "list band" true
-        (Speed_band.equal b
+        (Helpers.band_equal b
            (Speed_band.make [| (1.0, 1.0); (0.5, 2.0); (3.0, 3.0) |]))
   | Error e -> Alcotest.failf "list spec rejected: %s" e);
   List.iter
@@ -144,7 +144,7 @@ let prop_round_trip =
   QCheck.Test.make ~count:300 ~name:"speed bands round trip bit-exactly"
     band_arb (fun band ->
       match Speed_band.of_string (Speed_band.to_string band) with
-      | Ok back -> Speed_band.equal back band
+      | Ok back -> Helpers.band_equal back band
       | Error _ -> false)
 
 let prop_sample_in_band =
@@ -154,22 +154,6 @@ let prop_sample_in_band =
       let rng = Rng.create ~seed () in
       let speeds = Speed_band.sample band rng in
       Speed_band.contains band speeds)
-
-let prop_degenerate_lower_bound_reduces =
-  (* On a degenerate band the speed-adversary's bound IS the existing
-     uniform-machines lower bound at the known speeds. *)
-  QCheck.Test.make ~count:200
-    ~name:"degenerate-band lower bound = uniform lower bound"
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 1 12) (float_range 0.1 10.0))
-        (list_of_size Gen.(int_range 1 5) (float_range 0.5 4.0)))
-    (fun (actuals, speeds) ->
-      let actuals = Array.of_list actuals
-      and speeds = Array.of_list speeds in
-      let band = Speed_band.make (Array.map (fun s -> (s, s)) speeds) in
-      Core.Speed_adversary.lower_bound band actuals
-      = Core.Uniform.lower_bound ~speeds actuals)
 
 let scenario_gen =
   QCheck.Gen.(
@@ -183,6 +167,9 @@ let scenario_print (n, m, k, seed) =
   Printf.sprintf "n=%d m=%d k=%d seed=%d" n m k seed
 
 let scenario = QCheck.make ~print:scenario_print scenario_gen
+
+let speed_robust ~k instance =
+  (Core.Speed_robust.algorithm ~k).Core.Two_phase.phase1 instance
 
 let build_instance (n, m, seed) =
   let rng = Rng.create ~seed () in
@@ -200,7 +187,7 @@ let prop_adversary_dominates_mc =
       let instance, realization, rng = build_instance (n, m, seed) in
       let band = Speed_band.uniform ~m ~lo:0.5 ~hi:2.0 in
       let instance = Instance.with_speed_band instance (Some band) in
-      let placement = Core.Speed_robust.placement ~k instance in
+      let placement = speed_robust ~k instance in
       let sets = Core.Placement.sets placement in
       let order = Instance.lpt_order instance in
       let makespan speeds =
@@ -227,7 +214,7 @@ let prop_one_replica_per_class =
       in
       let instance = Instance.with_speed_band instance (Some band) in
       let classes = Core.Speed_robust.classes ~k instance in
-      let placement = Core.Speed_robust.placement ~k instance in
+      let placement = speed_robust ~k instance in
       (* The classes partition the machines... *)
       Array.length classes = k
       && Array.fold_left (fun acc c -> acc + Array.length c) 0 classes = m
@@ -288,7 +275,7 @@ let prop_speed_robust_sets_shared =
     (fun (n, m, k, seed, _) ->
       let instance, _, rng = build_instance (n, m, seed) in
       let instance = Instance.with_speed_band instance (Some (random_band rng m)) in
-      let placement = Core.Speed_robust.placement ~k instance in
+      let placement = speed_robust ~k instance in
       let distinct = physically_distinct (Core.Placement.sets placement) in
       let product =
         Array.fold_left
@@ -296,7 +283,7 @@ let prop_speed_robust_sets_shared =
           1
           (Core.Speed_robust.classes ~k instance)
       in
-      let contents = List.map Bitset.to_list distinct in
+      let contents = List.map Helpers.elements distinct in
       List.length distinct <= product
       && List.length (List.sort_uniq compare contents) = List.length contents)
 
@@ -308,7 +295,7 @@ let prop_shared_sets_replay_as_copies =
       let instance, realization, rng = build_instance (n, m, seed) in
       let band = random_band rng m in
       let instance = Instance.with_speed_band instance (Some band) in
-      let shared = Core.Placement.sets (Core.Speed_robust.placement ~k instance) in
+      let shared = Core.Placement.sets (speed_robust ~k instance) in
       let copies = Array.map Bitset.copy shared in
       let speeds = Speed_band.sample band (Rng.split rng) in
       let order = Instance.lpt_order instance in
@@ -374,9 +361,9 @@ let prop_degenerate_band_golden =
       let order = Instance.lpt_order instance in
       let horizon = 2.0 *. Realization.total realization in
       let faults =
-        Trace.merge
+        Helpers.merge_traces
           (Trace.random_crashes rng ~m ~p ~horizon)
-          (Trace.merge
+          (Helpers.merge_traces
              (Trace.random_outages rng ~m ~p ~horizon ~duration:(0.5, 5.0))
              (Trace.random_slowdowns rng ~m ~p ~horizon ~factor:(0.2, 0.9)))
       in
@@ -387,7 +374,7 @@ let prop_degenerate_band_golden =
       in
       let banded =
         Engine.run_faulty ~speeds ~dispatch instance realization
-          ~faults:(Trace.merge faults revelation) ~placement ~order
+          ~faults:(Helpers.merge_traces faults revelation) ~placement ~order
       in
       let plain =
         Engine.run_faulty ~dispatch instance realization ~faults ~placement
@@ -427,7 +414,7 @@ let worst_case_rejects_out_of_band_candidates () =
   in
   let band = Speed_band.uniform ~m:2 ~lo:0.5 ~hi:2.0 in
   let instance' = Instance.with_speed_band instance (Some band) in
-  let placement = Core.Speed_robust.placement ~k:1 instance' in
+  let placement = speed_robust ~k:1 instance' in
   checkb "candidate outside the band" true
     (try
        ignore
@@ -478,7 +465,6 @@ let () =
           [
             prop_round_trip;
             prop_sample_in_band;
-            prop_degenerate_lower_bound_reduces;
             prop_adversary_dominates_mc;
             prop_one_replica_per_class;
             prop_speed_robust_sets_shared;

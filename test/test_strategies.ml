@@ -172,7 +172,6 @@ let lpt_group_uses_lpt_order () =
 (* --- The phase-2 building blocks --- *)
 
 module Engine = Usched_desim.Engine
-module Dispatch = Usched_desim.Dispatch
 
 let same_schedule a b =
   Schedule.n a = Schedule.n b
@@ -194,11 +193,7 @@ let lpt_phase2_is_engine_lpt () =
       ~order:(Instance.lpt_order instance)
   in
   checkb "LPT phase 2 = engine under the LPT order" true
-    (same_schedule direct (Core.Two_phase.lpt_order_phase2 instance placement realization));
-  checkb "default dispatch is list priority" true
-    (same_schedule direct
-       (Core.Two_phase.engine_phase2 ~dispatch:Dispatch.List_priority
-          ~order:Instance.lpt_order instance placement realization))
+    (same_schedule direct (Core.Two_phase.lpt_order_phase2 instance placement realization))
 
 let submission_phase2_follows_ids () =
   (* One machine holds everything: execution order is the priority
@@ -210,19 +205,6 @@ let submission_phase2_follows_ids () =
     (start_order (Core.Two_phase.submission_order_phase2 instance placement realization));
   Alcotest.(check (list int)) "by estimate, longest first" [ 1; 2; 3; 0 ]
     (start_order (Core.Two_phase.lpt_order_phase2 instance placement realization))
-
-let engine_phase2_takes_any_order () =
-  let instance = instance_of ~m:2 [| 1.0; 5.0; 3.0; 2.0 |] in
-  let realization = Realization.exact instance in
-  let placement = Core.Placement.singletons ~m:2 [| 1; 1; 1; 1 |] in
-  let reversed inst = Array.init (Instance.n inst) (fun j -> Instance.n inst - 1 - j) in
-  let s = Core.Two_phase.engine_phase2 ~order:reversed instance placement realization in
-  Alcotest.(check (list int)) "reverse priority" [ 3; 2; 1; 0 ] (start_order s);
-  checkb "stays on the placement" true
-    (List.for_all
-       (fun j -> (Schedule.entry s j).Schedule.machine = 1)
-       [ 0; 1; 2; 3 ]);
-  close "serial makespan" 11.0 (Schedule.makespan s)
 
 let () =
   Alcotest.run "strategies"
@@ -260,7 +242,5 @@ let () =
             lpt_phase2_is_engine_lpt;
           Alcotest.test_case "submission order runs by id" `Quick
             submission_phase2_follows_ids;
-          Alcotest.test_case "engine phase 2 takes any order" `Quick
-            engine_phase2_takes_any_order;
         ] );
     ]

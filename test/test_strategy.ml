@@ -232,7 +232,7 @@ let smart_constructors_reject () =
   checkb "memory 0" true
     (rejects (fun () -> Strategy.memory_budget ~budget:0.0));
   checkb "proportional 1.5" true
-    (rejects (fun () -> Strategy.proportional ~fraction:1.5));
+    (Result.is_error (Strategy.of_string "proportional:1.5"));
   checkb "uniform empty speeds" true
     (rejects (fun () -> Strategy.uniform ~variant:Strategy.U_no_choice ~speeds:[||]));
   checkb "uniform nan speed" true
@@ -311,11 +311,6 @@ let registry_coverage () =
   List.iter
     (fun e ->
       checkb (e.Strategy.keyword ^ " has a doc") true (e.Strategy.doc <> "");
-      checkb (e.Strategy.keyword ^ " findable") true
-        (* physical equality: entries hold closures, so [=] would raise *)
-        (match Strategy.find e.Strategy.keyword with
-        | Some e' -> e' == e
-        | None -> false);
       (* Example specs are valid at several m, build, and round-trip. *)
       List.iter
         (fun m ->
@@ -323,19 +318,14 @@ let registry_coverage () =
           checkb
             (Printf.sprintf "%s example valid at m=%d" e.Strategy.keyword m)
             true
-            (Strategy.validate spec = Ok ());
+            (Strategy.check spec ~m = Ok ());
           let algo = Strategy.build spec ~m in
           checks "name matches built algorithm" algo.Core.Two_phase.name
             (Strategy.name spec);
           checkb "example round-trips" true
             (Strategy.of_string (Strategy.to_string spec) = Ok spec))
         [ 1; 4; 8 ])
-    Strategy.all;
-  checkb "alias findable" true
-    (match Strategy.find "group" with
-    | Some e -> e.Strategy.keyword = "ls-group"
-    | None -> false);
-  checkb "unknown not found" true (Strategy.find "bogus" = None)
+    Strategy.all
 
 let registry_portfolio () =
   (* The derived portfolio reproduces the shape Scenarios hardcoded
@@ -437,8 +427,9 @@ let golden_equivalence =
       let p1, s1 = Core.Two_phase.run_full via_spec instance realization in
       let p2, s2 = Core.Two_phase.run_full inline instance realization in
       via_spec.Core.Two_phase.name = inline.Core.Two_phase.name
-      && Array.for_all2 Bitset.equal (Core.Placement.sets p1)
-           (Core.Placement.sets p2)
+      && Array.for_all2
+           (fun a b -> Helpers.elements a = Helpers.elements b)
+           (Core.Placement.sets p1) (Core.Placement.sets p2)
       && same_schedule s1 s2 (Instance.n instance))
 
 (* ------------------------------------------------------------------ *)

@@ -1,11 +1,11 @@
 (* Streaming service mode: arrival-process validation and generation,
-   the Event_core ordering contract under mid-drain arrival injection,
+   the Event_heap ordering contract under mid-drain arrival injection,
    the golden pin that a stream with every arrival at t=0 reproduces the
    batch engine bit-for-bit, FCFS latency hand-checks, and the
    replicate-on-straggler / cancel-on-first-completion policy. *)
 
 module Engine = Usched_desim.Engine
-module Event_core = Usched_desim.Event_core
+module Event_heap = Usched_desim.Event_heap
 module Arrival = Usched_desim.Arrival
 module Dispatch = Usched_desim.Dispatch
 module Schedule = Usched_desim.Schedule
@@ -132,7 +132,7 @@ let arrival_of_string () =
   rejected (Printf.sprintf "trace:%s" bad);
   Sys.remove bad
 
-(* ---------------- Event_core ordering under injection ---------------- *)
+(* ---------------- Event_heap ordering under injection ---------------- *)
 
 (* The determinism contract the whole streaming mode leans on: drained
    events come out sorted by (time, machine, class), insertion order
@@ -161,10 +161,10 @@ let prop_ordering_under_injection =
         let cls = Rng.int rng 4 in
         (time, machine, cls)
       in
-      let q = Event_core.create ~dummy:0 () in
+      let q = Event_heap.create ~dummy:0 () in
       let counter = ref 0 in
       let push (time, machine, cls) =
-        Event_core.push q ~time ~machine ~cls !counter;
+        Event_heap.push q ~time ~machine ~cls !counter;
         incr counter
       in
       for _ = 1 to n do
@@ -199,13 +199,13 @@ let prop_ordering_under_injection =
    four classes, both the source pseudo-machine and real machines, plus
    an arrival injected mid-drain at the current instant. *)
 let ordering_pinned () =
-  let q = Event_core.create ~dummy:0 () in
+  let q = Event_heap.create ~dummy:0 () in
   (* payload = expected drain position. *)
-  Event_core.push q ~time:0.0 ~machine:1 ~cls:Event_core.cls_decision 4;
-  Event_core.push q ~time:0.0 ~machine:(-1) ~cls:Event_core.cls_arrival 0;
-  Event_core.push q ~time:0.0 ~machine:0 ~cls:Event_core.cls_fault 1;
-  Event_core.push q ~time:0.0 ~machine:0 ~cls:Event_core.cls_audit 3;
-  Event_core.push q ~time:1.0 ~machine:0 ~cls:Event_core.cls_fault 6;
+  Event_heap.push q ~time:0.0 ~machine:1 ~cls:Event_heap.cls_decision 4;
+  Event_heap.push q ~time:0.0 ~machine:(-1) ~cls:Event_heap.cls_arrival 0;
+  Event_heap.push q ~time:0.0 ~machine:0 ~cls:Event_heap.cls_fault 1;
+  Event_heap.push q ~time:0.0 ~machine:0 ~cls:Event_heap.cls_audit 3;
+  Event_heap.push q ~time:1.0 ~machine:0 ~cls:Event_heap.cls_fault 6;
   let order = ref [] in
   Helpers.drain q ~handle:(fun ~time ~machine:_ payload ->
       (* When the first fault at t=0 fires, a same-instant completion
@@ -213,9 +213,9 @@ let ordering_pinned () =
          order. And a t=1 arrival beats the t=1 fault despite being
          pushed later (machine -1 first). *)
       if payload = 1 then
-        Event_core.push q ~time ~machine:0 ~cls:Event_core.cls_arrival 2;
+        Event_heap.push q ~time ~machine:0 ~cls:Event_heap.cls_arrival 2;
       if payload = 3 then
-        Event_core.push q ~time:1.0 ~machine:(-1) ~cls:Event_core.cls_arrival 5;
+        Event_heap.push q ~time:1.0 ~machine:(-1) ~cls:Event_heap.cls_arrival 5;
       order := payload :: !order);
   Alcotest.(check (list int))
     "class then machine then seq" [ 0; 1; 2; 3; 4; 5; 6 ]

@@ -26,17 +26,26 @@ let stats_basic () =
   close "m1 busy" 1.0 m1.Timeline.busy;
   Alcotest.(check int) "m1 tasks" 1 m1.Timeline.tasks
 
+(* The utilization [render_stats] reports, as a fraction. *)
+let utilization s =
+  let line =
+    List.find
+      (String.starts_with ~prefix:"utilization:")
+      (String.split_on_char '\n' (Timeline.render_stats s))
+  in
+  Scanf.sscanf line "utilization: %f%%" (fun p -> p /. 100.0)
+
 let utilization_perfect () =
   let s = Schedule.make ~m:2 [| entry 0 0.0 3.0; entry 1 0.0 3.0 |] in
-  close "fully busy" 1.0 (Timeline.utilization s)
+  close "fully busy" 1.0 (utilization s)
 
 let utilization_half () =
   (* One machine busy 4, the other idle: 4 / (2*4) = 0.5. *)
   let s = Schedule.make ~m:2 [| entry 0 0.0 4.0 |] in
-  close "half" 0.5 (Timeline.utilization s)
+  close "half" 0.5 (utilization s)
 
 let utilization_empty () =
-  close "empty schedule" 0.0 (Timeline.utilization (Schedule.make ~m:3 [||]))
+  close "empty schedule" 0.0 (utilization (Schedule.make ~m:3 [||]))
 
 let engine_schedules_have_no_gaps () =
   (* The engine never leaves a machine idle while it has eligible

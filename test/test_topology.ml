@@ -165,7 +165,7 @@ let prop_round_trip =
     (fun params ->
       let t = random_topology params in
       match Topology.of_string (Topology.to_string t) with
-      | Ok t' -> Topology.equal t t'
+      | Ok t' -> Helpers.topology_equal t t'
       | Error msg -> QCheck.Test.fail_reportf "round-trip failed: %s" msg)
 
 let spec_grammar () =
@@ -186,7 +186,7 @@ let spec_grammar () =
   | Error e -> Alcotest.failf "zones:4:0.1:5 rejected: %s" e);
   let serialized = Topology.to_string (two_zone ()) in
   (match Topology.of_spec ~m:2 serialized with
-  | Ok t -> checkb "serialized form accepted" true (Topology.equal t (two_zone ()))
+  | Ok t -> checkb "serialized form accepted" true (Helpers.topology_equal t (two_zone ()))
   | Error e -> Alcotest.failf "serialized form rejected: %s" e);
   let contains msg frag =
     let fl = String.length frag and ml = String.length msg in
@@ -275,9 +275,9 @@ let build (n, m, k, p, seed) =
   let order = Instance.lpt_order instance in
   let horizon = 2.0 *. Realization.total realization in
   let faults =
-    Trace.merge
+    Helpers.merge_traces
       (Trace.random_crashes rng ~m ~p ~horizon)
-      (Trace.merge
+      (Helpers.merge_traces
          (Trace.random_outages rng ~m ~p ~horizon ~duration:(0.5, 5.0))
          (Trace.random_slowdowns rng ~m ~p ~horizon ~factor:(0.2, 0.9)))
   in
@@ -433,18 +433,6 @@ let replication_cost_accounting () =
   raises_invalid "machine-count mismatch" (fun () ->
       Placement.replication_costs p ~topology:(Topology.uniform ~m:3) ~sizes)
 
-let staged_lower_bound () =
-  let topo = two_zone ~bandwidth:1.0 ~latency:0.5 () in
-  let p = [| 4.0 |] and sizes = [| 2.0 |] in
-  let sets = [| Bitset.of_list 2 [ 1 ] |] in
-  close "staged inflates by the cheapest staging" 6.5
-    (Lower_bounds.staged ~topology:topo ~sizes ~sets ~m:2 p);
-  let both = [| Bitset.of_list 2 [ 0; 1 ] |] in
-  close "a home holder makes staging unavoidable-free" 4.0
-    (Lower_bounds.staged ~topology:topo ~sizes ~sets:both ~m:2 p);
-  close "uniform topology collapses to best" (Lower_bounds.best ~m:2 p)
-    (Lower_bounds.staged ~topology:(Topology.uniform ~m:2) ~sizes ~sets ~m:2 p)
-
 (* --------------------- zone-aware placements ------------------------ *)
 
 let multi_zone ~m ~zones ~bandwidth = Topology.zoned ~m ~zones ~bandwidth ()
@@ -470,7 +458,7 @@ let min_replication p =
 let survives_loss p lost =
   List.for_all
     (fun j ->
-      List.exists (fun i -> not (List.mem i lost)) (Bitset.to_list (Placement.set p j)))
+      List.exists (fun i -> not (List.mem i lost)) (Helpers.elements (Placement.set p j)))
     (List.init (Placement.n p) Fun.id)
 let zonegroup_shape () =
   let topo = multi_zone ~m:6 ~zones:3 ~bandwidth:1.0 in
@@ -594,7 +582,6 @@ let () =
         [
           Alcotest.test_case "replication cost accounting" `Quick
             replication_cost_accounting;
-          Alcotest.test_case "staged lower bound" `Quick staged_lower_bound;
         ] );
       ( "placement",
         [

@@ -72,28 +72,30 @@ let validate_with_speeds () =
 
 (* --- ECT-LPT --- *)
 
+(* Phase 1 of uniform LPT-No Choice: the ECT-LPT machine of each task. *)
+let ect_lpt ~speeds instance =
+  let placement = (Core.Uniform.lpt_no_choice ~speeds).Core.Two_phase.phase1 instance in
+  Array.map Usched_model.Bitset.choose (Core.Placement.sets placement)
+
 let ect_lpt_prefers_fast_machines () =
   (* One big task: must go to the fastest machine. *)
   let instance = instance_of ~m:3 [| 6.0 |] in
-  let r = Core.Uniform.lpt_assignment ~speeds:[| 1.0; 3.0; 2.0 |] instance in
-  Alcotest.(check int) "fastest machine" 1 r.Core.Assign.assignment.(0)
+  Alcotest.(check int) "fastest machine" 1
+    (ect_lpt ~speeds:[| 1.0; 3.0; 2.0 |] instance).(0)
 
 let ect_lpt_balances_finish_times () =
   (* Speeds (2,1), tasks (4,4,4): first two land on the fast machine
      (finish 2, then tie at 4 broken toward the lower id), the third on
      the slow one; both machines finish at 4. *)
   let instance = instance_of [| 4.0; 4.0; 4.0 |] in
-  let r = Core.Uniform.lpt_assignment ~speeds:[| 2.0; 1.0 |] instance in
-  Alcotest.(check (array int)) "assignment" [| 0; 0; 1 |] r.Core.Assign.assignment;
-  close "fast machine finish" 4.0 r.Core.Assign.loads.(0);
-  close "slow machine finish" 4.0 r.Core.Assign.loads.(1)
+  Alcotest.(check (array int)) "assignment" [| 0; 0; 1 |]
+    (ect_lpt ~speeds:[| 2.0; 1.0 |] instance)
 
 let ect_lpt_equal_speeds_is_lpt () =
   let instance = instance_of ~m:3 [| 9.0; 7.0; 5.0; 4.0; 3.0; 1.0 |] in
-  let uniform = Core.Uniform.lpt_assignment ~speeds:(Array.make 3 1.0) instance in
   let classic = Core.Assign.lpt ~m:3 ~weights:(Instance.ests instance) in
   Alcotest.(check (array int)) "same assignment" classic.Core.Assign.assignment
-    uniform.Core.Assign.assignment
+    (ect_lpt ~speeds:(Array.make 3 1.0) instance)
 
 (* --- Lower bound --- *)
 
@@ -318,10 +320,10 @@ let check_speeds_validation () =
   in
   Alcotest.check_raises "length"
     (Invalid_argument "Uniform: speeds length differs from machine count")
-    (fun () -> ignore (Core.Uniform.lpt_assignment ~speeds:[| 1.0 |] (on 3)));
+    (fun () -> ignore (ect_lpt ~speeds:[| 1.0 |] (on 3)));
   Alcotest.check_raises "domain"
     (Invalid_argument "Uniform: speeds must be finite and > 0") (fun () ->
-      ignore (Core.Uniform.lpt_assignment ~speeds:[| 0.0 |] (on 1)))
+      ignore (ect_lpt ~speeds:[| 0.0 |] (on 1)))
 
 let () =
   Alcotest.run "uniform"

@@ -93,7 +93,7 @@ let faulty_slope_is_bounded () =
   let words variant n =
     let instance, realization, placement, order, rng = setup ~shared:true n in
     let faults =
-      Trace.merge
+      Helpers.merge_traces
         (Trace.random_outages rng ~m ~p:0.5 ~horizon:40.0 ~duration:(0.5, 3.0))
         (Trace.random_slowdowns rng ~m ~p:0.5 ~horizon:40.0 ~factor:(0.3, 0.9))
     in
@@ -148,7 +148,7 @@ let sink_words_per_record_are_constant () =
   let per_record variant n =
     let instance, realization, placement, order, rng = setup ~shared:true n in
     let faults =
-      Trace.merge
+      Helpers.merge_traces
         (Trace.random_outages rng ~m ~p:0.5 ~horizon:40.0 ~duration:(0.5, 3.0))
         (Trace.random_slowdowns rng ~m ~p:0.5 ~horizon:40.0 ~factor:(0.3, 0.9))
     in
