@@ -31,6 +31,8 @@ let ids =
     "policy-sweep";
     "speed-robust";
     "locality";
+    "hetero";
+    "lb-search";
   ]
 
 let golden_dir = "golden_stdout"
