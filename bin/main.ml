@@ -139,7 +139,11 @@ let gen_cmd =
     let need name ok expect =
       if ok then Ok () else Error (Printf.sprintf "%s: must be %s" name expect)
     in
-    let* () = need "--machines" (m >= 1) "at least 1" in
+    let* () =
+      need "--machines"
+        (m >= 1 && m <= Model.Instance.max_machines)
+        (Printf.sprintf "in [1, %d]" Model.Instance.max_machines)
+    in
     let* () = need "--tasks" (n >= 0) ">= 0" in
     let* () =
       need "--alpha" (Float.is_finite alpha && alpha >= 1.0) "finite and >= 1"

@@ -29,6 +29,26 @@ let of_group_assignment ~m ~groups assignment =
 let n t = Array.length t.sets
 let set t j = t.sets.(j)
 let sets t = Array.copy t.sets
+(* Sets hash and compare structurally: two tasks share a group exactly
+   when their sets have the same members. *)
+let distinct_sets t =
+  let index = Hashtbl.create 16 in
+  let groups = ref [] and count = ref 0 in
+  let group_of =
+    Array.map
+      (fun set ->
+        match Hashtbl.find_opt index set with
+        | Some g -> g
+        | None ->
+            let g = !count in
+            Hashtbl.add index set g;
+            groups := set :: !groups;
+            incr count;
+            g)
+      t.sets
+  in
+  (Array.of_list (List.rev !groups), group_of)
+
 let allowed t ~task ~machine = Bitset.mem t.sets.(task) machine
 let replication t j = Bitset.cardinal t.sets.(j)
 

@@ -35,6 +35,13 @@ val sets : t -> Bitset.t array
 (** Fresh array of the (shared) per-task sets — the representation used
     by the desim engine. *)
 
+val distinct_sets : t -> Bitset.t array * int array
+(** [(groups, group_of)]: the distinct machine sets (compared by
+    membership), in order of first occurrence over task ids, and each
+    task's index into [groups]. Group placements have a handful of
+    distinct sets however many tasks they hold, so a scan over [groups]
+    replaces one over every task wherever only the sets matter. *)
+
 val allowed : t -> task:int -> machine:int -> bool
 
 val replication : t -> int -> int

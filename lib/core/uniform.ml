@@ -80,16 +80,24 @@ let top_desc (src : float array) k =
   end;
   heap
 
-let lower_bound ~speeds p =
-  let m = Array.length speeds in
-  check_speeds ~m speeds;
+let check_times p =
   for j = 0 to Array.length p - 1 do
     let x = p.(j) in
     if not (Float.is_finite x && x >= 0.0) then
       invalid_arg "Uniform.lower_bound: task times must be finite and >= 0"
+  done
+
+let total_work p =
+  let total = ref 0.0 in
+  for j = 0 to Array.length p - 1 do
+    total := !total +. p.(j)
   done;
-  let k = Stdlib.min m (Array.length p) in
-  let top_p = top_desc p k in
+  !total
+
+(* The bound from the [k = min m n] largest task times, descending in
+   [top_p] (which may hold more), and the total work. *)
+let bound_of_top ~speeds ~top_p ~k ~total =
+  let m = Array.length speeds in
   let sorted_s = top_desc speeds m in
   let bound = ref 0.0 in
   let work = ref 0.0 and speed = ref 0.0 in
@@ -103,14 +111,30 @@ let lower_bound ~speeds p =
     if !bound = !bound && not (r <= !bound) then bound := r
   done;
   (* All the work on all the machines. *)
-  let total = ref 0.0 and total_speed = ref 0.0 in
-  for j = 0 to Array.length p - 1 do
-    total := !total +. p.(j)
-  done;
+  let total_speed = ref 0.0 in
   for i = 0 to m - 1 do
     total_speed := !total_speed +. speeds.(i)
   done;
-  Float.max !bound (!total /. !total_speed)
+  Float.max !bound (total /. !total_speed)
+
+let lower_bound ~speeds p =
+  let m = Array.length speeds in
+  check_speeds ~m speeds;
+  check_times p;
+  let k = Stdlib.min m (Array.length p) in
+  bound_of_top ~speeds ~top_p:(top_desc p k) ~k ~total:(total_work p)
+
+(* A prefix of the full descending sort holds the same values as
+   [top_desc p k], so the sums, and the bound, are bit for bit
+   [lower_bound]'s. *)
+let lower_bound_of p =
+  check_times p;
+  let n = Array.length p in
+  let sorted = top_desc p n and total = total_work p in
+  fun ~speeds ->
+    let m = Array.length speeds in
+    check_speeds ~m speeds;
+    bound_of_top ~speeds ~top_p:sorted ~k:(Stdlib.min m n) ~total
 
 let engine_phase2 ~speeds ~order instance placement realization =
   Engine.run ~speeds instance realization

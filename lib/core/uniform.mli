@@ -31,6 +31,14 @@ val lower_bound : speeds:float array -> float array -> float
     [speeds] (not exactly [m] strictly positive finite speeds) or on a
     task time that is negative or not finite (NaN, infinity). *)
 
+val lower_bound_of : float array -> speeds:float array -> float
+(** [lower_bound_of p ~speeds = lower_bound ~speeds p], bit for bit, for
+    callers that bound the same task times at many speed vectors: the
+    partial application [lower_bound_of p] validates and sorts [p] once
+    (O(n log n)), after which each call costs O(m log m) and no per-task
+    work. Raises as {!lower_bound}, on [p] at partial application and on
+    [speeds] at each call. *)
+
 val lpt_no_choice : speeds:float array -> Two_phase.t
 (** Strategy 1 on uniform machines: ECT-LPT placement (tasks in
     decreasing estimate order, each to the machine that would finish it

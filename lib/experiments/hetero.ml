@@ -120,13 +120,21 @@ let run config =
         let placement = algo.Core.Two_phase.phase1 instance in
         let sets = Core.Placement.sets placement in
         let order = Instance.lpt_order instance in
+        let lower_bound = Core.Uniform.lower_bound_of actuals in
         let run_ratio revealed =
           Schedule.makespan
             (Engine.run ~speeds:revealed instance realization ~placement:sets
                ~order)
-          /. Core.Uniform.lower_bound ~speeds:revealed actuals
+          /. lower_bound ~speeds:revealed
         in
-        let _, adv = Core.Speed_adversary.worst_case ~run:run_ratio instance placement band in
+        let makespan_bound =
+          Core.Speed_adversary.makespan_bound instance ~actuals placement
+        in
+        let bound revealed = makespan_bound revealed /. lower_bound ~speeds:revealed in
+        let _, adv =
+          Core.Speed_adversary.worst_case ~run:run_ratio ~bound instance placement
+            band
+        in
         Summary.add summary adv
       done;
       Table.add_row band_table

@@ -32,7 +32,8 @@ let crashed_set ~m faults =
 let monte_carlo_survival ?(trials = 1000) ?(domains = 1) ~seed ~profile
     placement =
   if trials < 1 then invalid_arg "monte_carlo_survival: trials must be >= 1";
-  let sets = Core.Placement.sets placement in
+  (* A crash strands some task iff it strands some distinct set. *)
+  let sets, _ = Core.Placement.distinct_sets placement in
   let mm = Failure.m profile in
   let rng = Rng.create ~seed () in
   (* Trial generators are split off sequentially before the fan-out, so

@@ -34,6 +34,9 @@ val assess :
     Monte-Carlo [draws] folded into its candidates (so [ratio_adv]
     dominates every entry of [mc_ratios]), the ratio at each draw, and
     the adversary's revelation replayed mid-run with [speculation] and
-    [recovery]. [domains] parallelizes the adversary's corner search.
-    The engine defaults apply to omitted options; [solve] passes its
-    flags, the experiment passes none. *)
+    [recovery]. The corner search is pruned by
+    {!Usched_core.Speed_adversary.makespan_bound}, and every draw is
+    replayed once. [domains] parallelizes the corner search. The engine
+    defaults apply to omitted options; [solve] passes its flags, the
+    experiment passes none. Raises [Invalid_argument] when a draw
+    leaves the band. *)

@@ -15,8 +15,11 @@ let check_covers what machines_of ~m =
           (Printf.sprintf "Instance.make: %s covers %d machines, instance has %d"
              what (machines_of x) m))
 
+let max_machines = 1 lsl 20
+
 let make ?failure ?speed_band ?topology ~m ~alpha tasks =
   if m < 1 then invalid_arg "Instance.make: need at least one machine";
+  if m > max_machines then invalid_arg "Instance.make: too many machines";
   Array.iteri
     (fun i task ->
       if Task.id task <> i then

@@ -6,6 +6,12 @@
 
 type t
 
+val max_machines : int
+(** The largest machine count an instance may have: [2^20]. Per-machine
+    state is allocated up front, so a larger count is refused before
+    anything is allocated, by {!make}, by the instance parser and by
+    [usched gen]. *)
+
 val make :
   ?failure:Failure.t ->
   ?speed_band:Speed_band.t ->
@@ -15,7 +21,7 @@ val make :
   Task.t array ->
   t
 (** Validates and builds an instance. Raises [Invalid_argument] if
-    [m < 1], task ids are not exactly [0 .. n-1] in order, or the
+    [m < 1] or [m > max_machines], task ids are not exactly [0 .. n-1] in order, or the
     optional failure profile / speed band / topology does not cover
     exactly [m] machines. The task array is copied. *)
 

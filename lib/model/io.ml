@@ -50,7 +50,11 @@ let parse_header line =
   in
   let m =
     match int_of_string_opt (lookup "m") with
-    | Some m when m >= 1 -> m
+    | Some m when m >= 1 && m <= Instance.max_machines -> m
+    | Some m when m > Instance.max_machines ->
+        parse_error 1
+          (Printf.sprintf "m=%d exceeds the cap of %d machines" m
+             Instance.max_machines)
     | Some _ | None -> parse_error 1 "m= must be an integer >= 1"
   in
   let alpha =

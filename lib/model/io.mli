@@ -11,7 +11,8 @@
     ...
     v}
 
-    [m] is a positive integer and [alpha] a finite factor [>= 1]. The
+    [m] is a positive integer no larger than {!Instance.max_machines}
+    and [alpha] a finite factor [>= 1]. The
     optional [failp=] field carries the per-machine failure profile
     ({!Failure.t}), comma-separated with one probability per machine;
     the optional [speedband=] field carries the per-machine speed

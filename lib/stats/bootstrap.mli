@@ -22,4 +22,6 @@ val interval :
 
 val mean_interval :
   ?resamples:int -> ?confidence:float -> rng:Usched_prng.Rng.t -> float array -> interval
-(** {!interval} with the sample mean. *)
+(** {!interval} with the sample mean, bit for bit, drawing the same
+    variates from [rng]; it sums each resample as it is drawn instead of
+    building it. *)

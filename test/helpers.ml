@@ -25,6 +25,26 @@ let topology_equal a b = Topology.to_string a = Topology.to_string b
 (* The members of [s], ascending. *)
 let elements s = List.rev (Bitset.fold (fun acc i -> i :: acc) [] s)
 
+module Instance = Usched_model.Instance
+module Uncertainty = Usched_model.Uncertainty
+
+(* [instance]'s estimates on a priced [zones]-zone topology with random
+   data sizes, drawn from [rng]: a copy placed outside its data's home
+   zone pays staging. *)
+let with_priced_zones rng ~zones instance =
+  let m = Instance.m instance in
+  let sizes =
+    Array.init (Instance.n instance) (fun _ -> Rng.float_range rng ~lo:0.1 ~hi:8.0)
+  in
+  let topology =
+    Topology.zoned ~m ~zones
+      ~bandwidth:(Rng.float_range rng ~lo:0.3 ~hi:3.0)
+      ~latency:(Rng.float_range rng ~lo:0.0 ~hi:1.5)
+      ()
+  in
+  Instance.of_ests ~topology ~m ~alpha:(Uncertainty.alpha 2.0) ~sizes
+    (Instance.ests instance)
+
 module Fault = Usched_faults.Fault
 module Fault_trace = Usched_faults.Trace
 

@@ -72,6 +72,22 @@ let invalid_inputs () =
     (Invalid_argument "Bootstrap.interval: resamples < 1") (fun () ->
       ignore (Bootstrap.mean_interval ~resamples:0 ~rng [| 1.0 |]))
 
+(* The streamed mean interval draws the same variates and sums them in
+   the same order as the generic interval over materialized resamples. *)
+let prop_mean_interval_streamed =
+  QCheck.Test.make ~count:200 ~name:"mean_interval = interval ~statistic:mean"
+    QCheck.(triple (int_range 1 60) (int_range 1 200) (int_bound 1_000_000))
+    (fun (n, resamples, seed) ->
+      let rng = Rng.create ~seed () in
+      let data =
+        Array.init n (fun _ ->
+            if seed mod 2 = 0 then Float.of_int (Rng.int rng 2)
+            else Rng.float_range rng ~lo:(-5.0) ~hi:5.0)
+      in
+      let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a) in
+      Bootstrap.mean_interval ~resamples ~rng:(Rng.create ~seed ()) data
+      = Bootstrap.interval ~resamples ~statistic:mean ~rng:(Rng.create ~seed ()) data)
+
 let () =
   Alcotest.run "bootstrap"
     [
@@ -85,4 +101,5 @@ let () =
           Alcotest.test_case "coverage" `Quick coverage_sanity;
           Alcotest.test_case "invalid inputs" `Quick invalid_inputs;
         ] );
+      ("properties", [ QCheck_alcotest.to_alcotest prop_mean_interval_streamed ]);
     ]

@@ -79,6 +79,8 @@ let () =
             (rejected ~line:1 (header "m=abc alpha=2"));
           Alcotest.test_case "zero machines" `Quick
             (rejected ~line:1 (header "m=0 alpha=2"));
+          Alcotest.test_case "machine count past the cap" `Quick
+            (rejected ~line:1 (header "m=4000000000 alpha=2"));
           Alcotest.test_case "alpha below 1" `Quick
             (rejected ~line:1 (header "m=2 alpha=0.5"));
           Alcotest.test_case "bad row" `Quick
@@ -91,6 +93,7 @@ let () =
           [
             ("alpha below 1", "--alpha", [ "--alpha"; "0.5" ]);
             ("zero machines", "--machines", [ "--machines"; "0" ]);
+            ("machines past the cap", "--machines", [ "--machines"; "4000000000" ]);
             ("empty uniform range", "--workload", [ "--workload"; "uniform:5:1" ]);
             ("negative mean", "--workload", [ "--workload"; "exponential:-1" ]);
             ("non-numeric bound", "--workload", [ "--workload"; "uniform:abc:1" ]);

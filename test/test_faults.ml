@@ -386,16 +386,7 @@ let prop_empty_trace_golden =
       let instance =
         if seed mod 3 = 0 || m = 1 then instance
         else
-          let sizes = Array.init n (fun _ -> Rng.float_range rng ~lo:0.1 ~hi:8.0) in
-          let topology =
-            Topology.zoned ~m
-              ~zones:(2 + (seed mod (m - 1)))
-              ~bandwidth:(Rng.float_range rng ~lo:0.3 ~hi:3.0)
-              ~latency:(Rng.float_range rng ~lo:0.0 ~hi:1.5)
-              ()
-          in
-          Instance.of_ests ~topology ~m ~alpha:(Uncertainty.alpha 2.0) ~sizes
-            (Instance.ests instance)
+          Helpers.with_priced_zones rng ~zones:(2 + (seed mod (m - 1))) instance
       in
       let reference =
         Engine.run ?speeds instance realization ~placement ~order

@@ -392,6 +392,21 @@ let error_texts () =
   check "ids out of order" "Io: line 4: id 2 out of order (expected 1)"
     (parse_error (inst ^ "0,4,1\n2,4,1\n"))
 
+(* A header [m] past [Instance.max_machines] is a parse error at line 1,
+   raised before anything per machine is allocated; the cap itself
+   parses. *)
+let machine_cap () =
+  let cap = Instance.max_machines in
+  let text m = Printf.sprintf "# usched-instance m=%d alpha=2\nid,est,size\n0,1,1\n" m in
+  List.iter
+    (fun m ->
+      Alcotest.(check string)
+        (Printf.sprintf "m=%d" m)
+        (Printf.sprintf "Io: line 1: m=%d exceeds the cap of %d machines" m cap)
+        (parse_error (text m)))
+    [ cap + 1; 4_000_000_000; 4_000_000_000_000 ];
+  Alcotest.(check int) "the cap parses" cap (Instance.m (Io.instance_of_string (text cap)))
+
 let prop_blank_lines_ignored =
   QCheck.Test.make ~name:"blank and whitespace-only lines anywhere in the body are skipped"
     ~count:200
@@ -444,6 +459,7 @@ let () =
           Alcotest.test_case "malformed rows" `Quick rejects_malformed_rows;
           Alcotest.test_case "missing header" `Quick rejects_missing_header_field;
           Alcotest.test_case "error texts and line numbers" `Quick error_texts;
+          Alcotest.test_case "machine count cap" `Quick machine_cap;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -124,9 +124,14 @@ let prop_adversary_domain_independent =
         Array.fold_left (fun acc s -> (2.0 *. acc) +. s) 0.0 speeds
       in
       let base = Core.Speed_adversary.exhaustive ~domains:1 ~run band in
+      (* A loose but valid bound: the pruned search replays corners in
+         rounds of [d], and still reports full enumeration's corner. *)
+      let bound speeds = run speeds +. Array.fold_left ( +. ) 0.0 speeds in
       List.for_all
-        (fun d -> Core.Speed_adversary.exhaustive ~domains:d ~run band = base)
-        domain_counts)
+        (fun d ->
+          Core.Speed_adversary.exhaustive ~domains:d ~run band = base
+          && Core.Speed_adversary.exhaustive ~domains:d ~bound ~run band = base)
+        (1 :: domain_counts))
 
 (* Scenario evaluation: each scenario's makespan is an independent pure
    replay, so the evaluation record is identical at any domain count. *)

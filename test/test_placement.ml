@@ -30,6 +30,20 @@ let group_assignment_basic () =
   checkb "task 1 not in group 0" false (Placement.allowed p ~task:1 ~machine:0);
   checki "replication is group size" 2 (Placement.max_replication p)
 
+(* Distinct sets compare by membership, not identity, and come out in
+   order of first occurrence. *)
+let distinct_sets_first_occurrence () =
+  let set l = Bitset.of_list 4 l in
+  let p =
+    Placement.of_sets ~m:4
+      [| set [ 2; 3 ]; set [ 0 ]; set [ 2; 3 ]; set [ 0; 1 ]; set [ 0 ] |]
+  in
+  let groups, group_of = Placement.distinct_sets p in
+  Alcotest.(check (list (list int)))
+    "groups" [ [ 2; 3 ]; [ 0 ]; [ 0; 1 ] ]
+    (Array.to_list (Array.map Helpers.elements groups));
+  Alcotest.(check (array int)) "group of each task" [| 0; 1; 0; 2; 1 |] group_of
+
 let empty_set_rejected () =
   Alcotest.check_raises "empty machine set"
     (Invalid_argument "Placement.of_sets: task 0 placed nowhere") (fun () ->
@@ -186,6 +200,7 @@ let () =
           Alcotest.test_case "full" `Quick full_basic;
           Alcotest.test_case "groups" `Quick group_assignment_basic;
           Alcotest.test_case "empty rejected" `Quick empty_set_rejected;
+          Alcotest.test_case "distinct sets" `Quick distinct_sets_first_occurrence;
           Alcotest.test_case "capacity rejected" `Quick capacity_mismatch_rejected;
           Alcotest.test_case "memory loads" `Quick memory_loads_count_every_replica;
           Alcotest.test_case "degrees" `Quick degrees_per_task;

@@ -223,6 +223,55 @@ let mc_survival_extremes () =
   close "p=1 profile strands everything" 0.0 (sv singletons certain_loss);
   close "p=0 profile strands nothing" 1.0 (sv singletons never)
 
+(* The survival estimate checks only the distinct replica sets; an
+   oracle that checks every task's set, with the same trial generators
+   and bootstrap, must agree bit for bit. *)
+let all_sets_oracle ~trials ~seed ~profile placement =
+  let sets = Placement.sets placement in
+  let m = Failure.m profile in
+  let rng = Rng.create ~seed () in
+  let trial_rngs = Array.init trials (fun _ -> Rng.split rng) in
+  let data =
+    Array.map
+      (fun r ->
+        let crashed = Bitset.create m in
+        List.iter (Bitset.add crashed)
+          (Usched_faults.Trace.crashed
+             (Usched_faults.Trace.profile_crashes r ~profile ~horizon:1.0));
+        if Array.exists (fun s -> Bitset.subset s crashed) sets then 0.0 else 1.0)
+      trial_rngs
+  in
+  let iv = Usched_stats.Bootstrap.mean_interval ~rng data in
+  (iv.Usched_stats.Bootstrap.point, iv.lo, iv.hi)
+
+let prop_distinct_sets_survival =
+  QCheck.Test.make ~count:100
+    ~name:"survival over distinct sets = survival over every task's set"
+    QCheck.(triple (int_range 1 40) (int_range 1 6) (int_bound 1_000_000))
+    (fun (n, m, seed) ->
+      let rng = Rng.create ~seed () in
+      let profile =
+        Failure.make (Array.init m (fun _ -> Rng.float_range rng ~lo:0.0 ~hi:0.6))
+      in
+      let random_set () =
+        let set = Bitset.create m in
+        for i = 0 to m - 1 do
+          if Rng.float rng < 0.4 then Bitset.add set i
+        done;
+        if Bitset.is_empty set then Bitset.add set (Rng.int rng m);
+        set
+      in
+      let shared = Array.init (1 + Rng.int rng 4) (fun _ -> random_set ()) in
+      let placement =
+        Placement.of_sets ~m
+          (Array.init n (fun _ ->
+               if seed mod 2 = 0 then shared.(Rng.int rng (Array.length shared))
+               else random_set ()))
+      in
+      let sv = Sweep.monte_carlo_survival ~trials:300 ~seed ~profile placement in
+      (sv.Sweep.point, sv.Sweep.lo, sv.Sweep.hi)
+      = all_sets_oracle ~trials:300 ~seed ~profile placement)
+
 let () =
   Alcotest.run "reliability"
     [
@@ -249,5 +298,6 @@ let () =
           Alcotest.test_case "solver placements meet the target" `Slow
             monte_carlo_meets_target;
           Alcotest.test_case "survival extremes" `Quick mc_survival_extremes;
+          QCheck_alcotest.to_alcotest prop_distinct_sets_survival;
         ] );
     ]

@@ -203,6 +203,191 @@ let prop_adversary_dominates_mc =
       in
       Array.for_all (fun d -> makespan d <= adv) draws)
 
+(* The busy-time bound the corner search prunes with. A random scenario:
+   random overlapping replica sets (a few shared ones, or one drawn per
+   task), a band whose machines are sometimes degenerate, an arbitrary
+   priority order, and on two of three seeds a priced multi-zone
+   topology with data sizes, so replays pay staging. *)
+let bound_scenario_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 24 in
+    let* m = int_range 1 6 in
+    let* seed = int_bound 1_000_000 in
+    return (n, m, seed))
+
+let bound_scenario =
+  QCheck.make
+    ~print:(fun (n, m, seed) -> Printf.sprintf "n=%d m=%d seed=%d" n m seed)
+    bound_scenario_gen
+
+let build_bounded (n, m, seed) =
+  let instance, realization, rng = build_instance (n, m, seed) in
+  let instance =
+    if seed mod 3 = 0 || m = 1 then instance
+    else Helpers.with_priced_zones rng ~zones:(2 + (seed mod (m - 1))) instance
+  in
+  let random_set () =
+    let set = Bitset.create m in
+    for i = 0 to m - 1 do
+      if Rng.float rng < 0.4 then Bitset.add set i
+    done;
+    if Bitset.is_empty set then Bitset.add set (Rng.int rng m);
+    set
+  in
+  let shared = Array.init (1 + Rng.int rng 3) (fun _ -> random_set ()) in
+  let sets =
+    Array.init n (fun _ ->
+        if seed mod 2 = 0 then shared.(Rng.int rng (Array.length shared))
+        else random_set ())
+  in
+  let band =
+    Speed_band.make
+      (Array.init m (fun _ ->
+           let lo = Rng.float_range rng ~lo:0.3 ~hi:2.0 in
+           if Rng.float rng < 0.3 then (lo, lo)
+           else (lo, lo +. Rng.float_range rng ~lo:0.0 ~hi:2.0)))
+  in
+  let order = Array.init n Fun.id in
+  Helpers.shuffle rng order;
+  (instance, realization, Core.Placement.of_sets ~m sets, band, order)
+
+let corners band =
+  let m = Speed_band.m band in
+  List.init (1 lsl m) (fun mask ->
+      Array.init m (fun i ->
+          if mask land (1 lsl i) <> 0 then Speed_band.lo band i
+          else Speed_band.hi band i))
+
+let prop_makespan_bound =
+  QCheck.Test.make ~count:300
+    ~name:"makespan_bound >= the replay's makespan at every corner, every policy"
+    bound_scenario (fun s ->
+      let instance, realization, placement, band, order = build_bounded s in
+      let bound =
+        Core.Speed_adversary.makespan_bound instance
+          ~actuals:(Realization.actuals realization)
+          placement
+      in
+      let sets = Core.Placement.sets placement in
+      List.for_all
+        (fun speeds ->
+          let b = bound speeds in
+          List.for_all
+            (fun dispatch ->
+              Schedule.makespan
+                (Engine.run ~speeds ~dispatch instance realization
+                   ~placement:sets ~order)
+              <= b)
+            Dispatch.builtin)
+        (corners band))
+
+(* Pruning is exact: with the bound, the search reports the corner and
+   value full enumeration reports, bit for bit — also on identical
+   machines, where symmetric corners tie. *)
+let prop_bounded_search_exact =
+  QCheck.Test.make ~count:200
+    ~name:"exhaustive ~bound = exhaustive, ties included" bound_scenario
+    (fun ((_, m, seed) as s) ->
+      let instance, realization, placement, band, order = build_bounded s in
+      let band =
+        if seed mod 4 = 0 then Speed_band.uniform ~m ~lo:0.5 ~hi:2.0 else band
+      in
+      let actuals = Realization.actuals realization in
+      let sets = Core.Placement.sets placement in
+      let dispatch = List.nth Dispatch.builtin (seed mod 5) in
+      let ratio speeds =
+        Schedule.makespan
+          (Engine.run ~speeds ~dispatch instance realization ~placement:sets
+             ~order)
+        /. Core.Uniform.lower_bound ~speeds actuals
+      in
+      let makespan_bound =
+        Core.Speed_adversary.makespan_bound instance ~actuals placement
+      in
+      let bound speeds =
+        makespan_bound speeds /. Core.Uniform.lower_bound ~speeds actuals
+      in
+      Core.Speed_adversary.exhaustive ~bound ~run:ratio band
+      = Core.Speed_adversary.exhaustive ~run:ratio band)
+
+let bound_prunes_group_placements () =
+  (* Speed-robust placements share a handful of replica sets, the case
+     the bound is built for: far fewer corners are replayed, and the
+     answer is full enumeration's. *)
+  let instance, realization, _ = build_instance (300, 10, 11) in
+  let band = Speed_band.uniform ~m:10 ~lo:0.5 ~hi:2.0 in
+  let instance = Instance.with_speed_band instance (Some band) in
+  let placement = speed_robust ~k:2 instance in
+  let actuals = Realization.actuals realization in
+  let sets = Core.Placement.sets placement in
+  let order = Instance.lpt_order instance in
+  let calls = ref 0 in
+  let ratio speeds =
+    incr calls;
+    Schedule.makespan
+      (Engine.run ~speeds instance realization ~placement:sets ~order)
+    /. Core.Uniform.lower_bound ~speeds actuals
+  in
+  let makespan_bound =
+    Core.Speed_adversary.makespan_bound instance ~actuals placement
+  in
+  let bound speeds =
+    makespan_bound speeds /. Core.Uniform.lower_bound ~speeds actuals
+  in
+  let pruned = Core.Speed_adversary.exhaustive ~bound ~run:ratio band in
+  let replayed = !calls in
+  checkb
+    (Printf.sprintf "%d of 1024 corners replayed" replayed)
+    true (replayed <= 64);
+  checkb "same corner and ratio" true
+    (pruned = Core.Speed_adversary.exhaustive ~run:ratio band)
+
+let bounded_search_replays_tight_ties () =
+  (* The value counts the machines at [lo], capped at 2, so corners 3, 5,
+     6 and 7 (bit i set: machine i slow) tie at the maximum. The bound
+     is exact except where machine 0 is fast, so corner 6 is replayed
+     first; full enumeration reports corner 3, whose bound equals the
+     maximum, and the search must still replay it. *)
+  let band = Speed_band.uniform ~m:3 ~lo:0.5 ~hi:2.0 in
+  let run s =
+    float_of_int
+      (Stdlib.min 2 (Array.fold_left (fun acc x -> if x = 0.5 then acc + 1 else acc) 0 s))
+  in
+  let bound s = run s +. if s.(0) = 2.0 then 1.0 else 0.0 in
+  let full = Core.Speed_adversary.exhaustive ~run band in
+  checkb "full enumeration reports corner 3" true (full = ([| 0.5; 0.5; 2.0 |], 2.0));
+  List.iter
+    (fun domains ->
+      checkb
+        (Printf.sprintf "bounded search on %d domain(s)" domains)
+        true
+        (Core.Speed_adversary.exhaustive ~domains ~bound ~run band = full))
+    [ 1; 2 ]
+
+let makespan_bound_rejects_mismatches () =
+  let instance =
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 1.0; 2.0 |]
+  in
+  let placement = Core.Placement.full ~m:2 ~n:2 in
+  let raises f =
+    try
+      ignore (f ());
+      false
+    with Invalid_argument _ -> true
+  in
+  checkb "actuals of another length" true
+    (raises (fun () ->
+         Core.Speed_adversary.makespan_bound instance ~actuals:[| 1.0 |]
+           placement));
+  let bound =
+    Core.Speed_adversary.makespan_bound instance ~actuals:[| 1.0; 2.0 |]
+      placement
+  in
+  checkb "speeds of another length" true (raises (fun () -> bound [| 1.0 |]));
+  (* Both machines run at speed 1 and see 3 units of work: the bound is
+     3/2 + 2/1, inflated by the relative slack. *)
+  Alcotest.(check (float 0.0)) "value" (3.5 *. (1.0 +. 1e-9)) (bound [| 1.0; 1.0 |])
+
 let prop_one_replica_per_class =
   QCheck.Test.make ~count:200
     ~name:"speed-robust placement holds one replica per speed class" scenario
@@ -459,6 +644,12 @@ let () =
           Alcotest.test_case "out-of-band candidates" `Quick
             worst_case_rejects_out_of_band_candidates;
           Alcotest.test_case "critical load" `Quick critical_load_counts_shares;
+          Alcotest.test_case "bound prunes group placements" `Quick
+            bound_prunes_group_placements;
+          Alcotest.test_case "tight ties replayed" `Quick
+            bounded_search_replays_tight_ties;
+          Alcotest.test_case "makespan bound arguments" `Quick
+            makespan_bound_rejects_mismatches;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -466,6 +657,8 @@ let () =
             prop_round_trip;
             prop_sample_in_band;
             prop_adversary_dominates_mc;
+            prop_makespan_bound;
+            prop_bounded_search_exact;
             prop_one_replica_per_class;
             prop_speed_robust_sets_shared;
             prop_shared_sets_replay_as_copies;

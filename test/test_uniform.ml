@@ -221,6 +221,15 @@ let prop_lower_bound_matches_full_sort =
         (Core.Uniform.lower_bound ~speeds p)
         (full_sort_lower_bound ~speeds p))
 
+let prop_presorted_lower_bound =
+  QCheck.Test.make ~count:1000
+    ~name:"lower_bound_of equals the full-sort definition bit for bit"
+    (QCheck.make bound_case_gen)
+    (fun (speeds, p) ->
+      same_bits
+        (Core.Uniform.lower_bound_of p ~speeds)
+        (full_sort_lower_bound ~speeds p))
+
 let lower_bound_oracle_edges () =
   let check name speeds p =
     checkb name true
@@ -353,6 +362,7 @@ let () =
           Alcotest.test_case "non-finite times rejected" `Quick
             lower_bound_rejects_non_finite;
           QCheck_alcotest.to_alcotest prop_lower_bound_matches_full_sort;
+          QCheck_alcotest.to_alcotest prop_presorted_lower_bound;
         ] );
       ( "two-phase",
         [
