@@ -1,7 +1,6 @@
 type t = Xoshiro256.t
 
 let create ?(seed = 0x5EED) () = Xoshiro256.create (Int64.of_int seed)
-let int64 = Xoshiro256.next
 
 let split x =
   let child = Xoshiro256.copy x in
@@ -16,17 +15,25 @@ let float_range t ~lo ~hi =
   if lo > hi then invalid_arg "Rng.float_range: lo > hi";
   lo +. ((hi -. lo) *. float t)
 
+(* Rejection sampling over the top bits to avoid modulo bias. The mask
+   is the smallest all-ones value, at least 1, covering [bound - 1]:
+   the high bit of [bound - 1] smeared into every lower bit. *)
+let mask_for bound =
+  let x = bound - 1 in
+  let x = x lor (x lsr 1) in
+  let x = x lor (x lsr 2) in
+  let x = x lor (x lsr 4) in
+  let x = x lor (x lsr 8) in
+  let x = x lor (x lsr 16) in
+  let x = x lor (x lsr 32) in
+  if x < 1 then 1 else x
+
+let rec draw t ~mask bound =
+  let bits = Xoshiro256.next_bits t land mask in
+  if bits < bound then bits else draw t ~mask bound
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
-  (* Rejection sampling over the top bits to avoid modulo bias. *)
-  let mask =
-    let rec grow m = if m >= bound - 1 then m else grow ((m * 2) + 1) in
-    grow 1
-  in
-  let rec draw () =
-    let bits = Int64.to_int (Int64.shift_right_logical (int64 t) 2) land mask in
-    if bits < bound then bits else draw ()
-  in
-  draw ()
+  draw t ~mask:(mask_for bound) bound
 
 let bernoulli t ~p = float t < p

@@ -17,6 +17,10 @@ val copy : t -> t
 val next : t -> int64
 (** [next t] advances the state and returns 64 pseudo-random bits. *)
 
+val next_bits : t -> int
+(** [next_bits t] advances the state like {!next} and returns the top
+    62 of its 64 bits as a non-negative [int], without boxing. *)
+
 val next_float : t -> float
 (** [next_float t] is a float drawn uniformly from [[0, 1)]. *)
 

@@ -31,6 +31,33 @@ let xoshiro_deterministic () =
     check Alcotest.int64 "same stream" (Xoshiro256.next a) (Xoshiro256.next b)
   done
 
+(* The stream seeded with 7: its first outputs, the outputs after a jump,
+   and a float, pinned so a change of state representation cannot move
+   a single bit of any seeded experiment. *)
+let xoshiro_reference () =
+  let g = Xoshiro256.create 7L in
+  check
+    Alcotest.(list int64)
+    "first outputs"
+    [ 1021219803524665661L; 3174977118032272916L; -5209800880474007438L;
+      7880630202246103356L ]
+    (List.init 4 (fun _ -> Xoshiro256.next g));
+  let j = Xoshiro256.copy g in
+  Xoshiro256.jump j;
+  check
+    Alcotest.(list int64)
+    "after a jump"
+    [ -2179565296972798486L; -5547542947831578657L ]
+    (List.init 2 (fun _ -> Xoshiro256.next j));
+  check Alcotest.(float 0.0) "first float of seed 11" 0x1.b8357798d4d28p-1
+    (Xoshiro256.next_float (Xoshiro256.create 11L));
+  let a = Xoshiro256.create 5L and b = Xoshiro256.create 5L in
+  for _ = 1 to 100 do
+    check Alcotest.int "next_bits is the top 62 bits of next"
+      (Int64.to_int (Int64.shift_right_logical (Xoshiro256.next a) 2))
+      (Xoshiro256.next_bits b)
+  done
+
 let xoshiro_jump_disjoint () =
   let a = Xoshiro256.create 7L in
   let b = Xoshiro256.copy a in
@@ -59,6 +86,26 @@ let rng_int_rejects_nonpositive () =
   let rng = Rng.create () in
   Alcotest.check_raises "bound 0" (Invalid_argument "Rng.int: bound <= 0")
     (fun () -> ignore (Rng.int rng 0))
+
+(* [Rng.int] against its definition: rejection sampling of the top 62
+   bits under the smallest mask 1, 3, 7, ... covering [bound - 1], on a
+   twin stream ([Rng.create ~seed] seeds Xoshiro256 with [seed]). *)
+let rng_int_matches_definition () =
+  List.iter
+    (fun bound ->
+      let rec grow m = if m >= bound - 1 then m else grow ((m * 2) + 1) in
+      let mask = grow 1 in
+      let twin = Xoshiro256.create 17L in
+      let rec draw () =
+        let bits = Int64.to_int (Int64.shift_right_logical (Xoshiro256.next twin) 2) land mask in
+        if bits < bound then bits else draw ()
+      in
+      let rng = Rng.create ~seed:17 () in
+      for _ = 1 to 50 do
+        check Alcotest.int (Printf.sprintf "bound %d" bound) (draw ()) (Rng.int rng bound)
+      done)
+    ([ 1; 2; 3; 4; 5; 1000; 1023; 1024; 1025; (1 lsl 40) + 1; 1 lsl 61; max_int ]
+    @ List.init 70 (fun i -> i + 6))
 
 let rng_int_uniformity () =
   (* Chi-squared-ish sanity: all 8 buckets within 3x of each other. *)
@@ -171,6 +218,7 @@ let () =
       ( "xoshiro256",
         [
           Alcotest.test_case "deterministic" `Quick xoshiro_deterministic;
+          Alcotest.test_case "reference values" `Quick xoshiro_reference;
           Alcotest.test_case "jump disjoint" `Quick xoshiro_jump_disjoint;
           Alcotest.test_case "floats in [0,1)" `Quick xoshiro_float_unit_interval;
         ] );
@@ -178,6 +226,7 @@ let () =
         [
           Alcotest.test_case "int bounds" `Quick rng_int_bounds;
           Alcotest.test_case "int rejects <= 0" `Quick rng_int_rejects_nonpositive;
+          Alcotest.test_case "int matches its definition" `Quick rng_int_matches_definition;
           Alcotest.test_case "int uniformity" `Quick rng_int_uniformity;
           Alcotest.test_case "float_range" `Quick rng_float_range;
           Alcotest.test_case "split independence" `Quick rng_split_independent;

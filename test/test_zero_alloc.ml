@@ -267,6 +267,20 @@ let uniform_bound_is_independent_of_n () =
     true
     (w100 <= float_of_int ((2 * (m + 1)) + 16))
 
+(* Survival bootstraps draw a million bounded ints per estimate: the
+   generator state is updated in place, with no boxed int64. *)
+let rng_int_is_allocation_free () =
+  let rng = Rng.create ~seed:3 () in
+  let words =
+    measure (fun () ->
+        let s = ref 0 in
+        for _ = 1 to 10_000 do
+          s := !s + Rng.int rng 1000
+        done;
+        !s)
+  in
+  Alcotest.(check (float 0.0)) "Rng.int: minor words for 10k draws" 0.0 words
+
 let () =
   Alcotest.run "zero_alloc"
     [
@@ -294,4 +308,6 @@ let () =
           Alcotest.test_case "uniform lower bound allocates O(m)" `Quick
             uniform_bound_is_independent_of_n;
         ] );
+      ( "prng",
+        [ Alcotest.test_case "Rng.int allocates nothing" `Quick rng_int_is_allocation_free ] );
     ]
