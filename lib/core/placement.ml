@@ -2,7 +2,22 @@ module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
 module Topology = Usched_model.Topology
 
-type t = { m : int; sets : Bitset.t array }
+(* The whole-placement scans read a summary built once, on first use:
+   the distinct sets with each task's index into them, and the machine
+   classes. Two machines are in the same class when they lie in exactly
+   the same distinct sets; each class is represented by its lowest
+   machine. The summary is immutable once built, so domains that race to
+   build it store equal values and any one of them may win. *)
+type summary = {
+  groups : Bitset.t array;  (** distinct sets, in order of first occurrence *)
+  group_of : int array;  (** task -> its set's index in [groups] *)
+  counts : int array;  (** set -> how many tasks have it *)
+  cards : int array;  (** set -> its cardinality *)
+  reps_in : int array array;  (** set -> the representatives of its classes *)
+  rep_of : int array;  (** machine -> its class's representative *)
+}
+
+type t = { m : int; sets : Bitset.t array; summary : summary option Atomic.t }
 
 let of_sets ~m sets =
   Array.iteri
@@ -13,7 +28,7 @@ let of_sets ~m sets =
       if Bitset.is_empty set then
         invalid_arg (Printf.sprintf "Placement.of_sets: task %d placed nowhere" j))
     sets;
-  { m; sets = Array.copy sets }
+  { m; sets = Array.copy sets; summary = Atomic.make None }
 
 let singletons ~m assignment =
   of_sets ~m (Array.map (fun i -> Bitset.singleton m i) assignment)
@@ -29,47 +44,124 @@ let of_group_assignment ~m ~groups assignment =
 let n t = Array.length t.sets
 let set t j = t.sets.(j)
 let sets t = Array.copy t.sets
+
+(* Group placements share one physical set per group, so the first few
+   groups are tried by identity before the set is hashed. *)
+let physical_probes = 8
+
+let rec find_physical first count set g =
+  if g >= count then -1
+  else if first.(g) == set then g
+  else find_physical first count set (g + 1)
+
 (* Sets hash and compare structurally: two tasks share a group exactly
    when their sets have the same members. *)
-let distinct_sets t =
+let group_sets sets =
   let index = Hashtbl.create 16 in
+  let first = Array.make physical_probes (Bitset.create 0) in
   let groups = ref [] and count = ref 0 in
   let group_of =
     Array.map
       (fun set ->
-        match Hashtbl.find_opt index set with
-        | Some g -> g
-        | None ->
-            let g = !count in
-            Hashtbl.add index set g;
-            groups := set :: !groups;
-            incr count;
-            g)
-      t.sets
+        match find_physical first (Stdlib.min !count physical_probes) set 0 with
+        | g when g >= 0 -> g
+        | _ -> (
+            match Hashtbl.find_opt index set with
+            | Some g -> g
+            | None ->
+                let g = !count in
+                Hashtbl.add index set g;
+                if g < physical_probes then first.(g) <- set;
+                groups := set :: !groups;
+                incr count;
+                g))
+      sets
   in
   (Array.of_list (List.rev !groups), group_of)
 
+(* Signatures hash on every element: the generic hash reads only a
+   list's first few, on which many signatures may agree. *)
+module Signatures = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash l = List.fold_left (fun h g -> (h * 31) + g) 0 l land max_int
+end)
+
+let summarize t =
+  let groups, group_of = group_sets t.sets in
+  let g_count = Array.length groups in
+  let counts = Array.make g_count 0 in
+  Array.iter (fun g -> counts.(g) <- counts.(g) + 1) group_of;
+  let cards = Array.map Bitset.cardinal groups in
+  (* A machine's signature: the sets it lies in, newest first. *)
+  let signature = Array.make t.m [] in
+  Array.iteri
+    (fun g set -> Bitset.iter (fun i -> signature.(i) <- g :: signature.(i)) set)
+    groups;
+  let rep_by_signature = Signatures.create 16 in
+  let rep_of =
+    Array.mapi
+      (fun i sg ->
+        match Signatures.find_opt rep_by_signature sg with
+        | Some r -> r
+        | None ->
+            Signatures.add rep_by_signature sg i;
+            i)
+      signature
+  in
+  let reps_in =
+    Array.map
+      (fun set ->
+        Array.of_list
+          (Bitset.fold (fun acc i -> if rep_of.(i) = i then i :: acc else acc) [] set))
+      groups
+  in
+  { groups; group_of; counts; cards; reps_in; rep_of }
+
+let summary t =
+  match Atomic.get t.summary with
+  | Some s -> s
+  | None ->
+      let s = summarize t in
+      Atomic.set t.summary (Some s);
+      s
+
+let distinct_sets t =
+  let s = summary t in
+  (Array.copy s.groups, Array.copy s.group_of)
+
 let allowed t ~task ~machine = Bitset.mem t.sets.(task) machine
 let replication t j = Bitset.cardinal t.sets.(j)
-
-let max_replication t =
-  Array.fold_left (fun acc set -> Stdlib.max acc (Bitset.cardinal set)) 0 t.sets
+let max_replication t = Array.fold_left Stdlib.max 0 (summary t).cards
 
 let total_replicas t =
-  Array.fold_left (fun acc set -> acc + Bitset.cardinal set) 0 t.sets
+  let s = summary t in
+  let total = ref 0 in
+  Array.iteri (fun g card -> total := !total + (card * s.counts.(g))) s.cards;
+  !total
 
-(* One closure for the whole scan, hoisted out of the task loop: it
-   reads the current task's size through [j], so no closure (and no
-   boxed size) is allocated per task. *)
+(* Machine [i] receives [s_j] for every task [j] whose set holds it, in
+   task order, and so does every machine of its class: the same floats
+   added in the same order from [0.0]. One accumulator per class, kept in
+   the representative's own slot and copied to the other members, is
+   therefore bit-identical to the per-replica walk, at one addition per
+   class of the task's set instead of one per replica. *)
 let memory_loads t ~(sizes : float array) =
   if Array.length sizes <> Array.length t.sets then
     invalid_arg "Placement.memory_loads: sizes length mismatch";
+  let s = summary t in
   let loads = Array.make t.m 0.0 in
-  let j = ref 0 in
-  let add i = loads.(i) <- loads.(i) +. sizes.(!j) in
-  for k = 0 to Array.length t.sets - 1 do
-    j := k;
-    Bitset.iter add t.sets.(k)
+  for j = 0 to Array.length sizes - 1 do
+    let reps = s.reps_in.(s.group_of.(j)) in
+    let size = sizes.(j) in
+    for r = 0 to Array.length reps - 1 do
+      let i = reps.(r) in
+      loads.(i) <- loads.(i) +. size
+    done
+  done;
+  for i = 0 to t.m - 1 do
+    loads.(i) <- loads.(s.rep_of.(i))
   done;
   loads
 

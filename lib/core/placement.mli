@@ -13,7 +13,8 @@ type t
 val of_sets : m:int -> Bitset.t array -> t
 (** Wraps explicit machine sets. Raises [Invalid_argument] if any set is
     empty or has a capacity other than [m]. The array is copied (sets are
-    shared). *)
+    shared, and must not be mutated afterwards: the whole-placement
+    scans below read a summary of them built on first use). *)
 
 val singletons : m:int -> int array -> t
 (** From a phase-1 assignment: task [j] placed only on machine
@@ -40,7 +41,8 @@ val distinct_sets : t -> Bitset.t array * int array
     membership), in order of first occurrence over task ids, and each
     task's index into [groups]. Group placements have a handful of
     distinct sets however many tasks they hold, so a scan over [groups]
-    replaces one over every task wherever only the sets matter. *)
+    replaces one over every task wherever only the sets matter. Both
+    arrays are fresh copies of the placement's cached summary. *)
 
 val allowed : t -> task:int -> machine:int -> bool
 
@@ -48,14 +50,19 @@ val replication : t -> int -> int
 (** [|M_j|] of a task. *)
 
 val max_replication : t -> int
-(** The paper's replication bound [k = max_j |M_j|]. *)
+(** The paper's replication bound [k = max_j |M_j|], read off the
+    distinct sets. *)
 
 val total_replicas : t -> int
-(** Sum over tasks of [|M_j|]: the global storage cost in replica count. *)
+(** Sum over tasks of [|M_j|]: the global storage cost in replica count,
+    summed per distinct set. *)
 
 val memory_loads : t -> sizes:float array -> float array
 (** [Mem_i = Σ_{j : i ∈ M_j} s_j] for every machine — each replica
-    occupies memory on its machine (memory-aware model). *)
+    occupies memory on its machine (memory-aware model). Summed once
+    per machine class (machines lying in exactly the same distinct
+    sets), in task order, which is bit for bit the per-replica sum.
+    Allocates only the result. *)
 
 val memory_max : t -> sizes:float array -> float
 (** [Mem_max = max_i Mem_i]. *)

@@ -164,7 +164,7 @@ let rec lpb_best s bs k best best_pos =
       lpb_best s bs (k + 1) j s.lp_pos_of.(j)
     else lpb_best s bs (k + 1) best best_pos
 
-let make_list_priority_bucketed v task_bucket buckets =
+let bucket_state v task_bucket buckets =
   let sizes = Array.make buckets 0 in
   Array.iter (fun b -> sizes.(b) <- sizes.(b) + 1) task_bucket;
   let members = Array.init buckets (fun b -> Array.make sizes.(b) 0) in
@@ -188,52 +188,82 @@ let make_list_priority_bucketed v task_bucket buckets =
         v.holders.(j)
   done;
   let machine_buckets = Array.map Array.of_list machine_lists in
-  let s =
-    {
-      lp_pos_of = v.pos_of;
-      lp_dispatchable = v.dispatchable;
-      members;
-      cursor = Array.make buckets 0;
-      idx_in;
-      task_bucket;
-      machine_buckets;
-    }
-  in
-  let select_m ~machine:i = lpb_best s s.machine_buckets.(i) 0 (-1) max_int in
-  let notify ~task =
-    let b = s.task_bucket.(task) in
-    let ix = s.idx_in.(task) in
-    if s.cursor.(b) > ix then s.cursor.(b) <- ix
-  in
-  { spec = List_priority; select_m; notify }
+  {
+    lp_pos_of = v.pos_of;
+    lp_dispatchable = v.dispatchable;
+    members;
+    cursor = Array.make buckets 0;
+    idx_in;
+    task_bucket;
+    machine_buckets;
+  }
 
-let make_list_priority v =
-  if not v.holders_stable then make_list_priority_plain v
+(* The bucket state, or [None] when the holder sets may grow, or there
+   are more than [max_lp_buckets] physically distinct ones, or no task. *)
+let buckets v =
+  if not v.holders_stable then None
   else begin
     (* Group by physical holder-set identity, capped. *)
     let reps = Array.make max_lp_buckets (Bitset.create 0) in
     let task_bucket = Array.make v.n (-1) in
     let count = ref 0 in
-    let overflow = ref false in
-    (try
-       for j = 0 to v.n - 1 do
-         let set = v.holders.(j) in
-         let b = lpb_find reps !count set 0 in
-         let b =
-           if b >= 0 then b
-           else if !count = max_lp_buckets then raise Exit
-           else begin
-             reps.(!count) <- set;
-             incr count;
-             !count - 1
-           end
-         in
-         task_bucket.(j) <- b
-       done
-     with Exit -> overflow := true);
-    if !overflow || !count = 0 then make_list_priority_plain v
-    else make_list_priority_bucketed v task_bucket !count
+    match
+      for j = 0 to v.n - 1 do
+        let set = v.holders.(j) in
+        let b = lpb_find reps !count set 0 in
+        let b =
+          if b >= 0 then b
+          else if !count = max_lp_buckets then raise Exit
+          else begin
+            reps.(!count) <- set;
+            incr count;
+            !count - 1
+          end
+        in
+        task_bucket.(j) <- b
+      done
+    with
+    | () when !count > 0 -> Some (bucket_state v task_bucket !count)
+    | () -> None
+    | exception Exit -> None
   end
+
+let lpb_notify s ~task =
+  let b = s.task_bucket.(task) in
+  let ix = s.idx_in.(task) in
+  if s.cursor.(b) > ix then s.cursor.(b) <- ix
+
+let make_list_priority v =
+  match buckets v with
+  | Some s ->
+      let select_m ~machine:i = lpb_best s s.machine_buckets.(i) 0 (-1) max_int in
+      { spec = List_priority; select_m; notify = lpb_notify s }
+  | None -> make_list_priority_plain v
+
+(* The scanning policies below (least-loaded, earliest-completion,
+   locality, random tie-break) share a low-water mark: the lowest
+   position of the order that may hold a dispatchable task. Every
+   position below it holds a task out of the pool, so a scan starting
+   there visits exactly the eligible tasks a scan from position 0 would,
+   and returns the same one. Whether a position is skipped depends only
+   on [dispatchable], never on the asking machine. The mark advances past
+   non-dispatchable positions at the start of each decision, and
+   [notify] rewinds it to the position of a task that re-entered the
+   pool: a kill, a streaming arrival, or (harmlessly, since holder sets
+   play no part in it) a landed re-replication. *)
+let rec skip_out_of_pool v pos =
+  if pos < v.n && not v.dispatchable.(v.order.(pos)) then
+    skip_out_of_pool v (pos + 1)
+  else pos
+
+let low_water v low =
+  let pos = skip_out_of_pool v !low in
+  low := pos;
+  pos
+
+let rewind v low ~task =
+  let pos = v.pos_of.(task) in
+  if pos < !low then low := pos
 
 (* Locality/load-aware rule: the idle machine takes the highest-priority
    eligible task for which it is a least-loaded available holder — no
@@ -262,9 +292,38 @@ let rec ll_scan v i ~fallback pos =
       if ll_better v j i 0 then ll_scan v i ~fallback (pos + 1) else j
     else ll_scan v i ~fallback (pos + 1)
 
+(* Bucketed least-loaded, over list-priority's buckets: [ll_better v j i 0]
+   reads task [j] only through its holder set, so it has one answer per
+   bucket during a decision. The scan's answer — the first eligible task
+   that this machine need not defer, else the first eligible task — is
+   then the best head among the machine's non-deferring buckets, else
+   the best head among all of them: O(#buckets * m) per decision instead
+   of a walk over the order that defers a whole group's tasks one by
+   one. *)
+let rec llb_best v s bs i k best best_pos first first_pos =
+  if k >= Array.length bs then if best >= 0 then best else first
+  else
+    let j = lpb_adv s bs.(k) in
+    if j < 0 then llb_best v s bs i (k + 1) best best_pos first first_pos
+    else
+      let p = s.lp_pos_of.(j) in
+      let first' = if p < first_pos then j else first in
+      let first_pos' = if p < first_pos then p else first_pos in
+      if p < best_pos && not (ll_better v j i 0) then
+        llb_best v s bs i (k + 1) j p first' first_pos'
+      else llb_best v s bs i (k + 1) best best_pos first' first_pos'
+
 let make_least_loaded v =
-  let select_m ~machine:i = ll_scan v i ~fallback:(-1) 0 in
-  { spec = Least_loaded_holder; select_m; notify = (fun ~task:_ -> ()) }
+  match buckets v with
+  | Some s ->
+      let select_m ~machine:i =
+        llb_best v s s.machine_buckets.(i) i 0 (-1) max_int (-1) max_int
+      in
+      { spec = Least_loaded_holder; select_m; notify = lpb_notify s }
+  | None ->
+      let low = ref 0 in
+      let select_m ~machine:i = ll_scan v i ~fallback:(-1) (low_water v low) in
+      { spec = Least_loaded_holder; select_m; notify = rewind v low }
 
 (* Shortest-estimated-processing-time on this machine: take the eligible
    task minimizing est(j) / speed(i) — the copy this machine can finish
@@ -291,8 +350,9 @@ let rec ec_scan v i pos best =
     ec_scan v i (pos + 1) best
 
 let make_earliest_completion v =
-  let select_m ~machine:i = ec_scan v i 0 (-1) in
-  { spec = Earliest_estimated_completion; select_m; notify = (fun ~task:_ -> ()) }
+  let low = ref 0 in
+  let select_m ~machine:i = ec_scan v i (low_water v low) (-1) in
+  { spec = Earliest_estimated_completion; select_m; notify = rewind v low }
 
 (* Locality-aware least-loaded: the deferral rule of [Least_loaded_holder]
    with each candidate holder's load inflated by the staging time it
@@ -330,8 +390,11 @@ let make_locality v =
   match v.topology with
   | None -> { (make_least_loaded v) with spec = Locality }
   | Some topo ->
-      let select_m ~machine:i = loc_scan v topo i ~fallback:(-1) 0 in
-      { spec = Locality; select_m; notify = (fun ~task:_ -> ()) }
+      let low = ref 0 in
+      let select_m ~machine:i =
+        loc_scan v topo i ~fallback:(-1) (low_water v low)
+      in
+      { spec = Locality; select_m; notify = rewind v low }
 
 (* List priority with seeded random resolution of genuine priority ties:
    among the eligible tasks whose estimate equals the highest-priority
@@ -342,6 +405,17 @@ let make_locality v =
 let make_random_tiebreak seed v =
   let rng = Rng.create ~seed () in
   let candidates = Array.make (Stdlib.max 1 v.n) 0 in
+  let low = ref 0 in
+  (* With estimates non-increasing along the order (the LPT order), no
+     position after the first estimate below the leader's can tie it, so
+     the tie scan stops there. *)
+  let sorted =
+    let ok = ref true in
+    for pos = 0 to v.n - 2 do
+      if not (v.est.(v.order.(pos)) >= v.est.(v.order.(pos + 1))) then ok := false
+    done;
+    !ok
+  in
   let select_m ~machine:i =
     let rec first pos =
       if pos >= v.n then -1
@@ -350,24 +424,26 @@ let make_random_tiebreak seed v =
         if v.dispatchable.(j) && Bitset.mem v.holders.(j) i then pos
         else first (pos + 1)
     in
-    let pos0 = first 0 in
+    let pos0 = first (low_water v low) in
     if pos0 < 0 then -1
     else begin
       let j0 = v.order.(pos0) in
       let e0 = v.est.(j0) in
       let count = ref 0 in
-      for pos = pos0 to v.n - 1 do
-        let j = v.order.(pos) in
+      let pos = ref pos0 in
+      while !pos < v.n && not (sorted && v.est.(v.order.(!pos)) < e0) do
+        let j = v.order.(!pos) in
         if v.dispatchable.(j) && Bitset.mem v.holders.(j) i && v.est.(j) = e0
         then begin
           candidates.(!count) <- j;
           incr count
-        end
+        end;
+        incr pos
       done;
       if !count <= 1 then j0 else candidates.(Rng.int rng !count)
     end
   in
-  { spec = Random_tiebreak seed; select_m; notify = (fun ~task:_ -> ()) }
+  { spec = Random_tiebreak seed; select_m; notify = rewind v low }
 
 let make spec v =
   if v.n <> Array.length v.order || v.n <> Array.length v.pos_of then

@@ -133,8 +133,10 @@ val select_machine : t -> machine:int -> int
 val notify_available : t -> task:int -> unit
 (** The task (re-)entered the pool or grew its holder set — a kill
     returned it, a streaming arrival, or a re-replication landed.
-    Stateful policies must reconsider it ([List_priority] rewinds its
-    cursors); stateless scans ignore the notification. *)
+    Every policy must reconsider it: [List_priority] and the bucketed
+    [Least_loaded_holder] rewind their cursors, the scanning policies
+    their low-water mark (the lowest position of the order that may
+    hold a dispatchable task). *)
 
 val redispatch_order : t -> int list -> int list
 (** The order in which machines freed at the same instant look for new

@@ -276,18 +276,12 @@ let run_internal ?speeds ~dispatch ~metrics ~sink instance realization
   let base =
     match speeds with None -> Array.make m 1.0 | Some s -> Array.copy s
   in
-  (* Bulk copies land in the major heap; per-element [Array.init]
-     through a closure would box every returned float. The [est] fill
-     inlines to unboxed loads. *)
+  (* Bulk copies of the flat columns land in the major heap; a
+     per-element fill through [Instance.est] would box every float it
+     returns. *)
   let actuals = Realization.actuals realization in
-  let ests = Array.make n 0.0 in
-  for j = 0 to n - 1 do
-    ests.(j) <- Instance.est instance j
-  done;
-  let sizes = Array.make n 0.0 in
-  for j = 0 to n - 1 do
-    sizes.(j) <- Instance.size instance j
-  done;
+  let ests = Instance.ests instance in
+  let sizes = Instance.sizes instance in
   (* Staging: with a topology, a machine's (only) copy of task j first
      pulls j's data from its home machine [j mod m]; the pull extends
      the copy's duration by the cross-zone staging time (zero within the
@@ -557,18 +551,12 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   let mc_arrivals = Metrics.counter stream_metrics "engine.arrivals" in
   let mh_latency = Metrics.histogram stream_metrics "engine.latency" in
   let busy = if live then Array.make m 0.0 else [||] in
-  (* Bulk copies land in the major heap; per-element [Array.init]
-     through a closure would box every returned float. The [est] fill
-     inlines to unboxed loads. *)
+  (* Bulk copies of the flat columns land in the major heap; a
+     per-element fill through [Instance.est] would box every float it
+     returns. *)
   let actuals = Realization.actuals realization in
-  let ests = Array.make n 0.0 in
-  for j = 0 to n - 1 do
-    ests.(j) <- Instance.est instance j
-  done;
-  let sizes = Array.make n 0.0 in
-  for j = 0 to n - 1 do
-    sizes.(j) <- Instance.size instance j
-  done;
+  let ests = Instance.ests instance in
+  let sizes = Instance.sizes instance in
   (* Staging: with a topology, the first copy of task j on each machine
      pulls j's data from its home machine [j mod m] before processing
      starts. The pull is charged as extra work on the copy (staging

@@ -1,7 +1,12 @@
+(* Tasks are stored column-wise: [ests] and [sizes] are flat float
+   arrays (unboxed), so an instance of n tasks is two n-float blocks
+   rather than n records each pointing at two boxed floats. [Task.t] is
+   only the row view that {!make} takes and {!tasks} returns. *)
 type t = {
   m : int;
   alpha : Uncertainty.alpha;
-  tasks : Task.t array;
+  ests : float array;
+  sizes : float array;
   failure : Failure.t option;
   speed_band : Speed_band.t option;
   topology : Topology.t option;
@@ -17,40 +22,68 @@ let check_covers what machines_of ~m =
 
 let max_machines = 1 lsl 20
 
-let make ?failure ?speed_band ?topology ~m ~alpha tasks =
+let check_m m =
   if m < 1 then invalid_arg "Instance.make: need at least one machine";
-  if m > max_machines then invalid_arg "Instance.make: too many machines";
+  if m > max_machines then invalid_arg "Instance.make: too many machines"
+
+let build ?failure ?speed_band ?topology ~m ~alpha ~ests ~sizes () =
+  check_m m;
+  check_covers "failure profile" Failure.m ~m failure;
+  check_covers "speed band" Speed_band.m ~m speed_band;
+  check_covers "topology" Topology.m ~m topology;
+  { m; alpha; ests; sizes; failure; speed_band; topology }
+
+let make ?failure ?speed_band ?topology ~m ~alpha tasks =
+  check_m m;
   Array.iteri
     (fun i task ->
       if Task.id task <> i then
         invalid_arg "Instance.make: task ids must be 0..n-1 in order")
     tasks;
-  check_covers "failure profile" Failure.m ~m failure;
-  check_covers "speed band" Speed_band.m ~m speed_band;
-  check_covers "topology" Topology.m ~m topology;
-  { m; alpha; tasks = Array.copy tasks; failure; speed_band; topology }
+  build ?failure ?speed_band ?topology ~m ~alpha
+    ~ests:(Array.map Task.est tasks) ~sizes:(Array.map Task.size tasks) ()
+
+(* [Task.make]'s checks, with its messages, on the flat columns. *)
+let[@inline] check_task ~est ~size =
+  if not (est > 0.0) then invalid_arg "Task.make: estimate must be > 0";
+  if size < 0.0 then invalid_arg "Task.make: negative size"
+
+let check_columns ~ests ~sizes =
+  for i = 0 to Array.length ests - 1 do
+    check_task ~est:ests.(i) ~size:sizes.(i)
+  done
+
+let of_columns ?failure ?speed_band ?topology ~m ~alpha ~ests ~sizes () =
+  if Array.length sizes <> Array.length ests then
+    invalid_arg "Instance.of_columns: sizes length mismatch";
+  check_columns ~ests ~sizes;
+  build ?failure ?speed_band ?topology ~m ~alpha ~ests ~sizes ()
 
 let of_ests ?failure ?speed_band ?topology ~m ~alpha ?sizes ests =
   let n = Array.length ests in
-  (match sizes with
-  | Some s when Array.length s <> n ->
-      invalid_arg "Instance.of_ests: sizes length mismatch"
-  | _ -> ());
-  let size_of i = match sizes with None -> 1.0 | Some s -> s.(i) in
-  let tasks =
-    Array.init n (fun i -> Task.make ~id:i ~est:ests.(i) ~size:(size_of i) ())
+  let sizes =
+    match sizes with
+    | Some s when Array.length s <> n ->
+        invalid_arg "Instance.of_ests: sizes length mismatch"
+    | Some s -> Array.copy s
+    | None -> Array.make n 1.0
   in
-  make ?failure ?speed_band ?topology ~m ~alpha tasks
+  let ests = Array.copy ests in
+  check_columns ~ests ~sizes;
+  build ?failure ?speed_band ?topology ~m ~alpha ~ests ~sizes ()
 
-let n t = Array.length t.tasks
+let n t = Array.length t.ests
 let m t = t.m
 let alpha t = t.alpha
 let alpha_value t = Uncertainty.to_float t.alpha
-let tasks t = Array.copy t.tasks
-let est t j = Task.est t.tasks.(j)
-let size t j = Task.size t.tasks.(j)
-let ests t = Array.map Task.est t.tasks
-let sizes t = Array.map Task.size t.tasks
+
+let tasks t =
+  Array.init (n t) (fun i -> { Task.id = i; est = t.ests.(i); size = t.sizes.(i) })
+
+let[@inline] est t j = t.ests.(j)
+let[@inline] size t j = t.sizes.(j)
+let ests t = Array.copy t.ests
+let sizes t = Array.copy t.sizes
 let failure t = t.failure
 
 let failure_or_default t =
@@ -58,7 +91,7 @@ let failure_or_default t =
   | Some f -> f
   | None -> Failure.uniform ~m:t.m ~p:Failure.default_p
 
-(* The [with_*] copies share [t]'s task array: nothing mutates it. *)
+(* The [with_*] copies share [t]'s columns: nothing mutates them. *)
 let with_failure t failure =
   check_covers "failure profile" Failure.m ~m:t.m failure;
   { t with failure }
@@ -83,15 +116,18 @@ let with_topology t topology =
   check_covers "topology" Topology.m ~m:t.m topology;
   { t with topology }
 
-let total_size t =
-  Array.fold_left (fun acc task -> acc +. Task.size task) 0.0 t.tasks
+let total_size t = Array.fold_left ( +. ) 0.0 t.sizes
+let max_size t = Array.fold_left Float.max 0.0 t.sizes
 
-let max_size t =
-  Array.fold_left (fun acc task -> Float.max acc (Task.size task)) 0.0 t.tasks
-
+(* The paper's LPT order on the columns: decreasing estimate, ties by
+   increasing id. *)
 let lpt_order t =
   let order = Array.init (n t) (fun j -> j) in
-  Array.sort (fun a b -> Task.compare_est_desc t.tasks.(a) t.tasks.(b)) order;
+  let ests = t.ests in
+  Array.sort
+    (fun a b ->
+      match Float.compare ests.(b) ests.(a) with 0 -> Int.compare a b | c -> c)
+    order;
   order
 
 let pp ppf t =

@@ -2,7 +2,9 @@
 
     This is the complete offline input of phase 1 (the paper's
     [p̃_j, m, α]). Task ids always equal their array index, which the rest
-    of the system relies on. *)
+    of the system relies on. Tasks are stored as two flat float columns
+    (estimates and sizes); {!Task.t} is the row view of {!make} and
+    {!tasks}. *)
 
 type t
 
@@ -23,7 +25,7 @@ val make :
 (** Validates and builds an instance. Raises [Invalid_argument] if
     [m < 1] or [m > max_machines], task ids are not exactly [0 .. n-1] in order, or the
     optional failure profile / speed band / topology does not cover
-    exactly [m] machines. The task array is copied. *)
+    exactly [m] machines. The rows are copied into the columns. *)
 
 val of_ests :
   ?failure:Failure.t ->
@@ -35,7 +37,24 @@ val of_ests :
   float array ->
   t
 (** Convenience constructor from raw estimate values (and optional sizes;
-    defaults to all-1). Ids are assigned in order. *)
+    defaults to all-1). Ids are assigned in order. Both arrays are
+    copied. Raises [Invalid_argument] with {!Task.make}'s message on the
+    first estimate [<= 0] or negative size. *)
+
+val of_columns :
+  ?failure:Failure.t ->
+  ?speed_band:Speed_band.t ->
+  ?topology:Topology.t ->
+  m:int ->
+  alpha:Uncertainty.alpha ->
+  ests:float array ->
+  sizes:float array ->
+  unit ->
+  t
+(** {!of_ests} without the copies: the instance takes ownership of both
+    arrays, which the caller must not mutate afterwards. This is how the
+    instance parser hands over the columns it filled. Raises
+    [Invalid_argument] on a length mismatch and as {!of_ests} does. *)
 
 val n : t -> int
 (** Number of tasks. *)
@@ -48,7 +67,7 @@ val alpha_value : t -> float
 (** [alpha] as a float, for formulas. *)
 
 val tasks : t -> Task.t array
-(** A copy of the task array. *)
+(** The tasks as fresh {!Task.t} rows. *)
 
 val est : t -> int -> float
 val size : t -> int -> float

@@ -88,123 +88,171 @@ let parse_header line =
   in
   (m, Uncertainty.alpha alpha, failure, speed_band, topology)
 
-(* Writers emit a row piece by piece through [add] (a channel or a
-   buffer). [%.17g] goes straight to the C primitive that [Printf]'s
-   [%g] conversion calls, so the bytes are [Printf.sprintf "%.17g"]'s
-   without interpreting a format per row. *)
+(* Writers fill a [Buffer] row by row; [save_instance] hands it to the
+   channel whenever it passes [chunk] bytes, so the channel lock is
+   taken once per chunk rather than once per field. Floats print as
+   [Printf.sprintf "%.17g"]: [%.17g] goes straight to the C primitive
+   that [Printf]'s [%g] conversion calls, and an integral float below
+   2^53 in magnitude prints through [string_of_int], whose digits are
+   the ones [%.17g] prints for it (at most 16 digits, so no exponent
+   and, once [%g] strips trailing zeros, no point). [-0.0] keeps the
+   [%.17g] path: it prints as ["-0"]. *)
 external format_float : string -> float -> string = "caml_format_float"
 
-let add_float add x =
-  add ",";
-  add (format_float "%.17g" x)
+let chunk = 65536
 
-let add_task add task =
-  add (string_of_int (Task.id task));
-  add_float add (Task.est task);
-  add_float add (Task.size task)
+let add_float buffer x =
+  Buffer.add_char buffer ',';
+  if Float.is_integer x && Float.abs x < 0x1p53 && not (Float.sign_bit x && x = 0.0)
+  then Buffer.add_string buffer (string_of_int (Float.to_int x))
+  else Buffer.add_string buffer (format_float "%.17g" x)
 
-let write_instance add instance =
-  add (header_line instance);
-  add "\nid,est,size\n";
-  Array.iter
-    (fun task ->
-      add_task add task;
-      add "\n")
-    (Instance.tasks instance)
+(* Calls [flush] after any row that leaves the buffer at [chunk] bytes
+   or more. *)
+let write_instance buffer ~flush instance =
+  Buffer.add_string buffer (header_line instance);
+  Buffer.add_string buffer "\nid,est,size\n";
+  for j = 0 to Instance.n instance - 1 do
+    Buffer.add_string buffer (string_of_int j);
+    add_float buffer (Instance.est instance j);
+    add_float buffer (Instance.size instance j);
+    Buffer.add_char buffer '\n';
+    if Buffer.length buffer >= chunk then flush ()
+  done
 
 let instance_to_string instance =
-  let buffer = Buffer.create 256 in
-  write_instance (Buffer.add_string buffer) instance;
+  let buffer = Buffer.create (64 + (24 * Instance.n instance)) in
+  write_instance buffer ~flush:ignore instance;
   Buffer.contents buffer
 
-(* Parsing builds no list of lines: one scan over the text counts the
-   rows, a second parses them straight into the task array. Line [k]
-   (1-based) is the [k]-th '\n'-separated segment; the header is line 1,
-   the column line 2, and every later line that is not blank (all
-   [String.trim] whitespace) is a row. Errors name the physical line. *)
+(* Parsing fills the instance's two float columns in one pass over the
+   rows, building no list of lines and no [Task.t]. Line [k] (1-based)
+   is the [k]-th '\n'-separated segment; the header is line 1, the
+   column line 2, and every later line that is not blank (all
+   [String.trim] whitespace) is a row. Errors name the physical line.
 
-let is_blank text start stop =
-  let rec go k =
-    k >= stop
-    || (match text.[k] with
-       | ' ' | '\012' | '\n' | '\r' | '\t' -> go (k + 1)
-       | _ -> false)
-  in
-  go start
+   A field of plain decimal digits short enough to be exact (an id of
+   at most 18 digits, a float of at most 15, below 2^53) is converted
+   in place; [int_of_string_opt] and [float_of_string] accept those
+   digits and return that same value. Every other field goes through
+   them, so signs, '_', [0x], exponents, [inf]/[nan] and '\r' are
+   accepted or refused as before, with the same message. *)
 
-(* Calls [row k line start stop] on the [k]-th row, which spans
-   [text.[start .. stop-1]] on physical line [line]; returns the row
-   count. *)
-let iter_rows text row =
-  let len = String.length text in
-  let rec go pos line k =
-    let stop =
-      match String.index_from_opt text pos '\n' with Some e -> e | None -> len
-    in
-    let blank = line < 3 || is_blank text pos stop in
-    if not blank then row k line pos stop;
-    let k = if blank then k else k + 1 in
-    if stop < len then go (stop + 1) (line + 1) k else k
-  in
-  go 0 1 0
+let rec digits_from text k stop acc =
+  if k >= stop then acc
+  else
+    match String.unsafe_get text k with
+    | '0' .. '9' as c -> digits_from text (k + 1) stop ((acc * 10) + Char.code c - 48)
+    | _ -> -1
 
-(* Fills [seps] with the positions of a row's commas; the row must have
-   exactly [Array.length seps + 1] fields. *)
-let split_row line text start stop seps =
-  let found = ref 0 in
-  for k = start to stop - 1 do
-    if text.[k] = ',' then begin
-      if !found < Array.length seps then seps.(!found) <- k;
-      incr found
-    end
-  done;
-  if !found <> Array.length seps then
-    parse_error line
-      (Printf.sprintf "expected %d comma-separated fields" (Array.length seps + 1))
+(* The value of the plain digits [text.[start .. stop-1]], or [-1] when
+   the field is empty, longer than [max_digits] or has a non-digit. *)
+let plain_digits text start stop ~max_digits =
+  let len = stop - start in
+  if len < 1 || len > max_digits then -1 else digits_from text start stop 0
 
 let field text start stop = String.sub text start (stop - start)
 
+let float_field line name text start stop =
+  let raw = field text start stop in
+  match float_of_string raw with
+  | v -> v
+  | exception Failure _ -> parse_error line (Printf.sprintf "bad %s %S" name raw)
+
 (* Task [k] must carry id [k]. *)
-let id_field line k raw =
-  match int_of_string_opt raw with
-  | Some v when v = k -> v
-  | Some v -> parse_error line (Printf.sprintf "id %d out of order (expected %d)" v k)
-  | None -> parse_error line (Printf.sprintf "bad id %S" raw)
+let check_id line k text start stop =
+  let v = plain_digits text start stop ~max_digits:18 in
+  if v <> k then
+    let raw = field text start stop in
+    match if v >= 0 then Some v else int_of_string_opt raw with
+    | Some v when v = k -> ()
+    | Some v ->
+        parse_error line (Printf.sprintf "id %d out of order (expected %d)" v k)
+    | None -> parse_error line (Printf.sprintf "bad id %S" raw)
 
-let float_field line_number name raw =
-  match float_of_string_opt raw with
-  | Some v -> v
-  | None -> parse_error line_number (Printf.sprintf "bad %s %S" name raw)
+let is_space = function ' ' | '\012' | '\r' | '\t' -> true | _ -> false
 
-(* After the id, the fields of a row are read right to left ([size],
-   then [estimate]), so a row with several bad fields reports the id or
-   else the rightmost one. *)
-let task_of_row line text seps ~id ~stop =
-  let size = float_field line "size" (field text (seps.(1) + 1) stop) in
-  let est = float_field line "estimate" (field text (seps.(0) + 1) seps.(1)) in
-  match Task.make ~id ~est ~size () with
-  | task -> task
-  | exception Invalid_argument msg -> parse_error line msg
+(* An upper bound on the row count, exact when no line after the
+   column line is blank: every row but a final unterminated one ends
+   with a '\n', and lines 1 and 2 end with one each. *)
+let max_rows text =
+  let len = String.length text in
+  let newlines = ref 0 in
+  for k = 0 to len - 1 do
+    if String.unsafe_get text k = '\n' then incr newlines
+  done;
+  let unterminated = if len > 0 && text.[len - 1] <> '\n' then 1 else 0 in
+  Stdlib.max 0 (!newlines - 2 + unterminated)
+
+(* Start of line 3, or [len] when there is none. *)
+let rows_start text =
+  let len = String.length text in
+  match String.index_opt text '\n' with
+  | None -> len
+  | Some e -> (
+      match String.index_from_opt text (e + 1) '\n' with
+      | None -> len
+      | Some e -> e + 1)
 
 let header text =
   match String.index_opt text '\n' with
   | Some e -> String.sub text 0 e
   | None -> text
 
-let placeholder = Task.make ~id:0 ~est:1.0 ()
-
 let instance_of_string text =
   let m, alpha, failure, speed_band, topology = parse_header (header text) in
-  let tasks = Array.make (iter_rows text (fun _ _ _ _ -> ())) placeholder in
-  let seps = Array.make 2 0 in
-  ignore
-    (iter_rows text (fun k line start stop ->
-         split_row line text start stop seps;
-         let id = id_field line k (field text start seps.(0)) in
-         tasks.(k) <- task_of_row line text seps ~id ~stop));
-  (* Rows and [m] are valid by now, so what [Instance.make] can still
-     reject is an optional header field sized for another [m]. *)
-  match Instance.make ?failure ?speed_band ?topology ~m ~alpha tasks with
+  let len = String.length text in
+  let cap = max_rows text in
+  let ests = Array.create_float cap and sizes = Array.create_float cap in
+  let k = ref 0 and line = ref 3 and pos = ref (rows_start text) in
+  while !pos < len do
+    (* One scan of the line: its end, its first two commas, its comma
+       count and whether anything but whitespace is on it. *)
+    let start = !pos in
+    let stop = ref start and commas = ref 0 and blank = ref true in
+    let c0 = ref start and c1 = ref start in
+    while !stop < len && String.unsafe_get text !stop <> '\n' do
+      let c = String.unsafe_get text !stop in
+      if c = ',' then begin
+        if !commas = 0 then c0 := !stop else if !commas = 1 then c1 := !stop;
+        incr commas;
+        blank := false
+      end
+      else if !blank && not (is_space c) then blank := false;
+      incr stop
+    done;
+    let stop = !stop and line_no = !line in
+    if not !blank then begin
+      if !commas <> 2 then parse_error line_no "expected 3 comma-separated fields";
+      let row = !k and c0 = !c0 and c1 = !c1 in
+      check_id line_no row text start c0;
+      (* The fields after the id are read right to left ([size], then
+         [estimate]), so a row with several bad fields reports the id
+         or else the rightmost one. Each branch stores straight into
+         the column: a float bound by an [if] whose other branch is a
+         call would be boxed. *)
+      let d = plain_digits text (c1 + 1) stop ~max_digits:15 in
+      if d >= 0 then sizes.(row) <- float_of_int d
+      else sizes.(row) <- float_field line_no "size" text (c1 + 1) stop;
+      let d = plain_digits text (c0 + 1) c1 ~max_digits:15 in
+      if d >= 0 then ests.(row) <- float_of_int d
+      else ests.(row) <- float_field line_no "estimate" text (c0 + 1) c1;
+      (* [Task.make]'s checks, with its messages. *)
+      if not (ests.(row) > 0.0) then
+        parse_error line_no "Task.make: estimate must be > 0";
+      if sizes.(row) < 0.0 then parse_error line_no "Task.make: negative size";
+      k := row + 1
+    end;
+    pos := stop + 1;
+    line := line_no + 1
+  done;
+  let trim a = if !k = cap then a else Array.sub a 0 !k in
+  (* Rows and [m] are valid by now, so what can still be rejected is an
+     optional header field sized for another [m]. *)
+  match
+    Instance.of_columns ?failure ?speed_band ?topology ~m ~alpha
+      ~ests:(trim ests) ~sizes:(trim sizes) ()
+  with
   | instance -> instance
   | exception Invalid_argument msg -> parse_error 1 msg
 
@@ -212,7 +260,14 @@ let save_instance ~path instance =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> write_instance (output_string oc) instance)
+    (fun () ->
+      let buffer = Buffer.create (2 * chunk) in
+      let flush () =
+        Buffer.output_buffer oc buffer;
+        Buffer.clear buffer
+      in
+      write_instance buffer ~flush instance;
+      flush ())
 
 let read_file path =
   let ic = open_in path in

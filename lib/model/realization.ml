@@ -1,26 +1,37 @@
 type t = { actuals : float array }
 
+(* Both constructors are plain loops over flat float arrays; the
+   admissibility scan runs inside [Uncertainty], so no per-task float is
+   boxed. *)
+let check instance ~ests actuals =
+  let j =
+    Uncertainty.first_inadmissible (Instance.alpha instance) ~ests ~actuals
+  in
+  if j >= 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Realization.of_actuals: task %d actual %g violates the alpha \
+          interval of estimate %g"
+         j actuals.(j) ests.(j))
+
 let of_actuals instance actuals =
   if Array.length actuals <> Instance.n instance then
     invalid_arg "Realization.of_actuals: length mismatch";
-  let alpha = Instance.alpha instance in
-  Array.iteri
-    (fun j actual ->
-      if not (Uncertainty.admissible alpha ~est:(Instance.est instance j) ~actual)
-      then
-        invalid_arg
-          (Printf.sprintf
-             "Realization.of_actuals: task %d actual %g violates the alpha \
-              interval of estimate %g"
-             j actual (Instance.est instance j)))
-    actuals;
-  { actuals = Array.copy actuals }
+  let actuals = Array.copy actuals in
+  check instance ~ests:(Instance.ests instance) actuals;
+  { actuals }
 
 let of_factors instance factors =
-  if Array.length factors <> Instance.n instance then
+  let n = Instance.n instance in
+  if Array.length factors <> n then
     invalid_arg "Realization.of_factors: length mismatch";
-  of_actuals instance
-    (Array.mapi (fun j f -> f *. Instance.est instance j) factors)
+  let ests = Instance.ests instance in
+  let actuals = Array.create_float n in
+  for j = 0 to n - 1 do
+    actuals.(j) <- factors.(j) *. ests.(j)
+  done;
+  check instance ~ests actuals;
+  { actuals }
 
 let exact instance = of_actuals instance (Instance.ests instance)
 
@@ -28,9 +39,14 @@ let[@inline] actual t j = t.actuals.(j)
 let actuals t = Array.copy t.actuals
 let total t = Array.fold_left ( +. ) 0.0 t.actuals
 
+(* Factors are drawn in task order, one draw per task. *)
 let random_factors instance draw rng =
   let a = Instance.alpha_value instance in
-  Array.init (Instance.n instance) (fun _ -> draw a rng)
+  let factors = Array.create_float (Instance.n instance) in
+  for j = 0 to Array.length factors - 1 do
+    factors.(j) <- draw a rng
+  done;
+  factors
 
 let uniform_factor instance rng =
   of_factors instance

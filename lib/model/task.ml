@@ -9,6 +9,3 @@ let make ~id ~est ?(size = 1.0) () =
 let id t = t.id
 let est t = t.est
 let size t = t.size
-
-let compare_est_desc a b =
-  match Float.compare b.est a.est with 0 -> Int.compare a.id b.id | c -> c

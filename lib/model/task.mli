@@ -4,7 +4,11 @@
     estimated processing time [est] (written [p̃_j] in the paper) and a
     memory size [size] (written [s_j], used by the memory-aware model).
     The actual processing time is part of a {!Realization}, never of the
-    task itself, mirroring the paper's information model. *)
+    task itself, mirroring the paper's information model.
+
+    [t] is the row view of a task: an {!Instance} stores its tasks as
+    flat columns, takes rows in [Instance.make] and hands fresh ones out
+    in [Instance.tasks]. *)
 
 type t = { id : int; est : float; size : float }
 
@@ -15,7 +19,3 @@ val make : id:int -> est:float -> ?size:float -> unit -> t
 val id : t -> int
 val est : t -> float
 val size : t -> float
-
-val compare_est_desc : t -> t -> int
-(** Orders by decreasing estimate, ties broken by increasing id — the LPT
-    order used throughout the paper. *)

@@ -9,10 +9,21 @@ let to_float a = a
 
 let interval a ~est = (est /. a, est *. a)
 
-let admissible a ~est ~actual =
-  let lo, hi = interval a ~est in
+let[@inline] admissible a ~est ~actual =
+  let lo = est /. a and hi = est *. a in
   let tol = 1e-9 *. Float.max 1.0 hi in
   actual >= lo -. tol && actual <= hi +. tol
+
+(* The loop lives here so [admissible] inlines into it: no float
+   crosses a call boundary, so the scan boxes nothing. *)
+let first_inadmissible a ~ests ~actuals =
+  let n = Array.length actuals in
+  let rec go j =
+    if j >= n then -1
+    else if admissible a ~est:ests.(j) ~actual:actuals.(j) then go (j + 1)
+    else j
+  in
+  go 0
 
 let clamp a ~est v =
   let lo, hi = interval a ~est in

@@ -18,6 +18,11 @@ val admissible : alpha -> est:float -> actual:float -> bool
 (** Whether an actual time is consistent with Equation 1 (with a 1e-9
     relative tolerance for float round-off). *)
 
+val first_inadmissible : alpha -> ests:float array -> actuals:float array -> int
+(** The first index [j] whose [actuals.(j)] is not {!admissible} for
+    [ests.(j)], or [-1] when every one is. Both arrays must have the
+    same length. Allocation-free. *)
+
 val clamp : alpha -> est:float -> float -> float
 (** Project a value onto the admissible interval. *)
 

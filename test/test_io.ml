@@ -434,6 +434,202 @@ let prop_blank_lines_ignored =
       in
       same_instance inst (Io.instance_of_string (sprinkle (Io.instance_to_string inst))))
 
+(* The writer prints an integral float below 2^53 through
+   [string_of_int]; every value it can meet must still print as
+   [%.17g]: integers, powers of two up to 2^60 (the fast path ends at
+   2^53), both zeros ([-0.0] is a valid size) and non-integers. *)
+let prop_writer_integers_match_printf =
+  QCheck.Test.make ~name:"integral and awkward floats print as %.17g" ~count:200
+    QCheck.(pair (int_range 1 40) int)
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let positive () =
+        match Random.State.int rng 6 with
+        | 0 -> float_of_int (1 + Random.State.int rng 1_000_000)
+        | 1 -> Float.ldexp 1.0 (Random.State.int rng 61)
+        | 2 -> Float.ldexp 1.0 53 +. float_of_int (Random.State.int rng 5 - 2)
+        | 3 ->
+            Float.of_int (1 + Random.State.bits rng)
+            *. Float.of_int (1 + Random.State.int rng 1_000_000)
+        | 4 -> Float.ldexp 1.0 (Random.State.int rng 61) +. 0.5
+        | _ -> 1e-9 +. Random.State.float rng 100.0
+      in
+      let size () =
+        match Random.State.int rng 4 with
+        | 0 -> 0.0
+        | 1 -> -0.0
+        | _ -> positive ()
+      in
+      let inst =
+        Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 2.0)
+          ~sizes:(Array.init n (fun _ -> size ()))
+          (Array.init n (fun _ -> positive ()))
+      in
+      let text = Io.instance_to_string inst in
+      let header_len = String.index text '\n' + String.length "\nid,est,size\n" in
+      String.sub text header_len (String.length text - header_len) = rows_oracle inst)
+
+(* [save_instance] hands the buffer to the channel in chunks; a file
+   spanning several of them is still the string, byte for byte. *)
+let chunked_save_equals_string () =
+  let rng = Random.State.make [| 7 |] in
+  let n = 20_000 in
+  let inst =
+    Instance.of_ests ~m:4 ~alpha:(Uncertainty.alpha 2.0)
+      ~sizes:(Array.init n (fun j -> float_of_int (j mod 3)))
+      (Array.init n (fun _ -> 0.5 +. Random.State.float rng 100.0))
+  in
+  let path = Filename.temp_file "usched" ".inst" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Io.save_instance ~path inst;
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      checkb "spans several chunks" true (String.length bytes > 4 * 65536);
+      Alcotest.(check string) "saved file = string" (Io.instance_to_string inst) bytes)
+
+(* ---- the parser against the frozen two-pass oracle (Io_oracle) ---- *)
+
+let outcome parse text =
+  match parse text with
+  | inst -> Ok inst
+  | exception Failure msg -> Error ("Failure: " ^ msg)
+  | exception e -> Error (Printexc.to_string e)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let header_of inst =
+  let text = Io.instance_to_string inst in
+  String.sub text 0 (String.index text '\n')
+
+let bit_identical a b =
+  Instance.m a = Instance.m b
+  && same_bits [| Instance.alpha_value a |] [| Instance.alpha_value b |]
+  && same_bits (Instance.ests a) (Instance.ests b)
+  && same_bits (Instance.sizes a) (Instance.sizes b)
+  && header_of a = header_of b
+
+(* Field values chosen to reach both sides of the digit fast path and
+   every conversion corner: signs, '_', radix prefixes, exponents,
+   inf/nan, '\r', digit strings at and past the exact lengths. *)
+let tokens =
+  [|
+    "0"; "1"; "7"; "00"; "007"; "+1"; "-1"; "-0"; "+0"; "1_000"; "_1"; "1_";
+    "0x10"; "0X1p3"; "0b101"; "0o17"; "1e3"; "1E-3"; "1.5"; ".5"; "5."; "inf";
+    "-inf"; "infinity"; "nan"; "-nan"; "1\r"; " 1"; "1 "; ""; "999999999999999";
+    "1000000000000000"; "9007199254740993"; "123456789012345678";
+    "1234567890123456789"; "9999999999999999999"; "99999999999999999999"; "4.9406564584124654e-324";
+    "1e400"; "0.0"; "-0.0"; "2"; "3"; "x";
+  |]
+
+let insertions =
+  [| "0"; "9"; "+"; "-"; "_"; "0x"; "e"; "E5"; "inf"; "nan"; "\r"; "\n"; "\n\n";
+     ","; " "; "\t"; "."; "\012" |]
+
+let mutate rng text =
+  let len = String.length text in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  match Random.State.int rng 6 with
+  | 0 when len > 0 ->
+      (* insert a token anywhere *)
+      let k = Random.State.int rng (len + 1) in
+      String.sub text 0 k ^ pick insertions ^ String.sub text k (len - k)
+  | 1 when len > 0 ->
+      (* delete a byte *)
+      let k = Random.State.int rng len in
+      String.sub text 0 k ^ String.sub text (k + 1) (len - k - 1)
+  | 2 | 3 -> (
+      (* replace one field of one row (or add/drop a field) *)
+      match String.split_on_char '\n' text with
+      | header :: columns :: (_ :: _ as rows) ->
+          let rows = Array.of_list rows in
+          let r = Random.State.int rng (Array.length rows) in
+          let fields = Array.of_list (String.split_on_char ',' rows.(r)) in
+          (match Random.State.int rng 5 with
+          | 0 -> rows.(r) <- rows.(r) ^ "," ^ pick tokens
+          | 1 -> rows.(r) <- String.concat "," (List.tl (Array.to_list fields))
+          | _ ->
+              fields.(Random.State.int rng (Array.length fields)) <- pick tokens;
+              rows.(r) <- String.concat "," (Array.to_list fields));
+          String.concat "\n" (header :: columns :: Array.to_list rows)
+      | _ -> text)
+  | 4 -> (
+      (* swap two rows: ids out of order *)
+      match String.split_on_char '\n' text with
+      | header :: columns :: (_ :: _ :: _ as rows) ->
+          let rows = Array.of_list rows in
+          let a = Random.State.int rng (Array.length rows)
+          and b = Random.State.int rng (Array.length rows) in
+          let t = rows.(a) in
+          rows.(a) <- rows.(b);
+          rows.(b) <- t;
+          String.concat "\n" (header :: columns :: Array.to_list rows)
+      | _ -> text)
+  | _ ->
+      (* CRLF line ends on some lines *)
+      String.concat "\n"
+        (List.map
+           (fun l -> if Random.State.bool rng then l ^ "\r" else l)
+           (String.split_on_char '\n' text))
+
+let differential_text seed =
+  let rng = Random.State.make [| seed |] in
+  let n = Random.State.int rng 12 in
+  let value () =
+    match Random.State.int rng 3 with
+    | 0 -> float_of_int (1 + Random.State.int rng 1000)
+    | 1 -> 0.001 +. Random.State.float rng 100.0
+    | _ -> Float.ldexp 1.0 (Random.State.int rng 60)
+  in
+  let inst =
+    Instance.of_ests ~m:(1 + Random.State.int rng 4)
+      ~alpha:(Uncertainty.alpha (1.0 +. Random.State.float rng 3.0))
+      ~sizes:(Array.init n (fun _ -> if Random.State.bool rng then 1.0 else value ()))
+      (Array.init n (fun _ -> value ()))
+  in
+  let text = ref (Io.instance_to_string inst) in
+  for _ = 0 to Random.State.int rng 4 do
+    text := mutate rng !text
+  done;
+  !text
+
+let prop_parser_matches_oracle =
+  QCheck.Test.make ~name:"parser = frozen two-pass parser on mutated texts"
+    ~count:2000
+    (QCheck.make ~print:(fun seed -> Printf.sprintf "%S" (differential_text seed))
+       QCheck.Gen.int)
+    (fun seed ->
+      let text = differential_text seed in
+      match (outcome Io.instance_of_string text, outcome Io_oracle.instance_of_string text) with
+      | Ok a, Ok b -> bit_identical a b
+      | Error a, Error b -> a = b
+      | _ -> false)
+
+(* The same comparison on every token in every field position of a
+   one- and a two-row file. *)
+let parser_matches_oracle_on_tokens () =
+  let header = "# usched-instance m=2 alpha=1.5\nid,est,size\n" in
+  Array.iter
+    (fun tok ->
+      List.iter
+        (fun row ->
+          let text = header ^ row in
+          let same =
+            match (outcome Io.instance_of_string text, outcome Io_oracle.instance_of_string text) with
+            | Ok a, Ok b -> bit_identical a b
+            | Error a, Error b -> a = b
+            | _ -> false
+          in
+          checkb (Printf.sprintf "%S" text) true same)
+        [
+          tok ^ ",1,1\n"; "0," ^ tok ^ ",1\n"; "0,1," ^ tok ^ "\n"; "0,1," ^ tok;
+          "0,4,1\n" ^ tok ^ ",2,3\n"; "0,4,1\n1," ^ tok ^ ",3\n";
+          "0,4,1\n1,2," ^ tok ^ "\n";
+        ])
+    tokens
+
 let () =
   Alcotest.run "io"
     [
@@ -460,6 +656,9 @@ let () =
           Alcotest.test_case "missing header" `Quick rejects_missing_header_field;
           Alcotest.test_case "error texts and line numbers" `Quick error_texts;
           Alcotest.test_case "machine count cap" `Quick machine_cap;
+          Alcotest.test_case "chunked save = string" `Quick chunked_save_equals_string;
+          Alcotest.test_case "parser = oracle on field tokens" `Quick
+            parser_matches_oracle_on_tokens;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -468,5 +667,7 @@ let () =
             prop_all_optional_fields_round_trip;
             prop_writer_matches_printf;
             prop_blank_lines_ignored;
+            prop_writer_integers_match_printf;
+            prop_parser_matches_oracle;
           ] );
     ]

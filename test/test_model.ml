@@ -22,12 +22,15 @@ let task_validation () =
 let task_default_size () =
   close "default size 1" 1.0 (Task.size (Task.make ~id:0 ~est:2.0 ()))
 
+(* The LPT order of rows built with [Task.make]: bigger estimate first,
+   ties by id. *)
 let task_lpt_ordering () =
   let a = Task.make ~id:0 ~est:3.0 () in
   let b = Task.make ~id:1 ~est:5.0 () in
   let c = Task.make ~id:2 ~est:3.0 () in
-  checkb "bigger first" true (Task.compare_est_desc b a < 0);
-  checkb "tie by id" true (Task.compare_est_desc a c < 0)
+  let inst = Instance.make ~m:1 ~alpha:(Uncertainty.alpha 1.0) [| a; b; c |] in
+  Alcotest.(check (array int)) "bigger first, tie by id" [| 1; 0; 2 |]
+    (Instance.lpt_order inst)
 
 let alpha_validation () =
   Alcotest.check_raises "alpha below 1"

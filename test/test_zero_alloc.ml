@@ -249,6 +249,94 @@ let scans_are_allocation_free () =
     (Printf.sprintf "uniform replication_cost under 16 words (got %.0f)" c10)
     true (c10 <= 16.0)
 
+(* The one-pass instance parser converts plain-digit fields in place
+   and allocates only for a field it hands to [float_of_string]: the
+   field's substring (4 words for the 17 digits of a [%.17g] estimate)
+   and the boxed float that conversion returns (2 words); an integral
+   size costs nothing. (The two-pass parser it replaced allocated about
+   38 words per row.) Measured: exactly 6.0 words per row. The gate
+   allows 6. *)
+module Io = Usched_model.Io
+
+let parser_words_per_row () =
+  let text n =
+    let rng = Rng.create ~seed:n () in
+    let b = Buffer.create (32 * n) in
+    Buffer.add_string b "# usched-instance m=4 alpha=2\nid,est,size\n";
+    for j = 0 to n - 1 do
+      Buffer.add_string b
+        (Printf.sprintf "%d,%.17g,%d\n" j
+           (Rng.float_range rng ~lo:1.0 ~hi:100.0)
+           (1 + (j mod 3)))
+    done;
+    Buffer.contents b
+  in
+  let words n =
+    let t = text n in
+    measure (fun () -> Io.instance_of_string t)
+  in
+  let w2 = words 2000 and w4 = words 4000 in
+  let per_row = (w4 -. w2) /. 2000.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "instance_of_string: %.2f minor words per row, at most 6" per_row)
+    true (per_row <= 6.0)
+
+(* Placement's whole-placement scans read one summary (distinct sets,
+   machine classes); they must equal the per-replica walk bit for bit,
+   on sets physically shared or merely equal. *)
+let reference_loads ~m sets sizes =
+  let loads = Array.make m 0.0 in
+  Array.iteri
+    (fun j set -> Bitset.iter (fun i -> loads.(i) <- loads.(i) +. sizes.(j)) set)
+    sets;
+  loads
+
+let prop_class_scans_match_replica_walk =
+  QCheck.Test.make ~name:"class-based loads and counts = per-replica walk"
+    ~count:300
+    QCheck.(triple (int_range 1 12) (int_range 0 60) int)
+    (fun (mm, n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let random_set () =
+        let set = Bitset.create mm in
+        Bitset.add set (Random.State.int rng mm);
+        for i = 0 to mm - 1 do
+          if Random.State.int rng 3 = 0 then Bitset.add set i
+        done;
+        set
+      in
+      let sets =
+        match Random.State.int rng 4 with
+        | 0 -> Array.init n (fun _ -> Bitset.singleton mm (Random.State.int rng mm))
+        | 1 -> Array.init n (fun _ -> Bitset.full mm)
+        | 2 ->
+            let k = 1 + Random.State.int rng mm in
+            let groups =
+              Array.init k (fun g ->
+                  Array.of_list (List.filter (fun i -> i mod k = g) (List.init mm Fun.id)))
+            in
+            let groups = Array.map (fun g -> if g = [||] then [| 0 |] else g) groups in
+            Placement.sets
+              (Placement.of_group_assignment ~m:mm ~groups
+                 (Array.init n (fun _ -> Random.State.int rng k)))
+        | _ ->
+            let pool = Array.init (1 + Random.State.int rng 5) (fun _ -> random_set ()) in
+            Array.init n (fun _ ->
+                let set = pool.(Random.State.int rng (Array.length pool)) in
+                if Random.State.bool rng then set else Bitset.copy set)
+      in
+      let sizes =
+        Array.init n (fun _ ->
+            Float.ldexp (Random.State.float rng 1.0) (Random.State.int rng 40 - 20))
+      in
+      let p = Placement.of_sets ~m:mm sets in
+      let bits a = Array.map Int64.bits_of_float a in
+      bits (Placement.memory_loads p ~sizes) = bits (reference_loads ~m:mm sets sizes)
+      && Placement.max_replication p
+         = Array.fold_left (fun acc s -> max acc (Bitset.cardinal s)) 0 sets
+      && Placement.total_replicas p
+         = Array.fold_left (fun acc s -> acc + Bitset.cardinal s) 0 sets)
+
 (* The uniform-machines bound keeps only the m largest task times, so
    its minor words are a function of m alone: two m-float buffers plus
    a constant, nothing per task. *)
@@ -303,6 +391,10 @@ let () =
           Alcotest.test_case "bitset, memory loads, uniform transfer cost" `Quick
             scans_are_allocation_free;
         ] );
+      ( "parser",
+        [ Alcotest.test_case "instance_of_string words per row" `Quick parser_words_per_row ] );
+      ( "placement summary",
+        [ QCheck_alcotest.to_alcotest prop_class_scans_match_replica_walk ] );
       ( "bounds",
         [
           Alcotest.test_case "uniform lower bound allocates O(m)" `Quick
