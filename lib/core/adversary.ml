@@ -42,11 +42,11 @@ let ratio ~run ~opt realization =
   if optimum <= 0.0 then invalid_arg "Adversary.ratio: non-positive optimum";
   makespan /. optimum
 
-let greedy_flip ?(sweeps = 3) ~run ~opt instance =
+let greedy_flip ~run ~opt instance =
   let n = Instance.n instance in
   let highs = Array.make n false in
   let best = ref (ratio ~run ~opt (extreme_realization instance highs)) in
-  for _ = 1 to sweeps do
+  for _ = 1 to 3 do
     for j = 0 to n - 1 do
       highs.(j) <- not highs.(j);
       let candidate = ratio ~run ~opt (extreme_realization instance highs) in

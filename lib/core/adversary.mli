@@ -23,7 +23,6 @@ val inflate_machine : int -> Instance.t -> Placement.t -> Realization.t
     machine; deflate the rest. *)
 
 val greedy_flip :
-  ?sweeps:int ->
   run:(Realization.t -> Schedule.t) ->
   opt:(float array -> float) ->
   Instance.t ->
@@ -32,7 +31,7 @@ val greedy_flip :
     repeatedly flip single task factors between [1/α] and [α], keeping a
     flip when it increases [C_max / opt(actuals)]. [run] re-executes the
     algorithm's phase 2 against a candidate realization; [opt] evaluates
-    (or bounds) the clairvoyant optimum. [sweeps] full passes (default 3).
+    (or bounds) the clairvoyant optimum. Three full passes.
 
     Only extreme factors are explored; by the convexity of the makespan
     in each single task's time this loses nothing against static

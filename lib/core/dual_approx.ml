@@ -173,7 +173,7 @@ let feasible_at ~epsilon ~t ~m p =
 (* Binary search over targets.                                        *)
 (* ------------------------------------------------------------------ *)
 
-let schedule ?(epsilon = 1.0 /. 3.0) ?(search_steps = 40) ~m p =
+let schedule ?(epsilon = 1.0 /. 3.0) ~m p =
   if m < 1 then invalid_arg "Dual_approx: m must be >= 1";
   Array.iter (fun x -> if x < 0.0 then invalid_arg "Dual_approx: negative time") p;
   if not (epsilon > 0.0 && epsilon <= 1.0) then
@@ -191,7 +191,7 @@ let schedule ?(epsilon = 1.0 /. 3.0) ?(search_steps = 40) ~m p =
     let consider assignment =
       if Assign.makespan assignment < Assign.makespan !best then best := assignment
     in
-    for _ = 1 to search_steps do
+    for _ = 1 to 40 do
       let t = 0.5 *. (!lo +. !hi) in
       match feasible_at ~epsilon ~t ~m p with
       | Some assignment ->
@@ -202,5 +202,4 @@ let schedule ?(epsilon = 1.0 /. 3.0) ?(search_steps = 40) ~m p =
     !best
   end
 
-let makespan ?epsilon ?search_steps ~m p =
-  Assign.makespan (schedule ?epsilon ?search_steps ~m p)
+let makespan ?epsilon ~m p = Assign.makespan (schedule ?epsilon ~m p)

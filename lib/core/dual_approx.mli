@@ -22,7 +22,7 @@
     [epsilon] shrinks; intended for [epsilon >= 0.2] and a few hundred
     jobs, where it beats MULTIFIT's 13/11 guarantee. *)
 
-val makespan : ?epsilon:float -> ?search_steps:int -> m:int -> float array -> float
+val makespan : ?epsilon:float -> m:int -> float array -> float
 (** [makespan ~epsilon ~m p] runs the full scheme (default
     [epsilon = 1/3], 40 binary-search steps) and returns the makespan of
     the best schedule it found — at most [(1+epsilon)·OPT]. Raises

@@ -113,4 +113,4 @@ let schedule ?(iterations = 20) ~m (p : float array) =
     else lpt
   end
 
-let makespan ?iterations ~m p = Assign.makespan (schedule ?iterations ~m p)
+let makespan ~m p = Assign.makespan (schedule ~m p)

@@ -12,5 +12,5 @@ val schedule : ?iterations:int -> m:int -> float array -> Assign.result
     feasibility is not monotone-complete, so this guards pathological
     cases). Raises [Invalid_argument] if [m < 1] or a time is negative. *)
 
-val makespan : ?iterations:int -> m:int -> float array -> float
-(** Makespan of {!schedule}. *)
+val makespan : m:int -> float array -> float
+(** Makespan of {!schedule} at its default 20 iterations. *)

@@ -174,7 +174,7 @@ let greedy ?(sweeps = 2) ~run ~order band =
   done;
   (speeds, !best)
 
-let worst_case ?(exact_limit = 10) ?(candidates = []) ?domains ?bound ~run
+let worst_case ?(candidates = []) ?domains ?bound ~run
     instance placement band =
   let m = Speed_band.m band in
   if Instance.m instance <> m then
@@ -190,7 +190,7 @@ let worst_case ?(exact_limit = 10) ?(candidates = []) ?domains ?bound ~run
       better acc (Array.copy speeds, run speeds)
     in
     let searched =
-      if m <= exact_limit then exhaustive ?domains ?bound ~run band
+      if m <= 10 then exhaustive ?domains ?bound ~run band
       else begin
         let crit = critical_load instance placement in
         let order = Array.init m (fun i -> i) in

@@ -85,7 +85,6 @@ val exhaustive :
     for [m > 16]. *)
 
 val worst_case :
-  ?exact_limit:int ->
   ?candidates:float array list ->
   ?domains:int ->
   ?bound:(float array -> float) ->
@@ -95,7 +94,7 @@ val worst_case :
   Speed_band.t ->
   float array * float
 (** The composite adversary: exhaustive corners when
-    [m <= exact_limit] (default 10, parallelized over [domains] and
+    [m <= 10] (parallelized over [domains] and
     pruned by [bound] as in {!exhaustive}), the greedy descent in decreasing
     {!critical_load} order otherwise, plus the all-slow, all-fast and
     midpoint revelations and every extra [candidates] entry (e.g. the

@@ -470,12 +470,8 @@ let select_machine t ~machine = t.select_m ~machine
 
 let notify_available t ~task = t.notify ~task
 
-(* THE re-dispatch determinism contract, in exactly one place: machines
-   freed at the same instant (a speculative race ending, say) look for
-   new work in increasing machine id. Documented in the engine's
-   interface; pinned by test_dispatch. The engine's only caller is a
-   two-copy race, so that case skips the general sort's allocations. *)
-let redispatch_order _t machines =
-  match machines with
-  | [ a; b ] -> if a <= b then machines else [ b; a ]
-  | _ -> List.sort Int.compare machines
+(* THE re-dispatch determinism contract, in exactly one place: the two
+   machines a speculative race frees at the same instant look for new
+   work in increasing machine id. Documented in the engine's interface;
+   pinned by test_dispatch. *)
+let redispatch_order _t a b = if a <= b then (a, b) else (b, a)

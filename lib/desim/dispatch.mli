@@ -138,8 +138,7 @@ val notify_available : t -> task:int -> unit
     their low-water mark (the lowest position of the order that may
     hold a dispatchable task). *)
 
-val redispatch_order : t -> int list -> int list
-(** The order in which machines freed at the same instant look for new
-    work: increasing machine id. This is the single home of the
-    documented re-dispatch determinism contract (the engine previously
-    duplicated it inline). *)
+val redispatch_order : t -> int -> int -> int * int
+(** The order in which the two machines a speculative race frees at the
+    same instant look for new work: increasing machine id. This is the
+    single home of the documented re-dispatch determinism contract. *)

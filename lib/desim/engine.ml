@@ -475,13 +475,6 @@ type sim =
   | Sim_dispatch
   | Sim_speculate  (** task in [aux], task generation in [aux2] *)
 
-(* Remove the first occurrence of machine [i] — machines appear at most
-   once in a copies list, so this matches [List.filter ((<>) i)]
-   without allocating a closure per call. *)
-let rec remove_machine i = function
-  | [] -> []
-  | k :: rest -> if k = i then rest else k :: remove_machine i rest
-
 let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
     ~sink ~arrivals instance realization ~faults ~placement ~order =
   check_inputs ?speeds ~name:"Engine.run_faulty" instance ~placement ~order;
@@ -506,11 +499,11 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   let spec_on = match speculation with Some _ -> true | None -> false in
   let spec_beta = match speculation with Some b -> b | None -> 0.0 in
   (* Every recovery mechanism is gated by its own parameter: detection
-     by [det_latency > 0], healing by [heals], backoff by
-     [Recovery.backoff] (0 under [none]), acknowledgement by a pending
-     detection. [Recovery.none] therefore runs none of them, and the
-     golden qcheck property in test_recovery checks it bit-for-bit
-     against a structurally-neutral policy. *)
+     by [det_latency > 0], healing by [heals], checkpoints by
+     [ckpt_interval > 0], acknowledgement by a pending detection.
+     [Recovery.none] therefore runs none of them, and the golden qcheck
+     property in test_recovery checks it bit-for-bit against a
+     structurally-neutral policy. *)
   let det_latency = recovery.Recovery.detection_latency in
   (* The live-replica target is per task: [Fixed r] heals everything
      toward the same count (constant function — bit-for-bit the old
@@ -600,10 +593,6 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   (* The copy an undetected failure killed, and that failure's time. *)
   let orphan = Array.make m (-1) in
   let undetected = Array.make m Float.nan in
-  (* Outages suffered so far (they drive backoff), and the time before
-     which the machine gets no dispatch. *)
-  let blinks = Array.make m 0 in
-  let trust_after = Array.make m 0.0 in
   (* The task the machine's last checkpoint preserved, and its work. *)
   let ckpt_task = Array.make m (-1) in
   let ckpt_work = Array.make m 0.0 in
@@ -618,12 +607,12 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
     status.(j) <- s;
     dispatchable.(j) <- (s = st_pending && arrived.(j))
   in
-  (* The machines running a copy of each task, newest first, split into
-     an unboxed head lane ([-1] = no copies) plus a spill list that is
-     only ever non-empty under speculation. The single-copy common case
-     therefore never conses. *)
-  let copies_head = Array.make n (-1) in
-  let copies_tail = Array.make n ([] : int list) in
+  (* The machines running a copy of each task: the primary, and the one
+     backup speculation may add ([-1] = none). A task with a backup
+     always has a primary; a kill of either leaves the survivor as the
+     primary. *)
+  let primary = Array.make n (-1) in
+  let backup = Array.make n (-1) in
   let task_gen = Array.make n 0 in
   (* The speculation candidate pool: every running task whose straggler
      check has fired, densely packed in [spec_pool.(0 .. !spec_len - 1)]
@@ -735,10 +724,10 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
      [select_machine] return -1 exactly when a machine holds no
      dispatchable task, so any other machine's wake could act only
      through [spec_scan]; and every other way a machine becomes able to
-     start a backup (going idle, rejoining, its distrust window
-     closing, a task entering the speculation pool) dispatches it
-     directly. The skipped wakes would do nothing, and dropping them
-     moves no other event in the (time, machine, class, seq) order.
+     start a backup (going idle, rejoining, a task entering the
+     speculation pool) dispatches it directly. The skipped wakes would
+     do nothing, and dropping them moves no other event in the (time,
+     machine, class, seq) order.
 
      Two paths make a backup startable on an already idle machine
      without waking it: a kill leaves a speculated task with one copy,
@@ -879,12 +868,8 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
     cur_last.(i) <- time;
     cur_base.(i) <- (if resume then banked else 0.0);
     gen.(i) <- gen.(i) + 1;
-    let was_primary = copies_head.(j) < 0 in
-    if was_primary then copies_head.(j) <- i
-    else begin
-      copies_tail.(j) <- copies_head.(j) :: copies_tail.(j);
-      copies_head.(j) <- i
-    end;
+    let was_primary = primary.(j) < 0 in
+    if was_primary then primary.(j) <- i else backup.(j) <- i;
     set_status j st_running;
     loads.(i) <- loads.(i) +. ests.(j);
     Metrics.incr mc_dispatches;
@@ -977,14 +962,9 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
       cur_task.(i) <- -1;
       gen.(i) <- gen.(i) + 1;
       (match sink with Some s -> rec_mt s k_killed time i j | None -> ());
-      (if copies_head.(j) = i then
-         match copies_tail.(j) with
-         | [] -> copies_head.(j) <- -1
-         | k :: rest ->
-             copies_head.(j) <- k;
-             copies_tail.(j) <- rest
-       else copies_tail.(j) <- remove_machine i copies_tail.(j));
-      if copies_head.(j) >= 0 then wake_all := true
+      if primary.(j) = i then primary.(j) <- backup.(j);
+      backup.(j) <- -1;
+      if primary.(j) >= 0 then wake_all := true
       else if det_latency > 0.0 then orphan.(i) <- j
       else release_task ~time j
     end
@@ -1017,7 +997,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
       let oj = orphan.(i) in
       if oj >= 0 then begin
         orphan.(i) <- -1;
-        if status.(oj) = st_running && copies_head.(oj) < 0 then
+        if status.(oj) = st_running && primary.(oj) < 0 then
           release_task ~time oj
       end;
       if not alive.(i) then strand_scan i
@@ -1060,15 +1040,15 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
       if
         pos_of.(j) < best_pos
         && status.(j) = st_running
-        && copies_head.(j) >= 0
-        && copies_head.(j) <> i
-        && (match copies_tail.(j) with [] -> true | _ -> false)
+        && primary.(j) >= 0
+        && primary.(j) <> i
+        && backup.(j) < 0
         && Bitset.mem data.(j) i
       then spec_scan i (k + 1) j pos_of.(j)
       else spec_scan i (k + 1) best best_pos
   in
   let dispatch_machine ~time i =
-    if available ~time i && cur_task.(i) < 0 && time >= trust_after.(i) then begin
+    if available ~time i && cur_task.(i) < 0 then begin
       (* A machine holding a checkpoint of a waiting task resumes it in
          preference to fresh work: the banked progress makes it the
          cheapest copy anyone can start. *)
@@ -1102,26 +1082,18 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
       if live then busy.(i) <- busy.(i) +. (time -. started);
       (match sink with Some s -> rec_mt s k_completed time i j | None -> ());
       if streaming then Metrics.observe mh_latency (time -. arr.(j));
-      if
-        copies_head.(j) = i
-        && (match copies_tail.(j) with [] -> true | _ -> false)
-      then begin
-        (* No speculative copies in flight: the freed machine is the only
-           one to re-dispatch, so skip the list plumbing entirely. *)
-        copies_head.(j) <- -1;
+      if backup.(j) < 0 then begin
+        (* No backup in flight: the freed machine is the only one to
+           re-dispatch. *)
+        primary.(j) <- -1;
         dispatch_machine ~time i
       end
       else begin
-        (* A backup copy only ever joins a single-copy task, so there
-           are exactly two copies here: the first to finish wins and
-           the other one, [k], aborts. *)
-        let k =
-          match copies_tail.(j) with
-          | [ t ] -> if copies_head.(j) = i then t else copies_head.(j)
-          | _ -> assert false
-        in
-        copies_head.(j) <- -1;
-        copies_tail.(j) <- [];
+        (* Two copies race: the first to finish wins and the other one,
+           [k], aborts. *)
+        let k = if primary.(j) = i then backup.(j) else primary.(j) in
+        primary.(j) <- -1;
+        backup.(j) <- -1;
         assert (cur_task.(k) >= 0);
         wasted.(0) <- wasted.(0) +. (time -. cur_started.(k));
         if live then busy.(k) <- busy.(k) +. (time -. cur_started.(k));
@@ -1129,11 +1101,9 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
         gen.(k) <- gen.(k) + 1;
         Metrics.incr mc_spec_cancelled;
         (match sink with Some s -> rec_mt s k_cancelled time k j | None -> ());
-        match Dispatch.redispatch_order policy [ i; k ] with
-        | [ a; b ] ->
-            dispatch_machine ~time a;
-            dispatch_machine ~time b
-        | _ -> assert false
+        let a, b = Dispatch.redispatch_order policy i k in
+        dispatch_machine ~time a;
+        dispatch_machine ~time b
       end
     end
   in
@@ -1179,10 +1149,6 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
           | Some s -> rec_mx s k_down {|,"until":|} time i down_until.(i)
           | None -> ());
           kill_current ~salvage:true ~time i;
-          blinks.(i) <- blinks.(i) + 1;
-          let b = Recovery.backoff recovery ~blinks:(blinks.(i)) in
-          if b > 0.0 then
-            trust_after.(i) <- Float.max trust_after.(i) (down_until.(i) +. b);
           (* Detection only matters when a copy was orphaned: the
              outage's other effects wait for the rejoin anyway. *)
           if det_latency > 0.0 && orphan.(i) >= 0 then begin
@@ -1224,12 +1190,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
          transfer source or destination). *)
       acknowledge ~time i;
       heal ~time;
-      if time >= trust_after.(i) then dispatch_machine ~time i
-      else
-        (* Backoff: the machine blinked recently, so it only receives
-           new work once its distrust window expires. *)
-        push ~time:(trust_after.(i)) ~machine:i ~cls:Event_heap.cls_decision
-          Sim_dispatch
+      dispatch_machine ~time i
     end
   in
   let on_detect ~time i =
@@ -1254,14 +1215,14 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
     if
       task_gen.(task) = g
       && status.(task) = st_running
-      && copies_head.(task) >= 0
-      && (match copies_tail.(task) with [] -> true | _ -> false)
+      && primary.(task) >= 0
+      && backup.(task) < 0
     then begin
       spec_enter task;
       (* Grab an idle surviving holder right now if one exists; otherwise
          the next machine to go idle picks the task up in
          [dispatch_machine]. *)
-      let i = idle_holder task copies_head.(task) 0 in
+      let i = idle_holder task primary.(task) 0 in
       if i >= 0 then start_copy ~resume:false ~banked:0.0 ~time i task
     end
   in
@@ -1386,12 +1347,6 @@ let run_stream ?speeds ?speculation ?(dispatch = Dispatch.default)
       ~arrivals:(Some arrivals) instance realization ~faults ~placement ~order
   in
   { outcome; latencies = stream_latencies ~arrivals outcome }
-
-let run_stream_traced ?speeds ?speculation ?dispatch ?recovery ?metrics
-    ?faults instance realization ~arrivals ~placement ~order =
-  logged (fun sink ->
-      run_stream ?speeds ?speculation ?dispatch ?recovery ?metrics ?faults
-        ~sink instance realization ~arrivals ~placement ~order)
 
 (* ------------------------------------------------------------------ *)
 (* JSON of single events and outcomes.                                 *)

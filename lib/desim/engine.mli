@@ -254,10 +254,10 @@ val run_faulty :
       mechanisms, applied identically under every policy.
     - {b Recovery} ([recovery], default {!Usched_faults.Recovery.none}):
       the scheduler heals instead of merely reacting — see
-      [Usched_faults.Recovery] for the four mechanisms (failure
+      [Usched_faults.Recovery] for the three mechanisms (failure
       detection with latency, online re-replication that grows
-      eligibility sets mid-run, checkpoint/resume across outages,
-      capped-backoff distrust of blinking machines). Each mechanism is
+      eligibility sets mid-run, checkpoint/resume across outages).
+      Each mechanism is
       gated by its own parameter, so the default [none] policy (and any
       structurally equal one) takes none of their branches: same float
       operations, same events, same metrics as the engine without
@@ -349,22 +349,6 @@ val run_stream :
     Raises [Invalid_argument] on malformed inputs (see {!run_faulty})
     or when [arrivals] has the wrong length or a non-finite/negative
     entry. *)
-
-val run_stream_traced :
-  ?speeds:float array ->
-  ?speculation:float ->
-  ?dispatch:Dispatch.spec ->
-  ?recovery:Usched_faults.Recovery.t ->
-  ?metrics:Metrics.t ->
-  ?faults:Usched_faults.Trace.t ->
-  Instance.t ->
-  Realization.t ->
-  arrivals:float array ->
-  placement:Bitset.t array ->
-  order:int array ->
-  stream_outcome * event list
-(** Like {!run_stream}, also returning the chronological event log
-    (arrivals included), read back as in {!run_faulty_traced}. *)
 
 (** {1 JSON serialization}
 

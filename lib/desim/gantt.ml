@@ -1,8 +1,9 @@
-let default_label task = Char.chr (Char.code '0' + (task mod 10))
+(* A task fills its cells with the last digit of its id. *)
+let label task = Char.chr (Char.code '0' + (task mod 10))
 
 (* One machine's row: [tasks] in [Schedule.by_machine] order, later
    tasks overwriting earlier ones where they share a cell. *)
-let track ~width ~scale ~label schedule tasks =
+let track ~width ~scale schedule tasks =
   let row = Bytes.make width '.' in
   Array.iter
     (fun task ->
@@ -17,7 +18,7 @@ let track ~width ~scale ~label schedule tasks =
     tasks;
   Bytes.to_string row
 
-let render ?(width = 72) ?(label = default_label) schedule =
+let render ?(width = 72) schedule =
   let buffer = Buffer.create 256 in
   let horizon = Schedule.makespan schedule in
   let scale = if horizon > 0.0 then float_of_int width /. horizon else 0.0 in
@@ -27,7 +28,7 @@ let render ?(width = 72) ?(label = default_label) schedule =
   Array.iteri
     (fun i tasks ->
       Buffer.add_string buffer
-        (Printf.sprintf "m%-3d |%s|\n" i (track ~width ~scale ~label schedule tasks)))
+        (Printf.sprintf "m%-3d |%s|\n" i (track ~width ~scale schedule tasks)))
     (Schedule.by_machine schedule);
   Buffer.contents buffer
 
@@ -43,11 +44,10 @@ let render_two ?(width = 36) ~left_title ~right_title left right =
     (Printf.sprintf "shared time scale 0 .. %g\n" horizon);
   let left_tasks = Schedule.by_machine left
   and right_tasks = Schedule.by_machine right in
-  let label = default_label in
   for i = 0 to Schedule.m left - 1 do
     Buffer.add_string buffer
       (Printf.sprintf "m%-3d |%s|   |%s|\n" i
-         (track ~width ~scale ~label left left_tasks.(i))
-         (track ~width ~scale ~label right right_tasks.(i)))
+         (track ~width ~scale left left_tasks.(i))
+         (track ~width ~scale right right_tasks.(i)))
   done;
   Buffer.contents buffer

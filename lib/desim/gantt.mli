@@ -2,17 +2,12 @@
 
     Regenerates the paper's schedule illustrations (Figures 1, 2, 4 and 5)
     as terminal art: one row per machine, tasks drawn to horizontal scale
-    and labelled with their id (mod 10, or a custom labeller). *)
+    and labelled with the last digit of their id. *)
 
-val render :
-  ?width:int ->
-  ?label:(int -> char) ->
-  Schedule.t ->
-  string
+val render : ?width:int -> Schedule.t -> string
 (** [render schedule] draws the schedule scaled into [width] columns
-    (default 72). [label] maps a task id to its fill character (default:
-    last digit of the id). Zero-duration schedules render as empty
-    tracks. *)
+    (default 72), each task filled with the last digit of its id.
+    Zero-duration schedules render as empty tracks. *)
 
 val render_two :
   ?width:int -> left_title:string -> right_title:string ->

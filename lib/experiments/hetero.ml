@@ -4,12 +4,12 @@ module Uncertainty = Usched_model.Uncertainty
 module Workload = Usched_model.Workload
 module Speed_band = Usched_model.Speed_band
 module Schedule = Usched_desim.Schedule
-module Engine = Usched_desim.Engine
 module Core = Usched_core
 module Strategy = Usched_core.Strategy
 module Table = Usched_report.Table
 module Rng = Usched_prng.Rng
 module Summary = Usched_stats.Summary
+module Dispatch = Usched_desim.Dispatch
 
 let run config =
   Runner.print_section
@@ -17,7 +17,7 @@ let run config =
   let m = 8 in
   (* Two fast nodes, four standard, two half-speed stragglers — the
      degenerate (known-speed) slice of the tiered speed band. *)
-  let tiered = Speed_band.tiered ~m () in
+  let tiered = Speed_band.tiered ~m in
   let speeds = Speed_band.los tiered in
   Printf.printf "m=%d machines with speeds [%s], n=48 tasks.\n\n" m
     (String.concat "; "
@@ -116,24 +116,10 @@ let run config =
         in
         let instance = Instance.with_speed_band instance (Some band) in
         let realization = Realization.exact instance in
-        let actuals = Realization.actuals realization in
         let placement = algo.Core.Two_phase.phase1 instance in
-        let sets = Core.Placement.sets placement in
-        let order = Instance.lpt_order instance in
-        let lower_bound = Core.Uniform.lower_bound_of actuals in
-        let run_ratio revealed =
-          Schedule.makespan
-            (Engine.run ~speeds:revealed instance realization ~placement:sets
-               ~order)
-          /. lower_bound ~speeds:revealed
-        in
-        let makespan_bound =
-          Core.Speed_adversary.makespan_bound instance ~actuals placement
-        in
-        let bound revealed = makespan_bound revealed /. lower_bound ~speeds:revealed in
-        let _, adv =
-          Core.Speed_adversary.worst_case ~run:run_ratio ~bound instance placement
-            band
+        let _, adv, _ =
+          Speed_sweep.adversarial_ratio ~dispatch:Dispatch.default
+            ~domains:1 ~draws:[||] instance realization placement band
         in
         Summary.add summary adv
       done;

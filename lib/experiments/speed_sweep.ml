@@ -5,6 +5,7 @@ module Workload = Usched_model.Workload
 module Speed_band = Usched_model.Speed_band
 module Schedule = Usched_desim.Schedule
 module Engine = Usched_desim.Engine
+module Dispatch = Usched_desim.Dispatch
 module Trace = Usched_faults.Trace
 module Core = Usched_core
 module Strategy = Usched_core.Strategy
@@ -40,16 +41,15 @@ type assessment = {
   makespan_reveal : float;
 }
 
-let assess ?dispatch ?speculation ?recovery ?domains ~draws instance
-    realization placement band =
-  let m = Instance.m instance in
+let adversarial_ratio ~dispatch ~domains ~draws instance realization placement
+    band =
   let actuals = Realization.actuals realization in
   let sets = Core.Placement.sets placement in
   let order = Instance.lpt_order instance in
   let lower_bound = Core.Uniform.lower_bound_of actuals in
   let ratio_at speeds =
     Schedule.makespan
-      (Engine.run ~speeds ?dispatch instance realization ~placement:sets ~order)
+      (Engine.run ~speeds ~dispatch instance realization ~placement:sets ~order)
     /. lower_bound ~speeds
   in
   let makespan_bound =
@@ -59,23 +59,33 @@ let assess ?dispatch ?speculation ?recovery ?domains ~draws instance
   Array.iter
     (fun d ->
       if not (Speed_band.contains band d) then
-        invalid_arg "Speed_sweep.assess: draw outside its band")
+        invalid_arg "Speed_sweep.adversarial_ratio: draw outside its band")
     draws;
   let mc_ratios = Array.map ratio_at draws in
   (* The draws are folded in after the search, in draw order and keeping
      the first maximum, as candidates of [worst_case] would be, so the
      adversarial ratio dominates every sampled one without replaying
      them twice. *)
-  let adv_speeds, ratio_adv =
-    let searched =
-      Core.Speed_adversary.worst_case ~run:ratio_at ~bound ?domains instance
-        placement band
-    in
-    let worst = ref searched in
-    Array.iteri
-      (fun k ratio -> if ratio > snd !worst then worst := (draws.(k), ratio))
-      mc_ratios;
-    !worst
+  let worst =
+    ref
+      (Core.Speed_adversary.worst_case ~run:ratio_at ~bound ~domains instance
+         placement band)
+  in
+  Array.iteri
+    (fun k ratio -> if ratio > snd !worst then worst := (draws.(k), ratio))
+    mc_ratios;
+  let speeds, ratio = !worst in
+  (speeds, ratio, mc_ratios)
+
+let assess ?(dispatch = Dispatch.default) ?speculation ?recovery
+    ?(domains = 1) ~draws instance realization placement band =
+  let m = Instance.m instance in
+  let actuals = Realization.actuals realization in
+  let sets = Core.Placement.sets placement in
+  let order = Instance.lpt_order instance in
+  let adv_speeds, ratio_adv, mc_ratios =
+    adversarial_ratio ~dispatch ~domains ~draws instance realization placement
+      band
   in
   (* Mid-run revelation: start every machine at its optimistic speed,
      then at [reveal_at] the fault layer slows each to the adversary's
@@ -84,7 +94,7 @@ let assess ?dispatch ?speculation ?recovery ?domains ~draws instance
   let reveal_at = 0.5 *. Core.Uniform.lower_bound ~speeds:his actuals in
   let factors = Array.mapi (fun i s -> s /. his.(i)) adv_speeds in
   let reveal =
-    Engine.run_faulty ?speculation ~speeds:his ?dispatch ?recovery instance
+    Engine.run_faulty ?speculation ~speeds:his ~dispatch ?recovery instance
       realization
       ~faults:(Trace.revelation ~m ~at:reveal_at factors)
       ~placement:sets ~order

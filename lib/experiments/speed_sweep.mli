@@ -18,6 +18,25 @@ type assessment = {
           layer. *)
 }
 
+val adversarial_ratio :
+  dispatch:Usched_desim.Dispatch.spec ->
+  domains:int ->
+  draws:float array array ->
+  Usched_model.Instance.t ->
+  Usched_model.Realization.t ->
+  Usched_core.Placement.t ->
+  Usched_model.Speed_band.t ->
+  float array * float * float array
+(** The worst-case speed adversary against a committed placement: every
+    revelation is scored by its makespan, replayed in LPT order under
+    [dispatch], over {!Usched_core.Uniform.lower_bound} at the revealed
+    speeds. The corner search runs over [domains] and is pruned by
+    {!Usched_core.Speed_adversary.makespan_bound}; each Monte-Carlo
+    [draws] entry is replayed once and folded in after it, so the worst
+    ratio dominates every sampled one. Returns the worst speeds, their
+    ratio, and the ratio at each draw, in order. Raises
+    [Invalid_argument] when a draw leaves the band. *)
+
 val assess :
   ?dispatch:Usched_desim.Dispatch.spec ->
   ?speculation:float ->

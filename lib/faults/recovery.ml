@@ -11,7 +11,6 @@ type t = {
   rereplication_target : target;
   bandwidth : float;
   checkpoint_interval : float;
-  max_retries : int;
 }
 
 let none =
@@ -20,7 +19,6 @@ let none =
     rereplication_target = Fixed 0;
     bandwidth = infinity;
     checkpoint_interval = 0.0;
-    max_retries = 0;
   }
 
 let bad fmt = Format.kasprintf invalid_arg fmt
@@ -31,8 +29,7 @@ let check_finite_nonneg ~what x =
   if x = infinity then bad "Recovery.make: infinite %s" what
 
 let make ?(detection_latency = 0.0) ?(rereplication_target = Fixed 0)
-    ?(bandwidth = infinity) ?(checkpoint_interval = 0.0) ?(max_retries = 0) ()
-    =
+    ?(bandwidth = infinity) ?(checkpoint_interval = 0.0) () =
   check_finite_nonneg ~what:"detection latency" detection_latency;
   check_finite_nonneg ~what:"checkpoint interval" checkpoint_interval;
   if Float.is_nan bandwidth then bad "Recovery.make: bandwidth is NaN";
@@ -42,10 +39,7 @@ let make ?(detection_latency = 0.0) ?(rereplication_target = Fixed 0)
   | Fixed r when r < 0 ->
       bad "Recovery.make: negative re-replication target (%d)" r
   | Fixed _ | Degree -> ());
-  if max_retries < 0 then
-    bad "Recovery.make: negative max retries (%d)" max_retries;
-  { detection_latency; rereplication_target; bandwidth; checkpoint_interval;
-    max_retries }
+  { detection_latency; rereplication_target; bandwidth; checkpoint_interval }
 
 let is_none t = t == none
 let is_active t = not (is_none t)
@@ -88,17 +82,10 @@ let transfer_time ?topology t ~src ~dst ~size =
            /. Float.min t.bandwidth
                 (Usched_model.Topology.path_bandwidth topo ~src ~dst))
 
-let backoff t ~blinks =
-  if t.max_retries = 0 || t.detection_latency <= 0.0 || blinks <= 0 then 0.0
-  else
-    t.detection_latency
-    *. Float.pow 2.0 (float_of_int (min (blinks - 1) (t.max_retries - 1)))
-
 let pp ppf t =
   if is_none t then Format.fprintf ppf "recovery(none)"
   else
     Format.fprintf ppf
-      "recovery(detect=%g, target=%s, bw=%g, ckpt=%g, retries=%d)"
-      t.detection_latency
+      "recovery(detect=%g, target=%s, bw=%g, ckpt=%g)" t.detection_latency
       (target_to_string t.rereplication_target)
-      t.bandwidth t.checkpoint_interval t.max_retries
+      t.bandwidth t.checkpoint_interval

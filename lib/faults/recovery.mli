@@ -32,15 +32,10 @@
       local disk. A copy killed by an outage resumes from the last
       checkpoint when the machine rejoins (crashes destroy the disk and
       the checkpoints with it).
-    - {b capped-backoff retry}: with [max_retries > 0], a machine that
-      just blinked is not trusted with new work immediately: after its
-      [b]-th outage it only receives dispatches
-      [detection_latency * 2^(min (b-1) (max_retries-1))] time units
-      after rejoining. It still serves data transfers meanwhile.
-
-    {!none} disables all four mechanisms. The engine gates each one on
+    {!none} disables all three mechanisms. The engine gates each one on
     its own parameter (a positive latency, a re-replication target, a
-    backoff), so under [none] it takes none of their branches and
+    checkpoint interval), so under [none] it takes none of their
+    branches and
     [Engine.run_faulty] with the default policy is bit-for-bit the
     engine without recovery. A policy built by [make ()] with all
     defaults is structurally equal and runs the same way; the golden
@@ -63,29 +58,25 @@ type t = private {
           transfers instantaneous. *)
   checkpoint_interval : float;
       (** Units of processed work between checkpoints; [0] = off. *)
-  max_retries : int;
-      (** Number of distinct backoff levels for blinking machines;
-          [0] = no backoff. *)
 }
 
 val none : t
-(** No detection latency, no re-replication, no checkpointing, no
-    backoff: the engine's default, bit-for-bit identical to the
-    pre-recovery fault engine. *)
+(** No detection latency, no re-replication, no checkpointing: the
+    engine's default, bit-for-bit identical to the pre-recovery fault
+    engine. *)
 
 val make :
   ?detection_latency:float ->
   ?rereplication_target:target ->
   ?bandwidth:float ->
   ?checkpoint_interval:float ->
-  ?max_retries:int ->
   unit ->
   t
 (** Validated constructor; every omitted field defaults to its {!none}
     value. Raises [Invalid_argument] when [detection_latency] or
     [checkpoint_interval] is negative, NaN, or infinite, when
     [bandwidth] is not [> 0] (NaN rejected; [infinity] allowed), or
-    when [Fixed] [rereplication_target] or [max_retries] is negative. *)
+    when a [Fixed] [rereplication_target] is negative. *)
 
 val is_none : t -> bool
 (** Physical equality with {!none}: true only for the shared constant,
@@ -117,12 +108,6 @@ val transfer_time :
     [min bandwidth (path bandwidth)]: the copy is bounded by both the
     policy's re-replication pipeline and the inter-zone link. *)
 
-val backoff : t -> blinks:int -> float
-(** Extra distrust delay after a machine's [blinks]-th outage
-    ([blinks >= 1]):
-    [detection_latency * 2^(min (blinks-1) (max_retries-1))], or [0]
-    when [max_retries = 0] or [detection_latency = 0]. *)
-
 val pp : Format.formatter -> t -> unit
 (** Renders as [recovery(none)] or
-    [recovery(detect=0.5, target=2, bw=4, ckpt=1, retries=3)]. *)
+    [recovery(detect=0.5, target=2, bw=4, ckpt=1)]. *)

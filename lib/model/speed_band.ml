@@ -28,12 +28,12 @@ let uniform ~m ~lo ~hi =
 let degenerate speeds = make (Array.map (fun s -> (s, s)) speeds)
 let nominal ~m = uniform ~m ~lo:1.0 ~hi:1.0
 
-let tiered ?(fast = 2.0) ?(slow = 0.5) ~m () =
+let tiered ~m =
   if m < 1 then invalid_arg "Speed_band.tiered: need at least one machine";
   let quarter = m / 4 in
   degenerate
     (Array.init m (fun i ->
-         if i < quarter then fast else if i >= m - quarter then slow else 1.0))
+         if i < quarter then 2.0 else if i >= m - quarter then 0.5 else 1.0))
 
 let widen t ~spread =
   if not (Float.is_finite spread && spread >= 1.0) then

@@ -29,12 +29,12 @@ val nominal : m:int -> t
 (** Known unit speeds, zero uncertainty ([lo_i = hi_i = 1]): the
     identical-machines default. *)
 
-val tiered : ?fast:float -> ?slow:float -> m:int -> unit -> t
+val tiered : m:int -> t
 (** The heterogeneous-cluster shape used by the [hetero] experiment:
-    the first [m/4] machines run at [fast] (default 2), the last [m/4]
-    at [slow] (default 0.5), the middle half at 1 — all degenerate
-    (known speeds). [tiered ~m:8 ()] is exactly the
-    [[|2;2;1;1;1;1;0.5;0.5|]] array the experiment used to hardcode. *)
+    the first [m/4] machines run at speed 2, the last [m/4] at 0.5, the
+    middle half at 1 — all degenerate (known speeds). [tiered ~m:8] is
+    exactly the [[|2;2;1;1;1;1;0.5;0.5|]] array the experiment used to
+    hardcode. *)
 
 val widen : t -> spread:float -> t
 (** Uncertainty around known speeds: each band becomes

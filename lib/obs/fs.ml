@@ -1,9 +1,9 @@
-let rec mkdir_p ?(perm = 0o755) dir =
+let rec mkdir_p dir =
   if dir = "" || dir = "." || dir = "/" then ()
   else begin
     let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p ~perm parent;
-    match Unix.mkdir dir perm with
+    if parent <> dir then mkdir_p parent;
+    match Unix.mkdir dir 0o755 with
     | () -> ()
     | exception Unix.Unix_error (Unix.EEXIST, _, _) ->
         (* Someone (possibly a racing process) beat us to it; only object

@@ -1,8 +1,9 @@
 (** Small filesystem helpers shared by every output path (CSV dirs,
     trace files, bench reports). *)
 
-val mkdir_p : ?perm:int -> string -> unit
-(** Create a directory and every missing ancestor, like [mkdir -p].
+val mkdir_p : string -> unit
+(** Create a directory and every missing ancestor, like [mkdir -p], with
+    permissions [0o755] (before the umask).
     Tolerates concurrent creation ([EEXIST] from a racing process is
     success, not an error — no exists/mkdir TOCTOU window). Raises
     [Failure] when a path component exists but is not a directory. *)

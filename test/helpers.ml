@@ -121,3 +121,18 @@ let outages trace machine =
 (* Per-task replication degrees [|M_j|] of a placement. *)
 let degrees p =
   Array.init (Usched_core.Placement.n p) (Usched_core.Placement.replication p)
+
+module Engine = Usched_desim.Engine
+module Sink = Usched_obs.Trace
+
+(* [run]'s result and the bytes it wrote into a memory sink. *)
+let sink_bytes run =
+  let sink = Sink.memory () in
+  let result = run sink in
+  (result, Sink.contents sink)
+
+(* The JSONL bytes of an event log, one record per line: what the run
+   that produced the log writes into its sink. *)
+let log_bytes events =
+  String.concat ""
+    (List.map (fun e -> Usched_report.Json.to_string (Engine.event_json e) ^ "\n") events)

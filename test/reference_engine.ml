@@ -94,8 +94,6 @@ module R_ms = struct
     mutable current : copy option;
     mutable orphan : int option;
     mutable undetected : float option;
-    mutable blinks : int;
-    mutable trust_after : float;
     mutable ckpt : (int * float) option;
   }
 
@@ -120,8 +118,6 @@ module R_ms = struct
               current = None;
               orphan = None;
               undetected = None;
-              blinks = 0;
-              trust_after = 0.0;
               ckpt = None;
             });
       alive_set = Bitset.full m;
@@ -812,8 +808,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   in
   let dispatch_machine ~time i =
     let ms = machine i in
-    if available ~time i && ms.R_ms.current = None && time >= ms.R_ms.trust_after
-    then
+    if available ~time i && ms.R_ms.current = None then
       match resume_candidate i with
       | Some (j, banked) -> start_copy ~resume:banked ~time i j
       | None -> (
@@ -888,11 +883,6 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
           emit (Machine_down { time; machine = i; until = ms.R_ms.down_until });
           kill_current ~salvage:true ~time i;
           if rec_active then begin
-            ms.R_ms.blinks <- ms.R_ms.blinks + 1;
-            let b = Recovery.backoff recovery ~blinks:ms.R_ms.blinks in
-            if b > 0.0 then
-              ms.R_ms.trust_after <-
-                Float.max ms.R_ms.trust_after (ms.R_ms.down_until +. b);
             if det_latency > 0.0 && ms.R_ms.orphan <> None then begin
               if ms.R_ms.undetected = None then ms.R_ms.undetected <- Some time;
               push ~time:(time +. det_latency) ~machine:i
@@ -924,10 +914,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
         acknowledge ~time i;
         heal ~time
       end;
-      if time >= ms.R_ms.trust_after then dispatch_machine ~time i
-      else
-        push ~time:ms.R_ms.trust_after ~machine:i ~cls:R_event.cls_decision
-          Sim_dispatch
+      dispatch_machine ~time i
     end
   in
   let on_detect ~time i =

@@ -548,21 +548,25 @@ let prop_deterministic =
              | _ -> false)
            a.Engine.fates b.Engine.fates)
 
-(* Speculation can only help the makespan on slowdown traces (crash-free:
-   the task set completing is identical), and all waste is accounted. *)
-let prop_speculation_never_hurts =
+(* The slowdown trace the speculation tests replay on a [build]
+   scenario. *)
+let slowdowns ~m ~p ~seed realization =
+  Trace.random_slowdowns
+    (Rng.create ~seed:(seed + 2) ())
+    ~m ~p ~horizon:(2.0 *. Realization.total realization)
+    ~factor:(0.2, 0.9)
+
+(* On a crash-free slowdown trace speculation loses no task, and the run
+   without it wastes nothing. (It can lengthen the makespan: see
+   [speculation_anomaly].) *)
+let prop_speculation_completes =
   QCheck.Test.make
-    ~name:"speculation never worsens the makespan under slowdowns" ~count:300
+    ~name:"speculation completes every task under slowdowns" ~count:300
     scenario (fun (n, m, k, p, seed) ->
       let instance, realization, placement, order, _ =
         build (n, m, k, p, seed)
       in
-      let faults =
-        Trace.random_slowdowns
-          (Rng.create ~seed:(seed + 2) ())
-          ~m ~p ~horizon:(2.0 *. Realization.total realization)
-          ~factor:(0.2, 0.9)
-      in
+      let faults = slowdowns ~m ~p ~seed realization in
       let plain =
         Engine.run_faulty instance realization ~faults ~placement ~order
       in
@@ -572,8 +576,57 @@ let prop_speculation_never_hurts =
       in
       spec.Engine.completed = n
       && plain.Engine.completed = n
-      && plain.Engine.wasted = 0.0
-      && spec.Engine.makespan <= plain.Engine.makespan +. 1e-9)
+      && plain.Engine.wasted = 0.0)
+
+(* Speculation is a list-scheduling heuristic and can lengthen the
+   makespan. Here task 13's backup wins on machine 4, which frees the
+   slowed machine 3 early; machine 3 then takes task 2 and runs it at a
+   quarter of its speed, and task 2 ends only when its own backup on
+   machine 2 wins. Without speculation machine 3 is still busy when
+   machine 2 frees up, so machine 2 runs task 2 from the start. Both
+   runs are the frozen reference engine's bit for bit. *)
+let speculation_anomaly () =
+  let n = 14 and m = 5 and p = 0x1.45be6e9226b84p-2 and seed = 418711 in
+  let instance, realization, placement, order, _ = build (n, m, 2, p, seed) in
+  let faults = slowdowns ~m ~p ~seed realization in
+  let replay ?speculation () =
+    let a, ev_a =
+      Engine.run_faulty_traced ?speculation instance realization ~faults
+        ~placement ~order
+    in
+    let b, ev_b =
+      Reference_engine.run_faulty_traced ?speculation instance realization
+        ~faults ~placement ~order
+    in
+    checkb "makespan = reference" true (a.Engine.makespan = b.Engine.makespan);
+    checkb "wasted = reference" true (a.Engine.wasted = b.Engine.wasted);
+    checkb "fates = reference" true
+      (Array.for_all2
+         (fun x y ->
+           match (x, y) with
+           | Engine.Finished e, Engine.Finished f -> entries_equal e f
+           | _ -> false)
+         a.Engine.fates b.Engine.fates);
+    checkb "event log = reference" true (ev_a = ev_b);
+    (a, ev_a)
+  in
+  let plain, _ = replay () in
+  let spec, events = replay ~speculation:1.2 () in
+  checki "plain completes" n plain.Engine.completed;
+  checki "speculation completes" n spec.Engine.completed;
+  Alcotest.(check (float 0.0)) "plain makespan" 19.849386267055515
+    plain.Engine.makespan;
+  Alcotest.(check (float 0.0)) "speculative makespan" 21.617811789768844
+    spec.Engine.makespan;
+  let has p = List.exists p events in
+  checkb "task 13's backup wins on machine 4" true
+    (has (function Engine.Completed { machine = 4; task = 13; _ } -> true | _ -> false));
+  checkb "machine 3 then starts task 2" true
+    (has (function Engine.Started { machine = 3; task = 2; _ } -> true | _ -> false));
+  let last = finished_entry spec 2 in
+  checki "task 2 ends on its backup" 2 last.Schedule.machine;
+  Alcotest.(check (float 0.0)) "task 2 ends last" spec.Engine.makespan
+    last.Schedule.finish
 
 (* --------------- profile-driven trace generation ------------------- *)
 
@@ -669,6 +722,8 @@ let () =
             speculation_backup_wins;
           Alcotest.test_case "speculation needs a second data holder" `Quick
             speculation_needs_a_holder;
+          Alcotest.test_case "speculation can lengthen the makespan" `Quick
+            speculation_anomaly;
         ] );
       ( "tie-breaks",
         [
@@ -689,7 +744,7 @@ let () =
             prop_surviving_holder_completes;
             prop_full_replication_survives;
             prop_deterministic;
-            prop_speculation_never_hurts;
+            prop_speculation_completes;
           ] );
       ( "profiles",
         List.map QCheck_alcotest.to_alcotest

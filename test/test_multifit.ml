@@ -37,7 +37,7 @@ let prop_within_coffman_bound =
       let opt = Opt.makespan ~m p in
       (* Coffman-Garey-Johnson: 13/11 + 2^-k after k iterations. *)
       let bound = (13.0 /. 11.0) +. (2.0 ** -20.0) in
-      Multifit.makespan ~iterations:20 ~m p <= (bound *. opt) +. 1e-9)
+      Multifit.makespan ~m p <= (bound *. opt) +. 1e-9)
 
 let prop_never_worse_than_lpt_start =
   QCheck.Test.make ~name:"never worse than the LPT incumbent" ~count:200

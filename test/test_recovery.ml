@@ -62,8 +62,6 @@ let policy_validation () =
     (Recovery.is_active (Recovery.make ~bandwidth:infinity ()));
   checkb "negative target rejected" true
     (raises (fun () -> Recovery.make ~rereplication_target:(Recovery.Fixed (-2)) ()));
-  checkb "negative retries rejected" true
-    (raises (fun () -> Recovery.make ~max_retries:(-1) ()));
   checkb "nan checkpoint rejected" true
     (raises (fun () -> Recovery.make ~checkpoint_interval:Float.nan ()))
 
@@ -90,18 +88,6 @@ let target_grammar () =
     (Recovery.heals (Recovery.make ~rereplication_target:(Recovery.Fixed 2) ()));
   checkb "Degree heals" true
     (Recovery.heals (Recovery.make ~rereplication_target:Recovery.Degree ()))
-
-let backoff_values () =
-  let r = Recovery.make ~detection_latency:1.5 ~max_retries:3 () in
-  close "no blinks, no backoff" 0.0 (Recovery.backoff r ~blinks:0);
-  close "first blink" 1.5 (Recovery.backoff r ~blinks:1);
-  close "second blink doubles" 3.0 (Recovery.backoff r ~blinks:2);
-  close "third blink doubles again" 6.0 (Recovery.backoff r ~blinks:3);
-  close "capped at max_retries" 6.0 (Recovery.backoff r ~blinks:9);
-  close "no retries, no backoff" 0.0
-    (Recovery.backoff (Recovery.make ~detection_latency:1.5 ()) ~blinks:4);
-  close "no latency, no backoff" 0.0
-    (Recovery.backoff (Recovery.make ~max_retries:3 ()) ~blinks:2)
 
 (* ------------------------- unit scenarios -------------------------- *)
 
@@ -253,34 +239,6 @@ let crash_destroys_checkpoint () =
   checki "survivor picks the task up" 1 e.Schedule.machine;
   close "from scratch, after its own task" 20.0 e.Schedule.start;
   close "no banked progress survives a crash" 30.0 e.Schedule.finish
-
-let backoff_delays_redispatch () =
-  (* One task of 3 on one machine, outage [2, 4). With max_retries the
-     machine is distrusted for detection_latency * 2^(blinks-1) after
-     rejoining: restart at 5 instead of 4. *)
-  let instance =
-    Instance.of_ests ~m:1 ~alpha:(Uncertainty.alpha 1.0) [| 3.0 |]
-  in
-  let realization = Realization.exact instance in
-  let placement () = [| Bitset.full 1 |] in
-  let faults =
-    Trace.of_events ~m:1 [ outage ~machine:0 ~time:2.0 ~until:4.0 ]
-  in
-  let eager =
-    Engine.run_faulty
-      ~recovery:(Recovery.make ~detection_latency:1.0 ())
-      instance realization ~faults ~placement:(placement ())
-      ~order:(submission_order 1)
-  in
-  close "no retries cap: restart on rejoin" 7.0 eager.Engine.makespan;
-  let backoff =
-    Engine.run_faulty
-      ~recovery:(Recovery.make ~detection_latency:1.0 ~max_retries:2 ())
-      instance realization ~faults ~placement:(placement ())
-      ~order:(submission_order 1)
-  in
-  close "backoff delays the restart past the rejoin" 8.0
-    backoff.Engine.makespan
 
 (* ------------------------ qcheck properties ------------------------ *)
 
@@ -554,7 +512,7 @@ let prop_recovery_deterministic =
       let instance, realization, placement, order, faults = build s in
       let recovery =
         Recovery.make ~detection_latency:0.5 ~rereplication_target:(Recovery.Fixed 2)
-          ~bandwidth:1.0 ~checkpoint_interval:1.0 ~max_retries:2 ()
+          ~bandwidth:1.0 ~checkpoint_interval:1.0 ()
       in
       let run () =
         Engine.run_faulty_traced ~recovery instance realization ~faults
@@ -572,7 +530,6 @@ let () =
         [
           Alcotest.test_case "validation" `Quick policy_validation;
           Alcotest.test_case "target grammar" `Quick target_grammar;
-          Alcotest.test_case "backoff schedule" `Quick backoff_values;
         ] );
       ( "scenarios",
         [
@@ -584,8 +541,6 @@ let () =
             checkpoint_resume_on_rejoin;
           Alcotest.test_case "a crash destroys the local checkpoint" `Quick
             crash_destroys_checkpoint;
-          Alcotest.test_case "backoff distrusts a blinking machine" `Quick
-            backoff_delays_redispatch;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -63,7 +63,7 @@ let bound_arrays () =
   close "next read unchanged" 1.5 (Speed_band.his band).(0)
 
 let tiered_matches_hetero_array () =
-  let t = Speed_band.tiered ~m:8 () in
+  let t = Speed_band.tiered ~m:8 in
   checkb "degenerate" true (Speed_band.is_degenerate t);
   Alcotest.(check (array (float 0.0)))
     "the hetero experiment's historical speeds"

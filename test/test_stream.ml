@@ -369,12 +369,18 @@ let speculation_cancels_loser () =
     Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 4.0) [| 2.0; 2.0 |]
   in
   let realization = Realization.of_actuals instance [| 8.0; 2.0 |] in
-  let so, events =
-    Engine.run_stream_traced ~speculation:1.5 instance realization
-      ~arrivals:[| 0.0; 0.0 |]
-      ~placement:(Array.make 2 (Bitset.full 2))
-      ~order:[| 0; 1 |]
+  let placement = Array.make 2 (Bitset.full 2) in
+  let so, bytes =
+    Helpers.sink_bytes (fun sink ->
+        Engine.run_stream ~speculation:1.5 ~sink instance realization
+          ~arrivals:[| 0.0; 0.0 |] ~placement ~order:[| 0; 1 |])
   in
+  let _, events =
+    Reference_engine.run_stream_traced ~speculation:1.5 instance realization
+      ~arrivals:[| 0.0; 0.0 |] ~placement ~order:[| 0; 1 |]
+  in
+  Alcotest.(check string) "trace is the reference log" (Helpers.log_bytes events)
+    bytes;
   checki "both done" 2 so.Engine.outcome.Engine.completed;
   close "loser's run is wasted" 5.0 so.Engine.outcome.Engine.wasted;
   Alcotest.(check (array (float 1e-9)))

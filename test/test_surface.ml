@@ -13,6 +13,15 @@
    stays. A stale allowlist entry (the value is gone, or has gained a
    caller) fails too, so the list only ever shrinks.
 
+   The same holds for optional arguments: every [?l:] in the type of an
+   exported [val] must be passed, as [~l] or [?l], by an application of
+   the value in some file of those trees outside its own module, or be
+   listed in [option_allowlist] with its reason; stale entries fail
+   alike. An application's labels are the ones at its own bracket depth
+   up to the token that ends it ([in], [;], [|>], a closing bracket, a
+   new top-level item...). The options of an allowlisted export are
+   covered by its entry.
+
    The resolver is lexical and errs toward counting: a local binding
    that shadows an opened value, or a record field named like a value,
    still counts as a reference, so the check can miss dead surface. *)
@@ -68,10 +77,6 @@ let allowlist =
       "trace",
       "constructor the trace:FILE reader builds on; tests feed it arrays to pin \
        its validation and mean rate" );
-    ( "lib/desim/engine",
-      "run_stream_traced",
-      "the stream loop's event log, compared event for event with the frozen \
-       reference engine" );
     ( "lib/desim/schedule",
       "n",
       "task count of a schedule; tests walk every entry with it" );
@@ -112,6 +117,70 @@ let allowlist =
     ( "lib/model/topology",
       "zoned",
       "constructor the topology grammar builds on; tests build zoned topologies with it" );
+  ]
+
+(* (module path, value, optional argument, why only tests pass it) *)
+let option_allowlist =
+  [
+    ( "lib/core/dual_approx",
+      "makespan",
+      "epsilon",
+      "the scheme's accuracy; tests check the (1+epsilon)-approximation at several \
+       values and its validation, the library runs the default 1/3" );
+    ( "lib/core/scenarios",
+      "select",
+      "domains",
+      "shards the scenario replays; tests pin the N-domain = 1-domain result" );
+    ( "lib/desim/engine",
+      "run_traced",
+      "speeds",
+      "tests compare heterogeneous-speed event logs with the frozen reference" );
+    ( "lib/desim/engine",
+      "run_faulty_traced",
+      "speeds",
+      "tests compare heterogeneous-speed event logs with the frozen reference" );
+    ( "lib/desim/schedule",
+      "validate",
+      "speeds",
+      "the library validates identical-machine schedules only; tests check the \
+       uniform-machine case, where a duration is the actual time over the speed" );
+    ( "lib/experiments/reliability_sweep",
+      "monte_carlo_survival",
+      "trials",
+      "tests check convergence to the exact survival at larger trial counts and \
+       keep the N-domain = 1-domain property cheap with smaller ones" );
+    ( "lib/model/instance",
+      "of_ests",
+      "failure",
+      "tests build an instance and its failure profile in one call; library code \
+       attaches it with with_failure" );
+    ( "lib/model/instance",
+      "of_ests",
+      "speed_band",
+      "tests build an instance and its speed band in one call; library code \
+       attaches it with with_speed_band" );
+    ( "lib/model/instance",
+      "of_ests",
+      "topology",
+      "tests build an instance and its topology in one call; library code \
+       attaches it with with_topology" );
+    ( "lib/stats/bootstrap",
+      "interval",
+      "resamples",
+      "the generic interval is the oracle the streamed mean is checked against \
+       at random resample counts" );
+    ( "lib/stats/bootstrap",
+      "interval",
+      "confidence",
+      "the interval's level; tests check it is validated, the library uses 95%" );
+    ( "lib/stats/bootstrap",
+      "mean_interval",
+      "resamples",
+      "tests check coverage at other resample counts and the validation" );
+    ( "lib/stats/bootstrap",
+      "mean_interval",
+      "confidence",
+      "the interval's level; tests check it is validated, the library uses 95%" );
   ]
 
 (* ---------------------------- lexing ---------------------------- *)
@@ -260,14 +329,14 @@ type binding = {
   kind : [ `Alias of string * target option | `Open of target ];
 }
 
-(* The references a source at [self] makes: [`Value (module, name)] for
-   every [M.v] and every name an [open] brings in that a module in scope
-   exports; [`Module m] for every path through [m]. A reference counts
-   only when it resolves through the source's own library (siblings by
-   bare name), a library wrapper ([Usched_core.Strategy]), an alias or
-   an open. *)
-let references u ~self text =
-  let toks = Array.of_list (tokens text) in
+(* The references the tokens [toks] of a source at [self] make:
+   [`Value (module, name)] for every [M.v] and every name an [open]
+   brings in that a module in scope exports; [`Module m] for every path
+   through [m]. A reference counts only when it resolves through the
+   source's own library (siblings by bare name), a library wrapper
+   ([Usched_core.Strategy]), an alias or an open. Each comes with the
+   index of the value's name in [toks] ([-1] for a module). *)
+let references_at u ~self toks =
   let n = Array.length toks in
   let tok k = if k >= 0 && k < n then toks.(k).text else "" in
   let dir = Filename.dirname self in
@@ -288,7 +357,7 @@ let references u ~self text =
         match module_in d x with Some t -> Some t | None -> lookup x rest)
     | _ :: rest -> lookup x rest
   in
-  let note = function Some (Mod m) -> refs := `Module m :: !refs | _ -> () in
+  let note = function Some (Mod m) -> refs := (`Module m, -1) :: !refs | _ -> () in
   (* The module path whose first name is at [k]: its target and the
      index of its last name. A capitalised name after a module is a
      constructor (no library module nests another), so the path ends
@@ -349,7 +418,7 @@ let references u ~self text =
           | Some (Mod m) when tok (last + 1) = "." ->
               let next = tok (last + 2) in
               if is_lident next then begin
-                refs := `Value (m, next) :: !refs;
+                refs := (`Value (m, next), last + 2) :: !refs;
                 k := last + 3
               end
               else if List.mem next [ "("; "["; "[|"; "{" ] then begin
@@ -360,10 +429,13 @@ let references u ~self text =
           | _ -> ()
         end
     | _ when is_lident t && tok (i - 1) <> "." -> (
-        match opened t !scope with Some m -> refs := `Value (m, t) :: !refs | None -> ())
+        match opened t !scope with Some m -> refs := (`Value (m, t), i) :: !refs | None -> ())
     | _ -> ()
   done;
   !refs
+
+let references u ~self text =
+  List.map fst (references_at u ~self (Array.of_list (tokens text)))
 
 (* --------------------------- the trees --------------------------- *)
 
@@ -426,25 +498,80 @@ let library =
     ~modules:(List.filter is_lib (List.map (fun (m, _, _) -> m) files))
     ~exports
 
+(* Every [(module, value, label)] whose interface declares [?label:]
+   in the value's type: the tokens after [val name] up to the next
+   item. *)
+let optionals =
+  List.concat_map
+    (fun (module_path, path, text) ->
+      if is_lib module_path && Filename.check_suffix path ".mli" then
+        let rec go value = function
+          | { text = "val"; _ } :: { text = name; _ } :: rest -> go (Some name) rest
+          | { text = "type" | "module" | "exception" | "external" | "include" | "end"; _ }
+            :: rest ->
+              go None rest
+          | { text = "?"; _ } :: { text = label; _ } :: { text = ":"; _ } :: rest
+            when is_lident label -> (
+              match value with
+              | Some v -> (module_path, v, label) :: go value rest
+              | None -> go value rest)
+          | _ :: rest -> go value rest
+          | [] -> []
+        in
+        go None (tokens text)
+      else [])
+    files
+
+(* The labels the application whose function sits at token [k] passes:
+   every [~l] and [?l] at that token's bracket depth, up to the token
+   that ends the expression there. Labels inside a bracket belong to a
+   nested application. *)
+let labels_after toks k =
+  let n = Array.length toks in
+  let tok i = if i < n then toks.(i).text else "" in
+  let rec go i depth acc =
+    if i >= n || toks.(i).col0 then acc
+    else
+      match toks.(i).text with
+      | "(" | "[" | "[|" | "{" | "begin" -> go (i + 1) (depth + 1) acc
+      | ")" | "]" | "|]" | "}" | "end" -> if depth = 0 then acc else go (i + 1) (depth - 1) acc
+      | ";" | "," | "in" | "then" | "else" | "do" | "done" | "with" | "|" | "->" | "let"
+      | "and" | "|>"
+        when depth = 0 ->
+          acc
+      | ("~" | "?") when depth = 0 && is_lident (tok (i + 1)) ->
+          go (i + 2) depth (tok (i + 1) :: acc)
+      | _ -> go (i + 1) depth acc
+  in
+  go (k + 1) 0 []
+
 (* What each module's files reference elsewhere, self-references
-   dropped. *)
-let used =
-  let table = Hashtbl.create 4096 in
+   dropped, and every [(module, value, label)] such a reference passes
+   an argument to. *)
+let used, passed =
+  let table = Hashtbl.create 4096 and labels = Hashtbl.create 1024 in
   List.iter
     (fun (module_path, _, text) ->
+      let toks = Array.of_list (tokens text) in
       List.iter
-        (fun r ->
+        (fun (r, k) ->
           match r with
-          | `Value (m, _) | `Module m ->
-              if m <> module_path then Hashtbl.replace table r ())
-        (references library ~self:module_path text))
+          | `Value (m, v) when m <> module_path ->
+              Hashtbl.replace table r ();
+              List.iter (fun l -> Hashtbl.replace labels (m, v, l) ()) (labels_after toks k)
+          | `Module m when m <> module_path -> Hashtbl.replace table r ()
+          | _ -> ())
+        (references_at library ~self:module_path toks))
     files;
-  table
+  (table, labels)
 
 let used_outside module_path name = Hashtbl.mem used (`Value (module_path, name))
 
 let allowed module_path name =
   List.exists (fun (m, v, _) -> m = module_path && v = name) allowlist
+
+let option_allowed module_path name label =
+  List.exists (fun (m, v, l, _) -> m = module_path && v = name && l = label) option_allowlist
 
 (* ---------------------------- checks ----------------------------- *)
 
@@ -478,6 +605,39 @@ let every_module_has_a_caller () =
   in
   Alcotest.(check (list string)) "library modules nothing outside them names" [] dead
 
+(* An optional argument no caller passes is a knob only tests turn: make
+   it a constant, or list it in [option_allowlist]. The optional
+   arguments of an allowlisted export are covered by its entry. *)
+let every_optional_is_passed () =
+  let dead =
+    List.filter
+      (fun (m, v, l) ->
+        (not (Hashtbl.mem passed (m, v, l)))
+        && (not (allowed m v))
+        && not (option_allowed m v l))
+      optionals
+  in
+  Alcotest.(check (list string))
+    "optional arguments no caller outside their module passes (make a constant, or \
+     allowlist with a reason)"
+    []
+    (List.map (fun (m, v, l) -> Printf.sprintf "%s.mli: val %s ?%s" m v l) dead)
+
+let option_allowlist_is_current () =
+  let stale =
+    List.filter_map
+      (fun (m, v, l, _) ->
+        if not (List.mem (m, v, l) optionals) then
+          Some (Printf.sprintf "%s.%s ?%s is no longer an exported option" m v l)
+        else if Hashtbl.mem passed (m, v, l) then
+          Some (Printf.sprintf "%s.%s ?%s now has a caller" m v l)
+        else if allowed m v then
+          Some (Printf.sprintf "%s.%s ?%s is covered by the export allowlist" m v l)
+        else None)
+      option_allowlist
+  in
+  Alcotest.(check (list string)) "stale option allowlist entries" [] stale
+
 let allowlist_is_current () =
   let stale =
     List.filter_map
@@ -509,14 +669,18 @@ let pqueue_stays_in_test () =
     (List.map (fun (_, path, _) -> path) named)
 
 let allowlist_is_explained () =
-  let keys = List.map (fun (m, v, _) -> (m, v)) allowlist in
+  let entries =
+    List.map (fun (m, v, reason) -> (m ^ "." ^ v, reason)) allowlist
+    @ List.map (fun (m, v, l, reason) -> (m ^ "." ^ v ^ " ?" ^ l, reason)) option_allowlist
+  in
+  let keys = List.map fst entries in
   Alcotest.(check int) "no duplicate entries" (List.length keys)
     (List.length (List.sort_uniq compare keys));
   List.iter
-    (fun (m, v, reason) ->
-      Alcotest.(check bool) (Printf.sprintf "%s.%s has a reason" m v) true
+    (fun (key, reason) ->
+      Alcotest.(check bool) (key ^ " has a reason") true
         (String.length (String.trim reason) > 10))
-    allowlist
+    entries
 
 (* The lexer itself: what it must skip and what it must keep. *)
 let check_words name expected text =
@@ -633,6 +797,27 @@ let resolver_cases =
       "module Trace = struct let merge = 1 end\nlet x = Trace.merge" );
   ]
 
+(* The labels [labels_after] reads off the application of [f] in each
+   text. *)
+let label_cases =
+  [
+    ("labels after the function", [ "a"; "b" ], "let x = f ~a ?b:(Some 1) y");
+    ("a nested application keeps its own", [ "a" ], "let x = f ~a:(g ~c) y");
+    ("a pipeline ends the application", [ "a" ], "let x = y |> f ?a |> g ~b");
+    ("in ends it", [ "a" ], "let x = f ~a in g ~b");
+    ("a closing bracket ends it", [ "a" ], "let x = (f ~a) ~b");
+    ("labels on the next line", [ "a"; "b" ], "let x =\n  f ~a\n    ~b y");
+    ("a new item ends it", [], "let x = f\nlet y = g ~a");
+  ]
+
+let labels_test (name, expected, text) =
+  Alcotest.test_case ("labels: " ^ name) `Quick (fun () ->
+      let toks = Array.of_list (tokens text) in
+      let rec find k = if toks.(k).text = "f" then k else find (k + 1) in
+      Alcotest.(check (list string))
+        name (List.sort compare expected)
+        (List.sort compare (labels_after toks (find 0))))
+
 let resolver_test (name, self, expected, text) =
   Alcotest.test_case ("resolver: " ^ name) `Quick (fun () ->
       Alcotest.(check (list string))
@@ -648,6 +833,10 @@ let () =
           Alcotest.test_case "every export has a caller" `Quick every_export_has_a_caller;
           Alcotest.test_case "every module has a caller" `Quick every_module_has_a_caller;
           Alcotest.test_case "allowlist is current" `Quick allowlist_is_current;
+          Alcotest.test_case "every optional argument is passed" `Quick
+            every_optional_is_passed;
+          Alcotest.test_case "option allowlist is current" `Quick
+            option_allowlist_is_current;
           Alcotest.test_case "allowlist is explained" `Quick allowlist_is_explained;
           Alcotest.test_case "Pqueue stays in test" `Quick pqueue_stays_in_test;
         ] );
@@ -658,5 +847,6 @@ let () =
           Alcotest.test_case "reads character literals" `Quick
             lexer_reads_character_literals;
         ]
-        @ List.map resolver_test resolver_cases );
+        @ List.map resolver_test resolver_cases
+        @ List.map labels_test label_cases );
     ]

@@ -334,7 +334,7 @@ let prop_uniform_topology_is_golden =
         | 0 | 1 ->
             Recovery.make ~detection_latency:0.5
               ~rereplication_target:(Recovery.Fixed 2) ~bandwidth:1.0
-              ~checkpoint_interval:1.0 ~max_retries:2 ()
+              ~checkpoint_interval:1.0 ()
         | 2 -> Recovery.make ()
         | _ -> Recovery.none
       in

@@ -88,7 +88,7 @@ let faulty_slope_is_bounded () =
   let recovery =
     Recovery.make ~detection_latency:0.5
       ~rereplication_target:(Recovery.Fixed 2) ~bandwidth:1.0
-      ~checkpoint_interval:1.0 ~max_retries:2 ()
+      ~checkpoint_interval:1.0 ()
   in
   let words variant n =
     let instance, realization, placement, order, rng = setup ~shared:true n in
@@ -143,7 +143,7 @@ let sink_words_per_record_are_constant () =
   let recovery =
     Recovery.make ~detection_latency:0.5
       ~rereplication_target:(Recovery.Fixed 2) ~bandwidth:1.0
-      ~checkpoint_interval:1.0 ~max_retries:2 ()
+      ~checkpoint_interval:1.0 ()
   in
   let per_record variant n =
     let instance, realization, placement, order, rng = setup ~shared:true n in
