@@ -63,12 +63,9 @@ type view = {
 }
 
 type t = {
-  spec : spec;
   select_m : machine:int -> int;
   notify : task:int -> unit;
 }
-
-let spec t = t.spec
 
 (* The paper's rule, exactly as the monolithic engine implemented it: a
    per-machine cursor over the priority order. Every position skipped by
@@ -102,7 +99,7 @@ let make_list_priority_plain v =
       if cursor.(i) > p then cursor.(i) <- p
     done
   in
-  { spec = List_priority; select_m; notify }
+  { select_m; notify }
 
 (* Bucketed list-priority for large instances: tasks sharing a holder
    set (physically — group placements share the bitset across the
@@ -237,7 +234,7 @@ let make_list_priority v =
   match buckets v with
   | Some s ->
       let select_m ~machine:i = lpb_best s s.machine_buckets.(i) 0 (-1) max_int in
-      { spec = List_priority; select_m; notify = lpb_notify s }
+      { select_m; notify = lpb_notify s }
   | None -> make_list_priority_plain v
 
 (* The scanning policies below (least-loaded, earliest-completion,
@@ -319,11 +316,11 @@ let make_least_loaded v =
       let select_m ~machine:i =
         llb_best v s s.machine_buckets.(i) i 0 (-1) max_int (-1) max_int
       in
-      { spec = Least_loaded_holder; select_m; notify = lpb_notify s }
+      { select_m; notify = lpb_notify s }
   | None ->
       let low = ref 0 in
       let select_m ~machine:i = ll_scan v i ~fallback:(-1) (low_water v low) in
-      { spec = Least_loaded_holder; select_m; notify = rewind v low }
+      { select_m; notify = rewind v low }
 
 (* Shortest-estimated-processing-time on this machine: take the eligible
    task minimizing est(j) / speed(i) — the copy this machine can finish
@@ -352,7 +349,7 @@ let rec ec_scan v i pos best =
 let make_earliest_completion v =
   let low = ref 0 in
   let select_m ~machine:i = ec_scan v i (low_water v low) (-1) in
-  { spec = Earliest_estimated_completion; select_m; notify = rewind v low }
+  { select_m; notify = rewind v low }
 
 (* Locality-aware least-loaded: the deferral rule of [Least_loaded_holder]
    with each candidate holder's load inflated by the staging time it
@@ -388,13 +385,13 @@ let rec loc_scan v topo i ~fallback pos =
 
 let make_locality v =
   match v.topology with
-  | None -> { (make_least_loaded v) with spec = Locality }
+  | None -> make_least_loaded v
   | Some topo ->
       let low = ref 0 in
       let select_m ~machine:i =
         loc_scan v topo i ~fallback:(-1) (low_water v low)
       in
-      { spec = Locality; select_m; notify = rewind v low }
+      { select_m; notify = rewind v low }
 
 (* List priority with seeded random resolution of genuine priority ties:
    among the eligible tasks whose estimate equals the highest-priority
@@ -443,7 +440,7 @@ let make_random_tiebreak seed v =
       if !count <= 1 then j0 else candidates.(Rng.int rng !count)
     end
   in
-  { spec = Random_tiebreak seed; select_m; notify = rewind v low }
+  { select_m; notify = rewind v low }
 
 let make spec v =
   if v.n <> Array.length v.order || v.n <> Array.length v.pos_of then

@@ -122,8 +122,6 @@ val make : spec -> view -> t
     disagree with [n]/[m], [now] is not length 1, or a topology is
     present but [size] does not cover every task. *)
 
-val spec : t -> spec
-
 val select_machine : t -> machine:int -> int
 (** The task idle machine [machine] should start now, or [-1] when it
     holds no eligible task. Work-conserving: [-1] implies no dispatchable

@@ -46,7 +46,9 @@ let make ?failure ?speed_band ?topology ~m ~alpha tasks =
 (* [Task.make]'s checks, with its messages, on the flat columns. *)
 let[@inline] check_task ~est ~size =
   if not (est > 0.0) then invalid_arg "Task.make: estimate must be > 0";
-  if size < 0.0 then invalid_arg "Task.make: negative size"
+  if est = Float.infinity then invalid_arg "Task.make: estimate must be finite";
+  if size < 0.0 then invalid_arg "Task.make: negative size";
+  if not (Float.is_finite size) then invalid_arg "Task.make: size must be finite"
 
 let check_columns ~ests ~sizes =
   for i = 0 to Array.length ests - 1 do

@@ -39,7 +39,8 @@ val of_ests :
 (** Convenience constructor from raw estimate values (and optional sizes;
     defaults to all-1). Ids are assigned in order. Both arrays are
     copied. Raises [Invalid_argument] with {!Task.make}'s message on the
-    first estimate [<= 0] or negative size. *)
+    first estimate or size that {!Task.make} refuses (an estimate
+    [<= 0] or infinite, a size negative or not finite). *)
 
 val of_columns :
   ?failure:Failure.t ->

@@ -1,3 +1,13 @@
+(* Instance files: a header line, a column line, one [id,est,size] row
+   per task. The writer prints ids and floats ([%.17g]) and the parser
+   reads plain decimal fields through [Float_text], exactly, without
+   printf, strtod or a substring per field; every other field takes
+   [int_of_string_opt]/[float_of_string] and their errors. Both stream:
+   the writer through one buffer flushed in chunks, the parser in one
+   pass straight into the instance's two columns. *)
+
+module Float_text = Usched_report.Float_text
+
 let parse_error line_number message =
   failwith (Printf.sprintf "Io: line %d: %s" line_number message)
 
@@ -90,32 +100,25 @@ let parse_header line =
 
 (* Writers fill a [Buffer] row by row; [save_instance] hands it to the
    channel whenever it passes [chunk] bytes, so the channel lock is
-   taken once per chunk rather than once per field. Floats print as
-   [Printf.sprintf "%.17g"]: [%.17g] goes straight to the C primitive
-   that [Printf]'s [%g] conversion calls, and an integral float below
-   2^53 in magnitude prints through [string_of_int], whose digits are
-   the ones [%.17g] prints for it (at most 16 digits, so no exponent
-   and, once [%g] strips trailing zeros, no point). [-0.0] keeps the
-   [%.17g] path: it prints as ["-0"]. *)
-external format_float : string -> float -> string = "caml_format_float"
-
+   taken once per chunk rather than once per field. Ids print through a
+   digit loop and floats as [%.17g] through [Float_text.add_g17], which
+   reads each float out of its column: no string and no boxed float per
+   field. The columns are taken once, as copies, since a float that
+   [Instance.est] returns across modules is boxed. *)
 let chunk = 65536
-
-let add_float buffer x =
-  Buffer.add_char buffer ',';
-  if Float.is_integer x && Float.abs x < 0x1p53 && not (Float.sign_bit x && x = 0.0)
-  then Buffer.add_string buffer (string_of_int (Float.to_int x))
-  else Buffer.add_string buffer (format_float "%.17g" x)
 
 (* Calls [flush] after any row that leaves the buffer at [chunk] bytes
    or more. *)
 let write_instance buffer ~flush instance =
   Buffer.add_string buffer (header_line instance);
   Buffer.add_string buffer "\nid,est,size\n";
+  let ests = Instance.ests instance and sizes = Instance.sizes instance in
   for j = 0 to Instance.n instance - 1 do
-    Buffer.add_string buffer (string_of_int j);
-    add_float buffer (Instance.est instance j);
-    add_float buffer (Instance.size instance j);
+    Float_text.add_int buffer j;
+    Buffer.add_char buffer ',';
+    Float_text.add_g17 buffer ests j;
+    Buffer.add_char buffer ',';
+    Float_text.add_g17 buffer sizes j;
     Buffer.add_char buffer '\n';
     if Buffer.length buffer >= chunk then flush ()
   done
@@ -131,12 +134,14 @@ let instance_to_string instance =
    column line 2, and every later line that is not blank (all
    [String.trim] whitespace) is a row. Errors name the physical line.
 
-   A field of plain decimal digits short enough to be exact (an id of
-   at most 18 digits, a float of at most 15, below 2^53) is converted
-   in place; [int_of_string_opt] and [float_of_string] accept those
-   digits and return that same value. Every other field goes through
-   them, so signs, '_', [0x], exponents, [inf]/[nan] and '\r' are
-   accepted or refused as before, with the same message. *)
+   An id of at most 18 plain digits is converted in place, and so is a
+   float field of plain [digits[.digits]] that [Float_text.parse_into]
+   decides exactly (every [%.17g] the writer prints without an
+   exponent); both conversions return what [int_of_string_opt] and
+   [float_of_string] return. Every other field goes through those, so
+   signs, '_', [0x], exponents, [inf]/[nan] and '\r' are accepted or
+   refused as before, with the same message. A value that is not
+   finite is then refused like [Task.make] refuses it. *)
 
 let rec digits_from text k stop acc =
   if k >= stop then acc
@@ -146,10 +151,10 @@ let rec digits_from text k stop acc =
     | _ -> -1
 
 (* The value of the plain digits [text.[start .. stop-1]], or [-1] when
-   the field is empty, longer than [max_digits] or has a non-digit. *)
-let plain_digits text start stop ~max_digits =
+   the field is empty, longer than 18 digits or has a non-digit. *)
+let plain_digits text start stop =
   let len = stop - start in
-  if len < 1 || len > max_digits then -1 else digits_from text start stop 0
+  if len < 1 || len > 18 then -1 else digits_from text start stop 0
 
 let field text start stop = String.sub text start (stop - start)
 
@@ -161,7 +166,7 @@ let float_field line name text start stop =
 
 (* Task [k] must carry id [k]. *)
 let check_id line k text start stop =
-  let v = plain_digits text start stop ~max_digits:18 in
+  let v = plain_digits text start stop in
   if v <> k then
     let raw = field text start stop in
     match if v >= 0 then Some v else int_of_string_opt raw with
@@ -228,19 +233,18 @@ let instance_of_string text =
       check_id line_no row text start c0;
       (* The fields after the id are read right to left ([size], then
          [estimate]), so a row with several bad fields reports the id
-         or else the rightmost one. Each branch stores straight into
-         the column: a float bound by an [if] whose other branch is a
-         call would be boxed. *)
-      let d = plain_digits text (c1 + 1) stop ~max_digits:15 in
-      if d >= 0 then sizes.(row) <- float_of_int d
-      else sizes.(row) <- float_field line_no "size" text (c1 + 1) stop;
-      let d = plain_digits text (c0 + 1) c1 ~max_digits:15 in
-      if d >= 0 then ests.(row) <- float_of_int d
-      else ests.(row) <- float_field line_no "estimate" text (c0 + 1) c1;
-      (* [Task.make]'s checks, with its messages. *)
-      if not (ests.(row) > 0.0) then
-        parse_error line_no "Task.make: estimate must be > 0";
-      if sizes.(row) < 0.0 then parse_error line_no "Task.make: negative size";
+         or else the rightmost one. [parse_into] stores straight into
+         the column; only a fallback field's value is boxed. *)
+      if not (Float_text.parse_into text (c1 + 1) stop sizes row) then
+        sizes.(row) <- float_field line_no "size" text (c1 + 1) stop;
+      if not (Float_text.parse_into text (c0 + 1) c1 ests row) then
+        ests.(row) <- float_field line_no "estimate" text (c0 + 1) c1;
+      (* [Task.make]'s checks, in its order, with its messages. *)
+      let est = ests.(row) and size = sizes.(row) in
+      if not (est > 0.0) then parse_error line_no "Task.make: estimate must be > 0";
+      if est = Float.infinity then parse_error line_no "Task.make: estimate must be finite";
+      if size < 0.0 then parse_error line_no "Task.make: negative size";
+      if not (Float.is_finite size) then parse_error line_no "Task.make: size must be finite";
       k := row + 1
     end;
     pos := stop + 1;

@@ -14,7 +14,8 @@ type t = { id : int; est : float; size : float }
 
 val make : id:int -> est:float -> ?size:float -> unit -> t
 (** [make ~id ~est ~size ()] builds a task. [size] defaults to [1.0].
-    Raises [Invalid_argument] if [est <= 0], [size < 0] or [id < 0]. *)
+    Raises [Invalid_argument] if [id < 0], unless [est] is finite and
+    [> 0], or unless [size] is finite and [>= 0]. *)
 
 val id : t -> int
 val est : t -> float

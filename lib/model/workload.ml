@@ -43,7 +43,7 @@ let draw_est spec rng =
   | Lpt_adversarial _ | Sand _ | Bricks _ ->
       assert false (* handled structurally in [generate] *)
 
-let draw_size size_spec ~est rng =
+let[@inline] draw_size size_spec ~est rng =
   match size_spec with
   | Unit_sizes -> 1.0
   | Proportional c ->
@@ -70,6 +70,9 @@ let lpt_adversarial_ests m =
   in
   Array.of_list (pairs @ [ float_of_int m; float_of_int m; float_of_int m ])
 
+(* Both columns are filled by [for] loops into flat float arrays, all
+   estimates drawn before all sizes: [Array.init] and [Array.map] would
+   box every float through their closures. *)
 let generate spec ?(size_spec = Unit_sizes) ~n ~m ~alpha rng =
   if n < 0 then invalid_arg "Workload.generate: negative n";
   let ests =
@@ -84,10 +87,18 @@ let generate spec ?(size_spec = Unit_sizes) ~n ~m ~alpha rng =
         if size <= 0.0 || not (Float.is_finite size) then
           invalid_arg "Workload: brick size must be finite and > 0";
         Array.make n size
-    | _ -> Array.init n (fun _ -> draw_est spec rng)
+    | _ ->
+        let ests = Array.create_float n in
+        for j = 0 to n - 1 do
+          ests.(j) <- draw_est spec rng
+        done;
+        ests
   in
-  let sizes = Array.map (fun est -> draw_size size_spec ~est rng) ests in
-  Instance.of_ests ~m ~alpha ~sizes ests
+  let sizes = Array.create_float (Array.length ests) in
+  for j = 0 to Array.length ests - 1 do
+    sizes.(j) <- draw_size size_spec ~est:ests.(j) rng
+  done;
+  Instance.of_columns ~m ~alpha ~ests ~sizes ()
 
 let of_spec text =
   let family, fields =

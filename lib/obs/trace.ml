@@ -39,15 +39,8 @@ let flush t =
 let literal t s = Buffer.add_string t.buf s
 
 (* Digits straight into the buffer: [string_of_int] would allocate. *)
-let rec add_digits buf i =
-  if i >= 10 then add_digits buf (i / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
-
-let int t i =
-  if i >= 0 then add_digits t.buf i
-  else Buffer.add_string t.buf (string_of_int i)
-
-let float t f = Buffer.add_string t.buf (Usched_report.Json.float_string f)
+let int t i = Usched_report.Float_text.add_int t.buf i
+let float t f = Usched_report.Json.add_float t.buf f
 
 let end_record t =
   if t.closed then invalid_arg "Trace: sink is closed";

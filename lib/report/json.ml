@@ -1,3 +1,10 @@
+(* JSON values, their compact rendering and a parser. Rendering goes
+   into a [Buffer]: ints and floats through [Float_text]'s digit loops,
+   floats as the first of [%.12g] and [%.17g] that parses back, decided
+   on the exact 17 digits (see [add_float]) without printf or strtod
+   except outside [Float_text]'s fixed-notation range. Parsing is for
+   tests and trace consumers and uses [float_of_string]. *)
+
 type t =
   | Null
   | Bool of bool
@@ -25,51 +32,50 @@ let add_escaped buf s =
     s;
   Buffer.add_char buf '"'
 
-external format_float : string -> float -> string = "caml_format_float"
-
-(* Significant digits 13 to 17 of a ["%.17g"] rendering, as an integer
-   in [0, 99999]; digits [%g] dropped as trailing zeros count as 0. *)
-let tail_digits s =
-  let r = ref 0 and k = ref 0 and i = ref 0 in
-  let len = String.length s in
-  while !i < len && s.[!i] <> 'e' do
-    (match s.[!i] with
-    | '0' .. '9' as c ->
-        if !k > 0 || c <> '0' then begin
-          incr k;
-          if !k >= 13 then r := (!r * 10) + (Char.code c - 48)
-        end
-    | _ -> ());
-    incr i
-  done;
-  for _ = max 13 (!k + 1) to 17 do
-    r := !r * 10
-  done;
-  !r
-
 (* Twelve significant digits when they parse back to the same float,
-   else seventeen (always exact for binary64). The rule formats once
-   with [%.17g] and tries the [%.12g] candidate only when it can round
-   trip. If it does, it lies within half an ulp of [f], and [%.17g]
-   within half a unit of the 17th digit; for a normal float half an ulp
-   is under 11.1 such units, so digits 13 to 17 of [%.17g] sit within
-   11 of a multiple of 10^5. Zero and subnormals (whose ulp is
-   relatively larger) always take the full rule. *)
-let float_repr f =
-  let s17 = format_float "%.17g" f in
-  let d = if Float.abs f >= Float.min_float then tail_digits s17 else 0 in
-  if d > 11 && d < 99_989 then s17
-  else
-    let s12 = format_float "%.12g" f in
-    if float_of_string s12 = f then s12 else s17
+   else seventeen (always exact for binary64), with no printf or strtod
+   on the fast path. [Float_text.decimal17] gives the exact 17 digits D.
+   If the twelve-digit candidate round-trips, it lies within half an ulp
+   of [f], and D within half a unit of its 17th digit; for a normal
+   float half an ulp is under 11.1 such units, so D mod 10^5 sits within
+   11 of a multiple of 10^5. Otherwise D is printed. When it does sit
+   there, the twelve digits are D / 10^5 rounded: the exact value is
+   within 11.5 units of that multiple, so the rounding has no tie and
+   equals rounding the exact value. The candidate round-trips iff
+   Clinger's exact rule reads it back as [f]. Zero takes this path with
+   D = 0; values [decimal17] leaves out (below 1e-5, from 1e17 on, or
+   subnormal) and a candidate [%.12g] prints with an exponent take
+   printf and strtod. *)
+let add_float_printf buf f =
+  let s12 = Float_text.format_float "%.12g" f in
+  Buffer.add_string buf
+    (if float_of_string s12 = f then s12 else Float_text.format_float "%.17g" f)
 
-let float_string f = if Float.is_finite f then float_repr f else "null"
+let add_float buf f =
+  if not (Float.is_finite f) then Buffer.add_string buf "null"
+  else
+    let p = Float_text.decimal17 f in
+    if p < 0 then add_float_printf buf f
+    else
+      let d = p lsr 5 and exp = (p land 31) - 5 and negative = Float.sign_bit f in
+      let tail = d mod 100_000 in
+      if tail > 11 && tail < 99_989 then
+        Float_text.add_fixed buf ~negative d ~precision:17 ~exp
+      else
+        let d12 = (d + 50_000) / 100_000 in
+        let bumped = d12 = 1_000_000_000_000 in
+        let d12 = if bumped then 100_000_000_000 else d12 in
+        let exp12 = if bumped then exp + 1 else exp in
+        if not (Float_text.decimal_equals d12 (exp12 - 11) f) then
+          Float_text.add_fixed buf ~negative d ~precision:17 ~exp
+        else if exp12 <= 11 then Float_text.add_fixed buf ~negative d12 ~precision:12 ~exp:exp12
+        else add_float_printf buf f
 
 let rec add buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_string f)
+  | Int i -> Float_text.add_int buf i
+  | Float f -> add_float buf f
   | String s -> add_escaped buf s
   | List items ->
       Buffer.add_char buf '[';

@@ -27,9 +27,9 @@ val to_string : t -> string
 val add : Buffer.t -> t -> unit
 (** Append the {!to_string} rendering to a buffer. *)
 
-val float_string : float -> string
-(** How {!to_string} renders [Float f]: the first of [%.12g] and [%.17g]
-    that parses back to [f], or [null] when [f] is not finite. *)
+val add_float : Buffer.t -> float -> unit
+(** How {!add} renders [Float f]: the first of [%.12g] and [%.17g] that
+    parses back to [f], or [null] when [f] is not finite. *)
 
 val output_line : out_channel -> t -> unit
 (** One JSONL record: the compact rendering followed by a newline. *)

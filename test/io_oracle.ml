@@ -3,7 +3,11 @@
    test: the rewrite must return a bit-identical instance, or fail with
    the same [Failure] text, on every input this one sees. Do not edit
    it to match the library; a behaviour change in the parser is a
-   change to this file's contract and needs its own review. *)
+   change to this file's contract and needs its own review. Rows are
+   validated by the library's [Task.make], so the oracle refuses what
+   it refuses: since non-finite estimates and sizes became errors, it
+   expects "Task.make: estimate must be finite" and "Task.make: size
+   must be finite" on those rows. *)
 
 open Usched_model
 

@@ -3,6 +3,23 @@
 module Bootstrap = Usched_stats.Bootstrap
 module Rng = Usched_prng.Rng
 
+(* The generic percentile bootstrap over materialized resamples: the
+   oracle [Bootstrap.mean_interval] must match bit for bit with the mean
+   as its statistic. *)
+let interval ?(resamples = 1000) ?(confidence = 0.95) ~statistic ~rng data =
+  let n = Array.length data in
+  let stats =
+    Array.init resamples (fun _ ->
+        let resample = Array.init n (fun _ -> data.(Rng.int rng n)) in
+        statistic resample)
+  in
+  let tail = (1.0 -. confidence) /. 2.0 in
+  {
+    Bootstrap.lo = Usched_stats.Quantile.quantile stats ~q:tail;
+    hi = Usched_stats.Quantile.quantile stats ~q:(1.0 -. tail);
+    point = statistic data;
+  }
+
 let checkb = Alcotest.(check bool)
 let close = Alcotest.(check (float 1e-9))
 
@@ -43,7 +60,7 @@ let custom_statistic_max () =
   let rng = Rng.create ~seed:6 () in
   let data = [| 1.0; 5.0; 3.0 |] in
   let ci =
-    Bootstrap.interval ~rng ~statistic:(Array.fold_left Float.max neg_infinity)
+    interval ~rng ~statistic:(Array.fold_left Float.max neg_infinity)
       data
   in
   close "point is max" 5.0 ci.Bootstrap.point;
@@ -63,13 +80,13 @@ let coverage_sanity () =
 
 let invalid_inputs () =
   let rng = Rng.create ~seed:7 () in
-  Alcotest.check_raises "empty" (Invalid_argument "Bootstrap.interval: empty data")
+  Alcotest.check_raises "empty" (Invalid_argument "Bootstrap.mean_interval: empty data")
     (fun () -> ignore (Bootstrap.mean_interval ~rng [||]));
   Alcotest.check_raises "confidence"
-    (Invalid_argument "Bootstrap.interval: confidence out of (0, 1)") (fun () ->
+    (Invalid_argument "Bootstrap.mean_interval: confidence out of (0, 1)") (fun () ->
       ignore (Bootstrap.mean_interval ~confidence:1.0 ~rng [| 1.0 |]));
   Alcotest.check_raises "resamples"
-    (Invalid_argument "Bootstrap.interval: resamples < 1") (fun () ->
+    (Invalid_argument "Bootstrap.mean_interval: resamples < 1") (fun () ->
       ignore (Bootstrap.mean_interval ~resamples:0 ~rng [| 1.0 |]))
 
 (* The streamed mean interval draws the same variates and sums them in
@@ -86,7 +103,7 @@ let prop_mean_interval_streamed =
       in
       let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a) in
       Bootstrap.mean_interval ~resamples ~rng:(Rng.create ~seed ()) data
-      = Bootstrap.interval ~resamples ~statistic:mean ~rng:(Rng.create ~seed ()) data)
+      = interval ~resamples ~statistic:mean ~rng:(Rng.create ~seed ()) data)
 
 let () =
   Alcotest.run "bootstrap"

@@ -85,6 +85,12 @@ let () =
             (rejected ~line:1 (header "m=2 alpha=0.5"));
           Alcotest.test_case "bad row" `Quick
             (rejected ~line:4 (header "m=2 alpha=2" ^ "1,abc,1\n"));
+          Alcotest.test_case "infinite estimate" `Quick
+            (rejected ~line:3 "# usched-instance m=2 alpha=2\nid,est,size\n0,inf,1\n1,2,1\n");
+          Alcotest.test_case "nan size" `Quick
+            (rejected ~line:4 (header "m=2 alpha=2" ^ "1,2,nan\n"));
+          Alcotest.test_case "infinite size" `Quick
+            (rejected ~line:4 (header "m=2 alpha=2" ^ "1,2,inf\n"));
         ] );
       ( "gen",
         List.map

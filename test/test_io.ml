@@ -346,7 +346,7 @@ let prop_writer_matches_printf =
         match Random.State.int rng 5 with
         | 0 -> Float.ldexp (Random.State.float rng 1.0) (Random.State.int rng 2000 - 1000)
         | 1 -> float_of_int (1 + Random.State.int rng 1000)
-        | 2 -> infinity
+        | 2 -> Float.ldexp 1.0 (50 + Random.State.int rng 950)
         | _ -> 1e-9 +. Random.State.float rng 100.0
       in
       let inst =
@@ -390,7 +390,33 @@ let error_texts () =
   check "non-positive estimate" "Io: line 4: Task.make: estimate must be > 0"
     (parse_error (inst ^ "0,4,1\n1,-2,1\n"));
   check "ids out of order" "Io: line 4: id 2 out of order (expected 1)"
-    (parse_error (inst ^ "0,4,1\n2,4,1\n"))
+    (parse_error (inst ^ "0,4,1\n2,4,1\n"));
+  check "infinite estimate" "Io: line 3: Task.make: estimate must be finite"
+    (parse_error (inst ^ "0,inf,1\n1,2,1\n"));
+  check "overflowing estimate" "Io: line 4: Task.make: estimate must be finite"
+    (parse_error (inst ^ "0,4,1\n1,1e400,1\n"));
+  check "nan size" "Io: line 3: Task.make: size must be finite"
+    (parse_error (inst ^ "0,2,nan\n"));
+  check "infinite size" "Io: line 3: Task.make: size must be finite"
+    (parse_error (inst ^ "0,2,inf\n"));
+  check "negative infinite size" "Io: line 3: Task.make: negative size"
+    (parse_error (inst ^ "0,2,-inf\n"))
+
+(* The columns' constructors refuse what the parser refuses. *)
+let non_finite_columns () =
+  let alpha = Uncertainty.alpha 2.0 in
+  let refuses name msg ~ests ~sizes =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (Instance.of_columns ~m:2 ~alpha ~ests ~sizes ()));
+    Alcotest.check_raises (name ^ " (Task.make)") (Invalid_argument msg) (fun () ->
+        ignore (Usched_model.Task.make ~id:0 ~est:ests.(0) ~size:sizes.(0) ()))
+  in
+  refuses "infinite estimate" "Task.make: estimate must be finite" ~ests:[| infinity |]
+    ~sizes:[| 1.0 |];
+  refuses "nan estimate" "Task.make: estimate must be > 0" ~ests:[| nan |] ~sizes:[| 1.0 |];
+  refuses "nan size" "Task.make: size must be finite" ~ests:[| 1.0 |] ~sizes:[| nan |];
+  refuses "infinite size" "Task.make: size must be finite" ~ests:[| 1.0 |]
+    ~sizes:[| infinity |]
 
 (* A header [m] past [Instance.max_machines] is a parse error at line 1,
    raised before anything per machine is allocated; the cap itself
@@ -655,6 +681,7 @@ let () =
           Alcotest.test_case "malformed rows" `Quick rejects_malformed_rows;
           Alcotest.test_case "missing header" `Quick rejects_missing_header_field;
           Alcotest.test_case "error texts and line numbers" `Quick error_texts;
+          Alcotest.test_case "non-finite columns" `Quick non_finite_columns;
           Alcotest.test_case "machine count cap" `Quick machine_cap;
           Alcotest.test_case "chunked save = string" `Quick chunked_save_equals_string;
           Alcotest.test_case "parser = oracle on field tokens" `Quick

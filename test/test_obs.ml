@@ -745,9 +745,10 @@ let streamed_records_match_sorted_logs () =
     (Json.to_string (Engine.event_json down));
   Sys.rmdir dir
 
-(* The float rendering formats with [%.17g] and only tries [%.12g] when
-   digits 13-17 sit within 11 of a multiple of 10^5; it must agree with
-   the plain rule everywhere. *)
+(* The float rendering takes the exact 17 digits and only tries the
+   twelve-digit candidate when digits 13-17 sit within 11 of a multiple
+   of 10^5; it must agree with the plain printf-and-strtod rule
+   everywhere. *)
 let plain_float_rule f =
   let s = Printf.sprintf "%.12g" f in
   if float_of_string s = f then s else Printf.sprintf "%.17g" f
@@ -778,12 +779,27 @@ let float_cases =
     done;
     return !f
   in
+  (* The same where [%.12g] and [%.17g] print without an exponent, and
+     at the twelve-digit rounding that moves the exponent. *)
+  let near_twelve_fixed =
+    let* d = int_range 100_000_000_000 999_999_999_999 in
+    let* e = int_range (-16) 6 in
+    let* k = int_range (-40) 40 in
+    let* top = bool in
+    let d = if top then 999_999_999_999 else d in
+    let f = ref (float_of_string (Printf.sprintf "%de%d" d e)) in
+    for _ = 1 to abs k do
+      f := if k < 0 then Float.pred !f else Float.succ !f
+    done;
+    return !f
+  in
   let signed g = map2 (fun neg f -> if neg then -.f else f) bool g in
   signed
     (frequency
        [
          (4, bits); (2, subnormal); (2, integer); (2, power_of_ten);
-         (4, near_twelve); (1, oneofl [ 0.0; Float.min_float; Float.max_float ]);
+         (4, near_twelve); (4, near_twelve_fixed);
+         (1, oneofl [ 0.0; Float.min_float; Float.max_float ]);
        ])
 
 let prop_float_fast_path =

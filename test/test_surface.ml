@@ -22,6 +22,10 @@
    new top-level item...). The options of an allowlisted export are
    covered by its entry.
 
+   A path in a type position (a [type] item's body, or what follows
+   the [:] of an annotation or record field) names a type, not a value,
+   and does not count.
+
    The resolver is lexical and errs toward counting: a local binding
    that shadows an opened value, or a record field named like a value,
    still counts as a reference, so the check can miss dead surface. *)
@@ -164,15 +168,6 @@ let option_allowlist =
       "topology",
       "tests build an instance and its topology in one call; library code \
        attaches it with with_topology" );
-    ( "lib/stats/bootstrap",
-      "interval",
-      "resamples",
-      "the generic interval is the oracle the streamed mean is checked against \
-       at random resample counts" );
-    ( "lib/stats/bootstrap",
-      "interval",
-      "confidence",
-      "the interval's level; tests check it is validated, the library uses 95%" );
     ( "lib/stats/bootstrap",
       "mean_interval",
       "resamples",
@@ -329,6 +324,16 @@ type binding = {
   kind : [ `Alias of string * target option | `Open of target ];
 }
 
+(* Tokens that start a new item, and so end a [type] item's body. *)
+let item_keywords =
+  [ "let"; "val"; "module"; "open"; "include"; "exception"; "external"; "end"; "class" ]
+
+(* Tokens that, at an annotation's own bracket depth, end the
+   expression or item it annotates. *)
+let annotation_ends =
+  [ "="; ";"; ";;"; ","; "in"; "|"; "then"; "else"; "do"; "done"; "with"; "and" ]
+  @ item_keywords @ [ "type" ]
+
 (* The references the tokens [toks] of a source at [self] make:
    [`Value (module, name)] for every [M.v] and every name an [open]
    brings in that a module in scope exports; [`Module m] for every path
@@ -381,16 +386,33 @@ let references_at u ~self toks =
     | { kind = `Open (Mod m); _ } :: _ when Hashtbl.mem u.exported (m, name) -> Some m
     | _ :: rest -> opened name rest
   in
+  (* Type positions, where [M.x] names a type and no value: the body of
+     a [type] item, up to the next item, and an annotation, from its
+     [:] (not a label's) to what ends the expression it annotates. *)
+  let in_type_item = ref false and annotation = ref (-1) in
+  let in_type () = !in_type_item || !annotation >= 0 in
   let k = ref 0 in
   while !k < n do
     let i = !k in
     let t = toks.(i).text in
-    if toks.(i).col0 then scope := List.filter (fun b -> not b.local) !scope;
+    if toks.(i).col0 then begin
+      scope := List.filter (fun b -> not b.local) !scope;
+      in_type_item := false;
+      annotation := -1
+    end;
+    if List.mem t item_keywords then in_type_item := false;
+    if !annotation = !depth && List.mem t annotation_ends then annotation := -1;
     k := i + 1;
     match t with
+    | "type" when tok (i - 1) <> "(" -> in_type_item := true
+    | (":" | ":>")
+      when !annotation < 0
+           && not (List.mem (tok (i - 2)) [ "~"; "?" ] && is_lident (tok (i - 1))) ->
+        annotation := !depth
     | "(" | "[" | "[|" | "{" | "begin" | "struct" | "sig" | "object" -> incr depth
     | ")" | "]" | "|]" | "}" | "end" ->
         decr depth;
+        if !depth < !annotation then annotation := -1;
         scope := List.filter (fun b -> b.depth <= !depth) !scope
     | ("open" | "include") when is_uident (tok (i + 1)) || tok (i + 1) = "!" ->
         let first = if tok (i + 1) = "!" then i + 2 else i + 1 in
@@ -418,7 +440,7 @@ let references_at u ~self toks =
           | Some (Mod m) when tok (last + 1) = "." ->
               let next = tok (last + 2) in
               if is_lident next then begin
-                refs := (`Value (m, next), last + 2) :: !refs;
+                if not (in_type ()) then refs := (`Value (m, next), last + 2) :: !refs;
                 k := last + 3
               end
               else if List.mem next [ "("; "["; "[|"; "{" ] then begin
@@ -428,7 +450,7 @@ let references_at u ~self toks =
               end
           | _ -> ()
         end
-    | _ when is_lident t && tok (i - 1) <> "." -> (
+    | _ when is_lident t && tok (i - 1) <> "." && not (in_type ()) -> (
         match opened t !scope with Some m -> refs := (`Value (m, t), i) :: !refs | None -> ())
     | _ -> ()
   done;
@@ -795,6 +817,18 @@ let resolver_cases =
        and q = {|Trace.merge|}" );
     ( "a shadowing alias", main, [],
       "module Trace = struct let merge = 1 end\nlet x = Trace.merge" );
+    (* Type positions. *)
+    ( "a type named like a value", main,
+      [ "lib/stats/summary.merge" ],
+      "module Summary = Usched_stats.Summary\n\
+       type row = { s : Summary.merge; t : int }\n\
+       let f (x : Summary.merge) : Summary.merge = Summary.merge x\n\
+       let g ~k:(y : Summary.merge) = (y :> Summary.merge)" );
+    ( "a value after a type item and an annotation", main,
+      [ "lib/stats/summary.merge"; "lib/stats/summary.merge"; "lib/stats/summary.merge" ],
+      "module Summary = Usched_stats.Summary\n\
+       module M = struct\n  type t = Summary.merge\n  let a = Summary.merge\nend\n\
+       let b : int = Summary.merge and c = f ~x:Summary.merge" );
   ]
 
 (* The labels [labels_after] reads off the application of [f] in each
