@@ -1,3 +1,5 @@
+module Spec_text = Usched_model.Spec_text
+
 type order = Lpt | Ls
 type uniform_variant = U_no_choice | U_no_restriction | U_group of int
 
@@ -115,17 +117,12 @@ let speed_robust ~k = checked (Speed_robust { k })
 let zone_group ~k = checked (Zone_group k)
 let local_budget ~budget = checked (Local_budget budget)
 
-(* Floats must survive print -> parse exactly for the round-trip law.
-   %.12g covers every float people actually write; fall back to %.17g
-   (always exact) for the rest. *)
-let float_str f =
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
-let speeds_str speeds =
-  String.concat "," (List.map float_str (Array.to_list speeds))
-
-let to_string = function
+(* Floats print through [Spec_text.float_to_string], so they parse back
+   to the identical value. *)
+let to_string spec =
+  let num = Spec_text.float_to_string in
+  let speeds_str speeds = String.concat "," (List.map num (Array.to_list speeds)) in
+  match spec with
   | No_replication Lpt -> "lpt-no-choice"
   | No_replication Ls -> "ls-no-choice"
   | Full_replication Lpt -> "lpt-no-restriction"
@@ -133,15 +130,15 @@ let to_string = function
   | Group { order = Ls; k } -> Printf.sprintf "ls-group:%d" k
   | Group { order = Lpt; k } -> Printf.sprintf "lpt-group:%d" k
   | Budgeted k -> Printf.sprintf "budgeted:%d" k
-  | Proportional f -> Printf.sprintf "proportional:%s" (float_str f)
+  | Proportional f -> Printf.sprintf "proportional:%s" (num f)
   | Selective count -> Printf.sprintf "selective:%d" count
-  | Sabo delta -> Printf.sprintf "sabo:%s" (float_str delta)
-  | Abo delta -> Printf.sprintf "abo:%s" (float_str delta)
-  | Memory_budget budget -> Printf.sprintf "memory:%s" (float_str budget)
+  | Sabo delta -> Printf.sprintf "sabo:%s" (num delta)
+  | Abo delta -> Printf.sprintf "abo:%s" (num delta)
+  | Memory_budget budget -> Printf.sprintf "memory:%s" (num budget)
   | Reliability { target; budget = None } ->
-      Printf.sprintf "reliability:%s" (float_str target)
+      Printf.sprintf "reliability:%s" (num target)
   | Reliability { target; budget = Some b } ->
-      Printf.sprintf "reliability:%s:budget:%s" (float_str target) (float_str b)
+      Printf.sprintf "reliability:%s:budget:%s" (num target) (num b)
   | Uniform { variant = U_no_choice; speeds } ->
       Printf.sprintf "uniform-lpt-no-choice:%s" (speeds_str speeds)
   | Uniform { variant = U_no_restriction; speeds } ->
@@ -150,7 +147,7 @@ let to_string = function
       Printf.sprintf "uniform-ls-group:%d:%s" k (speeds_str speeds)
   | Speed_robust { k } -> Printf.sprintf "speedrobust:%d" k
   | Zone_group k -> Printf.sprintf "zonegroup:%d" k
-  | Local_budget b -> Printf.sprintf "localbudget:%s" (float_str b)
+  | Local_budget b -> Printf.sprintf "localbudget:%s" (num b)
 
 let name = function
   | No_replication Lpt -> "LPT-No Choice"
@@ -179,32 +176,6 @@ let name = function
 
 (* Parsing ------------------------------------------------------------ *)
 
-let int_param keyword s =
-  match int_of_string_opt s with
-  | Some k -> Ok k
-  | None ->
-      Error (Printf.sprintf "%s: expected an integer parameter, got %S" keyword s)
-
-let float_param keyword s =
-  match float_of_string_opt s with
-  | Some f -> Ok f
-  | None ->
-      Error (Printf.sprintf "%s: expected a numeric parameter, got %S" keyword s)
-
-let speeds_param keyword s =
-  let parts = String.split_on_char ',' s in
-  let rec go acc = function
-    | [] -> Ok (Array.of_list (List.rev acc))
-    | p :: rest -> (
-        match float_of_string_opt p with
-        | Some f -> go (f :: acc) rest
-        | None ->
-            Error
-              (Printf.sprintf "%s: expected comma-separated speeds, got %S"
-                 keyword p))
-  in
-  go [] parts
-
 let ( let* ) = Result.bind
 
 let finish spec =
@@ -222,37 +193,6 @@ type entry = {
   example : m:int -> t;
   portfolio : m:int -> t list;
 }
-
-let no_param keyword spec = function
-  | [] -> finish spec
-  | _ :: _ -> Error (Printf.sprintf "%s takes no parameter" keyword)
-
-let one_int keyword mk = function
-  | [ p ] ->
-      let* k = int_param keyword p in
-      finish (mk k)
-  | [] -> Error (Printf.sprintf "%s needs a parameter, e.g. %s:2" keyword keyword)
-  | _ -> Error (Printf.sprintf "%s takes exactly one parameter" keyword)
-
-let one_float keyword example mk = function
-  | [ p ] ->
-      let* f = float_param keyword p in
-      finish (mk f)
-  | [] ->
-      Error
-        (Printf.sprintf "%s needs a parameter, e.g. %s:%s" keyword keyword
-           example)
-  | _ -> Error (Printf.sprintf "%s takes exactly one parameter" keyword)
-
-let speeds_only keyword variant = function
-  | [ p ] ->
-      let* speeds = speeds_param keyword p in
-      finish (Uniform { variant; speeds })
-  | [] ->
-      Error
-        (Printf.sprintf "%s needs a speeds list, e.g. %s:2,1,1,0.5" keyword
-           keyword)
-  | _ -> Error (Printf.sprintf "%s takes exactly one speeds list" keyword)
 
 (* A spread of speeds for examples/benches: fast, normal, slow nodes. *)
 let example_speeds m =
@@ -454,55 +394,80 @@ let of_string s =
   | [] | [ "" ] -> Error (Printf.sprintf "empty algorithm spec\n%s" grammar)
   | [ "help" ] -> Error grammar
   | keyword :: params -> (
+      let int = Spec_text.(read Int) (keyword ^ " parameter") in
+      let float = Spec_text.(read Number) (keyword ^ " parameter") in
+      let speeds raw =
+        Result.map Array.of_list
+          (Spec_text.(read (List (',', Number))) (keyword ^ " speed") raw)
+      in
+      let usage form = Error (Printf.sprintf "%s takes %s" keyword form) in
+      let no_param spec =
+        match params with [] -> finish spec | _ -> usage "no parameter"
+      in
+      let one_int mk =
+        match params with
+        | [ p ] ->
+            let* k = int p in
+            finish (mk k)
+        | _ -> usage (Printf.sprintf "one integer, e.g. %s:2" keyword)
+      in
+      let one_float example mk =
+        match params with
+        | [ p ] ->
+            let* f = float p in
+            finish (mk f)
+        | _ -> usage (Printf.sprintf "one number, e.g. %s:%s" keyword example)
+      in
+      let speeds_only variant =
+        match params with
+        | [ p ] ->
+            let* speeds = speeds p in
+            finish (Uniform { variant; speeds })
+        | _ -> usage (Printf.sprintf "one speeds list, e.g. %s:2,1,1,0.5" keyword)
+      in
       match keyword with
-      | "lpt-no-choice" -> no_param keyword (No_replication Lpt) params
-      | "ls-no-choice" -> no_param keyword (No_replication Ls) params
-      | "lpt-no-restriction" -> no_param keyword (Full_replication Lpt) params
-      | "ls-no-restriction" -> no_param keyword (Full_replication Ls) params
-      | "ls-group" | "group" ->
-          one_int keyword (fun k -> Group { order = Ls; k }) params
-      | "lpt-group" -> one_int keyword (fun k -> Group { order = Lpt; k }) params
-      | "budgeted" -> one_int keyword (fun k -> Budgeted k) params
-      | "proportional" -> one_float keyword "0.25" (fun f -> Proportional f) params
-      | "selective" -> one_int keyword (fun c -> Selective c) params
-      | "sabo" -> one_float keyword "0.5" (fun d -> Sabo d) params
-      | "abo" -> one_float keyword "0.5" (fun d -> Abo d) params
-      | "memory" -> one_float keyword "16" (fun b -> Memory_budget b) params
+      | "lpt-no-choice" -> no_param (No_replication Lpt)
+      | "ls-no-choice" -> no_param (No_replication Ls)
+      | "lpt-no-restriction" -> no_param (Full_replication Lpt)
+      | "ls-no-restriction" -> no_param (Full_replication Ls)
+      | "ls-group" | "group" -> one_int (fun k -> Group { order = Ls; k })
+      | "lpt-group" -> one_int (fun k -> Group { order = Lpt; k })
+      | "budgeted" -> one_int (fun k -> Budgeted k)
+      | "proportional" -> one_float "0.25" (fun f -> Proportional f)
+      | "selective" -> one_int (fun c -> Selective c)
+      | "sabo" -> one_float "0.5" (fun d -> Sabo d)
+      | "abo" -> one_float "0.5" (fun d -> Abo d)
+      | "memory" -> one_float "16" (fun b -> Memory_budget b)
       | "reliability" -> (
           match params with
           | [ t ] ->
-              let* target = float_param keyword t in
+              let* target = float t in
               finish (Reliability { target; budget = None })
           | [ t; "budget"; b ] ->
-              let* target = float_param keyword t in
-              let* budget = float_param keyword b in
+              let* target = float t in
+              let* budget = float b in
               finish (Reliability { target; budget = Some budget })
           | _ ->
-              Error
+              usage
                 (Printf.sprintf
-                   "%s takes TARGET[:budget:B], e.g. %s:0.999 or \
-                    %s:0.99:budget:16"
-                   keyword keyword keyword))
-      | "speedrobust" ->
-          one_int keyword (fun k -> Speed_robust { k }) params
-      | "zonegroup" -> one_int keyword (fun k -> Zone_group k) params
-      | "localbudget" ->
-          one_float keyword "1.5" (fun b -> Local_budget b) params
-      | "uniform-lpt-no-choice" -> speeds_only keyword U_no_choice params
-      | "uniform-lpt-no-restriction" ->
-          speeds_only keyword U_no_restriction params
+                   "TARGET[:budget:B], e.g. %s:0.999 or %s:0.99:budget:16"
+                   keyword keyword))
+      | "speedrobust" -> one_int (fun k -> Speed_robust { k })
+      | "zonegroup" -> one_int (fun k -> Zone_group k)
+      | "localbudget" -> one_float "1.5" (fun b -> Local_budget b)
+      | "uniform-lpt-no-choice" -> speeds_only U_no_choice
+      | "uniform-lpt-no-restriction" -> speeds_only U_no_restriction
       | "uniform-ls-group" -> (
           match params with
           | [ kp; sp ] ->
-              let* k = int_param keyword kp in
-              let* speeds = speeds_param keyword sp in
+              let* k = int kp in
+              let* speeds = speeds sp in
               finish (Uniform { variant = U_group k; speeds })
           | _ ->
-              Error
+              usage
                 (Printf.sprintf
-                   "%s needs a group count and a speeds list, e.g. \
-                    %s:2:2,1,1,0.5"
-                   keyword keyword))
+                   "a group count and a speeds list, e.g. %s:2:2,1,1,0.5"
+                   keyword))
       | _ ->
           Error
             (Printf.sprintf "unknown algorithm %S%s\n%s" keyword

@@ -105,9 +105,10 @@ val of_string : string -> (t, string) result
 (** Inverse of {!to_string}. Also accepts the alias [group:K] for
     [ls-group:K], and the pseudo-spec [help], which always returns
     [Error] carrying the full grammar listing (so [--algo help] prints
-    it). Unknown names, missing/extra parameters, and out-of-domain
-    values (NaN or negative delta, [k = 0], reliability targets outside
-    (0, 1), ...) are [Error] with a usage message; unknown names include
+    it). Parameters are numbers as [Usched_model.Spec_text] reads them.
+    Unknown names, missing/extra parameters, malformed numbers and
+    out-of-domain values (negative delta, [k = 0], reliability targets
+    outside (0, 1), ...) are [Error] with a usage message; unknown names include
     the full grammar, plus a "did you mean" hint when a registry keyword
     is within edit distance 3. *)
 

@@ -1,4 +1,5 @@
 module Rng = Usched_prng.Rng
+module Spec_text = Usched_model.Spec_text
 
 type t =
   | Poisson of { rate : float }
@@ -13,29 +14,23 @@ let poisson ~rate =
   finite_pos "poisson: rate" rate;
   Poisson { rate }
 
-let mmpp ~rates ~switch =
-  if Array.length rates = 0 then invalid_arg "Arrival.mmpp: no rates";
-  Array.iter
-    (fun r ->
-      if not (Float.is_finite r && r >= 0.0) then
-        invalid_arg "Arrival.mmpp: rates must be finite and >= 0")
-    rates;
-  if not (Array.exists (fun r -> r > 0.0) rates) then
-    invalid_arg "Arrival.mmpp: at least one rate must be > 0";
-  finite_pos "mmpp: switch" switch;
-  Mmpp { rates = Array.copy rates; switch }
+(* [trace]'s checks, as a message for the trace:FILE reader. *)
+let check_trace times =
+  let rec from i prev =
+    if i = Array.length times then Ok ()
+    else
+      let x = times.(i) in
+      if not (Float.is_finite x && x >= 0.0) then
+        Error "instants must be finite and >= 0"
+      else if x < prev then Error "instants must be non-decreasing"
+      else from (i + 1) x
+  in
+  from 0 0.0
 
 let trace times =
-  let prev = ref 0.0 in
-  Array.iter
-    (fun x ->
-      if not (Float.is_finite x && x >= 0.0) then
-        invalid_arg "Arrival.trace: instants must be finite and >= 0";
-      if x < !prev then
-        invalid_arg "Arrival.trace: instants must be non-decreasing";
-      prev := x)
-    times;
-  Trace (Array.copy times)
+  match check_trace times with
+  | Ok () -> Trace (Array.copy times)
+  | Error msg -> invalid_arg ("Arrival.trace: " ^ msg)
 
 let mean_rate = function
   | Poisson { rate } -> rate
@@ -132,80 +127,44 @@ let describe = function
 
 let grammar = "rate:L | poisson:L | mmpp:R1,R2,...:S | trace:FILE"
 
-let fail fmt = Printf.ksprintf (fun msg -> Error (msg ^ " (" ^ grammar ^ ")")) fmt
+let ( let* ) = Result.bind
 
+(* One arrival instant per line; blank lines and [#] comments skipped. *)
 let read_trace_file path =
   match In_channel.with_open_text path In_channel.input_lines with
-  | exception Sys_error msg -> fail "trace: %s" msg
-  | lines -> (
-      let values =
-        List.filter_map
-          (fun line ->
+  | exception Sys_error msg -> Error ("trace: " ^ msg)
+  | lines ->
+      let rec instants acc = function
+        | [] -> Ok (Array.of_list (List.rev acc))
+        | line :: rest ->
             let line = String.trim line in
-            if line = "" || line.[0] = '#' then None else Some line)
-          lines
+            if line = "" || line.[0] = '#' then instants acc rest
+            else
+              let* x = Spec_text.(read Number) "arrival instant" line in
+              instants (x :: acc) rest
       in
-      let parsed =
-        List.map
-          (fun s ->
-            match float_of_string_opt s with
-            | Some v -> Ok v
-            | None -> Error s)
-          values
+      let checked =
+        let* times = instants [] lines in
+        let* () = check_trace times in
+        Ok (Trace times)
       in
-      match
-        List.find_opt (function Error _ -> true | Ok _ -> false) parsed
-      with
-      | Some (Error s) -> fail "trace %s: invalid arrival instant %S" path s
-      | _ -> (
-          let arr =
-            Array.of_list
-              (List.map (function Ok v -> v | Error _ -> 0.0) parsed)
-          in
-          match trace arr with
-          | t -> Ok t
-          | exception Invalid_argument msg -> fail "trace %s: %s" path msg))
+      Result.map_error (Printf.sprintf "trace %s: %s" path) checked
 
 let of_string s =
-  let pos_float name v =
-    match float_of_string_opt v with
-    | Some f when Float.is_finite f && f > 0.0 -> Ok f
-    | Some f -> fail "%s %g must be finite and > 0" name f
-    | None -> fail "invalid %s %S" name v
-  in
-  match String.index_opt s ':' with
-  | None -> fail "expected an arrival spec, got %S" s
-  | Some i -> (
-      let keyword = String.sub s 0 i in
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      match keyword with
-      | "rate" | "poisson" -> (
-          match pos_float "rate" rest with
-          | Ok rate -> Ok (Poisson { rate })
-          | Error _ as e -> e)
-      | "mmpp" -> (
-          match String.rindex_opt rest ':' with
-          | None -> fail "mmpp needs rates and a sojourn: mmpp:R1,R2,...:S"
-          | Some j -> (
-              let rates_s = String.sub rest 0 j in
-              let switch_s =
-                String.sub rest (j + 1) (String.length rest - j - 1)
-              in
-              match pos_float "mmpp sojourn" switch_s with
-              | Error _ as e -> e
-              | Ok switch -> (
-                  let parts = String.split_on_char ',' rates_s in
-                  let parsed =
-                    List.map (fun p -> float_of_string_opt (String.trim p)) parts
-                  in
-                  if List.exists (( = ) None) parsed then
-                    fail "mmpp: invalid rate list %S" rates_s
-                  else
-                    let rates =
-                      Array.of_list (List.map Option.get parsed)
-                    in
-                    match mmpp ~rates ~switch with
-                    | t -> Ok t
-                    | exception Invalid_argument msg -> fail "%s" msg)))
-      | "trace" -> read_trace_file rest
-      | _ -> fail "unknown arrival process %S" keyword)
+  Spec_text.with_grammar grammar
+    (match String.split_on_char ':' s with
+    | [ ("rate" | "poisson"); rate ] ->
+        let* rate = Spec_text.(read Positive) "rate" rate in
+        Ok (Poisson { rate })
+    | [ "mmpp"; rates; switch ] ->
+        let* rates = Spec_text.(read (List (',', Number))) "mmpp rate" rates in
+        let* switch = Spec_text.(read Positive) "mmpp sojourn" switch in
+        if List.exists (fun r -> not (Float.is_finite r && r >= 0.0)) rates then
+          Error "mmpp rates must be finite and >= 0"
+        else if not (List.exists (fun r -> r > 0.0) rates) then
+          Error "mmpp needs a rate > 0"
+        else Ok (Mmpp { rates = Array.of_list rates; switch })
+    | "trace" :: (_ :: _ as path) -> read_trace_file (String.concat ":" path)
+    | ("rate" | "poisson" | "mmpp" | "trace") :: _ ->
+        Error (Printf.sprintf "bad arrival spec %S" s)
+    | _ -> Error (Printf.sprintf "unknown arrival process %S" s))

@@ -55,9 +55,10 @@ val of_string : string -> (t, string) result
     ["rate:L"] (alias ["poisson:L"]) — Poisson with rate [L];
     ["mmpp:R1,R2,...:S"] — MMPP over the comma-separated rates with mean
     sojourn [S]; ["trace:FILE"] — one arrival instant per line of
-    [FILE] (blank lines and [#] comments skipped). Every parameter is
-    validated (NaN, non-positive rates, unsorted traces, unreadable
-    files are errors); the error message carries the grammar. *)
+    [FILE] (blank lines and [#] comments skipped). Numbers follow
+    [Usched_model.Spec_text]; every parameter is validated
+    (non-positive rates, unsorted traces, unreadable files are errors),
+    and the error names the field and ends with the grammar. *)
 
 val grammar : string
 (** One-line summary of the accepted specs, for usage strings. *)

@@ -1,6 +1,7 @@
 module Bitset = Usched_model.Bitset
 module Topology = Usched_model.Topology
 module Rng = Usched_prng.Rng
+module Spec_text = Usched_model.Spec_text
 
 type spec =
   | List_priority
@@ -22,19 +23,18 @@ let known_names =
   "list-priority | least-loaded | earliest-completion | locality | random:SEED"
 
 let spec_of_string s =
-  match String.split_on_char ':' s with
-  | [ "list-priority" ] -> Ok List_priority
-  | [ "least-loaded" ] -> Ok Least_loaded_holder
-  | [ "earliest-completion" ] -> Ok Earliest_estimated_completion
-  | [ "locality" ] -> Ok Locality
-  | [ "random" ] -> Ok (Random_tiebreak 0)
-  | [ "random"; seed ] -> (
-      match int_of_string_opt seed with
-      | Some seed -> Ok (Random_tiebreak seed)
-      | None -> Error (Printf.sprintf "invalid random tie-break seed %S" seed))
-  | _ ->
-      Error
-        (Printf.sprintf "unknown dispatch policy %S (expected %s)" s known_names)
+  Spec_text.with_grammar known_names
+    (match String.split_on_char ':' s with
+    | [ "list-priority" ] -> Ok List_priority
+    | [ "least-loaded" ] -> Ok Least_loaded_holder
+    | [ "earliest-completion" ] -> Ok Earliest_estimated_completion
+    | [ "locality" ] -> Ok Locality
+    | [ "random" ] -> Ok (Random_tiebreak 0)
+    | [ "random"; seed ] ->
+        Result.map
+          (fun seed -> Random_tiebreak seed)
+          (Spec_text.(read Int) "random tie-break seed" seed)
+    | _ -> Error (Printf.sprintf "unknown dispatch policy %S" s))
 
 let builtin =
   [

@@ -72,8 +72,9 @@ val name : spec -> string
     ["earliest-completion"], ["locality"], ["random:SEED"]. *)
 
 val spec_of_string : string -> (spec, string) result
-(** Inverse of {!name} (["random"] alone means seed 0). The error
-    message lists the valid names — surfaced verbatim by the [--policy]
+(** Inverse of {!name} (["random"] alone means seed 0; the seed is an
+    integer as [Usched_model.Spec_text] reads it). The error message
+    ends with the valid names — surfaced verbatim by the [--policy]
     cmdliner converter. *)
 
 val known_names : string

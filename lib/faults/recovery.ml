@@ -51,16 +51,12 @@ let target_to_string = function
   | Degree -> "degree"
 
 let target_of_string raw =
-  match String.lowercase_ascii (String.trim raw) with
-  | "degree" -> Ok Degree
-  | s -> (
-      match int_of_string_opt s with
-      | Some r when r >= 0 -> Ok (Fixed r)
-      | Some r -> Error (Printf.sprintf "negative re-replication target %d" r)
-      | None ->
-          Error
-            (Printf.sprintf
-               "bad re-replication target %S (want a count or \"degree\")" raw))
+  Usched_model.Spec_text.with_grammar "a count >= 0 or degree"
+    (if String.lowercase_ascii raw = "degree" then Ok Degree
+     else
+       Result.map
+         (fun r -> Fixed r)
+         (Usched_model.Spec_text.(read Nat) "re-replication target" raw))
 
 (* Path-dependent transfer time. Without a topology this is exactly the
    scalar-bandwidth arithmetic the engine hard-coded ([size / bandwidth]

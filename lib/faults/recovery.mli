@@ -95,8 +95,9 @@ val target_to_string : target -> string
 (** ["0"], ["2"], ... for [Fixed]; ["degree"]. *)
 
 val target_of_string : string -> (target, string) result
-(** Inverse of {!target_to_string} — a nonnegative count or the word
-    ["degree"] (case-insensitive). The CLI [--recover] converter. *)
+(** Inverse of {!target_to_string} — a nonnegative count as
+    [Usched_model.Spec_text] reads it, or the word ["degree"]
+    (case-insensitive). The CLI [--recover] converter. *)
 
 val transfer_time :
   ?topology:Usched_model.Topology.t -> t -> src:int -> dst:int -> size:float -> float

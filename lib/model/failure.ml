@@ -33,40 +33,25 @@ let to_string t =
   String.concat ","
     (Array.to_list (Array.map (Printf.sprintf "%.17g") t.p))
 
-let of_string text =
-  let fields = String.split_on_char ',' text in
-  let rec parse acc = function
-    | [] -> Ok (List.rev acc)
-    | raw :: rest -> (
-        match float_of_string_opt (String.trim raw) with
-        | Some x when valid_prob x -> parse (x :: acc) rest
-        | Some x ->
-            Error (Printf.sprintf "failure probability %g not in [0, 1]" x)
-        | None -> Error (Printf.sprintf "bad failure probability %S" raw))
-  in
-  match parse [] fields with
-  | Error _ as e -> e
-  | Ok [] -> Error "empty failure profile"
-  | Ok probs -> Ok { p = Array.of_list probs }
+let grammar =
+  "uniform:P (every machine fails with probability P) or M comma-separated \
+   probabilities, each in [0, 1]"
 
 let of_spec ~m:mm text =
-  let parsed =
-    match String.split_on_char ':' text with
-    | [ "uniform"; raw ] -> (
-        match float_of_string_opt raw with
-        | Some p when valid_prob p -> Ok (uniform ~m:mm ~p)
-        | _ ->
+  Spec_text.with_grammar grammar
+    (match String.split_on_char ':' text with
+    | [ "uniform"; raw ] ->
+        Result.map
+          (fun p -> uniform ~m:mm ~p)
+          (Spec_text.(read Prob) "uniform failure probability" raw)
+    | [ _ ] -> (
+        match Spec_text.(read (List (',', Prob))) "failure probability" text with
+        | Ok probs when List.length probs <> mm ->
             Error
-              (Printf.sprintf "uniform failure probability %S not in [0, 1]"
-                 raw))
-    | _ -> of_string text
-  in
-  match parsed with
-  | Ok t when m t <> mm ->
-      Error
-        (Printf.sprintf "profile lists %d probabilities for %d machines" (m t)
-           mm)
-  | r -> r
+              (Printf.sprintf "profile lists %d probabilities for %d machines"
+                 (List.length probs) mm)
+        | r -> Result.map (fun probs -> { p = Array.of_list probs }) r)
+    | _ -> Error (Printf.sprintf "bad failure profile %S" text))
 
 let pp ppf t =
   Format.fprintf ppf "failure-profile[%a]"

@@ -47,14 +47,11 @@ val to_string : t -> string
 (** Comma-separated probabilities, round-trip precise ([%.17g]) —
     the wire form used by the [failp=] instance-header field. *)
 
-val of_string : string -> (t, string) result
-(** Inverse of {!to_string}: comma-separated probabilities, one per
-    machine. Returns [Error] with a human-readable message on malformed
-    input (bad float, out-of-range probability, empty list). *)
-
 val of_spec : m:int -> string -> (t, string) result
-(** The CLI grammar behind [--failp] for [m >= 1] machines:
-    [uniform:P] (every machine fails with probability [P]) or the
-    {!of_string} form, which must list [m] probabilities. *)
+(** The grammar of [--failp] and of the [failp=] header field, for
+    [m >= 1] machines: [uniform:P] (every machine fails with
+    probability [P]) or the {!to_string} form, which must list [m]
+    probabilities. Numbers follow {!Spec_text}; errors end with the
+    grammar. *)
 
 val pp : Format.formatter -> t -> unit

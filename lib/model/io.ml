@@ -72,30 +72,19 @@ let parse_header line =
     | Some a when Float.is_finite a && a >= 1.0 -> a
     | Some _ | None -> parse_error 1 "alpha= must be a finite number >= 1"
   in
-  let failure =
-    match lookup_opt "failp" with
-    | None -> None
-    | Some raw -> (
-        match Failure.of_string raw with
-        | Ok f -> Some f
-        | Error msg -> parse_error 1 (Printf.sprintf "bad failp=: %s" msg))
+  (* Each optional field goes through its grammar's one parser, which
+     also checks that it covers [m] machines. *)
+  let field key of_spec =
+    Option.map
+      (fun raw ->
+        match of_spec ~m raw with
+        | Ok v -> v
+        | Error msg -> parse_error 1 (Printf.sprintf "bad %s=: %s" key msg))
+      (lookup_opt key)
   in
-  let speed_band =
-    match lookup_opt "speedband" with
-    | None -> None
-    | Some raw -> (
-        match Speed_band.of_string raw with
-        | Ok b -> Some b
-        | Error msg -> parse_error 1 (Printf.sprintf "bad speedband=: %s" msg))
-  in
-  let topology =
-    match lookup_opt "topology" with
-    | None -> None
-    | Some raw -> (
-        match Topology.of_string raw with
-        | Ok tp -> Some tp
-        | Error msg -> parse_error 1 (Printf.sprintf "bad topology=: %s" msg))
-  in
+  let failure = field "failp" Failure.of_spec in
+  let speed_band = field "speedband" Speed_band.of_spec in
+  let topology = field "topology" Topology.of_spec in
   (m, Uncertainty.alpha alpha, failure, speed_band, topology)
 
 (* Writers fill a [Buffer] row by row; [save_instance] hands it to the
@@ -251,14 +240,8 @@ let instance_of_string text =
     line := line_no + 1
   done;
   let trim a = if !k = cap then a else Array.sub a 0 !k in
-  (* Rows and [m] are valid by now, so what can still be rejected is an
-     optional header field sized for another [m]. *)
-  match
-    Instance.of_columns ?failure ?speed_band ?topology ~m ~alpha
-      ~ests:(trim ests) ~sizes:(trim sizes) ()
-  with
-  | instance -> instance
-  | exception Invalid_argument msg -> parse_error 1 msg
+  Instance.of_columns ?failure ?speed_band ?topology ~m ~alpha
+    ~ests:(trim ests) ~sizes:(trim sizes) ()
 
 let save_instance ~path instance =
   let oc = open_out path in

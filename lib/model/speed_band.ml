@@ -75,78 +75,56 @@ let sample t rng =
       if t.lo.(i) = t.hi.(i) then t.lo.(i) else draw)
 
 
-(* Bit-exact floats for the header round trip, same scheme as
-   [Strategy.float_str]. *)
-let float_str f =
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
 let to_string t =
+  let str = Spec_text.float_to_string in
   String.concat ","
     (List.init (m t) (fun i ->
-         if t.lo.(i) = t.hi.(i) then float_str t.lo.(i)
-         else Printf.sprintf "%s:%s" (float_str t.lo.(i)) (float_str t.hi.(i))))
+         if t.lo.(i) = t.hi.(i) then str t.lo.(i)
+         else Printf.sprintf "%s:%s" (str t.lo.(i)) (str t.hi.(i))))
 
-let of_string text =
-  let parse_bound raw =
-    match float_of_string_opt (String.trim raw) with
-    | Some x when valid_speed x -> Ok x
-    | Some x -> Error (Printf.sprintf "speed %g must be finite and > 0" x)
-    | None -> Error (Printf.sprintf "bad speed %S" raw)
-  in
-  let parse_entry raw =
-    match String.split_on_char ':' raw with
-    | [ s ] -> Result.map (fun v -> (v, v)) (parse_bound s)
-    | [ l; h ] -> (
-        match (parse_bound l, parse_bound h) with
-        | Ok lo, Ok hi ->
-            if lo > hi then
-              Error (Printf.sprintf "band %S has lo > hi" raw)
-            else Ok (lo, hi)
-        | (Error _ as e), _ | _, (Error _ as e) -> e)
-    | _ -> Error (Printf.sprintf "bad band %S (expected LO:HI or S)" raw)
-  in
-  let rec parse acc = function
-    | [] -> Ok (List.rev acc)
-    | raw :: rest -> (
-        match parse_entry raw with
-        | Ok band -> parse (band :: acc) rest
-        | Error _ as e -> e)
-  in
-  match parse [] (String.split_on_char ',' text) with
+let grammar =
+  "uniform:LO:HI (same band on every machine) or M comma-separated LO:HI or \
+   S entries, all speeds finite and > 0 with LO <= HI"
+
+let ( let* ) = Result.bind
+
+let ordered what ~lo ~hi =
+  if lo > hi then Error (Printf.sprintf "%s has LO %g > HI %g" what lo hi)
+  else Ok (lo, hi)
+
+let entry raw =
+  match Spec_text.(read (List (':', Positive))) "speed" raw with
+  | Ok [ s ] -> Ok (s, s)
+  | Ok [ lo; hi ] -> ordered (Printf.sprintf "band %S" raw) ~lo ~hi
+  | Ok _ -> Error (Printf.sprintf "bad band %S (expected LO:HI or S)" raw)
   | Error _ as e -> e
-  | Ok [] -> Error "empty speed band"
-  | Ok bands ->
-      let bands = Array.of_list bands in
-      Ok { lo = Array.map fst bands; hi = Array.map snd bands }
-
-let spec_grammar =
-  "expected uniform:LO:HI (same band on every machine) or M comma-separated \
-   LO:HI or S entries, all speeds finite and > 0 with LO <= HI"
 
 let of_spec ~m:mm text =
-  let with_grammar = function
-    | Ok _ as ok -> ok
-    | Error msg -> Error (Printf.sprintf "%s; %s" msg spec_grammar)
-  in
-  match String.split_on_char ':' text with
-  | [ "uniform"; lo_raw; hi_raw ] ->
-      with_grammar
-        (match (float_of_string_opt lo_raw, float_of_string_opt hi_raw) with
-        | Some lo, Some hi -> (
-            match uniform ~m:mm ~lo ~hi with
-            | t -> Ok t
-            | exception Invalid_argument msg -> Error msg)
-        | _ -> Error (Printf.sprintf "bad uniform band %S" text))
-  | _ ->
-      with_grammar
-        (match of_string text with
-        | Ok t when m t = mm -> Ok t
-        | Ok t ->
-            Error
-              (Printf.sprintf "speed band lists %d machines, instance has %d"
-                 (m t) mm)
-        | Error _ as e -> e)
+  Spec_text.with_grammar grammar
+    (match String.split_on_char ':' text with
+    | [ "uniform"; lo; hi ] ->
+        let* lo = Spec_text.(read Positive) "uniform LO" lo in
+        let* hi = Spec_text.(read Positive) "uniform HI" hi in
+        let* _ = ordered "uniform band" ~lo ~hi in
+        Ok (uniform ~m:mm ~lo ~hi)
+    | _ ->
+        let rec entries acc = function
+          | [] -> Ok (List.rev acc)
+          | raw :: rest ->
+              let* band = entry raw in
+              entries (band :: acc) rest
+        in
+        let* bands = entries [] (String.split_on_char ',' text) in
+        if List.length bands <> mm then
+          Error
+            (Printf.sprintf "speed band lists %d machines, instance has %d"
+               (List.length bands) mm)
+        else
+          Ok
+            {
+              lo = Array.of_list (List.map fst bands);
+              hi = Array.of_list (List.map snd bands);
+            })
 
 let pp ppf t =
   Format.fprintf ppf "speed-band[%a]"

@@ -72,13 +72,11 @@ val to_string : t -> string
     single speed), printed so parsing returns the bit-identical band —
     the instance-header wire format ([speedband=]). *)
 
-val of_string : string -> (t, string) result
-(** Inverse of {!to_string}. Each comma-separated entry is [LO:HI] or a
-    single speed [S] (meaning [S:S]). *)
-
 val of_spec : m:int -> string -> (t, string) result
-(** The CLI grammar behind [--speed-band]: [uniform:LO:HI] (the same
-    band on every machine) or [M] comma-separated [LO:HI] / [S] entries.
-    Errors end with a one-line description of the grammar. *)
+(** The grammar of [--speed-band] and of the [speedband=] header field:
+    [uniform:LO:HI] (the same band on every machine) or the
+    {!to_string} form, [m] comma-separated [LO:HI] / [S] entries ([S]
+    meaning [S:S]). Numbers follow {!Spec_text}; errors end with the
+    grammar. *)
 
 val pp : Format.formatter -> t -> unit

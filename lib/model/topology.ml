@@ -12,63 +12,91 @@ type t = {
   latency : float array array;  (* zone x zone, time units *)
 }
 
-let bad fmt = Format.kasprintf invalid_arg fmt
-
 let valid_bandwidth x = (not (Float.is_nan x)) && x > 0.0
 let valid_latency x = Float.is_finite x && x >= 0.0
 
+let ( let* ) = Result.bind
+let error fmt = Printf.ksprintf (fun msg -> Error msg) fmt
+
+(* [check i] for [i] from [lo] to [hi - 1], stopping at the first error. *)
+let rec each lo hi check =
+  if lo >= hi then Ok ()
+  else
+    let* () = check lo in
+    each (lo + 1) hi check
+
 let check_matrix ~what ~zones ~diagonal ~valid ~describe matrix =
   if Array.length matrix <> zones then
-    bad "Topology.make: %s matrix has %d rows, need %d" what
-      (Array.length matrix) zones;
-  Array.iteri
-    (fun r row ->
-      if Array.length row <> zones then
-        bad "Topology.make: %s row %d has %d entries, need %d" what r
-          (Array.length row) zones;
-      Array.iteri
-        (fun c x ->
-          if r = c then begin
-            if x <> diagonal then
-              bad "Topology.make: %s diagonal entry %d must be %g (got %g)"
-                what r diagonal x
-          end
-          else if not (valid x) then
-            bad "Topology.make: %s[%d][%d] = %g must be %s" what r c x describe)
-        row)
-    matrix;
-  for r = 0 to zones - 1 do
-    for c = r + 1 to zones - 1 do
-      if matrix.(r).(c) <> matrix.(c).(r) then
-        bad "Topology.make: %s matrix is not symmetric at [%d][%d]" what r c
-    done
-  done
+    error "%s matrix has %d rows, need %d" what (Array.length matrix) zones
+  else
+    let* () =
+      each 0 zones (fun r ->
+          let row = matrix.(r) in
+          if Array.length row <> zones then
+            error "%s row %d has %d entries, need %d" what r (Array.length row)
+              zones
+          else
+            each 0 zones (fun c ->
+                let x = row.(c) in
+                if r = c && x <> diagonal then
+                  error "%s diagonal entry %d must be %g (got %g)" what r
+                    diagonal x
+                else if r <> c && not (valid x) then
+                  error "%s[%d][%d] = %g must be %s" what r c x describe
+                else Ok ()))
+    in
+    each 0 zones (fun r ->
+        each (r + 1) zones (fun c ->
+            if matrix.(r).(c) <> matrix.(c).(r) then
+              error "%s matrix is not symmetric at [%d][%d]" what r c
+            else Ok ()))
+
+(* The zone count of a zone map whose ids run contiguously from 0 with
+   no zone empty. Only ids below the machine count are marked: a larger
+   id leaves some smaller zone empty, so the scan finds that one and the
+   marks never need more than one slot per machine. *)
+let zone_count zone_of =
+  let m = Array.length zone_of in
+  if m < 1 then error "need at least one machine"
+  else
+    let* () =
+      each 0 m (fun i ->
+          let z = zone_of.(i) in
+          if z < 0 then error "machine %d has negative zone %d" i z else Ok ())
+    in
+    let top = Array.fold_left Stdlib.max (-1) zone_of in
+    let seen = Array.make m false in
+    Array.iter (fun z -> if z < m then seen.(z) <- true) zone_of;
+    let* () =
+      each 0 (if top < m then top + 1 else m) (fun z ->
+          if seen.(z) then Ok ()
+          else error "zone ids must be contiguous (zone %d is empty)" z)
+    in
+    Ok (top + 1)
+
+(* [make]'s checks, with its messages less the "Topology.make: " prefix. *)
+let build ~zone_of ~bandwidth ~latency =
+  let* zones = zone_count zone_of in
+  let* () =
+    check_matrix ~what:"bandwidth" ~zones ~diagonal:infinity
+      ~valid:valid_bandwidth ~describe:"> 0 (NaN rejected)" bandwidth
+  in
+  let* () =
+    check_matrix ~what:"latency" ~zones ~diagonal:0.0 ~valid:valid_latency
+      ~describe:"finite and >= 0" latency
+  in
+  Ok
+    {
+      zone_of = Array.copy zone_of;
+      zones;
+      bandwidth = Array.map Array.copy bandwidth;
+      latency = Array.map Array.copy latency;
+    }
 
 let make ~zone_of ~bandwidth ~latency =
-  let m = Array.length zone_of in
-  if m < 1 then bad "Topology.make: need at least one machine";
-  let zones = 1 + Array.fold_left Stdlib.max (-1) zone_of in
-  Array.iteri
-    (fun i z ->
-      if z < 0 then bad "Topology.make: machine %d has negative zone %d" i z)
-    zone_of;
-  let seen = Array.make zones false in
-  Array.iter (fun z -> seen.(z) <- true) zone_of;
-  Array.iteri
-    (fun z occupied ->
-      if not occupied then
-        bad "Topology.make: zone ids must be contiguous (zone %d is empty)" z)
-    seen;
-  check_matrix ~what:"bandwidth" ~zones ~diagonal:infinity
-    ~valid:valid_bandwidth ~describe:"> 0 (NaN rejected)" bandwidth;
-  check_matrix ~what:"latency" ~zones ~diagonal:0.0 ~valid:valid_latency
-    ~describe:"finite and >= 0" latency;
-  {
-    zone_of = Array.copy zone_of;
-    zones;
-    bandwidth = Array.map Array.copy bandwidth;
-    latency = Array.map Array.copy latency;
-  }
+  match build ~zone_of ~bandwidth ~latency with
+  | Ok t -> t
+  | Error msg -> invalid_arg ("Topology.make: " ^ msg)
 
 let uniform ~m =
   if m < 1 then invalid_arg "Topology.uniform: need at least one machine";
@@ -79,15 +107,20 @@ let uniform ~m =
     latency = [| [| 0.0 |] |];
   }
 
+(* [zoned]'s checks, with its messages less the "Topology.zoned: " prefix. *)
+let check_zoned ~m ~zones ~bandwidth ~latency =
+  if m < 1 then error "need at least one machine"
+  else if zones < 1 || zones > m then error "zones=%d outside [1, %d]" zones m
+  else if not (valid_bandwidth bandwidth) then
+    error "cross-zone bandwidth %g must be > 0 (NaN rejected)" bandwidth
+  else if not (valid_latency latency) then
+    error "cross-zone latency %g must be finite and >= 0" latency
+  else Ok ()
+
 let zoned ?(latency = 0.0) ~m ~zones ~bandwidth () =
-  if m < 1 then invalid_arg "Topology.zoned: need at least one machine";
-  if zones < 1 || zones > m then
-    bad "Topology.zoned: zones=%d outside [1, %d]" zones m;
-  if not (valid_bandwidth bandwidth) then
-    bad "Topology.zoned: cross-zone bandwidth %g must be > 0 (NaN rejected)"
-      bandwidth;
-  if not (valid_latency latency) then
-    bad "Topology.zoned: cross-zone latency %g must be finite and >= 0" latency;
+  Result.iter_error
+    (fun msg -> invalid_arg ("Topology.zoned: " ^ msg))
+    (check_zoned ~m ~zones ~bandwidth ~latency);
   (* Same contiguous balanced split as the speed classes: machine i sits
      in zone i*zones/m, every zone nonempty for zones <= m. *)
   let zone_of = Array.init m (fun i -> i * zones / m) in
@@ -126,19 +159,13 @@ let staging_time t ~src ~dst ~size =
   let zs = t.zone_of.(src) and zd = t.zone_of.(dst) in
   if zs = zd then 0.0 else t.latency.(zs).(zd) +. (size /. t.bandwidth.(zs).(zd))
 
-(* Bit-exact floats for the header round trip, same scheme as
-   [Speed_band.float_str]. [%g] renders infinity as "inf", which
-   [float_of_string] reads back. *)
-let float_str f =
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
 let matrix_str matrix =
   String.concat ":"
     (Array.to_list
        (Array.map
           (fun row ->
-            String.concat "," (Array.to_list (Array.map float_str row)))
+            String.concat ","
+              (Array.to_list (Array.map Spec_text.float_to_string row)))
           matrix))
 
 (* [ZONES|BWROWS|LATROWS]: zone ids comma-separated, matrix rows
@@ -151,97 +178,42 @@ let to_string t =
     (matrix_str t.bandwidth)
     (matrix_str t.latency)
 
-let parse_matrix ~what raw =
-  let rows = String.split_on_char ':' raw in
-  let parse_row row =
-    let entries = String.split_on_char ',' row in
-    let out = Array.make (List.length entries) 0.0 in
-    List.iteri
-      (fun c e ->
-        match float_of_string_opt (String.trim e) with
-        | Some x -> out.(c) <- x
-        | None -> failwith (Printf.sprintf "bad %s entry %S" what e))
-      entries;
-    out
-  in
-  Array.of_list (List.map parse_row rows)
+let grammar =
+  "uniform (one zone, free transfers), zones:Z:BW[:LAT] (Z contiguous equal \
+   zones, cross-zone bandwidth BW > 0, cross-zone latency LAT >= 0, default \
+   0), or a serialized ZONES|BWROWS|LATROWS topology"
 
-let of_string text =
-  match String.split_on_char '|' text with
-  | [ zones_raw; bw_raw; lat_raw ] -> (
-      let parse () =
-        let zone_entries = String.split_on_char ',' zones_raw in
-        let zone_of = Array.make (List.length zone_entries) 0 in
-        List.iteri
-          (fun i e ->
-            match int_of_string_opt (String.trim e) with
-            | Some z -> zone_of.(i) <- z
-            | None -> failwith (Printf.sprintf "bad zone id %S" e))
-          zone_entries;
-        let bandwidth = parse_matrix ~what:"bandwidth" bw_raw in
-        let latency = parse_matrix ~what:"latency" lat_raw in
-        make ~zone_of ~bandwidth ~latency
-      in
-      match parse () with
-      | t -> Ok t
-      | exception Failure msg -> Error msg
-      | exception Invalid_argument msg -> Error msg)
-  | _ ->
-      Error
-        (Printf.sprintf
-           "bad topology %S (expected ZONES|BWROWS|LATROWS with 2 '|' \
-            separators)"
-           text)
-
-let spec_grammar =
-  "expected uniform (one zone, free transfers), zones:Z:BW[:LAT] (Z \
-   contiguous equal zones, cross-zone bandwidth BW > 0, cross-zone latency \
-   LAT >= 0, default 0), or a serialized ZONES|BWROWS|LATROWS topology"
+let matrix what raw =
+  Result.map
+    (fun rows -> Array.of_list (List.map Array.of_list rows))
+    (Spec_text.(read (List (':', List (',', Number)))) what raw)
 
 let of_spec ~m:mm text =
-  let with_grammar = function
-    | Ok _ as ok -> ok
-    | Error msg -> Error (Printf.sprintf "%s; %s" msg spec_grammar)
-  in
-  match String.split_on_char ':' text with
-  | [ "uniform" ] -> Ok (uniform ~m:mm)
-  | "zones" :: rest ->
-      with_grammar
-        (let parse_float what raw =
-           match float_of_string_opt raw with
-           | Some x -> Ok x
-           | None -> Error (Printf.sprintf "bad %s %S" what raw)
-         in
-         let build ~zones ~bandwidth ~latency =
-           match zoned ~latency ~m:mm ~zones ~bandwidth () with
-           | t -> Ok t
-           | exception Invalid_argument msg -> Error msg
-         in
-         match rest with
-         | [ z_raw; bw_raw ] | [ z_raw; bw_raw; _ ] -> (
-             match int_of_string_opt z_raw with
-             | None -> Error (Printf.sprintf "bad zone count %S" z_raw)
-             | Some zones -> (
-                 match parse_float "cross-zone bandwidth" bw_raw with
-                 | Error _ as e -> e
-                 | Ok bandwidth -> (
-                     match rest with
-                     | [ _; _ ] -> build ~zones ~bandwidth ~latency:0.0
-                     | [ _; _; lat_raw ] -> (
-                         match parse_float "cross-zone latency" lat_raw with
-                         | Error _ as e -> e
-                         | Ok latency -> build ~zones ~bandwidth ~latency)
-                     | _ -> assert false)))
-         | _ -> Error (Printf.sprintf "bad zones spec %S" text))
-  | _ ->
-      with_grammar
-        (match of_string text with
-        | Ok t when m t = mm -> Ok t
-        | Ok t ->
-            Error
-              (Printf.sprintf "topology covers %d machines, instance has %d"
-                 (m t) mm)
-        | Error _ as e -> e)
+  let number = Spec_text.(read Number) in
+  Spec_text.with_grammar grammar
+    (match String.split_on_char ':' text with
+    | [ "uniform" ] -> Ok (uniform ~m:mm)
+    | "zones" :: z :: bw :: ([] | [ _ ] as lat) ->
+        let* zones = Spec_text.(read Int) "zone count" z in
+        let* bandwidth = number "cross-zone bandwidth" bw in
+        let* latency =
+          match lat with [ l ] -> number "cross-zone latency" l | _ -> Ok 0.0
+        in
+        let* () = check_zoned ~m:mm ~zones ~bandwidth ~latency in
+        Ok (zoned ~latency ~m:mm ~zones ~bandwidth ())
+    | "zones" :: _ -> error "bad zones spec %S" text
+    | _ -> (
+        match String.split_on_char '|' text with
+        | [ zones; bw; lat ] ->
+            let* zone_of = Spec_text.(read (List (',', Nat))) "zone id" zones in
+            if List.length zone_of <> mm then
+              error "topology covers %d machines, instance has %d"
+                (List.length zone_of) mm
+            else
+              let* bandwidth = matrix "bandwidth entry" bw in
+              let* latency = matrix "latency entry" lat in
+              build ~zone_of:(Array.of_list zone_of) ~bandwidth ~latency
+        | _ -> error "bad topology %S" text))
 
 let pp ppf t =
   if is_uniform t then Format.fprintf ppf "topology(uniform, m=%d)" (m t)

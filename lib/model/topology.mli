@@ -87,13 +87,11 @@ val to_string : t -> string
     ([infinity] renders as [inf]). Contains no spaces, so it embeds in
     the space-split [topology=] instance-header field. *)
 
-val of_string : string -> (t, string) result
-(** Inverse of {!to_string}; validates like {!make}. *)
-
 val of_spec : m:int -> string -> (t, string) result
-(** The CLI grammar behind [--topology]: [uniform], [zones:Z:BW[:LAT]]
-    (Z balanced contiguous zones, one cross-zone bandwidth/latency), or
-    the serialized {!to_string} form. The machine count must match
-    [m]. Errors end with a description of the grammar. *)
+(** The grammar of [--topology] and of the [topology=] header field:
+    [uniform], [zones:Z:BW[:LAT]] (Z balanced contiguous zones, one
+    cross-zone bandwidth and latency), or the {!to_string} form,
+    validated like {!make}. The machine count must be [m]. Numbers
+    follow {!Spec_text}; errors end with the grammar. *)
 
 val pp : Format.formatter -> t -> unit

@@ -100,35 +100,43 @@ let generate spec ?(size_spec = Unit_sizes) ~n ~m ~alpha rng =
   done;
   Instance.of_columns ~m ~alpha ~ests ~sizes ()
 
+let grammar =
+  "identical:V | uniform:LO:HI | exponential:MEAN | pareto:SHAPE:SCALE:CAP | \
+   bimodal:P:SHORT:LONG, every value finite and > 0 except P in [0, 1], LO <= \
+   HI, SCALE <= CAP"
+
 let of_spec text =
-  let family, fields =
-    match String.split_on_char ':' text with f :: r -> (f, r) | [] -> ("", [])
+  let ( let* ) = Result.bind in
+  let pos = Spec_text.(read Positive) in
+  let ordered lo_name lo hi_name hi =
+    if lo <= hi then Ok ()
+    else Error (Printf.sprintf "%s %g > %s %g" lo_name lo hi_name hi)
   in
-  let values = List.filter_map float_of_string_opt fields in
-  let pos x = Float.is_finite x && x > 0.0 in
-  let spec =
-    if List.compare_lengths values fields <> 0 then None
-    else
-      match (family, values) with
-      | "identical", [ v ] when pos v -> Some (Identical v)
-      | "uniform", [ lo; hi ] when pos lo && pos hi && lo <= hi ->
-          Some (Uniform { lo; hi })
-      | "exponential", [ mean ] when pos mean -> Some (Exponential { mean })
-      | "pareto", [ shape; scale; cap ]
-        when pos shape && pos scale && pos cap && scale <= cap ->
-          Some (Pareto { shape; scale; cap })
-      | "bimodal", [ p_long; short_mean; long_mean ]
-        when p_long >= 0.0 && p_long <= 1.0 && pos short_mean && pos long_mean ->
-          Some (Bimodal { p_long; short_mean; long_mean })
-      | _ -> None
-  in
-  Option.to_result spec
-    ~none:
-      (Printf.sprintf
-         "bad workload %S; expected identical:V | uniform:LO:HI | \
-          exponential:MEAN | pareto:SHAPE:SCALE:CAP | bimodal:P:SHORT:LONG, \
-          every value finite and > 0 except P in [0, 1], LO <= HI, SCALE <= CAP"
-         text)
+  Spec_text.with_grammar grammar
+    (match String.split_on_char ':' text with
+    | [ "identical"; v ] ->
+        let* v = pos "identical V" v in
+        Ok (Identical v)
+    | [ "uniform"; lo; hi ] ->
+        let* lo = pos "uniform LO" lo in
+        let* hi = pos "uniform HI" hi in
+        let* () = ordered "uniform LO" lo "HI" hi in
+        Ok (Uniform { lo; hi })
+    | [ "exponential"; mean ] ->
+        let* mean = pos "exponential MEAN" mean in
+        Ok (Exponential { mean })
+    | [ "pareto"; shape; scale; cap ] ->
+        let* shape = pos "pareto SHAPE" shape in
+        let* scale = pos "pareto SCALE" scale in
+        let* cap = pos "pareto CAP" cap in
+        let* () = ordered "pareto SCALE" scale "CAP" cap in
+        Ok (Pareto { shape; scale; cap })
+    | [ "bimodal"; p_long; short_mean; long_mean ] ->
+        let* p_long = Spec_text.(read Prob) "bimodal P" p_long in
+        let* short_mean = pos "bimodal SHORT" short_mean in
+        let* long_mean = pos "bimodal LONG" long_mean in
+        Ok (Bimodal { p_long; short_mean; long_mean })
+    | _ -> Error (Printf.sprintf "bad workload %S" text))
 
 let spec_name = function
   | Identical _ -> "identical"

@@ -58,8 +58,9 @@ val of_spec : string -> (spec, string) result
 (** The CLI grammar behind [usched gen --workload]: [identical:V],
     [uniform:LO:HI], [exponential:MEAN], [pareto:SHAPE:SCALE:CAP] or
     [bimodal:P:SHORT:LONG]. Every value must be finite and [> 0],
-    except [P] in [[0, 1]], with [LO <= HI] and [SCALE <= CAP]; the
-    [Error] names the grammar. *)
+    except [P] in [[0, 1]], with [LO <= HI] and [SCALE <= CAP]. Numbers
+    follow {!Spec_text}; errors name the field and end with the
+    grammar. *)
 
 val spec_name : spec -> string
 

@@ -7,7 +7,9 @@
    validated by the library's [Task.make], so the oracle refuses what
    it refuses: since non-finite estimates and sizes became errors, it
    expects "Task.make: estimate must be finite" and "Task.make: size
-   must be finite" on those rows. *)
+   must be finite" on those rows. The optional header fields go
+   through the library's grammar parsers ([of_spec ~m]) too, since each
+   grammar has one parser. *)
 
 open Usched_model
 
@@ -60,7 +62,7 @@ let parse_header line =
     match lookup_opt "failp" with
     | None -> None
     | Some raw -> (
-        match Failure.of_string raw with
+        match Failure.of_spec ~m raw with
         | Ok f -> Some f
         | Error msg -> parse_error 1 (Printf.sprintf "bad failp=: %s" msg))
   in
@@ -68,7 +70,7 @@ let parse_header line =
     match lookup_opt "speedband" with
     | None -> None
     | Some raw -> (
-        match Speed_band.of_string raw with
+        match Speed_band.of_spec ~m raw with
         | Ok b -> Some b
         | Error msg -> parse_error 1 (Printf.sprintf "bad speedband=: %s" msg))
   in
@@ -76,7 +78,7 @@ let parse_header line =
     match lookup_opt "topology" with
     | None -> None
     | Some raw -> (
-        match Topology.of_string raw with
+        match Topology.of_spec ~m raw with
         | Ok tp -> Some tp
         | Error msg -> parse_error 1 (Printf.sprintf "bad topology=: %s" msg))
   in

@@ -224,11 +224,11 @@ let failure_loss_probabilities () =
 
 let failure_string_round_trip () =
   let f = Failure.make [| 0.1; 1.0 /. 3.0; Float.epsilon |] in
-  (match Failure.of_string (Failure.to_string f) with
+  (match Failure.of_spec ~m:3 (Failure.to_string f) with
   | Ok back -> checkb "bit-exact round trip" true (Helpers.failure_equal back f)
   | Error msg -> Alcotest.failf "round trip failed: %s" msg);
   let rejected s =
-    match Failure.of_string s with Error _ -> true | Ok _ -> false
+    match Failure.of_spec ~m:2 s with Error _ -> true | Ok _ -> false
   in
   checkb "junk rejected" true (rejected "0.1,zebra");
   checkb "out-of-range rejected" true (rejected "0.1,1.5");

@@ -143,7 +143,7 @@ let band_arb =
 let prop_round_trip =
   QCheck.Test.make ~count:300 ~name:"speed bands round trip bit-exactly"
     band_arb (fun band ->
-      match Speed_band.of_string (Speed_band.to_string band) with
+      match Speed_band.of_spec ~m:(Speed_band.m band) (Speed_band.to_string band) with
       | Ok back -> Helpers.band_equal back band
       | Error _ -> false)
 

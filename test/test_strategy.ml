@@ -172,7 +172,9 @@ let reliability_errors_show_grammar () =
         (contains msg "(0, 1)"));
   match Strategy.of_string "reliability:nan" with
   | Ok _ -> Alcotest.fail "reliability:nan accepted"
-  | Error msg -> checkb "NaN rejected" true (contains msg "NaN")
+  | Error msg ->
+      checkb "NaN rejected as not a number" true
+        (contains msg "\"nan\" is not a number")
 
 let unknown_name_lists_grammar () =
   match Strategy.of_string "bogus" with

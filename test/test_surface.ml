@@ -79,8 +79,8 @@ let allowlist =
        class and the shared-set bound against them" );
     ( "lib/desim/arrival",
       "trace",
-      "constructor the trace:FILE reader builds on; tests feed it arrays to pin \
-       its validation and mean rate" );
+      "constructor whose checks the trace:FILE reader shares; tests feed it \
+       arrays to pin its validation and mean rate" );
     ( "lib/desim/schedule",
       "n",
       "task count of a schedule; tests walk every entry with it" );
@@ -112,12 +112,12 @@ let allowlist =
       "the tree printer the trace sink's streamed bytes are checked against" );
     ( "lib/model/speed_band",
       "make",
-      "the general band constructor of_string and the presets build on; tests \
-       build arbitrary bands with it" );
+      "the general band constructor the presets build on; tests build \
+       arbitrary bands with it" );
     ( "lib/model/topology",
       "make",
-      "the general constructor of_string and zoned build on; tests pin its \
-       validation and build arbitrary zone maps with it" );
+      "the general constructor, whose checks the serialized topology grammar \
+       shares; tests pin its validation and build arbitrary zone maps with it" );
     ( "lib/model/topology",
       "zoned",
       "constructor the topology grammar builds on; tests build zoned topologies with it" );

@@ -121,6 +121,9 @@ let validation () =
   raises_invalid "ragged matrix" (fun () ->
       Topology.make ~zone_of:[| 0; 1 |]
         ~bandwidth:[| [| infinity |]; [| 1.0; infinity |] |] ~latency:lat2);
+  raises_invalid "zone id far past the machine count" (fun () ->
+      Topology.make ~zone_of:[| 0; max_int |] ~bandwidth:[| [| infinity |] |]
+        ~latency:[| [| 0.0 |] |]);
   raises_invalid "zoned zones > m" (fun () ->
       Topology.zoned ~m:2 ~zones:3 ~bandwidth:1.0 ());
   raises_invalid "instance machine-count mismatch" (fun () ->
@@ -157,14 +160,14 @@ let random_topology (m, z, seed) =
   Topology.make ~zone_of ~bandwidth ~latency
 
 let prop_round_trip =
-  QCheck.Test.make ~name:"to_string/of_string round-trips bit-exactly"
+  QCheck.Test.make ~name:"to_string/of_spec round-trips bit-exactly"
     ~count:300
     (QCheck.make
        ~print:(fun (m, z, seed) -> Printf.sprintf "m=%d z=%d seed=%d" m z seed)
        topo_gen)
     (fun params ->
       let t = random_topology params in
-      match Topology.of_string (Topology.to_string t) with
+      match Topology.of_spec ~m:(Topology.m t) (Topology.to_string t) with
       | Ok t' -> Helpers.topology_equal t t'
       | Error msg -> QCheck.Test.fail_reportf "round-trip failed: %s" msg)
 
@@ -202,7 +205,11 @@ let spec_grammar () =
             (Printf.sprintf "error for %S carries the grammar" bad)
             true
             (contains msg "uniform" && contains msg "zones:Z:BW"))
-    [ "zones:0:1"; "zones:9:1"; "zones:2:-1"; "bogus"; ""; "zones:2" ];
+    [
+      "zones:0:1"; "zones:9:1"; "zones:2:-1"; "bogus"; ""; "zones:2";
+      "0,1,1,999999999999|inf,1:1,inf|0,0:0,0";
+      Printf.sprintf "0,1,1,%d|inf,1:1,inf|0,0:0,0" max_int;
+    ];
   (* Machine-count mismatch on the serialized form is rejected. *)
   match Topology.of_spec ~m:5 serialized with
   | Ok _ -> Alcotest.fail "wrong-m serialized form accepted"
