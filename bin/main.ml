@@ -90,6 +90,20 @@ let all_cmd =
 
 (* ---------------- workbench commands over instance files ------------- *)
 
+(* Numbers on the command line follow the spec grammars' lexical rule:
+   a plain decimal or inf, no blanks, underscores or hexadecimal. *)
+let spec_conv ~docv kind print =
+  Arg.conv' ~docv
+    ( (fun raw -> Model.Spec_text.read kind "value" raw),
+      fun ppf v -> Format.pp_print_string ppf (print v) )
+
+let number = spec_conv ~docv:"NUMBER" Model.Spec_text.Number Model.Spec_text.float_to_string
+
+let numbers =
+  spec_conv ~docv:"NUMBERS"
+    Model.Spec_text.(List (',', Number))
+    (fun l -> String.concat "," (List.map Model.Spec_text.float_to_string l))
+
 let gen_cmd =
   let spec =
     Arg.(value & opt string "uniform:1:10"
@@ -98,7 +112,7 @@ let gen_cmd =
   let n = Arg.(value & opt int 20 & info [ "n"; "tasks" ] ~doc:"Number of tasks.") in
   let m = Arg.(value & opt int 4 & info [ "m"; "machines" ] ~doc:"Number of machines.") in
   let alpha =
-    Arg.(value & opt float 1.5 & info [ "alpha" ] ~doc:"Uncertainty factor (>= 1).")
+    Arg.(value & opt number 1.5 & info [ "alpha" ] ~doc:"Uncertainty factor (>= 1).")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   let failp =
@@ -218,14 +232,14 @@ let solve_cmd =
   let seed = Arg.(value & opt int d.seed & info [ "seed" ] ~doc:"Realization seed.") in
   let gantt = Arg.(value & flag & info [ "gantt" ] ~doc:"Print the Gantt chart.") in
   let fail_rate =
-    Arg.(value & opt float d.fail_rate
+    Arg.(value & opt number d.fail_rate
          & info [ "fail-rate" ] ~docv:"P"
              ~doc:"Also replay the schedule with each machine crashing \
                    mid-run with probability $(docv) (crash times uniform \
                    over the healthy makespan).")
   in
   let speculate =
-    Arg.(value & opt (some float) d.speculate
+    Arg.(value & opt (some number) d.speculate
          & info [ "speculate" ] ~docv:"BETA"
              ~doc:"Enable speculative re-execution in the faulty replay: an \
                    idle replica holder may start a backup copy once a task \
@@ -242,27 +256,27 @@ let solve_cmd =
                    as reliability:TARGET).")
   in
   let detect_latency =
-    Arg.(value & opt float d.detect_latency
+    Arg.(value & opt number d.detect_latency
          & info [ "detect-latency" ] ~docv:"LATENCY"
              ~doc:"Failure-detection latency: the scheduler only learns of a \
                    failure $(docv) time units after it happens (0 = \
                    instantaneous detection).")
   in
   let bandwidth =
-    Arg.(value & opt float d.bandwidth
+    Arg.(value & opt number d.bandwidth
          & info [ "bandwidth" ] ~docv:"BW"
              ~doc:"Re-replication bandwidth in data-size units per time unit \
                    (default: infinite, i.e. instantaneous copies).")
   in
   let checkpoint =
-    Arg.(value & opt float d.checkpoint
+    Arg.(value & opt number d.checkpoint
          & info [ "checkpoint" ] ~docv:"C"
              ~doc:"Checkpoint interval in work units: a copy killed by an \
                    outage resumes from its last checkpoint when the machine \
                    rejoins (0 = restart from scratch).")
   in
   let target_reliability =
-    Arg.(value & opt (some float) d.target_reliability
+    Arg.(value & opt (some number) d.target_reliability
          & info [ "target-reliability" ] ~docv:"T"
              ~doc:"Check the placement against a survival target: estimate \
                    P(no stranded task) by Monte-Carlo over the instance's \
@@ -271,7 +285,7 @@ let solve_cmd =
                    $(docv) is met. Pairs with --algo reliability:$(docv).")
   in
   let speeds =
-    Arg.(value & opt (some (list float)) (Option.map Array.to_list d.speeds)
+    Arg.(value & opt (some numbers) (Option.map Array.to_list d.speeds)
          & info [ "speeds" ] ~docv:"SPEEDS"
              ~doc:"Machine speeds for every engine replay (healthy, faulty, \
                    stream): a comma-separated list of M finite speeds > 0. A \
@@ -378,7 +392,7 @@ let strategies_cmd =
 let minimax_cmd =
   let m = Arg.(value & opt int 3 & info [ "m"; "machines" ] ~doc:"Machines.") in
   let n = Arg.(value & opt int 9 & info [ "n"; "tasks" ] ~doc:"Identical tasks.") in
-  let alpha = Arg.(value & opt float 2.0 & info [ "alpha" ] ~doc:"Uncertainty factor.") in
+  let alpha = Arg.(value & opt number 2.0 & info [ "alpha" ] ~doc:"Uncertainty factor.") in
   let run m n alpha =
     let r = Core.Minimax.identical_minimax ~m ~n ~alpha in
     Printf.printf

@@ -117,12 +117,12 @@ let generate t rng ~count =
   out
 
 let describe = function
-  | Poisson { rate } -> Printf.sprintf "poisson:%g" rate
+  | Poisson { rate } -> "poisson:" ^ Spec_text.float_to_string rate
   | Mmpp { rates; switch } ->
-      Printf.sprintf "mmpp:%s:%g"
+      Printf.sprintf "mmpp:%s:%s"
         (String.concat ","
-           (Array.to_list (Array.map (Printf.sprintf "%g") rates)))
-        switch
+           (Array.to_list (Array.map Spec_text.float_to_string rates)))
+        (Spec_text.float_to_string switch)
   | Trace times -> Printf.sprintf "trace:<%d arrivals>" (Array.length times)
 
 let grammar = "rate:L | poisson:L | mmpp:R1,R2,...:S | trace:FILE"

@@ -48,7 +48,9 @@ val generate : t -> Usched_prng.Rng.t -> count:int -> float array
 
 val describe : t -> string
 (** Human/trace-meta rendering: ["poisson:2.5"], ["mmpp:4,0:10"],
-    ["trace:<5 arrivals>"]. *)
+    ["trace:<5 arrivals>"]. Rates print through
+    [Usched_model.Spec_text.float_to_string], so {!of_string} reads a
+    Poisson or MMPP rendering back as the same process. *)
 
 val of_string : string -> (t, string) result
 (** CLI grammar, surfaced by [solve --arrival]:

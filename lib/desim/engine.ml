@@ -6,20 +6,17 @@
      idle machine starts, and the re-dispatch order of machines freed
      at the same instant.
 
-   Per-machine state (clocks, speeds, up/down state, the in-flight copy,
-   the recovery bookkeeping) is flat int/float lanes local to the faulty
-   loop. What remains here is the physics: what a crash, outage, slowdown,
-   completion, transfer, checkpoint, or speculation event does to the
-   shared task state, and the observability taps around it.
+   One event loop ([replay]) serves every entry point; a healthy run is
+   the empty fault trace. What remains here is the physics: what a
+   crash, outage, slowdown, completion, transfer, checkpoint, or
+   speculation event does to the shared task and machine state, held in
+   flat int/float lanes, and the observability taps around it.
 
-   The hot loops are written to allocate nothing on the minor heap when
-   metrics and tracing are off: event payload data rides the heap's
-   integer [aux] lanes instead of boxed constructor arguments, the
-   simulation clock lives in a shared one-cell float array read by the
-   policy instead of crossing call boundaries as a (boxed) float, trace
-   records are written only under a [match sink] guard, and per-task /
-   per-machine state is flat arrays whose full-length allocations land
-   in the major heap. *)
+   The loop allocates nothing on the minor heap per event when metrics
+   and tracing are off: event payload data rides the heap's integer
+   [aux] lanes, the clock lives in a one-cell float array instead of
+   crossing calls as a boxed float, trace records are written only under
+   a [match sink] guard, and full-length lanes land in the major heap. *)
 
 module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
@@ -253,200 +250,9 @@ let check_inputs ?speeds ~name instance ~placement ~order =
       seen.(j) <- true)
     order
 
-let inverse_order ~n order =
-  let pos_of = Array.make n 0 in
-  Array.iteri (fun pos j -> pos_of.(j) <- pos) order;
-  pos_of
-
-(* Write every held Completed record due at or before [upto], in
-   (finish, emission) order. *)
-let release_held s held ~upto =
-  while
-    (not (Event_heap.is_empty held)) && held.Event_heap.times.(0) <= upto
-  do
-    rec_mt s k_completed held.Event_heap.times.(0) held.Event_heap.aux.(0)
-      held.Event_heap.aux2.(0);
-    Event_heap.remove_min held
-  done
-
-let run_internal ?speeds ~dispatch ~metrics ~sink instance realization
-    ~placement ~order =
-  check_inputs ?speeds ~name:"Engine.run" instance ~placement ~order;
-  let n = Instance.n instance and m = Instance.m instance in
-  let base =
-    match speeds with None -> Array.make m 1.0 | Some s -> Array.copy s
-  in
-  (* Bulk copies of the flat columns land in the major heap; a
-     per-element fill through [Instance.est] would box every float it
-     returns. *)
-  let actuals = Realization.actuals realization in
-  let ests = Instance.ests instance in
-  let sizes = Instance.sizes instance in
-  (* Staging: with a topology, a machine's (only) copy of task j first
-     pulls j's data from its home machine [j mod m]; the pull extends
-     the copy's duration by the cross-zone staging time (zero within the
-     home zone). It is charged as work at the machine's speed, exactly
-     as the faulty loop charges it, so an empty fault trace reproduces
-     this run bit for bit. Without a topology, or within the home zone,
-     the float arithmetic below is the pre-topology engine's. *)
-  let topo = Instance.topology instance in
-  (* Observability. Every update is guarded (a disabled registry hands
-     out no-op instruments), and nothing below reads a metric back, so
-     the schedule is bit-for-bit identical with metrics on or off. *)
-  let live = Metrics.is_enabled metrics in
-  let mc_events = Metrics.counter metrics "engine.events" in
-  let mc_dispatches = Metrics.counter metrics "engine.dispatches" in
-  let mg_queue = Metrics.gauge metrics "engine.queue_depth_max" in
-  let mg_makespan = Metrics.gauge metrics "engine.makespan" in
-  let mh_idle = Metrics.histogram metrics "engine.machine_idle" in
-  let busy = if live then Array.make m 0.0 else [||] in
-  (* [dispatchable.(j)]: task j is in the pool. In the healthy engine a
-     task leaves the pool exactly once, so eligibility never grows and
-     the default policy's cursors are monotone. *)
-  let dispatchable = Array.make n true in
-  let e_machine = Array.make n 0 in
-  let e_start = Array.make n 0.0 in
-  let e_finish = Array.make n 0.0 in
-  let remaining = ref n in
-  let loads = Array.make m 0.0 in
-  let now = Array.make 1 0.0 in
-  let policy =
-    Dispatch.make dispatch
-      {
-        Dispatch.n;
-        m;
-        order;
-        pos_of = inverse_order ~n order;
-        dispatchable;
-        holders = placement;
-        est = ests;
-        speed = base;
-        load = loads;
-        now;
-        available = (fun _ -> true);
-        holders_stable = true;
-        topology = topo;
-        size = sizes;
-      }
-  in
-  let queue = Event_heap.create ~dummy:() () in
-  for i = 0 to m - 1 do
-    Event_heap.push queue ~time:0.0 ~machine:i ~cls:Event_heap.cls_decision ()
-  done;
-  (* Tracing: a copy's Started and Completed records are both known at
-     dispatch, but Completed belongs at [finish]. It waits in [held],
-     keyed by (finish, emission order); before each Started record every
-     held one due at or before that time goes out, so the trace comes
-     out in (time, emission) order. A machine re-dispatches only at its
-     own finish, so at most one record per machine waits. *)
-  let held =
-    Event_heap.create
-      ~capacity:(match sink with None -> 1 | Some _ -> m)
-      ~dummy:() ()
-  in
-  if live then
-    Metrics.record_max mg_queue (float_of_int (Event_heap.length queue));
-  while not (Event_heap.is_empty queue) do
-    let time = queue.Event_heap.times.(0) in
-    let i = queue.Event_heap.machines.(0) in
-    Event_heap.remove_min queue;
-    Metrics.incr mc_events;
-    now.(0) <- time;
-    let j = Dispatch.select_machine policy ~machine:i in
-    (* [j < 0]: machine i retires — nothing it holds remains. *)
-    if j >= 0 then begin
-      let staging =
-        match topo with
-        | None -> 0.0
-        | Some tp -> Topology.staging_time tp ~src:(j mod m) ~dst:i ~size:sizes.(j)
-      in
-      let finish =
-        if staging > 0.0 then
-          time +. ((actuals.(j) +. (staging *. base.(i))) /. base.(i))
-        else time +. (actuals.(j) /. base.(i))
-      in
-      e_machine.(j) <- i;
-      e_start.(j) <- time;
-      e_finish.(j) <- finish;
-      dispatchable.(j) <- false;
-      loads.(i) <- loads.(i) +. ests.(j);
-      remaining := !remaining - 1;
-      (match sink with
-      | None -> ()
-      | Some s ->
-          release_held s held ~upto:time;
-          rec_mt s k_started time i j;
-          let h = Event_heap.alloc held in
-          held.Event_heap.times.(h) <- finish;
-          held.Event_heap.machines.(h) <- 0;
-          held.Event_heap.classes.(h) <- 0;
-          held.Event_heap.aux.(h) <- i;
-          held.Event_heap.aux2.(h) <- j;
-          Event_heap.sift_up held h);
-      Metrics.incr mc_dispatches;
-      if live then busy.(i) <- busy.(i) +. (finish -. time);
-      let s = Event_heap.alloc queue in
-      queue.Event_heap.times.(s) <- finish;
-      queue.Event_heap.machines.(s) <- i;
-      queue.Event_heap.classes.(s) <- Event_heap.cls_decision;
-      Event_heap.sift_up queue s;
-      if live then
-        Metrics.record_max mg_queue (float_of_int (Event_heap.length queue))
-    end
-  done;
-  (match sink with Some s -> release_held s held ~upto:infinity | None -> ());
-  if !remaining > 0 then begin
-    let left = ref [] in
-    for j = n - 1 downto 0 do
-      if dispatchable.(j) then left := j :: !left
-    done;
-    raise (Unschedulable !left)
-  end;
-  if live then begin
-    let mk = ref 0.0 in
-    Array.iter (fun f -> if f > !mk then mk := f) e_finish;
-    Metrics.set mg_makespan !mk;
-    for i = 0 to m - 1 do
-      Metrics.observe mh_idle (!mk -. busy.(i))
-    done
-  end;
-  Schedule.of_soa ~m ~machines:e_machine ~starts:e_start ~finishes:e_finish
-
-let run ?speeds ?(dispatch = Dispatch.default) ?(metrics = Metrics.disabled)
-    ?sink instance realization ~placement ~order =
-  run_internal ?speeds ~dispatch ~metrics ~sink instance realization
-    ~placement ~order
-
-let run_traced ?speeds ?dispatch ?metrics instance realization ~placement
-    ~order =
-  logged (fun sink ->
-      run ?speeds ?dispatch ?metrics ~sink instance realization ~placement ~order)
-
 (* ------------------------------------------------------------------ *)
-(* Fault injection.                                                    *)
+(* The event loop.                                                     *)
 (* ------------------------------------------------------------------ *)
-
-type fate =
-  | Finished of Schedule.entry
-  | Stranded
-
-type outcome = {
-  fates : fate array;
-  completed : int;
-  stranded : int list;
-  makespan : float;
-  wasted : float;
-  metrics : Metrics.snapshot;
-}
-
-let outcome_schedule ~m outcome =
-  if outcome.stranded <> [] then None
-  else
-    Some
-      (Schedule.make ~m
-         (Array.map
-            (function Finished e -> e | Stranded -> assert false)
-            outcome.fates))
 
 (* Task status as unboxed small ints — comparing these never calls the
    polymorphic equality the old variant type did. *)
@@ -458,13 +264,9 @@ let st_lost = 3
 (* Simulation event payloads; [Event_heap] classes rank simultaneous
    events on one machine: faults (and failure detections) strike before
    completions (and data-transfer arrivals), completions before dispatch
-   decisions, speculation checks last.
-
-   The per-event integer data rides the heap's [aux]/[aux2] lanes, so
-   the hot constructors are constant (no allocation per push):
-   [Sim_arrive] carries its task in [aux], [Sim_complete] its generation
-   in [aux], [Sim_speculate] its task in [aux] and generation in
-   [aux2]. Only the rare setup/recovery events keep boxed payloads. *)
+   decisions, speculation checks last. The per-event integer data rides
+   the heap's [aux]/[aux2] lanes, so the frequent constructors are
+   constant; only the rare fault and transfer events box a payload. *)
 type sim =
   | Sim_fault of Fault.kind
   | Sim_up
@@ -475,9 +277,26 @@ type sim =
   | Sim_dispatch
   | Sim_speculate  (** task in [aux], task generation in [aux2] *)
 
-let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
-    ~sink ~arrivals instance realization ~faults ~placement ~order =
-  check_inputs ?speeds ~name:"Engine.run_faulty" instance ~placement ~order;
+(* What a replay leaves behind: per task, the machine whose copy
+   finished it ([-1]: none did) and that copy's start and finish; how
+   many tasks finished, the latest finish (0.0 when none did) and the
+   machine-time spent on copies that produced nothing. *)
+type lanes = {
+  e_machine : int array;
+  e_start : float array;
+  e_finish : float array;
+  finished : int;
+  last_finish : float;
+  waste : float;
+}
+
+(* The one event loop behind every entry point; a healthy run is the
+   empty fault trace. The loop pays only for what its inputs let a run
+   do: a per-task lane or an instrument exists only when a handler can
+   read or move it. *)
+let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
+    ~arrivals instance realization ~faults ~placement ~order =
+  check_inputs ?speeds ~name instance ~placement ~order;
   let n = Instance.n instance and m = Instance.m instance in
   if Trace.m faults <> m then
     invalid_arg "Engine.run_faulty: trace machine count differs from instance";
@@ -519,28 +338,37 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
         fun j -> degree.(j)
   in
   let ckpt_interval = recovery.Recovery.checkpoint_interval in
-  (* Observability: write-only instruments, see [run_internal]. *)
+  (* Only a fault kills a copy, so only a non-empty trace can return a
+     task to the pool, strand it, or run it twice on one machine. With
+     no fault, speculation, healing or arrival no handler reads a task's
+     status: it is pending while [dispatchable], done once [e_machine]
+     names a machine. *)
+  let faulty = match Trace.events faults with [] -> false | _ -> true in
+  let streaming = match arrivals with Some _ -> true | None -> false in
+  let tracked = faulty || spec_on || heals || streaming in
+  let lane on x = Array.make (if on then n else 0) x in
+  (* Observability is write-only: nothing below reads a metric back, so
+     the run is bit-for-bit identical with metrics on or off. *)
   let live = Metrics.is_enabled metrics in
   let mc_events = Metrics.counter metrics "engine.events" in
   let mc_dispatches = Metrics.counter metrics "engine.dispatches" in
-  let mc_redispatches = Metrics.counter metrics "engine.redispatches" in
-  let mc_spec_starts = Metrics.counter metrics "engine.spec_starts" in
-  let mc_spec_cancelled = Metrics.counter metrics "engine.spec_cancelled" in
-  let mc_kills = Metrics.counter metrics "engine.kills" in
-  let mc_crashes = Metrics.counter metrics "engine.crashes" in
-  let mc_outages = Metrics.counter metrics "engine.outages" in
-  let mc_slowdowns = Metrics.counter metrics "engine.slowdowns" in
-  let mc_completed = Metrics.counter metrics "engine.completed" in
-  let mc_stranded = Metrics.counter metrics "engine.stranded" in
   let mg_queue = Metrics.gauge metrics "engine.queue_depth_max" in
   let mg_makespan = Metrics.gauge metrics "engine.makespan" in
-  let mg_wasted = Metrics.gauge metrics "engine.wasted_work" in
   let mh_idle = Metrics.histogram metrics "engine.machine_idle" in
-  (* Streaming instruments exist only in streaming runs: handles register
-     on creation, so a batch snapshot must never see them. *)
-  let streaming = match arrivals with Some _ -> true | None -> false in
+  (* Handles register on creation, so the fault, speculation and
+     streaming instruments come from [only] the runs that move them. *)
+  let only on = if on then metrics else Metrics.disabled in
+  let fault_metrics = only faulty in
+  let mc_redispatches = Metrics.counter fault_metrics "engine.redispatches" in
+  let mc_kills = Metrics.counter fault_metrics "engine.kills" in
+  let mc_crashes = Metrics.counter fault_metrics "engine.crashes" in
+  let mc_outages = Metrics.counter fault_metrics "engine.outages" in
+  let mc_slowdowns = Metrics.counter fault_metrics "engine.slowdowns" in
+  let spec_metrics = only spec_on in
+  let mc_spec_starts = Metrics.counter spec_metrics "engine.spec_starts" in
+  let mc_spec_cancelled = Metrics.counter spec_metrics "engine.spec_cancelled" in
   let arr = match arrivals with Some a -> a | None -> [||] in
-  let stream_metrics = if streaming then metrics else Metrics.disabled in
+  let stream_metrics = only streaming in
   let mc_arrivals = Metrics.counter stream_metrics "engine.arrivals" in
   let mh_latency = Metrics.histogram stream_metrics "engine.latency" in
   let busy = if live then Array.make m 0.0 else [||] in
@@ -552,20 +380,18 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   let sizes = Instance.sizes instance in
   (* Staging: with a topology, the first copy of task j on each machine
      pulls j's data from its home machine [j mod m] before processing
-     starts. The pull is charged as extra work on the copy (staging
-     time converted to work units at the machine's current speed), so
-     all the slowdown-resync and checkpoint arithmetic below stays
-     consistent without special cases. [staged.(j)] records which
-     machines already hold j's data warm — a checkpoint resume or a
-     landed re-replication transfer never pays twice. Without a
-     topology every float operation below is exactly the pre-topology
-     engine's, and a single-zone topology charges identically zero —
-     the golden qcheck pins both. *)
+     starts, charged as extra work at the machine's current speed so the
+     slowdown-resync and checkpoint arithmetic needs no special case.
+     [staged.(j)] records the machines holding j's data warm, so a
+     re-dispatch after a kill, a checkpoint resume or a landed transfer
+     never pays twice; without faults or healing no task comes back to a
+     machine, and no set is kept. Without a topology the float
+     arithmetic is the pre-topology engine's, and a single-zone topology
+     charges exactly zero — the golden qcheck pins both. *)
   let topo = Instance.topology instance in
+  let restage = Option.is_some topo && (faulty || heals) in
   let staged =
-    match topo with
-    | None -> [||]
-    | Some _ -> Array.init n (fun _ -> Bitset.create m)
+    if restage then Array.init n (fun _ -> Bitset.create m) else [||]
   in
   (* Per-machine state, one unboxed int/float lane per field (full-length
      lanes land in the major heap, so mutating them never touches the
@@ -596,41 +422,41 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   (* The task the machine's last checkpoint preserved, and its work. *)
   let ckpt_task = Array.make m (-1) in
   let ckpt_work = Array.make m 0.0 in
-  let available ~time i = alive.(i) && down_until.(i) <= time in
-  let idle ~time i = available ~time i && cur_task.(i) < 0 in
-  let status = Array.make n st_pending in
+  (* The simulation clock: the time of the event being handled. A
+     one-cell float array, not a [float ref] or an argument: storing into
+     it is unboxed, and the handlers below take no float arguments, which
+     a closure call would box. *)
+  let now = Array.make 1 0.0 in
+  let available i = alive.(i) && down_until.(i) <= now.(0) in
+  let idle i = available i && cur_task.(i) < 0 in
+  let status = lane tracked st_pending in
   (* In a streaming run a task is invisible to the scheduler until its
      arrival fires; batch runs behave as if everything arrived at t=0. *)
-  let arrived = Array.make n (not streaming) in
+  let arrived = lane streaming false in
   let dispatchable = Array.make n (not streaming) in
   let set_status j s =
-    status.(j) <- s;
-    dispatchable.(j) <- (s = st_pending && arrived.(j))
+    if tracked then status.(j) <- s;
+    dispatchable.(j) <- s = st_pending && ((not streaming) || arrived.(j))
   in
-  (* The machines running a copy of each task: the primary, and the one
-     backup speculation may add ([-1] = none). A task with a backup
-     always has a primary; a kill of either leaves the survivor as the
-     primary. *)
-  let primary = Array.make n (-1) in
-  let backup = Array.make n (-1) in
-  let task_gen = Array.make n 0 in
+  (* The machines running a copy of each task under speculation: the
+     primary, and the one backup speculation may add ([-1] = none). A
+     task with a backup always has a primary; a kill of either leaves
+     the survivor as the primary. Without speculation a task runs at
+     most one copy, and no handler asks where. *)
+  let primary = lane spec_on (-1) in
+  let backup = lane spec_on (-1) in
+  (* Bumped when a task returns to the pool: a re-dispatch, and a stale
+     straggler check. *)
+  let task_gen = lane (faulty || spec_on) 0 in
   (* The speculation candidate pool: every running task whose straggler
      check has fired, densely packed in [spec_pool.(0 .. !spec_len - 1)]
      with [spec_slot.(j)] its index there ([-1] = absent). A task enters
      when [on_speculate] arms it and leaves when it is released or
      completes, so the pool never holds more than the running tasks and
      an idle machine's backup search costs the pool, not n. *)
-  let spec_cap = if spec_on then n else 0 in
-  let spec_pool = Array.make spec_cap 0 in
-  let spec_slot = Array.make spec_cap (-1) in
+  let spec_pool = lane spec_on 0 in
+  let spec_slot = lane spec_on (-1) in
   let spec_len = ref 0 in
-  let spec_enter j =
-    if spec_slot.(j) < 0 then begin
-      spec_pool.(!spec_len) <- j;
-      spec_slot.(j) <- !spec_len;
-      incr spec_len
-    end
-  in
   let spec_leave j =
     let s = spec_slot.(j) in
     if s >= 0 then begin
@@ -647,10 +473,11 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
      holder-semantics reads below go through [data]. *)
   let data = if heals then Array.map Bitset.copy placement else placement in
   (* In-flight re-replication per task: (src, dst, id). The id guards
-     against stale [Sim_transfer] deliveries after an abort. *)
-  let transfer = Array.make n (None : (int * int * int) option) in
+     against stale [Sim_transfer] deliveries after an abort. Only the
+     healer starts transfers. *)
+  let transfer = lane heals (None : (int * int * int) option) in
   let transfer_none j =
-    match transfer.(j) with None -> true | Some _ -> false
+    (not heals) || match transfer.(j) with None -> true | Some _ -> false
   in
   let transfer_id = ref 0 in
   (* Replicas stored on (or reserved for) each machine: the healer's
@@ -660,15 +487,17 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
     Array.iter
       (Bitset.iter (fun i -> replica_load.(i) <- replica_load.(i) + 1))
       data;
-  let e_machine = Array.make n 0 in
+  let e_machine = Array.make n (-1) in
   let e_start = Array.make n 0.0 in
   let e_finish = Array.make n 0.0 in
   (* One-cell float arrays, not [float ref]s: storing into a float array
      is unboxed, [:=] on a float ref allocates the new box per store. *)
   let wasted = Array.make 1 0.0 in
+  let last = Array.make 1 0.0 in
+  let finished = ref 0 in
   let loads = Array.make m 0.0 in
-  let now = Array.make 1 0.0 in
-  let pos_of = inverse_order ~n order in
+  let pos_of = Array.make n 0 in
+  Array.iteri (fun pos j -> pos_of.(j) <- pos) order;
   let policy =
     Dispatch.make dispatch
       {
@@ -682,25 +511,40 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
         speed = base;
         load = loads;
         now;
-        available = (fun i -> alive.(i) && down_until.(i) <= now.(0));
+        available;
         holders_stable = not heals;
         topology = topo;
         size = sizes;
       }
   in
-  let queue = Event_heap.create ~dummy:Sim_dispatch () in
+  let queue = Event_heap.create ~dummy:Sim_complete in
+  let depth () =
+    Metrics.record_max mg_queue (float_of_int (Event_heap.length queue))
+  in
   let push ~time ~machine ~cls sim =
     Event_heap.push queue ~time ~machine ~cls sim;
-    if live then
-      Metrics.record_max mg_queue (float_of_int (Event_heap.length queue))
+    if live then depth ()
   in
-  let push_aux ~time ~machine ~cls ~aux ~aux2 sim =
-    Event_heap.push_aux queue ~time ~machine ~cls ~aux ~aux2 sim;
-    if live then
-      Metrics.record_max mg_queue (float_of_int (Event_heap.length queue))
+  (* Queue slot [s] of [Event_heap.alloc] once the caller has written its
+     time lane (and any payload other than the heap's dummy
+     [Sim_complete]): the per-copy pushes pass no float, which a closure
+     call would box. *)
+  let enqueue s ~machine ~cls ~aux =
+    queue.Event_heap.machines.(s) <- machine;
+    queue.Event_heap.classes.(s) <- cls;
+    queue.Event_heap.aux.(s) <- aux;
+    Event_heap.sift_up queue s;
+    if live then depth ()
+  in
+  (* Queue machine [i] to look for work now. *)
+  let wake i =
+    let s = Event_heap.alloc queue in
+    queue.Event_heap.times.(s) <- now.(0);
+    queue.Event_heap.payloads.(s) <- Sim_dispatch;
+    enqueue s ~machine:i ~cls:Event_heap.cls_decision ~aux:0
   in
   for i = 0 to m - 1 do
-    push ~time:0.0 ~machine:i ~cls:Event_heap.cls_decision Sim_dispatch
+    wake i
   done;
   List.iter
     (fun (e : Fault.event) ->
@@ -711,14 +555,13 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
      they strike before every per-machine event, so a stream whose
      arrivals all land at t=0 sees the whole workload before the first
      dispatch decision — exactly the batch engine's starting state. *)
-  (match arrivals with
-  | None -> ()
-  | Some a ->
-      Array.iteri
-        (fun j t ->
-          push_aux ~time:t ~machine:(-1) ~cls:Event_heap.cls_arrival ~aux:j
-            ~aux2:0 Sim_arrive)
-        a);
+  Array.iteri
+    (fun j t ->
+      Event_heap.push_aux queue ~time:t ~machine:(-1)
+        ~cls:Event_heap.cls_arrival ~aux:j ~aux2:0 Sim_arrive)
+    arr;
+  (* The queue only grew since the last push that recorded its depth. *)
+  if live then depth ();
   (* Task [j] (re-)entered the pool or gained a holder: wake its idle
      holders. [Dispatch]'s work-conservation contract makes
      [select_machine] return -1 exactly when a machine holds no
@@ -738,28 +581,25 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
      re-replication. *)
   let wake_all = ref false in
   let everyone = Bitset.full m in
-  let rec wake_members ~time h i =
+  let rec wake_members h i =
     let i = Bitset.next h i in
     if i >= 0 then begin
-      if idle ~time i then
-        push ~time ~machine:i ~cls:Event_heap.cls_decision Sim_dispatch;
-      wake_members ~time h (i + 1)
+      if idle i then wake i;
+      wake_members h (i + 1)
     end
   in
-  let wake_idle ~time j =
-    wake_members ~time (if !wake_all then everyone else data.(j)) 0
-  in
+  let wake_idle j = wake_members (if !wake_all then everyone else data.(j)) 0 in
   (* A task arrives: it becomes visible to the scheduler and, if still
      alive (early faults may have stranded it before it even showed up),
      joins the dispatch pool. *)
-  let on_arrive ~time j =
+  let on_arrive j =
     arrived.(j) <- true;
     Metrics.incr mc_arrivals;
-    (match sink with Some s -> rec_arrived s time j | None -> ());
+    (match sink with Some s -> rec_arrived s now.(0) j | None -> ());
     if status.(j) = st_pending then begin
       dispatchable.(j) <- true;
       Dispatch.notify_available policy ~task:j;
-      wake_idle ~time j
+      wake_idle j
     end
   in
   (* Online re-replication: copy every under-replicated task's data from
@@ -791,7 +631,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
     nlive >= 1 && nlive < target_of j
   in
   let recheck j = if wants_heal j then Bitset.add needy j in
-  let heal ~time =
+  let heal () =
     if heals then
       Bitset.iter
         (fun j ->
@@ -801,7 +641,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
             (try
                Bitset.iter
                  (fun i ->
-                   if available ~time i then begin
+                   if available i then begin
                      src := i;
                      raise Exit
                    end)
@@ -811,7 +651,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
               let dst = ref (-1) and best = ref max_int in
               for i = 0 to m - 1 do
                 if
-                  available ~time i
+                  available i
                   && (not (Bitset.mem data.(j) i))
                   && replica_load.(i) < !best
                 then begin
@@ -820,6 +660,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
                 end
               done;
               if !dst >= 0 then begin
+                let time = now.(0) in
                 incr transfer_id;
                 transfer.(j) <- Some (!src, !dst, !transfer_id);
                 replica_load.(!dst) <- replica_load.(!dst) + 1;
@@ -836,48 +677,54 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
           end)
         needy
   in
-  let abort_transfers ~time x =
+  let abort_transfers x =
     for j = 0 to n - 1 do
       match transfer.(j) with
       | Some (src, dst, _) when src = x || dst = x ->
           transfer.(j) <- None;
           replica_load.(dst) <- replica_load.(dst) - 1;
           (match sink with
-          | Some s -> rec_transfer s k_rerep_aborted time j src dst
+          | Some s -> rec_transfer s k_rerep_aborted now.(0) j src dst
           | None -> ());
           Metrics.incr (Metrics.counter metrics "engine.transfer_aborts")
       | _ -> ()
     done
   in
-  let start_copy ~resume ~banked ~time i j =
-    cur_task.(i) <- j;
-    cur_started.(i) <- time;
-    cur_remaining.(i) <- (if resume then actuals.(j) -. banked else actuals.(j));
-    (match topo with
-    | None -> ()
-    | Some tp ->
-        if not (Bitset.mem staged.(j) i) then begin
-          Bitset.add staged.(j) i;
+  let start_copy ~resume ~banked i j =
+    let time = now.(0) in
+    let speed = base.(i) *. factor.(i) in
+    let work = if resume then actuals.(j) -. banked else actuals.(j) in
+    let work =
+      match topo with
+      | None -> work
+      | Some _ when restage && Bitset.mem staged.(j) i -> work
+      | Some tp ->
+          if restage then Bitset.add staged.(j) i;
           let s = Topology.staging_time tp ~src:(j mod m) ~dst:i ~size:sizes.(j) in
           (* Charged as work at the current speed so a later slowdown
              resync rescales the in-flight pull along with the copy. *)
-          if s > 0.0 then
-            cur_remaining.(i) <-
-              cur_remaining.(i) +. (s *. (base.(i) *. factor.(i)))
-        end);
-    cur_last.(i) <- time;
-    cur_base.(i) <- (if resume then banked else 0.0);
+          if s > 0.0 then work +. (s *. speed) else work
+    in
+    cur_task.(i) <- j;
+    cur_started.(i) <- time;
     gen.(i) <- gen.(i) + 1;
-    let was_primary = primary.(j) < 0 in
-    if was_primary then primary.(j) <- i else backup.(j) <- i;
-    set_status j st_running;
+    dispatchable.(j) <- false;
     loads.(i) <- loads.(i) +. ests.(j);
-    Metrics.incr mc_dispatches;
-    if was_primary then begin
-      if task_gen.(j) > 0 then Metrics.incr mc_redispatches
-    end
-    else Metrics.incr mc_spec_starts;
+    if live then Metrics.incr mc_dispatches;
     (match sink with Some s -> rec_mt s k_started time i j | None -> ());
+    let is_backup = spec_on && primary.(j) >= 0 in
+    if tracked then begin
+      status.(j) <- st_running;
+      if spec_on then if is_backup then backup.(j) <- i else primary.(j) <- i;
+      if is_backup then Metrics.incr mc_spec_starts
+      else if faulty && task_gen.(j) > 0 then Metrics.incr mc_redispatches
+    end;
+    (* Only a fault reads a copy's progress. *)
+    if faulty then begin
+      cur_remaining.(i) <- work;
+      cur_last.(i) <- time;
+      cur_base.(i) <- (if resume then banked else 0.0)
+    end;
     if resume then begin
       ckpt_task.(i) <- -1;
       (match sink with
@@ -885,24 +732,24 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
       | None -> ());
       Metrics.incr (Metrics.counter metrics "engine.checkpoint_resumes")
     end;
-    let finish = time +. (cur_remaining.(i) /. (base.(i) *. factor.(i))) in
-    push_aux ~time:finish ~machine:i ~cls:Event_heap.cls_arrival
-      ~aux:(gen.(i)) ~aux2:0 Sim_complete;
-    if spec_on && was_primary then begin
+    let s = Event_heap.alloc queue in
+    queue.Event_heap.times.(s) <- time +. (work /. speed);
+    enqueue s ~machine:i ~cls:Event_heap.cls_arrival ~aux:gen.(i);
+    if spec_on && not is_backup then begin
       (* Arm the straggler check from estimates only: the scheduler is
          semi-clairvoyant and must not peek at actual times. *)
-      let expected = ests.(j) /. base.(i) in
-      push_aux
-        ~time:(time +. (spec_beta *. expected))
-        ~machine:i ~cls:Event_heap.cls_audit ~aux:j
-        ~aux2:(task_gen.(j)) Sim_speculate
+      let s = Event_heap.alloc queue in
+      queue.Event_heap.times.(s) <- time +. (spec_beta *. (ests.(j) /. base.(i)));
+      queue.Event_heap.aux2.(s) <- task_gen.(j);
+      queue.Event_heap.payloads.(s) <- Sim_speculate;
+      enqueue s ~machine:i ~cls:Event_heap.cls_audit ~aux:j
     end
   in
   (* Return a copy-less task to the scheduler's pool — or declare it
      [Lost] when no live machine holds its data and no transfer is
      carrying it out. Under a detection latency this is what gets
      deferred until the failure becomes known. *)
-  let release_task ~time j =
+  let release_task j =
     task_gen.(j) <- task_gen.(j) + 1;
     if spec_on then spec_leave j;
     if Bitset.inter_is_empty alive_set data.(j) && transfer_none j then
@@ -910,16 +757,17 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
     else begin
       set_status j st_pending;
       Dispatch.notify_available policy ~task:j;
-      wake_idle ~time j
+      wake_idle j
     end
   in
   (* Kill the in-flight copy of machine [i] (crash or outage): the work
      is lost — except what a checkpoint salvages on an outage — and the
      task returns to the pool (immediately, or at failure detection when
      the policy models a latency). *)
-  let kill_current ~salvage ~time i =
+  let kill_current ~salvage i =
     let j = cur_task.(i) in
     if j >= 0 then begin
+      let time = now.(0) in
       let wall = time -. cur_started.(i) in
       let waste =
         if salvage && ckpt_interval > 0.0 then begin
@@ -962,11 +810,18 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
       cur_task.(i) <- -1;
       gen.(i) <- gen.(i) + 1;
       (match sink with Some s -> rec_mt s k_killed time i j | None -> ());
-      if primary.(j) = i then primary.(j) <- backup.(j);
-      backup.(j) <- -1;
-      if primary.(j) >= 0 then wake_all := true
+      (* The copy still running the task, if any. *)
+      let survivor =
+        if not spec_on then -1
+        else begin
+          if primary.(j) = i then primary.(j) <- backup.(j);
+          backup.(j) <- -1;
+          primary.(j)
+        end
+      in
+      if survivor >= 0 then wake_all := true
       else if det_latency > 0.0 then orphan.(i) <- j
-      else release_task ~time j
+      else release_task j
     end
   in
   (* The disk of a dead machine [i] is gone: strand every waiting task
@@ -986,9 +841,10 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
      the detector fires [det_latency] after the fault, or the machine
      truthfully reports its own outage when it rejoins, whichever comes
      first. Only then is the orphaned copy released for re-dispatch. *)
-  let acknowledge ~time i =
+  let acknowledge i =
     let t0 = undetected.(i) in
     if not (Float.is_nan t0) then begin
+      let time = now.(0) in
       undetected.(i) <- Float.nan;
       (match sink with Some s -> rec_m s k_detected time i | None -> ());
       Metrics.observe
@@ -997,22 +853,22 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
       let oj = orphan.(i) in
       if oj >= 0 then begin
         orphan.(i) <- -1;
-        if status.(oj) = st_running && primary.(oj) < 0 then
-          release_task ~time oj
+        if status.(oj) = st_running && ((not spec_on) || primary.(oj) < 0)
+        then release_task oj
       end;
       if not alive.(i) then strand_scan i
     end
   in
-  let on_transfer ~time ~task ~src ~dst ~id =
+  let on_transfer ~task ~src ~dst ~id =
     match transfer.(task) with
     | Some (_, _, id') when id' = id ->
         transfer.(task) <- None;
         Bitset.add data.(task) dst;
         (* The landed replica is warm: a copy started here later must
            not pay the staging pull again. *)
-        (match topo with None -> () | Some _ -> Bitset.add staged.(task) dst);
+        if restage then Bitset.add staged.(task) dst;
         (match sink with
-        | Some s -> rec_transfer s k_rerep_completed time task src dst
+        | Some s -> rec_transfer s k_rerep_completed now.(0) task src dst
         | None -> ());
         Metrics.incr (Metrics.counter metrics "engine.rereplications");
         Metrics.observe
@@ -1020,10 +876,10 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
           (transfer_duration ~src ~dst task);
         if status.(task) = st_pending then begin
           Dispatch.notify_available policy ~task;
-          wake_idle ~time task
+          wake_idle task
         end
         else if spec_on && spec_slot.(task) >= 0 then wake_all := true;
-        heal ~time
+        heal ()
     | _ -> () (* aborted (and possibly re-issued): stale delivery *)
   in
   (* The pool member earliest in priority order that is running a single
@@ -1047,50 +903,52 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
       then spec_scan i (k + 1) j pos_of.(j)
       else spec_scan i (k + 1) best best_pos
   in
-  let dispatch_machine ~time i =
-    if available ~time i && cur_task.(i) < 0 then begin
-      (* A machine holding a checkpoint of a waiting task resumes it in
-         preference to fresh work: the banked progress makes it the
-         cheapest copy anyone can start. *)
-      let cj = ckpt_task.(i) in
-      if cj >= 0 && status.(cj) = st_pending && Bitset.mem data.(cj) i then
-        start_copy ~resume:true ~banked:(ckpt_work.(i)) ~time i cj
-      else begin
-        let j = Dispatch.select_machine policy ~machine:i in
-        if j >= 0 then start_copy ~resume:false ~banked:0.0 ~time i j
-        else if spec_on then begin
-          let sj = spec_scan i 0 (-1) max_int in
-          if sj >= 0 then start_copy ~resume:false ~banked:0.0 ~time i sj
-          (* else idle; woken again when a task it holds returns *)
-        end
+  (* Machine [i], up and idle, starts its next copy. A machine holding a
+     checkpoint of a waiting task resumes it in preference to fresh
+     work: the banked progress makes it the cheapest copy anyone can
+     start. *)
+  let start_next i =
+    let cj = ckpt_task.(i) in
+    if cj >= 0 && status.(cj) = st_pending && Bitset.mem data.(cj) i then
+      start_copy ~resume:true ~banked:ckpt_work.(i) i cj
+    else begin
+      let j = Dispatch.select_machine policy ~machine:i in
+      if j >= 0 then start_copy ~resume:false ~banked:0.0 i j
+      else if spec_on then begin
+        let sj = spec_scan i 0 (-1) max_int in
+        if sj >= 0 then start_copy ~resume:false ~banked:0.0 i sj
+        (* else idle; woken again when a task it holds returns *)
       end
     end
   in
-  let complete ~time i g =
+  let dispatch_machine i = if idle i then start_next i in
+  (* A copy's own completion proves its machine up: a fault would have
+     killed the copy and staled the event. *)
+  let complete i g =
     (* Stale completions (the copy was killed or cancelled) fail the
        generation check. *)
     if cur_task.(i) >= 0 && g = gen.(i) then begin
+      let time = now.(0) in
       let j = cur_task.(i) in
       let started = cur_started.(i) in
       e_machine.(j) <- i;
       e_start.(j) <- started;
       e_finish.(j) <- time;
-      set_status j st_done;
-      if spec_on then spec_leave j;
+      (* Completions come out in time order: the last one is the
+         makespan. *)
+      last.(0) <- time;
+      incr finished;
       cur_task.(i) <- -1;
-      gen.(i) <- gen.(i) + 1;
       if live then busy.(i) <- busy.(i) +. (time -. started);
       (match sink with Some s -> rec_mt s k_completed time i j | None -> ());
-      if streaming then Metrics.observe mh_latency (time -. arr.(j));
-      if backup.(j) < 0 then begin
-        (* No backup in flight: the freed machine is the only one to
-           re-dispatch. *)
-        primary.(j) <- -1;
-        dispatch_machine ~time i
-      end
-      else begin
+      if tracked then begin
+        status.(j) <- st_done;
+        if streaming then Metrics.observe mh_latency (time -. arr.(j));
+        if spec_on then spec_leave j
+      end;
+      if spec_on && backup.(j) >= 0 then begin
         (* Two copies race: the first to finish wins and the other one,
-           [k], aborts. *)
+           [k], aborts. Both machines are now up and idle. *)
         let k = if primary.(j) = i then backup.(j) else primary.(j) in
         primary.(j) <- -1;
         backup.(j) <- -1;
@@ -1102,12 +960,19 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
         Metrics.incr mc_spec_cancelled;
         (match sink with Some s -> rec_mt s k_cancelled time k j | None -> ());
         let a, b = Dispatch.redispatch_order policy i k in
-        dispatch_machine ~time a;
-        dispatch_machine ~time b
+        start_next a;
+        start_next b
+      end
+      else begin
+        (* No backup in flight: the freed machine is the only one to
+           re-dispatch. *)
+        if spec_on then primary.(j) <- -1;
+        start_next i
       end
     end
   in
-  let on_fault ~time i kind =
+  let on_fault i kind =
+    let time = now.(0) in
     match kind with
     | Fault.Crash ->
         if alive.(i) then begin
@@ -1126,8 +991,8 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
              checkpoint on it) is gone, in-flight transfers touching the
              machine die, the running copy dies. *)
           ckpt_task.(i) <- -1;
-          if heals then abort_transfers ~time i;
-          kill_current ~salvage:false ~time i;
+          if heals then abort_transfers i;
+          kill_current ~salvage:false i;
           if det_latency > 0.0 then begin
             (* The scheduler only reacts once the detector fires. *)
             if Float.is_nan undetected.(i) then undetected.(i) <- time;
@@ -1138,7 +1003,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
             (* Strand every waiting task whose last replica the dead disk
                held, then re-replicate whatever it left under target. *)
             strand_scan i;
-            heal ~time
+            heal ()
           end
         end
     | Fault.Outage until ->
@@ -1148,7 +1013,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
           (match sink with
           | Some s -> rec_mx s k_down {|,"until":|} time i down_until.(i)
           | None -> ());
-          kill_current ~salvage:true ~time i;
+          kill_current ~salvage:true i;
           (* Detection only matters when a copy was orphaned: the
              outage's other effects wait for the rejoin anyway. *)
           if det_latency > 0.0 && orphan.(i) >= 0 then begin
@@ -1156,7 +1021,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
             push ~time:(time +. det_latency) ~machine:i
               ~cls:Event_heap.cls_fault Sim_detect
           end;
-          push ~time:(down_until.(i)) ~machine:i ~cls:Event_heap.cls_fault
+          push ~time:down_until.(i) ~machine:i ~cls:Event_heap.cls_fault
             Sim_up
         end
     | Fault.Slowdown f ->
@@ -1176,54 +1041,46 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
               (cur_remaining.(i) -. ((time -. cur_last.(i)) *. old_speed));
           cur_last.(i) <- time;
           gen.(i) <- gen.(i) + 1;
-          push_aux
-            ~time:(time +. (cur_remaining.(i) /. (base.(i) *. factor.(i))))
-            ~machine:i ~cls:Event_heap.cls_arrival ~aux:(gen.(i)) ~aux2:0
-            Sim_complete
+          let s = Event_heap.alloc queue in
+          queue.Event_heap.times.(s) <-
+            time +. (cur_remaining.(i) /. (base.(i) *. factor.(i)));
+          enqueue s ~machine:i ~cls:Event_heap.cls_arrival ~aux:gen.(i)
         end
   in
-  let on_up ~time i =
-    if alive.(i) && time >= down_until.(i) then begin
-      (match sink with Some s -> rec_m s k_up time i | None -> ());
+  let on_up i =
+    if alive.(i) && now.(0) >= down_until.(i) then begin
+      (match sink with Some s -> rec_m s k_up now.(0) i | None -> ());
       (* The machine reports its own fate truthfully on rejoin, which may
          beat the detector; its return may also unblock healing (as a
          transfer source or destination). *)
-      acknowledge ~time i;
-      heal ~time;
-      dispatch_machine ~time i
+      acknowledge i;
+      heal ();
+      dispatch_machine i
     end
   in
-  let on_detect ~time i =
-    acknowledge ~time i;
-    heal ~time
-  in
   (* The lowest-numbered idle holder of [j]'s data other than [runner],
-     or -1. The clock is read from [now] (the handler's [time]), so the
-     search allocates nothing. *)
+     or -1. *)
   let rec idle_holder j runner i =
     if i >= m then -1
-    else if
-      i <> runner
-      && Bitset.mem data.(j) i
-      && alive.(i)
-      && down_until.(i) <= now.(0)
-      && cur_task.(i) < 0
-    then i
+    else if i <> runner && Bitset.mem data.(j) i && idle i then i
     else idle_holder j runner (i + 1)
   in
-  let on_speculate ~time task g =
+  let on_speculate task g =
     if
       task_gen.(task) = g
       && status.(task) = st_running
       && primary.(task) >= 0
       && backup.(task) < 0
     then begin
-      spec_enter task;
+      if spec_slot.(task) < 0 then begin
+        spec_pool.(!spec_len) <- task;
+        spec_slot.(task) <- !spec_len;
+        incr spec_len
+      end;
       (* Grab an idle surviving holder right now if one exists; otherwise
-         the next machine to go idle picks the task up in
-         [dispatch_machine]. *)
+         the next machine to go idle picks the task up in [start_next]. *)
       let i = idle_holder task primary.(task) 0 in
-      if i >= 0 then start_copy ~resume:false ~banked:0.0 ~time i task
+      if i >= 0 then start_copy ~resume:false ~banked:0.0 i task
     end
   in
   (* An active healer starts working before the first dispatch: a
@@ -1234,73 +1091,126 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
     for j = 0 to n - 1 do
       recheck j
     done;
-    heal ~time:0.0
+    heal ()
   end;
   while not (Event_heap.is_empty queue) do
-    let time = queue.Event_heap.times.(0) in
     let machine = queue.Event_heap.machines.(0) in
     let a1 = queue.Event_heap.aux.(0) in
     let a2 = queue.Event_heap.aux2.(0) in
     let sim = queue.Event_heap.payloads.(0) in
+    now.(0) <- queue.Event_heap.times.(0);
     Event_heap.remove_min queue;
-    Metrics.incr mc_events;
-    now.(0) <- time;
+    if live then Metrics.incr mc_events;
     match sim with
-    | Sim_fault kind -> on_fault ~time machine kind
-    | Sim_up -> on_up ~time machine
-    | Sim_detect -> on_detect ~time machine
-    | Sim_arrive -> on_arrive ~time a1
-    | Sim_complete -> complete ~time machine a1
-    | Sim_transfer { task; src; dst; id } ->
-        on_transfer ~time ~task ~src ~dst ~id
-    | Sim_dispatch -> dispatch_machine ~time machine
-    | Sim_speculate -> on_speculate ~time a1 a2
-  done;
-  let fates =
-    Array.init n (fun j ->
-        if status.(j) = st_done then
-          Finished
-            {
-              Schedule.machine = e_machine.(j);
-              start = e_start.(j);
-              finish = e_finish.(j);
-            }
-        else Stranded)
-  in
-  let completed = ref 0 and stranded = ref [] in
-  let makespan = Array.make 1 0.0 in
-  for j = n - 1 downto 0 do
-    if status.(j) = st_done then begin
-      incr completed;
-      makespan.(0) <- Float.max makespan.(0) e_finish.(j)
-    end
-    else stranded := j :: !stranded
+    | Sim_fault kind -> on_fault machine kind
+    | Sim_up -> on_up machine
+    | Sim_detect ->
+        acknowledge machine;
+        heal ()
+    | Sim_arrive -> on_arrive a1
+    | Sim_complete -> complete machine a1
+    | Sim_transfer { task; src; dst; id } -> on_transfer ~task ~src ~dst ~id
+    | Sim_dispatch -> dispatch_machine machine
+    | Sim_speculate -> on_speculate a1 a2
   done;
   if live then begin
-    Metrics.add mc_completed !completed;
-    Metrics.add mc_stranded (List.length !stranded);
-    Metrics.set mg_makespan makespan.(0);
-    Metrics.set mg_wasted wasted.(0);
+    Metrics.set mg_makespan last.(0);
     for i = 0 to m - 1 do
       (* Everything a machine did not spend processing (including
          downtime and its post-crash tail) counts as idle. *)
-      Metrics.observe mh_idle (makespan.(0) -. busy.(i))
+      Metrics.observe mh_idle (last.(0) -. busy.(i))
     done
   end;
   {
+    e_machine;
+    e_start;
+    e_finish;
+    finished = !finished;
+    last_finish = last.(0);
+    waste = wasted.(0);
+  }
+
+let run ?speeds ?(dispatch = Dispatch.default) ?(metrics = Metrics.disabled)
+    ?sink instance realization ~placement ~order =
+  let l =
+    replay ~name:"Engine.run" ?speeds ~dispatch ~recovery:Recovery.none
+      ~metrics ~sink ~arrivals:None instance realization
+      ~faults:(Trace.empty ~m:(Instance.m instance))
+      ~placement ~order
+  in
+  let n = Array.length l.e_machine in
+  if l.finished < n then
+    raise
+      (Unschedulable (List.filter (fun j -> l.e_machine.(j) < 0) (List.init n Fun.id)));
+  Schedule.of_soa ~m:(Instance.m instance) ~machines:l.e_machine
+    ~starts:l.e_start ~finishes:l.e_finish
+
+let run_traced ?speeds ?dispatch ?metrics instance realization ~placement
+    ~order =
+  logged (fun sink ->
+      run ?speeds ?dispatch ?metrics ~sink instance realization ~placement ~order)
+
+(* ------------------------------------------------------------------ *)
+(* Fault injection.                                                    *)
+(* ------------------------------------------------------------------ *)
+
+type fate =
+  | Finished of Schedule.entry
+  | Stranded
+
+type outcome = {
+  fates : fate array;
+  completed : int;
+  stranded : int list;
+  makespan : float;
+  wasted : float;
+  metrics : Metrics.snapshot;
+}
+
+let outcome_schedule ~m outcome =
+  if outcome.stranded <> [] then None
+  else
+    Some
+      (Schedule.make ~m
+         (Array.map
+            (function Finished e -> e | Stranded -> assert false)
+            outcome.fates))
+
+(* The outcome of a replay; its three instruments register here, so only
+   the entry points that build an outcome list them. *)
+let outcome_of ~metrics l =
+  let fates =
+    Array.mapi
+      (fun j i ->
+        if i < 0 then Stranded
+        else
+          Finished
+            { Schedule.machine = i; start = l.e_start.(j); finish = l.e_finish.(j) })
+      l.e_machine
+  in
+  let stranded = ref [] in
+  for j = Array.length fates - 1 downto 0 do
+    if l.e_machine.(j) < 0 then stranded := j :: !stranded
+  done;
+  Metrics.add (Metrics.counter metrics "engine.completed") l.finished;
+  Metrics.add (Metrics.counter metrics "engine.stranded") (List.length !stranded);
+  Metrics.set (Metrics.gauge metrics "engine.wasted_work") l.waste;
+  {
     fates;
-    completed = !completed;
+    completed = l.finished;
     stranded = !stranded;
-    makespan = makespan.(0);
-    wasted = wasted.(0);
+    makespan = l.last_finish;
+    wasted = l.waste;
     metrics = Metrics.snapshot metrics;
   }
 
 let run_faulty ?speeds ?speculation ?(dispatch = Dispatch.default)
     ?(recovery = Recovery.none) ?(metrics = Metrics.disabled) ?sink instance
     realization ~faults ~placement ~order =
-  run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
-    ~arrivals:None instance realization ~faults ~placement ~order
+  outcome_of ~metrics
+    (replay ~name:"Engine.run_faulty" ?speeds ?speculation ~dispatch ~recovery
+       ~metrics ~sink ~arrivals:None instance realization ~faults ~placement
+       ~order)
 
 let run_faulty_traced ?speeds ?speculation ?dispatch ?recovery ?metrics
     instance realization ~faults ~placement ~order =
@@ -1314,39 +1224,28 @@ let run_faulty_traced ?speeds ?speculation ?dispatch ?recovery ?metrics
 
 type stream_outcome = { outcome : outcome; latencies : float array }
 
-(* Response time of every finished task, in task-id (= admission) order.
-   Stranded tasks contribute nothing: their latency is unbounded, and
-   averaging an arbitrary sentinel in would poison the quantiles. *)
-let stream_latencies ~arrivals outcome =
-  let n = Array.length outcome.fates in
-  let count = ref 0 in
-  for j = 0 to n - 1 do
-    match outcome.fates.(j) with
-    | Finished _ -> incr count
-    | Stranded -> ()
-  done;
-  let out = Array.make !count 0.0 in
-  let k = ref 0 in
-  for j = 0 to n - 1 do
-    match outcome.fates.(j) with
-    | Finished e ->
-        out.(!k) <- e.Schedule.finish -. arrivals.(j);
-        incr k
-    | Stranded -> ()
-  done;
-  out
-
 let run_stream ?speeds ?speculation ?(dispatch = Dispatch.default)
     ?(recovery = Recovery.none) ?(metrics = Metrics.disabled) ?faults ?sink
     instance realization ~arrivals ~placement ~order =
   let faults =
     match faults with Some f -> f | None -> Trace.empty ~m:(Instance.m instance)
   in
-  let outcome =
-    run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
-      ~arrivals:(Some arrivals) instance realization ~faults ~placement ~order
+  let l =
+    replay ~name:"Engine.run_faulty" ?speeds ?speculation ~dispatch ~recovery
+      ~metrics ~sink ~arrivals:(Some arrivals) instance realization ~faults
+      ~placement ~order
   in
-  { outcome; latencies = stream_latencies ~arrivals outcome }
+  let outcome = outcome_of ~metrics l in
+  (* Response time of every finished task, in task-id (= admission)
+     order. Stranded tasks contribute nothing: their latency is
+     unbounded, and averaging an arbitrary sentinel in would poison the
+     quantiles. *)
+  let latencies = Array.make l.finished 0.0 and k = ref 0 in
+  Array.iteri
+    (fun j i ->
+      if i >= 0 then (latencies.(!k) <- l.e_finish.(j) -. arrivals.(j); incr k))
+    l.e_machine;
+  { outcome; latencies }
 
 (* ------------------------------------------------------------------ *)
 (* JSON of single events and outcomes.                                 *)

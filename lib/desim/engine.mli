@@ -36,7 +36,11 @@
     (see [Usched_faults]): machines crash permanently mid-run, blink out
     transiently, or degrade into stragglers, and the engine re-dispatches
     killed work to surviving replica holders — the Hadoop fault-tolerance
-    story from the paper's introduction, made executable.
+    story from the paper's introduction, made executable. Every entry
+    point runs the same event loop: {!run} is {!run_faulty} on the empty
+    fault trace, without speculation or recovery, and {!run_stream} adds
+    arrivals. The loop pays only for what its inputs let a run do, so a
+    healthy run keeps no fault, speculation or streaming state.
 
     {b Observability}: every entry point accepts an optional
     [Usched_obs.Metrics] registry. When one is passed, the engine records
@@ -62,6 +66,14 @@
       processing, over [[0, makespan]] (downtime and a crashed machine's
       tail count as idle).
 
+    An instrument is registered only in runs that can move it: the
+    fault counters ([redispatches], [kills], [crashes], [outages],
+    [slowdowns]) on a non-empty fault trace, [spec_starts] and
+    [spec_cancelled] with speculation, and [completed], [stranded] and
+    [wasted_work] by the entry points that return an {!outcome}. A
+    {!run} registers [events], [dispatches], [queue_depth_max],
+    [makespan] and [machine_idle] only.
+
     Under an active recovery policy (and only then — they are registered
     lazily at their first use, so a policy that never triggers them
     leaves the snapshot untouched):
@@ -82,10 +94,14 @@
     {b Tracing}: {!run}, {!run_faulty} and {!run_stream} accept an
     optional [Usched_obs.Trace] sink. When one is passed, the engine
     writes one JSONL record per {!event} as it happens, in
-    non-decreasing time order (simultaneous records in the order the
-    engine produced them), with the layout {!event_json} documents. Like
-    metrics, tracing is write-only: results are bit-for-bit identical
-    with or without a sink. *)
+    non-decreasing time order, with the layout {!event_json} documents.
+    Simultaneous records come out in the event order below (time,
+    machine, class, insertion): a machine's [completed] record is
+    followed by that machine's next [started] before another machine's
+    [completed] at the same instant, so a {!run} writes exactly the
+    bytes of {!run_faulty} on the empty trace. Like metrics, tracing is
+    write-only: results are bit-for-bit identical with or without a
+    sink. *)
 
 module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
@@ -154,7 +170,8 @@ val run :
   placement:Bitset.t array ->
   order:int array ->
   Schedule.t
-(** Simulate to completion. [speeds] (default all 1.0) gives each
+(** Simulate to completion: {!run_faulty} on the empty fault trace,
+    returning the schedule. [speeds] (default all 1.0) gives each
     machine a speed: a task with actual processing requirement [p]
     occupies machine [i] for [p / speeds.(i)] — the uniform (related)
     machines extension. [dispatch] (default [Dispatch.List_priority])
@@ -267,9 +284,9 @@ val run_faulty :
     id, then class (fault events and failure detections before
     completions and data-transfer arrivals, before dispatch decisions),
     then insertion order — so a crash kills a task finishing at exactly
-    the same instant on the same machine, and an empty trace reproduces
-    {!run} bit-for-bit (identical float arithmetic, identical
-    tie-breaking).
+    the same instant on the same machine. {!run} is this function on the
+    empty trace without speculation or recovery: the same schedule, and
+    a sink receives the same bytes.
 
     Raises [Invalid_argument] on malformed inputs, when the trace's
     machine count differs from the instance, or when [speculation] is

@@ -41,8 +41,8 @@ type 'a t = {
   mutable payloads : 'a array;
 }
 
-let create ?(capacity = 16) ~dummy () =
-  let capacity = Stdlib.max 1 capacity in
+let create ~dummy =
+  let capacity = 16 in
   {
     dummy;
     size = 0;
@@ -144,10 +144,11 @@ let grow t =
   t.payloads <- payloads
 
 (* Reserve the next slot: bumps [size], assigns the sequence number, and
-   clears [aux]/[aux2]/[payloads] to their defaults. The caller writes
-   the remaining lanes directly and then calls {!sift_up} on the
-   returned slot — the pattern the engine uses to push without passing a
-   boxed float argument through a function call. *)
+   clears [aux]/[aux2]; every slot past the live prefix already holds
+   [dummy] as its payload. The caller writes the remaining lanes directly
+   and then calls {!sift_up} on the returned slot — the pattern the
+   engine uses to push without passing a boxed float argument through a
+   function call. *)
 let alloc t =
   if t.size = Array.length t.times then grow t;
   let s = t.size in
@@ -156,7 +157,6 @@ let alloc t =
   t.seqs.(s) <- t.next_seq;
   t.aux.(s) <- 0;
   t.aux2.(s) <- 0;
-  t.payloads.(s) <- t.dummy;
   s
 
 let push t ~time ~machine ~cls payload =

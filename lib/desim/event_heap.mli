@@ -59,8 +59,8 @@ type 'a t = {
     lane when [size > 0]. Treat as read-only outside that pattern;
     [size] elements of each lane are live, a heap-ordered prefix. *)
 
-val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-(** [create ~dummy ()] makes an empty heap. [dummy] fills vacated
+val create : dummy:'a -> 'a t
+(** [create ~dummy] makes an empty heap. [dummy] fills vacated
     payload slots so popped payloads are not retained. *)
 
 val length : 'a t -> int
@@ -70,7 +70,8 @@ val is_empty : 'a t -> bool
 
 val alloc : 'a t -> int
 (** Reserve the next free slot: bumps [size], assigns a fresh sequence
-    number, resets the slot's [aux]/[aux2]/payload lanes. The caller
+    number, zeroes the slot's [aux]/[aux2] lanes; its payload is the
+    heap's [dummy], as in every slot past the live prefix. The caller
     must fill [times]/[machines]/[classes] (and optionally
     [aux]/[aux2]/[payloads]) of the returned slot and then call
     {!sift_up} on it. *)

@@ -140,13 +140,16 @@ let load o file =
     o.topology
 
 (* The stream's arrivals, drawn from [rng] right after the realization
-   as the stream replay would, but before anything is printed. *)
+   as the stream replay would, but before anything is printed. A trace
+   must hold one instant per task. *)
 let arrivals o rng ~n =
-  if not o.stream then Ok [||]
-  else
-    match Arrival.generate o.arrival rng ~count:n with
-    | a -> Ok a
-    | exception Invalid_argument msg -> Error ("--arrival: " ^ msg)
+  match o.arrival with
+  | _ when not o.stream -> Ok [||]
+  | Arrival.Trace times when Array.length times < n ->
+      Error
+        (Printf.sprintf "--arrival: trace holds %d arrivals, instance has %d tasks"
+           (Array.length times) n)
+  | arrival -> Ok (Arrival.generate arrival rng ~count:n)
 
 (* ------------------------------ stages ------------------------------ *)
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Every spec-grammar flag must turn a malformed value into a usage error:
-# exit 2 (rejected after cmdliner) or 124 (rejected by cmdliner's
-# converter) with a "usched:" line on stderr. Exit 125 (cmdliner's
-# uncaught exception) or death by a signal fails the check.
+# Every spec-grammar flag, and every numeric flag, must turn a malformed
+# value into a usage error: exit 2 (rejected after cmdliner) or 124
+# (rejected by cmdliner's converter) with a "usched:" line on stderr.
+# Exit 125 (cmdliner's uncaught exception), death by a signal, or a run
+# that accepts the value fails the check.
 #
 # Usage: bash test/malformed_flags.sh path/to/usched
 set -u
@@ -26,17 +27,30 @@ declare -A specific=(
   [--topology]="zones:2:nan zones:0:1 zones:9:1 zones:2:-1 zones:2:1:inf zones:2 uniform:1 0,1|inf 0,1,1,999999999999|inf,1:1,inf|0,0:0,0 0,0,1,1|inf,1:2,inf|0,0:0,0"
 )
 
+# Numeric flags read numbers by the same lexical rule. They get only
+# these values: inf is a valid --bandwidth.
+numeric=("1_0" "0x1p1" " 3" "bogus")
+numeric_flags=(--speeds --fail-rate --alpha --speculate --detect-latency
+  --bandwidth --checkpoint --target-reliability)
+
 # The subcommands that take each flag.
 declare -A commands=(
   [--algo]="solve" [--policy]="solve" [--recover]="solve" [--arrival]="solve"
   [--workload]="gen" [--failp]="gen" [--speed-band]="gen solve"
-  [--topology]="gen solve"
+  [--topology]="gen solve" [--alpha]="gen" [--speeds]="solve"
+  [--fail-rate]="solve" [--speculate]="solve" [--detect-latency]="solve"
+  [--bandwidth]="solve" [--checkpoint]="solve" [--target-reliability]="solve"
 )
 
 failures=0
-for flag in "${!specific[@]}"; do
-  read -r -a values <<< "${specific[$flag]}"
-  for value in "${common[@]}" "${values[@]}"; do
+for flag in "${!specific[@]}" "${numeric_flags[@]}"; do
+  if [ -n "${specific[$flag]+set}" ]; then
+    read -r -a values <<< "${specific[$flag]}"
+    values=("${common[@]}" "${values[@]}")
+  else
+    values=("${numeric[@]}")
+  fi
+  for value in "${values[@]}"; do
     for command in ${commands[$flag]}; do
       if [ "$command" = gen ]; then
         args=(gen "$dir/out.usched" --machines 4 "$flag=$value")
@@ -59,4 +73,4 @@ if [ "$failures" -ne 0 ]; then
   echo "$failures malformed values were not usage errors" >&2
   exit 1
 fi
-echo "every malformed spec value is a usage error"
+echo "every malformed spec or numeric value is a usage error"

@@ -5,9 +5,9 @@
 
 let usched = Filename.concat Filename.parent_dir_name "bin/main.exe"
 
-(* Exit code and stderr of [usched solve] on an instance file holding
-   [contents]. *)
-let solve contents =
+(* Exit code and stderr of [usched solve] with [args] on an instance
+   file holding [contents]. *)
+let solve ?(args = []) contents =
   let input = Filename.temp_file "usched_cli" ".usched" in
   let errors = Filename.temp_file "usched_cli" ".err" in
   Fun.protect
@@ -16,8 +16,10 @@ let solve contents =
       Out_channel.with_open_bin input (fun oc -> output_string oc contents);
       let code =
         Sys.command
-          (Printf.sprintf "%s solve %s >/dev/null 2>%s" (Filename.quote usched)
-             (Filename.quote input) (Filename.quote errors))
+          (Printf.sprintf "%s solve %s %s >/dev/null 2>%s" (Filename.quote usched)
+             (Filename.quote input)
+             (String.concat " " (List.map Filename.quote args))
+             (Filename.quote errors))
       in
       (code, In_channel.with_open_bin errors In_channel.input_all))
 
@@ -59,6 +61,29 @@ let accepted () =
   in
   Alcotest.(check int) (Printf.sprintf "exit code (stderr %S)" stderr) 0 code
 
+let header rest = Printf.sprintf "# usched-instance %s\nid,est,size\n0,4,1\n" rest
+
+(* A trace:FILE arrival spec with fewer instants than the instance has
+   tasks reads fine and fails when the stream is drawn: a usage error
+   naming the flag and both counts. *)
+let short_arrival_trace () =
+  let trace = Filename.temp_file "usched_cli" ".arrivals" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove trace)
+    (fun () ->
+      Out_channel.with_open_bin trace (fun oc -> output_string oc "0.5\n1.5\n");
+      let code, stderr =
+        solve
+          ~args:[ "--stream"; "--arrival"; "trace:" ^ trace ]
+          (header "m=2 alpha=2" ^ "1,3,1\n2,2,1\n")
+      in
+      Alcotest.(check int) (Printf.sprintf "exit code (stderr %S)" stderr) 2 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "message names the flag and both counts: %S" stderr)
+        true
+        (contains stderr "--arrival: trace holds 2 arrivals, instance has 3 tasks");
+      Alcotest.(check bool) "no constructor name" false (contains stderr "Arrival."))
+
 let gen_rejected ~flag args () =
   let code, stderr = gen args in
   Alcotest.(check int) (Printf.sprintf "exit code (stderr %S)" stderr) 2 code;
@@ -66,8 +91,6 @@ let gen_rejected ~flag args () =
     (Printf.sprintf "message names %s: %S" flag stderr)
     true (contains stderr flag);
   Alcotest.(check bool) "no uncaught exception" false (contains stderr "exception")
-
-let header rest = Printf.sprintf "# usched-instance %s\nid,est,size\n0,4,1\n" rest
 
 let () =
   Alcotest.run "cli"
@@ -91,6 +114,8 @@ let () =
             (rejected ~line:4 (header "m=2 alpha=2" ^ "1,2,nan\n"));
           Alcotest.test_case "infinite size" `Quick
             (rejected ~line:4 (header "m=2 alpha=2" ^ "1,2,inf\n"));
+          Alcotest.test_case "arrival trace shorter than the instance" `Quick
+            short_arrival_trace;
         ] );
       ( "gen",
         List.map

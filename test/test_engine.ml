@@ -135,6 +135,32 @@ let trace_is_chronological_and_complete () =
   Alcotest.(check int) "2 events per task" 6 (List.length events);
   checkb "sorted by time" true (List.sort Float.compare times = times)
 
+(* A healthy run is the faulty loop on the empty trace, record for
+   record. Identical estimates make every completion instant shared by
+   all machines: each machine's completion is followed by its next
+   start before the next machine's completion, and a sink receives the
+   same bytes from both entry points. *)
+let healthy_trace_is_empty_trace_faulty () =
+  let m = 3 in
+  let instance = Instance.of_ests ~m ~alpha:(Uncertainty.alpha 1.0) (Array.make 9 2.0) in
+  let realization = Realization.exact instance in
+  let placement = Array.init 9 (fun _ -> Bitset.full m) in
+  let order = submission_order 9 in
+  let _, healthy =
+    Helpers.sink_bytes (fun sink ->
+        Engine.run ~sink instance realization ~placement ~order)
+  in
+  let _, faulty =
+    Helpers.sink_bytes (fun sink ->
+        Engine.run_faulty ~sink instance realization
+          ~faults:(Usched_faults.Trace.empty ~m) ~placement ~order)
+  in
+  Alcotest.(check string) "sink bytes" faulty healthy;
+  let lines = String.split_on_char '\n' healthy in
+  Alcotest.(check string) "machine 0's next start follows its completion"
+    {|{"type":"event","kind":"started","t":2,"machine":0,"task":3}|}
+    (List.nth lines 4)
+
 let no_idle_while_work_eligible () =
   (* Graham's property: when every task is eligible everywhere, no machine
      idles while unscheduled tasks remain. Check via start times: task
@@ -379,6 +405,8 @@ let () =
           Alcotest.test_case "rejects bad order" `Quick rejects_bad_order;
           Alcotest.test_case "rejects wrong capacity" `Quick rejects_wrong_capacity;
           Alcotest.test_case "trace" `Quick trace_is_chronological_and_complete;
+          Alcotest.test_case "healthy trace is the empty-trace faulty trace"
+            `Quick healthy_trace_is_empty_trace_faulty;
           Alcotest.test_case "LS bound sanity" `Quick no_idle_while_work_eligible;
         ] );
       ( "json",

@@ -24,7 +24,7 @@ let checki = Alcotest.(check int)
 (* ------------------------------ unit -------------------------------- *)
 
 let empty_behaviour () =
-  let q = Event_heap.create ~dummy:(-1) () in
+  let q = Event_heap.create ~dummy:(-1) in
   checkb "is_empty" true (Event_heap.is_empty q);
   checki "length 0" 0 (Event_heap.length q);
   Alcotest.check_raises "remove_min raises"
@@ -32,7 +32,7 @@ let empty_behaviour () =
       Event_heap.remove_min q)
 
 let aux_lanes_round_trip () =
-  let q = Event_heap.create ~dummy:(-1) () in
+  let q = Event_heap.create ~dummy:(-1) in
   Event_heap.push_aux q ~time:2.0 ~machine:1 ~cls:Event_heap.cls_arrival
     ~aux:17 ~aux2:23 5;
   Event_heap.push q ~time:1.0 ~machine:0 ~cls:Event_heap.cls_fault 9;
@@ -57,8 +57,8 @@ let alloc_pattern_is_push () =
           k ))
   in
   let events = stream (Rng.create ~seed ()) in
-  let via_push = Event_heap.create ~dummy:(-1) () in
-  let via_alloc = Event_heap.create ~dummy:(-1) () in
+  let via_push = Event_heap.create ~dummy:(-1) in
+  let via_alloc = Event_heap.create ~dummy:(-1) in
   Array.iter
     (fun (time, machine, cls, payload) ->
       Event_heap.push via_push ~time ~machine ~cls payload;
@@ -83,7 +83,7 @@ let alloc_pattern_is_push () =
    [dummy] overwrite on [remove_min] is what prevents it. *)
 let no_retention_after_drain () =
   let dummy = (-1, ref (-1)) in
-  let q = Event_heap.create ~dummy () in
+  let q = Event_heap.create ~dummy in
   let n = 64 in
   let weak = Weak.create n in
   for i = 0 to n - 1 do
@@ -145,7 +145,7 @@ let prop_drain_matches_pqueue =
     ~count:400 stream_scenario (fun (len, seed) ->
       let rng = Rng.create ~seed () in
       let events = Array.init len (random_event rng) in
-      let heap = Event_heap.create ~dummy:(-1) () in
+      let heap = Event_heap.create ~dummy:(-1) in
       let pq = Pqueue.create ~compare:R_event.compare_event () in
       Array.iter
         (fun e ->
@@ -172,7 +172,7 @@ let prop_interleaved_matches_pqueue =
   QCheck.Test.make ~name:"interleaved push/pop matches the Pqueue model"
     ~count:400 stream_scenario (fun (len, seed) ->
       let rng = Rng.create ~seed () in
-      let heap = Event_heap.create ~dummy:(-1) () in
+      let heap = Event_heap.create ~dummy:(-1) in
       let pq = Pqueue.create ~compare:R_event.compare_event () in
       let next = ref 0 in
       let ok = ref true in

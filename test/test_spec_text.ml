@@ -248,16 +248,17 @@ let workload rng =
   | 3 -> Printf.sprintf "pareto:%s:1:%s" (f ()) (float_text (1.0 +. positive rng))
   | _ -> Printf.sprintf "bimodal:%s:%s:%s" (float_text (probability rng)) (f ()) (f ())
 
-let arrival rng =
-  if Random.State.bool rng then
-    Arrival.describe (Arrival.poisson ~rate:(positive rng))
+let arrival rng ~m:_ =
+  if Random.State.bool rng then Arrival.poisson ~rate:(positive rng)
   else
-    Printf.sprintf "mmpp:%s:%s"
-      (String.concat ","
-         (List.init
+    Arrival.Mmpp
+      {
+        rates =
+          Array.init
             (1 + Random.State.int rng 3)
-            (fun i -> float_text (if i = 0 then positive rng else probability rng))))
-      (float_text (positive rng))
+            (fun i -> if i = 0 then positive rng else probability rng);
+        switch = positive rng;
+      }
 
 let alphabet = ":,|.-+e0123456789 _xinfaudr\t"
 
@@ -365,7 +366,8 @@ let cases =
       ~equal:Helpers.band_equal band;
     printed "topology" (Topology.of_spec ~m:4) ~print:Topology.to_string
       ~equal:Helpers.topology_equal topology;
-    unprinted "arrival" Arrival.of_string arrival;
+    printed "arrival" Arrival.of_string ~print:Arrival.describe ~equal:( = )
+      arrival;
     unprinted "workload" Workload.of_spec workload;
     {
       name = "instance header";

@@ -161,7 +161,7 @@ let prop_ordering_under_injection =
         let cls = Rng.int rng 4 in
         (time, machine, cls)
       in
-      let q = Event_heap.create ~dummy:0 () in
+      let q = Event_heap.create ~dummy:0 in
       let counter = ref 0 in
       let push (time, machine, cls) =
         Event_heap.push q ~time ~machine ~cls !counter;
@@ -199,7 +199,7 @@ let prop_ordering_under_injection =
    four classes, both the source pseudo-machine and real machines, plus
    an arrival injected mid-drain at the current instant. *)
 let ordering_pinned () =
-  let q = Event_heap.create ~dummy:0 () in
+  let q = Event_heap.create ~dummy:0 in
   (* payload = expected drain position. *)
   Event_heap.push q ~time:0.0 ~machine:1 ~cls:Event_heap.cls_decision 4;
   Event_heap.push q ~time:0.0 ~machine:(-1) ~cls:Event_heap.cls_arrival 0;
