@@ -90,18 +90,23 @@ let all_cmd =
 
 (* ---------------- workbench commands over instance files ------------- *)
 
+(* A converter over a library grammar: its [of_string] parses and
+   validates (the strategy catalog, for one, rejects NaN deltas and zero
+   group counts), and errors carry the grammar. *)
+let grammar_conv ~docv of_string to_string =
+  Arg.conv' ~docv
+    (of_string, fun ppf v -> Format.pp_print_string ppf (to_string v))
+
 (* Numbers on the command line follow the spec grammars' lexical rule:
    a plain decimal or inf, no blanks, underscores or hexadecimal. *)
-let spec_conv ~docv kind print =
-  Arg.conv' ~docv
-    ( (fun raw -> Model.Spec_text.read kind "value" raw),
-      fun ppf v -> Format.pp_print_string ppf (print v) )
-
-let number = spec_conv ~docv:"NUMBER" Model.Spec_text.Number Model.Spec_text.float_to_string
+let number =
+  grammar_conv ~docv:"NUMBER"
+    Model.Spec_text.(read Number "value")
+    Model.Spec_text.float_to_string
 
 let numbers =
-  spec_conv ~docv:"NUMBERS"
-    Model.Spec_text.(List (',', Number))
+  grammar_conv ~docv:"NUMBERS"
+    Model.Spec_text.(read (List (',', Number)) "value")
     (fun l -> String.concat "," (List.map Model.Spec_text.float_to_string l))
 
 let gen_cmd =
@@ -191,13 +196,6 @@ let gen_cmd =
     Term.(
       const run $ spec $ n $ m $ alpha $ seed $ failp $ speed_band $ topology
       $ out)
-
-(* A converter over a library grammar: its [of_string] parses and
-   validates (the strategy catalog, for one, rejects NaN deltas and zero
-   group counts), and errors carry the grammar. *)
-let grammar_conv ~docv of_string to_string =
-  Arg.conv' ~docv
-    (of_string, fun ppf v -> Format.pp_print_string ppf (to_string v))
 
 let strategy_conv =
   grammar_conv ~docv:"ALGO" Core.Strategy.of_string Core.Strategy.to_string

@@ -434,8 +434,9 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
      arrival fires; batch runs behave as if everything arrived at t=0. *)
   let arrived = lane streaming false in
   let dispatchable = Array.make n (not streaming) in
+  (* Only a fault releases or strands a task: only tracked runs call it. *)
   let set_status j s =
-    if tracked then status.(j) <- s;
+    status.(j) <- s;
     dispatchable.(j) <- s = st_pending && ((not streaming) || arrived.(j))
   in
   (* The machines running a copy of each task under speculation: the

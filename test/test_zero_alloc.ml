@@ -76,12 +76,12 @@ let healthy_is_allocation_free () =
         true (w2 <= 4096.0))
     [ ("bucketed list-priority", true); ("plain list-priority", false) ]
 
-(* The faulty engine's epilogue materializes one [Finished] fate per
-   task (a boxed entry), so per-run minor words grow with n — but the
-   slope must stay a small constant, not the old per-event record and
-   option churn. Measured slope is 13.5 words/task bare, 21.0 with
-   recovery + speculation and 45.8 for a speculating stream (whose
-   backup-copy search runs on every idle dispatch). Every task here is
+(* An outcome materializes one [Finished] fate per task (a boxed
+   entry), so per-run minor words grow with n — but the slope must stay
+   a small constant, not the old per-event record and option churn.
+   Measured slope is 9.5 words/task bare, 15.0 with recovery +
+   speculation and 17.5 for a speculating stream (whose backup-copy
+   search runs on every idle dispatch). Every task here is
    held by all m machines, so each wake reaches every idle machine. The
    gate allows 64. *)
 let faulty_slope_is_bounded () =
@@ -131,9 +131,9 @@ let faulty_slope_is_bounded () =
    costs a small constant number of minor words (the boxed floats
    crossing into the writers), whatever the run's size. The count is
    the words of a traced run minus those of the same run without a
-   sink, over the records written. Measured: 1.0 words per record on
-   the faulty loop and 3.1 on the healthy one (5 and 7 when each float
-   was rendered to a string first). The gate allows 4. *)
+   sink, over the records written. Measured: 2.0 words per record,
+   healthy or faulty, the boxed time each writer takes (5 and 7 when
+   each float was rendered to a string first). The gate allows 4. *)
 module Sink = Usched_obs.Trace
 
 let sink_words_per_record_are_constant () =
