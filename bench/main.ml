@@ -63,20 +63,20 @@ let benches () =
   in
   let disp_sets =
     Core.Placement.sets
-      ((Strategy.build Strategy.(group ~order:Ls ~k:4) ~m:32).Core.Two_phase
+      ((Strategy.build Strategy.(Group { order = Ls; k = 4 }) ~m:32).Core.Two_phase
          .phase1 disp)
   in
   let disp_order = Instance.lpt_order disp in
   (* Every named algorithm below goes through the strategy catalog — the
      benched code path is the same one the CLI and experiments use. *)
   let strat ~m spec = Strategy.build spec ~m in
-  let lpt_no_choice = strat ~m:210 Strategy.(no_replication Lpt) in
-  let ls_group30 = strat ~m:210 Strategy.(group ~order:Ls ~k:30) in
-  let ls_group42 = strat ~m:210 Strategy.(group ~order:Ls ~k:42) in
-  let ls_group2 = strat ~m:210 Strategy.(group ~order:Ls ~k:2) in
-  let lpt_no_restriction = strat ~m:210 Strategy.(full_replication Lpt) in
-  let abo_1 = strat ~m:210 (Strategy.abo ~delta:1.0) in
-  let budgeted_3 = strat ~m:210 (Strategy.budgeted ~k:3) in
+  let lpt_no_choice = strat ~m:210 Strategy.(No_replication Lpt) in
+  let ls_group30 = strat ~m:210 Strategy.(Group { order = Ls; k = 30 }) in
+  let ls_group42 = strat ~m:210 Strategy.(Group { order = Ls; k = 42 }) in
+  let ls_group2 = strat ~m:210 Strategy.(Group { order = Ls; k = 2 }) in
+  let lpt_no_restriction = strat ~m:210 Strategy.(Full_replication Lpt) in
+  let abo_1 = strat ~m:210 (Strategy.Abo 1.0) in
+  let budgeted_3 = strat ~m:210 (Strategy.Budgeted 3) in
   [
     (* Phase-1 placement algorithms (n=1000, m=210). *)
     Test.make ~name:"phase1/lpt-no-choice (n=1k,m=210)"
@@ -258,7 +258,7 @@ let benches () =
      let big_realization =
        Realization.uniform_factor big (Rng.create ~seed:18 ())
      in
-     let ls_group2_10k = strat ~m:10_000 Strategy.(group ~order:Ls ~k:2) in
+     let ls_group2_10k = strat ~m:10_000 Strategy.(Group { order = Ls; k = 2 }) in
      Test.make ~name:"scale/two-phase ls-group k=2 (n=1e6,m=10k)"
        (Staged.stage (fun () ->
             ignore

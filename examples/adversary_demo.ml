@@ -28,7 +28,7 @@ let () =
   in
 
   (* Step 1: the scheduler commits to a placement using estimates only. *)
-  let algo = Core.No_replication.lpt_no_choice in
+  let algo = Core.Strategy.(build (No_replication Lpt) ~m) in
   let placement = algo.Core.Two_phase.phase1 instance in
   Printf.printf
     "Step 1 (phase 1): LPT spreads the %d identical tasks %d per machine.\n"
@@ -53,7 +53,7 @@ let () =
     (Core.Guarantees.no_replication_lower_bound_limit ~alpha);
 
   (* Step 4: the same adversarial times against full replication. *)
-  let flexible = Core.Full_replication.lpt_no_restriction in
+  let flexible = Core.Strategy.(build (Full_replication Lpt) ~m) in
   let full_placement = flexible.Core.Two_phase.phase1 instance in
   let flexible_schedule =
     flexible.Core.Two_phase.phase2 instance full_placement realization

@@ -67,8 +67,9 @@ let () =
     in
     let realization = Realization.of_actuals instance actuals in
     let makespan =
-      Core.Two_phase.makespan Core.Full_replication.lpt_no_restriction instance
-        realization
+      Core.Two_phase.makespan
+        Core.Strategy.(build (Full_replication Lpt) ~m)
+        instance realization
     in
     let lb = Core.Lower_bounds.best ~m actuals in
     worst_ratio := Float.max !worst_ratio (makespan /. lb)

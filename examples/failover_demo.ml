@@ -36,7 +36,7 @@ let () =
       rng
   in
   let realization = Realization.log_uniform_factor instance rng in
-  let algo = Core.Group_replication.ls_group ~k:2 in
+  let algo = Core.Strategy.(build (Group { order = Ls; k = 2 }) ~m) in
   let placement = algo.Core.Two_phase.phase1 instance in
   let sets = Core.Placement.sets placement in
   let order = Instance.lpt_order instance in

@@ -30,13 +30,16 @@ let () =
      Groups of m/k = 3 machines mimic HDFS's 3-way block replication.\n\n"
     machines jobs;
   let strategies =
-    [
-      ("locality-pinned (no replication)", Core.No_replication.lpt_no_choice);
-      (* LPT-ordered group scheduling: the strong-in-practice variant of
-         the paper's LS-Group. *)
-      ("HDFS-style (LPT-Group, 3 replicas)", Core.Group_replication.lpt_group ~k:4);
-      ("fully replicated (upper bound)", Core.Full_replication.lpt_no_restriction);
-    ]
+    List.map
+      (fun (label, spec) -> (label, Core.Strategy.build spec ~m:machines))
+      Core.Strategy.
+        [
+          ("locality-pinned (no replication)", No_replication Lpt);
+          (* LPT-ordered group scheduling: the strong-in-practice variant
+             of the paper's LS-Group. *)
+          ("HDFS-style (LPT-Group, 3 replicas)", Group { order = Lpt; k = 4 });
+          ("fully replicated (upper bound)", Full_replication Lpt);
+        ]
   in
   let table =
     Table.create

@@ -57,10 +57,11 @@ let () =
   List.iter
     (fun delta ->
       List.iter
-        (fun (name, algo_of, placement_of) ->
-          let algo = algo_of ~delta in
-          let placement = placement_of ~delta instance in
-          let schedule = Core.Two_phase.run algo instance realization in
+        (fun (name, spec_of) ->
+          let algo = Core.Strategy.build (spec_of delta) ~m in
+          let placement, schedule =
+            Core.Two_phase.run_full algo instance realization
+          in
           let mem = Core.Memory.of_placement instance placement in
           let makespan = Schedule.makespan schedule in
           let label = Printf.sprintf "%s(delta=%g)" name delta in
@@ -74,10 +75,8 @@ let () =
               (if mem <= budget then "yes" else "no");
             ])
         [
-          ("SABO", (fun ~delta -> Core.Sabo.algorithm ~delta),
-           fun ~delta instance -> Core.Sabo.placement ~delta instance);
-          ("ABO", (fun ~delta -> Core.Abo.algorithm ~delta),
-           fun ~delta instance -> Core.Abo.placement ~delta instance);
+          ("SABO", fun delta -> Core.Strategy.Sabo delta);
+          ("ABO", fun delta -> Core.Strategy.Abo delta);
         ])
     [ 0.25; 0.5; 1.0; 2.0; 4.0 ];
   print_string (Table.render table);

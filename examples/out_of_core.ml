@@ -41,12 +41,15 @@ let () =
   (* LPT-ordered group replication (the paper analyzes the LS-ordered
      variant; LPT ordering is the stronger-in-practice ablation). *)
   let strategies =
-    [
-      ("no replication (LPT-No Choice)", Core.No_replication.lpt_no_choice);
-      ("2x replication (LPT-Group k=4)", Core.Group_replication.lpt_group ~k:4);
-      ("4x replication (LPT-Group k=2)", Core.Group_replication.lpt_group ~k:2);
-      ("full replication (LPT-No Restr.)", Core.Full_replication.lpt_no_restriction);
-    ]
+    List.map
+      (fun (label, spec) -> (label, Core.Strategy.build spec ~m:machines))
+      Core.Strategy.
+        [
+          ("no replication (LPT-No Choice)", No_replication Lpt);
+          ("2x replication (LPT-Group k=4)", Group { order = Lpt; k = 4 });
+          ("4x replication (LPT-Group k=2)", Group { order = Lpt; k = 2 });
+          ("full replication (LPT-No Restr.)", Full_replication Lpt);
+        ]
   in
   let table =
     Table.create

@@ -26,11 +26,14 @@ let () =
 
   (* 3. Run the three strategies of the paper. *)
   let strategies =
-    [
-      Core.No_replication.lpt_no_choice; (* |M_j| = 1 *)
-      Core.Group_replication.ls_group ~k:2; (* |M_j| = m/k = 2 *)
-      Core.Full_replication.lpt_no_restriction; (* |M_j| = m *)
-    ]
+    List.map
+      (fun spec -> Core.Strategy.build spec ~m:(Instance.m instance))
+      Core.Strategy.
+        [
+          No_replication Lpt; (* |M_j| = 1 *)
+          Group { order = Ls; k = 2 }; (* |M_j| = m/k = 2 *)
+          Full_replication Lpt; (* |M_j| = m *)
+        ]
   in
   let opt =
     Core.Opt.makespan ~m:(Instance.m instance) (Realization.actuals realization)

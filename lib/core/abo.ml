@@ -1,31 +1,9 @@
 module Instance = Usched_model.Instance
-module Bitset = Usched_model.Bitset
-
-let placement_of_split instance split =
-  let m = Instance.m instance in
-  let sets =
-    Array.mapi
-      (fun j in_s1 ->
-        if in_s1 then Bitset.full m
-        else Bitset.singleton m split.Sbo.pi2.Assign.assignment.(j))
-      split.Sbo.time_intensive
-  in
-  Placement.of_sets ~m sets
 
 let placement ~delta instance =
-  placement_of_split instance (Sbo.split ~delta instance)
+  let split = Sbo.split ~delta instance in
+  Placement.pinned_or_full ~m:(Instance.m instance)
+    ~replicated:split.Sbo.time_intensive split.Sbo.pi2.Assign.assignment
 
 let phase2_order split =
   Array.of_list (Sbo.s2_tasks split @ Sbo.s1_tasks split)
-
-let algorithm ~delta =
-  {
-    Two_phase.name = Printf.sprintf "ABO(delta=%g)" delta;
-    phase1 = (fun instance -> placement ~delta instance);
-    phase2 =
-      (fun instance placement realization ->
-        let split = Sbo.split ~delta instance in
-        Usched_desim.Engine.run instance realization
-          ~placement:(Placement.sets placement)
-          ~order:(phase2_order split));
-  }

@@ -10,9 +10,6 @@
 
 module Instance = Usched_model.Instance
 
-val algorithm : delta:float -> Two_phase.t
-(** The two-phase ABO_Δ algorithm. *)
-
 val placement : delta:float -> Instance.t -> Placement.t
 (** Its phase-1 placement: singleton sets for [S2], full sets for [S1]. *)
 

@@ -18,13 +18,12 @@ module Instance = Usched_model.Instance
 
 val placement : budgets:int array -> Instance.t -> Placement.t
 (** [placement ~budgets instance] builds the greedy placement. Each
-    budget is clamped to [1..m]. Raises [Invalid_argument] if the budget
-    array's length differs from the instance. *)
+    budget is clamped to [1..m], so all budgets [k] give every task the
+    same [k] replicas. Raises [Invalid_argument] if the budget array's
+    length differs from the instance. *)
 
-val uniform : k:int -> Two_phase.t
-(** Every task gets the same budget [k] (clamped to [1..m]). *)
-
-val proportional : fraction:float -> Two_phase.t
+val proportional_placement : fraction:float -> Instance.t -> Placement.t
 (** Budget scaled by estimate rank: the largest [fraction] of tasks (by
     estimate) get budget [m], the rest budget 1 — the "replicate only
-    critical tasks" policy with an explicit cost knob. *)
+    critical tasks" policy with an explicit cost knob. Raises
+    [Invalid_argument] unless [fraction] is in [0, 1]. *)

@@ -41,22 +41,8 @@ let group_assignment ~order ~k instance =
     task_order;
   assignment
 
-let phase1 ~order ~k instance =
+let placement ~order ~k instance =
   let m = Instance.m instance in
   let groups = machine_groups ~m ~k in
   let assignment = group_assignment ~order ~k instance in
   Placement.of_group_assignment ~m ~groups assignment
-
-let ls_group ~k =
-  {
-    Two_phase.name = Printf.sprintf "LS-Group(k=%d)" k;
-    phase1 = phase1 ~order:`Submission ~k;
-    phase2 = Two_phase.submission_order_phase2;
-  }
-
-let lpt_group ~k =
-  {
-    Two_phase.name = Printf.sprintf "LPT-Group(k=%d)" k;
-    phase1 = phase1 ~order:`Lpt ~k;
-    phase2 = Two_phase.lpt_order_phase2;
-  }

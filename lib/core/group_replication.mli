@@ -18,9 +18,8 @@ val group_assignment :
     the [k] groups, each group weighted by its machine count (equal
     weights in the paper's divisible case). *)
 
-val ls_group : k:int -> Two_phase.t
-(** The paper's {b LS-Group} with [k] groups (Theorem 4). *)
-
-val lpt_group : k:int -> Two_phase.t
-(** Ablation variant: LPT order in both phases (the paper argues this
-    should not have a much better guarantee — §5.3 closing remark). *)
+val placement : order:[ `Submission | `Lpt ] -> k:int -> Instance.t -> Placement.t
+(** Every task on all machines of its {!group_assignment} group: the
+    paper's {b LS-Group} with [order = `Submission] (Theorem 4), or the
+    ablation with LPT order in both phases (the paper argues this should
+    not have a much better guarantee — §5.3 closing remark). *)

@@ -107,12 +107,5 @@ let placement ~budget instance =
   done;
   Placement.of_sets ~m sets
 
-let algorithm ~budget =
-  {
-    Two_phase.name = Printf.sprintf "MemBudget(B=%g)" budget;
-    phase1 = (fun instance -> placement ~budget instance);
-    phase2 = Two_phase.lpt_order_phase2;
-  }
-
 let max_memory_load instance placement =
   Placement.memory_max placement ~sizes:(Instance.sizes instance)

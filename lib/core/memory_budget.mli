@@ -16,10 +16,10 @@ exception Infeasible of string
 (** Raised when even an unreplicated placement cannot fit: a single task
     larger than the budget, or total size above [m * budget]. *)
 
-val algorithm : budget:float -> Two_phase.t
-(** Two-phase algorithm: the greedy budget-constrained placement as
-    phase 1, online LPT in phase 2. Phase 1 raises {!Infeasible} when no
-    replica-free placement fits, [Invalid_argument] if [budget <= 0]. *)
+val placement : budget:float -> Instance.t -> Placement.t
+(** The greedy budget-constrained placement described above. Raises
+    {!Infeasible} when no replica-free placement fits, and
+    [Invalid_argument] if [budget <= 0]. *)
 
 val max_memory_load : Instance.t -> Placement.t -> float
 (** Convenience re-export of the placement's memory high-water mark. *)

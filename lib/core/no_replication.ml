@@ -3,22 +3,11 @@ module Instance = Usched_model.Instance
 let lpt_assignment instance =
   Assign.lpt ~m:(Instance.m instance) ~weights:(Instance.ests instance)
 
-let singleton_phase1 assign instance =
-  let result = assign instance in
-  Placement.singletons ~m:(Instance.m instance) result.Assign.assignment
-
-let lpt_no_choice =
-  {
-    Two_phase.name = "LPT-No Choice";
-    phase1 = singleton_phase1 lpt_assignment;
-    phase2 = Two_phase.lpt_order_phase2;
-  }
-
-let ls_no_choice =
-  {
-    Two_phase.name = "LS-No Choice";
-    phase1 =
-      singleton_phase1 (fun instance ->
-          Assign.ls ~m:(Instance.m instance) ~weights:(Instance.ests instance));
-    phase2 = Two_phase.submission_order_phase2;
-  }
+let placement ~order instance =
+  let m = Instance.m instance in
+  let result =
+    match order with
+    | `Lpt -> lpt_assignment instance
+    | `Submission -> Assign.ls ~m ~weights:(Instance.ests instance)
+  in
+  Placement.singletons ~m result.Assign.assignment

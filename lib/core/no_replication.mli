@@ -8,10 +8,8 @@ module Instance = Usched_model.Instance
 val lpt_assignment : Instance.t -> Assign.result
 (** LPT on the estimated times — the phase-1 rule of LPT-No Choice. *)
 
-val lpt_no_choice : Two_phase.t
-(** The paper's {b LPT-No Choice} algorithm (Theorem 2:
-    [2α²m/(2α²+m-1)]-competitive). *)
-
-val ls_no_choice : Two_phase.t
-(** Baseline variant: phase 1 uses List Scheduling in submission order
-    instead of LPT. Not analyzed in the paper; used in ablations. *)
+val placement : order:[ `Submission | `Lpt ] -> Instance.t -> Placement.t
+(** Each task pinned to the machine a greedy assignment of the estimates
+    gives it: LPT ([`Lpt], the paper's {b LPT-No Choice}, Theorem 2:
+    [2α²m/(2α²+m-1)]-competitive) or List Scheduling in submission order
+    ([`Submission], an ablation baseline the paper does not analyze). *)

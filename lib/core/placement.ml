@@ -30,10 +30,19 @@ let of_sets ~m sets =
     sets;
   { m; sets = Array.copy sets; summary = Atomic.make None }
 
-let singletons ~m assignment =
-  of_sets ~m (Array.map (fun i -> Bitset.singleton m i) assignment)
+(* One singleton set per machine and one full set, shared by every task
+   placed on them. *)
+let pinned ~m ~everywhere assignment =
+  let machine = Array.init m (Bitset.singleton m) and all = Bitset.full m in
+  of_sets ~m
+    (Array.mapi (fun j i -> if everywhere j then all else machine.(i)) assignment)
 
-let full ~m ~n = of_sets ~m (Array.init n (fun _ -> Bitset.full m))
+let singletons ~m assignment = pinned ~m ~everywhere:(fun _ -> false) assignment
+
+let pinned_or_full ~m ~replicated assignment =
+  pinned ~m ~everywhere:(Array.get replicated) assignment
+
+let full ~m ~n = of_sets ~m (Array.make n (Bitset.full m))
 
 let of_group_assignment ~m ~groups assignment =
   let group_sets =

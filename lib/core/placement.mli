@@ -18,10 +18,17 @@ val of_sets : m:int -> Bitset.t array -> t
 
 val singletons : m:int -> int array -> t
 (** From a phase-1 assignment: task [j] placed only on machine
-    [assignment.(j)] (the [|M_j| = 1] regime). *)
+    [assignment.(j)] (the [|M_j| = 1] regime). Tasks on the same machine
+    share one set. *)
 
 val full : m:int -> n:int -> t
-(** Every task on every machine (the [|M_j| = m] regime). *)
+(** Every task on every machine (the [|M_j| = m] regime), all sharing
+    one set. *)
+
+val pinned_or_full : m:int -> replicated:bool array -> int array -> t
+(** [pinned_or_full ~m ~replicated assignment]: task [j] on every
+    machine when [replicated.(j)], else only on [assignment.(j)], with
+    the sets shared as in {!singletons} and {!full}. *)
 
 val of_group_assignment : m:int -> groups:int array array -> int array -> t
 (** [of_group_assignment ~m ~groups assignment]: task [j] is replicated on

@@ -4,13 +4,10 @@ module Bitset = Usched_model.Bitset
 
 exception Infeasible of string
 
-let check_target target =
+let placement ?budget ~target instance =
   if Float.is_nan target || not (target > 0.0 && target < 1.0) then
     invalid_arg
-      (Printf.sprintf "Reliability: target %g must be in (0, 1)" target)
-
-let placement ?budget ~target instance =
-  check_target target;
+      (Printf.sprintf "Reliability: target %g must be in (0, 1)" target);
   (match budget with
   | Some b when Float.is_nan b || not (b > 0.0 && Float.is_finite b) ->
       invalid_arg
@@ -82,19 +79,6 @@ let placement ?budget ~target instance =
       sets.(j) <- set)
     (Instance.lpt_order instance);
   Placement.of_sets ~m sets
-
-let name ?budget ~target () =
-  match budget with
-  | None -> Printf.sprintf "Reliability(target=%g)" target
-  | Some b -> Printf.sprintf "Reliability(target=%g, B=%g)" target b
-
-let algorithm ?budget ~target () =
-  check_target target;
-  {
-    Two_phase.name = name ?budget ~target ();
-    phase1 = (fun instance -> placement ?budget ~target instance);
-    phase2 = Two_phase.lpt_order_phase2;
-  }
 
 let stranding_bound instance placement =
   let profile = Instance.failure_or_default instance in

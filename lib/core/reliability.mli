@@ -36,13 +36,11 @@ exception Infeasible of string
     headroom under the budget) while the task's loss probability still
     exceeds its share of the failure budget. *)
 
-val algorithm : ?budget:float -> target:float -> unit -> Two_phase.t
-(** The greedy cheapest replica-set solve described above as phase 1,
-    with the standard LPT-order phase 2. Named [Reliability(target=T)] /
-    [Reliability(target=T, B=B)]. Phase 1 uses the instance's failure
-    profile, or [Failure.default_p] uniformly when it has none. Raises
-    [Invalid_argument] unless [target ∈ (0, 1)] (NaN rejected) and
-    [budget], when given, is positive and finite; phase 1 raises
+val placement : ?budget:float -> target:float -> Instance.t -> Placement.t
+(** The greedy cheapest replica-set solve described above, from the
+    instance's failure profile, or [Failure.default_p] uniformly when it
+    has none. Raises [Invalid_argument] unless [target ∈ (0, 1)] (NaN
+    rejected) and [budget], when given, is positive and finite, and
     {!Infeasible} when the target is unreachable. *)
 
 val survival_bound : Instance.t -> Placement.t -> float

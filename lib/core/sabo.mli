@@ -7,8 +7,5 @@
 
 module Instance = Usched_model.Instance
 
-val algorithm : delta:float -> Two_phase.t
-(** The two-phase SABO_Δ algorithm. *)
-
 val placement : delta:float -> Instance.t -> Placement.t
-(** Its phase-1 placement (singletons), exposed for memory accounting. *)
+(** The phase-1 placement: every task pinned to its SBO_Δ machine. *)

@@ -1,5 +1,4 @@
 module Instance = Usched_model.Instance
-module Bitset = Usched_model.Bitset
 
 let placement ~count instance =
   let m = Instance.m instance and n = Instance.n instance in
@@ -10,16 +9,4 @@ let placement ~count instance =
     replicated.(order.(rank)) <- true
   done;
   let lpt = No_replication.lpt_assignment instance in
-  let sets =
-    Array.init n (fun j ->
-        if replicated.(j) then Bitset.full m
-        else Bitset.singleton m lpt.Assign.assignment.(j))
-  in
-  Placement.of_sets ~m sets
-
-let algorithm ~count =
-  {
-    Two_phase.name = Printf.sprintf "Selective(top=%d)" count;
-    phase1 = (fun instance -> placement ~count instance);
-    phase2 = Two_phase.lpt_order_phase2;
-  }
+  Placement.pinned_or_full ~m ~replicated lpt.Assign.assignment

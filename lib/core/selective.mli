@@ -11,9 +11,5 @@ module Instance = Usched_model.Instance
 
 val placement : count:int -> Instance.t -> Placement.t
 (** Full sets for the [count] largest estimates, LPT singletons for the
-    others. [count] is clamped to [0..n]. *)
-
-val algorithm : count:int -> Two_phase.t
-(** Two-phase algorithm with the above placement and online LPT in phase
-    2. [count = 0] degenerates to LPT-No Choice; [count >= n] to LPT-No
-    Restriction. *)
+    others. [count] is clamped to [0..n]: [0] is LPT-No Choice's
+    placement, [n] LPT-No Restriction's. *)

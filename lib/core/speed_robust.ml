@@ -64,10 +64,3 @@ let placement ~k instance =
             set))
     order;
   Placement.of_sets ~m sets
-
-let algorithm ~k =
-  {
-    Two_phase.name = Printf.sprintf "SpeedRobust(k=%d)" k;
-    phase1 = (fun instance -> placement ~k instance);
-    phase2 = Two_phase.lpt_order_phase2;
-  }

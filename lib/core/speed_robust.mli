@@ -26,11 +26,11 @@ val classes : k:int -> Instance.t -> int array array
     contiguous classes of near-equal size, fastest first. Raises
     [Invalid_argument] unless [1 <= k <= m]. *)
 
-val algorithm : k:int -> Two_phase.t
-(** The catalog entry point ([speedrobust:K]). Phase 1 gives every
-    task one replica in each of the {!classes}, greedily balancing estimated
-    pessimistic finish times inside each class, tasks in LPT order.
-    Tasks with the same machine choice in every class share one set, so
-    list-priority dispatch groups them into buckets instead of scanning
-    per-machine cursors; the sets are shared, so do not mutate them.
-    Phase 2 is the LPT-order engine. *)
+val placement : k:int -> Instance.t -> Placement.t
+(** The [speedrobust:K] placement: every task gets one replica in each
+    of the {!classes}, greedily balancing estimated pessimistic finish
+    times inside each class, tasks in LPT order. Tasks with the same
+    machine choice in every class share one set, so list-priority
+    dispatch groups them into buckets instead of scanning per-machine
+    cursors; the sets are shared, so do not mutate them. Raises
+    [Invalid_argument] unless [1 <= k <= m]. *)

@@ -1,4 +1,5 @@
 module Spec_text = Usched_model.Spec_text
+module Instance = Usched_model.Instance
 
 type order = Lpt | Ls
 type uniform_variant = U_no_choice | U_no_restriction | U_group of int
@@ -20,7 +21,7 @@ type t =
   | Local_budget of float
 
 (* Domain checks independent of m. Group counts against m and speeds
-   length are deferred to [build]/[check], which know m. *)
+   length are left to [check], which knows m. *)
 
 let positive_finite label x =
   if Float.is_nan x then Error (Printf.sprintf "%s must not be NaN" label)
@@ -97,25 +98,6 @@ let validate = function
           if k < 1 then
             Error (Printf.sprintf "group count must be >= 1, got %d" k)
           else speeds_ok ())
-
-let checked spec =
-  match validate spec with
-  | Ok () -> spec
-  | Error msg -> invalid_arg (Printf.sprintf "Strategy: %s" msg)
-
-let no_replication order = No_replication order
-let full_replication order = Full_replication order
-let group ~order ~k = checked (Group { order; k })
-let budgeted ~k = checked (Budgeted k)
-let selective ~count = checked (Selective count)
-let sabo ~delta = checked (Sabo delta)
-let abo ~delta = checked (Abo delta)
-let memory_budget ~budget = checked (Memory_budget budget)
-let reliability ~target ~budget = checked (Reliability { target; budget })
-let uniform ~variant ~speeds = checked (Uniform { variant; speeds })
-let speed_robust ~k = checked (Speed_robust { k })
-let zone_group ~k = checked (Zone_group k)
-let local_budget ~budget = checked (Local_budget budget)
 
 (* Floats print through [Spec_text.float_to_string], so they parse back
    to the identical value. *)
@@ -497,32 +479,59 @@ let check spec ~m =
         | _ -> Ok ())
   | _ -> Ok ()
 
+(* Every family's phase 2 is one replay of the engine in a fixed
+   priority order. *)
+let submission_order instance = Array.init (Instance.n instance) Fun.id
+
+let priority = function Lpt -> Instance.lpt_order | Ls -> submission_order
+let replay ?speeds order = Two_phase.replay ?speeds (priority order)
+
+(* The same order for a greedy phase 1. *)
+let greedy = function Lpt -> `Lpt | Ls -> `Submission
+
+let everywhere instance =
+  Placement.full ~m:(Instance.m instance) ~n:(Instance.n instance)
+
 let build spec ~m =
   (match check spec ~m with
   | Ok () -> ()
   | Error msg ->
       invalid_arg (Printf.sprintf "Strategy.build %s: %s" (to_string spec) msg));
-  match spec with
-  | No_replication Lpt -> No_replication.lpt_no_choice
-  | No_replication Ls -> No_replication.ls_no_choice
-  | Full_replication Lpt -> Full_replication.lpt_no_restriction
-  | Full_replication Ls -> Full_replication.ls_no_restriction
-  | Group { order = Ls; k } -> Group_replication.ls_group ~k
-  | Group { order = Lpt; k } -> Group_replication.lpt_group ~k
-  | Budgeted k -> Budgeted.uniform ~k
-  | Proportional fraction -> Budgeted.proportional ~fraction
-  | Selective count -> Selective.algorithm ~count
-  | Sabo delta -> Sabo.algorithm ~delta
-  | Abo delta -> Abo.algorithm ~delta
-  | Memory_budget budget -> Memory_budget.algorithm ~budget
-  | Reliability { target; budget } -> Reliability.algorithm ?budget ~target ()
-  | Uniform { variant = U_no_choice; speeds } -> Uniform.lpt_no_choice ~speeds
-  | Uniform { variant = U_no_restriction; speeds } ->
-      Uniform.lpt_no_restriction ~speeds
-  | Uniform { variant = U_group k; speeds } -> Uniform.ls_group ~speeds ~k
-  | Speed_robust { k } -> Speed_robust.algorithm ~k
-  | Zone_group k -> Zone_placement.zone_group ~k
-  | Local_budget budget -> Zone_placement.local_budget ~budget
+  let phase1, phase2 =
+    match spec with
+    | No_replication order ->
+        (No_replication.placement ~order:(greedy order), replay order)
+    | Full_replication order -> (everywhere, replay order)
+    | Group { order; k } ->
+        (Group_replication.placement ~order:(greedy order) ~k, replay order)
+    | Budgeted k ->
+        ( (fun instance ->
+            Budgeted.placement ~budgets:(Array.make (Instance.n instance) k)
+              instance),
+          replay Lpt )
+    | Proportional fraction ->
+        (Budgeted.proportional_placement ~fraction, replay Lpt)
+    | Selective count -> (Selective.placement ~count, replay Lpt)
+    | Sabo delta -> (Sabo.placement ~delta, replay Lpt)
+    | Abo delta ->
+        ( Abo.placement ~delta,
+          Two_phase.replay (fun instance ->
+              Abo.phase2_order (Sbo.split ~delta instance)) )
+    | Memory_budget budget -> (Memory_budget.placement ~budget, replay Lpt)
+    | Reliability { target; budget } ->
+        (Reliability.placement ?budget ~target, replay Lpt)
+    | Uniform { variant = U_no_choice; speeds } ->
+        (Uniform.lpt_placement ~speeds, replay ~speeds Lpt)
+    | Uniform { variant = U_no_restriction; speeds } ->
+        (Uniform.full_placement ~speeds, replay ~speeds Lpt)
+    | Uniform { variant = U_group k; speeds } ->
+        (Uniform.group_placement ~speeds ~k, replay ~speeds Ls)
+    | Speed_robust { k } -> (Speed_robust.placement ~k, replay Lpt)
+    | Zone_group k -> (Zone_placement.zone_group_placement ~k, replay Lpt)
+    | Local_budget budget ->
+        (Zone_placement.local_budget_placement ~budget, replay Lpt)
+  in
+  { Two_phase.name = name spec; phase1; phase2 }
 
 let default_portfolio ~m =
   List.concat_map (fun e -> e.portfolio ~m) all

@@ -1,15 +1,15 @@
 (** The strategy catalog: every phase-1 placement algorithm in the repo
     as a first-class, typed, parseable value.
 
-    PR 4 made phase-2 dispatch a value ({!Usched_desim.Dispatch.spec});
-    this module does the same for phase 1. A {!t} is a {e spec} — a pure
-    description of an algorithm and its parameters, validated at
-    construction (bad parameters are rejected here, not deep inside
-    phase 1), printable to a stable grammar ([ls-group:4], [sabo:0.5])
-    and parseable back. {!build} turns a spec into the corresponding
-    {!Two_phase.t}; the {!all} registry enumerates every family with a
-    one-line doc, and {!default_portfolio} derives the scenario-selection
-    portfolio from it.
+    Phase-2 dispatch is a value ({!Usched_desim.Dispatch.spec}); this
+    module does the same for phase 1. A {!t} is a {e spec} — a pure
+    description of an algorithm and its parameters, printable to a
+    stable grammar ([ls-group:4], [sabo:0.5]) and parseable back. The
+    constructors accept any parameters; {!check} says what is out of
+    domain, and {!build}, the only way to a {!Two_phase.t}, refuses it
+    before phase 1 runs. The {!all} registry enumerates every family
+    with a one-line doc, and {!default_portfolio} derives the
+    scenario-selection portfolio from it.
 
     Information flow: a spec describes only estimate-driven phase-1
     behaviour (plus the fixed phase-2 rule of its family). Specs never
@@ -29,7 +29,10 @@ type t =
   | No_replication of order
       (** [|M_j| = 1] (Section 5.1): all decisions in phase 1. *)
   | Full_replication of order
-      (** [|M_j| = m] (Section 5.2): all freedom kept for phase 2. *)
+      (** [|M_j| = m] (Section 5.2): all freedom kept for phase 2. With
+          [Lpt] the paper's LPT-No Restriction (Theorem 3:
+          [min(1 + (m-1)/m · α²/2, 2 - 1/m)]-competitive), with [Ls]
+          Graham's List Scheduling ([2 - 1/m] whatever the estimates). *)
   | Group of { order : order; k : int }
       (** [k] machine groups (Section 5.3), [|M_j| = m/k] when [k | m]. *)
   | Budgeted of int
@@ -65,29 +68,6 @@ type t =
           within [budget * size_j]; home zone always covered. See
           {!Zone_placement}. *)
 
-(** {1 Validated smart constructors}
-
-    Each rejects out-of-domain parameters with [Invalid_argument] at
-    construction time: non-positive [k], [delta]/[budget] that are NaN,
-    infinite, zero or negative, fractions outside [0, 1], negative
-    counts, speeds that are not all finite and positive. Constraints
-    that need [m] (group count vs machine count, speeds length) are
-    checked by {!build}. *)
-
-val no_replication : order -> t
-val full_replication : order -> t
-val group : order:order -> k:int -> t
-val budgeted : k:int -> t
-val selective : count:int -> t
-val sabo : delta:float -> t
-val abo : delta:float -> t
-val memory_budget : budget:float -> t
-val reliability : target:float -> budget:float option -> t
-val uniform : variant:uniform_variant -> speeds:float array -> t
-val speed_robust : k:int -> t
-val zone_group : k:int -> t
-val local_budget : budget:float -> t
-
 (** {1 Grammar} *)
 
 val to_string : t -> string
@@ -119,16 +99,23 @@ val name : t -> string
 (** {1 Building} *)
 
 val build : t -> m:int -> Two_phase.t
-(** Construct the algorithm for an [m]-machine instance. Raises
-    [Invalid_argument] when the spec is out of domain ({!validate}), when
-    a group count exceeds [m], or when a speeds array does not have
-    length [m] — at build time, not deep inside phase 1. The returned
-    value is constructed by the same module entry points the pre-catalog
-    call sites used, so placements and schedules are bit-for-bit
-    identical (pinned by the golden property in [test_strategy]). *)
+(** The algorithm for an [m]-machine instance: named {!name}, phase 1
+    the family module's placement function ({!No_replication.placement},
+    {!Group_replication.placement}, {!Sabo.placement}, ...), phase 2 one
+    {!Two_phase.replay} in the family's priority order — LPT for most,
+    submission order for the [ls-*] families and [uniform-ls-group],
+    S2 then S1 for ABO, with the machine speeds for [uniform-*]. Raises
+    [Invalid_argument] on whatever {!check} rejects, at build time, not
+    deep inside phase 1. [test_strategy]'s catalog golden pins every
+    family's placements and schedules. *)
 
 val check : t -> m:int -> (unit, string) result
-(** What {!build} would reject, as a result — for CLI-style callers. *)
+(** What {!build} rejects, as a result — for CLI-style callers: a
+    parameter out of domain (non-positive [k], a [delta] or budget that
+    is NaN, infinite, zero or negative, a fraction outside [0, 1], a
+    negative count, a reliability target outside (0, 1), speeds that are
+    not all finite and positive), a group or speed-class count above
+    [m], or a speeds list whose length is not [m]. *)
 
 (** {1 Registry} *)
 

@@ -19,14 +19,6 @@ let run t instance realization = snd (run_full t instance realization)
 let makespan t instance realization =
   Schedule.makespan (run t instance realization)
 
-let engine_phase2 ~order instance placement realization =
-  Engine.run instance realization ~placement:(Placement.sets placement)
+let replay ?speeds order instance placement realization =
+  Engine.run ?speeds instance realization ~placement:(Placement.sets placement)
     ~order:(order instance)
-
-let lpt_order_phase2 instance placement realization =
-  engine_phase2 ~order:Instance.lpt_order instance placement realization
-
-let submission_order_phase2 instance placement realization =
-  engine_phase2
-    ~order:(fun inst -> Array.init (Instance.n inst) (fun j -> j))
-    instance placement realization

@@ -24,9 +24,15 @@ val run_full : t -> Instance.t -> Realization.t -> Placement.t * Schedule.t
 
 val makespan : t -> Instance.t -> Realization.t -> float
 
-val lpt_order_phase2 : Instance.t -> Placement.t -> Realization.t -> Schedule.t
-(** A phase 2 that feeds the desim engine with the estimate-descending
-    (LPT) task priority order. *)
-
-val submission_order_phase2 : Instance.t -> Placement.t -> Realization.t -> Schedule.t
-(** The same with the task-id (submission / list scheduling) order. *)
+val replay :
+  ?speeds:float array ->
+  (Instance.t -> int array) ->
+  Instance.t ->
+  Placement.t ->
+  Realization.t ->
+  Schedule.t
+(** [replay order] is the phase 2 every catalog family runs: the desim
+    engine list-schedules the tasks in the priority order [order
+    instance] (estimate-descending LPT, submission order, ABO's S2 then
+    S1), each only on a machine of its placement set, with the machine
+    [speeds] of the related-machines families (default all 1.0). *)

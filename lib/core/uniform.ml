@@ -1,7 +1,4 @@
 module Instance = Usched_model.Instance
-module Realization = Usched_model.Realization
-module Schedule = Usched_desim.Schedule
-module Engine = Usched_desim.Engine
 
 let check_speeds ~m speeds =
   if Array.length speeds <> m then
@@ -136,65 +133,40 @@ let lower_bound_of p =
     check_speeds ~m speeds;
     bound_of_top ~speeds ~top_p:sorted ~k:(Stdlib.min m n) ~total
 
-let engine_phase2 ~speeds ~order instance placement realization =
-  Engine.run ~speeds instance realization
-    ~placement:(Placement.sets placement)
-    ~order:(order instance)
+let lpt_placement ~speeds instance =
+  Placement.singletons ~m:(Instance.m instance)
+    (lpt_assignment ~speeds instance).Assign.assignment
 
-let lpt_no_choice ~speeds =
-  {
-    Two_phase.name = "Uniform LPT-No Choice";
-    phase1 =
-      (fun instance ->
-        Placement.singletons ~m:(Instance.m instance)
-          (lpt_assignment ~speeds instance).Assign.assignment);
-    phase2 = engine_phase2 ~speeds ~order:Instance.lpt_order;
-  }
+let full_placement ~speeds instance =
+  check_speeds ~m:(Instance.m instance) speeds;
+  Placement.full ~m:(Instance.m instance) ~n:(Instance.n instance)
 
-let lpt_no_restriction ~speeds =
-  {
-    Two_phase.name = "Uniform LPT-No Restriction";
-    phase1 =
-      (fun instance ->
-        check_speeds ~m:(Instance.m instance) speeds;
-        Placement.full ~m:(Instance.m instance) ~n:(Instance.n instance));
-    phase2 = engine_phase2 ~speeds ~order:Instance.lpt_order;
-  }
-
-let ls_group ~speeds ~k =
-  {
-    Two_phase.name = Printf.sprintf "Uniform LS-Group(k=%d)" k;
-    phase1 =
-      (fun instance ->
-        let m = Instance.m instance in
-        check_speeds ~m speeds;
-        let groups = Group_replication.machine_groups ~m ~k in
-        let group_speed =
-          Array.map
-            (fun machines ->
-              Array.fold_left (fun acc i -> acc +. speeds.(i)) 0.0 machines)
-            groups
-        in
-        (* Greedy over groups: place each task where its estimated
-           finish (group load / group speed) stays smallest. *)
-        let loads = Array.make k 0.0 in
-        let assignment = Array.make (Instance.n instance) 0 in
-        Array.iteri
-          (fun j _ ->
-            let est = Instance.est instance j in
-            let best = ref 0 and best_cost = ref infinity in
-            for g = 0 to k - 1 do
-              let cost = (loads.(g) +. est) /. group_speed.(g) in
-              if cost < !best_cost then begin
-                best := g;
-                best_cost := cost
-              end
-            done;
-            assignment.(j) <- !best;
-            loads.(!best) <- loads.(!best) +. est)
-          (Instance.tasks instance);
-        Placement.of_group_assignment ~m ~groups assignment);
-    phase2 =
-      engine_phase2 ~speeds ~order:(fun inst ->
-          Array.init (Instance.n inst) (fun j -> j));
-  }
+let group_placement ~speeds ~k instance =
+  let m = Instance.m instance in
+  check_speeds ~m speeds;
+  let groups = Group_replication.machine_groups ~m ~k in
+  let group_speed =
+    Array.map
+      (fun machines ->
+        Array.fold_left (fun acc i -> acc +. speeds.(i)) 0.0 machines)
+      groups
+  in
+  (* Greedy over groups: place each task where its estimated finish
+     (group load / group speed) stays smallest. *)
+  let loads = Array.make k 0.0 in
+  let assignment = Array.make (Instance.n instance) 0 in
+  Array.iteri
+    (fun j _ ->
+      let est = Instance.est instance j in
+      let best = ref 0 and best_cost = ref infinity in
+      for g = 0 to k - 1 do
+        let cost = (loads.(g) +. est) /. group_speed.(g) in
+        if cost < !best_cost then begin
+          best := g;
+          best_cost := cost
+        end
+      done;
+      assignment.(j) <- !best;
+      loads.(!best) <- loads.(!best) +. est)
+    (Instance.tasks instance);
+  Placement.of_group_assignment ~m ~groups assignment

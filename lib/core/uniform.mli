@@ -17,8 +17,6 @@
     ratios empirically against {!lower_bound}. *)
 
 module Instance = Usched_model.Instance
-module Realization = Usched_model.Realization
-module Schedule = Usched_desim.Schedule
 
 val lower_bound : speeds:float array -> float array -> float
 (** Sound lower bound on the optimal uniform-machines makespan:
@@ -39,16 +37,15 @@ val lower_bound_of : float array -> speeds:float array -> float
     work. Raises as {!lower_bound}, on [p] at partial application and on
     [speeds] at each call. *)
 
-val lpt_no_choice : speeds:float array -> Two_phase.t
-(** Strategy 1 on uniform machines: ECT-LPT placement (tasks in
-    decreasing estimate order, each to the machine that would finish it
-    earliest), pinned execution. *)
+val lpt_placement : speeds:float array -> Instance.t -> Placement.t
+(** Strategy 1 on uniform machines: ECT-LPT (tasks in decreasing
+    estimate order, each to the machine that would finish it earliest),
+    every task pinned to its machine. *)
 
-val lpt_no_restriction : speeds:float array -> Two_phase.t
-(** Strategy 2 on uniform machines: replicate everywhere, online LPT
-    with speeds. *)
+val full_placement : speeds:float array -> Instance.t -> Placement.t
+(** Strategy 2 on uniform machines: every task on every machine. *)
 
-val ls_group : speeds:float array -> k:int -> Two_phase.t
-(** Strategy 3 on uniform machines: contiguous machine groups, phase-1
-    greedy over groups weighted by group speed, online LS inside groups
-    with speeds. *)
+val group_placement : speeds:float array -> k:int -> Instance.t -> Placement.t
+(** Strategy 3 on uniform machines: contiguous machine groups, each task
+    greedily to the group where its estimated finish (group load over
+    group speed) stays smallest, replicated on the whole group. *)

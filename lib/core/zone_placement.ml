@@ -117,17 +117,3 @@ let local_budget_placement ~budget instance =
           end)
         zorder;
       Array.sub chosen 0 !deg)
-
-let zone_group ~k =
-  {
-    Two_phase.name = Printf.sprintf "ZoneGroup(k=%d)" k;
-    phase1 = (fun instance -> zone_group_placement ~k instance);
-    phase2 = Two_phase.lpt_order_phase2;
-  }
-
-let local_budget ~budget =
-  {
-    Two_phase.name = Printf.sprintf "LocalBudget(B=%g)" budget;
-    phase1 = (fun instance -> local_budget_placement ~budget instance);
-    phase2 = Two_phase.lpt_order_phase2;
-  }

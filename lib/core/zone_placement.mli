@@ -22,20 +22,20 @@
       home-zone-only placement; large [B] converges to one replica in
       every zone.
 
-    Both run phase 2 as online LPT over the replica sets
-    ({!Two_phase.lpt_order_phase2}); within a zone, machine choice is
-    greedy least-est-loaded in LPT order, charging the expected share
-    [est / degree] like the speed-robust builder. *)
+    Both run phase 2 as online LPT over the replica sets; within a
+    zone, machine choice is greedy least-est-loaded in LPT order,
+    charging the expected share [est / degree] like the speed-robust
+    builder. *)
 
-val zone_group : k:int -> Two_phase.t
-(** [zonegroup:K] as a two-phase algorithm (phase 2: online LPT). Phase
-    1 puts one replica in each of the [K] cheapest zones from the task's
-    home zone (clamped to the topology's zone count — on a uniform
-    topology every task gets exactly one replica), and raises
-    [Invalid_argument] if [k < 1]. *)
+module Instance = Usched_model.Instance
 
-val local_budget : budget:float -> Two_phase.t
-(** [localbudget:B] as a two-phase algorithm (phase 2: online LPT).
-    Phase 1 picks the cheapest replica zones under the per-task
-    transfer budget [budget * size_j], and raises [Invalid_argument]
-    when [budget] is NaN, infinite, or negative. *)
+val zone_group_placement : k:int -> Instance.t -> Placement.t
+(** The [zonegroup:K] placement: one replica in each of the [K] cheapest
+    zones from the task's home zone (clamped to the topology's zone
+    count — on a uniform topology every task gets exactly one replica).
+    Raises [Invalid_argument] if [k < 1]. *)
+
+val local_budget_placement : budget:float -> Instance.t -> Placement.t
+(** The [localbudget:B] placement: the cheapest replica zones under the
+    per-task transfer budget [budget * size_j]. Raises
+    [Invalid_argument] when [budget] is NaN, infinite, or negative. *)

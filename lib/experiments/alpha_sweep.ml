@@ -35,8 +35,8 @@ let run config =
         let worst spec =
           worst_over_instances config (Runner.strategy config ~m spec) instances
         in
-        let no_repl = worst Strategy.(no_replication Lpt) in
-        let full_repl = worst Strategy.(full_replication Lpt) in
+        let no_repl = worst Strategy.(No_replication Lpt) in
+        let full_repl = worst Strategy.(Full_replication Lpt) in
         (alpha, no_repl, full_repl))
       alphas
   in

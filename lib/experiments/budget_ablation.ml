@@ -41,9 +41,9 @@ let equal_cost_policies config =
   List.iter
     (fun replicas ->
       let group =
-        Runner.strategy config ~m Strategy.(group ~order:Ls ~k:(m / replicas))
+        Runner.strategy config ~m Strategy.(Group { order = Ls; k = m / replicas })
       in
-      let budgeted = Runner.strategy config ~m (Strategy.budgeted ~k:replicas) in
+      let budgeted = Runner.strategy config ~m (Strategy.Budgeted replicas) in
       Table.add_row table
         [
           string_of_int replicas;
@@ -85,7 +85,7 @@ let memory_budget_curve config =
   in
   List.iter
     (fun budget ->
-      let algo = Runner.strategy config ~m (Strategy.memory_budget ~budget) in
+      let algo = Runner.strategy config ~m (Strategy.Memory_budget budget) in
       let placement = algo.Core.Two_phase.phase1 instance in
       let summary = Summary.create () in
       List.iter

@@ -96,12 +96,12 @@ let degree_sweep config =
 let strategy_specs =
   Strategy.
     [
-      ("LPT-No Choice (k=1)", no_replication Lpt);
-      ("LS-Group k=3 (2 repl)", group ~order:Ls ~k:3);
-      ("LS-Group k=2 (3 repl)", group ~order:Ls ~k:2);
-      ("Budgeted k=2", budgeted ~k:2);
-      ("Budgeted k=3", budgeted ~k:3);
-      ("LPT-No Restriction (k=m)", full_replication Lpt);
+      ("LPT-No Choice (k=1)", No_replication Lpt);
+      ("LS-Group k=3 (2 repl)", Group { order = Ls; k = 3 });
+      ("LS-Group k=2 (3 repl)", Group { order = Ls; k = 2 });
+      ("Budgeted k=2", Budgeted 2);
+      ("Budgeted k=3", Budgeted 3);
+      ("LPT-No Restriction (k=m)", Full_replication Lpt);
     ]
 
 let strategy_sweep config =

@@ -33,10 +33,10 @@ let run config =
   let strategies =
     Strategy.
       [
-        ("no replication", no_replication Lpt);
-        ("LS-Group k=3 (2 replicas)", group ~order:Ls ~k:3);
-        ("Budgeted k=2", budgeted ~k:2);
-        ("full replication", full_replication Lpt);
+        ("no replication", No_replication Lpt);
+        ("LS-Group k=3 (2 replicas)", Group { order = Ls; k = 3 });
+        ("Budgeted k=2", Budgeted 2);
+        ("full replication", Full_replication Lpt);
       ]
   in
   let rows =

@@ -21,7 +21,7 @@ let identical_instance ~lambda ~m ~alpha =
 
 let adversarial_run config ~lambda ~m ~alpha =
   let instance = identical_instance ~lambda ~m ~alpha in
-  let algo = Runner.strategy config ~m Strategy.(no_replication Lpt) in
+  let algo = Runner.strategy config ~m Strategy.(No_replication Lpt) in
   let placement = algo.Core.Two_phase.phase1 instance in
   let realization = Core.Adversary.theorem1 instance placement in
   let schedule = algo.Core.Two_phase.phase2 instance placement realization in

@@ -48,7 +48,7 @@ let run config =
   (* Phase 2 against a perturbed realization. *)
   let rng = Rng.create ~seed:7 () in
   let realization = Realization.log_uniform_factor instance rng in
-  let algo = Runner.strategy config ~m Strategy.(group ~order:Ls ~k) in
+  let algo = Runner.strategy config ~m Strategy.(Group { order = Ls; k }) in
   let placement, schedule = Core.Two_phase.run_full algo instance realization in
   Printf.printf
     "\nPhase 2: online List Scheduling inside each group (actual times\n\

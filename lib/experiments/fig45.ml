@@ -69,11 +69,11 @@ let run config =
   let realization = Realization.log_uniform_factor instance rng in
   let m = Instance.m instance in
   show_algorithm "Figure 4: SABO (static, no replication)"
-    (Runner.strategy config ~m (Strategy.sabo ~delta))
+    (Runner.strategy config ~m (Strategy.Sabo delta))
     instance realization;
   show_algorithm
     "Figure 5: ABO (S2 pinned, S1 replicated everywhere + online LS)"
-    (Runner.strategy config ~m (Strategy.abo ~delta))
+    (Runner.strategy config ~m (Strategy.Abo delta))
     instance realization;
   Printf.printf
     "\nReading: ABO trades memory (replicas of S1 tasks on every machine)\n\

@@ -137,14 +137,14 @@ let measured_frontier config ~m ~alpha =
   let sabo =
     List.map
       (measure
-         (fun delta -> Runner.strategy config ~m (Strategy.sabo ~delta))
+         (fun delta -> Runner.strategy config ~m (Strategy.Sabo delta))
          (fun delta instance -> Core.Sabo.placement ~delta instance))
       deltas
   in
   let abo =
     List.map
       (measure
-         (fun delta -> Runner.strategy config ~m (Strategy.abo ~delta))
+         (fun delta -> Runner.strategy config ~m (Strategy.Abo delta))
          (fun delta instance -> Core.Abo.placement ~delta instance))
       deltas
   in

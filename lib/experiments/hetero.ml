@@ -23,7 +23,7 @@ let run config =
     (String.concat "; "
        (Array.to_list (Array.map (Printf.sprintf "%g") speeds)));
   let algo variant =
-    Runner.strategy config ~m (Strategy.uniform ~variant ~speeds)
+    Runner.strategy config ~m (Strategy.Uniform { variant; speeds })
   in
   let strategies alpha =
     ignore alpha;

@@ -38,10 +38,10 @@ let topologies =
 
 let strategies =
   [
-    ("full (m copies)", Strategy.full_replication Strategy.Lpt);
-    ("ls-group k=2", Strategy.group ~order:Strategy.Ls ~k:2);
-    ("zonegroup:2", Strategy.zone_group ~k:2);
-    ("localbudget:2.5", Strategy.local_budget ~budget:2.5);
+    ("full (m copies)", Strategy.Full_replication Strategy.Lpt);
+    ("ls-group k=2", Strategy.Group { order = Strategy.Ls; k = 2 });
+    ("zonegroup:2", Strategy.Zone_group 2);
+    ("localbudget:2.5", Strategy.Local_budget 2.5);
   ]
 
 let zone_aware = [ "zonegroup:2"; "localbudget:2.5" ]

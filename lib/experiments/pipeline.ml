@@ -38,7 +38,7 @@ type options = {
 
 let default =
   {
-    algo = Strategy.(full_replication Lpt);
+    algo = Strategy.(Full_replication Lpt);
     seed = 42;
     gantt = false;
     fail_rate = 0.0;

@@ -70,13 +70,13 @@ let profiles =
 let strategy_specs =
   Strategy.
     [
-      ("LPT-No Choice", no_replication Lpt);
-      ("Budgeted k=2", budgeted ~k:2);
-      ("Reliability 0.9", reliability ~target:0.9 ~budget:None);
-      ("Reliability 0.99", reliability ~target:0.99 ~budget:None);
-      ("Reliability 0.999", reliability ~target:0.999 ~budget:None);
-      ("Reliability 0.99 B=18", reliability ~target:0.99 ~budget:(Some 18.0));
-      ("LPT-No Restriction", full_replication Lpt);
+      ("LPT-No Choice", No_replication Lpt);
+      ("Budgeted k=2", Budgeted 2);
+      ("Reliability 0.9", Reliability { target = 0.9; budget = None });
+      ("Reliability 0.99", Reliability { target = 0.99; budget = None });
+      ("Reliability 0.999", Reliability { target = 0.999; budget = None });
+      ("Reliability 0.99 B=18", Reliability { target = 0.99; budget = Some 18.0 });
+      ("LPT-No Restriction", Full_replication Lpt);
     ]
 
 let is_reliability = function Strategy.Reliability _ -> true | _ -> false

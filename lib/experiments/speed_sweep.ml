@@ -27,10 +27,10 @@ let alpha = 1.0
 let strategy_specs =
   Strategy.
     [
-      ("no replication (LPT)", no_replication Lpt);
-      ("budgeted k=2", budgeted ~k:2);
-      ("speed-robust k=2", speed_robust ~k:2);
-      ("full replication", full_replication Lpt);
+      ("no replication (LPT)", No_replication Lpt);
+      ("budgeted k=2", Budgeted 2);
+      ("speed-robust k=2", Speed_robust { k = 2 });
+      ("full replication", Full_replication Lpt);
     ]
 
 type assessment = {

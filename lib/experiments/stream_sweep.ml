@@ -42,22 +42,22 @@ let cells =
   [
     {
       label = "no-replication";
-      spec = Core.Strategy.no_replication Core.Strategy.Ls;
+      spec = Core.Strategy.No_replication Core.Strategy.Ls;
       speculation = None;
     };
     {
       label = "ls-group:2";
-      spec = Core.Strategy.group ~order:Core.Strategy.Ls ~k:2;
+      spec = Core.Strategy.Group { order = Core.Strategy.Ls; k = 2 };
       speculation = None;
     };
     {
       label = "full-replication";
-      spec = Core.Strategy.full_replication Core.Strategy.Ls;
+      spec = Core.Strategy.Full_replication Core.Strategy.Ls;
       speculation = None;
     };
     {
       label = Printf.sprintf "full-repl+spec:%g" spec_beta;
-      spec = Core.Strategy.full_replication Core.Strategy.Ls;
+      spec = Core.Strategy.Full_replication Core.Strategy.Ls;
       speculation = Some spec_beta;
     };
   ]

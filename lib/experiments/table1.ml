@@ -68,12 +68,12 @@ let measured_table config =
   let algo spec = Runner.strategy config ~m spec in
   let algorithms =
     [
-      ( algo Strategy.(no_replication Lpt),
+      ( algo Strategy.(No_replication Lpt),
         Core.Guarantees.lpt_no_choice ~m ~alpha );
-      ( algo Strategy.(full_replication Lpt),
+      ( algo Strategy.(Full_replication Lpt),
         Core.Guarantees.full_replication ~m ~alpha );
-      (algo Strategy.(full_replication Ls), Core.Guarantees.list_scheduling ~m);
-      ( algo Strategy.(group ~order:Ls ~k:2),
+      (algo Strategy.(Full_replication Ls), Core.Guarantees.list_scheduling ~m);
+      ( algo Strategy.(Group { order = Ls; k = 2 }),
         Core.Guarantees.ls_group ~m ~k:2 ~alpha );
     ]
   in

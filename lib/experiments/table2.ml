@@ -82,7 +82,7 @@ let measured_table config ~m ~alpha ~rho =
       let sabo_mk, sabo_mem =
         measure config ~m ~alpha ~delta
           ~algo_of_delta:(fun delta ->
-            Runner.strategy config ~m (Strategy.sabo ~delta))
+            Runner.strategy config ~m (Strategy.Sabo delta))
           ~placement_of_delta:(fun delta instance ->
             Core.Sabo.placement ~delta instance)
       in
@@ -98,7 +98,7 @@ let measured_table config ~m ~alpha ~rho =
       let abo_mk, abo_mem =
         measure config ~m ~alpha ~delta
           ~algo_of_delta:(fun delta ->
-            Runner.strategy config ~m (Strategy.abo ~delta))
+            Runner.strategy config ~m (Strategy.Abo delta))
           ~placement_of_delta:(fun delta instance ->
             Core.Abo.placement ~delta instance)
       in

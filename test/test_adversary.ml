@@ -41,7 +41,7 @@ let theorem1_achieves_proof_ratio () =
      construction's value (using the exact optimum). *)
   let m = 3 and lambda = 3 in
   let instance = identical_instance ~lambda ~m in
-  let algo = Core.No_replication.lpt_no_choice in
+  let algo = Core.Strategy.(build (No_replication Lpt) ~m) in
   let placement = algo.Core.Two_phase.phase1 instance in
   let realization = Core.Adversary.theorem1 instance placement in
   let schedule = algo.Core.Two_phase.phase2 instance placement realization in
@@ -65,7 +65,7 @@ let inflate_machine_targets_replicas_too () =
 
 let ratio_helper_consistent () =
   let instance = identical_instance ~lambda:2 ~m:2 in
-  let algo = Core.No_replication.lpt_no_choice in
+  let algo = Core.Strategy.(build (No_replication Lpt) ~m:2) in
   let placement = algo.Core.Two_phase.phase1 instance in
   let run r = algo.Core.Two_phase.phase2 instance placement r in
   let opt actuals = Core.Opt.makespan ~m:2 actuals in
@@ -80,7 +80,7 @@ let greedy_flip_no_worse_than_start () =
     Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha alpha)
       [| 3.0; 2.0; 2.0; 1.0; 1.0 |]
   in
-  let algo = Core.No_replication.lpt_no_choice in
+  let algo = Core.Strategy.(build (No_replication Lpt) ~m:2) in
   let placement = algo.Core.Two_phase.phase1 instance in
   let run r = algo.Core.Two_phase.phase2 instance placement r in
   let opt actuals = Core.Opt.makespan ~m:2 actuals in
@@ -98,7 +98,7 @@ let exhaustive_dominates_heuristics () =
     Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha alpha)
       [| 2.0; 2.0; 1.0; 1.0; 1.0; 1.0 |]
   in
-  let algo = Core.No_replication.lpt_no_choice in
+  let algo = Core.Strategy.(build (No_replication Lpt) ~m:2) in
   let placement = algo.Core.Two_phase.phase1 instance in
   let run r = algo.Core.Two_phase.phase2 instance placement r in
   let opt actuals = Core.Opt.makespan ~m:2 actuals in
@@ -126,7 +126,7 @@ let adversary_realizations_are_admissible () =
   (* Every adversary must stay inside the alpha interval (of_factors
      validates, so constructing them is the test). *)
   let instance = identical_instance ~lambda:2 ~m:3 in
-  let algo = Core.No_replication.lpt_no_choice in
+  let algo = Core.Strategy.(build (No_replication Lpt) ~m:3) in
   let placement = algo.Core.Two_phase.phase1 instance in
   ignore (Core.Adversary.theorem1 instance placement);
   ignore (Core.Adversary.inflate_machine 1 instance placement);

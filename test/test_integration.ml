@@ -69,14 +69,17 @@ let ratio_at_least_one () =
   in
   let realization = Realization.exact instance in
   let makespan =
-    Core.Two_phase.makespan Core.Full_replication.lpt_no_restriction instance realization
+    Core.Two_phase.makespan
+      Core.Strategy.(build (Full_replication Lpt) ~m:3)
+      instance realization
   in
   let opt, _ = Runner.opt_estimate tiny_config ~m:3 (Realization.actuals realization) in
   checkb "ratio >= 1" true (makespan /. opt >= 1.0 -. 1e-9)
 
 let random_sweep_reproducible () =
   let sweep () =
-    Runner.random_sweep tiny_config ~algo:Core.No_replication.lpt_no_choice
+    Runner.random_sweep tiny_config
+      ~algo:Core.Strategy.(build (No_replication Lpt) ~m:3)
       ~spec:(Workload.Uniform { lo = 1.0; hi = 10.0 })
       ~realize:(fun instance rng -> Realization.uniform_factor instance rng)
       ~n:8 ~m:3 ~alpha:1.5
@@ -90,7 +93,8 @@ let random_sweep_reproducible () =
 
 let random_sweep_respects_reps () =
   let sweep =
-    Runner.random_sweep tiny_config ~algo:Core.Full_replication.ls_no_restriction
+    Runner.random_sweep tiny_config
+      ~algo:Core.Strategy.(build (Full_replication Ls) ~m:2)
       ~spec:(Workload.Identical 1.0)
       ~realize:(fun instance rng -> Realization.extremes ~p_high:0.5 instance rng)
       ~n:6 ~m:2 ~alpha:2.0
@@ -103,7 +107,7 @@ let sweep_ratios_bounded_by_guarantee () =
   let sweep =
     Runner.random_sweep
       { tiny_config with reps = 20 }
-      ~algo:Core.Full_replication.ls_no_restriction
+      ~algo:Core.Strategy.(build (Full_replication Ls) ~m)
       ~spec:(Workload.Uniform { lo = 1.0; hi = 10.0 })
       ~realize:(fun instance rng -> Realization.uniform_factor instance rng)
       ~n:9 ~m ~alpha
@@ -117,7 +121,8 @@ let adversarial_ratio_sound () =
       (Array.make 6 1.0)
   in
   let worst =
-    Runner.adversarial_ratio tiny_config Core.No_replication.lpt_no_choice
+    Runner.adversarial_ratio tiny_config
+      Core.Strategy.(build (No_replication Lpt) ~m:2)
       instance
   in
   checkb "above 1" true (worst >= 1.0 -. 1e-9);
@@ -185,9 +190,9 @@ module Engine = Usched_desim.Engine
 let manifest_records_specs () =
   with_temp_dir (fun dir ->
       let config = Runner.fresh_metrics { tiny_config with Runner.csv_dir = Some dir } in
-      Runner.record_spec config (Core.Strategy.budgeted ~k:2);
-      ignore (Runner.strategy config ~m:4 (Core.Strategy.group ~order:Core.Strategy.Ls ~k:2));
-      Runner.record_spec config (Core.Strategy.budgeted ~k:2);
+      Runner.record_spec config (Core.Strategy.Budgeted 2);
+      ignore (Runner.strategy config ~m:4 Core.Strategy.(Group { order = Ls; k = 2 }));
+      Runner.record_spec config (Core.Strategy.Budgeted 2);
       Runner.maybe_manifest config ~id:"probe" ~title:"Probe" ~wall_time_s:0.5;
       let json =
         Usched_report.Json.of_string_exn
@@ -203,8 +208,8 @@ let manifest_records_specs () =
                (List.map
                   (fun s -> Usched_report.Json.String s)
                   [
-                    Core.Strategy.to_string (Core.Strategy.budgeted ~k:2);
-                    Core.Strategy.to_string (Core.Strategy.group ~order:Core.Strategy.Ls ~k:2);
+                    Core.Strategy.to_string (Core.Strategy.Budgeted 2);
+                    Core.Strategy.(to_string (Group { order = Ls; k = 2 }));
                   ])));
       checkb "fresh_metrics starts a new spec record" true
         (!((Runner.fresh_metrics config).Runner.algo_specs) = []);

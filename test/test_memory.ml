@@ -86,7 +86,7 @@ let sabo_schedule_valid () =
   let instance = mixed_instance () in
   let rng = Rng.create ~seed:3 () in
   let realization = Realization.uniform_factor instance rng in
-  let algo = Core.Sabo.algorithm ~delta:1.0 in
+  let algo = Core.Strategy.build (Sabo 1.0) ~m:(Instance.m instance) in
   let placement, schedule = Core.Two_phase.run_full algo instance realization in
   Alcotest.(check (list string)) "valid" []
     (List.map
@@ -104,7 +104,7 @@ let sabo_within_guarantees () =
     (fun delta ->
       for _ = 1 to 10 do
         let realization = Realization.uniform_factor instance rng in
-        let algo = Core.Sabo.algorithm ~delta in
+        let algo = Core.Strategy.build (Sabo delta) ~m in
         let schedule = Core.Two_phase.run algo instance realization in
         let opt = Core.Opt.makespan ~m (Realization.actuals realization) in
         checkb "Th5 makespan" true
@@ -141,7 +141,7 @@ let abo_schedule_valid () =
   let instance = mixed_instance () in
   let rng = Rng.create ~seed:5 () in
   let realization = Realization.log_uniform_factor instance rng in
-  let algo = Core.Abo.algorithm ~delta:1.0 in
+  let algo = Core.Strategy.build (Abo 1.0) ~m:(Instance.m instance) in
   let placement, schedule = Core.Two_phase.run_full algo instance realization in
   Alcotest.(check (list string)) "valid" []
     (List.map
@@ -159,7 +159,7 @@ let abo_within_guarantees () =
     (fun delta ->
       for _ = 1 to 10 do
         let realization = Realization.uniform_factor instance rng in
-        let algo = Core.Abo.algorithm ~delta in
+        let algo = Core.Strategy.build (Abo delta) ~m in
         let schedule = Core.Two_phase.run algo instance realization in
         let opt = Core.Opt.makespan ~m (Realization.actuals realization) in
         checkb "Th7 makespan" true

@@ -15,14 +15,11 @@ let unit_instance ?(m = 4) ?(n = 16) () =
   Instance.of_ests ~m ~alpha:(Uncertainty.alpha 2.0)
     (Array.init n (fun i -> 1.0 +. float_of_int (i mod 5)))
 
-let placement ~budget inst =
-  (Core.Memory_budget.algorithm ~budget).Core.Two_phase.phase1 inst
-
 let never_exceeds_budget () =
   let inst = unit_instance () in
   List.iter
     (fun budget ->
-      let p = placement ~budget inst in
+      let p = Core.Memory_budget.placement ~budget inst in
       checkb
         (Printf.sprintf "budget %g respected" budget)
         true
@@ -32,20 +29,20 @@ let never_exceeds_budget () =
 let bare_budget_means_no_replicas () =
   (* 16 unit-size tasks on 4 machines: budget 4 leaves zero headroom. *)
   let inst = unit_instance () in
-  let p = placement ~budget:4.0 inst in
+  let p = Core.Memory_budget.placement ~budget:4.0 inst in
   checki "singletons only" 1 (Core.Placement.max_replication p);
   checki "exactly n replicas" 16 (Core.Placement.total_replicas p)
 
 let ample_budget_replicates_everywhere () =
   let inst = unit_instance () in
-  let p = placement ~budget:16.0 inst in
+  let p = Core.Memory_budget.placement ~budget:16.0 inst in
   checki "full replication" 4 (Core.Placement.max_replication p);
   checki "n*m replicas" 64 (Core.Placement.total_replicas p)
 
 let replicas_grow_with_budget () =
   let inst = unit_instance () in
   let replicas budget =
-    Core.Placement.total_replicas (placement ~budget inst)
+    Core.Placement.total_replicas (Core.Memory_budget.placement ~budget inst)
   in
   checkb "monotone" true
     (replicas 4.0 <= replicas 6.0
@@ -56,17 +53,17 @@ let infeasible_cases () =
   let inst = unit_instance () in
   checkb "budget below task size" true
     (try
-       ignore (placement ~budget:0.5 inst);
+       ignore (Core.Memory_budget.placement ~budget:0.5 inst);
        false
      with Core.Memory_budget.Infeasible _ -> true);
   checkb "aggregate too small" true
     (try
-       ignore (placement ~budget:2.0 inst);
+       ignore (Core.Memory_budget.placement ~budget:2.0 inst);
        false
      with Core.Memory_budget.Infeasible _ -> true);
   Alcotest.check_raises "non-positive budget"
     (Invalid_argument "Memory_budget: budget must be > 0") (fun () ->
-      ignore (placement ~budget:0.0 inst))
+      ignore (Core.Memory_budget.placement ~budget:0.0 inst))
 
 let repair_moves_oversized_piles () =
   (* LPT on estimates piles big-data tasks together; repair must spread
@@ -79,7 +76,7 @@ let repair_moves_oversized_piles () =
   in
   (* LPT by estimate puts tasks 2,3 (the big-data ones) on... whatever it
      does, budget 5 forces one big-data task per machine. *)
-  let p = placement ~budget:5.0 inst in
+  let p = Core.Memory_budget.placement ~budget:5.0 inst in
   checkb "fits" true (Core.Memory_budget.max_memory_load inst p <= 5.0 +. 1e-9)
 
 let schedules_valid_and_improve () =
@@ -87,7 +84,7 @@ let schedules_valid_and_improve () =
   let rng = Rng.create ~seed:17 () in
   let realization = Realization.extremes ~p_high:0.3 inst rng in
   let makespan budget =
-    let algo = Core.Memory_budget.algorithm ~budget in
+    let algo = Core.Strategy.build (Memory_budget budget) ~m:4 in
     let placement, schedule = Core.Two_phase.run_full algo inst realization in
     checkb "valid" true
       (Schedule.validate ~placement:(Core.Placement.sets placement) inst
@@ -103,10 +100,12 @@ let ample_equals_full_replication () =
   let rng = Rng.create ~seed:18 () in
   let realization = Realization.uniform_factor inst rng in
   close "matches LPT-No Restriction"
-    (Core.Two_phase.makespan Core.Full_replication.lpt_no_restriction inst
-       realization)
-    (Core.Two_phase.makespan (Core.Memory_budget.algorithm ~budget:16.0) inst
-       realization)
+    (Core.Two_phase.makespan
+       Core.Strategy.(build (Full_replication Lpt) ~m:4)
+       inst realization)
+    (Core.Two_phase.makespan
+       (Core.Strategy.build (Memory_budget 16.0) ~m:4)
+       inst realization)
 
 let () =
   Alcotest.run "memory_budget"

@@ -144,7 +144,9 @@ let prop_scenarios_domain_independent =
           ~realize:(fun i r -> Realization.uniform_factor i r)
           ~rng instance
       in
-      let algo = Core.Full_replication.lpt_no_restriction in
+      let algo =
+        Core.Strategy.(build (Full_replication Lpt) ~m:(Instance.m instance))
+      in
       let base = evaluate ~domains:1 algo instance scenarios in
       List.for_all
         (fun d ->

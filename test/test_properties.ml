@@ -45,8 +45,9 @@ let build (m, alpha, ests, sizes, extreme, seed) =
 let opt_of instance realization =
   Core.Opt.makespan ~m:(Instance.m instance) (Realization.actuals realization)
 
-let check_guarantee algo guarantee_of scenario_value =
+let check_guarantee spec guarantee_of scenario_value =
   let instance, realization = build scenario_value in
+  let algo = Core.Strategy.build spec ~m:(Instance.m instance) in
   let makespan = Core.Two_phase.makespan algo instance realization in
   let opt = opt_of instance realization in
   let bound = guarantee_of instance in
@@ -55,7 +56,7 @@ let check_guarantee algo guarantee_of scenario_value =
 let prop_theorem2 =
   QCheck.Test.make ~name:"Theorem 2: LPT-No Choice within 2a2m/(2a2+m-1)"
     ~count:250 scenario
-    (check_guarantee Core.No_replication.lpt_no_choice (fun instance ->
+    (check_guarantee Core.Strategy.(No_replication Lpt) (fun instance ->
          Core.Guarantees.lpt_no_choice ~m:(Instance.m instance)
            ~alpha:(Instance.alpha_value instance)))
 
@@ -63,14 +64,14 @@ let prop_theorem3 =
   QCheck.Test.make
     ~name:"Theorem 3 + Graham: LPT-No Restriction within min(Th3, 2-1/m)"
     ~count:250 scenario
-    (check_guarantee Core.Full_replication.lpt_no_restriction (fun instance ->
+    (check_guarantee Core.Strategy.(Full_replication Lpt) (fun instance ->
          Core.Guarantees.full_replication ~m:(Instance.m instance)
            ~alpha:(Instance.alpha_value instance)))
 
 let prop_graham_ls =
   QCheck.Test.make ~name:"Graham: LS-No Restriction within 2 - 1/m" ~count:250
     scenario
-    (check_guarantee Core.Full_replication.ls_no_restriction (fun instance ->
+    (check_guarantee Core.Strategy.(Full_replication Ls) (fun instance ->
          Core.Guarantees.list_scheduling ~m:(Instance.m instance)))
 
 let prop_theorem4 =
@@ -83,7 +84,7 @@ let prop_theorem4 =
         (fun k ->
           if m mod k <> 0 then true
           else begin
-            let algo = Core.Group_replication.ls_group ~k in
+            let algo = Core.Strategy.(build (Group { order = Ls; k }) ~m) in
             let makespan = Core.Two_phase.makespan algo instance realization in
             let bound =
               Core.Guarantees.ls_group ~m ~k
@@ -98,27 +99,29 @@ let prop_every_schedule_validates =
     ~count:200 scenario (fun scenario_value ->
       let instance, realization = build scenario_value in
       let m = Instance.m instance in
-      let algorithms =
-        [
-          Core.No_replication.lpt_no_choice;
-          Core.No_replication.ls_no_choice;
-          Core.Full_replication.lpt_no_restriction;
-          Core.Full_replication.ls_no_restriction;
-          Core.Group_replication.ls_group ~k:(Stdlib.max 1 (m / 2));
-          Core.Sabo.algorithm ~delta:1.0;
-          Core.Abo.algorithm ~delta:1.0;
-          Core.Selective.algorithm ~count:2;
-        ]
+      let specs =
+        Core.Strategy.
+          [
+            No_replication Lpt;
+            No_replication Ls;
+            Full_replication Lpt;
+            Full_replication Ls;
+            Group { order = Ls; k = Stdlib.max 1 (m / 2) };
+            Sabo 1.0;
+            Abo 1.0;
+            Selective 2;
+          ]
       in
       List.for_all
-        (fun algo ->
+        (fun spec ->
+          let algo = Core.Strategy.build spec ~m in
           let placement, schedule =
             Core.Two_phase.run_full algo instance realization
           in
           Schedule.validate ~placement:(Core.Placement.sets placement) instance
             realization schedule
           = [])
-        algorithms)
+        specs)
 
 let prop_makespan_never_below_opt =
   QCheck.Test.make ~name:"no algorithm beats the clairvoyant optimum" ~count:200
@@ -126,13 +129,11 @@ let prop_makespan_never_below_opt =
       let instance, realization = build scenario_value in
       let opt = opt_of instance realization in
       List.for_all
-        (fun algo ->
+        (fun spec ->
+          let algo = Core.Strategy.build spec ~m:(Instance.m instance) in
           Core.Two_phase.makespan algo instance realization >= opt -. (1e-9 *. opt))
-        [
-          Core.No_replication.lpt_no_choice;
-          Core.Full_replication.lpt_no_restriction;
-          Core.Full_replication.ls_no_restriction;
-        ])
+        Core.Strategy.
+          [ No_replication Lpt; Full_replication Lpt; Full_replication Ls ])
 
 let prop_theorem1_adversary_bounded_by_theorem2 =
   (* The strongest adversary cannot push LPT-No Choice past its Theorem-2
@@ -152,7 +153,7 @@ let prop_theorem1_adversary_bounded_by_theorem2 =
           ~alpha:(Uncertainty.alpha alpha)
           (Array.make (lambda * m) 1.0)
       in
-      let algo = Core.No_replication.lpt_no_choice in
+      let algo = Core.Strategy.(build (No_replication Lpt) ~m) in
       let placement = algo.Core.Two_phase.phase1 instance in
       let run r = algo.Core.Two_phase.phase2 instance placement r in
       let opt actuals = Core.Opt.makespan ~m actuals in
@@ -167,8 +168,9 @@ let prop_lemma1_no_restriction =
     ~count:250 scenario (fun scenario_value ->
       let instance, realization = build scenario_value in
       let schedule =
-        Core.Two_phase.run Core.Full_replication.lpt_no_restriction instance
-          realization
+        Core.Two_phase.run
+          Core.Strategy.(build (Full_replication Lpt) ~m:(Instance.m instance))
+          instance realization
       in
       (* The task reaching the makespan. *)
       let critical = ref (-1) in
@@ -229,7 +231,7 @@ let prop_sabo_theorems =
       let opt = opt_of instance realization in
       List.for_all
         (fun delta ->
-          let algo = Core.Sabo.algorithm ~delta in
+          let algo = Core.Strategy.build (Sabo delta) ~m in
           let makespan = Core.Two_phase.makespan algo instance realization in
           let mem =
             Core.Memory.of_placement instance (Core.Sabo.placement ~delta instance)
@@ -255,7 +257,7 @@ let prop_abo_theorems =
       let opt = opt_of instance realization in
       List.for_all
         (fun delta ->
-          let algo = Core.Abo.algorithm ~delta in
+          let algo = Core.Strategy.build (Abo delta) ~m in
           let makespan = Core.Two_phase.makespan algo instance realization in
           let mem =
             Core.Memory.of_placement instance (Core.Abo.placement ~delta instance)
@@ -282,8 +284,9 @@ let prop_alpha_one_no_uncertainty_penalty =
       let instance = Instance.of_ests ~m ~alpha:(Uncertainty.alpha 1.0) ests in
       let realization = Realization.exact instance in
       let makespan =
-        Core.Two_phase.makespan Core.No_replication.lpt_no_choice instance
-          realization
+        Core.Two_phase.makespan
+          Core.Strategy.(build (No_replication Lpt) ~m)
+          instance realization
       in
       let opt = Core.Opt.makespan ~m ests in
       makespan <= (Core.Guarantees.lpt_offline ~m *. opt) +. 1e-9)
@@ -304,17 +307,19 @@ let prop_time_scale_invariance =
       let biased = Realization.biased ~factor instance in
       let exact = Realization.exact instance in
       List.for_all
-        (fun algo ->
+        (fun spec ->
+          let algo = Core.Strategy.build spec ~m in
           let scaled = Core.Two_phase.makespan algo instance biased in
           let base = Core.Two_phase.makespan algo instance exact in
           Float.abs (scaled -. (factor *. base)) < 1e-9 *. Float.max 1.0 scaled)
-        [
-          Core.No_replication.lpt_no_choice;
-          Core.Full_replication.lpt_no_restriction;
-          Core.Full_replication.ls_no_restriction;
-          Core.Group_replication.ls_group ~k:(Stdlib.max 1 (m / 2));
-          Core.Budgeted.uniform ~k:2;
-        ])
+        Core.Strategy.
+          [
+            No_replication Lpt;
+            Full_replication Lpt;
+            Full_replication Ls;
+            Group { order = Ls; k = Stdlib.max 1 (m / 2) };
+            Budgeted 2;
+          ])
 
 let prop_replication_never_hurts_worst_case =
   (* Group guarantee with k groups is at most the k'=m (singleton)

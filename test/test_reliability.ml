@@ -23,14 +23,11 @@ let instance_of ?failure ~m ests =
 
 (* --------------------------- unit solves ---------------------------- *)
 
-let placement ?budget ~target instance =
-  (Reliability.algorithm ?budget ~target ()).Core.Two_phase.phase1 instance
-
 let target_validated () =
   let instance = instance_of ~m:2 [| 1.0 |] in
   Alcotest.check_raises "target 1 rejected"
     (Invalid_argument "Reliability: target 1 must be in (0, 1)")
-    (fun () -> ignore (placement ~target:1.0 instance))
+    (fun () -> ignore (Reliability.placement ~target:1.0 instance))
 
 let sets_meet_their_budget () =
   (* Uniform p = 0.05, target 0.99 over 12 tasks: per-task loss budget is
@@ -39,7 +36,7 @@ let sets_meet_their_budget () =
   let n = 12 and m = 6 in
   let failure = Failure.uniform ~m ~p:0.05 in
   let instance = instance_of ~failure ~m (Array.make n 1.0) in
-  let placement = placement ~target:0.99 instance in
+  let placement = Reliability.placement ~target:0.99 instance in
   let eps = (1.0 -. 0.99) /. float_of_int n in
   Array.iteri
     (fun j degree ->
@@ -56,7 +53,7 @@ let reliable_machines_mean_singletons () =
   let m = 4 in
   let failure = Failure.uniform ~m ~p:1e-6 in
   let instance = instance_of ~failure ~m [| 3.0; 2.0; 1.0; 5.0; 4.0 |] in
-  let placement = placement ~target:0.999 instance in
+  let placement = Reliability.placement ~target:0.999 instance in
   Array.iter (fun d -> checki "singleton" 1 d) (Helpers.degrees placement)
 
 let degrees_follow_the_profile () =
@@ -68,7 +65,7 @@ let degrees_follow_the_profile () =
   let total profile =
     let instance = instance_of ~failure:profile ~m (Array.make n 1.0) in
     Array.fold_left ( + ) 0
-      (Helpers.degrees (placement ~target:0.99 instance))
+      (Helpers.degrees (Reliability.placement ~target:0.99 instance))
   in
   checkb "flaky needs more replicas than calm" true (total flaky > total calm)
 
@@ -82,7 +79,7 @@ let budget_is_respected () =
      packing slack per machine (it balances by memory but breaks ties by
      id, so a perfectly tight 9 is not packable); the solve must never
      exceed the cap on any machine. *)
-  let placement = placement ~budget:10.0 ~target:0.9 instance in
+  let placement = Reliability.placement ~budget:10.0 ~target:0.9 instance in
   checkb "memory cap held" true
     (Placement.memory_max placement ~sizes:(Instance.sizes instance)
     <= 10.0 +. 1e-9);
@@ -97,7 +94,7 @@ let infeasible_budget () =
   let instance = instance_of ~failure ~m (Array.make n 1.0) in
   (* 8 slots per machine = 32 < the 36 replicas the target needs. *)
   checkb "tight budget raises Infeasible" true
-    (match placement ~budget:8.0 ~target:0.9 instance with
+    (match Reliability.placement ~budget:8.0 ~target:0.9 instance with
     | exception Reliability.Infeasible _ -> true
     | _ -> false)
 
@@ -107,7 +104,7 @@ let infeasible_target () =
   let failure = Failure.uniform ~m:2 ~p:0.9 in
   let instance = instance_of ~failure ~m:2 (Array.make 5 1.0) in
   checkb "unreachable target raises Infeasible" true
-    (match placement ~target:0.9999 instance with
+    (match Reliability.placement ~target:0.9999 instance with
     | exception Reliability.Infeasible _ -> true
     | _ -> false)
 
@@ -118,7 +115,7 @@ let invalid_target () =
         (Printf.sprintf "target %g rejected" target)
         true
         (match
-           placement ~target
+           Reliability.placement ~target
              (instance_of ~m:2 [| 1.0; 2.0 |])
          with
         | exception Invalid_argument _ -> true
@@ -131,7 +128,7 @@ let default_profile_used () =
      under [failure_or_default]. *)
   let n = 8 in
   let instance = instance_of ~m:5 (Array.init n (fun j -> float_of_int (j + 1))) in
-  let placement = placement ~target:0.99 instance in
+  let placement = Reliability.placement ~target:0.99 instance in
   checkb "bound from the default profile" true
     (Reliability.survival_bound instance placement >= 0.99)
 
@@ -154,10 +151,12 @@ let analytic_bounds () =
 let algorithm_names () =
   Alcotest.(check string)
     "unbudgeted" "Reliability(target=0.999)"
-    (Reliability.algorithm ~target:0.999 ()).Core.Two_phase.name;
+    (Core.Strategy.build (Reliability { target = 0.999; budget = None }) ~m:2)
+      .Core.Two_phase.name;
   Alcotest.(check string)
     "budgeted" "Reliability(target=0.99, B=16)"
-    (Reliability.algorithm ~budget:16.0 ~target:0.99 ()).Core.Two_phase.name
+    (Core.Strategy.build (Reliability { target = 0.99; budget = Some 16.0 }) ~m:2)
+      .Core.Two_phase.name
 
 (* ------------------- Monte-Carlo acceptance check ------------------- *)
 
@@ -195,7 +194,7 @@ let monte_carlo_meets_target () =
                  rng)
               (Some profile)
           in
-          let placement = placement ~target instance in
+          let placement = Reliability.placement ~target instance in
           checkb
             (Printf.sprintf "%s: analytic bound >= %g" pname target)
             true

@@ -23,6 +23,9 @@ let realize instance rng = Realization.extremes ~p_high:0.3 instance rng
 let scenarios ?(count = 12) seed =
   Core.Scenarios.sample ~count ~realize ~rng:(Rng.create ~seed ()) (instance ())
 
+(* A catalog algorithm for [instance ()]'s four machines. *)
+let algo spec = Core.Strategy.build spec ~m:4
+
 let default_portfolio ~m =
   List.map (fun spec -> Core.Strategy.build spec ~m) (Core.Strategy.default_portfolio ~m)
 
@@ -37,7 +40,7 @@ let sample_counts () =
 
 let evaluate_consistency () =
   let e =
-    evaluate Core.Full_replication.lpt_no_restriction (instance ())
+    evaluate (algo (Full_replication Lpt)) (instance ())
       (scenarios 2)
   in
   Alcotest.(check int) "one makespan per scenario" 12
@@ -53,19 +56,14 @@ let evaluate_consistency () =
 let evaluation_commits_phase1_once () =
   (* Deterministic phase 1: two evaluations agree exactly. *)
   let s = scenarios 3 in
-  let a = evaluate Core.No_replication.lpt_no_choice (instance ()) s in
-  let b = evaluate Core.No_replication.lpt_no_choice (instance ()) s in
+  let a = evaluate (algo (No_replication Lpt)) (instance ()) s in
+  let b = evaluate (algo (No_replication Lpt)) (instance ()) s in
   Alcotest.(check (array (float 0.0))) "reproducible"
     a.Core.Scenarios.per_scenario b.Core.Scenarios.per_scenario
 
 let select_picks_best () =
   let s = scenarios 4 in
-  let portfolio =
-    [
-      Core.No_replication.lpt_no_choice;
-      Core.Full_replication.lpt_no_restriction;
-    ]
-  in
+  let portfolio = [ algo (No_replication Lpt); algo (Full_replication Lpt) ] in
   let chosen =
     Core.Scenarios.select Core.Scenarios.Minimize_worst ~portfolio (instance ()) s
   in
@@ -101,7 +99,7 @@ let select_rejects_degenerate () =
   checkb "empty scenarios" true
     (try
        ignore
-         (evaluate Core.No_replication.lpt_no_choice (instance ())
+         (evaluate (algo (No_replication Lpt)) (instance ())
             []);
        false
      with Invalid_argument _ -> true)
@@ -137,12 +135,14 @@ let select_winner_stable_across_refactor () =
   let s = scenarios 7 in
   let portfolio = default_portfolio ~m:4 in
   let old_style =
-    [
-      Core.No_replication.lpt_no_choice;
-      Core.Group_replication.ls_group ~k:2;
-      Core.Budgeted.uniform ~k:2;
-      Core.Full_replication.lpt_no_restriction;
-    ]
+    List.map algo
+      Core.Strategy.
+        [
+          No_replication Lpt;
+          Group { order = Ls; k = 2 };
+          Budgeted 2;
+          Full_replication Lpt;
+        ]
   in
   Alcotest.(check (list string))
     "same members as the pre-refactor list"

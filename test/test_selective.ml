@@ -34,24 +34,27 @@ let zero_count_equals_lpt_no_choice () =
   let rng = Rng.create ~seed:1 () in
   let realization = Realization.uniform_factor inst rng in
   close "same makespan"
-    (Core.Two_phase.makespan Core.No_replication.lpt_no_choice inst realization)
-    (Core.Two_phase.makespan (Core.Selective.algorithm ~count:0) inst realization)
+    (Core.Two_phase.makespan
+       Core.Strategy.(build (No_replication Lpt) ~m:3)
+       inst realization)
+    (Core.Two_phase.makespan (Core.Strategy.build (Selective 0) ~m:3) inst realization)
 
 let full_count_equals_no_restriction () =
   let inst = instance () in
   let rng = Rng.create ~seed:2 () in
   let realization = Realization.uniform_factor inst rng in
   close "same makespan"
-    (Core.Two_phase.makespan Core.Full_replication.lpt_no_restriction inst
-       realization)
-    (Core.Two_phase.makespan (Core.Selective.algorithm ~count:7) inst realization)
+    (Core.Two_phase.makespan
+       Core.Strategy.(build (Full_replication Lpt) ~m:3)
+       inst realization)
+    (Core.Two_phase.makespan (Core.Strategy.build (Selective 7) ~m:3) inst realization)
 
 let schedules_valid_at_every_count () =
   let inst = instance () in
   let rng = Rng.create ~seed:3 () in
   for count = 0 to 7 do
     let realization = Realization.extremes ~p_high:0.4 inst rng in
-    let algo = Core.Selective.algorithm ~count in
+    let algo = Core.Strategy.build (Selective count) ~m:3 in
     let placement, schedule = Core.Two_phase.run_full algo inst realization in
     checkb
       (Printf.sprintf "count %d valid" count)

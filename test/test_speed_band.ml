@@ -168,9 +168,6 @@ let scenario_print (n, m, k, seed) =
 
 let scenario = QCheck.make ~print:scenario_print scenario_gen
 
-let speed_robust ~k instance =
-  (Core.Speed_robust.algorithm ~k).Core.Two_phase.phase1 instance
-
 let build_instance (n, m, seed) =
   let rng = Rng.create ~seed () in
   let ests = Array.init n (fun _ -> Rng.float_range rng ~lo:0.5 ~hi:10.0) in
@@ -187,7 +184,7 @@ let prop_adversary_dominates_mc =
       let instance, realization, rng = build_instance (n, m, seed) in
       let band = Speed_band.uniform ~m ~lo:0.5 ~hi:2.0 in
       let instance = Instance.with_speed_band instance (Some band) in
-      let placement = speed_robust ~k instance in
+      let placement = Core.Speed_robust.placement ~k instance in
       let sets = Core.Placement.sets placement in
       let order = Instance.lpt_order instance in
       let makespan speeds =
@@ -317,7 +314,7 @@ let bound_prunes_group_placements () =
   let instance, realization, _ = build_instance (300, 10, 11) in
   let band = Speed_band.uniform ~m:10 ~lo:0.5 ~hi:2.0 in
   let instance = Instance.with_speed_band instance (Some band) in
-  let placement = speed_robust ~k:2 instance in
+  let placement = Core.Speed_robust.placement ~k:2 instance in
   let actuals = Realization.actuals realization in
   let sets = Core.Placement.sets placement in
   let order = Instance.lpt_order instance in
@@ -399,7 +396,7 @@ let prop_one_replica_per_class =
       in
       let instance = Instance.with_speed_band instance (Some band) in
       let classes = Core.Speed_robust.classes ~k instance in
-      let placement = speed_robust ~k instance in
+      let placement = Core.Speed_robust.placement ~k instance in
       (* The classes partition the machines... *)
       Array.length classes = k
       && Array.fold_left (fun acc c -> acc + Array.length c) 0 classes = m
@@ -460,7 +457,7 @@ let prop_speed_robust_sets_shared =
     (fun (n, m, k, seed, _) ->
       let instance, _, rng = build_instance (n, m, seed) in
       let instance = Instance.with_speed_band instance (Some (random_band rng m)) in
-      let placement = speed_robust ~k instance in
+      let placement = Core.Speed_robust.placement ~k instance in
       let distinct = physically_distinct (Core.Placement.sets placement) in
       let product =
         Array.fold_left
@@ -480,7 +477,7 @@ let prop_shared_sets_replay_as_copies =
       let instance, realization, rng = build_instance (n, m, seed) in
       let band = random_band rng m in
       let instance = Instance.with_speed_band instance (Some band) in
-      let shared = Core.Placement.sets (speed_robust ~k instance) in
+      let shared = Core.Placement.sets (Core.Speed_robust.placement ~k instance) in
       let copies = Array.map Bitset.copy shared in
       let speeds = Speed_band.sample band (Rng.split rng) in
       let order = Instance.lpt_order instance in
@@ -599,7 +596,7 @@ let worst_case_rejects_out_of_band_candidates () =
   in
   let band = Speed_band.uniform ~m:2 ~lo:0.5 ~hi:2.0 in
   let instance' = Instance.with_speed_band instance (Some band) in
-  let placement = speed_robust ~k:1 instance' in
+  let placement = Core.Speed_robust.placement ~k:1 instance' in
   checkb "candidate outside the band" true
     (try
        ignore

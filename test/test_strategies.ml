@@ -15,11 +15,18 @@ let checki = Alcotest.(check int)
 let instance_of ?(m = 2) ?(alpha = 1.5) ests =
   Instance.of_ests ~m ~alpha:(Uncertainty.alpha alpha) ests
 
+let lpt_no_choice = Core.Strategy.No_replication Lpt
+let lpt_no_restriction = Core.Strategy.Full_replication Lpt
+let ls_no_restriction = Core.Strategy.Full_replication Ls
+
+(* The catalog algorithm [spec] for [instance]'s machine count. *)
+let algo spec instance = Core.Strategy.build spec ~m:(Instance.m instance)
+
 (* --- Strategy 1: no replication --- *)
 
 let lpt_no_choice_placement_is_lpt () =
   let instance = instance_of ~m:2 [| 1.0; 5.0; 3.0 |] in
-  let p = Core.No_replication.lpt_no_choice.Core.Two_phase.phase1 instance in
+  let p = Core.No_replication.placement ~order:`Lpt instance in
   checki "singleton everywhere" 1 (Core.Placement.max_replication p);
   (* LPT on (1,5,3): 5 -> m0, 3 -> m1, 1 -> m1. *)
   checkb "task 1 on m0" true (Core.Placement.allowed p ~task:1 ~machine:0);
@@ -29,16 +36,12 @@ let lpt_no_choice_placement_is_lpt () =
 let lpt_no_choice_static_under_perturbation () =
   (* However the actual times land, tasks stay on their phase-1 machine. *)
   let instance = instance_of ~m:2 ~alpha:2.0 [| 4.0; 4.0; 4.0; 4.0 |] in
-  let placement =
-    Core.No_replication.lpt_no_choice.Core.Two_phase.phase1 instance
-  in
+  let pinned = algo lpt_no_choice instance in
+  let placement = pinned.Core.Two_phase.phase1 instance in
   let rng = Rng.create ~seed:5 () in
   for _ = 1 to 10 do
     let realization = Realization.uniform_factor instance rng in
-    let s =
-      Core.No_replication.lpt_no_choice.Core.Two_phase.phase2 instance placement
-        realization
-    in
+    let s = pinned.Core.Two_phase.phase2 instance placement realization in
     Array.iteri
       (fun j _ ->
         checkb "pinned" true
@@ -52,7 +55,7 @@ let lpt_no_choice_exact_alpha_matches_offline_lpt () =
   let instance = instance_of ~m:3 ~alpha:1.0 [| 9.0; 7.0; 6.0; 5.0; 4.0; 2.0 |] in
   let realization = Realization.exact instance in
   let two_phase =
-    Core.Two_phase.makespan Core.No_replication.lpt_no_choice instance realization
+    Core.Two_phase.makespan (algo lpt_no_choice instance) instance realization
   in
   let offline =
     Core.Assign.makespan (Core.Assign.lpt ~m:3 ~weights:(Instance.ests instance))
@@ -68,11 +71,11 @@ let lpt_no_restriction_adapts () =
   let actuals = [| 2.0; 2.0; 6.0; 6.0; 2.0; 2.0 |] in
   let realization = Realization.of_actuals instance actuals in
   let flexible =
-    Core.Two_phase.makespan Core.Full_replication.lpt_no_restriction instance
+    Core.Two_phase.makespan (algo lpt_no_restriction instance) instance
       realization
   in
   let pinned =
-    Core.Two_phase.makespan Core.No_replication.lpt_no_choice instance realization
+    Core.Two_phase.makespan (algo lpt_no_choice instance) instance realization
   in
   checkb "replication adapts at least as well" true (flexible <= pinned +. 1e-9)
 
@@ -81,14 +84,13 @@ let ls_no_restriction_is_graham () =
   let instance = instance_of ~m:2 ~alpha:1.0 [| 3.0; 3.0; 2.0; 2.0 |] in
   let realization = Realization.exact instance in
   let s =
-    Core.Two_phase.run Core.Full_replication.ls_no_restriction instance
-      realization
+    Core.Two_phase.run (algo ls_no_restriction instance) instance realization
   in
   close "LS makespan" 5.0 (Schedule.makespan s)
 
 let full_replication_placement () =
   let instance = instance_of ~m:3 [| 1.0; 1.0 |] in
-  let p = Core.Full_replication.lpt_no_restriction.Core.Two_phase.phase1 instance in
+  let p = (algo lpt_no_restriction instance).Core.Two_phase.phase1 instance in
   checki "replicated everywhere" 3 (Core.Placement.max_replication p)
 
 (* --- Strategy 3: groups --- *)
@@ -130,28 +132,30 @@ let ls_group_k1_equals_full_replication () =
   let rng = Rng.create ~seed:8 () in
   let realization = Realization.uniform_factor instance rng in
   let group =
-    Core.Two_phase.makespan (Core.Group_replication.ls_group ~k:1) instance
-      realization
+    Core.Two_phase.makespan
+      (algo (Group { order = Ls; k = 1 }) instance)
+      instance realization
   in
   let full =
-    Core.Two_phase.makespan Core.Full_replication.ls_no_restriction instance
+    Core.Two_phase.makespan (algo ls_no_restriction instance) instance
       realization
   in
   close "k=1 is full replication with LS order" full group
 
 let ls_group_km_is_singleton () =
   let instance = instance_of ~m:3 [| 5.0; 4.0; 3.0 |] in
-  let p =
-    (Core.Group_replication.ls_group ~k:3).Core.Two_phase.phase1 instance
-  in
+  let p = Core.Group_replication.placement ~order:`Submission ~k:3 instance in
   checki "groups of one machine" 1 (Core.Placement.max_replication p)
 
 let ls_group_respects_groups () =
   let instance = instance_of ~m:6 ~alpha:2.0 (Array.make 12 1.0) in
   let rng = Rng.create ~seed:9 () in
   let realization = Realization.extremes ~p_high:0.5 instance rng in
-  let algo = Core.Group_replication.ls_group ~k:2 in
-  let placement, schedule = Core.Two_phase.run_full algo instance realization in
+  let placement, schedule =
+    Core.Two_phase.run_full
+      (algo (Group { order = Ls; k = 2 }) instance)
+      instance realization
+  in
   Alcotest.(check (list string)) "valid vs placement" []
     (List.map
        (Format.asprintf "%a" Helpers.pp_violation)
@@ -164,12 +168,13 @@ let lpt_group_uses_lpt_order () =
   let rng = Rng.create ~seed:10 () in
   let realization = Realization.uniform_factor instance rng in
   close "k=1 LPT group = LPT no restriction"
-    (Core.Two_phase.makespan Core.Full_replication.lpt_no_restriction instance
+    (Core.Two_phase.makespan (algo lpt_no_restriction instance) instance
        realization)
-    (Core.Two_phase.makespan (Core.Group_replication.lpt_group ~k:1) instance
-       realization)
+    (Core.Two_phase.makespan
+       (algo (Group { order = Lpt; k = 1 }) instance)
+       instance realization)
 
-(* --- The phase-2 building blocks --- *)
+(* --- The phase-2 replay of the catalog families --- *)
 
 module Engine = Usched_desim.Engine
 
@@ -193,7 +198,9 @@ let lpt_phase2_is_engine_lpt () =
       ~order:(Instance.lpt_order instance)
   in
   checkb "LPT phase 2 = engine under the LPT order" true
-    (same_schedule direct (Core.Two_phase.lpt_order_phase2 instance placement realization))
+    (same_schedule direct
+       ((algo lpt_no_restriction instance).Core.Two_phase.phase2 instance
+          placement realization))
 
 let submission_phase2_follows_ids () =
   (* One machine holds everything: execution order is the priority
@@ -201,10 +208,13 @@ let submission_phase2_follows_ids () =
   let instance = instance_of ~m:2 [| 1.0; 5.0; 3.0; 2.0 |] in
   let realization = Realization.exact instance in
   let placement = Core.Placement.singletons ~m:2 [| 0; 0; 0; 0 |] in
-  Alcotest.(check (list int)) "by id" [ 0; 1; 2; 3 ]
-    (start_order (Core.Two_phase.submission_order_phase2 instance placement realization));
+  let replay spec =
+    start_order
+      ((algo spec instance).Core.Two_phase.phase2 instance placement realization)
+  in
+  Alcotest.(check (list int)) "by id" [ 0; 1; 2; 3 ] (replay ls_no_restriction);
   Alcotest.(check (list int)) "by estimate, longest first" [ 1; 2; 3; 0 ]
-    (start_order (Core.Two_phase.lpt_order_phase2 instance placement realization))
+    (replay lpt_no_restriction)
 
 let () =
   Alcotest.run "strategies"

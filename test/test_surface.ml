@@ -35,14 +35,6 @@ let roots = [ "lib"; "bin"; "bench"; "e2ebench"; "examples" ]
 (* (module path without extension, value, why it stays test-only) *)
 let allowlist =
   [
-    ( "lib/core/abo",
-      "phase2_order",
-      "ABO's phase-2 priority (S2 before S1); a schedule does not show the order \
-       it was drawn from, so the test reads it directly" );
-    ( "lib/core/budgeted",
-      "placement",
-      "per-task budget vectors, which the uniform and proportional strategies \
-       only produce in two shapes; tests pin arbitrary ones and the clamping" );
     ( "lib/core/dual_approx",
       "feasible_at",
       "one dual test of the search; tests check its certificate directly" );

@@ -23,7 +23,6 @@ module Rng = Usched_prng.Rng
 module Placement = Usched_core.Placement
 module Lower_bounds = Usched_core.Lower_bounds
 module Zone_placement = Usched_core.Zone_placement
-module Two_phase = Usched_core.Two_phase
 
 let close = Alcotest.(check (float 1e-9))
 let checkb = Alcotest.(check bool)
@@ -449,14 +448,6 @@ let zone_of_replicas topo set =
   Bitset.iter (fun i -> zs := Topology.zone topo i :: !zs) set;
   List.sort_uniq Int.compare !zs
 
-
-(* Phase 1 of the zone-aware strategies. *)
-let zone_group_placement ~k instance =
-  (Zone_placement.zone_group ~k).Two_phase.phase1 instance
-
-let local_budget_placement ~budget instance =
-  (Zone_placement.local_budget ~budget).Two_phase.phase1 instance
-
 (* [min_j |M_j|]: how many simultaneous crashes every task survives. *)
 let min_replication p =
   List.fold_left min max_int (List.init (Placement.n p) (Placement.replication p))
@@ -473,7 +464,7 @@ let zonegroup_shape () =
     Instance.of_ests ~m:6 ~alpha:(Uncertainty.alpha 2.0) ~topology:topo
       (Array.init 8 (fun j -> float_of_int (j + 1)))
   in
-  let p = zone_group_placement ~k:2 instance in
+  let p = Zone_placement.zone_group_placement ~k:2 instance in
   for j = 0 to Placement.n p - 1 do
     let set = Placement.set p j in
     checki (Printf.sprintf "task %d has 2 replicas" j) 2 (Bitset.cardinal set);
@@ -486,10 +477,10 @@ let zonegroup_shape () =
   done;
   (* k clamped to the zone count; uniform topology degenerates to one
      replica. *)
-  let huge = zone_group_placement ~k:99 instance in
+  let huge = Zone_placement.zone_group_placement ~k:99 instance in
   checki "k clamps to the zone count" 3 (Placement.max_replication huge);
   let bare =
-    zone_group_placement ~k:3
+    Zone_placement.zone_group_placement ~k:3
       (Instance.with_topology instance None)
   in
   checki "no topology = single zone = one replica" 1
@@ -502,7 +493,7 @@ let localbudget_shape () =
     Instance.of_ests ~m:6 ~alpha:(Uncertainty.alpha 2.0) ~sizes ~topology:topo
       (Array.init 8 (fun j -> float_of_int (j + 1)))
   in
-  let home_only = local_budget_placement ~budget:0.0 instance in
+  let home_only = Zone_placement.local_budget_placement ~budget:0.0 instance in
   for j = 0 to 7 do
     checki (Printf.sprintf "B=0: task %d home only" j) 1
       (Placement.replication home_only j);
@@ -514,11 +505,11 @@ let localbudget_shape () =
   done;
   close "B=0 placement is free" 0.0
     (Placement.replication_cost home_only ~topology:topo ~sizes);
-  let everywhere = local_budget_placement ~budget:1e6 instance in
+  let everywhere = Zone_placement.local_budget_placement ~budget:1e6 instance in
   checki "huge budget covers every zone" 3 (min_replication everywhere);
   (* The budget is a hard per-task cap. *)
   let budget = 1.2 in
-  let capped = local_budget_placement ~budget instance in
+  let capped = Zone_placement.local_budget_placement ~budget instance in
   let costs = Placement.replication_costs capped ~topology:topo ~sizes in
   Array.iteri
     (fun j c ->
@@ -535,7 +526,7 @@ let zonegroup_cheaper_than_full () =
     Instance.of_ests ~m:6 ~alpha:(Uncertainty.alpha 2.0) ~sizes ~topology:topo
       (Array.init 8 (fun j -> float_of_int (j + 1)))
   in
-  let zg = zone_group_placement ~k:2 instance in
+  let zg = Zone_placement.zone_group_placement ~k:2 instance in
   let full = Placement.full ~m:6 ~n:8 in
   let cost p = Placement.replication_cost p ~topology:topo ~sizes in
   checkb "zonegroup strictly cheaper than full replication" true

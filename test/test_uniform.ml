@@ -74,7 +74,7 @@ let validate_with_speeds () =
 
 (* Phase 1 of uniform LPT-No Choice: the ECT-LPT machine of each task. *)
 let ect_lpt ~speeds instance =
-  let placement = (Core.Uniform.lpt_no_choice ~speeds).Core.Two_phase.phase1 instance in
+  let placement = Core.Uniform.lpt_placement ~speeds instance in
   Array.map Usched_model.Bitset.choose (Core.Placement.sets placement)
 
 let ect_lpt_prefers_fast_machines () =
@@ -264,6 +264,13 @@ let lower_bound_rejects_non_finite () =
 
 let speeds4 = [| 2.0; 1.0; 1.0; 0.5 |]
 
+(* The three related-machines families at [speeds4]. *)
+let uniform4 =
+  List.map
+    (fun variant ->
+      Core.Strategy.(build (Uniform { variant; speeds = speeds4 }) ~m:4))
+    Core.Strategy.[ U_no_choice; U_no_restriction; U_group 2 ]
+
 let scenario seed =
   let instance =
     instance_of ~m:4 ~alpha:1.8
@@ -286,11 +293,7 @@ let uniform_schedules_valid () =
            ~placement:(Core.Placement.sets placement)
            ~speeds:speeds4 instance realization schedule
         = []))
-    [
-      Core.Uniform.lpt_no_choice ~speeds:speeds4;
-      Core.Uniform.lpt_no_restriction ~speeds:speeds4;
-      Core.Uniform.ls_group ~speeds:speeds4 ~k:2;
-    ]
+    uniform4
 
 let uniform_ratios_reasonable () =
   (* Empirical sanity: every strategy stays within 3x of the lower
@@ -302,26 +305,20 @@ let uniform_ratios_reasonable () =
       let makespan = Core.Two_phase.makespan algo instance realization in
       checkb (algo.Core.Two_phase.name ^ " sane") true
         (makespan >= lb -. 1e-9 && makespan <= (3.0 *. lb) +. 1e-9))
-    [
-      Core.Uniform.lpt_no_choice ~speeds:speeds4;
-      Core.Uniform.lpt_no_restriction ~speeds:speeds4;
-      Core.Uniform.ls_group ~speeds:speeds4 ~k:2;
-    ]
+    uniform4
 
 let unit_speeds_match_identical_pipeline () =
   let instance, realization = scenario 5 in
   let ones = Array.make 4 1.0 in
+  let makespan spec =
+    Core.Two_phase.makespan (Core.Strategy.build spec ~m:4) instance realization
+  in
   close "no-choice matches"
-    (Core.Two_phase.makespan Core.No_replication.lpt_no_choice instance
-       realization)
-    (Core.Two_phase.makespan (Core.Uniform.lpt_no_choice ~speeds:ones) instance
-       realization);
+    (makespan (No_replication Lpt))
+    (makespan (Uniform { variant = U_no_choice; speeds = ones }));
   close "no-restriction matches"
-    (Core.Two_phase.makespan Core.Full_replication.lpt_no_restriction instance
-       realization)
-    (Core.Two_phase.makespan
-       (Core.Uniform.lpt_no_restriction ~speeds:ones)
-       instance realization)
+    (makespan (Full_replication Lpt))
+    (makespan (Uniform { variant = U_no_restriction; speeds = ones }))
 
 let check_speeds_validation () =
   let on m =
