@@ -15,30 +15,31 @@ let group_assignment ~order ~k instance =
   let groups = machine_groups ~m ~k in
   let counts = Array.map Array.length groups in
   let weights = Instance.ests instance in
-  let task_order =
-    match order with
-    | `Submission -> Array.init (Instance.n instance) (fun j -> j)
-    | `Lpt -> Instance.lpt_order instance
-  in
+  let n = Instance.n instance in
   let loads = Array.make k 0.0 in
-  let assignment = Array.make (Instance.n instance) 0 in
+  let assignment = Array.make n 0 in
   (* Greedy: place on the group whose per-machine load after placement is
      smallest. With k | m all groups have equal size and this is exactly
      the paper's List Scheduling over groups. *)
-  Array.iter
-    (fun j ->
-      let best = ref 0 in
-      let best_cost = ref infinity in
-      for g = 0 to k - 1 do
-        let cost = (loads.(g) +. weights.(j)) /. float_of_int counts.(g) in
-        if cost < !best_cost then begin
-          best := g;
-          best_cost := cost
-        end
-      done;
-      assignment.(j) <- !best;
-      loads.(!best) <- loads.(!best) +. weights.(j))
-    task_order;
+  let place j =
+    let best = ref 0 in
+    let best_cost = ref infinity in
+    for g = 0 to k - 1 do
+      let cost = (loads.(g) +. weights.(j)) /. float_of_int counts.(g) in
+      if cost < !best_cost then begin
+        best := g;
+        best_cost := cost
+      end
+    done;
+    assignment.(j) <- !best;
+    loads.(!best) <- loads.(!best) +. weights.(j)
+  in
+  (match order with
+  | `Submission ->
+      for j = 0 to n - 1 do
+        place j
+      done
+  | `Lpt -> Array.iter place (Instance.lpt_order instance));
   assignment
 
 let placement ~order ~k instance =

@@ -29,17 +29,21 @@ let packing ~m p =
   else begin
     let sorted = Array.copy p in
     Fsort.descending sorted;
-    (* prefix.(i) = sum of the i largest tasks. *)
-    let prefix = Array.make (n + 1) 0.0 in
-    for i = 0 to n - 1 do
-      prefix.(i + 1) <- prefix.(i) +. sorted.(i)
+    (* Running sums in place: sorted.(i) becomes the sum of the i + 1
+       largest tasks, added in the same order as a separate prefix
+       array starting from 0.0 would. *)
+    for i = 1 to n - 1 do
+      sorted.(i) <- sorted.(i - 1) +. sorted.(i)
     done;
     let bound = ref 0.0 in
     let k = ref 1 in
     while (!k * m) + 1 <= n do
-      let top = (!k * m) + 1 in
-      (* Sum of the (k+1) smallest among the top largest. *)
-      let candidate = prefix.(top) -. prefix.(top - (!k + 1)) in
+      let top = (!k * m) + 1 and rest = (!k * m) - !k in
+      (* Sum of the (k+1) smallest among the [top] largest: the sum of
+         the [top] largest minus that of the [rest] largest. *)
+      let candidate =
+        sorted.(top - 1) -. if rest = 0 then 0.0 else sorted.(rest - 1)
+      in
       if candidate > !bound then bound := candidate;
       incr k
     done;

@@ -28,7 +28,7 @@ let of_sets ~m sets =
       if Bitset.is_empty set then
         invalid_arg (Printf.sprintf "Placement.of_sets: task %d placed nowhere" j))
     sets;
-  { m; sets = Array.copy sets; summary = Atomic.make None }
+  { m; sets; summary = Atomic.make None }
 
 (* One singleton set per machine and one full set, shared by every task
    placed on them. *)
@@ -52,7 +52,7 @@ let of_group_assignment ~m ~groups assignment =
 
 let n t = Array.length t.sets
 let set t j = t.sets.(j)
-let sets t = Array.copy t.sets
+let sets t = t.sets
 
 (* Group placements share one physical set per group, so the first few
    groups are tried by identity before the set is hashed. *)

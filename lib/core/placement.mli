@@ -12,9 +12,10 @@ type t
 
 val of_sets : m:int -> Bitset.t array -> t
 (** Wraps explicit machine sets. Raises [Invalid_argument] if any set is
-    empty or has a capacity other than [m]. The array is copied (sets are
-    shared, and must not be mutated afterwards: the whole-placement
-    scans below read a summary of them built on first use). *)
+    empty or has a capacity other than [m]. The placement takes
+    ownership of the array, not a copy: neither it nor any of its sets
+    may be mutated afterwards (the whole-placement scans below read a
+    summary of them built on first use). *)
 
 val singletons : m:int -> int array -> t
 (** From a phase-1 assignment: task [j] placed only on machine
@@ -40,8 +41,10 @@ val set : t -> int -> Bitset.t
 (** The machine set of a task (shared, do not mutate). *)
 
 val sets : t -> Bitset.t array
-(** Fresh array of the (shared) per-task sets — the representation used
-    by the desim engine. *)
+(** The per-task sets — the representation used by the desim engine.
+    This is the placement's own array, not a copy, and it is read-only
+    like every set in it: a caller that needs to write (the engine's
+    healer, which grows holder sets mid-run) copies first. *)
 
 val distinct_sets : t -> Bitset.t array * int array
 (** [(groups, group_of)]: the distinct machine sets (compared by

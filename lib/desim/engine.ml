@@ -219,6 +219,9 @@ let logged f =
         if line = "" then None else Some (event_of_json (Json.of_string_exn line)))
       lines )
 
+(* Validates the inputs and returns [pos_of], the inverse of [order]:
+   filling it is the permutation check ([-1] marks a task not yet
+   seen). *)
 let check_inputs ?speeds ~name instance ~placement ~order =
   let n = Instance.n instance and m = Instance.m instance in
   (match speeds with
@@ -242,13 +245,14 @@ let check_inputs ?speeds ~name instance ~placement ~order =
     placement;
   if Array.length order <> n then
     invalid_arg (Printf.sprintf "%s: order length differs from instance" name);
-  let seen = Array.make n false in
-  Array.iter
-    (fun j ->
-      if j < 0 || j >= n || seen.(j) then
+  let pos_of = Array.make n (-1) in
+  Array.iteri
+    (fun pos j ->
+      if j < 0 || j >= n || pos_of.(j) >= 0 then
         invalid_arg (Printf.sprintf "%s: order is not a permutation of task ids" name);
-      seen.(j) <- true)
-    order
+      pos_of.(j) <- pos)
+    order;
+  pos_of
 
 (* ------------------------------------------------------------------ *)
 (* The event loop.                                                     *)
@@ -296,7 +300,7 @@ type lanes = {
    read or move it. *)
 let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
     ~arrivals instance realization ~faults ~placement ~order =
-  check_inputs ?speeds ~name instance ~placement ~order;
+  let pos_of = check_inputs ?speeds ~name instance ~placement ~order in
   let n = Instance.n instance and m = Instance.m instance in
   if Trace.m faults <> m then
     invalid_arg "Engine.run_faulty: trace machine count differs from instance";
@@ -372,9 +376,9 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
   let mc_arrivals = Metrics.counter stream_metrics "engine.arrivals" in
   let mh_latency = Metrics.histogram stream_metrics "engine.latency" in
   let busy = if live then Array.make m 0.0 else [||] in
-  (* Bulk copies of the flat columns land in the major heap; a
-     per-element fill through [Instance.est] would box every float it
-     returns. *)
+  (* The columns themselves, read in place: a per-element read through
+     [Instance.est] would box every float it returns. Nothing below
+     writes into them. *)
   let actuals = Realization.actuals realization in
   let ests = Instance.ests instance in
   let sizes = Instance.sizes instance in
@@ -497,8 +501,6 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
   let last = Array.make 1 0.0 in
   let finished = ref 0 in
   let loads = Array.make m 0.0 in
-  let pos_of = Array.make n 0 in
-  Array.iteri (fun pos j -> pos_of.(j) <- pos) order;
   let policy =
     Dispatch.make dispatch
       {

@@ -40,10 +40,20 @@ let of_soa ~m ~machines ~starts ~finishes =
 let n t = Array.length t.machines
 let m t = t.m
 
+let starts t = t.starts
+let finishes t = t.finishes
+
 let entry t j =
   { machine = t.machines.(j); start = t.starts.(j); finish = t.finishes.(j) }
 
-let makespan t = Array.fold_left Float.max 0.0 t.finishes
+(* A [for] loop, not [Array.fold_left]: the generic fold boxes every
+   float it hands to [Float.max]. The same maxima in the same order. *)
+let makespan t =
+  let best = ref 0.0 in
+  for j = 0 to Array.length t.finishes - 1 do
+    best := Float.max !best t.finishes.(j)
+  done;
+  !best
 
 (* Counting sort by machine: one pass counts, one pass drops task ids
    into their machine's bucket in ascending id order. A bucket whose

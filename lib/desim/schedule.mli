@@ -30,6 +30,15 @@ val m : t -> int
 val entry : t -> int -> entry
 (** Entry of a task id. *)
 
+val starts : t -> float array
+(** Every task's start time, indexed by task id: the schedule's own
+    lane, not a copy, and read-only. A whole-schedule scan reads it
+    without building an {!entry} per task. *)
+
+val finishes : t -> float array
+(** Every task's finish time, indexed by task id; read-only like
+    {!starts}. *)
+
 val makespan : t -> float
 
 val by_machine : t -> int array array

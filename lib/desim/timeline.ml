@@ -6,17 +6,19 @@ type machine_stats = {
   idle_before_finish : float;
 }
 
-(* Per-machine sums over [Schedule.by_machine]'s buckets, in the same
-   (start, id) order as [Schedule.machine_tasks], so [busy] adds the
-   same terms in the same order. *)
+(* Per-machine sums over [Schedule.by_machine]'s buckets, in their
+   (start, id) order, read straight from the schedule's time lanes: no
+   per-task [Schedule.entry] record is built. *)
 let machine_stats schedule =
+  let starts = Schedule.starts schedule
+  and finishes = Schedule.finishes schedule in
   Array.mapi
     (fun i tasks ->
       let busy = ref 0.0 and finish = ref 0.0 in
       for k = 0 to Array.length tasks - 1 do
-        let e = Schedule.entry schedule tasks.(k) in
-        busy := !busy +. (e.Schedule.finish -. e.Schedule.start);
-        finish := Float.max !finish e.Schedule.finish
+        let j = tasks.(k) in
+        busy := !busy +. (finishes.(j) -. starts.(j));
+        finish := Float.max !finish finishes.(j)
       done;
       {
         machine = i;

@@ -116,13 +116,13 @@ let override name of_spec with_ instance = function
       let* v = flag name (of_spec ~m:(Instance.m instance) spec) in
       Ok (with_ instance (Some v))
 
-let load o file =
-  let* instance =
-    match Usched_model.Io.load_instance ~path:file with
-    | instance -> Ok instance
-    | exception Failure msg -> Error (Printf.sprintf "%s: %s" file msg)
-    | exception Sys_error msg -> Error msg
-  in
+let read file =
+  match Usched_model.Io.load_instance ~path:file with
+  | instance -> Ok instance
+  | exception Failure msg -> Error (Printf.sprintf "%s: %s" file msg)
+  | exception Sys_error msg -> Error msg
+
+let prepare o instance =
   let m = Instance.m instance in
   let* () =
     match o.speeds with
@@ -519,10 +519,8 @@ let with_sink path f =
           Error
             (Printf.sprintf "--trace: %s %s: %s" call arg (Unix.error_message e)))
 
-let run o file =
-  let* () = check_ranges o in
-  let* recovery = recovery_of o in
-  let* instance = load o file in
+let solve o ~file ~recovery instance =
+  let* instance = prepare o instance in
   let m = Instance.m instance and n = Instance.n instance in
   let* () =
     flag ("--algo " ^ Strategy.to_string o.algo) (Strategy.check o.algo ~m)
@@ -531,8 +529,11 @@ let run o file =
   let realization = Realization.log_uniform_factor instance rng in
   let* arrivals = arrivals o rng ~n in
   let algo = Strategy.build o.algo ~m in
-  let placement, schedule = Core.Two_phase.run_full algo instance realization in
+  (* The bound first: its sorted copy of the actual times is garbage
+     before the replay's lanes exist, so the two never add to the peak
+     heap together. *)
   let lb = Core.Lower_bounds.best ~m (Realization.actuals realization) in
+  let placement, schedule = Core.Two_phase.run_full algo instance realization in
   let healthy = Schedule.makespan schedule in
   with_sink o.trace @@ fun sink ->
   let c = { o; instance; m; n; recovery; rng; realization; placement; sink } in
@@ -550,3 +551,14 @@ let run o file =
   else if o.fail_rate > 0.0 || o.speculate <> None || Recovery.is_active recovery
   then faulty_replay c ~healthy;
   Option.iter (Printf.printf "[trace] wrote %s\n") o.trace
+
+let run o file =
+  let* () = check_ranges o in
+  let* recovery = recovery_of o in
+  let* instance = read file in
+  solve o ~file ~recovery instance
+
+let run_instance o ~file instance =
+  let* () = check_ranges o in
+  let* recovery = recovery_of o in
+  solve o ~file ~recovery instance

@@ -35,3 +35,9 @@ val run : options -> string -> (unit, string) result
     machine count, a trace path whose directory cannot be created) is an
     [Error] naming the file or the flag, returned before anything is
     printed or written. *)
+
+val run_instance :
+  options -> file:string -> Usched_model.Instance.t -> (unit, string) result
+(** [run_instance options ~file instance] is {!run} on an instance
+    already read from [file] (the name goes only into the output). The
+    instance's columns are read, never written. *)

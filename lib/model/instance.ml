@@ -1,7 +1,9 @@
 (* Tasks are stored column-wise: [ests] and [sizes] are flat float
    arrays (unboxed), so an instance of n tasks is two n-float blocks
    rather than n records each pointing at two boxed floats. [Task.t] is
-   only the row view that {!make} takes and {!tasks} returns. *)
+   only the row view that {!make} takes and {!tasks} returns. The
+   instance owns both columns and hands them out uncopied; nothing
+   writes into them once built. *)
 type t = {
   m : int;
   alpha : Uncertainty.alpha;
@@ -84,8 +86,8 @@ let tasks t =
 
 let[@inline] est t j = t.ests.(j)
 let[@inline] size t j = t.sizes.(j)
-let ests t = Array.copy t.ests
-let sizes t = Array.copy t.sizes
+let ests t = t.ests
+let sizes t = t.sizes
 let failure t = t.failure
 
 let failure_or_default t =

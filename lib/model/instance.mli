@@ -74,9 +74,13 @@ val est : t -> int -> float
 val size : t -> int -> float
 
 val ests : t -> float array
-(** Fresh array of all estimates, indexed by task id. *)
+(** All estimates, indexed by task id: the instance's own column, not a
+    copy. It is read-only: a caller that needs to write into it copies
+    it first. *)
 
 val sizes : t -> float array
+(** All data sizes, indexed by task id: the instance's own column,
+    read-only like {!ests}. *)
 
 val failure : t -> Failure.t option
 (** The per-machine failure profile attached to this instance, if any.

@@ -20,7 +20,9 @@ val exact : Instance.t -> t
 
 val actual : t -> int -> float
 val actuals : t -> float array
-(** Fresh copy of all actual times. *)
+(** All actual times, indexed by task id: the realization's own column,
+    not a copy. It is read-only: a caller that needs to write into it
+    copies it first. *)
 
 val total : t -> float
 

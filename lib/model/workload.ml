@@ -23,9 +23,6 @@ let draw_est spec rng =
   | Identical v ->
       if v <= 0.0 then invalid_arg "Workload: identical estimate must be > 0";
       v
-  | Uniform { lo; hi } ->
-      if lo <= 0.0 || lo > hi then invalid_arg "Workload: bad uniform range";
-      Dist.uniform rng ~lo ~hi
   | Exponential { mean } ->
       (* Shift away from zero: estimates must be strictly positive. *)
       Float.max 1e-9 (Dist.exponential rng ~mean)
@@ -37,13 +34,10 @@ let draw_est spec rng =
         (Dist.bimodal rng ~p_long
            ~short:(fun rng -> Dist.exponential rng ~mean:short_mean)
            ~long:(fun rng -> Dist.exponential rng ~mean:long_mean))
-  | Rocks { lo; hi } ->
-      if lo <= 0.0 || lo > hi then invalid_arg "Workload: bad rocks range";
-      Dist.uniform rng ~lo ~hi
-  | Lpt_adversarial _ | Sand _ | Bricks _ ->
-      assert false (* handled structurally in [generate] *)
+  | Uniform _ | Rocks _ | Lpt_adversarial _ | Sand _ | Bricks _ ->
+      assert false (* handled column-wise in [generate] *)
 
-let[@inline] draw_size size_spec ~est rng =
+let[@inline] draw_size size_spec ~est =
   match size_spec with
   | Unit_sizes -> 1.0
   | Proportional c ->
@@ -52,9 +46,7 @@ let[@inline] draw_size size_spec ~est rng =
   | Inverse c ->
       if c <= 0.0 then invalid_arg "Workload: inverse factor must be > 0";
       c /. est
-  | Uniform_sizes { lo; hi } ->
-      if lo < 0.0 || lo > hi then invalid_arg "Workload: bad size range";
-      Dist.uniform rng ~lo ~hi
+  | Uniform_sizes _ -> assert false (* handled column-wise in [generate] *)
 
 (* The classical LPT lower-bound family: three tasks of each length
    2m-1, 2m-2, ..., m+1 would overshoot; the standard instance is
@@ -70,9 +62,20 @@ let lpt_adversarial_ests m =
   in
   Array.of_list (pairs @ [ float_of_int m; float_of_int m; float_of_int m ])
 
+(* A column of uniform draws on [[lo, hi)]. The range is checked only
+   when there is a task to draw. *)
+let uniform_column rng ~n ~lo ~hi ~what =
+  if n > 0 && (lo <= 0.0 || lo > hi) then
+    invalid_arg (Printf.sprintf "Workload: bad %s range" what);
+  let ests = Array.create_float n in
+  Rng.fill_range rng ests ~lo ~hi;
+  ests
+
 (* Both columns are filled by [for] loops into flat float arrays, all
    estimates drawn before all sizes: [Array.init] and [Array.map] would
-   box every float through their closures. *)
+   box every float through their closures. Uniform columns are filled
+   by [Rng.fill_range], which draws the same values without boxing
+   one. *)
 let generate spec ?(size_spec = Unit_sizes) ~n ~m ~alpha rng =
   if n < 0 then invalid_arg "Workload.generate: negative n";
   let ests =
@@ -87,6 +90,8 @@ let generate spec ?(size_spec = Unit_sizes) ~n ~m ~alpha rng =
         if size <= 0.0 || not (Float.is_finite size) then
           invalid_arg "Workload: brick size must be finite and > 0";
         Array.make n size
+    | Uniform { lo; hi } -> uniform_column rng ~n ~lo ~hi ~what:"uniform"
+    | Rocks { lo; hi } -> uniform_column rng ~n ~lo ~hi ~what:"rocks"
     | _ ->
         let ests = Array.create_float n in
         for j = 0 to n - 1 do
@@ -94,10 +99,21 @@ let generate spec ?(size_spec = Unit_sizes) ~n ~m ~alpha rng =
         done;
         ests
   in
-  let sizes = Array.create_float (Array.length ests) in
-  for j = 0 to Array.length ests - 1 do
-    sizes.(j) <- draw_size size_spec ~est:ests.(j) rng
-  done;
+  let sizes =
+    match size_spec with
+    | Uniform_sizes { lo; hi } ->
+        if Array.length ests > 0 && (lo < 0.0 || lo > hi) then
+          invalid_arg "Workload: bad size range";
+        let sizes = Array.create_float (Array.length ests) in
+        Rng.fill_range rng sizes ~lo ~hi;
+        sizes
+    | _ ->
+        let sizes = Array.create_float (Array.length ests) in
+        for j = 0 to Array.length ests - 1 do
+          sizes.(j) <- draw_size size_spec ~est:ests.(j)
+        done;
+        sizes
+  in
   Instance.of_columns ~m ~alpha ~ests ~sizes ()
 
 let grammar =

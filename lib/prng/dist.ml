@@ -1,8 +1,18 @@
-let uniform rng ~lo ~hi = Rng.float_range rng ~lo ~hi
+let check_log_range lo hi =
+  if lo <= 0.0 || lo > hi then invalid_arg "Dist.log_uniform: need 0 < lo <= hi"
 
 let log_uniform rng ~lo ~hi =
-  if lo <= 0.0 || lo > hi then invalid_arg "Dist.log_uniform: need 0 < lo <= hi";
+  check_log_range lo hi;
   exp (Rng.float_range rng ~lo:(log lo) ~hi:(log hi))
+
+(* Uniform exponents first, then [exp] in place: each slot holds what
+   [log_uniform] would have returned for that draw. *)
+let fill_log_uniform rng a ~lo ~hi =
+  check_log_range lo hi;
+  Rng.fill_range rng a ~lo:(log lo) ~hi:(log hi);
+  for j = 0 to Array.length a - 1 do
+    a.(j) <- exp a.(j)
+  done
 
 let exponential rng ~mean =
   if mean <= 0.0 then invalid_arg "Dist.exponential: mean <= 0";

@@ -6,12 +6,14 @@
     MapReduce traces, and bimodal short/long mixes that stress list
     scheduling. *)
 
-val uniform : Rng.t -> lo:float -> hi:float -> float
-(** Uniform on [[lo, hi)]. *)
-
 val log_uniform : Rng.t -> lo:float -> hi:float -> float
 (** Log-uniform on [[lo, hi)]: uniform in the exponent. Requires
     [0 < lo <= hi]. *)
+
+val fill_log_uniform : Rng.t -> float array -> lo:float -> hi:float -> unit
+(** [fill_log_uniform rng a ~lo ~hi] overwrites [a] in index order with
+    {!log_uniform} draws (the same values from the same stream) without
+    allocating. *)
 
 val exponential : Rng.t -> mean:float -> float
 (** Exponential with the given mean ([mean > 0]). *)

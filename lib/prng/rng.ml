@@ -9,11 +9,27 @@ let split x =
   ignore (Xoshiro256.next x);
   Xoshiro256.create (Xoshiro256.next child)
 
-let float = Xoshiro256.next_float
+(* A uniform float in [[0, 1)] from the top 53 bits of the generator's
+   output, read as the top 53 of the 62 bits [next_bits] returns: an
+   int, which crosses the module boundary unboxed. *)
+let two_pow_minus_53 = 1.0 /. 9007199254740992.0
+
+let[@inline] unit_float t =
+  float_of_int (Xoshiro256.next_bits t lsr 9) *. two_pow_minus_53
+
+let float t = unit_float t
 
 let float_range t ~lo ~hi =
   if lo > hi then invalid_arg "Rng.float_range: lo > hi";
-  lo +. ((hi -. lo) *. float t)
+  lo +. ((hi -. lo) *. unit_float t)
+
+(* [float_range] inlined into one loop: no float crosses a call, so
+   the fill allocates nothing. *)
+let fill_range t a ~lo ~hi =
+  if lo > hi then invalid_arg "Rng.float_range: lo > hi";
+  for j = 0 to Array.length a - 1 do
+    a.(j) <- lo +. ((hi -. lo) *. unit_float t)
+  done
 
 (* Rejection sampling over the top bits to avoid modulo bias. The mask
    is the smallest all-ones value, at least 1, covering [bound - 1]:
@@ -36,4 +52,4 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
   draw t ~mask:(mask_for bound) bound
 
-let bernoulli t ~p = float t < p
+let bernoulli t ~p = unit_float t < p

@@ -21,6 +21,11 @@ val float : t -> float
 val float_range : t -> lo:float -> hi:float -> float
 (** Uniform in [[lo, hi)]. Raises [Invalid_argument] if [lo > hi]. *)
 
+val fill_range : t -> float array -> lo:float -> hi:float -> unit
+(** [fill_range t a ~lo ~hi] overwrites [a.(0)], [a.(1)], ... in order
+    with {!float_range} draws: the same values from the same stream,
+    without allocating. Raises [Invalid_argument] if [lo > hi]. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [[0, bound)]. Raises [Invalid_argument]
     if [bound <= 0]. Uses rejection sampling, so it is exactly uniform. *)

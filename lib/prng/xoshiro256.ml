@@ -33,12 +33,6 @@ let[@inline] next t =
 
 let next_bits t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 
-let two_pow_minus_53 = 1.0 /. 9007199254740992.0
-
-let next_float t =
-  let bits = Int64.shift_right_logical (next t) 11 in
-  Int64.to_float bits *. two_pow_minus_53
-
 (* Jump polynomial for 2^128 steps, from the reference implementation. *)
 let jump_poly = [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL; 0x39ABDC4529B1661CL |]
 

@@ -21,9 +21,6 @@ val next_bits : t -> int
 (** [next_bits t] advances the state like {!next} and returns the top
     62 of its 64 bits as a non-negative [int], without boxing. *)
 
-val next_float : t -> float
-(** [next_float t] is a float drawn uniformly from [[0, 1)]. *)
-
 val jump : t -> unit
 (** [jump t] advances [t] by 2^128 steps, yielding a stream that will not
     overlap the original for any realistic computation. Used to derive

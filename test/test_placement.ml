@@ -94,14 +94,6 @@ let failure_without_replication_fatal () =
   checkb "one single-replica task is enough to fail" false
     (Placement.survives_any_failure mixed)
 
-let sets_are_fresh_array () =
-  let p = Placement.full ~m:2 ~n:2 in
-  let sets = Placement.sets p in
-  checki "two sets" 2 (Array.length sets);
-  (* Mutating the returned array must not corrupt the placement. *)
-  sets.(0) <- Bitset.create 2;
-  checkb "placement unchanged" true (Placement.allowed p ~task:0 ~machine:0)
-
 (* Oracles for the word-level scans: per-task folds that walk each set
    one bounds-checked position at a time, in ascending order. *)
 module Topology = Usched_model.Topology
@@ -205,7 +197,6 @@ let () =
           Alcotest.test_case "memory loads" `Quick memory_loads_count_every_replica;
           Alcotest.test_case "degrees" `Quick degrees_per_task;
           Alcotest.test_case "memory length check" `Quick memory_sizes_length_checked;
-          Alcotest.test_case "sets copy" `Quick sets_are_fresh_array;
         ] );
       ( "machine failure",
         [

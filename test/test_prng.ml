@@ -50,7 +50,7 @@ let xoshiro_reference () =
     [ -2179565296972798486L; -5547542947831578657L ]
     (List.init 2 (fun _ -> Xoshiro256.next j));
   check Alcotest.(float 0.0) "first float of seed 11" 0x1.b8357798d4d28p-1
-    (Xoshiro256.next_float (Xoshiro256.create 11L));
+    (Rng.float (Rng.create ~seed:11 ()));
   let a = Xoshiro256.create 5L and b = Xoshiro256.create 5L in
   for _ = 1 to 100 do
     check Alcotest.int "next_bits is the top 62 bits of next"
@@ -67,9 +67,9 @@ let xoshiro_jump_disjoint () =
   checkb "jumped stream differs" true (xs <> ys)
 
 let xoshiro_float_unit_interval () =
-  let g = Xoshiro256.create 3L in
+  let g = Rng.create ~seed:3 () in
   for _ = 1 to 10_000 do
-    let x = Xoshiro256.next_float g in
+    let x = Rng.float g in
     checkb "in [0,1)" true (x >= 0.0 && x < 1.0)
   done
 

@@ -454,6 +454,155 @@ let catalog_matches_golden () =
       catalog_golden
   end
 
+(* ---------------------------- ownership ---------------------------- *)
+
+(* The instance, the realization and the placement hand out their
+   columns uncopied, so no library call may write into a column it
+   reads. Each call below is checked against bit copies of every column
+   taken before it: estimates, sizes, actual times and each task's
+   machine set. *)
+module Placement = Usched_core.Placement
+module Engine = Usched_desim.Engine
+module Recovery = Usched_faults.Recovery
+module Fault_trace = Usched_faults.Trace
+module Metrics = Usched_obs.Metrics
+module Pipeline = Usched_experiments.Pipeline
+
+let bits a = Array.map Int64.bits_of_float a
+
+let columns ?realization ?(sets = [||]) instance =
+  ( bits (Instance.ests instance),
+    bits (Instance.sizes instance),
+    Option.fold ~none:[||] ~some:(fun r -> bits (Realization.actuals r)) realization,
+    Array.map Helpers.elements sets )
+
+let check_unchanged what before ?realization ?sets instance =
+  let ests, sizes, actuals, held = before
+  and ests', sizes', actuals', held' = columns ?realization ?sets instance in
+  let same name a b = if a <> b then Alcotest.failf "%s wrote into %s" what name in
+  same "the estimates" ests ests';
+  same "the sizes" sizes sizes';
+  same "the actual times" actuals actuals';
+  same "the machine sets" held held'
+
+(* Both phases of every catalog case, then every whole-placement and
+   whole-schedule read [usched solve] makes after them. *)
+let catalog_reads_only () =
+  List.iteri
+    (fun index ((m, spec, _, _, _, _, _, _) as case) ->
+      let instance, realization = golden_instance case in
+      let what = Printf.sprintf "case %d (%s)" index (Strategy.to_string spec) in
+      let algo = Strategy.build spec ~m in
+      let before = columns ~realization instance in
+      let placement = algo.Core.Two_phase.phase1 instance in
+      check_unchanged (what ^ " phase 1") before ~realization instance;
+      let sets = Placement.sets placement in
+      let before = columns ~realization ~sets instance in
+      let schedule = algo.Core.Two_phase.phase2 instance placement realization in
+      let actuals = Realization.actuals realization
+      and sizes = Instance.sizes instance in
+      ignore (Core.Lower_bounds.best ~m actuals);
+      ignore (Core.Uniform.lower_bound ~speeds:(Array.make m 1.5) actuals);
+      ignore (Placement.memory_max placement ~sizes);
+      ignore
+        (Placement.replication_cost placement
+           ~topology:(Instance.topology_or_uniform instance) ~sizes);
+      ignore (Placement.max_replication placement);
+      ignore (Usched_desim.Timeline.render_stats schedule);
+      ignore
+        (Engine.run ~dispatch:Usched_desim.Dispatch.Least_loaded_holder instance
+           realization ~placement:sets ~order:(Instance.lpt_order instance));
+      check_unchanged (what ^ " phase 2 and its reports") before ~realization
+        ~sets instance)
+    (catalog ())
+
+(* The healer is the one writer of holder sets: it grows its own copies
+   mid-run. Group sets are shared by every task of a group, so a write
+   into one would show in every task's set. *)
+let healer_writes_private_copies () =
+  let m = 6 and n = 40 in
+  let rereplications = ref 0 in
+  for seed = 1 to 12 do
+    let rng = Rng.create ~seed () in
+    let instance =
+      Usched_model.Workload.generate
+        (Usched_model.Workload.Uniform { lo = 1.0; hi = 10.0 })
+        ~size_spec:(Usched_model.Workload.Uniform_sizes { lo = 0.5; hi = 4.0 })
+        ~n ~m ~alpha:(Uncertainty.alpha 2.0) rng
+    in
+    let realization = Realization.log_uniform_factor instance rng in
+    let placement =
+      Core.Group_replication.placement ~order:`Lpt ~k:2 instance
+    in
+    let sets = Placement.sets placement in
+    let faults = Fault_trace.random_crashes rng ~m ~p:0.4 ~horizon:40.0 in
+    let recovery =
+      Recovery.make ~detection_latency:0.5
+        ~rereplication_target:(Recovery.Fixed 3) ~bandwidth:2.0
+        ~checkpoint_interval:1.0 ()
+    in
+    let order = Instance.lpt_order instance in
+    let before = columns ~realization ~sets instance in
+    let metrics = Metrics.create () in
+    let outcome =
+      Engine.run_faulty ~speculation:1.5 ~recovery ~metrics instance realization
+        ~faults ~placement:sets ~order
+    in
+    check_unchanged (Printf.sprintf "run_faulty seed %d" seed) before
+      ~realization ~sets instance;
+    (match Metrics.find outcome.Engine.metrics "engine.rereplications" with
+    | Some (Metrics.Counter k) -> rereplications := !rereplications + k
+    | _ -> ());
+    let arrivals = Array.init n (fun j -> 0.4 *. float_of_int j) in
+    ignore
+      (Engine.run_stream ~speculation:1.5 ~recovery ~faults instance realization
+         ~arrivals ~placement:sets ~order:(Array.init n Fun.id));
+    check_unchanged (Printf.sprintf "run_stream seed %d" seed) before
+      ~realization ~sets instance
+  done;
+  checkb "the healer ran" true (!rereplications > 0)
+
+(* [usched solve] on a small instance file with a trace, speeds, a
+   non-default policy and a healing faulty replay. Its realization and
+   placement live inside the call; the cases above check the library
+   calls it makes on them. *)
+let solve_reads_only () =
+  let dir = Filename.temp_file "usched_own" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let file = Filename.concat dir "small.usched"
+  and trace = Filename.concat dir "trace.jsonl" in
+  Fun.protect ~finally:(fun () ->
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ file; trace ];
+      Sys.rmdir dir)
+  @@ fun () ->
+  let rng = Rng.create ~seed:5 () in
+  Usched_model.Io.save_instance ~path:file
+    (Usched_model.Workload.generate
+       (Usched_model.Workload.Uniform { lo = 1.0; hi = 10.0 })
+       ~size_spec:(Usched_model.Workload.Uniform_sizes { lo = 0.5; hi = 4.0 })
+       ~n:30 ~m:4 ~alpha:(Uncertainty.alpha 2.0) rng);
+  let instance = Usched_model.Io.load_instance ~path:file in
+  let options =
+    {
+      Pipeline.default with
+      algo = Strategy.Group { order = Strategy.Ls; k = 2 };
+      speeds = Some [| 1.0; 2.0; 1.0; 0.5 |];
+      policy = Usched_desim.Dispatch.Least_loaded_holder;
+      fail_rate = 0.5;
+      speculate = Some 1.5;
+      recover = Recovery.Fixed 2;
+      trace = Some trace;
+    }
+  in
+  let before = columns instance in
+  (match Pipeline.run_instance options ~file instance with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "solve: %s" msg);
+  check_unchanged "solve" before instance
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -490,5 +639,12 @@ let () =
           Alcotest.test_case "catalog covers every family" `Quick
             catalog_covers_every_family;
           Alcotest.test_case "catalog golden" `Quick catalog_matches_golden;
+        ] );
+      ( "ownership",
+        [
+          Alcotest.test_case "catalog reads only" `Quick catalog_reads_only;
+          Alcotest.test_case "healer writes private copies" `Quick
+            healer_writes_private_copies;
+          Alcotest.test_case "solve reads only" `Quick solve_reads_only;
         ] );
     ]

@@ -79,6 +79,10 @@ let allowlist =
     ( "lib/desim/timeline",
       "machine_stats",
       "the numbers render_stats prints, pinned bit for bit to an oracle" );
+    ( "lib/experiments/pipeline",
+      "run_instance",
+      "run after the file is read; the ownership test holds the instance it \
+       passes and compares its columns before and after the solve" );
     ( "lib/experiments/fig45",
       "example_instance",
       "the demonstration instance of figures 4 and 5; its task mix is checked" );

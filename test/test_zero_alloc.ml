@@ -76,6 +76,43 @@ let healthy_is_allocation_free () =
         true (w2 <= 4096.0))
     [ ("bucketed list-priority", true); ("plain list-priority", false) ]
 
+(* Words a run allocates straight in the major heap: every array longer
+   than the minor heap's largest block lands there, so this counts the
+   run's n-length arrays. Promoted words are left out, and the least of
+   three runs is taken, so a minor collection cannot add to it. *)
+let major_words f =
+  ignore (Sys.opaque_identity (f ()));
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    let _, promoted0, major0 = Gc.counters () in
+    ignore (Sys.opaque_identity (f ()));
+    let _, promoted1, major1 = Gc.counters () in
+    let w = major1 -. major0 -. (promoted1 -. promoted0) in
+    if w < !best then best := w
+  done;
+  !best
+
+(* The healthy replay reads the instance's, the realization's and the
+   placement's columns in place and allocates only its own n-length
+   lanes: the three result lanes, [dispatchable] and [pos_of] (whose
+   filling is the order's permutation check), and the default policy's
+   task-to-bucket map, plus with one shared holder set its two other
+   bucket arrays (n distinct sets abandon the buckets once the map
+   overflows its cap). A defensive copy of a column, or a scratch
+   array, that comes back adds a word per task. *)
+let healthy_major_words_per_task () =
+  List.iter
+    (fun (label, shared, lanes) ->
+      let words n =
+        let instance, realization, placement, order, _ = setup ~shared n in
+        major_words (fun () -> Engine.run instance realization ~placement ~order)
+      in
+      let slope = (words 4000 -. words 2000) /. 2000.0 in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s: major words per task" label)
+        lanes slope)
+    [ ("bucketed list-priority", true, 8.0); ("plain list-priority", false, 6.0) ]
+
 (* An outcome materializes one [Finished] fate per task (a boxed
    entry), so per-run minor words grow with n — but the slope must stay
    a small constant, not the old per-event record and option churn.
@@ -391,6 +428,42 @@ let rng_int_is_allocation_free () =
   in
   Alcotest.(check (float 0.0)) "Rng.int: minor words for 10k draws" 0.0 words
 
+(* The column fills draw every value inside one loop, so no float is
+   boxed per draw: the instance generator's uniform columns and the
+   realization's factors cost a constant number of minor words (the
+   range bounds crossing a call), whatever n. *)
+module Dist = Usched_prng.Dist
+module Workload = Usched_model.Workload
+
+let column_fills_are_allocation_free () =
+  let rng = Rng.create ~seed:3 () in
+  let fill = Array.create_float 10_000 in
+  Alcotest.(check (float 0.0)) "Rng.fill_range: minor words for 10k draws" 0.0
+    (measure (fun () -> Rng.fill_range rng fill ~lo:0.5 ~hi:10.0));
+  let independent label words =
+    let w1 = words 1_000 and w100 = words 100_000 in
+    Alcotest.(check (float 0.0)) (label ^ ": minor words independent of n") w1 w100;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: under 64 minor words (got %.0f)" label w1)
+      true (w1 <= 64.0)
+  in
+  independent "Dist.fill_log_uniform" (fun n ->
+      let a = Array.create_float n in
+      measure (fun () -> Dist.fill_log_uniform rng a ~lo:0.5 ~hi:2.0));
+  independent "Workload.generate uniform" (fun n ->
+      measure (fun () ->
+          Workload.generate
+            (Workload.Uniform { lo = 1.0; hi = 100.0 })
+            ~size_spec:(Workload.Uniform_sizes { lo = 0.5; hi = 4.0 })
+            ~n ~m ~alpha:(Uncertainty.alpha 2.0) rng));
+  independent "Realization.log_uniform_factor" (fun n ->
+      let instance =
+        Workload.generate
+          (Workload.Uniform { lo = 1.0; hi = 100.0 })
+          ~n ~m ~alpha:(Uncertainty.alpha 2.0) rng
+      in
+      measure (fun () -> Realization.log_uniform_factor instance rng))
+
 let () =
   Alcotest.run "zero_alloc"
     [
@@ -398,6 +471,8 @@ let () =
         [
           Alcotest.test_case "healthy loop allocates nothing per task" `Quick
             healthy_is_allocation_free;
+          Alcotest.test_case "healthy major words per task" `Quick
+            healthy_major_words_per_task;
           Alcotest.test_case "faulty slope bounded" `Quick
             faulty_slope_is_bounded;
           Alcotest.test_case "sink words per record constant" `Quick
@@ -426,5 +501,9 @@ let () =
             uniform_bound_is_independent_of_n;
         ] );
       ( "prng",
-        [ Alcotest.test_case "Rng.int allocates nothing" `Quick rng_int_is_allocation_free ] );
+        [
+          Alcotest.test_case "Rng.int allocates nothing" `Quick rng_int_is_allocation_free;
+          Alcotest.test_case "column fills allocate nothing per draw" `Quick
+            column_fills_are_allocation_free;
+        ] );
     ]
