@@ -1,5 +1,6 @@
 module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
+module Set_table = Usched_model.Set_table
 module Topology = Usched_model.Topology
 
 (* The whole-placement scans read a summary built once, on first use:
@@ -54,40 +55,6 @@ let n t = Array.length t.sets
 let set t j = t.sets.(j)
 let sets t = t.sets
 
-(* Group placements share one physical set per group, so the first few
-   groups are tried by identity before the set is hashed. *)
-let physical_probes = 8
-
-let rec find_physical first count set g =
-  if g >= count then -1
-  else if first.(g) == set then g
-  else find_physical first count set (g + 1)
-
-(* Sets hash and compare structurally: two tasks share a group exactly
-   when their sets have the same members. *)
-let group_sets sets =
-  let index = Hashtbl.create 16 in
-  let first = Array.make physical_probes (Bitset.create 0) in
-  let groups = ref [] and count = ref 0 in
-  let group_of =
-    Array.map
-      (fun set ->
-        match find_physical first (Stdlib.min !count physical_probes) set 0 with
-        | g when g >= 0 -> g
-        | _ -> (
-            match Hashtbl.find_opt index set with
-            | Some g -> g
-            | None ->
-                let g = !count in
-                Hashtbl.add index set g;
-                if g < physical_probes then first.(g) <- set;
-                groups := set :: !groups;
-                incr count;
-                g))
-      sets
-  in
-  (Array.of_list (List.rev !groups), group_of)
-
 (* Signatures hash on every element: the generic hash reads only a
    list's first few, on which many signatures may agree. *)
 module Signatures = Hashtbl.Make (struct
@@ -98,7 +65,8 @@ module Signatures = Hashtbl.Make (struct
 end)
 
 let summarize t =
-  let groups, group_of = group_sets t.sets in
+  let table, group_of = Set_table.intern_all t.sets in
+  let groups = Set_table.to_array table in
   let g_count = Array.length groups in
   let counts = Array.make g_count 0 in
   Array.iter (fun g -> counts.(g) <- counts.(g) + 1) group_of;

@@ -1,4 +1,5 @@
 module Bitset = Usched_model.Bitset
+module Set_table = Usched_model.Set_table
 module Topology = Usched_model.Topology
 module Rng = Usched_prng.Rng
 module Spec_text = Usched_model.Spec_text
@@ -51,13 +52,15 @@ type view = {
   order : int array;
   pos_of : int array;
   dispatchable : bool array;
-  holders : Bitset.t array;
+  sets : Set_table.t;
+  group_of : int array;
+  first : int array;
+  members : int array;
   est : float array;
   speed : float array;
   load : float array;
   now : float array;
   available : int -> bool;
-  holders_stable : bool;
   topology : Topology.t option;
   size : float array;
 }
@@ -67,178 +70,262 @@ type t = {
   notify : task:int -> unit;
 }
 
-(* The paper's rule, exactly as the monolithic engine implemented it: a
-   per-machine cursor over the priority order. Every position skipped by
-   the scan is unavailable to this machine at scan time; positions only
-   become available again through [notify] (a killed task returning to
-   the pool, a streaming arrival, or a re-replication growing a holder
-   set), which rewinds every cursor that moved past them. Without such
-   notifications the cursors are monotone and the total scan is
-   O(m*n). *)
 (* Allocation discipline (applies to every scan in this file): inner
    loops carry their state in integer parameters instead of refs and
    live at module level instead of capturing a fresh closure per call —
    a [let rec] inside [select] would allocate a closure on every
    dispatch decision. Selection returns a plain int (-1 = nothing) so
    no [Some j] is boxed on the hot path. *)
-let rec lp_scan v cursor i pos =
-  if pos >= v.n then -1
-  else begin
-    cursor.(i) <- pos + 1;
-    let j = v.order.(pos) in
-    if v.dispatchable.(j) && Bitset.mem v.holders.(j) i then j
-    else lp_scan v cursor i (pos + 1)
-  end
 
-let make_list_priority_plain v =
-  let cursor = Array.make v.m 0 in
-  let select_m ~machine:i = lp_scan v cursor i cursor.(i) in
-  let notify ~task =
-    let p = v.pos_of.(task) in
-    for i = 0 to v.m - 1 do
-      if cursor.(i) > p then cursor.(i) <- p
-    done
-  in
-  { select_m; notify }
+(* The set index behind list-priority and least-loaded. A group is one
+   distinct holder set of [v.sets].
 
-(* Bucketed list-priority for large instances: tasks sharing a holder
-   set (physically — group placements share the bitset across the
-   group's tasks) form a bucket whose members are listed in priority
-   order, with ONE cursor per bucket instead of one per machine. A
-   machine scans only the few buckets whose holder set contains it and
-   takes the best bucket head — O(#buckets) per decision instead of
-   O(n), which is what makes n=10⁶ dispatch feasible (the per-machine
-   cursors would re-scan millions of already-dispatched positions after
-   every rewind).
+   - The view's listing gives each group present at the start (a
+     "listed" group) its tasks in priority order,
+     [members.(first.(g) ..)]; [cursor.(g)] is the group's next
+     candidate. The group's head is its minimum-position dispatchable
+     task still in it: the cursor skips a task out of the pool or moved
+     out, and a task's place in the listing is found by binary search
+     on its position.
+   - A task that a landed re-replication moved (the engine interned its
+     grown set and changed [group_of]) is listed nowhere it holds now;
+     from its next [notify] on it is a candidate of its own.
+   - Each machine keeps a min-heap of its candidates: an entry per
+     (machine, listed group holding it) pair, keyed by a lower bound on
+     the group's head position, and an entry per notified moved task
+     holding it, keyed by its position.
 
-   Equivalence with the per-machine cursors: both return the minimum
-   global position over dispatchable tasks holding machine [i].
-   Advancing a bucket cursor past a non-dispatchable member is a global
-   skip, valid because eligibility ([dispatchable] && static holder
-   membership) does not depend on the asking machine; members turn
-   dispatchable again only through [notify], which rewinds the bucket
-   cursor just as the plain variant rewinds machine cursors. Requires
-   [holders_stable] (sets never grow mid-run) — the engine clears it
-   when online re-replication is active, and [make] falls back to the
-   plain variant then, or when there are more than [max_lp_buckets]
-   distinct sets (physical identity only: equal-but-distinct sets land
-   in separate buckets, which is still correct — the head minimum just
-   ranges over more buckets). *)
-let max_lp_buckets = 64
-
-type lp_state = {
-  lp_pos_of : int array;
-  lp_dispatchable : bool array;
-  members : int array array;  (* bucket -> member tasks, priority order *)
-  cursor : int array;  (* bucket -> index of its next candidate *)
-  idx_in : int array;  (* task -> its index in members.(bucket) *)
-  task_bucket : int array;  (* task -> bucket *)
-  machine_buckets : int array array;  (* machine -> buckets holding it *)
+   A decision looks at the top entry: a moved task out of the pool, or a
+   group with no head, leaves the heap; a group whose head has passed
+   its key is re-keyed to the head; otherwise the top is the answer.
+   Every key is a lower bound, so that answer is the minimum-position
+   dispatchable task holding the machine, as the scan over the whole
+   order would find, at O(log) heap steps per decision however many
+   sets there are. Heads only move forward until [notify] returns a
+   task: it rewinds the task's listed cursor and lowers the key of the
+   group's pairs on every machine of the set (skipped when [lo.(g)], an
+   upper bound on those keys, is already at most the task's position),
+   or pushes a moved task on the heaps of its holders. A pair has at
+   most one entry, found through [where]. *)
+type index = {
+  v : view;
+  listed : int;  (* the listed groups *)
+  cursor : int array;  (* listed group -> index of its next candidate *)
+  lo : int array;
+      (* listed group -> an upper bound on the keys of its pairs' entries,
+         or [max_int] when some pair may have none *)
+  pair_first : int array;  (* machine -> its first pair; [m + 1] *)
+  pair_group : int array;  (* pair -> its group, increasing per machine *)
+  where : int array;  (* pair -> its entry's index in the heap, 0 = none *)
+  heaps : int array array;
+      (* machine -> heap: [h.(0)] entries, entry [e >= 1] has key
+         [h.(2e)] and candidate [h.(2e + 1)], a pair [>= 0] or a moved
+         task [j] as [-j - 1] *)
+  mutable aside : int array;  (* least-loaded's deferred entries *)
 }
 
-let rec lpb_find reps count (set : Bitset.t) k =
-  if k >= count then -1 else if reps.(k) == set then k else lpb_find reps count set (k + 1)
+let set_entry ix h e k c =
+  h.(2 * e) <- k;
+  h.(2 * e + 1) <- c;
+  if c >= 0 then ix.where.(c) <- e
 
-(* Advance bucket [b]'s cursor to its first dispatchable member; return
-   that member or -1 when the bucket is exhausted. *)
-let rec lpb_adv s b =
-  let ms = s.members.(b) in
-  let c = s.cursor.(b) in
-  if c >= Array.length ms then -1
+(* Place candidate [c] with key [k] at entry [e] or above it. *)
+let rec sift_up ix h e k c =
+  let up = e / 2 in
+  if e > 1 && h.(2 * up) > k then begin
+    set_entry ix h e h.(2 * up) h.((2 * up) + 1);
+    sift_up ix h up k c
+  end
+  else set_entry ix h e k c
+
+(* Place candidate [c] with key [k] at entry [e] or below it. *)
+let rec sift_down ix h e k c =
+  let l = 2 * e in
+  if l > h.(0) then set_entry ix h e k c
   else
-    let j = ms.(c) in
-    if s.lp_dispatchable.(j) then j
-    else begin
-      s.cursor.(b) <- c + 1;
-      lpb_adv s b
+    let s = if l < h.(0) && h.(2 * (l + 1)) < h.(2 * l) then l + 1 else l in
+    if h.(2 * s) < k then begin
+      set_entry ix h e h.(2 * s) h.((2 * s) + 1);
+      sift_down ix h s k c
     end
+    else set_entry ix h e k c
 
-let rec lpb_best s bs k best best_pos =
-  if k >= Array.length bs then best
+let push ix i k c =
+  let h = ix.heaps.(i) in
+  let len = h.(0) + 1 in
+  let h =
+    if (2 * len) + 1 < Array.length h then h
+    else begin
+      let grown = Array.make (4 * (len + 1)) 0 in
+      Array.blit h 0 grown 0 (2 * len);
+      ix.heaps.(i) <- grown;
+      grown
+    end
+  in
+  h.(0) <- len;
+  sift_up ix h len k c
+
+let remove_top ix h =
+  let len = h.(0) in
+  if h.(3) >= 0 then ix.where.(h.(3)) <- 0;
+  h.(0) <- len - 1;
+  if len > 1 then sift_down ix h 1 h.(2 * len) h.((2 * len) + 1)
+
+let rec skip ix g c stop =
+  if c >= stop then c
   else
-    let j = lpb_adv s bs.(k) in
-    if j >= 0 && s.lp_pos_of.(j) < best_pos then
-      lpb_best s bs (k + 1) j s.lp_pos_of.(j)
-    else lpb_best s bs (k + 1) best best_pos
+    let j = ix.v.members.(c) in
+    if ix.v.dispatchable.(j) && ix.v.group_of.(j) = g then c
+    else skip ix g (c + 1) stop
 
-let bucket_state v task_bucket buckets =
-  let sizes = Array.make buckets 0 in
-  Array.iter (fun b -> sizes.(b) <- sizes.(b) + 1) task_bucket;
-  let members = Array.init buckets (fun b -> Array.make sizes.(b) 0) in
-  let idx_in = Array.make v.n 0 in
-  let fill = Array.make buckets 0 in
-  (* Walk the priority order so each bucket's members come out sorted by
-     position. *)
-  Array.iter
-    (fun j ->
-      let b = task_bucket.(j) in
-      members.(b).(fill.(b)) <- j;
-      idx_in.(j) <- fill.(b);
-      fill.(b) <- fill.(b) + 1)
-    v.order;
-  let machine_lists = Array.make v.m [] in
-  for j = v.n - 1 downto 0 do
-    (* The first member of each bucket visits its holder set once. *)
-    if idx_in.(j) = 0 then
-      Bitset.iter
-        (fun i -> machine_lists.(i) <- task_bucket.(j) :: machine_lists.(i))
-        v.holders.(j)
-  done;
-  let machine_buckets = Array.map Array.of_list machine_lists in
-  {
-    lp_pos_of = v.pos_of;
-    lp_dispatchable = v.dispatchable;
-    members;
-    cursor = Array.make buckets 0;
-    idx_in;
-    task_bucket;
-    machine_buckets;
-  }
+let head ix g =
+  let stop = ix.v.first.(g + 1) in
+  let c = skip ix g ix.cursor.(g) stop in
+  ix.cursor.(g) <- c;
+  if c < stop then ix.v.members.(c) else -1
 
-(* The bucket state, or [None] when the holder sets may grow, or there
-   are more than [max_lp_buckets] physically distinct ones, or no task. *)
-let buckets v =
-  if not v.holders_stable then None
-  else begin
-    (* Group by physical holder-set identity, capped. *)
-    let reps = Array.make max_lp_buckets (Bitset.create 0) in
-    let task_bucket = Array.make v.n (-1) in
-    let count = ref 0 in
-    match
-      for j = 0 to v.n - 1 do
-        let set = v.holders.(j) in
-        let b = lpb_find reps !count set 0 in
-        let b =
-          if b >= 0 then b
-          else if !count = max_lp_buckets then raise Exit
-          else begin
-            reps.(!count) <- set;
-            incr count;
-            !count - 1
-          end
-        in
-        task_bucket.(j) <- b
-      done
-    with
-    | () when !count > 0 -> Some (bucket_state v task_bucket !count)
-    | () -> None
-    | exception Exit -> None
+(* The minimum-position dispatchable task holding machine [i], left at
+   the top of its heap [h], or -1. *)
+let rec top ix h =
+  if h.(0) = 0 then -1
+  else
+    let k = h.(2) and c = h.(3) in
+    if c < 0 then begin
+      let j = -c - 1 in
+      if ix.v.dispatchable.(j) then j
+      else begin
+        remove_top ix h;
+        top ix h
+      end
+    end
+    else
+      let g = ix.pair_group.(c) in
+      let j = head ix g in
+      if j < 0 then begin
+        remove_top ix h;
+        ix.lo.(g) <- max_int;
+        top ix h
+      end
+      else
+        let p = ix.v.pos_of.(j) in
+        if p > k then begin
+          sift_down ix h 1 p c;
+          if ix.lo.(g) < p then ix.lo.(g) <- p;
+          (* Still on top with its exact key: the answer. *)
+          if h.(3) = c then j else top ix h
+        end
+        else j
+
+(* The pair of machine [i]'s pairs [lo .. hi - 1] whose group is [g]. *)
+let rec find_pair ix g lo hi =
+  let mid = (lo + hi) / 2 in
+  let h = ix.pair_group.(mid) in
+  if h = g then mid
+  else if h < g then find_pair ix g (mid + 1) hi
+  else find_pair ix g lo mid
+
+(* Key [k] or less for group [g]'s entry on every machine of its set
+   from machine [i] on. *)
+let rec lower_pairs ix g k set i =
+  let i = Bitset.next set i in
+  if i >= 0 then begin
+    let q = find_pair ix g ix.pair_first.(i) ix.pair_first.(i + 1) in
+    let e = ix.where.(q) in
+    let h = ix.heaps.(i) in
+    if e = 0 then push ix i k q else if h.(2 * e) > k then sift_up ix h e k q;
+    lower_pairs ix g k set (i + 1)
   end
 
-let lpb_notify s ~task =
-  let b = s.task_bucket.(task) in
-  let ix = s.idx_in.(task) in
-  if s.cursor.(b) > ix then s.cursor.(b) <- ix
+let rec push_task ix c k set i =
+  let i = Bitset.next set i in
+  if i >= 0 then begin
+    push ix i k c;
+    push_task ix c k set (i + 1)
+  end
+
+(* The index in [members] of the listed task at position [p] among
+   [members.(lo .. hi - 1)], which are sorted by position, or -1. *)
+let rec find_listed v p lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let q = v.pos_of.(v.members.(mid)) in
+    if q = p then mid
+    else if q < p then find_listed v p (mid + 1) hi
+    else find_listed v p lo mid
+
+let notify ix ~task:j =
+  let g = ix.v.group_of.(j) and p = ix.v.pos_of.(j) in
+  let c =
+    if g < ix.listed then find_listed ix.v p ix.v.first.(g) ix.v.first.(g + 1)
+    else -1
+  in
+  if c < 0 then push_task ix (-j - 1) p (Set_table.get ix.v.sets g) 0
+  else begin
+    if ix.cursor.(g) > c then ix.cursor.(g) <- c;
+    if ix.lo.(g) > p then begin
+      lower_pairs ix g p (Set_table.get ix.v.sets g) 0;
+      ix.lo.(g) <- p
+    end
+  end
+
+let rec count_pairs counts set i =
+  let i = Bitset.next set i in
+  if i >= 0 then begin
+    counts.(i + 1) <- counts.(i + 1) + 1;
+    count_pairs counts set (i + 1)
+  end
+
+let rec fill_pairs ix fill g set i =
+  let i = Bitset.next set i in
+  if i >= 0 then begin
+    let q = fill.(i) in
+    ix.pair_group.(q) <- g;
+    fill.(i) <- q + 1;
+    push ix i ix.lo.(g) q;
+    fill_pairs ix fill g set (i + 1)
+  end
+
+(* Every pair starts keyed by its group's first listed task: no head
+   comes before it. *)
+let index v =
+  let listed = Array.length v.first - 1 in
+  let pair_first = Array.make (v.m + 1) 0 in
+  for g = 0 to listed - 1 do
+    count_pairs pair_first (Set_table.get v.sets g) 0
+  done;
+  for i = 1 to v.m do
+    pair_first.(i) <- pair_first.(i) + pair_first.(i - 1)
+  done;
+  let pairs = pair_first.(v.m) in
+  let ix =
+    {
+      v;
+      listed;
+      cursor = Array.sub v.first 0 listed;
+      lo = Array.init listed (fun g -> v.pos_of.(v.members.(v.first.(g))));
+      pair_first;
+      pair_group = Array.make pairs 0;
+      where = Array.make pairs 0;
+      heaps =
+        Array.init v.m (fun i ->
+            Array.make ((2 * (pair_first.(i + 1) - pair_first.(i))) + 4) 0);
+      aside = [||];
+    }
+  in
+  let fill = Array.sub pair_first 0 v.m in
+  for g = 0 to listed - 1 do
+    fill_pairs ix fill g (Set_table.get v.sets g) 0
+  done;
+  ix
 
 let make_list_priority v =
-  match buckets v with
-  | Some s ->
-      let select_m ~machine:i = lpb_best s s.machine_buckets.(i) 0 (-1) max_int in
-      { select_m; notify = lpb_notify s }
-  | None -> make_list_priority_plain v
+  let ix = index v in
+  let select_m ~machine:i = top ix ix.heaps.(i) in
+  { select_m; notify = notify ix }
 
-(* The scanning policies below (least-loaded, earliest-completion,
-   locality, random tie-break) share a low-water mark: the lowest
+(* The scanning policies below (earliest-completion, locality on a
+   zoned topology, random tie-break) share a low-water mark: the lowest
    position of the order that may hold a dispatchable task. Every
    position below it holds a task out of the pool, so a scan starting
    there visits exactly the eligible tasks a scan from position 0 would,
@@ -262,6 +349,16 @@ let rewind v low ~task =
   let pos = v.pos_of.(task) in
   if pos < !low then low := pos
 
+(* The scanning policies test a task's holders at every position they
+   pass, so they keep each task's set at hand: [holders.(j)], refreshed
+   by [notify], which the engine calls for a moved task before it is
+   next dispatchable. *)
+let holder_sets v = Array.map (Set_table.get v.sets) v.group_of
+
+let scan_notify v low holders ~task =
+  holders.(task) <- Set_table.get v.sets v.group_of.(task);
+  rewind v low ~task
+
 (* Locality/load-aware rule: the idle machine takes the highest-priority
    eligible task for which it is a least-loaded available holder — no
    other available holder of the task's data has strictly smaller
@@ -269,58 +366,48 @@ let rewind v low ~task =
    replica holder could take, and grabs first the tasks it is the best
    (or only) home for. Falls back to the highest-priority eligible task
    when no task prefers this machine, so the rule stays
-   work-conserving. [ll_better] is [Bitset.iter] over the holder set
-   unrolled to an index scan (the two are defined to visit the same
-   indices), with the original early exit kept as short-circuiting. *)
-let rec ll_better v j i k =
-  k < v.m
-  && ((k <> i
-      && Bitset.mem v.holders.(j) k
-      && v.available k
-      && v.load.(k) < v.load.(i))
-     || ll_better v j i (k + 1))
+   work-conserving.
 
-let rec ll_scan v i ~fallback pos =
-  if pos >= v.n then fallback
-  else
-    let j = v.order.(pos) in
-    if v.dispatchable.(j) && Bitset.mem v.holders.(j) i then
-      let fallback = if fallback < 0 then j else fallback in
-      if ll_better v j i 0 then ll_scan v i ~fallback (pos + 1) else j
-    else ll_scan v i ~fallback (pos + 1)
+   On the set index the machine's candidates come off its heap in
+   priority order. [ll_better] reads a task only through its holder
+   set, so a deferred group's later tasks are deferred too: its entry
+   is set aside whole, and the walk stops at the first candidate the
+   machine need not defer, as the scan over the order stopped at the
+   first such task. The entries set aside go back with their keys. *)
+let rec ll_better v set i k =
+  let k = Bitset.next set k in
+  k >= 0
+  && ((k <> i && v.available k && v.load.(k) < v.load.(i))
+     || ll_better v set i (k + 1))
 
-(* Bucketed least-loaded, over list-priority's buckets: [ll_better v j i 0]
-   reads task [j] only through its holder set, so it has one answer per
-   bucket during a decision. The scan's answer — the first eligible task
-   that this machine need not defer, else the first eligible task — is
-   then the best head among the machine's non-deferring buckets, else
-   the best head among all of them: O(#buckets * m) per decision instead
-   of a walk over the order that defers a whole group's tasks one by
-   one. *)
-let rec llb_best v s bs i k best best_pos first first_pos =
-  if k >= Array.length bs then if best >= 0 then best else first
-  else
-    let j = lpb_adv s bs.(k) in
-    if j < 0 then llb_best v s bs i (k + 1) best best_pos first first_pos
-    else
-      let p = s.lp_pos_of.(j) in
-      let first' = if p < first_pos then j else first in
-      let first_pos' = if p < first_pos then p else first_pos in
-      if p < best_pos && not (ll_better v j i 0) then
-        llb_best v s bs i (k + 1) j p first' first_pos'
-      else llb_best v s bs i (k + 1) best best_pos first' first_pos'
+let set_aside ix h n =
+  if (2 * n) + 1 >= Array.length ix.aside then begin
+    let grown = Array.make (4 * (n + 1)) 0 in
+    Array.blit ix.aside 0 grown 0 (2 * n);
+    ix.aside <- grown
+  end;
+  ix.aside.(2 * n) <- h.(2);
+  ix.aside.((2 * n) + 1) <- h.(3);
+  remove_top ix h
+
+let rec ll_walk ix i h first n =
+  let j = top ix h in
+  if j >= 0 && ll_better ix.v (Set_table.get ix.v.sets ix.v.group_of.(j)) i 0
+  then begin
+    set_aside ix h n;
+    ll_walk ix i h (if first < 0 then j else first) (n + 1)
+  end
+  else begin
+    for k = 0 to n - 1 do
+      push ix i ix.aside.(2 * k) ix.aside.((2 * k) + 1)
+    done;
+    if j >= 0 then j else first
+  end
 
 let make_least_loaded v =
-  match buckets v with
-  | Some s ->
-      let select_m ~machine:i =
-        llb_best v s s.machine_buckets.(i) i 0 (-1) max_int (-1) max_int
-      in
-      { select_m; notify = lpb_notify s }
-  | None ->
-      let low = ref 0 in
-      let select_m ~machine:i = ll_scan v i ~fallback:(-1) (low_water v low) in
-      { select_m; notify = rewind v low }
+  let ix = index v in
+  let select_m ~machine:i = ll_walk ix i ix.heaps.(i) (-1) 0 in
+  { select_m; notify = notify ix }
 
 (* Shortest-estimated-processing-time on this machine: take the eligible
    task minimizing est(j) / speed(i) — the copy this machine can finish
@@ -332,24 +419,24 @@ let make_least_loaded v =
    (The divisions must both be taken — [e1/s < e2/s] is not [e1 < e2]
    in floating point, and the reference qcheck in test_dispatch pins
    the division-based tie behaviour.) *)
-let rec ec_scan v i pos best =
+let rec ec_scan v holders i pos best =
   if pos >= v.n then best
   else
     let j = v.order.(pos) in
     let best =
       if
         v.dispatchable.(j)
-        && Bitset.mem v.holders.(j) i
+        && Bitset.mem holders.(j) i
         && (best < 0 || v.est.(j) /. v.speed.(i) < v.est.(best) /. v.speed.(i))
       then j
       else best
     in
-    ec_scan v i (pos + 1) best
+    ec_scan v holders i (pos + 1) best
 
 let make_earliest_completion v =
-  let low = ref 0 in
-  let select_m ~machine:i = ec_scan v i (low_water v low) (-1) in
-  { select_m; notify = rewind v low }
+  let low = ref 0 and holders = holder_sets v in
+  let select_m ~machine:i = ec_scan v holders i (low_water v low) (-1) in
+  { select_m; notify = scan_notify v low holders }
 
 (* Locality-aware least-loaded: the deferral rule of [Least_loaded_holder]
    with each candidate holder's load inflated by the staging time it
@@ -361,37 +448,39 @@ let make_earliest_completion v =
    falling back to plain priority order so the rule stays
    work-conserving. Without a topology the penalty is identically zero
    and the policy IS [make_least_loaded] (same scans, zero-alloc). *)
-let rec loc_better v topo j i k =
-  k < v.m
+let rec loc_better v topo set j i k =
+  let k = Bitset.next set k in
+  k >= 0
   && ((k <> i
-      && Bitset.mem v.holders.(j) k
       && v.available k
       && v.load.(k)
          +. Topology.staging_time topo ~src:(j mod v.m) ~dst:k ~size:v.size.(j)
          < v.load.(i)
            +. Topology.staging_time topo ~src:(j mod v.m) ~dst:i
                 ~size:v.size.(j))
-     || loc_better v topo j i (k + 1))
+     || loc_better v topo set j i (k + 1))
 
-let rec loc_scan v topo i ~fallback pos =
+let rec loc_scan v topo holders i ~fallback pos =
   if pos >= v.n then fallback
   else
     let j = v.order.(pos) in
-    if v.dispatchable.(j) && Bitset.mem v.holders.(j) i then
+    let set = holders.(j) in
+    if v.dispatchable.(j) && Bitset.mem set i then
       let fallback = if fallback < 0 then j else fallback in
-      if loc_better v topo j i 0 then loc_scan v topo i ~fallback (pos + 1)
+      if loc_better v topo set j i 0 then
+        loc_scan v topo holders i ~fallback (pos + 1)
       else j
-    else loc_scan v topo i ~fallback (pos + 1)
+    else loc_scan v topo holders i ~fallback (pos + 1)
 
 let make_locality v =
   match v.topology with
   | None -> make_least_loaded v
   | Some topo ->
-      let low = ref 0 in
+      let low = ref 0 and holders = holder_sets v in
       let select_m ~machine:i =
-        loc_scan v topo i ~fallback:(-1) (low_water v low)
+        loc_scan v topo holders i ~fallback:(-1) (low_water v low)
       in
-      { select_m; notify = rewind v low }
+      { select_m; notify = scan_notify v low holders }
 
 (* List priority with seeded random resolution of genuine priority ties:
    among the eligible tasks whose estimate equals the highest-priority
@@ -402,7 +491,7 @@ let make_locality v =
 let make_random_tiebreak seed v =
   let rng = Rng.create ~seed () in
   let candidates = Array.make (Stdlib.max 1 v.n) 0 in
-  let low = ref 0 in
+  let low = ref 0 and holders = holder_sets v in
   (* With estimates non-increasing along the order (the LPT order), no
      position after the first estimate below the leader's can tie it, so
      the tie scan stops there. *)
@@ -418,7 +507,7 @@ let make_random_tiebreak seed v =
       if pos >= v.n then -1
       else
         let j = v.order.(pos) in
-        if v.dispatchable.(j) && Bitset.mem v.holders.(j) i then pos
+        if v.dispatchable.(j) && Bitset.mem holders.(j) i then pos
         else first (pos + 1)
     in
     let pos0 = first (low_water v low) in
@@ -430,7 +519,10 @@ let make_random_tiebreak seed v =
       let pos = ref pos0 in
       while !pos < v.n && not (sorted && v.est.(v.order.(!pos)) < e0) do
         let j = v.order.(!pos) in
-        if v.dispatchable.(j) && Bitset.mem v.holders.(j) i && v.est.(j) = e0
+        if
+          v.dispatchable.(j)
+          && v.est.(j) = e0
+          && Bitset.mem holders.(j) i
         then begin
           candidates.(!count) <- j;
           incr count
@@ -440,11 +532,14 @@ let make_random_tiebreak seed v =
       if !count <= 1 then j0 else candidates.(Rng.int rng !count)
     end
   in
-  { select_m; notify = rewind v low }
+  { select_m; notify = scan_notify v low holders }
 
 let make spec v =
   if v.n <> Array.length v.order || v.n <> Array.length v.pos_of then
     invalid_arg "Dispatch.make: order/pos_of length differs from task count";
+  if v.n <> Array.length v.group_of || v.n <> Array.length v.members then
+    invalid_arg "Dispatch.make: group_of/members length differs from task count";
+  if Array.length v.first < 1 then invalid_arg "Dispatch.make: first is empty";
   if v.n <> Array.length v.est then
     invalid_arg "Dispatch.make: est length differs from task count";
   if v.m <> Array.length v.speed then

@@ -31,15 +31,16 @@
     taking a (boxed) float argument. *)
 
 module Bitset = Usched_model.Bitset
+module Set_table = Usched_model.Set_table
 module Topology = Usched_model.Topology
 
 type spec =
   | List_priority
-      (** The paper's default: the highest-priority eligible task, via
-          cursors over the order — per-machine cursors on small or
-          re-replicating instances, one cursor per holder-set bucket on
-          large stable ones (O(#distinct sets) per decision). This is
-          bit-for-bit the rule the pre-refactor engine hard-coded. *)
+      (** The paper's default: the highest-priority eligible task. Each
+          distinct holder set keeps its tasks in priority order behind a
+          cursor, and each machine a heap of the sets holding it, so a
+          decision costs O(log #sets holding the machine), not n. This
+          is bit-for-bit the rule the pre-refactor engine hard-coded. *)
   | Least_loaded_holder
       (** The highest-priority eligible task for which this machine is a
           least-loaded available holder of the data; a machine defers
@@ -86,27 +87,41 @@ val builtin : spec list
 
 (** The scheduler-visible state a policy decides from. The arrays are
     live views owned by the engine: [dispatchable.(j)] is whether task
-    [j] is in the pool right now, [holders.(j)] the machines whose disk
-    currently has [j]'s data, [load.(i)] the estimate-units dispatched
-    to machine [i] so far. [now] is the shared one-cell simulation
-    clock — the engine stores the current time there before asking for
-    a decision, and [available] reads it, so no float crosses a call
-    boundary on the hot path. *)
+    [j] is in the pool right now, [load.(i)] the estimate-units
+    dispatched to machine [i] so far. [now] is the shared one-cell
+    simulation clock — the engine stores the current time there before
+    asking for a decision, and [available] reads it, so no float crosses
+    a call boundary on the hot path.
+
+    Holder sets are interned: [sets] holds each distinct set once, and
+    the machines whose disk has task [j]'s data now are
+    [Set_table.get sets group_of.(j)]. Interned sets are never mutated.
+    When a re-replication lands, the engine interns the grown set (which
+    may add a set to [sets]) and moves the task there by writing
+    [group_of]; it calls {!notify_available} for the task before the
+    task is next dispatchable. [first] and [members] list the tasks by
+    the set they had at the start, in priority order
+    ([Set_table.members sets group_of ~order] before any move).
+    [List_priority] and [Least_loaded_holder] index the tasks by set
+    with them, so their decisions cost heap steps over the sets holding
+    the machine rather than a walk over n tasks. *)
 type view = {
   n : int;
   m : int;
   order : int array;  (** fixed task priority order *)
   pos_of : int array;  (** inverse permutation of [order] *)
   dispatchable : bool array;
-  holders : Bitset.t array;
+  sets : Set_table.t;  (** the distinct holder sets *)
+  group_of : int array;  (** task -> its holder set's index in [sets] *)
+  first : int array;
+      (** initial set -> start of its tasks in [members]; one entry more
+          than the sets at the start *)
+  members : int array;  (** tasks by initial set, in priority order *)
   est : float array;  (** per-task estimate *)
   speed : float array;  (** configured base speed (not slowdowns) *)
   load : float array;
   now : float array;  (** length-1 clock cell, engine-owned *)
   available : int -> bool;  (** at time [now.(0)] *)
-  holders_stable : bool;
-      (** no holder set will gain members mid-run (false under online
-          re-replication) — licenses the bucketed default policy *)
   topology : Topology.t option;
       (** the instance's cluster topology, when it has one — what the
           [Locality] policy prices zone distance with *)
@@ -119,8 +134,9 @@ type t
 
 val make : spec -> view -> t
 (** Instantiate the policy with fresh per-run state over the given
-    view. Raises [Invalid_argument] when [order]/[pos_of]/[est]/[speed]
-    disagree with [n]/[m], [now] is not length 1, or a topology is
+    view. Raises [Invalid_argument] when
+    [order]/[pos_of]/[group_of]/[members]/[est]/[speed] disagree with
+    [n]/[m], [first] is empty, [now] is not length 1, or a topology is
     present but [size] does not cover every task. *)
 
 val select_machine : t -> machine:int -> int
@@ -132,10 +148,12 @@ val select_machine : t -> machine:int -> int
 val notify_available : t -> task:int -> unit
 (** The task (re-)entered the pool or grew its holder set — a kill
     returned it, a streaming arrival, or a re-replication landed.
-    Every policy must reconsider it: [List_priority] and the bucketed
-    [Least_loaded_holder] rewind their cursors, the scanning policies
-    their low-water mark (the lowest position of the order that may
-    hold a dispatchable task). *)
+    Every policy must reconsider it: [List_priority] and
+    [Least_loaded_holder] rewind the cursor of the task's set (and lower
+    that set's key on its machines' candidate heaps), or, for a task
+    moved to another set, push it on its holders' heaps; the scanning
+    policies rewind their low-water mark (the lowest position of the
+    order that may hold a dispatchable task). *)
 
 val redispatch_order : t -> int -> int -> int * int
 (** The order in which the two machines a speculative race frees at the

@@ -20,6 +20,7 @@
 
 module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
+module Set_table = Usched_model.Set_table
 module Realization = Usched_model.Realization
 module Topology = Usched_model.Topology
 module Fault = Usched_faults.Fault
@@ -319,6 +320,16 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
   | Some beta when not (beta > 0.0) ->
       invalid_arg "Engine.run_faulty: speculation factor must be > 0"
   | _ -> ());
+  (* Who holds each task's data *now*: the distinct sets, interned once
+     per replay, and each task's index among them. A landed
+     re-replication interns the task's grown set and moves the task
+     there; no interned set is ever mutated, and [placement] is only
+     read. *)
+  let sets, group_of = Set_table.intern_all placement in
+  let holders j = Set_table.get sets group_of.(j) in
+  (* Each initial set's tasks, in priority order: the group-indexed
+     dispatch policies walk them, and so do the crash handlers. *)
+  let first, members = Set_table.members sets group_of ~order in
   let spec_on = match speculation with Some _ -> true | None -> false in
   let spec_beta = match speculation with Some b -> b | None -> 0.0 in
   (* Every recovery mechanism is gated by its own parameter: detection
@@ -331,8 +342,8 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
   (* The live-replica target is per task: [Fixed r] heals everything
      toward the same count (constant function — bit-for-bit the old
      fixed-degree arithmetic), [Degree] toward the replication degree
-     phase 1 originally gave each task, captured here before any fault
-     or transfer mutates the working sets. *)
+     phase 1 gave each task: the size of its placement set, which no
+     transfer changes. *)
   let heals = Recovery.heals recovery in
   let target_of =
     match recovery.Recovery.rereplication_target with
@@ -397,6 +408,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
   let staged =
     if restage then Array.init n (fun _ -> Bitset.create m) else [||]
   in
+  let staging = Array.make 1 0.0 in
   (* Per-machine state, one unboxed int/float lane per field (full-length
      lanes land in the major heap, so mutating them never touches the
      minor allocator); every handler below indexes them directly. The
@@ -472,15 +484,12 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
       spec_slot.(j) <- -1
     end
   in
-  (* Who holds each task's data *now*. Under a healing policy transfers
-     grow these sets mid-run, so they are private copies; otherwise
-     they are the placement arrays themselves and never change. All
-     holder-semantics reads below go through [data]. *)
-  let data = if heals then Array.map Bitset.copy placement else placement in
-  (* In-flight re-replication per task: (src, dst, id). The id guards
-     against stale [Sim_transfer] deliveries after an abort. Only the
-     healer starts transfers. *)
+  (* In-flight re-replication per task: (src, dst, id), and the set of
+     tasks with one in flight. The id guards against stale
+     [Sim_transfer] deliveries after an abort. Only the healer starts
+     transfers. *)
   let transfer = lane heals (None : (int * int * int) option) in
+  let in_flight = Bitset.create (if heals then n else 0) in
   let transfer_none j =
     (not heals) || match transfer.(j) with None -> true | Some _ -> false
   in
@@ -491,7 +500,36 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
   if heals then
     Array.iter
       (Bitset.iter (fun i -> replica_load.(i) <- replica_load.(i) + 1))
-      data;
+      placement;
+  (* The tasks whose data a machine holds, for the crash handlers: the
+     initial sets list their tasks, and each machine the tasks whose
+     re-replications landed on it. Sets only grow, so a task holds
+     machine [i] exactly when its initial set did or a transfer to [i]
+     landed, and [holding] visits each such task once. *)
+  let landed = Array.make (if faulty && heals then m else 0) [||] in
+  let landed_len = Array.make (if faulty && heals then m else 0) 0 in
+  let note_landed j i =
+    let len = landed_len.(i) in
+    if len = Array.length landed.(i) then begin
+      let grown = Array.make (Stdlib.max 4 (2 * len)) 0 in
+      Array.blit landed.(i) 0 grown 0 len;
+      landed.(i) <- grown
+    end;
+    landed.(i).(len) <- j;
+    landed_len.(i) <- len + 1
+  in
+  let holding i f =
+    for g = 0 to Array.length first - 2 do
+      if Bitset.mem (Set_table.get sets g) i then
+        for c = first.(g) to first.(g + 1) - 1 do
+          f members.(c)
+        done
+    done;
+    if heals then
+      for k = 0 to landed_len.(i) - 1 do
+        f landed.(i).(k)
+      done
+  in
   let e_machine = Array.make n (-1) in
   let e_start = Array.make n 0.0 in
   let e_finish = Array.make n 0.0 in
@@ -509,13 +547,15 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
         order;
         pos_of;
         dispatchable;
-        holders = data;
+        sets;
+        group_of;
+        first;
+        members;
         est = ests;
         speed = base;
         load = loads;
         now;
         available;
-        holders_stable = not heals;
         topology = topo;
         size = sizes;
       }
@@ -591,7 +631,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
       wake_members h (i + 1)
     end
   in
-  let wake_idle j = wake_members (if !wake_all then everyone else data.(j)) 0 in
+  let wake_idle j = wake_members (if !wake_all then everyone else holders j) 0 in
   (* A task arrives: it becomes visible to the scheduler and, if still
      alive (early faults may have stranded it before it even showed up),
      joins the dispatch pool. *)
@@ -630,7 +670,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
   let wants_heal j =
     status.(j) <= st_running
     &&
-    let nlive = Bitset.inter_cardinal alive_set data.(j) in
+    let nlive = Bitset.inter_cardinal alive_set (holders j) in
     nlive >= 1 && nlive < target_of j
   in
   let recheck j = if wants_heal j then Bitset.add needy j in
@@ -648,14 +688,14 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
                      src := i;
                      raise Exit
                    end)
-                 data.(j)
+                 (holders j)
              with Exit -> ());
             if !src >= 0 then begin
               let dst = ref (-1) and best = ref max_int in
               for i = 0 to m - 1 do
                 if
                   available i
-                  && (not (Bitset.mem data.(j) i))
+                  && (not (Bitset.mem (holders j) i))
                   && replica_load.(i) < !best
                 then begin
                   dst := i;
@@ -666,6 +706,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
                 let time = now.(0) in
                 incr transfer_id;
                 transfer.(j) <- Some (!src, !dst, !transfer_id);
+                Bitset.add in_flight j;
                 replica_load.(!dst) <- replica_load.(!dst) + 1;
                 (match sink with
                 | Some s -> rec_transfer s k_rerep_started time j !src !dst
@@ -680,18 +721,23 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
           end)
         needy
   in
-  let abort_transfers x =
-    for j = 0 to n - 1 do
-      match transfer.(j) with
+  (* Abort every transfer from or to machine [x]: a walk over the
+     transfers in flight from task [j] on, in increasing task id. *)
+  let rec abort_transfers x j =
+    let j = Bitset.next in_flight j in
+    if j >= 0 then begin
+      (match transfer.(j) with
       | Some (src, dst, _) when src = x || dst = x ->
           transfer.(j) <- None;
+          Bitset.remove in_flight j;
           replica_load.(dst) <- replica_load.(dst) - 1;
           (match sink with
           | Some s -> rec_transfer s k_rerep_aborted now.(0) j src dst
           | None -> ());
           Metrics.incr (Metrics.counter metrics "engine.transfer_aborts")
-      | _ -> ()
-    done
+      | _ -> ());
+      abort_transfers x (j + 1)
+    end
   in
   let start_copy ~resume ~banked i j =
     let time = now.(0) in
@@ -703,7 +749,8 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
       | Some _ when restage && Bitset.mem staged.(j) i -> work
       | Some tp ->
           if restage then Bitset.add staged.(j) i;
-          let s = Topology.staging_time tp ~src:(j mod m) ~dst:i ~size:sizes.(j) in
+          Topology.staging_into tp ~src:(j mod m) ~dst:i ~sizes j staging;
+          let s = staging.(0) in
           (* Charged as work at the current speed so a later slowdown
              resync rescales the in-flight pull along with the copy. *)
           if s > 0.0 then work +. (s *. speed) else work
@@ -755,7 +802,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
   let release_task j =
     task_gen.(j) <- task_gen.(j) + 1;
     if spec_on then spec_leave j;
-    if Bitset.inter_is_empty alive_set data.(j) && transfer_none j then
+    if Bitset.inter_is_empty alive_set (holders j) && transfer_none j then
       set_status j st_lost
     else begin
       set_status j st_pending;
@@ -830,16 +877,14 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
   (* The disk of a dead machine [i] is gone: strand every waiting task
      whose last replica it held (unless a transfer is carrying a copy
      out, which keeps the task alive until the transfer resolves). *)
-  let strand_scan i =
-    for j = 0 to n - 1 do
-      if
-        status.(j) = st_pending
-        && Bitset.mem data.(j) i
-        && Bitset.inter_is_empty alive_set data.(j)
-        && transfer_none j
-      then set_status j st_lost
-    done
+  let strand j =
+    if
+      status.(j) = st_pending
+      && Bitset.inter_is_empty alive_set (holders j)
+      && transfer_none j
+    then set_status j st_lost
   in
+  let strand_scan i = holding i strand in
   (* The moment the scheduler learns of machine [i]'s failure — either
      the detector fires [det_latency] after the fault, or the machine
      truthfully reports its own outage when it rejoins, whichever comes
@@ -866,7 +911,11 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
     match transfer.(task) with
     | Some (_, _, id') when id' = id ->
         transfer.(task) <- None;
-        Bitset.add data.(task) dst;
+        Bitset.remove in_flight task;
+        let grown = Bitset.copy (holders task) in
+        Bitset.add grown dst;
+        group_of.(task) <- Set_table.intern sets grown;
+        if faulty then note_landed task dst;
         (* The landed replica is warm: a copy started here later must
            not pay the staging pull again. *)
         if restage then Bitset.add staged.(task) dst;
@@ -902,7 +951,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
         && primary.(j) >= 0
         && primary.(j) <> i
         && backup.(j) < 0
-        && Bitset.mem data.(j) i
+        && Bitset.mem (holders j) i
       then spec_scan i (k + 1) j pos_of.(j)
       else spec_scan i (k + 1) best best_pos
   in
@@ -912,7 +961,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
      start. *)
   let start_next i =
     let cj = ckpt_task.(i) in
-    if cj >= 0 && status.(cj) = st_pending && Bitset.mem data.(cj) i then
+    if cj >= 0 && status.(cj) = st_pending && Bitset.mem (holders cj) i then
       start_copy ~resume:true ~banked:ckpt_work.(i) i cj
     else begin
       let j = Dispatch.select_machine policy ~machine:i in
@@ -985,16 +1034,13 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
           (* Every task the dead disk held lost a live holder: re-check
              its healer membership now, not at detection, because a
              transfer landing before then heals against [alive_set]. *)
-          if heals then
-            for j = 0 to n - 1 do
-              if Bitset.mem data.(j) i then recheck j
-            done;
+          if heals then holding i recheck;
           (match sink with Some s -> rec_m s k_crashed time i | None -> ());
           (* Physical consequences are immediate: the disk (and any
              checkpoint on it) is gone, in-flight transfers touching the
              machine die, the running copy dies. *)
           ckpt_task.(i) <- -1;
-          if heals then abort_transfers i;
+          if heals then abort_transfers i 0;
           kill_current ~salvage:false i;
           if det_latency > 0.0 then begin
             (* The scheduler only reacts once the detector fires. *)
@@ -1065,7 +1111,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
      or -1. *)
   let rec idle_holder j runner i =
     if i >= m then -1
-    else if i <> runner && Bitset.mem data.(j) i && idle i then i
+    else if i <> runner && Bitset.mem (holders j) i && idle i then i
     else idle_holder j runner (i + 1)
   in
   let on_speculate task g =

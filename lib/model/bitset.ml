@@ -145,3 +145,20 @@ let inter_cardinal a b =
 let subset a b =
   check_same_capacity a b;
   Array.for_all2 (fun wa wb -> wa land lnot wb = 0) a.words b.words
+
+let rec words_equal aw bw k =
+  k >= Array.length aw || (aw.(k) = bw.(k) && words_equal aw bw (k + 1))
+
+let equal a b = a.len = b.len && words_equal a.words b.words 0
+
+(* Every word is folded in, and each step shifts high bits down before
+   the odd multiplier spreads them up again, so the low bits a table
+   indexes by depend on every member: sets whose members all sit high
+   in a word, or in a late word, still spread. *)
+let rec words_hash words k h =
+  if k >= Array.length words then h lxor (h lsr 29)
+  else
+    let h = h lxor words.(k) in
+    words_hash words (k + 1) ((h lxor (h lsr 31)) * 0x2545F4914F6CDD1D)
+
+let hash t = words_hash t.words 0 t.len land max_int

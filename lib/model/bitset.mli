@@ -58,3 +58,10 @@ val inter_cardinal : t -> t -> int
     intermediate set. *)
 
 val subset : t -> t -> bool
+
+val equal : t -> t -> bool
+(** Same capacity and the same members. *)
+
+val hash : t -> int
+(** A non-negative hash of the capacity and the members, consistent
+    with {!equal}; every member counts. *)

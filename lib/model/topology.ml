@@ -159,6 +159,13 @@ let staging_time t ~src ~dst ~size =
   let zs = t.zone_of.(src) and zd = t.zone_of.(dst) in
   if zs = zd then 0.0 else t.latency.(zs).(zd) +. (size /. t.bandwidth.(zs).(zd))
 
+(* [staging_time]'s expression, read from and stored into float arrays:
+   across the [-opaque] boundary a float argument or result is boxed. *)
+let staging_into t ~src ~dst ~sizes j cell =
+  let zs = t.zone_of.(src) and zd = t.zone_of.(dst) in
+  if zs = zd then cell.(0) <- 0.0
+  else cell.(0) <- t.latency.(zs).(zd) +. (sizes.(j) /. t.bandwidth.(zs).(zd))
+
 let matrix_str matrix =
   String.concat ":"
     (Array.to_list

@@ -81,6 +81,12 @@ val staging_time : t -> src:int -> dst:int -> size:float -> float
     and the delay the engine imposes before a machine's first copy of a
     task may start. *)
 
+val staging_into :
+  t -> src:int -> dst:int -> sizes:float array -> int -> float array -> unit
+(** [staging_into t ~src ~dst ~sizes j cell] stores
+    [staging_time t ~src ~dst ~size:sizes.(j)] in [cell.(0)], bit for
+    bit, without boxing a float: what the engine charges per copy. *)
+
 val to_string : t -> string
 (** Serialized form [ZONES|BWROWS|LATROWS]: zone ids comma-separated,
     matrix rows colon-separated with comma-separated bit-exact entries

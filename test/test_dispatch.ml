@@ -9,6 +9,7 @@ module Engine = Usched_desim.Engine
 module Dispatch = Usched_desim.Dispatch
 module Schedule = Usched_desim.Schedule
 module Bitset = Usched_model.Bitset
+module Set_table = Usched_model.Set_table
 module Instance = Usched_model.Instance
 module Realization = Usched_model.Realization
 module Uncertainty = Usched_model.Uncertainty
@@ -34,6 +35,17 @@ let finished_entry outcome j =
 
 let outage ~machine ~time ~until =
   { Fault.machine; time; kind = Fault.Outage until }
+
+(* A view's holder fields from per-task sets: the interned sets, each
+   task's set, and the tasks listed by set in [order]. *)
+let interned placement ~order =
+  let sets, group_of = Set_table.intern_all placement in
+  let first, members = Set_table.members sets group_of ~order in
+  (sets, group_of, first, members)
+
+(* The machines a view says hold task [j]'s data now. *)
+let holders (v : Dispatch.view) j =
+  Set_table.get v.Dispatch.sets v.Dispatch.group_of.(j)
 
 (* --------------------------- spec parsing --------------------------- *)
 
@@ -341,6 +353,9 @@ let redispatch_order_pinned () =
          | _ -> false)
        events);
   (* The contract itself, as exposed by the policy value. *)
+  let sets, group_of, first, members =
+    interned placement ~order:(submission_order 3)
+  in
   let view =
     {
       Dispatch.n = 3;
@@ -348,13 +363,15 @@ let redispatch_order_pinned () =
       order = submission_order 3;
       pos_of = submission_order 3;
       dispatchable = [| true; true; true |];
-      holders = placement;
+      sets;
+      group_of;
+      first;
+      members;
       est = Array.init 3 (Instance.est instance);
       speed = [| 1.0; 1.0; 1.0 |];
       load = [| 0.0; 0.0; 0.0 |];
       now = [| 0.0 |];
       available = (fun _ -> true);
-      holders_stable = true;
       topology = None;
       size = [||];
     }
@@ -379,7 +396,11 @@ let select t ~machine =
    machines the idle one is always a least-loaded holder), so the test
    sets the loads directly rather than driving a full simulation. *)
 let least_loaded_defers () =
-  let holders = [| Bitset.of_list 2 [ 0; 1 ]; Bitset.of_list 2 [ 0 ] |] in
+  let sets, group_of, first, members =
+    interned
+      [| Bitset.of_list 2 [ 0; 1 ]; Bitset.of_list 2 [ 0 ] |]
+      ~order:[| 0; 1 |]
+  in
   let dispatchable = [| true; true |] in
   let load = [| 10.0; 0.0 |] in
   let view =
@@ -389,13 +410,15 @@ let least_loaded_defers () =
       order = [| 0; 1 |];
       pos_of = [| 0; 1 |];
       dispatchable;
-      holders;
+      sets;
+      group_of;
+      first;
+      members;
       est = [| 3.0; 5.0 |];
       speed = [| 1.0; 1.0 |];
       load;
       now = [| 0.0 |];
       available = (fun _ -> true);
-      holders_stable = true;
       topology = None;
       size = [||];
     }
@@ -512,7 +535,7 @@ let reference_least_loaded (v : Dispatch.view) ~machine:i =
   let pos = ref 0 in
   while !result = None && !pos < v.Dispatch.n do
     let j = v.Dispatch.order.(!pos) in
-    if v.Dispatch.dispatchable.(j) && Bitset.mem v.Dispatch.holders.(j) i
+    if v.Dispatch.dispatchable.(j) && Bitset.mem (holders v j) i
     then begin
       if !fallback = None then fallback := Some j;
       let better = ref false in
@@ -523,7 +546,7 @@ let reference_least_loaded (v : Dispatch.view) ~machine:i =
             && v.Dispatch.available k
             && v.Dispatch.load.(k) < v.Dispatch.load.(i)
           then better := true)
-        v.Dispatch.holders.(j);
+        (holders v j);
       if not !better then result := Some j
     end;
     incr pos
@@ -566,6 +589,7 @@ let prop_least_loaded_matches_reference =
       in
       let avail = Array.init m (fun _ -> Rng.bernoulli rng ~p:0.8) in
       let ests = Array.init n (fun _ -> Rng.float_range rng ~lo:0.5 ~hi:9.0) in
+      let sets, group_of, first, members = interned holders ~order in
       let view =
         {
           Dispatch.n;
@@ -573,13 +597,15 @@ let prop_least_loaded_matches_reference =
           order;
           pos_of;
           dispatchable;
-          holders;
+          sets;
+          group_of;
+          first;
+          members;
           est = ests;
           speed = Array.make m 1.0;
           load;
           now = [| 0.0 |];
           available = (fun k -> avail.(k));
-          holders_stable = true;
           topology = None;
           size = [||];
         }
@@ -591,50 +617,74 @@ let prop_least_loaded_matches_reference =
           = reference_least_loaded view ~machine:i)
         (Array.init m (fun i -> i)))
 
-(* Reference equivalence for the list-priority rewrite (S1): the rule's
-   meaning is stateless — the minimum-position dispatchable task holding
-   the asking machine — and the cursors (per-machine or per-bucket) are
-   just an incremental evaluation of that scan. Both variants are driven
-   side by side through engine-shaped histories (select-then-start,
-   pool re-entries with [notify]) against the stateless scan. The
-   bucketed variant is forced by sharing holder bitsets physically
-   (holders_stable = true, few distinct sets); the plain variant by
-   clearing [holders_stable] on an otherwise identical view. *)
+(* Reference equivalence for the group index behind list-priority and
+   least-loaded. List-priority's meaning is stateless — the
+   minimum-position dispatchable task holding the asking machine — and
+   the index (a cursor per interned holder set plus a heap of the tasks
+   that moved into it) is an incremental evaluation of that scan. Both
+   policies are driven side by side through engine-shaped histories
+   against the stateless scans: select-then-start, tasks leaving the
+   pool by other means, pool re-entries with [notify], and holder
+   growth the way the engine does it on a landed re-replication (copy
+   the set, add a machine, intern the result, move the task, notify).
+   Holder sets come from a pool of up to 100 random sets, each task
+   taking a pool member or a physically distinct copy of one, so a run
+   may hold more than 64 sets, equal sets that are distinct blocks, and
+   growth into an existing set or a new one. *)
 let reference_list_priority (v : Dispatch.view) ~machine:i =
   let rec scan pos =
     if pos >= v.Dispatch.n then -1
     else
       let j = v.Dispatch.order.(pos) in
-      if v.Dispatch.dispatchable.(j) && Bitset.mem v.Dispatch.holders.(j) i
-      then j
+      if v.Dispatch.dispatchable.(j) && Bitset.mem (holders v j) i then j
       else scan (pos + 1)
   in
   scan 0
 
-let prop_list_priority_matches_reference =
+let growth_scenario =
+  QCheck.make
+    ~print:(fun (n, m, seed) -> Printf.sprintf "n=%d m=%d seed=%d" n m seed)
+    QCheck.Gen.(
+      let* n = int_range 1 200 in
+      let* m = int_range 1 12 in
+      let* seed = int_bound 1_000_000 in
+      return (n, m, seed))
+
+let prop_indexed_policies_match_reference =
   QCheck.Test.make
-    ~name:"list-priority (plain and bucketed) matches the stateless scan"
-    ~count:500 view_scenario (fun (n, m, seed) ->
+    ~name:
+      "list-priority and least-loaded match the stateless scans under \
+       re-entries and holder growth"
+    ~count:300 growth_scenario (fun (n, m, seed) ->
       let rng = Rng.create ~seed () in
       let order = Array.init n (fun j -> j) in
       Helpers.shuffle rng order;
       let pos_of = Array.make n 0 in
       Array.iteri (fun p j -> pos_of.(j) <- p) order;
-      (* A small pool of physically shared holder sets: group placements
-         share bitsets across tasks, which is what makes the bucket
-         count small and engages the bucketed variant. *)
-      let pool_size = 1 + Rng.int rng 5 in
-      let pool =
-        Array.init pool_size (fun _ ->
-            let s = Bitset.create m in
-            for i = 0 to m - 1 do
-              if Rng.bernoulli rng ~p:0.6 then Bitset.add s i
-            done;
-            if Bitset.cardinal s = 0 then Bitset.add s (Rng.int rng m);
-            s)
+      let random_set () =
+        let s = Bitset.create m in
+        for i = 0 to m - 1 do
+          if Rng.bernoulli rng ~p:0.4 then Bitset.add s i
+        done;
+        if Bitset.cardinal s = 0 then Bitset.add s (Rng.int rng m);
+        s
       in
-      let holders = Array.init n (fun _ -> pool.(Rng.int rng pool_size)) in
+      let pool = Array.init (1 + Rng.int rng 100) (fun _ -> random_set ()) in
+      let placement =
+        Array.init n (fun _ ->
+            let s = pool.(Rng.int rng (Array.length pool)) in
+            if Rng.bernoulli rng ~p:0.5 then s else Bitset.copy s)
+      in
+      let sets, group_of, first, members = interned placement ~order in
       let dispatchable = Array.init n (fun _ -> Rng.bernoulli rng ~p:0.8) in
+      (* Coin-flip duplicated loads so least-loaded's strict-inequality
+         ties are hit. *)
+      let load =
+        Array.init m (fun _ ->
+            if Rng.bernoulli rng ~p:0.3 then 5.0
+            else Rng.float_range rng ~lo:0.0 ~hi:10.0)
+      in
+      let avail = Array.init m (fun _ -> Rng.bernoulli rng ~p:0.8) in
       let view =
         {
           Dispatch.n;
@@ -642,45 +692,76 @@ let prop_list_priority_matches_reference =
           order;
           pos_of;
           dispatchable;
-          holders;
+          sets;
+          group_of;
+          first;
+          members;
           est = Array.init n (fun _ -> Rng.float_range rng ~lo:0.5 ~hi:9.0);
           speed = Array.make m 1.0;
-          load = Array.make m 0.0;
+          load;
           now = [| 0.0 |];
-          available = (fun _ -> true);
-          holders_stable = true;
+          available = (fun k -> avail.(k));
           topology = None;
           size = [||];
         }
       in
-      (* Both instances share the view's live arrays, so one mutation of
-         [dispatchable] is seen by plain, bucketed, and reference alike. *)
-      let bucketed = Dispatch.make Dispatch.List_priority view in
-      let plain =
-        Dispatch.make Dispatch.List_priority
-          { view with Dispatch.holders_stable = false }
+      (* Both policies share the view's live arrays, so every mutation
+         is seen by both and by the references alike. *)
+      let lp = Dispatch.make Dispatch.List_priority view in
+      let ll = Dispatch.make Dispatch.Least_loaded_holder view in
+      let notify j =
+        Dispatch.notify_available lp ~task:j;
+        Dispatch.notify_available ll ~task:j
       in
       let ok = ref true in
-      for _ = 1 to 3 * (n + 1) do
-        if Rng.bernoulli rng ~p:0.7 then begin
-          (* An idle machine asks for work and starts what it gets —
-             the only way the engine ever consumes a selection. *)
+      for _ = 1 to 4 * (n + 1) do
+        let r = Rng.int rng 10 in
+        if r < 5 then begin
+          (* An idle machine asks for work; it starts one policy's pick,
+             and its load grows. *)
           let i = Rng.int rng m in
-          let r = reference_list_priority view ~machine:i in
-          let b = Dispatch.select_machine bucketed ~machine:i in
-          let p = Dispatch.select_machine plain ~machine:i in
-          if b <> r || p <> r then ok := false;
-          if r >= 0 then dispatchable.(r) <- false
+          let a = Dispatch.select_machine lp ~machine:i in
+          let b = Dispatch.select_machine ll ~machine:i in
+          if a <> reference_list_priority view ~machine:i then ok := false;
+          if
+            (if b < 0 then None else Some b)
+            <> reference_least_loaded view ~machine:i
+          then ok := false;
+          let started = if Rng.bernoulli rng ~p:0.5 then a else b in
+          if started >= 0 then begin
+            dispatchable.(started) <- false;
+            load.(i) <- load.(i) +. view.Dispatch.est.(started)
+          end
         end
-        else begin
-          (* A task returns to the pool (a kill, a streaming arrival):
-             the engine flips the flag and notifies the policy. *)
+        else if r < 6 then
+          (* A task leaves the pool by other means (stranded, or resumed
+             from a checkpoint). *)
+          dispatchable.(Rng.int rng n) <- false
+        else if r < 8 then begin
+          (* A task returns to the pool (a kill, a streaming arrival). *)
           let j = Rng.int rng n in
           if not dispatchable.(j) then begin
             dispatchable.(j) <- true;
-            Dispatch.notify_available bucketed ~task:j;
-            Dispatch.notify_available plain ~task:j
+            notify j
           end
+        end
+        else begin
+          (* A re-replication lands: the task's set grows by one machine
+             and the task moves to the interned result, an existing set
+             or a new one. A task in the pool is notified now; one out
+             of it is notified when it returns. *)
+          let j = Rng.int rng n in
+          let dst = Rng.int rng m in
+          if not (Bitset.mem (holders view j) dst) then begin
+            let grown = Bitset.copy (holders view j) in
+            Bitset.add grown dst;
+            group_of.(j) <- Set_table.intern sets grown;
+            if dispatchable.(j) then notify j
+          end
+        end;
+        if Rng.int rng 8 = 0 then begin
+          let k = Rng.int rng m in
+          avail.(k) <- not avail.(k)
         end
       done;
       !ok)
@@ -694,7 +775,7 @@ let reference_earliest_completion (v : Dispatch.view) ~machine:i =
   let best = ref (-1) and best_cost = ref infinity in
   for pos = 0 to v.Dispatch.n - 1 do
     let j = v.Dispatch.order.(pos) in
-    if v.Dispatch.dispatchable.(j) && Bitset.mem v.Dispatch.holders.(j) i
+    if v.Dispatch.dispatchable.(j) && Bitset.mem (holders v j) i
     then begin
       let cost = v.Dispatch.est.(j) /. v.Dispatch.speed.(i) in
       if cost < !best_cost then begin
@@ -731,6 +812,7 @@ let prop_earliest_completion_matches_reference =
             if Rng.bernoulli rng ~p:0.3 then 4.0
             else Rng.float_range rng ~lo:0.5 ~hi:9.0)
       in
+      let sets, group_of, first, members = interned holders ~order in
       let view =
         {
           Dispatch.n;
@@ -738,13 +820,15 @@ let prop_earliest_completion_matches_reference =
           order;
           pos_of;
           dispatchable;
-          holders;
+          sets;
+          group_of;
+          first;
+          members;
           est = ests;
           speed = Array.init m (fun _ -> Rng.float_range rng ~lo:0.5 ~hi:2.0);
           load = Array.make m 0.0;
           now = [| 0.0 |];
           available = (fun _ -> true);
-          holders_stable = true;
           topology = None;
           size = [||];
         }
@@ -785,19 +869,26 @@ let locality_prices_staging () =
       ~latency:[| [| 0.0; 0.0 |]; [| 0.0; 0.0 |] |]
   in
   let mk topology size =
+    let sets, group_of, first, members =
+      interned
+        [| Bitset.of_list 2 [ 0; 1 ]; Bitset.of_list 2 [ 0 ] |]
+        ~order:[| 0; 1 |]
+    in
     {
       Dispatch.n = 2;
       m = 2;
       order = [| 0; 1 |];
       pos_of = [| 0; 1 |];
       dispatchable = [| true; true |];
-      holders = [| Bitset.of_list 2 [ 0; 1 ]; Bitset.of_list 2 [ 0 ] |];
+      sets;
+      group_of;
+      first;
+      members;
       est = [| 3.0; 5.0 |];
       speed = [| 1.0; 1.0 |];
       load = [| 3.0; 0.0 |];
       now = [| 0.0 |];
       available = (fun _ -> true);
-      holders_stable = true;
       topology;
       size;
     }
@@ -863,7 +954,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_policies_work_conserving;
           QCheck_alcotest.to_alcotest prop_policy_reachability;
           QCheck_alcotest.to_alcotest prop_least_loaded_matches_reference;
-          QCheck_alcotest.to_alcotest prop_list_priority_matches_reference;
+          QCheck_alcotest.to_alcotest prop_indexed_policies_match_reference;
           QCheck_alcotest.to_alcotest prop_earliest_completion_matches_reference;
           QCheck_alcotest.to_alcotest prop_locality_defaults_to_least_loaded;
         ] );

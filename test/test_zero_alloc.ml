@@ -40,30 +40,40 @@ let measure f =
   done;
   !best
 
-let setup ~shared n =
+let setup ?zones ~shared n =
   let rng = Rng.create ~seed:(7 * n) () in
   let ests = Array.init n (fun _ -> Rng.float_range rng ~lo:0.5 ~hi:10.0) in
   let instance = Instance.of_ests ~m ~alpha:(Uncertainty.alpha 2.0) ests in
+  let instance =
+    match zones with
+    | None -> instance
+    | Some zones -> Helpers.with_priced_zones rng ~zones instance
+  in
   let realization = Realization.uniform_factor instance rng in
   let placement =
     if shared then Array.make n (Bitset.full m)
-      (* one physical holder set: the bucketed default policy *)
+      (* one physical holder set *)
     else
       Array.init n (fun j ->
           Bitset.of_list m [ j mod m; (j + 1) mod m ])
-      (* n distinct sets: overflows the bucket cap, the plain cursors *)
+      (* n physically distinct sets, equal by content in m classes:
+         interning finds the m groups by hashing *)
   in
   let order = Instance.lpt_order instance in
   (instance, realization, placement, order, rng)
 
 (* Healthy engine, metrics and tracing off: the per-run minor-word
    count must be independent of n — zero words per task — and small in
-   absolute terms, for both default-policy variants. *)
+   absolute terms, whether the holder sets are one shared block or
+   equal sets in distinct blocks, and on a priced two-zone topology,
+   where every copy outside its data's home zone is charged staging. *)
 let healthy_is_allocation_free () =
   List.iter
-    (fun (label, shared) ->
+    (fun (label, zones, shared) ->
       let words n =
-        let instance, realization, placement, order, _ = setup ~shared n in
+        let instance, realization, placement, order, _ =
+          setup ?zones ~shared n
+        in
         measure (fun () -> Engine.run instance realization ~placement ~order)
       in
       let w2 = words 2000 and w4 = words 4000 in
@@ -74,7 +84,11 @@ let healthy_is_allocation_free () =
         (Printf.sprintf "%s: per-run constant under 4096 words (got %.0f)"
            label w2)
         true (w2 <= 4096.0))
-    [ ("bucketed list-priority", true); ("plain list-priority", false) ]
+    [
+      ("shared-set list-priority", None, true);
+      ("interned list-priority", None, false);
+      ("zones:2 list-priority", Some 2, false);
+    ]
 
 (* Words a run allocates straight in the major heap: every array longer
    than the minor heap's largest block lands there, so this counts the
@@ -95,11 +109,12 @@ let major_words f =
 (* The healthy replay reads the instance's, the realization's and the
    placement's columns in place and allocates only its own n-length
    lanes: the three result lanes, [dispatchable] and [pos_of] (whose
-   filling is the order's permutation check), and the default policy's
-   task-to-bucket map, plus with one shared holder set its two other
-   bucket arrays (n distinct sets abandon the buckets once the map
-   overflows its cap). A defensive copy of a column, or a scratch
-   array, that comes back adds a word per task. *)
+   filling is the order's permutation check), the interned sets'
+   [group_of], and the tasks listed by set ([members], which the
+   default policy's group index and the crash handlers share): 7 words
+   per task, whether the sets are one shared block or equal sets in
+   distinct blocks. A defensive copy of a column, or a scratch array,
+   that comes back adds a word per task. *)
 let healthy_major_words_per_task () =
   List.iter
     (fun (label, shared, lanes) ->
@@ -111,7 +126,9 @@ let healthy_major_words_per_task () =
       Alcotest.(check (float 0.0))
         (Printf.sprintf "%s: major words per task" label)
         lanes slope)
-    [ ("bucketed list-priority", true, 8.0); ("plain list-priority", false, 6.0) ]
+    [
+      ("shared-set list-priority", true, 7.0); ("interned list-priority", false, 7.0);
+    ]
 
 (* An outcome materializes one [Finished] fate per task (a boxed
    entry), so per-run minor words grow with n — but the slope must stay
