@@ -19,6 +19,7 @@ module Recovery = Usched_faults.Recovery
 module Metrics = Usched_obs.Metrics
 module Json = Usched_report.Json
 module Rng = Usched_prng.Rng
+module Topology = Usched_model.Topology
 
 let close = Alcotest.(check (float 1e-9))
 let checkb = Alcotest.(check bool)
@@ -617,20 +618,24 @@ let prop_least_loaded_matches_reference =
           = reference_least_loaded view ~machine:i)
         (Array.init m (fun i -> i)))
 
-(* Reference equivalence for the group index behind list-priority and
-   least-loaded. List-priority's meaning is stateless — the
+(* Reference equivalence for the set index behind every policy. Each
+   policy's meaning is stateless — list-priority's is the
    minimum-position dispatchable task holding the asking machine — and
-   the index (a cursor per interned holder set plus a heap of the tasks
-   that moved into it) is an incremental evaluation of that scan. Both
-   policies are driven side by side through engine-shaped histories
-   against the stateless scans: select-then-start, tasks leaving the
-   pool by other means, pool re-entries with [notify], and holder
-   growth the way the engine does it on a landed re-replication (copy
-   the set, add a machine, intern the result, move the task, notify).
-   Holder sets come from a pool of up to 100 random sets, each task
-   taking a pool member or a physically distinct copy of one, so a run
-   may hold more than 64 sets, equal sets that are distinct blocks, and
-   growth into an existing set or a new one. *)
+   the index (a cursor per interned holder set plus a heap per machine
+   of the sets holding it and the tasks that moved) is an incremental
+   evaluation of it. All five policies are driven side by side through
+   engine-shaped histories against the stateless scans over the whole
+   order: select-then-start, tasks leaving the pool by other means,
+   pool re-entries with [notify], and holder growth the way the engine
+   does it on a landed re-replication (copy the set, add a machine,
+   intern the result, move the task, notify). Holder sets come from a
+   pool of up to 100 random sets, each task taking a pool member or a
+   physically distinct copy of one, so a run may hold more than 64
+   sets, equal sets that are distinct blocks, and growth into an
+   existing set or a new one. Estimates are few-valued half the time,
+   so random tie-break has ties to draw among, and the order is
+   estimate-sorted half the time, so its early stop is taken; locality
+   runs on a zoned topology with per-task sizes. *)
 let reference_list_priority (v : Dispatch.view) ~machine:i =
   let rec scan pos =
     if pos >= v.Dispatch.n then -1
@@ -640,6 +645,104 @@ let reference_list_priority (v : Dispatch.view) ~machine:i =
       else scan (pos + 1)
   in
   scan 0
+
+(* The scans below are the order-walking policies as they stood before
+   the set index, scanning from position 0 and reading each task's set
+   through the view. *)
+let reference_ec_scan (v : Dispatch.view) ~machine:i =
+  let rec ec_scan pos best =
+    if pos >= v.Dispatch.n then best
+    else
+      let j = v.Dispatch.order.(pos) in
+      let best =
+        if
+          v.Dispatch.dispatchable.(j)
+          && Bitset.mem (holders v j) i
+          && (best < 0
+             || v.Dispatch.est.(j) /. v.Dispatch.speed.(i)
+                < v.Dispatch.est.(best) /. v.Dispatch.speed.(i))
+        then j
+        else best
+      in
+      ec_scan (pos + 1) best
+  in
+  ec_scan 0 (-1)
+
+let reference_loc_scan (v : Dispatch.view) topo ~machine:i =
+  let rec loc_better set j k =
+    let k = Bitset.next set k in
+    k >= 0
+    && ((k <> i
+        && v.Dispatch.available k
+        && v.Dispatch.load.(k)
+           +. Topology.staging_time topo ~src:(j mod v.Dispatch.m) ~dst:k
+                ~size:v.Dispatch.size.(j)
+           < v.Dispatch.load.(i)
+             +. Topology.staging_time topo ~src:(j mod v.Dispatch.m) ~dst:i
+                  ~size:v.Dispatch.size.(j))
+       || loc_better set j (k + 1))
+  in
+  let rec loc_scan ~fallback pos =
+    if pos >= v.Dispatch.n then fallback
+    else
+      let j = v.Dispatch.order.(pos) in
+      let set = holders v j in
+      if v.Dispatch.dispatchable.(j) && Bitset.mem set i then
+        let fallback = if fallback < 0 then j else fallback in
+        if loc_better set j 0 then loc_scan ~fallback (pos + 1) else j
+      else loc_scan ~fallback (pos + 1)
+  in
+  loc_scan ~fallback:(-1) 0
+
+(* The random tie-break scan, drawing from its own generator: fed the
+   policy's seed, it draws exactly when the policy does, so the two stay
+   in step along a whole history. *)
+let reference_random_tiebreak seed (v : Dispatch.view) =
+  let rng = Rng.create ~seed () in
+  let candidates = Array.make (Stdlib.max 1 v.Dispatch.n) 0 in
+  let sorted =
+    let ok = ref true in
+    for pos = 0 to v.Dispatch.n - 2 do
+      if
+        not
+          (v.Dispatch.est.(v.Dispatch.order.(pos))
+          >= v.Dispatch.est.(v.Dispatch.order.(pos + 1)))
+      then ok := false
+    done;
+    !ok
+  in
+  fun ~machine:i ->
+    let rec first pos =
+      if pos >= v.Dispatch.n then -1
+      else
+        let j = v.Dispatch.order.(pos) in
+        if v.Dispatch.dispatchable.(j) && Bitset.mem (holders v j) i then pos
+        else first (pos + 1)
+    in
+    let pos0 = first 0 in
+    if pos0 < 0 then -1
+    else begin
+      let j0 = v.Dispatch.order.(pos0) in
+      let e0 = v.Dispatch.est.(j0) in
+      let count = ref 0 in
+      let pos = ref pos0 in
+      while
+        !pos < v.Dispatch.n
+        && not (sorted && v.Dispatch.est.(v.Dispatch.order.(!pos)) < e0)
+      do
+        let j = v.Dispatch.order.(!pos) in
+        if
+          v.Dispatch.dispatchable.(j)
+          && v.Dispatch.est.(j) = e0
+          && Bitset.mem (holders v j) i
+        then begin
+          candidates.(!count) <- j;
+          incr count
+        end;
+        incr pos
+      done;
+      if !count <= 1 then j0 else candidates.(Rng.int rng !count)
+    end
 
 let growth_scenario =
   QCheck.make
@@ -653,12 +756,19 @@ let growth_scenario =
 let prop_indexed_policies_match_reference =
   QCheck.Test.make
     ~name:
-      "list-priority and least-loaded match the stateless scans under \
-       re-entries and holder growth"
+      "every policy matches its stateless scan under re-entries and holder \
+       growth"
     ~count:300 growth_scenario (fun (n, m, seed) ->
       let rng = Rng.create ~seed () in
+      let est =
+        if Rng.bernoulli rng ~p:0.5 then
+          Array.init n (fun _ -> float_of_int (1 + Rng.int rng 3))
+        else Array.init n (fun _ -> Rng.float_range rng ~lo:0.5 ~hi:9.0)
+      in
       let order = Array.init n (fun j -> j) in
       Helpers.shuffle rng order;
+      if Rng.bernoulli rng ~p:0.5 then
+        Array.stable_sort (fun a b -> compare est.(b) est.(a)) order;
       let pos_of = Array.make n 0 in
       Array.iteri (fun p j -> pos_of.(j) <- p) order;
       let random_set () =
@@ -677,14 +787,21 @@ let prop_indexed_policies_match_reference =
       in
       let sets, group_of, first, members = interned placement ~order in
       let dispatchable = Array.init n (fun _ -> Rng.bernoulli rng ~p:0.8) in
-      (* Coin-flip duplicated loads so least-loaded's strict-inequality
-         ties are hit. *)
+      (* Coin-flip duplicated loads so the strict-inequality ties of the
+         deferring policies are hit. *)
       let load =
         Array.init m (fun _ ->
             if Rng.bernoulli rng ~p:0.3 then 5.0
             else Rng.float_range rng ~lo:0.0 ~hi:10.0)
       in
       let avail = Array.init m (fun _ -> Rng.bernoulli rng ~p:0.8) in
+      let topo =
+        Topology.zoned ~m
+          ~zones:(1 + Rng.int rng (Stdlib.min m 4))
+          ~bandwidth:(Rng.float_range rng ~lo:0.3 ~hi:3.0)
+          ~latency:(Rng.float_range rng ~lo:0.0 ~hi:1.5)
+          ()
+      in
       let view =
         {
           Dispatch.n;
@@ -696,22 +813,46 @@ let prop_indexed_policies_match_reference =
           group_of;
           first;
           members;
-          est = Array.init n (fun _ -> Rng.float_range rng ~lo:0.5 ~hi:9.0);
-          speed = Array.make m 1.0;
+          est;
+          speed = Array.init m (fun _ -> Rng.float_range rng ~lo:0.5 ~hi:2.0);
           load;
           now = [| 0.0 |];
           available = (fun k -> avail.(k));
-          topology = None;
-          size = [||];
+          topology = Some topo;
+          size =
+            Array.init n (fun _ ->
+                if Rng.bernoulli rng ~p:0.3 then 1.0
+                else Rng.float_range rng ~lo:0.1 ~hi:8.0);
         }
       in
-      (* Both policies share the view's live arrays, so every mutation
-         is seen by both and by the references alike. *)
-      let lp = Dispatch.make Dispatch.List_priority view in
-      let ll = Dispatch.make Dispatch.Least_loaded_holder view in
+      let seed = Rng.int rng 1000 in
+      (* The policies share the view's live arrays, so every mutation is
+         seen by all of them and by the references alike. *)
+      let policies =
+        List.map
+          (fun spec -> Dispatch.make spec view)
+          Dispatch.
+            [
+              List_priority;
+              Least_loaded_holder;
+              Earliest_estimated_completion;
+              Random_tiebreak seed;
+              Locality;
+            ]
+      in
+      let random_reference = reference_random_tiebreak seed view in
+      let references =
+        [
+          reference_list_priority view;
+          (fun ~machine ->
+            Option.value ~default:(-1) (reference_least_loaded view ~machine));
+          reference_ec_scan view;
+          random_reference;
+          reference_loc_scan view topo;
+        ]
+      in
       let notify j =
-        Dispatch.notify_available lp ~task:j;
-        Dispatch.notify_available ll ~task:j
+        List.iter (fun t -> Dispatch.notify_available t ~task:j) policies
       in
       let ok = ref true in
       for _ = 1 to 4 * (n + 1) do
@@ -720,14 +861,15 @@ let prop_indexed_policies_match_reference =
           (* An idle machine asks for work; it starts one policy's pick,
              and its load grows. *)
           let i = Rng.int rng m in
-          let a = Dispatch.select_machine lp ~machine:i in
-          let b = Dispatch.select_machine ll ~machine:i in
-          if a <> reference_list_priority view ~machine:i then ok := false;
-          if
-            (if b < 0 then None else Some b)
-            <> reference_least_loaded view ~machine:i
-          then ok := false;
-          let started = if Rng.bernoulli rng ~p:0.5 then a else b in
+          let picks =
+            List.map2
+              (fun t reference ->
+                let a = Dispatch.select_machine t ~machine:i in
+                if a <> reference ~machine:i then ok := false;
+                a)
+              policies references
+          in
+          let started = List.nth picks (Rng.int rng (List.length picks)) in
           if started >= 0 then begin
             dispatchable.(started) <- false;
             load.(i) <- load.(i) +. view.Dispatch.est.(started)
@@ -864,7 +1006,7 @@ let prop_locality_defaults_to_least_loaded =
    so its effective cost is 0 + 1/0.1 = 10 > 3 and m0 keeps t0. *)
 let locality_prices_staging () =
   let topo =
-    Usched_model.Topology.make ~zone_of:[| 0; 1 |]
+    Topology.make ~zone_of:[| 0; 1 |]
       ~bandwidth:[| [| infinity; 0.1 |]; [| 0.1; infinity |] |]
       ~latency:[| [| 0.0; 0.0 |]; [| 0.0; 0.0 |] |]
   in
