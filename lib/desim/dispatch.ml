@@ -65,20 +65,15 @@ type view = {
   size : float array;
 }
 
-type t = {
-  select_m : machine:int -> int;
-  notify : task:int -> unit;
-}
+(* Allocation discipline (applies to every walk in this file): inner
+   loops carry their state in integer parameters and live at module
+   level, taking any closure they call as an argument made once per run
+   — a [let rec] inside a selection would allocate a closure on every
+   decision. Selection returns a plain int (-1 = nothing), never a
+   boxed [Some j]. *)
 
-(* Allocation discipline (applies to every scan in this file): inner
-   loops carry their state in integer parameters instead of refs and
-   live at module level instead of capturing a fresh closure per call —
-   a [let rec] inside [select] would allocate a closure on every
-   dispatch decision. Selection returns a plain int (-1 = nothing) so
-   no [Some j] is boxed on the hot path. *)
-
-(* The set index behind list-priority and least-loaded. A group is one
-   distinct holder set of [v.sets].
+(* The set index behind every policy. A group is one distinct holder
+   set of [v.sets].
 
    - The view's listing gives each group present at the start (a
      "listed" group) its tasks in priority order,
@@ -121,7 +116,8 @@ type index = {
       (* machine -> heap: [h.(0)] entries, entry [e >= 1] has key
          [h.(2e)] and candidate [h.(2e + 1)], a pair [>= 0] or a moved
          task [j] as [-j - 1] *)
-  mutable aside : int array;  (* least-loaded's deferred entries *)
+  mutable scratch : int array;  (* entries set aside, or tied positions *)
+  mutable bound : int;  (* [fold_eligible]'s position bound, or [max_int] *)
 }
 
 let set_entry ix h e k c =
@@ -310,7 +306,8 @@ let index v =
       heaps =
         Array.init v.m (fun i ->
             Array.make ((2 * (pair_first.(i + 1) - pair_first.(i))) + 4) 0);
-      aside = [||];
+      scratch = [||];
+      bound = max_int;
     }
   in
   let fill = Array.sub pair_first 0 v.m in
@@ -319,45 +316,49 @@ let index v =
   done;
   ix
 
-let make_list_priority v =
-  let ix = index v in
-  let select_m ~machine:i = top ix ix.heaps.(i) in
-  { select_m; notify = notify ix }
+(* The policies that read more than the leader fold [visit i j acc] over
+   every eligible task [j] of machine [i], from its heap's entry [e = 1]:
+   each listed group's members from its head on, and each moved task,
+   which may sit there twice (a visit must allow it). A visit may lower
+   [bound] to a position from which on no task can change [acc]: a
+   group's walk ends there and a moved task there is skipped. The fold
+   resets [bound] when it ends. *)
+let rec fold_members ix visit i g c acc =
+  if c >= ix.v.first.(g + 1) then acc
+  else
+    let j = ix.v.members.(c) in
+    if ix.v.pos_of.(j) >= ix.bound then acc
+    else
+      fold_members ix visit i g (c + 1)
+        (if ix.v.dispatchable.(j) && ix.v.group_of.(j) = g then visit i j acc
+         else acc)
 
-(* The scanning policies below (earliest-completion, locality on a
-   zoned topology, random tie-break) share a low-water mark: the lowest
-   position of the order that may hold a dispatchable task. Every
-   position below it holds a task out of the pool, so a scan starting
-   there visits exactly the eligible tasks a scan from position 0 would,
-   and returns the same one. Whether a position is skipped depends only
-   on [dispatchable], never on the asking machine. The mark advances past
-   non-dispatchable positions at the start of each decision, and
-   [notify] rewinds it to the position of a task that re-entered the
-   pool: a kill, a streaming arrival, or (harmlessly, since holder sets
-   play no part in it) a landed re-replication. *)
-let rec skip_out_of_pool v pos =
-  if pos < v.n && not v.dispatchable.(v.order.(pos)) then
-    skip_out_of_pool v (pos + 1)
-  else pos
+let rec fold_eligible ix visit i e acc =
+  let h = ix.heaps.(i) in
+  if e > h.(0) then begin
+    ix.bound <- max_int;
+    acc
+  end
+  else
+    let c = h.((2 * e) + 1) in
+    let acc =
+      if c < 0 then
+        let j = -c - 1 in
+        if ix.v.dispatchable.(j) && ix.v.pos_of.(j) < ix.bound then
+          visit i j acc
+        else acc
+      else
+        let g = ix.pair_group.(c) in
+        if head ix g < 0 then acc
+        else fold_members ix visit i g ix.cursor.(g) acc
+    in
+    fold_eligible ix visit i (e + 1) acc
 
-let low_water v low =
-  let pos = skip_out_of_pool v !low in
-  low := pos;
-  pos
-
-let rewind v low ~task =
-  let pos = v.pos_of.(task) in
-  if pos < !low then low := pos
-
-(* The scanning policies test a task's holders at every position they
-   pass, so they keep each task's set at hand: [holders.(j)], refreshed
-   by [notify], which the engine calls for a moved task before it is
-   next dispatchable. *)
-let holder_sets v = Array.map (Set_table.get v.sets) v.group_of
-
-let scan_notify v low holders ~task =
-  holders.(task) <- Set_table.get v.sets v.group_of.(task);
-  rewind v low ~task
+(* Store [x] at [ix.scratch.(k)], growing the scratch. *)
+let stash ix k x =
+  if k >= Array.length ix.scratch then
+    ix.scratch <- Array.append ix.scratch (Array.make (k + 1) 0);
+  ix.scratch.(k) <- x
 
 (* Locality/load-aware rule: the idle machine takes the highest-priority
    eligible task for which it is a least-loaded available holder — no
@@ -368,75 +369,52 @@ let scan_notify v low holders ~task =
    when no task prefers this machine, so the rule stays
    work-conserving.
 
-   On the set index the machine's candidates come off its heap in
-   priority order. [ll_better] reads a task only through its holder
-   set, so a deferred group's later tasks are deferred too: its entry
-   is set aside whole, and the walk stops at the first candidate the
-   machine need not defer, as the scan over the order stopped at the
-   first such task. The entries set aside go back with their keys. *)
+   The machine's candidates come off its heap in priority order.
+   [ll_better] reads a task only through its holder set, so a deferred
+   group's later tasks are deferred too: its entry is set aside whole,
+   and the walk stops at the first candidate the machine need not
+   defer. The entries set aside go back with their keys. *)
 let rec ll_better v set i k =
   let k = Bitset.next set k in
   k >= 0
   && ((k <> i && v.available k && v.load.(k) < v.load.(i))
      || ll_better v set i (k + 1))
 
-let set_aside ix h n =
-  if (2 * n) + 1 >= Array.length ix.aside then begin
-    let grown = Array.make (4 * (n + 1)) 0 in
-    Array.blit ix.aside 0 grown 0 (2 * n);
-    ix.aside <- grown
-  end;
-  ix.aside.(2 * n) <- h.(2);
-  ix.aside.((2 * n) + 1) <- h.(3);
-  remove_top ix h
-
 let rec ll_walk ix i h first n =
   let j = top ix h in
   if j >= 0 && ll_better ix.v (Set_table.get ix.v.sets ix.v.group_of.(j)) i 0
   then begin
-    set_aside ix h n;
+    stash ix (2 * n) h.(2);
+    stash ix ((2 * n) + 1) h.(3);
+    remove_top ix h;
     ll_walk ix i h (if first < 0 then j else first) (n + 1)
   end
   else begin
     for k = 0 to n - 1 do
-      push ix i ix.aside.(2 * k) ix.aside.((2 * k) + 1)
+      push ix i ix.scratch.(2 * k) ix.scratch.((2 * k) + 1)
     done;
     if j >= 0 then j else first
   end
 
-let make_least_loaded v =
-  let ix = index v in
-  let select_m ~machine:i = ll_walk ix i ix.heaps.(i) (-1) 0 in
-  { select_m; notify = notify ix }
+let least_loaded ix ~machine:i = ll_walk ix i ix.heaps.(i) (-1) 0
 
 (* Shortest-estimated-processing-time on this machine: take the eligible
    task minimizing est(j) / speed(i) — the copy this machine can finish
    earliest, by estimates only (the scheduler is semi-clairvoyant and
-   never sees actuals). Ties resolve to the priority order. The scan
-   carries only the best task id and recomputes both divisions at each
-   comparison: the quotients live in compare position so they stay
-   unboxed, where a float parameter or ref would box on every step.
-   (The divisions must both be taken — [e1/s < e2/s] is not [e1 < e2]
-   in floating point, and the reference qcheck in test_dispatch pins
-   the division-based tie behaviour.) *)
-let rec ec_scan v holders i pos best =
-  if pos >= v.n then best
-  else
-    let j = v.order.(pos) in
-    let best =
-      if
-        v.dispatchable.(j)
-        && Bitset.mem holders.(j) i
-        && (best < 0 || v.est.(j) /. v.speed.(i) < v.est.(best) /. v.speed.(i))
-      then j
+   never sees actuals). Ties resolve to the priority order, so the fold
+   may meet the tasks in any order. Both divisions are taken: [e1/s <
+   e2/s] is not [e1 < e2] in floating point. *)
+let earliest_completion ix =
+  let v = ix.v in
+  let visit i j best =
+    if best < 0 then j
+    else
+      let q = v.est.(j) /. v.speed.(i) in
+      let q_best = v.est.(best) /. v.speed.(i) in
+      if q < q_best || (q = q_best && v.pos_of.(j) < v.pos_of.(best)) then j
       else best
-    in
-    ec_scan v holders i (pos + 1) best
-
-let make_earliest_completion v =
-  let low = ref 0 and holders = holder_sets v in
-  let select_m ~machine:i = ec_scan v holders i (low_water v low) (-1) in
-  { select_m; notify = scan_notify v low holders }
+  in
+  fun ~machine:i -> fold_eligible ix visit i 1 (-1)
 
 (* Locality-aware least-loaded: the deferral rule of [Least_loaded_holder]
    with each candidate holder's load inflated by the staging time it
@@ -446,93 +424,106 @@ let make_earliest_completion v =
    both queue length and data movement — and defers work that a
    holder with a strictly smaller load-plus-staging total could take,
    falling back to plain priority order so the rule stays
-   work-conserving. Without a topology the penalty is identically zero
-   and the policy IS [make_least_loaded] (same scans, zero-alloc). *)
-let rec loc_better v topo set j i k =
+   work-conserving. Without a topology, or with a single zone, the
+   penalty is identically zero and the policy IS [least_loaded].
+   Otherwise deferral depends on the task, not only on its set: the
+   fold keeps the minimum-position task the machine need not defer
+   (bounding the walk there) and falls back to the leader. Staging is
+   read into the one-cell [cell], so no float is boxed across the
+   module boundary. *)
+let rec loc_better v topo cell set j i k =
   let k = Bitset.next set k in
   k >= 0
-  && ((k <> i
+  && (k <> i
       && v.available k
-      && v.load.(k)
-         +. Topology.staging_time topo ~src:(j mod v.m) ~dst:k ~size:v.size.(j)
-         < v.load.(i)
-           +. Topology.staging_time topo ~src:(j mod v.m) ~dst:i
-                ~size:v.size.(j))
-     || loc_better v topo set j i (k + 1))
+      && begin
+           Topology.staging_into topo ~src:(j mod v.m) ~dst:k ~sizes:v.size j
+             cell;
+           let via_k = v.load.(k) +. cell.(0) in
+           Topology.staging_into topo ~src:(j mod v.m) ~dst:i ~sizes:v.size j
+             cell;
+           via_k < v.load.(i) +. cell.(0)
+         end
+     || loc_better v topo cell set j i (k + 1))
 
-let rec loc_scan v topo holders i ~fallback pos =
-  if pos >= v.n then fallback
-  else
-    let j = v.order.(pos) in
-    let set = holders.(j) in
-    if v.dispatchable.(j) && Bitset.mem set i then
-      let fallback = if fallback < 0 then j else fallback in
-      if loc_better v topo set j i 0 then
-        loc_scan v topo holders i ~fallback (pos + 1)
-      else j
-    else loc_scan v topo holders i ~fallback (pos + 1)
+let locality ix topo =
+  let v = ix.v and cell = [| 0.0 |] in
+  let visit i j best =
+    if loc_better v topo cell (Set_table.get v.sets v.group_of.(j)) j i 0
+    then best
+    else begin
+      ix.bound <- v.pos_of.(j);
+      j
+    end
+  in
+  fun ~machine:i ->
+    let best = fold_eligible ix visit i 1 (-1) in
+    if best >= 0 then best else top ix ix.heaps.(i)
 
-let make_locality v =
-  match v.topology with
-  | None -> make_least_loaded v
-  | Some topo ->
-      let low = ref 0 and holders = holder_sets v in
-      let select_m ~machine:i =
-        loc_scan v topo holders i ~fallback:(-1) (low_water v low)
-      in
-      { select_m; notify = scan_notify v low holders }
+(* Sift [x] down from [a.(p)] in the max-heap [a.(0 .. k - 1)]. *)
+let rec sift_ints a k p x =
+  let l = (2 * p) + 1 in
+  let l = if l + 1 < k && a.(l + 1) > a.(l) then l + 1 else l in
+  if l < k && a.(l) > x then begin
+    a.(p) <- a.(l);
+    sift_ints a k l x
+  end
+  else a.(p) <- x
+
+(* Keep the distinct values of the sorted [a.(r .. k - 1)] from [a.(d)] on. *)
+let rec distinct a k r d =
+  if r >= k then d
+  else if d > 0 && a.(r) = a.(d - 1) then distinct a k (r + 1) d
+  else begin
+    a.(d) <- a.(r);
+    distinct a k (r + 1) (d + 1)
+  end
+
+(* Heapsort [a.(0 .. k - 1)], leave its distinct values at its front and
+   return their count. *)
+let sort_distinct a k =
+  for p = (k / 2) - 1 downto 0 do sift_ints a k p a.(p) done;
+  for last = k - 1 downto 1 do
+    let x = a.(last) in
+    a.(last) <- a.(0);
+    sift_ints a last 0 x
+  done;
+  distinct a k 0 0
 
 (* List priority with seeded random resolution of genuine priority ties:
    among the eligible tasks whose estimate equals the highest-priority
    eligible one's, pick uniformly. With all-distinct estimates this
    coincides with [List_priority]; on identical- or few-valued workloads
    it randomizes the order within each tie class. Deterministic given
-   the seed (one RNG draw per tied decision). *)
-let make_random_tiebreak seed v =
-  let rng = Rng.create ~seed () in
-  let candidates = Array.make (Stdlib.max 1 v.n) 0 in
-  let low = ref 0 and holders = holder_sets v in
-  (* With estimates non-increasing along the order (the LPT order), no
-     position after the first estimate below the leader's can tie it, so
-     the tie scan stops there. *)
-  let sorted =
-    let ok = ref true in
-    for pos = 0 to v.n - 2 do
-      if not (v.est.(v.order.(pos)) >= v.est.(v.order.(pos + 1))) then ok := false
-    done;
-    !ok
-  in
-  let select_m ~machine:i =
-    let rec first pos =
-      if pos >= v.n then -1
-      else
-        let j = v.order.(pos) in
-        if v.dispatchable.(j) && Bitset.mem holders.(j) i then pos
-        else first (pos + 1)
-    in
-    let pos0 = first (low_water v low) in
-    if pos0 < 0 then -1
+   the seed: one draw per tied decision, among the tied positions
+   sorted as a scan of the order meets them. On an estimate-sorted
+   order (LPT) no task past the first smaller estimate ties. *)
+let rec by_estimate v pos =
+  pos >= v.n - 1
+  || v.est.(v.order.(pos)) >= v.est.(v.order.(pos + 1))
+     && by_estimate v (pos + 1)
+
+let random_tiebreak ix seed =
+  let v = ix.v and rng = Rng.create ~seed () and leader = ref (-1) in
+  let sorted = by_estimate v 0 in
+  let visit _ j count =
+    if v.est.(j) = v.est.(!leader) then begin
+      stash ix count v.pos_of.(j);
+      count + 1
+    end
     else begin
-      let j0 = v.order.(pos0) in
-      let e0 = v.est.(j0) in
-      let count = ref 0 in
-      let pos = ref pos0 in
-      while !pos < v.n && not (sorted && v.est.(v.order.(!pos)) < e0) do
-        let j = v.order.(!pos) in
-        if
-          v.dispatchable.(j)
-          && v.est.(j) = e0
-          && Bitset.mem holders.(j) i
-        then begin
-          candidates.(!count) <- j;
-          incr count
-        end;
-        incr pos
-      done;
-      if !count <= 1 then j0 else candidates.(Rng.int rng !count)
+      if sorted && v.est.(j) < v.est.(!leader) then ix.bound <- v.pos_of.(j);
+      count
     end
   in
-  { select_m; notify = scan_notify v low holders }
+  fun ~machine:i ->
+    leader := top ix ix.heaps.(i);
+    if !leader < 0 then -1
+    else
+      let count = sort_distinct ix.scratch (fold_eligible ix visit i 1 0) in
+      if count <= 1 then !leader else v.order.(ix.scratch.(Rng.int rng count))
+
+type t = { ix : index; select_m : machine:int -> int }
 
 let make spec v =
   if v.n <> Array.length v.order || v.n <> Array.length v.pos_of then
@@ -545,22 +536,25 @@ let make spec v =
   if v.m <> Array.length v.speed then
     invalid_arg "Dispatch.make: speed length differs from machine count";
   if Array.length v.now <> 1 then invalid_arg "Dispatch.make: now must have length 1";
-  (match v.topology with
-  | Some _ when v.n <> Array.length v.size ->
-      invalid_arg
-        "Dispatch.make: size length differs from task count (required with a \
-         topology)"
-  | _ -> ());
-  match spec with
-  | List_priority -> make_list_priority v
-  | Least_loaded_holder -> make_least_loaded v
-  | Earliest_estimated_completion -> make_earliest_completion v
-  | Locality -> make_locality v
-  | Random_tiebreak seed -> make_random_tiebreak seed v
+  if Option.is_some v.topology && v.n <> Array.length v.size then
+    invalid_arg
+      "Dispatch.make: size length differs from task count (required with a \
+       topology)";
+  let ix = index v in
+  let select_m =
+    match (spec, v.topology) with
+    | List_priority, _ -> fun ~machine:i -> top ix ix.heaps.(i)
+    | Locality, Some topo when not (Topology.is_uniform topo) ->
+        locality ix topo
+    | (Least_loaded_holder | Locality), _ -> least_loaded ix
+    | Earliest_estimated_completion, _ -> earliest_completion ix
+    | Random_tiebreak seed, _ -> random_tiebreak ix seed
+  in
+  { ix; select_m }
 
 let select_machine t ~machine = t.select_m ~machine
 
-let notify_available t ~task = t.notify ~task
+let notify_available t ~task = notify t.ix ~task
 
 (* THE re-dispatch determinism contract, in exactly one place: the two
    machines a speculative race frees at the same instant look for new

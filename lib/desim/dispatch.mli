@@ -18,17 +18,17 @@
     policy/fault reachability property in the tests rely on it).
 
     Policies are {b stateful per run}: {!make} instantiates fresh state
-    (the default policy's cursors, the random policy's seeded RNG), so a
-    policy value must not be shared between concurrent runs. Identical
+    (the set index's cursors and heaps, the random policy's seeded RNG),
+    so a policy value must not be shared between concurrent runs. Identical
     inputs give identical decisions — every policy is deterministic,
     including [Random_tiebreak], whose randomness is a pure function of
     its seed.
 
-    Selection is allocation-free for the default, least-loaded,
-    earliest-completion, and (topology-free) locality policies:
-    {!select_machine} returns a plain int ([-1] = no eligible task) and
-    reads the simulation clock from the shared [now] cell instead of
-    taking a (boxed) float argument. *)
+    Every policy decides on one index of the tasks by holder set, and no
+    selection allocates (but [Random_tiebreak]'s buffer grows to the
+    largest tie): {!select_machine} returns a plain int ([-1] = no
+    eligible task) and reads the simulation clock from the shared [now]
+    cell instead of taking a (boxed) float argument. *)
 
 module Bitset = Usched_model.Bitset
 module Set_table = Usched_model.Set_table
@@ -46,24 +46,30 @@ type spec =
           least-loaded available holder of the data; a machine defers
           tasks that a strictly less-loaded replica holder could take,
           falling back to plain priority order when nothing prefers it.
-          Load is dispatched estimate-units, never actuals. *)
+          Load is dispatched estimate-units, never actuals. A decision
+          takes heap tops, setting each deferring set aside whole. *)
   | Earliest_estimated_completion
       (** The eligible task this machine finishes earliest by estimate:
           minimize [est(j) / speed(i)] (SPT restricted to held data);
-          ties resolve to the priority order. *)
+          ties resolve to the priority order. A decision visits the
+          machine's tasks from each set's head on: O(n) if all hold it. *)
   | Locality
       (** [Least_loaded_holder] with data movement priced in: each
           candidate holder's load is inflated by the staging time it
           would pay to pull the task's data across zones from its home
           machine [j mod m]. A machine defers a task whenever another
           available holder has a strictly smaller load-plus-staging
-          total. Identical to [Least_loaded_holder] when the view
-          carries no topology (or a single-zone one). *)
+          total. Identical to [Least_loaded_holder], and as cheap, when
+          the view carries no topology (or a single-zone one); with
+          zones, a decision walks the machine's sets to their first task
+          it need not defer. *)
   | Random_tiebreak of int
       (** [List_priority] with genuine priority ties — eligible tasks
           sharing the leading estimate — broken uniformly at random from
           the seeded generator. Coincides with [List_priority] when
-          estimates are distinct; deterministic given the seed. *)
+          estimates are distinct; deterministic given the seed. A
+          decision visits the machine's tasks from each set's head on,
+          only the tied ones if the order is estimate-sorted. *)
 
 val default : spec
 (** [List_priority]. *)
@@ -101,10 +107,9 @@ val builtin : spec list
     [group_of]; it calls {!notify_available} for the task before the
     task is next dispatchable. [first] and [members] list the tasks by
     the set they had at the start, in priority order
-    ([Set_table.members sets group_of ~order] before any move).
-    [List_priority] and [Least_loaded_holder] index the tasks by set
-    with them, so their decisions cost heap steps over the sets holding
-    the machine rather than a walk over n tasks. *)
+    ([Set_table.members sets group_of ~order] before any move). Every
+    policy indexes the tasks by set with them, so no decision walks the
+    whole priority order. *)
 type view = {
   n : int;
   m : int;
@@ -148,12 +153,10 @@ val select_machine : t -> machine:int -> int
 val notify_available : t -> task:int -> unit
 (** The task (re-)entered the pool or grew its holder set — a kill
     returned it, a streaming arrival, or a re-replication landed.
-    Every policy must reconsider it: [List_priority] and
-    [Least_loaded_holder] rewind the cursor of the task's set (and lower
-    that set's key on its machines' candidate heaps), or, for a task
-    moved to another set, push it on its holders' heaps; the scanning
-    policies rewind their low-water mark (the lowest position of the
-    order that may hold a dispatchable task). *)
+    Every policy reconsiders it the same way: it rewinds the cursor of
+    the task's set (and lowers that set's key on its machines' candidate
+    heaps), or, for a task moved to another set, pushes it on its
+    holders' heaps. *)
 
 val redispatch_order : t -> int -> int -> int * int
 (** The order in which the two machines a speculative race frees at the

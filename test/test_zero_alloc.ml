@@ -15,6 +15,7 @@
    hiccup cannot fail the gate spuriously. *)
 
 module Engine = Usched_desim.Engine
+module Dispatch = Usched_desim.Dispatch
 module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
 module Realization = Usched_model.Realization
@@ -64,17 +65,19 @@ let setup ?zones ~shared n =
 
 (* Healthy engine, metrics and tracing off: the per-run minor-word
    count must be independent of n — zero words per task — and small in
-   absolute terms, whether the holder sets are one shared block or
-   equal sets in distinct blocks, and on a priced two-zone topology,
-   where every copy outside its data's home zone is charged staging. *)
+   absolute terms, under every dispatch policy, whether the holder sets
+   are one shared block or equal sets in distinct blocks, and on a
+   priced two-zone topology, where every copy outside its data's home
+   zone is charged staging and locality prices it into each deferral. *)
 let healthy_is_allocation_free () =
   List.iter
-    (fun (label, zones, shared) ->
+    (fun (label, zones, shared, dispatch) ->
       let words n =
         let instance, realization, placement, order, _ =
           setup ?zones ~shared n
         in
-        measure (fun () -> Engine.run instance realization ~placement ~order)
+        measure (fun () ->
+            Engine.run ~dispatch instance realization ~placement ~order)
       in
       let w2 = words 2000 and w4 = words 4000 in
       Alcotest.(check (float 0.0))
@@ -84,11 +87,20 @@ let healthy_is_allocation_free () =
         (Printf.sprintf "%s: per-run constant under 4096 words (got %.0f)"
            label w2)
         true (w2 <= 4096.0))
-    [
-      ("shared-set list-priority", None, true);
-      ("interned list-priority", None, false);
-      ("zones:2 list-priority", Some 2, false);
-    ]
+    Dispatch.
+      [
+        ("shared-set list-priority", None, true, List_priority);
+        ("interned list-priority", None, false, List_priority);
+        ("zones:2 list-priority", Some 2, false, List_priority);
+        ("interned least-loaded", None, false, Least_loaded_holder);
+        ( "interned earliest-completion",
+          None,
+          false,
+          Earliest_estimated_completion );
+        ("interned random:3", None, false, Random_tiebreak 3);
+        ("interned locality", None, false, Locality);
+        ("zones:2 locality", Some 2, false, Locality);
+      ]
 
 (* Words a run allocates straight in the major heap: every array longer
    than the minor heap's largest block lands there, so this counts the
