@@ -20,4 +20,20 @@ val packing : m:int -> float array -> float
 
 val best : m:int -> float array -> float
 (** Max of all bounds above. Raises [Invalid_argument] if [m < 1] or a
-    processing time is negative. *)
+    processing time is negative.
+
+    Bit for bit [Float.max (average ~m p) (Float.max (largest p)
+    (packing ~m p))], in O(n) time and O(min(2{^14}, n/8)) words when a
+    histogram of the times certifies that {!packing} cannot exceed the
+    other two: then no copy is sorted. Otherwise (and on a NaN or
+    infinite time) it sorts a copy as {!packing} does, in
+    O(n log n). *)
+
+(**/**)
+
+val packing_ceiling : m:int -> float array -> float
+(* An upper bound on [packing ~m p] from the histogram [best] builds;
+   [infinity] on a NaN or infinite time, or when [n·largest p] is too
+   large to certify anything.
+   Exposed so tests can check that it never falls below the bound it
+   stands for. *)

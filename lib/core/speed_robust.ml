@@ -1,6 +1,7 @@
 module Instance = Usched_model.Instance
 module Speed_band = Usched_model.Speed_band
 module Bitset = Usched_model.Bitset
+module Set_table = Usched_model.Set_table
 
 let classes ~k instance =
   let m = Instance.m instance in
@@ -27,10 +28,10 @@ let placement ~k instance =
      slowest in-band speed — the schedule the adversary would force. *)
   let loads = Array.make m 0.0 in
   let sets = Array.make n (Bitset.create m) in
-  (* Tasks with the same per-class machine choice share one set, keyed
-     on the chosen ids: at most the product of the class sizes distinct
-     sets exist, so list-priority dispatch can bucket tasks by set. *)
-  let interned = Hashtbl.create 16 in
+  (* Tasks with the same per-class machine choice share one interned
+     set: at most the product of the class sizes distinct sets exist,
+     so list-priority dispatch can bucket tasks by set. *)
+  let interned = Set_table.create () in
   let chosen = Array.make k 0 in
   let order = Instance.lpt_order instance in
   Array.iter
@@ -54,13 +55,8 @@ let placement ~k instance =
           loads.(!best) <-
             loads.(!best) +. (est /. float_of_int k /. Speed_band.lo band !best))
         groups;
-      sets.(j) <-
-        (match Hashtbl.find_opt interned chosen with
-        | Some set -> set
-        | None ->
-            let set = Bitset.create m in
-            Array.iter (Bitset.add set) chosen;
-            Hashtbl.add interned (Array.copy chosen) set;
-            set))
+      let set = Bitset.create m in
+      Array.iter (Bitset.add set) chosen;
+      sets.(j) <- Set_table.get interned (Set_table.intern interned set))
     order;
   Placement.of_sets ~m sets

@@ -220,9 +220,11 @@ let logged f =
         if line = "" then None else Some (event_of_json (Json.of_string_exn line)))
       lines )
 
-(* Validates the inputs and returns [pos_of], the inverse of [order]:
-   filling it is the permutation check ([-1] marks a task not yet
-   seen). *)
+(* Validates the inputs and returns [pos_of], the inverse of [order]
+   (filling it is the permutation check: [-1] marks a task not yet
+   seen), with the placement's interned sets and each task's index
+   among them. Capacity and emptiness are checked once per distinct
+   set; the error names the first task whose set fails. *)
 let check_inputs ?speeds ~name instance ~placement ~order =
   let n = Instance.n instance and m = Instance.m instance in
   (match speeds with
@@ -237,23 +239,29 @@ let check_inputs ?speeds ~name instance ~placement ~order =
         s);
   if Array.length placement <> n then
     invalid_arg (Printf.sprintf "%s: placement length differs from instance" name);
-  Array.iteri
-    (fun j set ->
-      if Bitset.capacity set <> m then
-        invalid_arg (Printf.sprintf "%s: placement of task %d has wrong capacity" name j);
-      if Bitset.is_empty set then
-        invalid_arg (Printf.sprintf "%s: task %d is placed nowhere" name j))
-    placement;
+  let sets, group_of = Set_table.intern_all placement in
+  let bad g =
+    let set = Set_table.get sets g in
+    Bitset.capacity set <> m || Bitset.is_empty set
+  in
+  let rec any_bad g = g < Set_table.count sets && (bad g || any_bad (g + 1)) in
+  if any_bad 0 then begin
+    let rec first j = if bad group_of.(j) then j else first (j + 1) in
+    let j = first 0 in
+    if Bitset.capacity placement.(j) <> m then
+      invalid_arg (Printf.sprintf "%s: placement of task %d has wrong capacity" name j);
+    invalid_arg (Printf.sprintf "%s: task %d is placed nowhere" name j)
+  end;
   if Array.length order <> n then
     invalid_arg (Printf.sprintf "%s: order length differs from instance" name);
   let pos_of = Array.make n (-1) in
-  Array.iteri
-    (fun pos j ->
-      if j < 0 || j >= n || pos_of.(j) >= 0 then
-        invalid_arg (Printf.sprintf "%s: order is not a permutation of task ids" name);
-      pos_of.(j) <- pos)
-    order;
-  pos_of
+  for pos = 0 to n - 1 do
+    let j = order.(pos) in
+    if j < 0 || j >= n || pos_of.(j) >= 0 then
+      invalid_arg (Printf.sprintf "%s: order is not a permutation of task ids" name);
+    pos_of.(j) <- pos
+  done;
+  (pos_of, sets, group_of)
 
 (* ------------------------------------------------------------------ *)
 (* The event loop.                                                     *)
@@ -301,7 +309,9 @@ type lanes = {
    read or move it. *)
 let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
     ~arrivals instance realization ~faults ~placement ~order =
-  let pos_of = check_inputs ?speeds ~name instance ~placement ~order in
+  let pos_of, sets, group_of =
+    check_inputs ?speeds ~name instance ~placement ~order
+  in
   let n = Instance.n instance and m = Instance.m instance in
   if Trace.m faults <> m then
     invalid_arg "Engine.run_faulty: trace machine count differs from instance";
@@ -321,11 +331,10 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
       invalid_arg "Engine.run_faulty: speculation factor must be > 0"
   | _ -> ());
   (* Who holds each task's data *now*: the distinct sets, interned once
-     per replay, and each task's index among them. A landed
-     re-replication interns the task's grown set and moves the task
-     there; no interned set is ever mutated, and [placement] is only
-     read. *)
-  let sets, group_of = Set_table.intern_all placement in
+     per replay by [check_inputs], and each task's index among them. A
+     landed re-replication interns the task's grown set and moves the
+     task there; no interned set is ever mutated, and [placement] is
+     only read. *)
   let holders j = Set_table.get sets group_of.(j) in
   (* Each initial set's tasks, in priority order: the group-indexed
      dispatch policies walk them, and so do the crash handlers. *)

@@ -42,6 +42,7 @@ let m t = t.m
 
 let starts t = t.starts
 let finishes t = t.finishes
+let machines t = t.machines
 
 let entry t j =
   { machine = t.machines.(j); start = t.starts.(j); finish = t.finishes.(j) }

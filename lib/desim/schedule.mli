@@ -39,6 +39,10 @@ val finishes : t -> float array
 (** Every task's finish time, indexed by task id; read-only like
     {!starts}. *)
 
+val machines : t -> int array
+(** Every task's machine, indexed by task id; read-only like
+    {!starts}. *)
+
 val makespan : t -> float
 
 val by_machine : t -> int array array

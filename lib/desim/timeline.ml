@@ -6,10 +6,13 @@ type machine_stats = {
   idle_before_finish : float;
 }
 
+let stats_record i ~busy ~finish ~tasks =
+  { machine = i; busy; finish; tasks; idle_before_finish = finish -. busy }
+
 (* Per-machine sums over [Schedule.by_machine]'s buckets, in their
    (start, id) order, read straight from the schedule's time lanes: no
    per-task [Schedule.entry] record is built. *)
-let machine_stats schedule =
+let bucket_stats schedule =
   let starts = Schedule.starts schedule
   and finishes = Schedule.finishes schedule in
   Array.mapi
@@ -20,14 +23,40 @@ let machine_stats schedule =
         busy := !busy +. (finishes.(j) -. starts.(j));
         finish := Float.max !finish finishes.(j)
       done;
-      {
-        machine = i;
-        busy = !busy;
-        finish = !finish;
-        tasks = Array.length tasks;
-        idle_before_finish = !finish -. !busy;
-      })
+      stats_record i ~busy:!busy ~finish:!finish ~tasks:(Array.length tasks))
     (Schedule.by_machine schedule)
+
+(* One pass in id order. While every machine's starts are
+   non-decreasing in id order ([Float.compare], the test
+   [Schedule.by_machine] applies), id order is each bucket's
+   (start, id) order, so the sums are the bucket path's, addition for
+   addition; at the first start that decreases, the buckets decide. *)
+let machine_stats schedule =
+  let m = Schedule.m schedule in
+  let machines = Schedule.machines schedule
+  and starts = Schedule.starts schedule
+  and finishes = Schedule.finishes schedule in
+  let tasks = Array.make m 0
+  and busy = Array.make m 0.0
+  and finish = Array.make m 0.0
+  and last = Array.make m 0.0 in
+  let n = Array.length machines in
+  let j = ref 0 and ordered = ref true in
+  while !ordered && !j < n do
+    let i = machines.(!j) and start = starts.(!j) in
+    if tasks.(i) > 0 && Float.compare last.(i) start > 0 then ordered := false
+    else begin
+      last.(i) <- start;
+      tasks.(i) <- tasks.(i) + 1;
+      busy.(i) <- busy.(i) +. (finishes.(!j) -. start);
+      finish.(i) <- Float.max finish.(i) finishes.(!j);
+      incr j
+    end
+  done;
+  if not !ordered then bucket_stats schedule
+  else
+    Array.init m (fun i ->
+        stats_record i ~busy:busy.(i) ~finish:finish.(i) ~tasks:tasks.(i))
 
 let utilization schedule stats =
   let horizon = Schedule.makespan schedule in

@@ -166,17 +166,45 @@ let check_id line k text start stop =
 
 let is_space = function ' ' | '\012' | '\r' | '\t' -> true | _ -> false
 
+(* The '\n' bytes of [text], eight at a time. XOR with [newlines]
+   turns each '\n' into a zero byte. For a byte [x], [(x land 0x7F) +
+   0x7F] sets the byte's top bit unless its low seven bits are zero,
+   and never carries out of the byte; or-ing [x] sets it for
+   [x >= 0x80] too, so the complement's top bit is set exactly on the
+   zero bytes, and the multiply adds those bits up in the top byte.
+   The last [length mod 8] bytes are counted one at a time. *)
+let newlines = 0x0A0A0A0A0A0A0A0AL
+let low7 = 0x7F7F7F7F7F7F7F7FL
+let top_bits = 0x8080808080808080L
+let byte_sum = 0x0101010101010101L
+
+let count_newlines text =
+  let len = String.length text in
+  let words = len / 8 in
+  let count = ref 0 in
+  for w = 0 to words - 1 do
+    let x = Int64.logxor (String.get_int64_le text (8 * w)) newlines in
+    let spread = Int64.logor (Int64.add (Int64.logand x low7) low7) x in
+    let zeros = Int64.logand (Int64.lognot spread) top_bits in
+    count :=
+      !count
+      + Int64.to_int
+          (Int64.shift_right_logical
+             (Int64.mul (Int64.shift_right_logical zeros 7) byte_sum)
+             56)
+  done;
+  for k = 8 * words to len - 1 do
+    if String.unsafe_get text k = '\n' then incr count
+  done;
+  !count
+
 (* An upper bound on the row count, exact when no line after the
    column line is blank: every row but a final unterminated one ends
    with a '\n', and lines 1 and 2 end with one each. *)
 let max_rows text =
   let len = String.length text in
-  let newlines = ref 0 in
-  for k = 0 to len - 1 do
-    if String.unsafe_get text k = '\n' then incr newlines
-  done;
   let unterminated = if len > 0 && text.[len - 1] <> '\n' then 1 else 0 in
-  Stdlib.max 0 (!newlines - 2 + unterminated)
+  Stdlib.max 0 (count_newlines text - 2 + unterminated)
 
 (* Start of line 3, or [len] when there is none. *)
 let rows_start text =

@@ -37,3 +37,9 @@ val save_instance : path:string -> Instance.t -> unit
 val load_instance : path:string -> Instance.t
 (** {!instance_of_string} on the file's contents; raises [Sys_error]
     when the file cannot be read. *)
+
+(**/**)
+
+val count_newlines : string -> int
+(* The number of '\n' bytes in the string, counted eight bytes at a
+   time; exposed so tests can compare it with a byte loop. *)

@@ -17,6 +17,7 @@ let create () =
     last = 0;
   }
 
+let count t = t.count
 let get t g = t.sets.(g)
 let to_array t = Array.sub t.sets 0 t.count
 

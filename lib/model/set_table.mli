@@ -11,6 +11,9 @@
 
 type t
 
+val create : unit -> t
+(** An empty table. *)
+
 val intern_all : Bitset.t array -> t * int array
 (** [intern_all sets] is the table of the distinct members of [sets]
     (compared with {!Bitset.equal}) and, per index [j], the index of
@@ -21,6 +24,9 @@ val intern_all : Bitset.t array -> t * int array
 val intern : t -> Bitset.t -> int
 (** The index of the set equal to the argument, adding the argument
     (which the table then owns) when there is none. *)
+
+val count : t -> int
+(** The number of distinct sets: indices run from 0 to [count t - 1]. *)
 
 val get : t -> int -> Bitset.t
 (** The set at an index that {!intern_all} or {!intern} returned. Read

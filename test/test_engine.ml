@@ -118,6 +118,27 @@ let rejects_wrong_capacity () =
     (Invalid_argument "Engine.run: placement of task 0 has wrong capacity")
     (fun () -> ignore (Engine.run instance realization ~placement ~order:[| 0 |]))
 
+(* Sets are checked once per distinct set, but the error still names
+   the first task, in id order, whose set fails, and that task's first
+   failing check: a shared bad set, an empty set after a good one, and
+   a wrong capacity ahead of an empty set. *)
+let rejects_first_bad_task () =
+  let instance = instance_of [| 1.0; 1.0; 1.0; 1.0 |] in
+  let realization = Realization.exact instance in
+  let run placement =
+    ignore (Engine.run instance realization ~placement ~order:[| 0; 1; 2; 3 |])
+  in
+  let full = Bitset.full 2 and empty = Bitset.create 2 and wide = Bitset.create 3 in
+  Alcotest.check_raises "shared empty set"
+    (Invalid_argument "Engine.run: task 1 is placed nowhere") (fun () ->
+      run [| full; empty; full; empty |]);
+  Alcotest.check_raises "capacity before emptiness"
+    (Invalid_argument "Engine.run: placement of task 2 has wrong capacity")
+    (fun () -> run [| full; Bitset.singleton 2 1; wide; Bitset.create 2 |]);
+  Alcotest.check_raises "equal empty sets in distinct blocks"
+    (Invalid_argument "Engine.run: task 0 is placed nowhere") (fun () ->
+      run [| Bitset.create 2; full; wide; empty |])
+
 let trace_is_chronological_and_complete () =
   let instance = instance_of [| 2.0; 1.0; 1.0 |] in
   let realization = Realization.exact instance in
@@ -404,6 +425,7 @@ let () =
           Alcotest.test_case "rejects empty placement" `Quick rejects_empty_placement;
           Alcotest.test_case "rejects bad order" `Quick rejects_bad_order;
           Alcotest.test_case "rejects wrong capacity" `Quick rejects_wrong_capacity;
+          Alcotest.test_case "names the first bad task" `Quick rejects_first_bad_task;
           Alcotest.test_case "trace" `Quick trace_is_chronological_and_complete;
           Alcotest.test_case "healthy trace is the empty-trace faulty trace"
             `Quick healthy_trace_is_empty_trace_faulty;

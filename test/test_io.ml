@@ -656,6 +656,22 @@ let parser_matches_oracle_on_tokens () =
         ])
     tokens
 
+(* The parser sizes its columns from the newline count, taken eight
+   bytes at a time; any byte value may sit next to a '\n', and bytes
+   of 0x80 and above must not read as one. *)
+let prop_newline_count_matches_byte_loop =
+  QCheck.Test.make ~name:"count_newlines = a byte loop, on arbitrary bytes" ~count:2000
+    QCheck.(pair (int_bound 40) int)
+    (fun (len, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let text =
+        String.init len (fun _ ->
+            if Random.State.int rng 4 = 0 then '\n' else Char.chr (Random.State.int rng 256))
+      in
+      let bytes = ref 0 in
+      String.iter (fun c -> if c = '\n' then incr bytes) text;
+      Io.count_newlines text = !bytes)
+
 let () =
   Alcotest.run "io"
     [
@@ -696,5 +712,6 @@ let () =
             prop_blank_lines_ignored;
             prop_writer_integers_match_printf;
             prop_parser_matches_oracle;
+            prop_newline_count_matches_byte_loop;
           ] );
     ]

@@ -139,6 +139,86 @@ let fsort_small_and_special () =
       Array.init 40 (fun i -> if i mod 3 = 0 then nan else float_of_int i);
     ]
 
+(* [best] certifies with a histogram and sorts only when it must; it
+   must return [Float.max average (Float.max largest packing)] bit for
+   bit either way, and raise what that expression raises. Inputs are
+   the Fsort shapes (negative times, NaN and infinities included),
+   then transformed: -0.0 sprinkled in, scaled into the subnormals,
+   scaled by 2^500 or 2^-500, or by 2^±500 per element. The last
+   family makes packing win: m+1 copies of one large time among tiny
+   ones. *)
+let transformed kind rng p =
+  let scale = Float.ldexp in
+  match kind with
+  | 0 -> p
+  | 1 -> Array.map (fun x -> if Random.State.int rng 3 = 0 then -0.0 else x) p
+  | 2 -> Array.map (fun x -> scale x (-1070)) p
+  | 3 -> Array.map (fun x -> scale x 500) p
+  | 4 -> Array.map (fun x -> scale x (-500)) p
+  | 5 -> Array.map (fun x -> scale x (Random.State.int rng 1001 - 500)) p
+  | _ -> Array.map (fun x -> scale x (if Random.State.bool rng then 500 else -500)) p
+
+let machine_counts = [| 1; 2; 3; 100 |]
+
+(* m and the times, between m-1 and 50m of them. *)
+let bound_input (mi, shape, kind, seed) =
+  let rng = Random.State.make [| seed |] in
+  let m = machine_counts.(mi) in
+  let n = max 0 (m - 1 + Random.State.int rng ((49 * m) + 2)) in
+  let p =
+    if kind = 7 then
+      (* m+1 equal large times, the rest tiny: packing's k = 1 term,
+         twice the large time, beats the average and the largest. *)
+      let big = 1.0 +. Random.State.float rng 1e6 in
+      let tiny = Random.State.float rng 1e-6 in
+      Array.init (max n (m + 1)) (fun j -> if j <= m then big else tiny)
+    else transformed kind rng (shaped shape n rng)
+  in
+  (m, p)
+
+let bound_arb =
+  QCheck.(quad (int_bound 3) (int_bound 6) (int_bound 7) int)
+
+let outcome f =
+  match f () with
+  | v -> Ok (Int64.bits_of_float v)
+  | exception Invalid_argument msg -> Error msg
+
+let prop_best_is_the_max_bit_for_bit =
+  QCheck.Test.make ~name:"best = max average largest packing, bit for bit" ~count:3000
+    bound_arb (fun params ->
+      let m, p = bound_input params in
+      outcome (fun () -> Lb.best ~m p)
+      = outcome (fun () ->
+            Float.max (Lb.average ~m p) (Float.max (Lb.largest p) (Lb.packing ~m p))))
+
+(* The certificate's soundness: the ceiling never falls below the
+   float the sort path computes, on the same inputs with every time
+   made non-negative. *)
+let prop_ceiling_covers_packing =
+  QCheck.Test.make ~name:"packing_ceiling >= packing" ~count:1500 bound_arb
+    (fun params ->
+      let m, p = bound_input params in
+      let p = Array.map Float.abs p in
+      let packing = Lb.packing ~m p in
+      Float.is_nan packing || Lb.packing_ceiling ~m p >= packing)
+
+(* Where the bound is the average, as on uniform batch instances, the
+   ceiling certifies it; where packing wins it cannot. *)
+let certificate_decides () =
+  let rng = Random.State.make [| 11 |] in
+  let m = 100 in
+  let p = Array.init 200_000 (fun _ -> 1.0 +. Random.State.float rng 199.0) in
+  let trivial = Float.max (Lb.average ~m p) (Lb.largest p) in
+  checkb "uniform times: certified" true (Lb.packing_ceiling ~m p <= trivial);
+  checkb "uniform times: packing below the average" true (Lb.packing ~m p < trivial);
+  let crowded = Array.init 1000 (fun j -> if j <= m then 50.0 else 1e-3) in
+  close "packing wins" 100.0 (Lb.best ~m crowded);
+  checkb "crowded times: not certified" true
+    (Lb.packing_ceiling ~m crowded
+    > Float.max (Lb.average ~m crowded) (Lb.largest crowded));
+  checkb "NaN: nothing certified" true (Lb.packing_ceiling ~m:2 [| 1.0; nan; 1.0 |] = infinity)
+
 let () =
   checkb "self" true true;
   Alcotest.run "lower_bounds"
@@ -153,6 +233,7 @@ let () =
           Alcotest.test_case "best" `Quick best_takes_max;
           Alcotest.test_case "invalid inputs" `Quick invalid_inputs;
           Alcotest.test_case "fsort small and special" `Quick fsort_small_and_special;
+          Alcotest.test_case "certificate decides" `Quick certificate_decides;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -161,5 +242,7 @@ let () =
             prop_monotone_in_m;
             prop_packing_at_least_largest_pair_when_crowded;
             prop_fsort_matches_array_sort;
+            prop_best_is_the_max_bit_for_bit;
+            prop_ceiling_covers_packing;
           ] );
     ]

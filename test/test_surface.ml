@@ -41,6 +41,10 @@ let allowlist =
     ( "lib/core/fsort",
       "introsort",
       "only a direct call with depth 0 reaches the heapsort fallback" );
+    ( "lib/core/lower_bounds",
+      "packing_ceiling",
+      "the histogram ceiling best certifies with; tests check it never falls \
+       below the packing bound it stands for" );
     ( "lib/core/minimax",
       "optimum_two_point",
       "building block of identical_minimax, checked against hand-computed optima" );
@@ -100,6 +104,10 @@ let allowlist =
     ( "lib/model/io",
       "instance_of_string",
       "in-memory parser behind load_instance; the malformed-input tests feed it text" );
+    ( "lib/model/io",
+      "count_newlines",
+      "the word-at-a-time count behind the parser's row bound; tests compare it \
+       with a byte loop on arbitrary bytes" );
     ( "lib/model/io",
       "instance_to_string",
       "in-memory writer behind save_instance; pins the file bytes" );

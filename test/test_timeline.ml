@@ -143,6 +143,57 @@ let prop_stats_match_oracle =
       let stats = Timeline.machine_stats s and oracle = machine_stats_oracle s in
       Array.length stats = Array.length oracle && Array.for_all2 same_stats stats oracle)
 
+(* Struct-of-arrays lanes whose starts never decrease per machine in
+   id order, with ties on a half-unit grid, so [machine_stats] sums in
+   one pass; when [decrease] is set, one task starts before its
+   machine's previous task and the buckets decide instead. *)
+let ordered_lanes (m, n, seed, decrease) =
+  let rng = Random.State.make [| seed |] in
+  let last = Array.make m 0.0 in
+  let machines = Array.init n (fun _ -> Random.State.int rng m) in
+  let starts =
+    Array.map
+      (fun i ->
+        last.(i) <- last.(i) +. (0.5 *. float_of_int (Random.State.int rng 3));
+        last.(i))
+      machines
+  in
+  (if decrease && n > 0 then
+     let j = Random.State.int rng n in
+     starts.(j) <- Float.max 0.0 (starts.(j) -. 1.0));
+  let finishes = Array.map (fun start -> start +. Random.State.float rng 3.0) starts in
+  Schedule.of_soa ~m ~machines ~starts ~finishes
+
+(* Replays in LPT order start long tasks first whatever their ids, so
+   per-machine starts decrease in id order; submission order keeps
+   them increasing. *)
+let replay (m, n, seed, lpt) =
+  let rng = Random.State.make [| seed |] in
+  let instance =
+    Instance.of_ests ~m ~alpha:(Uncertainty.alpha 1.0)
+      (Array.init n (fun _ -> float_of_int (1 + Random.State.int rng 4)))
+  in
+  let placement =
+    Array.init n (fun _ ->
+        let set = Bitset.singleton m (Random.State.int rng m) in
+        Bitset.add set (Random.State.int rng m);
+        set)
+  in
+  let order = if lpt then Instance.lpt_order instance else Array.init n Fun.id in
+  Engine.run instance (Realization.exact instance) ~placement ~order
+
+let prop_one_pass_matches_buckets =
+  QCheck.Test.make
+    ~name:"machine_stats = buckets on ordered and decreasing lanes and on LPT replays"
+    ~count:400
+    QCheck.(quad (int_range 1 6) (int_bound 60) int bool)
+    (fun (m, n, seed, flag) ->
+      List.for_all
+        (fun s ->
+          let stats = Timeline.machine_stats s and oracle = machine_stats_oracle s in
+          Array.length stats = Array.length oracle && Array.for_all2 same_stats stats oracle)
+        [ ordered_lanes (m, n, seed, flag); replay (m, n, seed, flag) ])
+
 let () =
   Alcotest.run "timeline"
     [
@@ -160,5 +211,7 @@ let () =
           Alcotest.test_case "events" `Quick render_events_format;
           Alcotest.test_case "stats table" `Quick render_stats_mentions_utilization;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_stats_match_oracle ]);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_stats_match_oracle; prop_one_pass_matches_buckets ] );
     ]

@@ -443,6 +443,35 @@ let uniform_bound_is_independent_of_n () =
     true
     (w100 <= float_of_int ((2 * (m + 1)) + 16))
 
+(* The optimum lower bound certifies with a histogram of the times
+   when packing cannot win, as on uniform times, and then sorts no
+   copy: its minor words are a constant, and its major words grow only
+   by the histogram, at most n/8 words (2^14 from 2^17 tasks on), where
+   the sorted copy took a word per task. *)
+module Lower_bounds = Usched_core.Lower_bounds
+
+let lower_bound_sorts_no_copy () =
+  let times n = Array.init n (fun j -> 1.0 +. (float_of_int ((j * 7919) mod 1000) /. 10.0)) in
+  let small = times 10_000 and large = times 40_000 in
+  Alcotest.(check bool)
+    "uniform times: the histogram certifies" true
+    (Lower_bounds.packing_ceiling ~m large
+    <= Float.max (Lower_bounds.average ~m large) (Lower_bounds.largest large));
+  let w1 = measure (fun () -> Lower_bounds.best ~m small)
+  and w4 = measure (fun () -> Lower_bounds.best ~m large) in
+  Alcotest.(check (float 0.0)) "Lower_bounds.best: minor words independent of n" w1 w4;
+  Alcotest.(check bool)
+    (Printf.sprintf "Lower_bounds.best: under 16 minor words (got %.0f)" w4)
+    true (w4 <= 16.0);
+  let slope =
+    (major_words (fun () -> Lower_bounds.best ~m large)
+    -. major_words (fun () -> Lower_bounds.best ~m small))
+    /. 30_000.0
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "Lower_bounds.best: at most 1/8 major word per task (got %.3f)" slope)
+    true (slope <= 0.125)
+
 (* Survival bootstraps draw a million bounded ints per estimate: the
    generator state is updated in place, with no boxed int64. *)
 let rng_int_is_allocation_free () =
@@ -528,6 +557,8 @@ let () =
         [
           Alcotest.test_case "uniform lower bound allocates O(m)" `Quick
             uniform_bound_is_independent_of_n;
+          Alcotest.test_case "optimum lower bound sorts no copy" `Quick
+            lower_bound_sorts_no_copy;
         ] );
       ( "prng",
         [
