@@ -1,9 +1,12 @@
 (* Golden stdout and JSONL trace of [usched solve], run in-process
-   through [Pipeline.run]. Six flag sets reach every branch of the
+   through [Pipeline.run]. Seven flag sets reach every branch of the
    command: the Gantt charts, speeds and a non-default policy, the
    faulty replay with every recovery knob, the open-system stream, the
    survival and speed-robustness summaries of a header band, failure
-   profile and topology, and a topology override. Each case's stdout
+   profile and topology, the same summaries next to speeds and a policy
+   (the one set whose stdout puts the survival and robustness lines
+   between two lines that read the healthy replay), and a topology
+   override. Each case's stdout
    must match [golden_solve/<case>.stdout] and its trace
    [golden_solve/<case>.jsonl] byte for byte, with the trace path in
    stdout written as <trace>.
@@ -102,6 +105,18 @@ let cases =
         Pipeline.default with
         algo = algo "speedrobust:2";
         target_reliability = Some 0.9;
+      },
+      true );
+    (* banded.usched --algo speedrobust:2 --target-reliability 0.9
+       --speeds 1,2,1,1,0.5,1 --policy least-loaded *)
+    ( "robust_speeds_policy",
+      banded,
+      {
+        Pipeline.default with
+        algo = algo "speedrobust:2";
+        target_reliability = Some 0.9;
+        speeds = Some [| 1.0; 2.0; 1.0; 1.0; 0.5; 1.0 |];
+        policy = Usched_desim.Dispatch.Least_loaded_holder;
       },
       true );
     (* --algo ls-group:2 --topology zones:2:0.5 *)
