@@ -163,7 +163,7 @@ let gen_cmd =
         (m >= 1 && m <= Model.Instance.max_machines)
         (Printf.sprintf "in [1, %d]" Model.Instance.max_machines)
     in
-    let* () = need "--tasks" (n >= 0) ">= 0" in
+    let* () = need "--tasks" (n >= 1) ">= 1" in
     let* () =
       need "--alpha" (Float.is_finite alpha && alpha >= 1.0) "finite and >= 1"
     in
@@ -346,8 +346,8 @@ let solve_cmd =
          & info [ "trace" ] ~docv:"FILE"
              ~doc:"Serialize the run as JSONL (one JSON object per line): a \
                    meta record, every engine event of an LPT-order replay of \
-                   the placement (and of the faulty replay, if any), metrics \
-                   snapshots, and summary records. Parent directories are \
+                   the placement (and of the faulty or stream replay, if \
+                   any), metrics snapshots, and summary records. Parent directories are \
                    created as needed.")
   in
   let run file algo seed gantt fail_rate speculate recover detect_latency

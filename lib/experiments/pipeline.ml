@@ -257,22 +257,24 @@ let report_placement c ~file ~algo ~schedule ~healthy ~lb =
   print_string (Usched_desim.Timeline.render_stats schedule)
 
 (* The one LPT-order replay of the placement under the run's speeds and
-   policy: the speeds line, the policy line and the trace's healthy phase
-   all read it. Its records belong in the healthy phase, after the ones
-   written before it, so a replay that a speeds or policy line forces
-   first holds them in a memory sink until [trace_healthy] copies them
-   over. Metrics are write-only: tracing changes nothing but the log. *)
-let healthy_replay c ~sink =
-  let metrics =
-    if Option.is_some sink then Metrics.create () else Metrics.disabled
+   policy: the speeds line and the policy line read its makespan, and it
+   writes the trace's healthy phase straight into the sink. Metrics are
+   write-only: tracing changes nothing but the log. *)
+let healthy_replay c ~lb =
+  phase c "healthy";
+  let metrics = if tracing c then Metrics.create () else Metrics.disabled in
+  let makespan =
+    Schedule.makespan
+      (lpt_replay ?speeds:c.o.speeds ~metrics ?sink:c.sink ~dispatch:c.o.policy
+         c)
   in
-  let schedule =
-    lpt_replay ?speeds:c.o.speeds ~metrics ?sink ~dispatch:c.o.policy c
-  in
-  (Schedule.makespan schedule, metrics)
+  emit c (metrics_record "healthy" metrics);
+  emit c
+    (summary "healthy"
+       [ ("makespan", Json.float makespan); ("lower_bound", Json.float lb) ]);
+  makespan
 
-let report_speeds c replay speeds =
-  let makespan, _ = Lazy.force replay in
+let report_speeds c makespan speeds =
   let slb = Core.Uniform.lower_bound ~speeds (Realization.actuals c.realization) in
   Printf.printf
     "machine speeds [%s]: replay C_max = %.4f (LB at speeds %.4f, ratio <= \
@@ -281,28 +283,11 @@ let report_speeds c replay speeds =
 
 (* Same placement, same LPT order, only the dispatch rule differs — the
    ratio isolates the policy from the algorithm's own ordering. *)
-let report_policy c replay =
-  let makespan, _ = Lazy.force replay in
+let report_policy c makespan =
   let default = lpt_replay ?speeds:c.o.speeds ~dispatch:Dispatch.default c in
   Printf.printf "dispatch policy %s: replay C_max = %.4f (%.4fx default)\n"
     (Dispatch.name c.o.policy) makespan
     (makespan /. Schedule.makespan default)
-
-(* The healthy phase of the trace: the replay's records go straight into
-   [sink], or come from [held] when a speeds or policy line ran it. *)
-let trace_healthy c sink ~held replay ~lb =
-  phase c "healthy";
-  let makespan, metrics =
-    if Lazy.is_val replay then begin
-      Sink.append sink ~from:held;
-      Lazy.force replay
-    end
-    else healthy_replay c ~sink:(Some sink)
-  in
-  emit c (metrics_record "healthy" metrics);
-  emit c
-    (summary "healthy"
-       [ ("makespan", Json.float makespan); ("lower_bound", Json.float lb) ])
 
 let survival c target =
   let sv =
@@ -318,10 +303,6 @@ let survival c target =
     else if sv.lo >= target then "MET (empirically)"
     else "MISSED"
   in
-  Printf.printf
-    "survival: P(no stranded task) ~ %.4f (95%%CI [%.4f, %.4f], %d trials), \
-     analytic bound %.4f, target %g: %s\n"
-    sv.point sv.lo sv.hi sv.trials bound target status;
   emit c
     (summary "survival"
        [
@@ -332,7 +313,11 @@ let survival c target =
          ("trials", Json.Int sv.trials);
          ("survival_bound", Json.float bound);
          ("met", Json.Bool (status <> "MISSED"));
-       ])
+       ]);
+  Printf.sprintf
+    "survival: P(no stranded task) ~ %.4f (95%%CI [%.4f, %.4f], %d trials), \
+     analytic bound %.4f, target %g: %s\n"
+    sv.point sv.lo sv.hi sv.trials bound target status
 
 (* Speed robustness of the committed placement: the adversary picks the
    worst in-band revelation of machine speeds, with the Monte-Carlo
@@ -360,15 +345,6 @@ let speed_robustness c band =
     Array.fold_left ( +. ) 0.0 a.mc_ratios /. float_of_int mc_draws
   in
   let mc_max = Array.fold_left Float.max neg_infinity a.mc_ratios in
-  Printf.printf
-    "speed robustness over band %s:\n\
-    \  adversarial revelation [%s]: C_max = %.4f, ratio vs revealed-speed LB \
-     = %.4f\n\
-    \  Monte-Carlo (%d draws): mean ratio %.4f, worst %.4f (dominated by the \
-     adversary)\n\
-    \  mid-run revelation at t=%.4f (fault-layer slowdowns): C_max = %.4f\n"
-    (Speed_band.to_string band) (floats a.adv_speeds) makespan_adv a.ratio_adv
-    mc_draws mc_mean mc_max a.reveal_at a.makespan_reveal;
   emit c
     (summary "speed_robustness"
        [
@@ -381,7 +357,16 @@ let speed_robustness c band =
          ("mc_ratio_max", Json.float mc_max);
          ("reveal_at", Json.float a.reveal_at);
          ("makespan_reveal", Json.float a.makespan_reveal);
-       ])
+       ]);
+  Printf.sprintf
+    "speed robustness over band %s:\n\
+    \  adversarial revelation [%s]: C_max = %.4f, ratio vs revealed-speed LB \
+     = %.4f\n\
+    \  Monte-Carlo (%d draws): mean ratio %.4f, worst %.4f (dominated by the \
+     adversary)\n\
+    \  mid-run revelation at t=%.4f (fault-layer slowdowns): C_max = %.4f\n"
+    (Speed_band.to_string band) (floats a.adv_speeds) makespan_adv a.ratio_adv
+    mc_draws mc_mean mc_max a.reveal_at a.makespan_reveal
 
 let stranded_note = function
   | [] -> ""
@@ -520,11 +505,14 @@ let with_sink path f =
             (Printf.sprintf "--trace: %s %s: %s" call arg (Unix.error_message e)))
 
 let solve o ~file ~recovery instance =
+  (* No makespan, bound or crash horizon exists without a task. *)
+  let* () =
+    if Instance.n instance = 0 then Error (file ^ ": has no tasks") else Ok ()
+  in
   let* instance = prepare o instance in
   let m = Instance.m instance and n = Instance.n instance in
-  let* () =
-    flag ("--algo " ^ Strategy.to_string o.algo) (Strategy.check o.algo ~m)
-  in
+  let algo_flag = "--algo " ^ Strategy.to_string o.algo in
+  let* () = flag algo_flag (Strategy.check o.algo ~m) in
   let rng = Rng.create ~seed:o.seed () in
   let realization = Realization.log_uniform_factor instance rng in
   let* arrivals = arrivals o rng ~n in
@@ -533,20 +521,38 @@ let solve o ~file ~recovery instance =
      before the replay's lanes exist, so the two never add to the peak
      heap together. *)
   let lb = Core.Lower_bounds.best ~m (Realization.actuals realization) in
-  let placement, schedule = Core.Two_phase.run_full algo instance realization in
+  (* A placement the algorithm cannot meet (a reliability target out of
+     reach, data over the memory budget) is a usage error. *)
+  let* placement, schedule =
+    match Core.Two_phase.run_full algo instance realization with
+    | run -> Ok run
+    | exception
+        (Core.Reliability.Infeasible msg | Core.Memory_budget.Infeasible msg)
+      ->
+        flag algo_flag (Error msg)
+  in
   let healthy = Schedule.makespan schedule in
   with_sink o.trace @@ fun sink ->
   let c = { o; instance; m; n; recovery; rng; realization; placement; sink } in
   report_placement c ~file ~algo ~schedule ~healthy ~lb;
-  let held = Option.map (fun _ -> Sink.memory ()) sink in
-  let replay = lazy (healthy_replay c ~sink:held) in
-  Option.iter (report_speeds c replay) o.speeds;
-  Option.iter (survival c) o.target_reliability;
-  Option.iter (speed_robustness c) (Instance.speed_band instance);
-  if o.policy <> Dispatch.default then report_policy c replay;
-  (match (sink, held) with
-  | Some s, Some held -> trace_healthy c s ~held replay ~lb
-  | _ -> ());
+  (* Trace records go out in compute order, stdout in report order: the
+     robustness summaries are traced before the healthy phase, but
+     their lines print between the speeds line and the policy line. *)
+  let survival = Option.map (survival c) o.target_reliability in
+  let robustness =
+    Option.map (speed_robustness c) (Instance.speed_band instance)
+  in
+  let policy = o.policy <> Dispatch.default in
+  let replay =
+    if o.speeds <> None || policy || tracing c then Some (healthy_replay c ~lb)
+    else None
+  in
+  Option.iter
+    (fun makespan -> Option.iter (report_speeds c makespan) o.speeds)
+    replay;
+  Option.iter print_string survival;
+  Option.iter print_string robustness;
+  if policy then Option.iter (report_policy c) replay;
   if o.stream then stream_replay c ~arrivals ~healthy
   else if o.fail_rate > 0.0 || o.speculate <> None || Recovery.is_active recovery
   then faulty_replay c ~healthy;

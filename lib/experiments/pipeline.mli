@@ -1,9 +1,12 @@
 (** [usched solve] as a library call. The stages: load the instance and
-    apply the flags' overrides of its header; place (phase 1); replay
-    the placement once in LPT order under the run's speeds and policy;
-    the robustness summaries (survival, speed); the replay mode (stream,
-    faulty or none); the closing trace line. Stdout and the JSONL trace
-    are the command's output, byte for byte. *)
+    apply the flags' overrides of its header; place (phase 1); the
+    robustness summaries (survival, speed); replay the placement once in
+    LPT order under the run's speeds and policy; the replay mode
+    (stream, faulty or none); the closing trace line. Trace records are
+    written in compute order, stdout in report order: the speeds line
+    prints before the robustness text, which the stages return rather
+    than print. Stdout and the JSONL trace are the command's output,
+    byte for byte. *)
 
 (** One field per [usched solve] flag; see [usched solve --help]. *)
 type options = {
@@ -31,8 +34,9 @@ val default : options
 
 val run : options -> string -> (unit, string) result
 (** [run options file] solves the instance in [file]. A usage error (an
-    unreadable file, a value out of range, a spec that does not fit the
-    machine count, a trace path whose directory cannot be created) is an
+    unreadable file, an instance without tasks, a value out of range, a
+    spec that does not fit the machine count, a placement the algorithm
+    cannot meet, a trace path whose directory cannot be created) is an
     [Error] naming the file or the flag, returned before anything is
     printed or written. *)
 

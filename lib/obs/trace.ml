@@ -52,14 +52,6 @@ let emit t json =
   Usched_report.Json.add t.buf json;
   end_record t
 
-let append t ~from =
-  if t.closed then invalid_arg "Trace.append: sink is closed";
-  match t.oc with
-  | Some oc ->
-      flush t;
-      Buffer.output_buffer oc from.buf
-  | None -> Buffer.add_buffer t.buf from.buf
-
 let path t = t.path
 
 let close t =

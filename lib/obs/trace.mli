@@ -39,10 +39,6 @@ val emit : t -> Usched_report.Json.t -> unit
 (** Append one record as a single line. Raises [Invalid_argument] on a
     closed sink. *)
 
-val append : t -> from:t -> unit
-(** [append t ~from] appends every record the {!memory} sink [from]
-    holds. Raises [Invalid_argument] on a closed sink. *)
-
 val literal : t -> string -> unit
 (** Append text verbatim: a record's opening brace, keys with their
     quotes and colons, separators. The caller writes valid JSON. *)

@@ -43,6 +43,19 @@ declare -A commands=(
 )
 
 failures=0
+# usage_error LABEL ARGS...: usched ARGS must exit as a usage error.
+usage_error() {
+  local label=$1 status=0
+  shift
+  timeout 20 "$usched" "$@" >/dev/null 2>"$dir/err" || status=$?
+  if { [ "$status" -ne 2 ] && [ "$status" -ne 124 ]; } ||
+     ! grep -q '^usched:' "$dir/err"; then
+    echo "FAIL: usched $label exited $status:" >&2
+    head -3 "$dir/err" >&2
+    failures=$((failures + 1))
+  fi
+}
+
 for flag in "${!specific[@]}" "${numeric_flags[@]}"; do
   if [ -n "${specific[$flag]+set}" ]; then
     read -r -a values <<< "${specific[$flag]}"
@@ -57,16 +70,16 @@ for flag in "${!specific[@]}" "${numeric_flags[@]}"; do
       else
         args=(solve "$instance" "$flag=$value")
       fi
-      status=0
-      timeout 20 "$usched" "${args[@]}" >/dev/null 2>"$dir/err" || status=$?
-      if { [ "$status" -ne 2 ] && [ "$status" -ne 124 ]; } ||
-         ! grep -q '^usched:' "$dir/err"; then
-        echo "FAIL: usched $command $flag='$value' exited $status:" >&2
-        head -3 "$dir/err" >&2
-        failures=$((failures + 1))
-      fi
+      usage_error "$command $flag='$value'" "${args[@]}"
     done
   done
+done
+
+# Integers the converter reads but the command must refuse: an instance
+# without tasks has no makespan to report.
+for value in 0 -1; do
+  usage_error "gen --tasks=$value" gen "$dir/out.usched" --machines 4 \
+    "--tasks=$value"
 done
 
 if [ "$failures" -ne 0 ]; then

@@ -23,8 +23,10 @@
 
    Two checks need no golden file: a band given by --speed-band on a
    band-free copy of banded.usched must solve exactly like the same band
-   in the header, phase 1 included; and a usage error must come back as
-   an [Error] naming its flag before anything is printed or traced. *)
+   in the header, phase 1 included; and a usage error (a bad flag, an
+   instance without tasks, a placement the algorithm cannot meet) must
+   come back as an [Error] naming its flag or file before anything is
+   printed or traced. *)
 
 module Pipeline = Usched_experiments.Pipeline
 module Strategy = Usched_core.Strategy
@@ -204,8 +206,10 @@ let speed_band_flag_reaches_phase1 () =
     "trace" (unname banded header_trace) (unname bare flag_trace)
 
 (* A usage error is an [Error] naming the flag, returned before the
-   run prints a line or creates its trace. *)
-let usage_error ~flag options () =
+   run prints a line or creates its trace. [run] solves plain.usched
+   unless the case says otherwise. *)
+let usage_error ?(run = fun options -> Pipeline.run options plain) ~flag
+    options () =
   let tmp = temp_dir () in
   let path = Filename.concat tmp "trace.jsonl" in
   let arrivals = Filename.concat tmp "arrivals.txt" in
@@ -220,7 +224,7 @@ let usage_error ~flag options () =
     else options
   in
   let result = ref (Ok ()) in
-  let out = capture_stdout (fun () -> result := Pipeline.run options plain) in
+  let out = capture_stdout (fun () -> result := run options) in
   (match !result with
   | Ok () -> Alcotest.fail "accepted"
   | Error msg ->
@@ -247,7 +251,32 @@ let usage_errors =
     (* the trace's directory would sit under a regular file *)
     ( "--trace",
       fun file -> { d with trace = Some (Filename.concat file "x/t.jsonl") } );
+    (* plain.usched's 16 tasks hold more data than 4 machines of budget 1,
+       and 4 replicas cannot bring a task's loss probability to 6.25e-11 *)
+    ("--algo memory:1", fun _ -> { d with algo = algo "memory:1" });
+    ( "--algo reliability:0.999999999",
+      fun _ -> { d with algo = algo "reliability:0.999999999" } );
   ]
+
+(* An instance without tasks, as [usched gen] used to write for
+   --tasks 0: nothing to place, bound or crash. *)
+let no_tasks () =
+  let empty =
+    Usched_model.Workload.generate (Usched_model.Workload.Identical 1.0) ~n:0
+      ~m:3
+      ~alpha:(Usched_model.Uncertainty.alpha 1.5)
+      (Usched_prng.Rng.create ~seed:1 ())
+  in
+  let run options = Pipeline.run_instance options ~file:"empty.usched" empty in
+  List.iter
+    (fun options -> usage_error ~run ~flag:"empty.usched" options ())
+    Pipeline.
+      [
+        (fun _ -> default);
+        (fun _ -> { default with speculate = Some 1.5 });
+        (fun _ -> { default with stream = true; fail_rate = 0.2 });
+        (fun _ -> { default with speed_band = Some "1:2,1:2,1:2" });
+      ]
 
 let () =
   Alcotest.run "golden_solve"
@@ -265,5 +294,6 @@ let () =
         List.map
           (fun (flag, options) ->
             Alcotest.test_case flag `Quick (usage_error ~flag options))
-          usage_errors );
+          usage_errors
+        @ [ Alcotest.test_case "no tasks" `Quick no_tasks ] );
     ]

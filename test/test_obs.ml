@@ -400,20 +400,10 @@ let record_writers () =
     ^ "\n{\"after\":1}\n"
   in
   checks "same bytes as the tree" expected (Sink.contents sink);
-  let into = Sink.memory () in
-  Sink.emit into (Json.Obj [ ("before", Json.Int 0) ]);
-  Sink.append into ~from:sink;
-  checks "append copies every record" ("{\"before\":0}\n" ^ expected)
-    (Sink.contents into);
   Sink.close sink;
   checkb "closed sink refuses records" true
     (try
        Sink.end_record sink;
-       false
-     with Invalid_argument _ -> true);
-  checkb "closed sink refuses an append" true
-    (try
-       Sink.append sink ~from:into;
        false
      with Invalid_argument _ -> true)
 
