@@ -1,3 +1,5 @@
+module Argsort = Usched_model.Argsort
+
 type result = { assignment : int array; loads : float array }
 
 let check_order n order =
@@ -75,16 +77,6 @@ let list_assign ~m ~(weights : float array) ~order =
 let ls ~m ~weights =
   list_assign ~m ~weights ~order:(Array.init (Array.length weights) (fun j -> j))
 
-let decreasing_order weights =
-  let order = Array.init (Array.length weights) (fun j -> j) in
-  Array.sort
-    (fun a b ->
-      match Float.compare weights.(b) weights.(a) with
-      | 0 -> Int.compare a b
-      | c -> c)
-    order;
-  order
-
-let lpt ~m ~weights = list_assign ~m ~weights ~order:(decreasing_order weights)
+let lpt ~m ~weights = list_assign ~m ~weights ~order:(Argsort.decreasing weights)
 
 let makespan result = Array.fold_left Float.max 0.0 result.loads

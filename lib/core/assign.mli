@@ -24,6 +24,3 @@ val lpt : m:int -> weights:float array -> result
 
 val makespan : result -> float
 (** Largest machine load of an assignment. *)
-
-val decreasing_order : float array -> int array
-(** Item ids sorted by decreasing weight, ties by id. *)

@@ -16,6 +16,8 @@
    ref hoisted outside the scan loop — as standalone helpers they would
    re-box the float arguments and allocate a fresh ref on every task. *)
 
+module Argsort = Usched_model.Argsort
+
 let eps_for capacity = 1e-12 *. Float.max 1.0 capacity
 
 let pow2_ge m =
@@ -77,10 +79,10 @@ let schedule ?(iterations = 20) ~m (p : float array) =
     let n = Array.length p in
     let lo = ref (Float.max (Lower_bounds.average ~m p) (Lower_bounds.largest p)) in
     (* Sorted once; every bisection iteration replays the same decreasing
-       order (ties by id, exactly [Assign.decreasing_order]), testing
+       order (ties by id, exactly [Argsort.decreasing]), testing
        feasibility and recording the packing in a single pass. The LPT
        fallback shares the same order rather than re-sorting. *)
-    let order = Assign.decreasing_order p in
+    let order = Argsort.decreasing p in
     let lpt = Assign.list_assign ~m ~weights:p ~order in
     let hi = ref (Assign.makespan lpt) in
     let sorted = Array.make n 0.0 in

@@ -481,7 +481,14 @@ let check spec ~m =
 
 (* Every family's phase 2 is one replay of the engine in a fixed
    priority order. *)
-let submission_order instance = Array.init (Instance.n instance) Fun.id
+let submission_order instance =
+  (* A loop, not [Array.init]: the generic init stores every id through
+     [caml_modify]. *)
+  let order = Array.make (Instance.n instance) 0 in
+  for j = 0 to Array.length order - 1 do
+    order.(j) <- j
+  done;
+  order
 
 let priority = function Lpt -> Instance.lpt_order | Ls -> submission_order
 let replay ?speeds order = Two_phase.replay ?speeds (priority order)

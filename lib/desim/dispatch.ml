@@ -299,7 +299,7 @@ let index v =
       v;
       listed;
       cursor = Array.sub v.first 0 listed;
-      lo = Array.init listed (fun g -> v.pos_of.(v.members.(v.first.(g))));
+      lo = Array.make listed 0;
       pair_first;
       pair_group = Array.make pairs 0;
       where = Array.make pairs 0;
@@ -310,6 +310,9 @@ let index v =
       bound = max_int;
     }
   in
+  for g = 0 to listed - 1 do
+    ix.lo.(g) <- v.pos_of.(v.members.(v.first.(g)))
+  done;
   let fill = Array.sub pair_first 0 v.m in
   for g = 0 to listed - 1 do
     fill_pairs ix fill g (Set_table.get v.sets g) 0

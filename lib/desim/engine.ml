@@ -358,7 +358,10 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
     match recovery.Recovery.rereplication_target with
     | Recovery.Fixed r -> fun _ -> r
     | Recovery.Degree ->
-        let degree = Array.map Bitset.cardinal placement in
+        let degree = Array.make n 0 in
+        for j = 0 to n - 1 do
+          degree.(j) <- Bitset.cardinal placement.(j)
+        done;
         fun j -> degree.(j)
   in
   let ckpt_interval = recovery.Recovery.checkpoint_interval in
@@ -578,20 +581,18 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
     if live then depth ()
   in
   (* Queue slot [s] of [Event_heap.alloc] once the caller has written its
-     time lane (and any payload other than the heap's dummy
-     [Sim_complete]): the per-copy pushes pass no float, which a closure
-     call would box. *)
+     time into [times.(size)] (and any payload other than the heap's
+     dummy [Sim_complete]): the per-copy pushes pass no float, which a
+     closure call would box. *)
   let enqueue s ~machine ~cls ~aux =
-    queue.Event_heap.machines.(s) <- machine;
-    queue.Event_heap.classes.(s) <- cls;
     queue.Event_heap.aux.(s) <- aux;
-    Event_heap.sift_up queue s;
+    Event_heap.insert queue s ~machine ~cls;
     if live then depth ()
   in
   (* Queue machine [i] to look for work now. *)
   let wake i =
     let s = Event_heap.alloc queue in
-    queue.Event_heap.times.(s) <- now.(0);
+    queue.Event_heap.times.(queue.Event_heap.size) <- now.(0);
     queue.Event_heap.payloads.(s) <- Sim_dispatch;
     enqueue s ~machine:i ~cls:Event_heap.cls_decision ~aux:0
   in
@@ -792,13 +793,14 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
       Metrics.incr (Metrics.counter metrics "engine.checkpoint_resumes")
     end;
     let s = Event_heap.alloc queue in
-    queue.Event_heap.times.(s) <- time +. (work /. speed);
+    queue.Event_heap.times.(queue.Event_heap.size) <- time +. (work /. speed);
     enqueue s ~machine:i ~cls:Event_heap.cls_arrival ~aux:gen.(i);
     if spec_on && not is_backup then begin
       (* Arm the straggler check from estimates only: the scheduler is
          semi-clairvoyant and must not peek at actual times. *)
       let s = Event_heap.alloc queue in
-      queue.Event_heap.times.(s) <- time +. (spec_beta *. (ests.(j) /. base.(i)));
+      queue.Event_heap.times.(queue.Event_heap.size) <-
+        time +. (spec_beta *. (ests.(j) /. base.(i)));
       queue.Event_heap.aux2.(s) <- task_gen.(j);
       queue.Event_heap.payloads.(s) <- Sim_speculate;
       enqueue s ~machine:i ~cls:Event_heap.cls_audit ~aux:j
@@ -1100,7 +1102,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
           cur_last.(i) <- time;
           gen.(i) <- gen.(i) + 1;
           let s = Event_heap.alloc queue in
-          queue.Event_heap.times.(s) <-
+          queue.Event_heap.times.(queue.Event_heap.size) <-
             time +. (cur_remaining.(i) /. (base.(i) *. factor.(i)));
           enqueue s ~machine:i ~cls:Event_heap.cls_arrival ~aux:gen.(i)
         end
@@ -1151,15 +1153,18 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
     done;
     heal ()
   end;
-  while not (Event_heap.is_empty queue) do
-    let machine = queue.Event_heap.machines.(0) in
-    let a1 = queue.Event_heap.aux.(0) in
-    let a2 = queue.Event_heap.aux2.(0) in
-    let sim = queue.Event_heap.payloads.(0) in
+  (* The root stays in the queue, consumed, while its handler runs: the
+     handler's first push replaces it with one sift-down. *)
+  let slot = ref (Event_heap.next queue) in
+  while !slot >= 0 do
+    let s = !slot in
+    let machine = Event_heap.root_machine queue in
+    let a1 = queue.Event_heap.aux.(s) in
+    let a2 = queue.Event_heap.aux2.(s) in
+    let sim = queue.Event_heap.payloads.(s) in
     now.(0) <- queue.Event_heap.times.(0);
-    Event_heap.remove_min queue;
     if live then Metrics.incr mc_events;
-    match sim with
+    (match sim with
     | Sim_fault kind -> on_fault machine kind
     | Sim_up -> on_up machine
     | Sim_detect ->
@@ -1169,7 +1174,8 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
     | Sim_complete -> complete machine a1
     | Sim_transfer { task; src; dst; id } -> on_transfer ~task ~src ~dst ~id
     | Sim_dispatch -> dispatch_machine machine
-    | Sim_speculate -> on_speculate a1 a2
+    | Sim_speculate -> on_speculate a1 a2);
+    slot := Event_heap.next queue
   done;
   if live then begin
     Metrics.set mg_makespan last.(0);

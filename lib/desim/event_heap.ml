@@ -1,41 +1,51 @@
 (* Allocation-free 4-ary min-heap specialized to simulation events.
 
-   The old binary-heap event loop paid for itself three times over
-   on hot paths: every pop boxed its result in an [option], every event
-   was a 7-word record (with the timestamp boxed on top), and a full
-   drain dropped the backing store so the next run re-grew it from
-   scratch. This heap keeps each event as one slot across parallel
-   lanes (struct-of-arrays): the float lane stores timestamps unboxed,
-   the int lanes carry machine/class/sequence plus two generic integer
-   payload words ([aux]/[aux2] — the engine packs task ids and
-   generation counters there so its per-event payloads can be constant
-   constructors), and the polymorphic lane holds the payload proper.
-   Push and pop are plain array writes plus int/float compares: no
-   allocation once capacity is reached, and capacity is retained across
-   drains.
+   Heap order lives in three position lanes: the time (an unboxed float
+   lane), a packed rank that carries machine, class and sequence number
+   in one int, and the slot index. Everything else an event carries sits
+   in slot lanes that never move: two generic integer payload words
+   ([aux]/[aux2] — the engine packs task ids and generation counters
+   there so its per-event payloads can be constant constructors) and the
+   polymorphic payload proper. A sift moves a hole and writes each entry
+   it passes once, three lanes wide; the payload lane, whose every write
+   is a [caml_modify], is written only when a slot is allocated or
+   freed. Capacity is retained across drains.
 
    Ordering is the simulation contract verbatim: (time, machine, class,
-   seq), with [seq] unique per push — a total order, so heap arity and
-   internal layout cannot affect the pop sequence. Arity 4 keeps the
-   tree shallow (one level fewer than binary at typical queue depths)
-   while sift-down still touches a single cache line of each lane.
+   seq), with [seq] unique per push — a total order, so heap arity,
+   internal layout and the moment a consumed root leaves cannot affect
+   the pop sequence. The rank packs the last three keys as
+   [((machine + 1) lsl 41) lor (cls lsl 39) lor seq]: the machine, from
+   the virtual source [-1] up to [Instance.max_machines - 1], takes 21
+   bits, the class 2 and the sequence number the remaining 39 of a
+   non-negative int, so comparing ranks is comparing the three keys.
 
-   Popped payload slots are overwritten with [dummy] so a drained heap
-   retains nothing (a weak-pointer test pins this). *)
+   The positions at and past [size] hold the free slots, so the slot
+   lane is always a permutation of the slot indices: a push takes the
+   slot waiting at position [size], and a removal leaves the root's slot
+   at the position the heap gave up.
+
+   Consumed root. [next] reads the root's slot and marks the root
+   consumed instead of removing it. The next push then replaces the root
+   with one sift-down, which is what an event handler's first push
+   does; if nothing is pushed, the next [next] removes the root. *)
 
 let cls_fault = 0
 let cls_arrival = 1
 let cls_decision = 2
 let cls_audit = 3
 
+let machine_shift = 41
+let cls_shift = 39
+
 type 'a t = {
   dummy : 'a;
   mutable size : int;
+  mutable consumed : bool;
   mutable next_seq : int;
   mutable times : float array;
-  mutable machines : int array;
-  mutable classes : int array;
-  mutable seqs : int array;
+  mutable ranks : int array;
+  mutable slots : int array;
   mutable aux : int array;
   mutable aux2 : int array;
   mutable payloads : 'a array;
@@ -46,153 +56,171 @@ let create ~dummy =
   {
     dummy;
     size = 0;
+    consumed = false;
     next_seq = 0;
     times = Array.make capacity 0.0;
-    machines = Array.make capacity 0;
-    classes = Array.make capacity 0;
-    seqs = Array.make capacity 0;
+    ranks = Array.make capacity 0;
+    slots = Array.init capacity Fun.id;
     aux = Array.make capacity 0;
     aux2 = Array.make capacity 0;
     payloads = Array.make capacity dummy;
   }
 
-let length t = t.size
-let is_empty t = t.size = 0
-
-(* Strict (time, machine, class, seq) order between two slots. [seq] is
-   unique, so the result is never a tie. *)
-let[@inline] lt t a b =
-  let ta = t.times.(a) and tb = t.times.(b) in
-  if ta < tb then true
-  else if ta > tb then false
-  else
-    (* Equal times — NaN never reaches the heap (the engine validates
-       its inputs), so [not (<) && not (>)] means equality here. *)
-    let d = t.machines.(a) - t.machines.(b) in
-    if d <> 0 then d < 0
-    else
-      let d = t.classes.(a) - t.classes.(b) in
-      if d <> 0 then d < 0 else t.seqs.(a) < t.seqs.(b)
-
-let swap t a b =
-  let f = t.times.(a) in
-  t.times.(a) <- t.times.(b);
-  t.times.(b) <- f;
-  let x = t.machines.(a) in
-  t.machines.(a) <- t.machines.(b);
-  t.machines.(b) <- x;
-  let x = t.classes.(a) in
-  t.classes.(a) <- t.classes.(b);
-  t.classes.(b) <- x;
-  let x = t.seqs.(a) in
-  t.seqs.(a) <- t.seqs.(b);
-  t.seqs.(b) <- x;
-  let x = t.aux.(a) in
-  t.aux.(a) <- t.aux.(b);
-  t.aux.(b) <- x;
-  let x = t.aux2.(a) in
-  t.aux2.(a) <- t.aux2.(b);
-  t.aux2.(b) <- x;
-  let p = t.payloads.(a) in
-  t.payloads.(a) <- t.payloads.(b);
-  t.payloads.(b) <- p
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 4 in
-    if lt t i parent then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let c0 = (4 * i) + 1 in
-  if c0 < t.size then begin
-    let b = c0 in
-    let b = if c0 + 1 < t.size && lt t (c0 + 1) b then c0 + 1 else b in
-    let b = if c0 + 2 < t.size && lt t (c0 + 2) b then c0 + 2 else b in
-    let b = if c0 + 3 < t.size && lt t (c0 + 3) b then c0 + 3 else b in
-    if lt t b i then begin
-      swap t b i;
-      sift_down t b
-    end
-  end
+let length t = if t.consumed then t.size - 1 else t.size
+let root_machine t = (t.ranks.(0) lsr machine_shift) - 1
 
 let grow t =
-  let capacity = 2 * Array.length t.times in
+  let old = Array.length t.times in
+  let capacity = 2 * old in
   let times = Array.make capacity 0.0 in
-  Array.blit t.times 0 times 0 t.size;
+  Array.blit t.times 0 times 0 old;
   t.times <- times;
-  let machines = Array.make capacity 0 in
-  Array.blit t.machines 0 machines 0 t.size;
-  t.machines <- machines;
-  let classes = Array.make capacity 0 in
-  Array.blit t.classes 0 classes 0 t.size;
-  t.classes <- classes;
-  let seqs = Array.make capacity 0 in
-  Array.blit t.seqs 0 seqs 0 t.size;
-  t.seqs <- seqs;
+  let ranks = Array.make capacity 0 in
+  Array.blit t.ranks 0 ranks 0 old;
+  t.ranks <- ranks;
+  let slots = Array.init capacity Fun.id in
+  Array.blit t.slots 0 slots 0 old;
+  t.slots <- slots;
   let aux = Array.make capacity 0 in
-  Array.blit t.aux 0 aux 0 t.size;
+  Array.blit t.aux 0 aux 0 old;
   t.aux <- aux;
   let aux2 = Array.make capacity 0 in
-  Array.blit t.aux2 0 aux2 0 t.size;
+  Array.blit t.aux2 0 aux2 0 old;
   t.aux2 <- aux2;
   let payloads = Array.make capacity t.dummy in
-  Array.blit t.payloads 0 payloads 0 t.size;
+  Array.blit t.payloads 0 payloads 0 old;
   t.payloads <- payloads
 
-(* Reserve the next slot: bumps [size], assigns the sequence number, and
-   clears [aux]/[aux2]; every slot past the live prefix already holds
-   [dummy] as its payload. The caller writes the remaining lanes directly
-   and then calls {!sift_up} on the returned slot — the pattern the
-   engine uses to push without passing a boxed float argument through a
-   function call. *)
+(* Strictly before, between position [a] and the entry (time, rank). The
+   times are never NaN (the engine validates its inputs), so not [<]
+   and not [>] means equal. The annotations keep the compares
+   monomorphic. *)
+let[@inline] before (times : float array) (ranks : int array) a (time : float) (rank : int) =
+  let ta = times.(a) in
+  ta < time || ((not (ta > time)) && ranks.(a) < rank)
+
+(* [before] between two positions. *)
+let[@inline] before_at (times : float array) (ranks : int array) a b =
+  let ta = times.(a) and tb = times.(b) in
+  ta < tb || ((not (ta > tb)) && ranks.(a) < ranks.(b))
+
+(* Places the entry whose time is [times.(size)] (a position outside the
+   heap), with [rank] and [slot], from the hole at the root down. *)
+let sift_down t rank slot =
+  let times = t.times and ranks = t.ranks and slots = t.slots in
+  let size = t.size in
+  let time = times.(size) in
+  let hole = ref 0 and moving = ref true in
+  while !moving do
+    let c = (4 * !hole) + 1 in
+    if c >= size then moving := false
+    else begin
+      let b = ref c in
+      if c + 3 < size then begin
+        if before_at times ranks (c + 1) !b then b := c + 1;
+        if before_at times ranks (c + 2) !b then b := c + 2;
+        if before_at times ranks (c + 3) !b then b := c + 3
+      end
+      else
+        for k = c + 1 to size - 1 do
+          if before_at times ranks k !b then b := k
+        done;
+      let b = !b in
+      if before times ranks b time rank then begin
+        let h = !hole in
+        times.(h) <- times.(b);
+        ranks.(h) <- ranks.(b);
+        slots.(h) <- slots.(b);
+        hole := b
+      end
+      else moving := false
+    end
+  done;
+  let h = !hole in
+  times.(h) <- time;
+  ranks.(h) <- rank;
+  slots.(h) <- slot
+
+(* Places the entry at position [size] (time already there) from that
+   hole up, and counts it in. *)
+let sift_up t rank slot =
+  let times = t.times and ranks = t.ranks and slots = t.slots in
+  let size = t.size in
+  let time = times.(size) in
+  let hole = ref size and moving = ref true in
+  while !moving && !hole > 0 do
+    let p = (!hole - 1) lsr 2 in
+    (* The parent goes after the entry: [seq] is unique, so not-before
+       is after. *)
+    if before times ranks p time rank then moving := false
+    else begin
+      let h = !hole in
+      times.(h) <- times.(p);
+      ranks.(h) <- ranks.(p);
+      slots.(h) <- slots.(p);
+      hole := p
+    end
+  done;
+  let h = !hole in
+  times.(h) <- time;
+  ranks.(h) <- rank;
+  slots.(h) <- slot;
+  t.size <- size + 1
+
+(* Slot [r] leaves the heap: its payload no longer stays reachable. *)
+let free t r = if t.payloads.(r) != t.dummy then t.payloads.(r) <- t.dummy
+
 let alloc t =
   if t.size = Array.length t.times then grow t;
-  let s = t.size in
-  t.size <- s + 1;
-  t.next_seq <- t.next_seq + 1;
-  t.seqs.(s) <- t.next_seq;
+  let s = t.slots.(t.size) in
   t.aux.(s) <- 0;
   t.aux2.(s) <- 0;
   s
 
-let push t ~time ~machine ~cls payload =
-  let s = alloc t in
-  t.times.(s) <- time;
-  t.machines.(s) <- machine;
-  t.classes.(s) <- cls;
-  t.payloads.(s) <- payload;
-  sift_up t s
+let insert t s ~machine ~cls =
+  let seq = t.next_seq in
+  if ((machine + 1) lsr 21) lor (cls lsr 2) lor (seq lsr cls_shift) <> 0 then
+    invalid_arg "Event_heap.insert: machine, class or sequence number out of range";
+  t.next_seq <- seq + 1;
+  let rank = ((machine + 1) lsl machine_shift) lor (cls lsl cls_shift) lor seq in
+  if t.consumed then begin
+    (* Replace the consumed root: the new entry sinks from the root, and
+       the root's slot joins the free ones at position [size]. *)
+    let r = t.slots.(0) in
+    t.consumed <- false;
+    sift_down t rank s;
+    t.slots.(t.size) <- r;
+    free t r
+  end
+  else sift_up t rank s
 
 let push_aux t ~time ~machine ~cls ~aux ~aux2 payload =
   let s = alloc t in
-  t.times.(s) <- time;
-  t.machines.(s) <- machine;
-  t.classes.(s) <- cls;
+  t.times.(t.size) <- time;
   t.aux.(s) <- aux;
   t.aux2.(s) <- aux2;
   t.payloads.(s) <- payload;
-  sift_up t s
+  insert t s ~machine ~cls
 
-(* Remove the root. The vacated slot (and the root slot of a drained
-   heap) is reset to [dummy] so no popped payload stays reachable;
-   capacity is retained for the next push. *)
-let remove_min t =
-  if t.size = 0 then invalid_arg "Event_heap.remove_min: empty heap";
+let push t ~time ~machine ~cls payload = push_aux t ~time ~machine ~cls ~aux:0 ~aux2:0 payload
+
+(* Remove the consumed root: the last entry sinks from the root, and the
+   root's slot takes the position the heap gives up. *)
+let remove_root t =
+  let r = t.slots.(0) in
   let last = t.size - 1 in
   t.size <- last;
+  t.consumed <- false;
   if last > 0 then begin
-    t.times.(0) <- t.times.(last);
-    t.machines.(0) <- t.machines.(last);
-    t.classes.(0) <- t.classes.(last);
-    t.seqs.(0) <- t.seqs.(last);
-    t.aux.(0) <- t.aux.(last);
-    t.aux2.(0) <- t.aux2.(last);
-    t.payloads.(0) <- t.payloads.(last);
-    t.payloads.(last) <- t.dummy;
-    sift_down t 0
+    sift_down t t.ranks.(last) t.slots.(last);
+    t.slots.(last) <- r
+  end;
+  free t r
+
+let next t =
+  if t.consumed then remove_root t;
+  if t.size = 0 then -1
+  else begin
+    t.consumed <- true;
+    t.slots.(0)
   end
-  else t.payloads.(0) <- t.dummy

@@ -2,23 +2,30 @@
     allocation-free 4-ary min-heap of timestamped events, each addressed
     to a machine and carrying a payload.
 
-    Slots live in parallel struct-of-arrays lanes — an unboxed float
-    lane for timestamps, int lanes for machine / class / sequence
-    number plus two generic integer payload words, and one polymorphic
-    lane for the payload proper. Push and pop allocate nothing once
-    capacity is reached, and capacity is retained across drains.
+    Heap order lives in three position lanes — an unboxed float lane of
+    times, an int lane of packed ranks (machine, class and sequence
+    number) and an int lane of slot indices. What an event carries sits
+    in slot lanes that never move: two generic integer payload words and
+    one polymorphic lane for the payload proper. A sift moves a hole,
+    three lanes wide; the payload lane is written only when a slot is
+    allocated or freed. Push and pop allocate nothing once capacity is
+    reached, and capacity is retained across drains.
 
     {b Ordering contract.} The engine's whole determinism story lives
     in the pop order: simultaneous events fire ordered by machine id,
     then by {e class} ({!cls_fault} before {!cls_arrival} before
     {!cls_decision} before {!cls_audit}), then by insertion order. That
     is the total order [(time, machine, cls, seq)] with [seq] assigned
-    uniquely per push, so the pop sequence is independent of heap arity
-    and internal layout. Every determinism statement in the engine's
-    documentation reduces to this order plus
-    [Dispatch.redispatch_order]. The engine pops by reading the root's
-    lanes and calling {!remove_min}, and may push further events while
-    the queue drains. *)
+    uniquely per push, so the pop sequence is independent of heap arity,
+    internal layout and of when a consumed root leaves. Every
+    determinism statement in the engine's documentation reduces to this
+    order plus [Dispatch.redispatch_order].
+
+    {b Popping.} {!next} hands out the root's slot and marks the root
+    consumed; the caller reads the root's time at [times.(0)], its
+    machine through {!root_machine} and the slot lanes at the slot. The
+    first push after that replaces the root with one sift-down; if none
+    comes, the next {!next} removes the root. *)
 
 (** {2 Event classes}
 
@@ -44,52 +51,65 @@ val cls_audit : int
 type 'a t = {
   dummy : 'a;
   mutable size : int;
+  mutable consumed : bool;
   mutable next_seq : int;
   mutable times : float array;
-  mutable machines : int array;
-  mutable classes : int array;
-  mutable seqs : int array;
+  mutable ranks : int array;
+  mutable slots : int array;
   mutable aux : int array;
   mutable aux2 : int array;
   mutable payloads : 'a array;
 }
-(** Exposed concretely so the engine's hot loop can write lanes of a
-    freshly {!alloc}ed slot directly (avoiding boxed float arguments)
-    and read the root's lanes: the root (the minimum) is slot 0 of every
-    lane when [size > 0]. Treat as read-only outside that pattern;
-    [size] elements of each lane are live, a heap-ordered prefix. *)
+(** Exposed concretely so the engine's hot loop can write the lanes of a
+    freshly {!alloc}ed event directly (avoiding boxed float arguments)
+    and read the root's. Treat as read-only outside that pattern.
+
+    Position lanes ([times], [ranks], [slots]) are indexed by heap
+    position: the first [size] positions are a heap-ordered prefix whose
+    root is position 0 ([size] counts a consumed root). [ranks] packs
+    [((machine + 1) lsl 41) lor (cls lsl 39) lor seq]; the positions
+    from [size] on hold the free slots. Slot lanes ([aux], [aux2],
+    [payloads]) are indexed by slot; a free slot's payload is
+    [dummy]. *)
 
 val create : dummy:'a -> 'a t
-(** [create ~dummy] makes an empty heap. [dummy] fills vacated
-    payload slots so popped payloads are not retained. *)
+(** [create ~dummy] makes an empty heap. [dummy] fills freed payload
+    slots so popped payloads are not retained. *)
 
 val length : 'a t -> int
-(** Current queue depth (the engine's high-water gauge reads this). *)
-
-val is_empty : 'a t -> bool
+(** Current queue depth, a consumed root excluded (the engine's
+    high-water gauge reads this). *)
 
 val alloc : 'a t -> int
-(** Reserve the next free slot: bumps [size], assigns a fresh sequence
-    number, zeroes the slot's [aux]/[aux2] lanes; its payload is the
-    heap's [dummy], as in every slot past the live prefix. The caller
-    must fill [times]/[machines]/[classes] (and optionally
-    [aux]/[aux2]/[payloads]) of the returned slot and then call
-    {!sift_up} on it. *)
+(** Reserve a free slot for the next event and return it, its
+    [aux]/[aux2] zeroed and its payload [dummy]. The caller writes the
+    event's time into [times.(size)], optionally the slot's [aux],
+    [aux2] and [payloads], and then calls {!insert} with the slot;
+    nothing else may touch the heap in between. *)
 
-val sift_up : 'a t -> int -> unit
-(** Restore heap order after {!alloc} + direct lane writes. *)
+val insert : 'a t -> int -> machine:int -> cls:int -> unit
+(** [insert t s ~machine ~cls] enqueues the event {!alloc} reserved as
+    slot [s]: it replaces a consumed root, or else joins the heap.
+    Insertion order within equal [(time, machine, cls)] is preserved.
+    Raises [Invalid_argument] when [machine] is outside
+    [\[-1, 2{^ 21} - 2\]], [cls] outside [\[0, 3\]], or the heap has
+    already numbered [2{^ 39}] pushes. *)
 
 val push : 'a t -> time:float -> machine:int -> cls:int -> 'a -> unit
-(** Enqueue an event: [alloc] + lane writes + [sift_up] in one call
+(** Enqueue an event: {!alloc} + lane writes + {!insert} in one call
     (convenience path; boxes [time] when not inlined — hot loops use
-    the {!alloc} pattern). Insertion order within equal
-    [(time, machine, cls)] is preserved. *)
+    the {!alloc} pattern). *)
 
 val push_aux :
   'a t -> time:float -> machine:int -> cls:int -> aux:int -> aux2:int -> 'a -> unit
 (** {!push} that also sets the slot's two integer payload words ({!push}
     zeroes them). *)
 
-val remove_min : 'a t -> unit
-(** Drop the root. The vacated payload slot is overwritten with [dummy];
-    capacity is retained. Raises [Invalid_argument] on an empty heap. *)
+val next : 'a t -> int
+(** Remove a consumed root if there is one; then consume the new root
+    and return its slot, or return [-1] when the heap is empty. The
+    consumed root's time stays at [times.(0)] and its slot lanes keep
+    their values until the next push or {!next}. *)
+
+val root_machine : 'a t -> int
+(** The machine of the root, consumed or not, of a non-empty heap. *)

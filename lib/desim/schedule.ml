@@ -1,3 +1,4 @@
+module Argsort = Usched_model.Argsort
 module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
 module Realization = Usched_model.Realization
@@ -57,9 +58,9 @@ let makespan t =
   !best
 
 (* Counting sort by machine: one pass counts, one pass drops task ids
-   into their machine's bucket in ascending id order. A bucket whose
-   starts are already non-decreasing is left alone; any other is
-   stable-sorted by start, which keeps ties in id order. *)
+   into their machine's bucket in ascending id order. [Argsort.increasing]
+   leaves a bucket whose starts are already non-decreasing alone and
+   stable-sorts any other by start, which keeps ties in id order. *)
 let by_machine t =
   let counts = Array.make t.m 0 in
   Array.iter (fun i -> counts.(i) <- counts.(i) + 1) t.machines;
@@ -70,14 +71,7 @@ let by_machine t =
       buckets.(i).(counts.(i)) <- j;
       counts.(i) <- counts.(i) + 1)
     t.machines;
-  let by_start a b = Float.compare t.starts.(a) t.starts.(b) in
-  Array.iter
-    (fun bucket ->
-      let rec ordered k =
-        k >= Array.length bucket || (by_start bucket.(k - 1) bucket.(k) <= 0 && ordered (k + 1))
-      in
-      if not (ordered 1) then Array.stable_sort by_start bucket)
-    buckets;
+  Array.iter (Argsort.increasing t.starts) buckets;
   buckets
 
 let of_assignment ~m ~durations assignment =

@@ -125,14 +125,7 @@ let max_size t = Array.fold_left Float.max 0.0 t.sizes
 
 (* The paper's LPT order on the columns: decreasing estimate, ties by
    increasing id. *)
-let lpt_order t =
-  let order = Array.init (n t) (fun j -> j) in
-  let ests = t.ests in
-  Array.sort
-    (fun a b ->
-      match Float.compare ests.(b) ests.(a) with 0 -> Int.compare a b | c -> c)
-    order;
-  order
+let lpt_order t = Argsort.decreasing t.ests
 
 let pp ppf t =
   Format.fprintf ppf "instance(n=%d, m=%d, %a%t%t%t)" (n t) t.m Uncertainty.pp

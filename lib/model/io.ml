@@ -123,14 +123,89 @@ let instance_to_string instance =
    column line 2, and every later line that is not blank (all
    [String.trim] whitespace) is a row. Errors name the physical line.
 
-   An id of at most 18 plain digits is converted in place, and so is a
-   float field of plain [digits[.digits]] that [Float_text.parse_into]
-   decides exactly (every [%.17g] the writer prints without an
-   exponent); both conversions return what [int_of_string_opt] and
-   [float_of_string] return. Every other field goes through those, so
-   signs, '_', [0x], exponents, [inf]/[nan] and '\r' are accepted or
-   refused as before, with the same message. A value that is not
-   finite is then refused like [Task.make] refuses it. *)
+   A row the writer prints, [digits,digits[.digits],digits[.digits]]
+   up to its '\n' or the end of the text, is read in one scan
+   ([plain_row]): the id's digits and each float field's significant
+   digits, their count and the digits after the point are accumulated
+   as the bytes go by, and [Float_text.store_decimal] decides each
+   float by the exact rules [Float_text.parse_into] uses. Any other row
+   (a sign, an exponent, '_', whitespace, '\r', more than 17
+   significant digits, an id that is not the row's, a zero estimate)
+   takes the general path ([general_row]), which scans it again.
+
+   There an id of at most 18 plain digits is converted in place, and so
+   is a float field of plain [digits[.digits]] that
+   [Float_text.parse_into] decides exactly (every [%.17g] the writer
+   prints without an exponent); both conversions return what
+   [int_of_string_opt] and [float_of_string] return. Every other field
+   goes through those, so signs, '_', [0x], exponents, [inf]/[nan] and
+   '\r' are accepted or refused as before, with the same message. A
+   value that is not finite is then refused like [Task.make] refuses
+   it. *)
+
+(* The end of the plain digits [digits[.digits]] from [start] (the
+   first byte that is neither a digit nor the field's one inner point),
+   after [Float_text.store_decimal] stored their value in
+   [column.(row)]; [-1] when the field is empty, has a point first,
+   last or twice, has more than 17 significant digits, or is not
+   decided exactly. *)
+let plain_decimal text start len column row =
+  let i = ref start and d = ref 0 and n = ref 0 and q = ref (-1) in
+  let scanning = ref true and ok = ref true in
+  while !scanning && !i < len do
+    (match String.unsafe_get text !i with
+    | '0' .. '9' as c ->
+        if !q >= 0 then incr q;
+        if !n > 0 || c <> '0' then begin
+          incr n;
+          d := (!d * 10) + Char.code c - 48
+        end;
+        incr i
+    | '.' when !q < 0 && !i > start ->
+        q := 0;
+        incr i
+    | '.' ->
+        ok := false;
+        scanning := false
+    | _ -> scanning := false)
+  done;
+  let stop = !i in
+  if (not !ok) || stop = start || !n > 17 || !q = 0 then -1
+  else if Float_text.store_decimal !d !n (if !q < 0 then 0 else !q) column row
+  then stop
+  else -1
+
+(* The end of row [row] read in one scan when it is
+   [digits,digits[.digits],digits[.digits]] up to a '\n' or [len], its
+   id (at most 18 digits) is [row] and its estimate is not zero: the
+   position of the '\n', or [len]. Both fields are then stored; [-1]
+   otherwise, with the columns' [row] entries left to the general
+   path. *)
+let plain_row text start len ests sizes row =
+  let i = ref start and id = ref 0 and scanning = ref true in
+  while !scanning && !i < len do
+    match String.unsafe_get text !i with
+    | '0' .. '9' as c ->
+        id := (!id * 10) + Char.code c - 48;
+        incr i
+    | _ -> scanning := false
+  done;
+  let c0 = !i in
+  if
+    c0 = start || c0 - start > 18 || !id <> row || c0 >= len
+    || String.unsafe_get text c0 <> ','
+  then -1
+  else
+    let c1 = plain_decimal text (c0 + 1) len ests row in
+    if c1 < 0 || c1 >= len || String.unsafe_get text c1 <> ',' then -1
+    else
+      let stop = plain_decimal text (c1 + 1) len sizes row in
+      if
+        stop < 0
+        || (stop < len && String.unsafe_get text stop <> '\n')
+        || not (ests.(row) > 0.0)
+      then -1
+      else stop
 
 let rec digits_from text k stop acc =
   if k >= stop then acc
@@ -221,6 +296,47 @@ let header text =
   | Some e -> String.sub text 0 e
   | None -> text
 
+(* The general path for the line from [start]: row [!k] when it is not
+   blank, read field by field with every check and message. Returns the
+   line's end. *)
+let general_row text start len line_no k ests sizes =
+  (* One scan of the line: its end, its first two commas, its comma
+     count and whether anything but whitespace is on it. *)
+  let stop = ref start and commas = ref 0 and blank = ref true in
+  let c0 = ref start and c1 = ref start in
+  while !stop < len && String.unsafe_get text !stop <> '\n' do
+    let c = String.unsafe_get text !stop in
+    if c = ',' then begin
+      if !commas = 0 then c0 := !stop else if !commas = 1 then c1 := !stop;
+      incr commas;
+      blank := false
+    end
+    else if !blank && not (is_space c) then blank := false;
+    incr stop
+  done;
+  let stop = !stop in
+  if not !blank then begin
+    if !commas <> 2 then parse_error line_no "expected 3 comma-separated fields";
+    let row = !k and c0 = !c0 and c1 = !c1 in
+    check_id line_no row text start c0;
+    (* The fields after the id are read right to left ([size], then
+       [estimate]), so a row with several bad fields reports the id
+       or else the rightmost one. [parse_into] stores straight into
+       the column; only a fallback field's value is boxed. *)
+    if not (Float_text.parse_into text (c1 + 1) stop sizes row) then
+      sizes.(row) <- float_field line_no "size" text (c1 + 1) stop;
+    if not (Float_text.parse_into text (c0 + 1) c1 ests row) then
+      ests.(row) <- float_field line_no "estimate" text (c0 + 1) c1;
+    (* [Task.make]'s checks, in its order, with its messages. *)
+    let est = ests.(row) and size = sizes.(row) in
+    if not (est > 0.0) then parse_error line_no "Task.make: estimate must be > 0";
+    if est = Float.infinity then parse_error line_no "Task.make: estimate must be finite";
+    if size < 0.0 then parse_error line_no "Task.make: negative size";
+    if not (Float.is_finite size) then parse_error line_no "Task.make: size must be finite";
+    k := row + 1
+  end;
+  stop
+
 let instance_of_string text =
   let m, alpha, failure, speed_band, topology = parse_header (header text) in
   let len = String.length text in
@@ -228,44 +344,17 @@ let instance_of_string text =
   let ests = Array.create_float cap and sizes = Array.create_float cap in
   let k = ref 0 and line = ref 3 and pos = ref (rows_start text) in
   while !pos < len do
-    (* One scan of the line: its end, its first two commas, its comma
-       count and whether anything but whitespace is on it. *)
-    let start = !pos in
-    let stop = ref start and commas = ref 0 and blank = ref true in
-    let c0 = ref start and c1 = ref start in
-    while !stop < len && String.unsafe_get text !stop <> '\n' do
-      let c = String.unsafe_get text !stop in
-      if c = ',' then begin
-        if !commas = 0 then c0 := !stop else if !commas = 1 then c1 := !stop;
-        incr commas;
-        blank := false
+    let start = !pos and row = !k in
+    let stop = plain_row text start len ests sizes row in
+    let stop =
+      if stop >= 0 then begin
+        k := row + 1;
+        stop
       end
-      else if !blank && not (is_space c) then blank := false;
-      incr stop
-    done;
-    let stop = !stop and line_no = !line in
-    if not !blank then begin
-      if !commas <> 2 then parse_error line_no "expected 3 comma-separated fields";
-      let row = !k and c0 = !c0 and c1 = !c1 in
-      check_id line_no row text start c0;
-      (* The fields after the id are read right to left ([size], then
-         [estimate]), so a row with several bad fields reports the id
-         or else the rightmost one. [parse_into] stores straight into
-         the column; only a fallback field's value is boxed. *)
-      if not (Float_text.parse_into text (c1 + 1) stop sizes row) then
-        sizes.(row) <- float_field line_no "size" text (c1 + 1) stop;
-      if not (Float_text.parse_into text (c0 + 1) c1 ests row) then
-        ests.(row) <- float_field line_no "estimate" text (c0 + 1) c1;
-      (* [Task.make]'s checks, in its order, with its messages. *)
-      let est = ests.(row) and size = sizes.(row) in
-      if not (est > 0.0) then parse_error line_no "Task.make: estimate must be > 0";
-      if est = Float.infinity then parse_error line_no "Task.make: estimate must be finite";
-      if size < 0.0 then parse_error line_no "Task.make: negative size";
-      if not (Float.is_finite size) then parse_error line_no "Task.make: size must be finite";
-      k := row + 1
-    end;
+      else general_row text start len !line k ests sizes
+    in
     pos := stop + 1;
-    line := line_no + 1
+    incr line
   done;
   let trim a = if !k = cap then a else Array.sub a 0 !k in
   Instance.of_columns ?failure ?speed_band ?topology ~m ~alpha

@@ -73,9 +73,15 @@ let intern t set =
     end
     else probe t set (Bitset.hash set land (Array.length t.slots - 1))
 
+(* A loop over a fresh int array, not [Array.map]: the generic map
+   stores every index through [caml_modify]. *)
 let intern_all sets =
   let t = create () in
-  (t, Array.map (intern t) sets)
+  let group_of = Array.make (Array.length sets) 0 in
+  for j = 0 to Array.length sets - 1 do
+    group_of.(j) <- intern t sets.(j)
+  done;
+  (t, group_of)
 
 (* A counting sort of [order] by set. *)
 let members t group_of ~order =

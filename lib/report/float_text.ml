@@ -131,28 +131,10 @@ let decimal_equals d e x =
   in
   v = Float.abs x
 
-(* A field [I[.F]] of ASCII digits, I and (when the point is there) F
-   non-empty: its significant digits D (leading zeros dropped), their
-   count and the count q of digits after the point. *)
-let parse_into text start stop column j =
-  let d = ref 0 and sig_digits = ref 0 and q = ref (-1) and ok = ref (stop > start) in
-  let i = ref start in
-  while !ok && !i < stop do
-    (match String.unsafe_get text !i with
-    | '0' .. '9' as c ->
-        if !q >= 0 then incr q;
-        if !sig_digits > 0 || c <> '0' then begin
-          incr sig_digits;
-          if !sig_digits > 17 then ok := false
-          else d := (!d * 10) + Char.code c - 48
-        end
-    | '.' when !q < 0 && !i > start -> q := 0
-    | _ -> ok := false);
-    incr i
-  done;
-  let q = if !q < 0 then 0 else !q and d = !d and n = !sig_digits in
-  (* A point must be followed by a digit. *)
-  if not !ok || q > 22 || (q = 0 && String.unsafe_get text (stop - 1) = '.') then false
+(* The decimal whose significant digits are [d] ([n] of them, at most
+   17, leading zeros dropped) with [q] digits after the point. *)
+let store_decimal d n q column j =
+  if q > 22 then false
   else if d < 1 lsl 53 then begin
     Array.unsafe_set column j (Float.of_int d /. pow10 q);
     true
@@ -183,3 +165,26 @@ let parse_into text start stop column j =
             true
           end
           else false
+
+(* A field [I[.F]] of ASCII digits, I and (when the point is there) F
+   non-empty: its significant digits D (leading zeros dropped), their
+   count and the count q of digits after the point. *)
+let parse_into text start stop column j =
+  let d = ref 0 and sig_digits = ref 0 and q = ref (-1) and ok = ref (stop > start) in
+  let i = ref start in
+  while !ok && !i < stop do
+    (match String.unsafe_get text !i with
+    | '0' .. '9' as c ->
+        if !q >= 0 then incr q;
+        if !sig_digits > 0 || c <> '0' then begin
+          incr sig_digits;
+          if !sig_digits > 17 then ok := false
+          else d := (!d * 10) + Char.code c - 48
+        end
+    | '.' when !q < 0 && !i > start -> q := 0
+    | _ -> ok := false);
+    incr i
+  done;
+  (* A point must be followed by a digit. *)
+  if not !ok || (!q = 0 && String.unsafe_get text (stop - 1) = '.') then false
+  else store_decimal !d !sig_digits (if !q < 0 then 0 else !q) column j

@@ -42,6 +42,16 @@ val decimal_equals : int -> int -> float -> bool
     [0 <= d < 2^53] and [e] in [\[-22, 22\]]: Clinger's exact rule, one
     correctly rounded multiplication or division. *)
 
+val store_decimal : int -> int -> int -> float array -> int -> bool
+(** [store_decimal d n q column j] decides the plain decimal field whose
+    [n <= 17] significant digits (leading zeros dropped) spell [d] and
+    which has [q] digits after its point: when the exact rules give the
+    value [float_of_string] returns for it, that value is stored in
+    [column.(j)] and the result is [true]; otherwise (more than 22
+    digits after the point, or a value they cannot decide) the result is
+    [false] and [column] is left alone. {!parse_into} and the instance
+    reader's one-pass rows scan their fields and share this decision. *)
+
 val parse_into : string -> int -> int -> float array -> int -> bool
 (** [parse_into text start stop column j] stores in [column.(j)] the
     value [float_of_string] returns for the field

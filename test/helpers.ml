@@ -63,15 +63,17 @@ let crash_time trace machine =
 
 module Event_heap = Usched_desim.Event_heap
 
-(* Pops [heap] to empty through its root lanes (slot 0), as the engine
-   does, handing each event to [handle]; the handler may push. *)
+(* Pops [heap] to empty as the engine does: [next] consumes the root,
+   whose time, machine and payload go to [handle], which may push (its
+   first push replaces the consumed root). *)
 let drain heap ~handle =
-  while not (Event_heap.is_empty heap) do
+  let slot = ref (Event_heap.next heap) in
+  while !slot >= 0 do
     let time = heap.Event_heap.times.(0) in
-    let machine = heap.Event_heap.machines.(0) in
-    let payload = heap.Event_heap.payloads.(0) in
-    Event_heap.remove_min heap;
-    handle ~time ~machine payload
+    let machine = Event_heap.root_machine heap in
+    let payload = heap.Event_heap.payloads.(!slot) in
+    handle ~time ~machine payload;
+    slot := Event_heap.next heap
   done
 
 module Schedule = Usched_desim.Schedule

@@ -33,7 +33,7 @@ let lpt_classic_example () =
 let decreasing_order_ties_by_id () =
   (* ids 0 and 1 tie at 3.0; the smaller id comes first. *)
   Alcotest.(check (array int)) "order" [| 0; 1; 2 |]
-    (Assign.decreasing_order [| 3.0; 3.0; 1.0 |])
+    (Usched_model.Argsort.decreasing [| 3.0; 3.0; 1.0 |])
 
 let empty_weights () =
   let r = Assign.ls ~m:2 ~weights:[||] in

@@ -1,22 +1,26 @@
-(* The SoA 4-ary event heap under the desim engine: unit behaviour,
+(* The 4-ary event heap under the desim engine: unit behaviour,
    equivalence with the binary [Pqueue] under the engine's total event
-   order (the refactor's claim that arity and layout cannot change the
-   pop sequence), the alloc/sift_up direct-lane push pattern, and the
-   no-retention-after-drain guarantee ported from the Pqueue suite. The
-   record-form events and their comparator are the frozen reference
-   engine's ([Reference_engine.R_event]). *)
+   order (arity, layout and the consumed root's replace-top cannot
+   change the pop sequence), the alloc/insert direct-lane push pattern,
+   the packed rank's boundaries, and the no-retention-after-drain
+   guarantee ported from the Pqueue suite. The record-form events and
+   their comparator are the frozen reference engine's
+   ([Reference_engine.R_event]). *)
 
 module Event_heap = Usched_desim.Event_heap
+module Instance = Usched_model.Instance
 module Rng = Usched_prng.Rng
 module R_event = Reference_engine.R_event
 
-(* Root lanes: slot 0 holds the minimum of a non-empty heap. *)
+(* The root's lanes: position 0 of the position lanes, its slot of the
+   slot lanes. The class is the rank's bits 39-40. *)
 let root_time q = q.Event_heap.times.(0)
-let root_machine q = q.Event_heap.machines.(0)
-let root_cls q = q.Event_heap.classes.(0)
-let root_aux q = q.Event_heap.aux.(0)
-let root_aux2 q = q.Event_heap.aux2.(0)
-let root_payload q = q.Event_heap.payloads.(0)
+let root_machine q = Event_heap.root_machine q
+let root_cls q = (q.Event_heap.ranks.(0) lsr 39) land 3
+let root_slot q = q.Event_heap.slots.(0)
+let root_aux q = q.Event_heap.aux.(root_slot q)
+let root_aux2 q = q.Event_heap.aux2.(root_slot q)
+let root_payload q = q.Event_heap.payloads.(root_slot q)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -25,11 +29,16 @@ let checki = Alcotest.(check int)
 
 let empty_behaviour () =
   let q = Event_heap.create ~dummy:(-1) in
-  checkb "is_empty" true (Event_heap.is_empty q);
+  checkb "empty" true (Event_heap.length q = 0);
   checki "length 0" 0 (Event_heap.length q);
-  Alcotest.check_raises "remove_min raises"
-    (Invalid_argument "Event_heap.remove_min: empty heap") (fun () ->
-      Event_heap.remove_min q)
+  checki "next on empty" (-1) (Event_heap.next q);
+  Event_heap.push q ~time:1.0 ~machine:0 ~cls:Event_heap.cls_fault 7;
+  checki "length 1" 1 (Event_heap.length q);
+  let s = Event_heap.next q in
+  checki "consumed root's payload" 7 q.Event_heap.payloads.(s);
+  checkb "a consumed root does not count" true (Event_heap.length q = 0);
+  checki "drained" (-1) (Event_heap.next q);
+  checki "still drained" (-1) (Event_heap.next q)
 
 let aux_lanes_round_trip () =
   let q = Event_heap.create ~dummy:(-1) in
@@ -40,13 +49,16 @@ let aux_lanes_round_trip () =
   checki "root aux zeroed by push" 0 (root_aux q);
   checki "root aux2 zeroed by push" 0 (root_aux2 q);
   checki "root payload" 9 (root_payload q);
-  Event_heap.remove_min q;
-  checki "aux survives sifting" 17 (root_aux q);
-  checki "aux2 survives sifting" 23 (root_aux2 q);
-  checki "payload survives sifting" 5 (root_payload q)
+  ignore (Event_heap.next q);
+  let s = Event_heap.next q in
+  checki "aux survives sifting" 17 q.Event_heap.aux.(s);
+  checki "aux2 survives sifting" 23 q.Event_heap.aux2.(s);
+  checki "payload survives sifting" 5 q.Event_heap.payloads.(s);
+  checki "machine survives sifting" 1 (root_machine q);
+  checki "class survives sifting" Event_heap.cls_arrival (root_cls q)
 
 (* The engine's hot-loop push pattern — alloc, direct lane writes,
-   sift_up — must be observationally the convenience [push]. *)
+   insert — must be observationally the convenience [push]. *)
 let alloc_pattern_is_push () =
   let seed = 1234 in
   let stream rng =
@@ -63,24 +75,69 @@ let alloc_pattern_is_push () =
     (fun (time, machine, cls, payload) ->
       Event_heap.push via_push ~time ~machine ~cls payload;
       let s = Event_heap.alloc via_alloc in
-      via_alloc.Event_heap.times.(s) <- time;
-      via_alloc.Event_heap.machines.(s) <- machine;
-      via_alloc.Event_heap.classes.(s) <- cls;
+      via_alloc.Event_heap.times.(via_alloc.Event_heap.size) <- time;
       via_alloc.Event_heap.payloads.(s) <- payload;
-      Event_heap.sift_up via_alloc s)
+      Event_heap.insert via_alloc s ~machine ~cls)
     events;
-  while not (Event_heap.is_empty via_push) do
-    checki "same payload at the root" (root_payload via_push)
-      (root_payload via_alloc);
-    Event_heap.remove_min via_push;
-    Event_heap.remove_min via_alloc
+  let a = ref (Event_heap.next via_push) and b = ref (Event_heap.next via_alloc) in
+  while !a >= 0 do
+    checki "same payload at the root" via_push.Event_heap.payloads.(!a)
+      via_alloc.Event_heap.payloads.(!b);
+    a := Event_heap.next via_push;
+    b := Event_heap.next via_alloc
   done;
-  checkb "both drained" true (Event_heap.is_empty via_alloc)
+  checki "both drained" (-1) !b
+
+(* The rank packs machine + 1 into 21 bits, the class into 2 and the
+   sequence number into 39: the extreme machines sort below and above
+   each other in every class, and anything outside the budget is
+   refused rather than wrapped into another event's order. *)
+let rank_boundaries () =
+  let q = Event_heap.create ~dummy:(-1) in
+  let top = Instance.max_machines - 1 in
+  (* Pushed in reverse order, all at one instant. *)
+  List.iter
+    (fun (machine, cls) ->
+      Event_heap.push q ~time:1.0 ~machine ~cls ((100 * (machine + 1)) + cls))
+    [ (top, 3); (top, 2); (top, 1); (top, 0); (-1, 3); (-1, 2); (-1, 1); (-1, 0) ];
+  let popped = ref [] in
+  Helpers.drain q ~handle:(fun ~time:_ ~machine payload ->
+      popped := (machine, payload) :: !popped);
+  Alcotest.(check (list (pair int int)))
+    "machine -1 first, then by class"
+    [
+      (-1, 0); (-1, 1); (-1, 2); (-1, 3);
+      (top, (100 * (top + 1)) + 0); (top, (100 * (top + 1)) + 1);
+      (top, (100 * (top + 1)) + 2); (top, (100 * (top + 1)) + 3);
+    ]
+    (List.rev !popped);
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s was accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "machine -2" (fun () -> Event_heap.push q ~time:0.0 ~machine:(-2) ~cls:0 0);
+  refused "machine 2^21 - 1" (fun () ->
+      Event_heap.push q ~time:0.0 ~machine:((1 lsl 21) - 1) ~cls:0 0);
+  refused "class 4" (fun () -> Event_heap.push q ~time:0.0 ~machine:0 ~cls:4 0);
+  refused "class -1" (fun () -> Event_heap.push q ~time:0.0 ~machine:0 ~cls:(-1) 0);
+  checkb "refusals push nothing" true (Event_heap.length q = 0);
+  (* The last sequence number is accepted and still orders last. *)
+  q.Event_heap.next_seq <- (1 lsl 39) - 2;
+  Event_heap.push q ~time:0.0 ~machine:top ~cls:3 1;
+  Event_heap.push q ~time:0.0 ~machine:top ~cls:3 2;
+  refused "sequence number 2^39" (fun () ->
+      Event_heap.push q ~time:0.0 ~machine:0 ~cls:0 3);
+  checki "two events" 2 (Event_heap.length q);
+  ignore (Event_heap.next q);
+  checki "first seq pops first" 1 (root_payload q);
+  ignore (Event_heap.next q);
+  checki "last seq pops last" 2 (root_payload q)
 
 (* Ported from the Pqueue suite: a drained heap must not keep popped
    payloads reachable. The engine holds one heap for a whole run, so a
-   leaked slot would pin event payloads for the run's lifetime; the
-   [dummy] overwrite on [remove_min] is what prevents it. *)
+   leaked slot would pin event payloads for the run's lifetime; freeing
+   a slot (a removed or replaced root) resets its payload to [dummy]. *)
 let no_retention_after_drain () =
   let dummy = (-1, ref (-1)) in
   let q = Event_heap.create ~dummy in
@@ -92,15 +149,17 @@ let no_retention_after_drain () =
     Event_heap.push q ~time:(float_of_int (i mod 7)) ~machine:(i mod 3)
       ~cls:(i mod 4) boxed
   done;
-  (* Grow, shrink and re-grow so vacated-slot aliasing is exercised. *)
+  (* Grow, shrink and re-grow, through consumed roots replaced by a
+     push, so vacated-slot aliasing is exercised. *)
   for _ = 1 to n / 2 do
-    Event_heap.remove_min q
+    ignore (Event_heap.next q)
   done;
   for i = n to n + 7 do
-    Event_heap.push q ~time:0.5 ~machine:0 ~cls:1 (i, ref i)
+    Event_heap.push q ~time:0.5 ~machine:0 ~cls:1 (i, ref i);
+    ignore (Event_heap.next q)
   done;
-  while not (Event_heap.is_empty q) do
-    Event_heap.remove_min q
+  while Event_heap.next q >= 0 do
+    ()
   done;
   Gc.full_major ();
   let leaked = ref 0 in
@@ -177,7 +236,7 @@ let prop_interleaved_matches_pqueue =
       let next = ref 0 in
       let ok = ref true in
       for _ = 1 to len do
-        if Rng.bernoulli rng ~p:0.6 || Event_heap.is_empty heap then begin
+        if Rng.bernoulli rng ~p:0.6 || Event_heap.length heap = 0 then begin
           let e = random_event rng !next in
           incr next;
           Event_heap.push heap ~time:e.R_event.time
@@ -187,16 +246,60 @@ let prop_interleaved_matches_pqueue =
         end
         else begin
           let e = Pqueue.pop_exn pq in
+          ignore (Event_heap.next heap);
           if
             root_time heap <> e.R_event.time
             || root_machine heap <> e.R_event.machine
             || root_cls heap <> e.R_event.cls
             || root_payload heap <> e.R_event.payload
-          then ok := false;
-          Event_heap.remove_min heap
+          then ok := false
         end
       done;
       !ok && Event_heap.length heap = Pqueue.length pq)
+
+(* The engine's loop: [next] consumes the root, the handler pushes 0, 1
+   or several events (the first replaces the consumed root), and the
+   following [next] settles the root when nothing did. Every pop must
+   be the model's, and the depth must match the model's after every
+   push. Times, machines and classes come from small sets, so equal
+   times across machines and classes are common. *)
+let prop_handler_pushes_match_pqueue =
+  QCheck.Test.make ~name:"consume, handler pushes, settle matches the Pqueue model"
+    ~count:400 stream_scenario (fun (len, seed) ->
+      let rng = Rng.create ~seed () in
+      let heap = Event_heap.create ~dummy:(-1) in
+      let pq = Pqueue.create ~compare:R_event.compare_event () in
+      let pushed = ref 0 in
+      let push () =
+        let e = random_event rng !pushed in
+        incr pushed;
+        Event_heap.push heap ~time:e.R_event.time ~machine:e.R_event.machine
+          ~cls:e.R_event.cls e.R_event.payload;
+        Pqueue.push pq e;
+        Event_heap.length heap = Pqueue.length pq
+      in
+      let ok = ref true in
+      for _ = 1 to 1 + Rng.int rng 4 do
+        ok := push () && !ok
+      done;
+      let slot = ref (Event_heap.next heap) in
+      while !slot >= 0 do
+        let e = Pqueue.pop_exn pq in
+        if
+          root_time heap <> e.R_event.time
+          || root_machine heap <> e.R_event.machine
+          || root_cls heap <> e.R_event.cls
+          || heap.Event_heap.payloads.(!slot) <> e.R_event.payload
+          || Event_heap.length heap <> Pqueue.length pq
+        then ok := false;
+        (* Handlers push while the budget lasts: none, one or several. *)
+        if !pushed < len then
+          for _ = 1 to Rng.int rng 4 do
+            ok := push () && !ok
+          done;
+        slot := Event_heap.next heap
+      done;
+      !ok && Pqueue.length pq = 0)
 
 (* ------------------------------ suite ------------------------------- *)
 
@@ -209,9 +312,14 @@ let () =
           Alcotest.test_case "aux lanes" `Quick aux_lanes_round_trip;
           Alcotest.test_case "alloc pattern = push" `Quick
             alloc_pattern_is_push;
+          Alcotest.test_case "rank boundaries" `Quick rank_boundaries;
           Alcotest.test_case "no retention" `Quick no_retention_after_drain;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_drain_matches_pqueue; prop_interleaved_matches_pqueue ] );
+          [
+            prop_drain_matches_pqueue;
+            prop_interleaved_matches_pqueue;
+            prop_handler_pushes_match_pqueue;
+          ] );
     ]

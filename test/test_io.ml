@@ -539,7 +539,10 @@ let bit_identical a b =
 
 (* Field values chosen to reach both sides of the digit fast path and
    every conversion corner: signs, '_', radix prefixes, exponents,
-   inf/nan, '\r', digit strings at and past the exact lengths. *)
+   inf/nan, '\r', digit strings at and past the exact lengths. The
+   one-pass row's edges come second: 16, 17 and 18 significant digits
+   around a point (17 digits take the succ/pred neighbours), leading
+   zeros, a point first, last or twice, and 18- and 19-digit ids. *)
 let tokens =
   [|
     "0"; "1"; "7"; "00"; "007"; "+1"; "-1"; "-0"; "+0"; "1_000"; "_1"; "1_";
@@ -548,6 +551,12 @@ let tokens =
     "1000000000000000"; "9007199254740993"; "123456789012345678";
     "1234567890123456789"; "9999999999999999999"; "99999999999999999999"; "4.9406564584124654e-324";
     "1e400"; "0.0"; "-0.0"; "2"; "3"; "x";
+    "1.234567890123456"; "1.2345678901234567"; "1.23456789012345678";
+    "52.378415973847291"; "0.30000000000000004"; "0.1000000000000000055";
+    "99999999999999.999"; "0.00012345678901234567"; "12345678901234567";
+    "00.5"; "0001.25"; "000000000000000000001.5"; "0.000"; "1.2.3"; "1..2";
+    "000000000000000000"; "0000000000000000000"; "000000000000000001";
+    "0000000000000000001"; "100000000000000000";
   |]
 
 let insertions =
@@ -652,7 +661,8 @@ let parser_matches_oracle_on_tokens () =
         [
           tok ^ ",1,1\n"; "0," ^ tok ^ ",1\n"; "0,1," ^ tok ^ "\n"; "0,1," ^ tok;
           "0,4,1\n" ^ tok ^ ",2,3\n"; "0,4,1\n1," ^ tok ^ ",3\n";
-          "0,4,1\n1,2," ^ tok ^ "\n";
+          "0,4,1\n1,2," ^ tok ^ "\n"; "0," ^ tok ^ "," ^ tok;
+          "0,1," ^ tok ^ "\r\n"; "0,4,1\r\n1," ^ tok ^ ",3";
         ])
     tokens
 

@@ -85,6 +85,45 @@ let instance_lpt_order () =
   in
   Alcotest.(check (array int)) "order" [| 1; 3; 2; 0 |] (Instance.lpt_order inst)
 
+(* The argsort against the comparator sort it replaced: decreasing
+   [Float.compare], ties by increasing id. Estimates come from a few
+   values, so most of them tie, and lengths reach well past the merge
+   sort's insertion cutoff. *)
+let old_lpt_order ests =
+  let order = Array.init (Array.length ests) (fun j -> j) in
+  Array.sort
+    (fun a b ->
+      match Float.compare ests.(b) ests.(a) with 0 -> Int.compare a b | c -> c)
+    order;
+  order
+
+let prop_lpt_order_matches_comparator =
+  QCheck.Test.make ~name:"lpt_order = Array.sort with the tie-by-id comparator"
+    ~count:300
+    QCheck.(triple (int_bound 3000) (int_range 1 12) int)
+    (fun (n, values, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let ests =
+        Array.init n (fun _ -> 0.5 +. float_of_int (Random.State.int rng values))
+      in
+      let inst = Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) ests in
+      Instance.lpt_order inst = old_lpt_order ests)
+
+(* The same on raw weight columns, whose keys may be NaN, infinite or
+   a signed zero (Float.compare puts NaN below every number and -0.0
+   level with 0.0). *)
+let prop_argsort_matches_comparator_on_specials =
+  let specials = [| Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; 1.0; 2.0 |] in
+  QCheck.Test.make ~name:"Argsort.decreasing = comparator sort on special floats"
+    ~count:300
+    QCheck.(pair (int_bound 200) int)
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let keys =
+        Array.init n (fun _ -> specials.(Random.State.int rng (Array.length specials)))
+      in
+      Usched_model.Argsort.decreasing keys = old_lpt_order keys)
+
 let instance_sizes () =
   let inst =
     Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0)
@@ -313,6 +352,8 @@ let () =
           Alcotest.test_case "id validation" `Quick instance_id_check;
           Alcotest.test_case "machine validation" `Quick instance_m_check;
           Alcotest.test_case "LPT order" `Quick instance_lpt_order;
+          QCheck_alcotest.to_alcotest prop_lpt_order_matches_comparator;
+          QCheck_alcotest.to_alcotest prop_argsort_matches_comparator_on_specials;
           Alcotest.test_case "sizes" `Quick instance_sizes;
           Alcotest.test_case "sizes length" `Quick instance_sizes_length_check;
           Alcotest.test_case "speed band default" `Quick

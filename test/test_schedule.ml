@@ -220,6 +220,44 @@ let prop_by_machine_matches_machine_tasks =
       && Array.for_all Fun.id
            (Array.mapi (fun i b -> Array.to_list b = Helpers.machine_tasks s i) buckets))
 
+(* [by_machine] against the bucket sort it replaced: each machine's ids
+   in increasing order, then [Array.stable_sort] by start through a
+   [Float.compare] closure. Starts decrease with the id on most of the
+   tasks, as in an LPT-order replay, and come from a few values, so
+   buckets run past the merge sort's cutoff with many ties. *)
+let old_by_machine s =
+  Array.init (Schedule.m s) (fun i ->
+      let bucket =
+        Array.of_list
+          (List.filter
+             (fun j -> (Schedule.entry s j).Schedule.machine = i)
+             (List.init (Schedule.n s) Fun.id))
+      in
+      let start j = (Schedule.entry s j).Schedule.start in
+      Array.stable_sort (fun a b -> Float.compare (start a) (start b)) bucket;
+      bucket)
+
+let prop_by_machine_matches_stable_sort =
+  QCheck.Test.make ~name:"by_machine = per-bucket stable_sort on LPT-like starts"
+    ~count:200
+    QCheck.(triple (int_range 1 4) (int_bound 2000) int)
+    (fun (m, n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let s =
+        Schedule.make ~m
+          (Array.init n (fun j ->
+               let start =
+                 if Random.State.int rng 4 = 0 then float_of_int (Random.State.int rng 6)
+                 else float_of_int ((n - j) / 7)
+               in
+               {
+                 Schedule.machine = Random.State.int rng m;
+                 start;
+                 finish = start +. Random.State.float rng 2.0;
+               }))
+      in
+      Schedule.by_machine s = old_by_machine s)
+
 let prop_validate_and_gantt_unchanged =
   QCheck.Test.make ~name:"overlap violations and Gantt text match the per-machine scans"
     ~count:300 schedule_arb (fun (m, n, seed) ->
@@ -268,5 +306,9 @@ let () =
         ] );
       ( "by machine",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_by_machine_matches_machine_tasks; prop_validate_and_gantt_unchanged ] );
+          [
+            prop_by_machine_matches_machine_tasks;
+            prop_by_machine_matches_stable_sort;
+            prop_validate_and_gantt_unchanged;
+          ] );
     ]

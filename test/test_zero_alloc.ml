@@ -261,7 +261,7 @@ let packers_are_allocation_free () =
   Alcotest.(check bool)
     (Printf.sprintf "multifit n=10k under 300k minor words (got %.0f)" mf)
     true (mf <= 300_000.0);
-  let order = Assign.decreasing_order p in
+  let order = Usched_model.Argsort.decreasing p in
   let la = measure (fun () -> Assign.list_assign ~m:mm ~order ~weights:p) in
   Alcotest.(check bool)
     (Printf.sprintf "list_assign n=10k under 4096 minor words (got %.0f)" la)
