@@ -1,7 +1,6 @@
 module Instance = Usched_model.Instance
 
-let pi1 instance =
-  Assign.lpt ~m:(Instance.m instance) ~weights:(Instance.ests instance)
+let pi1 = No_replication.lpt_assignment
 
 let pi2 instance =
   Assign.lpt ~m:(Instance.m instance) ~weights:(Instance.sizes instance)

@@ -1,59 +1,72 @@
 module Bitset = Usched_model.Bitset
+module Holders = Usched_model.Holders
 module Instance = Usched_model.Instance
 module Set_table = Usched_model.Set_table
 module Topology = Usched_model.Topology
 
-(* The whole-placement scans read a summary built once, on first use:
-   the distinct sets with each task's index into them, and the machine
-   classes. Two machines are in the same class when they lie in exactly
-   the same distinct sets; each class is represented by its lowest
-   machine. The summary is immutable once built, so domains that race to
-   build it store equal values and any one of them may win. *)
+(* A placement is its holder sets, interned once when it is built: the
+   distinct sets and each task's index into them. The whole-placement
+   scans read them in place, and a summary built once, on first use:
+   the machine classes. Two machines are in the same class when they
+   lie in exactly the same distinct sets; each class is represented by
+   its lowest machine. The summary is immutable once built, so domains
+   that race to build it store equal values and any one of them may
+   win. *)
 type summary = {
-  groups : Bitset.t array;  (** distinct sets, in order of first occurrence *)
-  group_of : int array;  (** task -> its set's index in [groups] *)
   counts : int array;  (** set -> how many tasks have it *)
   cards : int array;  (** set -> its cardinality *)
   reps_in : int array array;  (** set -> the representatives of its classes *)
   rep_of : int array;  (** machine -> its class's representative *)
 }
 
-type t = { m : int; sets : Bitset.t array; summary : summary option Atomic.t }
+type t = { m : int; holders : Holders.t; summary : summary option Atomic.t }
 
-let of_sets ~m sets =
-  Array.iteri
-    (fun j set ->
-      if Bitset.capacity set <> m then
-        invalid_arg
-          (Printf.sprintf "Placement.of_sets: task %d capacity mismatch" j);
-      if Bitset.is_empty set then
-        invalid_arg (Printf.sprintf "Placement.of_sets: task %d placed nowhere" j))
-    sets;
-  { m; sets; summary = Atomic.make None }
+let make ~m holders =
+  (match Holders.first_misplaced ~m holders with
+  | None -> ()
+  | Some j ->
+      if Bitset.capacity (Holders.set holders j) <> m then
+        invalid_arg (Printf.sprintf "Placement.of_sets: task %d capacity mismatch" j);
+      invalid_arg (Printf.sprintf "Placement.of_sets: task %d placed nowhere" j));
+  { m; holders; summary = Atomic.make None }
 
-(* One singleton set per machine and one full set, shared by every task
-   placed on them. *)
-let pinned ~m ~everywhere assignment =
-  let machine = Array.init m (Bitset.singleton m) and all = Bitset.full m in
-  of_sets ~m
-    (Array.mapi (fun j i -> if everywhere j then all else machine.(i)) assignment)
+let of_sets ~m sets = make ~m (Holders.of_sets sets)
 
-let singletons ~m assignment = pinned ~m ~everywhere:(fun _ -> false) assignment
+(* One singleton set per machine, label [i] for machine [i], and with
+   [~full] the full set as label [m]: the assignment becomes the index
+   in place. *)
+let pinned ~m ~full labels =
+  let sets =
+    Array.init (if full then m + 1 else m) (fun i ->
+        if i < m then Bitset.singleton m i else Bitset.full m)
+  in
+  make ~m (Holders.of_labels sets labels)
+
+let singletons ~m assignment = pinned ~m ~full:false assignment
 
 let pinned_or_full ~m ~replicated assignment =
-  pinned ~m ~everywhere:(Array.get replicated) assignment
+  if Array.length replicated <> Array.length assignment then
+    invalid_arg "Placement.pinned_or_full: replicated length mismatch";
+  Array.iteri
+    (fun j r ->
+      if r then assignment.(j) <- m
+      else if assignment.(j) >= m then
+        invalid_arg (Printf.sprintf "Placement.pinned_or_full: task %d has machine %d" j
+          assignment.(j)))
+    replicated;
+  pinned ~m ~full:true assignment
 
-let full ~m ~n = of_sets ~m (Array.make n (Bitset.full m))
+let full ~m ~n = make ~m (Holders.of_labels [| Bitset.full m |] (Array.make n 0))
 
 let of_group_assignment ~m ~groups assignment =
   let group_sets =
     Array.map (fun machines -> Bitset.of_list m (Array.to_list machines)) groups
   in
-  of_sets ~m (Array.map (fun g -> group_sets.(g)) assignment)
+  make ~m (Holders.of_labels group_sets assignment)
 
-let n t = Array.length t.sets
-let set t j = t.sets.(j)
-let sets t = t.sets
+let n t = Holders.n t.holders
+let set t j = Holders.set t.holders j
+let sets t = t.holders
 
 (* Signatures hash on every element: the generic hash reads only a
    list's first few, on which many signatures may agree. *)
@@ -65,11 +78,11 @@ module Signatures = Hashtbl.Make (struct
 end)
 
 let summarize t =
-  let table, group_of = Set_table.intern_all t.sets in
+  let table = t.holders.Holders.table in
   let groups = Set_table.to_array table in
   let g_count = Array.length groups in
   let counts = Array.make g_count 0 in
-  Array.iter (fun g -> counts.(g) <- counts.(g) + 1) group_of;
+  Array.iter (fun g -> counts.(g) <- counts.(g) + 1) t.holders.Holders.index;
   let cards = Array.map Bitset.cardinal groups in
   (* A machine's signature: the sets it lies in, newest first. *)
   let signature = Array.make t.m [] in
@@ -94,7 +107,7 @@ let summarize t =
           (Bitset.fold (fun acc i -> if rep_of.(i) = i then i :: acc else acc) [] set))
       groups
   in
-  { groups; group_of; counts; cards; reps_in; rep_of }
+  { counts; cards; reps_in; rep_of }
 
 let summary t =
   match Atomic.get t.summary with
@@ -104,13 +117,19 @@ let summary t =
       Atomic.set t.summary (Some s);
       s
 
-let distinct_sets t =
-  let s = summary t in
-  (Array.copy s.groups, Array.copy s.group_of)
+let allowed t ~task ~machine = Bitset.mem (set t task) machine
+let replication t j = Bitset.cardinal (set t j)
 
-let allowed t ~task ~machine = Bitset.mem t.sets.(task) machine
-let replication t j = Bitset.cardinal t.sets.(j)
-let max_replication t = Array.fold_left Stdlib.max 0 (summary t).cards
+(* Every interned set has a task, so the distinct sets decide both. *)
+let fold_cards f init t =
+  let table = t.holders.Holders.table in
+  let acc = ref init in
+  for g = 0 to Set_table.count table - 1 do
+    acc := f !acc (Bitset.cardinal (Set_table.get table g))
+  done;
+  !acc
+
+let max_replication t = fold_cards Stdlib.max 0 t
 
 let total_replicas t =
   let s = summary t in
@@ -125,12 +144,12 @@ let total_replicas t =
    therefore bit-identical to the per-replica walk, at one addition per
    class of the task's set instead of one per replica. *)
 let memory_loads t ~(sizes : float array) =
-  if Array.length sizes <> Array.length t.sets then
+  if Array.length sizes <> n t then
     invalid_arg "Placement.memory_loads: sizes length mismatch";
-  let s = summary t in
+  let s = summary t and index = t.holders.Holders.index in
   let loads = Array.make t.m 0.0 in
   for j = 0 to Array.length sizes - 1 do
-    let reps = s.reps_in.(s.group_of.(j)) in
+    let reps = s.reps_in.(index.(j)) in
     let size = sizes.(j) in
     for r = 0 to Array.length reps - 1 do
       let i = reps.(r) in
@@ -146,7 +165,7 @@ let memory_max t ~sizes =
   Array.fold_left Float.max 0.0 (memory_loads t ~sizes)
 
 let check_costs t ~topology ~sizes =
-  if Array.length sizes <> Array.length t.sets then
+  if Array.length sizes <> n t then
     invalid_arg "Placement.replication_costs: sizes length mismatch";
   if Topology.m topology <> t.m then
     invalid_arg
@@ -159,17 +178,15 @@ let check_costs t ~topology ~sizes =
    per-task sum is [0.0] without walking the replicas. *)
 let replication_costs t ~topology ~sizes =
   check_costs t ~topology ~sizes;
-  if Topology.is_uniform topology then Array.make (Array.length t.sets) 0.0
+  if Topology.is_uniform topology then Array.make (n t) 0.0
   else
-    Array.mapi
-      (fun j set ->
+    Array.init (n t) (fun j ->
         let src = j mod t.m and size = sizes.(j) in
         let acc = ref 0.0 in
         Bitset.iter
           (fun dst -> acc := !acc +. Topology.staging_time topology ~src ~dst ~size)
-          set;
+          (set t j);
         !acc)
-      t.sets
 
 let replication_cost t ~topology ~sizes =
   if Topology.is_uniform topology then begin
@@ -181,4 +198,4 @@ let replication_cost t ~topology ~sizes =
 (* Any single crash strands a task whose data lives on one machine;
    with [m = 1] that is every task. *)
 let survives_any_failure t =
-  t.m > 1 && Array.for_all (fun set -> Bitset.cardinal set >= 2) t.sets
+  t.m > 1 && fold_cards (fun ok card -> ok && card >= 2) true t

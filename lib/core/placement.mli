@@ -5,22 +5,26 @@
     execute a task only on a machine in its set. *)
 
 module Bitset = Usched_model.Bitset
+module Holders = Usched_model.Holders
 module Instance = Usched_model.Instance
 module Topology = Usched_model.Topology
 
 type t
+(** A placement holds its sets interned ({!Holders.t}), built once when
+    the placement is: the scans below, and every replay of it, read the
+    table and the index in place. *)
 
 val of_sets : m:int -> Bitset.t array -> t
-(** Wraps explicit machine sets. Raises [Invalid_argument] if any set is
-    empty or has a capacity other than [m]. The placement takes
-    ownership of the array, not a copy: neither it nor any of its sets
-    may be mutated afterwards (the whole-placement scans below read a
-    summary of them built on first use). *)
+(** Wraps explicit machine sets, interned once here. Raises
+    [Invalid_argument] if any set is empty or has a capacity other than
+    [m]. The placement keeps the first set of each class, not a copy:
+    none of the sets may be mutated afterwards. *)
 
 val singletons : m:int -> int array -> t
 (** From a phase-1 assignment: task [j] placed only on machine
     [assignment.(j)] (the [|M_j| = 1] regime). Tasks on the same machine
-    share one set. *)
+    share one set. The assignment becomes the placement's index
+    ({!Holders.of_labels}): the placement takes ownership of it. *)
 
 val full : m:int -> n:int -> t
 (** Every task on every machine (the [|M_j| = m] regime), all sharing
@@ -29,30 +33,28 @@ val full : m:int -> n:int -> t
 val pinned_or_full : m:int -> replicated:bool array -> int array -> t
 (** [pinned_or_full ~m ~replicated assignment]: task [j] on every
     machine when [replicated.(j)], else only on [assignment.(j)], with
-    the sets shared as in {!singletons} and {!full}. *)
+    the sets shared as in {!singletons} and {!full}. Takes ownership of
+    [assignment], which becomes the index. *)
 
 val of_group_assignment : m:int -> groups:int array array -> int array -> t
 (** [of_group_assignment ~m ~groups assignment]: task [j] is replicated on
     all machines of [groups.(assignment.(j))] (the [|M_j| = m/k]
-    regime). *)
+    regime). Takes ownership of [assignment], which becomes the index:
+    no per-task set and no hashing. *)
 
 val n : t -> int
 val set : t -> int -> Bitset.t
 (** The machine set of a task (shared, do not mutate). *)
 
-val sets : t -> Bitset.t array
-(** The per-task sets — the representation used by the desim engine.
-    This is the placement's own array, not a copy, and it is read-only
-    like every set in it: a caller that needs to write (the engine's
-    healer, which grows holder sets mid-run) copies first. *)
-
-val distinct_sets : t -> Bitset.t array * int array
-(** [(groups, group_of)]: the distinct machine sets (compared by
-    membership), in order of first occurrence over task ids, and each
-    task's index into [groups]. Group placements have a handful of
-    distinct sets however many tasks they hold, so a scan over [groups]
-    replaces one over every task wherever only the sets matter. Both
-    arrays are fresh copies of the placement's cached summary. *)
+val sets : t -> Holders.t
+(** The interned sets — the representation every engine entry point
+    takes. This is the placement's own value, numbered by first
+    occurrence over task ids; it is read-only like every set in it, and
+    a replay that grows holder sets mid-run (the engine's healer)
+    copies it first, so one placement can be replayed any number of
+    times, on any number of domains. A group placement has a handful of
+    distinct sets however many tasks it holds, so a scan over the table
+    replaces one over every task wherever only the sets matter. *)
 
 val allowed : t -> task:int -> machine:int -> bool
 
@@ -94,4 +96,4 @@ val replication_cost : t -> topology:Topology.t -> sizes:float array -> float
 val survives_any_failure : t -> bool
 (** Whether every single-machine failure leaves the workload completable
     (every task has at least two replicas, or [m = 1] trivially never
-    survives). *)
+    survives), read off the distinct sets. *)

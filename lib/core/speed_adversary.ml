@@ -2,6 +2,8 @@ module Instance = Usched_model.Instance
 module Speed_band = Usched_model.Speed_band
 module Topology = Usched_model.Topology
 module Bitset = Usched_model.Bitset
+module Holders = Usched_model.Holders
+module Set_table = Usched_model.Set_table
 module Pool = Usched_parallel.Pool
 
 let critical_load instance placement =
@@ -32,7 +34,9 @@ let makespan_bound instance ~actuals placement =
   let m = Instance.m instance and n = Instance.n instance in
   if Array.length actuals <> n || Placement.n placement <> n then
     invalid_arg "Speed_adversary.makespan_bound: task counts disagree";
-  let groups, group_of = Placement.distinct_sets placement in
+  let holders = Placement.sets placement in
+  let groups = Set_table.to_array holders.Holders.table
+  and group_of = holders.Holders.index in
   let g = Array.length groups in
   (* Per set: summed actual work, summed worst staging time, and the
      largest actual and staging time of one of its own tasks. *)

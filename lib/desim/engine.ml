@@ -21,6 +21,7 @@
 module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
 module Set_table = Usched_model.Set_table
+module Holders = Usched_model.Holders
 module Realization = Usched_model.Realization
 module Topology = Usched_model.Topology
 module Fault = Usched_faults.Fault
@@ -220,12 +221,13 @@ let logged f =
         if line = "" then None else Some (event_of_json (Json.of_string_exn line)))
       lines )
 
-(* Validates the inputs and returns [pos_of], the inverse of [order]
-   (filling it is the permutation check: [-1] marks a task not yet
-   seen), with the placement's interned sets and each task's index
-   among them. Capacity and emptiness are checked once per distinct
-   set; the error names the first task whose set fails. *)
-let check_inputs ?speeds ~name instance ~placement ~order =
+(* Validates the inputs and returns [pos_of], the inverse of [order].
+   Filling it is the permutation check ([-1] marks a task not yet
+   seen); while the order is the identity so far nothing is filled,
+   and an identity order is its own inverse, returned as is. The
+   placement's sets are checked once per distinct set; the error names
+   the first task whose set fails. *)
+let check_inputs ?speeds ~name instance ~(placement : Holders.t) ~order =
   let n = Instance.n instance and m = Instance.m instance in
   (match speeds with
   | None -> ()
@@ -237,31 +239,36 @@ let check_inputs ?speeds ~name instance ~placement ~order =
           if not (v > 0.0) then
             invalid_arg (Printf.sprintf "%s: speeds must be > 0" name))
         s);
-  if Array.length placement <> n then
+  if Holders.n placement <> n then
     invalid_arg (Printf.sprintf "%s: placement length differs from instance" name);
-  let sets, group_of = Set_table.intern_all placement in
-  let bad g =
-    let set = Set_table.get sets g in
-    Bitset.capacity set <> m || Bitset.is_empty set
-  in
-  let rec any_bad g = g < Set_table.count sets && (bad g || any_bad (g + 1)) in
-  if any_bad 0 then begin
-    let rec first j = if bad group_of.(j) then j else first (j + 1) in
-    let j = first 0 in
-    if Bitset.capacity placement.(j) <> m then
-      invalid_arg (Printf.sprintf "%s: placement of task %d has wrong capacity" name j);
-    invalid_arg (Printf.sprintf "%s: task %d is placed nowhere" name j)
-  end;
+  (match Holders.first_misplaced ~m placement with
+  | None -> ()
+  | Some j ->
+      if Bitset.capacity (Holders.set placement j) <> m then
+        invalid_arg (Printf.sprintf "%s: placement of task %d has wrong capacity" name j);
+      invalid_arg (Printf.sprintf "%s: task %d is placed nowhere" name j));
   if Array.length order <> n then
     invalid_arg (Printf.sprintf "%s: order length differs from instance" name);
-  let pos_of = Array.make n (-1) in
-  for pos = 0 to n - 1 do
-    let j = order.(pos) in
-    if j < 0 || j >= n || pos_of.(j) >= 0 then
-      invalid_arg (Printf.sprintf "%s: order is not a permutation of task ids" name);
-    pos_of.(j) <- pos
-  done;
-  (pos_of, sets, group_of)
+  let not_permutation () =
+    invalid_arg (Printf.sprintf "%s: order is not a permutation of task ids" name)
+  in
+  let rec identity pos =
+    if pos < n && order.(pos) = pos then identity (pos + 1) else pos
+  in
+  let fixed = identity 0 in
+  if fixed = n then order
+  else begin
+    let pos_of = Array.make n (-1) in
+    for j = 0 to fixed - 1 do
+      pos_of.(j) <- j
+    done;
+    for pos = fixed to n - 1 do
+      let j = order.(pos) in
+      if j < 0 || j >= n || pos_of.(j) >= 0 then not_permutation ();
+      pos_of.(j) <- pos
+    done;
+    pos_of
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The event loop.                                                     *)
@@ -309,9 +316,7 @@ type lanes = {
    read or move it. *)
 let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
     ~arrivals instance realization ~faults ~placement ~order =
-  let pos_of, sets, group_of =
-    check_inputs ?speeds ~name instance ~placement ~order
-  in
+  let pos_of = check_inputs ?speeds ~name instance ~placement ~order in
   let n = Instance.n instance and m = Instance.m instance in
   if Trace.m faults <> m then
     invalid_arg "Engine.run_faulty: trace machine count differs from instance";
@@ -330,17 +335,6 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
   | Some beta when not (beta > 0.0) ->
       invalid_arg "Engine.run_faulty: speculation factor must be > 0"
   | _ -> ());
-  (* Who holds each task's data *now*: the distinct sets, interned once
-     per replay by [check_inputs], and each task's index among them. A
-     landed re-replication interns the task's grown set and moves the
-     task there; no interned set is ever mutated, and [placement] is
-     only read. *)
-  let holders j = Set_table.get sets group_of.(j) in
-  (* Each initial set's tasks, in priority order: the group-indexed
-     dispatch policies walk them, and so do the crash handlers. *)
-  let first, members = Set_table.members sets group_of ~order in
-  let spec_on = match speculation with Some _ -> true | None -> false in
-  let spec_beta = match speculation with Some b -> b | None -> 0.0 in
   (* Every recovery mechanism is gated by its own parameter: detection
      by [det_latency > 0], healing by [heals], checkpoints by
      [ckpt_interval > 0], acknowledgement by a pending detection.
@@ -348,21 +342,36 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
      property in test_recovery checks it bit-for-bit against a
      structurally-neutral policy. *)
   let det_latency = recovery.Recovery.detection_latency in
+  let heals = Recovery.heals recovery in
+  (* Who holds each task's data *now*: the placement's distinct sets,
+     interned once in phase 1, and each task's index among them, read
+     in place. A landed re-replication interns the task's grown set and
+     moves the task there, so a healing run works on its own copy of
+     both: the placement itself is never written, and any number of
+     replays may share it. No interned set is ever mutated. *)
+  let current = if heals then Holders.copy placement else placement in
+  let sets = current.Holders.table and group_of = current.Holders.index in
+  let holders j = Set_table.get sets group_of.(j) in
+  (* Each initial set's tasks, in priority order: the group-indexed
+     dispatch policies walk them, and so do the crash handlers. *)
+  let first, members = Set_table.members sets group_of ~order in
+  let spec_on = match speculation with Some _ -> true | None -> false in
+  let spec_beta = match speculation with Some b -> b | None -> 0.0 in
   (* The live-replica target is per task: [Fixed r] heals everything
      toward the same count (constant function — bit-for-bit the old
      fixed-degree arithmetic), [Degree] toward the replication degree
      phase 1 gave each task: the size of its placement set, which no
-     transfer changes. *)
-  let heals = Recovery.heals recovery in
+     transfer changes, read off the untouched placement. *)
   let target_of =
     match recovery.Recovery.rereplication_target with
     | Recovery.Fixed r -> fun _ -> r
     | Recovery.Degree ->
-        let degree = Array.make n 0 in
-        for j = 0 to n - 1 do
-          degree.(j) <- Bitset.cardinal placement.(j)
-        done;
-        fun j -> degree.(j)
+        let table = placement.Holders.table and index = placement.Holders.index in
+        let degree =
+          Array.init (Set_table.count table) (fun g ->
+              Bitset.cardinal (Set_table.get table g))
+        in
+        fun j -> degree.(index.(j))
   in
   let ckpt_interval = recovery.Recovery.checkpoint_interval in
   (* Only a fault kills a copy, so only a non-empty trace can return a
@@ -510,9 +519,12 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
      least-loaded destination choice. *)
   let replica_load = Array.make m 0 in
   if heals then
-    Array.iter
-      (Bitset.iter (fun i -> replica_load.(i) <- replica_load.(i) + 1))
-      placement;
+    for g = 0 to Array.length first - 2 do
+      let count = first.(g + 1) - first.(g) in
+      Bitset.iter
+        (fun i -> replica_load.(i) <- replica_load.(i) + count)
+        (Set_table.get sets g)
+    done;
   (* The tasks whose data a machine holds, for the crash handlers: the
      initial sets list their tasks, and each machine the tasks whose
      re-replications landed on it. Sets only grow, so a task holds

@@ -42,6 +42,16 @@
     arrivals. The loop pays only for what its inputs let a run do, so a
     healthy run keeps no fault, speculation or streaming state.
 
+    {b Inputs are read, not copied}: every entry point takes the
+    placement as {!Holders.t}, interned once in phase 1, and reads its
+    table and index in place; only a run that can land a
+    re-replication (a healing recovery policy) copies them first, since
+    it interns grown sets and moves tasks to them. The placement is
+    never written, so one value may be replayed any number of times, on
+    any number of domains. An identity [order] is its own inverse and
+    is used as such; any other order gets an inverse array, whose
+    filling is the permutation check.
+
     {b Observability}: every entry point accepts an optional
     [Usched_obs.Metrics] registry. When one is passed, the engine records
     (write-only — metrics never influence the simulation, so outputs are
@@ -103,7 +113,7 @@
     write-only: results are bit-for-bit identical with or without a
     sink. *)
 
-module Bitset = Usched_model.Bitset
+module Holders = Usched_model.Holders
 module Instance = Usched_model.Instance
 module Realization = Usched_model.Realization
 module Metrics = Usched_obs.Metrics
@@ -167,7 +177,7 @@ val run :
   ?sink:Sink.t ->
   Instance.t ->
   Realization.t ->
-  placement:Bitset.t array ->
+  placement:Holders.t ->
   order:int array ->
   Schedule.t
 (** Simulate to completion: {!run_faulty} on the empty fault trace,
@@ -189,7 +199,7 @@ val run_traced :
   ?metrics:Metrics.t ->
   Instance.t ->
   Realization.t ->
-  placement:Bitset.t array ->
+  placement:Holders.t ->
   order:int array ->
   Schedule.t * event list
 (** Like {!run}, also returning the chronological event log: the records
@@ -237,7 +247,7 @@ val run_faulty :
   Instance.t ->
   Realization.t ->
   faults:Usched_faults.Trace.t ->
-  placement:Bitset.t array ->
+  placement:Holders.t ->
   order:int array ->
   outcome
 (** {!run} under a failure trace. Semantics:
@@ -301,7 +311,7 @@ val run_faulty_traced :
   Instance.t ->
   Realization.t ->
   faults:Usched_faults.Trace.t ->
-  placement:Bitset.t array ->
+  placement:Holders.t ->
   order:int array ->
   outcome * event list
 (** Like {!run_faulty}, also returning the chronological event log
@@ -344,7 +354,7 @@ val run_stream :
   Instance.t ->
   Realization.t ->
   arrivals:float array ->
-  placement:Bitset.t array ->
+  placement:Holders.t ->
   order:int array ->
   stream_outcome
 (** Simulate the open system until it drains: every admitted task

@@ -118,9 +118,9 @@ let validate ?placement ?speeds instance realization t =
   (* Data locality: each task ran where its data was placed. *)
   (match placement with
   | None -> ()
-  | Some sets ->
+  | Some holders ->
       for j = 0 to n t - 1 do
-        if not (Bitset.mem sets.(j) t.machines.(j)) then
+        if not (Bitset.mem (Usched_model.Holders.set holders j) t.machines.(j)) then
           push (Not_allowed { task = j; machine = t.machines.(j) })
       done);
   (* No two tasks overlap on one machine. *)

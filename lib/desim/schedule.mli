@@ -62,7 +62,7 @@ type violation =
   | Not_allowed of { task : int; machine : int }
 
 val validate :
-  ?placement:Bitset.t array ->
+  ?placement:Usched_model.Holders.t ->
   ?speeds:float array ->
   Instance.t ->
   Realization.t ->

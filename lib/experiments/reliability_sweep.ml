@@ -24,6 +24,11 @@ type survival = { point : float; lo : float; hi : float; trials : int }
 let survives sets crashed =
   not (Array.exists (fun s -> Bitset.subset s crashed) sets)
 
+(* A crash strands some task iff it strands some distinct set. *)
+let distinct_sets placement =
+  Usched_model.Set_table.to_array
+    (Core.Placement.sets placement).Usched_model.Holders.table
+
 let crashed_set ~m faults =
   let set = Bitset.create m in
   List.iter (fun i -> Bitset.add set i) (Trace.crashed faults);
@@ -32,8 +37,7 @@ let crashed_set ~m faults =
 let monte_carlo_survival ?(trials = 1000) ?(domains = 1) ~seed ~profile
     placement =
   if trials < 1 then invalid_arg "monte_carlo_survival: trials must be >= 1";
-  (* A crash strands some task iff it strands some distinct set. *)
-  let sets, _ = Core.Placement.distinct_sets placement in
+  let sets = distinct_sets placement in
   let mm = Failure.m profile in
   let rng = Rng.create ~seed () in
   (* Trial generators are split off sequentially before the fan-out, so
@@ -182,7 +186,7 @@ let run config =
                             ~sizes:(Instance.sizes instance));
                        Summary.add row.bound
                          (Core.Reliability.survival_bound instance placement);
-                       let sets = Core.Placement.sets placement in
+                       let sets = distinct_sets placement in
                        Array.iter
                          (fun crashed ->
                            row.indicators :=

@@ -12,6 +12,11 @@ type t = {
   failure : Failure.t option;
   speed_band : Speed_band.t option;
   topology : Topology.t option;
+  lpt : int array option Atomic.t;
+      (** [lpt_order], sorted on first use. A constructor that builds new
+          columns makes a fresh cell; the [with_*] copies keep the
+          columns and share it. Domains that race to fill it store equal
+          orders, and any one of them may win. *)
 }
 
 (* An attachment must cover exactly the instance's [m] machines. *)
@@ -33,7 +38,7 @@ let build ?failure ?speed_band ?topology ~m ~alpha ~ests ~sizes () =
   check_covers "failure profile" Failure.m ~m failure;
   check_covers "speed band" Speed_band.m ~m speed_band;
   check_covers "topology" Topology.m ~m topology;
-  { m; alpha; ests; sizes; failure; speed_band; topology }
+  { m; alpha; ests; sizes; failure; speed_band; topology; lpt = Atomic.make None }
 
 let make ?failure ?speed_band ?topology ~m ~alpha tasks =
   check_m m;
@@ -124,8 +129,14 @@ let total_size t = Array.fold_left ( +. ) 0.0 t.sizes
 let max_size t = Array.fold_left Float.max 0.0 t.sizes
 
 (* The paper's LPT order on the columns: decreasing estimate, ties by
-   increasing id. *)
-let lpt_order t = Argsort.decreasing t.ests
+   increasing id, sorted once per instance. *)
+let lpt_order t =
+  match Atomic.get t.lpt with
+  | Some order -> order
+  | None ->
+      let order = Argsort.decreasing t.ests in
+      Atomic.set t.lpt (Some order);
+      order
 
 let pp ppf t =
   Format.fprintf ppf "instance(n=%d, m=%d, %a%t%t%t)" (n t) t.m Uncertainty.pp

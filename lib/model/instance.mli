@@ -130,6 +130,9 @@ val max_size : t -> float
 
 val lpt_order : t -> int array
 (** Task ids sorted by decreasing estimate (ties by id) — the order used
-    by every LPT-based algorithm of the paper. *)
+    by every LPT-based algorithm of the paper. Sorted once per instance,
+    on first use, and shared: every call returns the same array, which
+    is read-only (a caller that needs to write into it copies it
+    first). *)
 
 val pp : Format.formatter -> t -> unit

@@ -4,7 +4,8 @@
    printf, strtod or a substring per field; every other field takes
    [int_of_string_opt]/[float_of_string] and their errors. Both stream:
    the writer through one buffer flushed in chunks, the parser in one
-   pass straight into the instance's two columns. *)
+   pass straight into the instance's two columns, and the file reader
+   through one fixed buffer it hands the parser a chunk at a time. *)
 
 module Float_text = Usched_report.Float_text
 
@@ -253,12 +254,11 @@ let low7 = 0x7F7F7F7F7F7F7F7FL
 let top_bits = 0x8080808080808080L
 let byte_sum = 0x0101010101010101L
 
-let count_newlines text =
-  let len = String.length text in
-  let words = len / 8 in
+let count_newlines_in text start stop =
+  let words = (stop - start) / 8 in
   let count = ref 0 in
   for w = 0 to words - 1 do
-    let x = Int64.logxor (String.get_int64_le text (8 * w)) newlines in
+    let x = Int64.logxor (String.get_int64_le text (start + (8 * w))) newlines in
     let spread = Int64.logor (Int64.add (Int64.logand x low7) low7) x in
     let zeros = Int64.logand (Int64.lognot spread) top_bits in
     count :=
@@ -268,18 +268,19 @@ let count_newlines text =
              (Int64.mul (Int64.shift_right_logical zeros 7) byte_sum)
              56)
   done;
-  for k = 8 * words to len - 1 do
+  for k = start + (8 * words) to stop - 1 do
     if String.unsafe_get text k = '\n' then incr count
   done;
   !count
 
-(* An upper bound on the row count, exact when no line after the
-   column line is blank: every row but a final unterminated one ends
-   with a '\n', and lines 1 and 2 end with one each. *)
-let max_rows text =
-  let len = String.length text in
-  let unterminated = if len > 0 && text.[len - 1] <> '\n' then 1 else 0 in
-  Stdlib.max 0 (count_newlines text - 2 + unterminated)
+let count_newlines text = count_newlines_in text 0 (String.length text)
+
+(* An upper bound on the row count of a text with [newlines] '\n' bytes,
+   exact when no line after the column line is blank: every row but a
+   final unterminated one ends with a '\n', and lines 1 and 2 end with
+   one each. *)
+let max_rows ~newlines ~unterminated =
+  Stdlib.max 0 (newlines - 2 + if unterminated then 1 else 0)
 
 (* Start of line 3, or [len] when there is none. *)
 let rows_start text =
@@ -337,12 +338,11 @@ let general_row text start len line_no k ests sizes =
   end;
   stop
 
-let instance_of_string text =
-  let m, alpha, failure, speed_band, topology = parse_header (header text) in
-  let len = String.length text in
-  let cap = max_rows text in
-  let ests = Array.create_float cap and sizes = Array.create_float cap in
-  let k = ref 0 and line = ref 3 and pos = ref (rows_start text) in
+(* The lines from [pos] up to [len], each ending at a '\n' or at [len],
+   as rows [!k] on from physical line [!line]: the parser behind both
+   readers. *)
+let parse_rows text pos len ests sizes k line =
+  let pos = ref pos in
   while !pos < len do
     let start = !pos and row = !k in
     let stop = plain_row text start len ests sizes row in
@@ -355,10 +355,25 @@ let instance_of_string text =
     in
     pos := stop + 1;
     incr line
-  done;
-  let trim a = if !k = cap then a else Array.sub a 0 !k in
-  Instance.of_columns ?failure ?speed_band ?topology ~m ~alpha
-    ~ests:(trim ests) ~sizes:(trim sizes) ()
+  done
+
+let instance ~header ~cap ests sizes k =
+  let m, alpha, failure, speed_band, topology = header in
+  let trim a = if k = cap then a else Array.sub a 0 k in
+  Instance.of_columns ?failure ?speed_band ?topology ~m ~alpha ~ests:(trim ests)
+    ~sizes:(trim sizes) ()
+
+let instance_of_string text =
+  let header = parse_header (header text) in
+  let len = String.length text in
+  let cap =
+    max_rows ~newlines:(count_newlines text)
+      ~unterminated:(len > 0 && text.[len - 1] <> '\n')
+  in
+  let ests = Array.create_float cap and sizes = Array.create_float cap in
+  let k = ref 0 and line = ref 3 in
+  parse_rows text (rows_start text) len ests sizes k line;
+  instance ~header ~cap ests sizes !k
 
 let save_instance ~path instance =
   let oc = open_out path in
@@ -373,10 +388,102 @@ let save_instance ~path instance =
       write_instance buffer ~flush instance;
       flush ())
 
-let read_file path =
+(* The first '\n' in [buf] from [from] to [lim], or [-1]. *)
+let rec newline_from buf from lim =
+  if from >= lim then -1
+  else if Bytes.unsafe_get buf from = '\n' then from
+  else newline_from buf (from + 1) lim
+
+(* The last '\n' in [buf] from [from] to [lim], or [from - 1]. *)
+let rec last_newline buf from lim =
+  if lim <= from then from - 1
+  else if Bytes.unsafe_get buf (lim - 1) = '\n' then lim - 1
+  else last_newline buf from (lim - 1)
+
+(* The file is read twice through one buffer of [buffer] bytes: once to
+   count its '\n' bytes, which sizes the columns exactly as
+   [instance_of_string] sizes them, and once to parse it. The parse
+   hands [parse_rows] every complete line in the buffer at once, viewed
+   as a string ([Bytes.unsafe_to_string]: nothing keeps the view past
+   the call, and the buffer is written only between calls), then moves
+   the partial line at its end to the front and refills the rest. A
+   line longer than the buffer doubles it, so the buffer grows only to
+   the longest line; at the end of the file the last line needs no
+   '\n'. *)
+let load_instance_with ~buffer ~path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+    (fun () ->
+      let buf = ref (Bytes.create (Stdlib.max 1 buffer)) in
+      let newlines = ref 0 and last = ref '\n' in
+      let rec count () =
+        let r = input ic !buf 0 (Bytes.length !buf) in
+        if r > 0 then begin
+          newlines := !newlines + count_newlines_in (Bytes.unsafe_to_string !buf) 0 r;
+          last := Bytes.get !buf (r - 1);
+          count ()
+        end
+      in
+      count ();
+      let cap = max_rows ~newlines:!newlines ~unterminated:(!last <> '\n') in
+      seek_in ic 0;
+      (* The unread bytes are [!pos, !lim). *)
+      let pos = ref 0 and lim = ref 0 and eof = ref false in
+      let rec fill () =
+        if !lim < Bytes.length !buf then begin
+          let r = input ic !buf !lim (Bytes.length !buf - !lim) in
+          if r = 0 then eof := true
+          else begin
+            lim := !lim + r;
+            fill ()
+          end
+        end
+      in
+      let refill () =
+        let keep = !lim - !pos in
+        if keep = Bytes.length !buf then begin
+          let grown = Bytes.create (2 * keep) in
+          Bytes.blit !buf !pos grown 0 keep;
+          buf := grown
+        end
+        else if !pos > 0 then Bytes.blit !buf !pos !buf 0 keep;
+        pos := 0;
+        lim := keep;
+        fill ()
+      in
+      (* The end of the line at [!pos] once it is in the buffer: its
+         '\n', or [!lim] when the file ends first. *)
+      let rec line_end scanned =
+        let e = newline_from !buf (!pos + scanned) !lim in
+        if e >= 0 then e
+        else if !eof then !lim
+        else begin
+          let scanned = !lim - !pos in
+          refill ();
+          line_end scanned
+        end
+      in
+      let e = line_end 0 in
+      let header = parse_header (Bytes.sub_string !buf !pos (e - !pos)) in
+      pos := Stdlib.min (e + 1) !lim;
+      (* The column line. *)
+      let e = line_end 0 in
+      pos := Stdlib.min (e + 1) !lim;
+      let ests = Array.create_float cap and sizes = Array.create_float cap in
+      let k = ref 0 and line = ref 3 in
+      let rec rows () =
+        let stop = if !eof then !lim else last_newline !buf !pos !lim + 1 in
+        if stop > !pos then begin
+          parse_rows (Bytes.unsafe_to_string !buf) !pos stop ests sizes k line;
+          pos := stop
+        end;
+        if not !eof then begin
+          refill ();
+          rows ()
+        end
+      in
+      rows ();
+      instance ~header ~cap ests sizes !k)
 
-let load_instance ~path = instance_of_string (read_file path)
+let load_instance ~path = load_instance_with ~buffer:chunk ~path

@@ -35,11 +35,22 @@ val instance_of_string : string -> Instance.t
 val save_instance : path:string -> Instance.t -> unit
 
 val load_instance : path:string -> Instance.t
-(** {!instance_of_string} on the file's contents; raises [Sys_error]
-    when the file cannot be read. *)
+(** {!instance_of_string} on the file's contents, without holding them:
+    the file is read twice through one 64 KB buffer, once to count its
+    lines (which sizes the columns) and once to parse it with the same
+    parser, line by line, so the instance's two columns are the only
+    allocation that grows with the file. The buffer grows only to the
+    longest line. Same result, messages and line numbers as
+    {!instance_of_string}; raises [Sys_error] when the file cannot be
+    read. *)
 
 (**/**)
 
 val count_newlines : string -> int
 (* The number of '\n' bytes in the string, counted eight bytes at a
    time; exposed so tests can compare it with a byte loop. *)
+
+val load_instance_with : buffer:int -> path:string -> Instance.t
+(* [load_instance] with a buffer of [buffer] bytes (at least 1) to
+   start from; exposed so tests can make rows and the header straddle
+   every refill of a small file. *)

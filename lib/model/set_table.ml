@@ -21,6 +21,9 @@ let count t = t.count
 let get t g = t.sets.(g)
 let to_array t = Array.sub t.sets 0 t.count
 
+let copy t =
+  { sets = Array.copy t.sets; count = t.count; slots = Array.copy t.slots; last = t.last }
+
 let rec free_slot slots mask k =
   if slots.(k) < 0 then k else free_slot slots mask ((k + 1) land mask)
 

@@ -3,11 +3,12 @@
 
     A placement gives every task a set [M_j], and most placements share
     a few sets across many tasks. Interning turns the per-task sets into
-    [(sets, group_of)]: what the placement summary, the phase-2 engine
-    and the dispatch index work on, so their cost follows the number of
+    a table and each task's index into it ({!Holders.t}), built once in
+    phase 1: what the placement summary, the phase-2 engine and the
+    dispatch index work on, so their cost follows the number of
     distinct sets rather than the number of tasks. An interned set must
     never be mutated: the table keeps it, and every task of its group
-    shares it. *)
+    shares it. A replay that interns grown sets does so in a {!copy}. *)
 
 type t
 
@@ -31,6 +32,11 @@ val count : t -> int
 val get : t -> int -> Bitset.t
 (** The set at an index that {!intern_all} or {!intern} returned. Read
     only. *)
+
+val copy : t -> t
+(** A table with the same sets under the same indices, which
+    {!intern} may grow without touching the original (the sets
+    themselves are shared). *)
 
 val to_array : t -> Bitset.t array
 (** The distinct sets, in order of first occurrence (a fresh array of

@@ -138,3 +138,10 @@ let sink_bytes run =
 let log_bytes events =
   String.concat ""
     (List.map (fun e -> Usched_report.Json.to_string (Engine.event_json e) ^ "\n") events)
+
+(* Holder sets for the engine entry points, from per-task sets, and
+   back. *)
+module Holders = Usched_model.Holders
+
+let holders = Holders.of_sets
+let task_sets h = Array.init (Holders.n h) (Holders.set h)

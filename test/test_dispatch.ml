@@ -188,12 +188,12 @@ let prop_default_policy_is_golden =
       let registry () = if metrics_on then Metrics.create () else Metrics.disabled in
       let a, ev_a =
         Engine.run_faulty_traced ?speculation ~recovery ~metrics:(registry ())
-          instance realization ~faults ~placement ~order
+          instance realization ~faults ~placement:(Helpers.holders placement) ~order
       in
       let b, ev_b =
         Engine.run_faulty_traced ?speculation
           ~dispatch:Dispatch.List_priority ~recovery ~metrics:(registry ())
-          instance realization ~faults ~placement ~order
+          instance realization ~faults ~placement:(Helpers.holders placement) ~order
       in
       outcomes_identical a b && ev_a = ev_b)
 
@@ -210,11 +210,12 @@ let prop_default_policy_is_golden_healthy =
         else None
       in
       let a, ev_a =
-        Engine.run_traced ?speeds instance realization ~placement ~order
+        Engine.run_traced ?speeds instance realization
+          ~placement:(Helpers.holders placement) ~order
       in
       let b, ev_b =
         Engine.run_traced ?speeds ~dispatch:Dispatch.List_priority instance
-          realization ~placement ~order
+          realization ~placement:(Helpers.holders placement) ~order
       in
       ev_a = ev_b
       && Array.for_all2 entries_equal (entries a) (entries b))
@@ -229,7 +230,8 @@ let prop_policies_work_conserving =
       List.for_all
         (fun dispatch ->
           let schedule =
-            Engine.run ~dispatch instance realization ~placement ~order
+            Engine.run ~dispatch instance realization
+              ~placement:(Helpers.holders placement) ~order
           in
           Array.length (entries schedule) = Instance.n instance)
         Dispatch.builtin)
@@ -295,7 +297,7 @@ let prop_policy_reachability =
       let completed_set dispatch =
         let outcome =
           Engine.run_faulty ~dispatch ~recovery instance realization ~faults
-            ~placement:(placement ()) ~order
+            ~placement:(Helpers.holders (placement ())) ~order
         in
         ( Array.map
             (function Engine.Finished _ -> true | Engine.Stranded -> false)
@@ -339,7 +341,7 @@ let redispatch_order_pinned () =
   in
   let outcome, events =
     Engine.run_faulty_traced ~speculation:1.0 instance realization ~faults
-      ~placement ~order:(submission_order 3)
+      ~placement:(Helpers.holders placement) ~order:(submission_order 3)
   in
   checki "all complete" 3 outcome.Engine.completed;
   let e1 = finished_entry outcome 1 in
@@ -458,7 +460,8 @@ let earliest_completion_is_spt () =
      (est 2), then t2 (est 5), then t0. *)
   let schedule =
     Engine.run ~dispatch:Dispatch.Earliest_estimated_completion instance
-      realization ~placement ~order:(Instance.lpt_order instance)
+      realization
+        ~placement:(Helpers.holders placement) ~order:(Instance.lpt_order instance)
   in
   let es = entries schedule in
   checki "t1 first on m0" 0 es.(1).Schedule.machine;
@@ -475,10 +478,10 @@ let earliest_completion_is_spt () =
   let tied_r = Realization.exact tied in
   let tied_p = Array.make 3 (Bitset.full 2) in
   let order = submission_order 3 in
-  let a = Engine.run tied tied_r ~placement:tied_p ~order in
+  let a = Engine.run tied tied_r ~placement:(Helpers.holders tied_p) ~order in
   let b =
     Engine.run ~dispatch:Dispatch.Earliest_estimated_completion tied tied_r
-      ~placement:tied_p ~order
+      ~placement:(Helpers.holders tied_p) ~order
   in
   checkb "all-tied SPT equals list-priority" true
     (Array.for_all2 entries_equal (entries a) (entries b))
@@ -493,12 +496,12 @@ let random_tiebreak_behavior () =
   let r = Realization.exact distinct in
   let p = Array.make 5 (Bitset.full 3) in
   let order = Instance.lpt_order distinct in
-  let base = Engine.run distinct r ~placement:p ~order in
+  let base = Engine.run distinct r ~placement:(Helpers.holders p) ~order in
   List.iter
     (fun seed ->
       let s =
         Engine.run ~dispatch:(Dispatch.Random_tiebreak seed) distinct r
-          ~placement:p ~order
+          ~placement:(Helpers.holders p) ~order
       in
       checkb
         (Printf.sprintf "distinct estimates: seed %d = default" seed)
@@ -517,7 +520,7 @@ let random_tiebreak_behavior () =
   let run_seed seed =
     entries
       (Engine.run ~dispatch:(Dispatch.Random_tiebreak seed) tied tied_r
-         ~placement:tied_p ~order:torder)
+         ~placement:(Helpers.holders tied_p) ~order:torder)
   in
   checkb "same seed, same schedule" true
     (Array.for_all2 entries_equal (run_seed 5) (run_seed 5));
@@ -991,10 +994,11 @@ let prop_locality_defaults_to_least_loaded =
       let instance, realization, placement, order, _ = build s in
       let a =
         Engine.run ~dispatch:Dispatch.Least_loaded_holder instance realization
-          ~placement ~order
+          ~placement:(Helpers.holders placement) ~order
       in
       let b =
-        Engine.run ~dispatch:Dispatch.Locality instance realization ~placement
+        Engine.run ~dispatch:Dispatch.Locality instance realization
+          ~placement:(Helpers.holders placement)
           ~order
       in
       Array.for_all2 entries_equal (entries a) (entries b))
@@ -1064,7 +1068,7 @@ let policies_respect_eligibility () =
   List.iter
     (fun dispatch ->
       let schedule =
-        Engine.run ~dispatch instance realization ~placement
+        Engine.run ~dispatch instance realization ~placement:(Helpers.holders placement)
           ~order:(submission_order 3)
       in
       Array.iteri

@@ -22,7 +22,8 @@ let graham_ls_example () =
   let instance = instance_of [| 3.0; 3.0; 2.0; 2.0 |] in
   let realization = Realization.exact instance in
   let placement = Array.init 4 (fun _ -> Bitset.full 2) in
-  let s = Engine.run instance realization ~placement ~order:(submission_order 4) in
+  let s = Engine.run instance realization
+      ~placement:(Helpers.holders placement) ~order:(submission_order 4) in
   close "makespan" 5.0 (Schedule.makespan s);
   Alcotest.(check (array int)) "round robin by idleness" [| 0; 1; 0; 1 |]
     (Helpers.assignment s)
@@ -33,7 +34,7 @@ let online_lpt_order () =
   let realization = Realization.exact instance in
   let placement = Array.init 3 (fun _ -> Bitset.full 2) in
   let order = [| 1; 2; 0 |] in
-  let s = Engine.run instance realization ~placement ~order in
+  let s = Engine.run instance realization ~placement:(Helpers.holders placement) ~order in
   Alcotest.(check int) "longest first on machine 0" 0 (Helpers.machine_of s 1);
   Alcotest.(check int) "second on machine 1" 1 (Helpers.machine_of s 2);
   (* Machine 1 (busy 3.0) frees before machine 0 (busy 5.0). *)
@@ -45,7 +46,8 @@ let respects_singleton_placement () =
   let realization = Realization.exact instance in
   (* All pinned to machine 1. *)
   let placement = Array.init 4 (fun _ -> Bitset.singleton 2 1) in
-  let s = Engine.run instance realization ~placement ~order:(submission_order 4) in
+  let s = Engine.run instance realization
+      ~placement:(Helpers.holders placement) ~order:(submission_order 4) in
   close "serialized" 4.0 (Schedule.makespan s);
   Array.iteri
     (fun j _ -> Alcotest.(check int) "on machine 1" 1 (Helpers.machine_of s j))
@@ -59,7 +61,8 @@ let respects_group_placement () =
   let realization = Realization.exact instance in
   let g0 = Bitset.of_list 4 [ 0; 1 ] and g1 = Bitset.of_list 4 [ 2; 3 ] in
   let placement = [| g0; g0; g0; g1; g1; g1 |] in
-  let s = Engine.run instance realization ~placement ~order:(submission_order 6) in
+  let s = Engine.run instance realization
+      ~placement:(Helpers.holders placement) ~order:(submission_order 6) in
   List.iter
     (fun j ->
       checkb "group 0 tasks stay in group 0" true (Helpers.machine_of s j < 2))
@@ -80,7 +83,7 @@ let semi_clairvoyance () =
   let realization = Realization.of_actuals instance [| 1.0; 6.0; 1.0 |] in
   let placement = Array.init 3 (fun _ -> Bitset.full 2) in
   let order = [| 0; 1; 2 |] in
-  let s = Engine.run instance realization ~placement ~order in
+  let s = Engine.run instance realization ~placement:(Helpers.holders placement) ~order in
   Alcotest.(check int) "third task follows actual idleness" 0
     (Helpers.machine_of s 2);
   close "makespan" 6.0 (Schedule.makespan s)
@@ -89,7 +92,8 @@ let deterministic_tie_breaking () =
   let instance = instance_of [| 1.0; 1.0 |] in
   let realization = Realization.exact instance in
   let placement = Array.init 2 (fun _ -> Bitset.full 2) in
-  let s = Engine.run instance realization ~placement ~order:(submission_order 2) in
+  let s = Engine.run instance realization
+      ~placement:(Helpers.holders placement) ~order:(submission_order 2) in
   (* Both machines idle at 0; lower machine id serves the first task. *)
   Alcotest.(check int) "task 0 on machine 0" 0 (Helpers.machine_of s 0);
   Alcotest.(check int) "task 1 on machine 1" 1 (Helpers.machine_of s 1)
@@ -100,7 +104,8 @@ let rejects_empty_placement () =
   let placement = [| Bitset.create 2 |] in
   Alcotest.check_raises "empty set"
     (Invalid_argument "Engine.run: task 0 is placed nowhere") (fun () ->
-      ignore (Engine.run instance realization ~placement ~order:[| 0 |]))
+      ignore (Engine.run instance realization
+          ~placement:(Helpers.holders placement) ~order:[| 0 |]))
 
 let rejects_bad_order () =
   let instance = instance_of [| 1.0; 1.0 |] in
@@ -108,7 +113,8 @@ let rejects_bad_order () =
   let placement = Array.init 2 (fun _ -> Bitset.full 2) in
   Alcotest.check_raises "duplicate order"
     (Invalid_argument "Engine.run: order is not a permutation of task ids")
-    (fun () -> ignore (Engine.run instance realization ~placement ~order:[| 0; 0 |]))
+    (fun () -> ignore (Engine.run instance realization
+        ~placement:(Helpers.holders placement) ~order:[| 0; 0 |]))
 
 let rejects_wrong_capacity () =
   let instance = instance_of [| 1.0 |] in
@@ -116,7 +122,8 @@ let rejects_wrong_capacity () =
   let placement = [| Bitset.full 3 |] in
   Alcotest.check_raises "capacity mismatch"
     (Invalid_argument "Engine.run: placement of task 0 has wrong capacity")
-    (fun () -> ignore (Engine.run instance realization ~placement ~order:[| 0 |]))
+    (fun () -> ignore (Engine.run instance realization
+        ~placement:(Helpers.holders placement) ~order:[| 0 |]))
 
 (* Sets are checked once per distinct set, but the error still names
    the first task, in id order, whose set fails, and that task's first
@@ -126,7 +133,9 @@ let rejects_first_bad_task () =
   let instance = instance_of [| 1.0; 1.0; 1.0; 1.0 |] in
   let realization = Realization.exact instance in
   let run placement =
-    ignore (Engine.run instance realization ~placement ~order:[| 0; 1; 2; 3 |])
+    ignore
+      (Engine.run instance realization ~placement:(Helpers.holders placement)
+         ~order:[| 0; 1; 2; 3 |])
   in
   let full = Bitset.full 2 and empty = Bitset.create 2 and wide = Bitset.create 3 in
   Alcotest.check_raises "shared empty set"
@@ -144,7 +153,8 @@ let trace_is_chronological_and_complete () =
   let realization = Realization.exact instance in
   let placement = Array.init 3 (fun _ -> Bitset.full 2) in
   let _, events =
-    Engine.run_traced instance realization ~placement ~order:(submission_order 3)
+    Engine.run_traced instance realization
+      ~placement:(Helpers.holders placement) ~order:(submission_order 3)
   in
   let times =
     List.map
@@ -169,12 +179,14 @@ let healthy_trace_is_empty_trace_faulty () =
   let order = submission_order 9 in
   let _, healthy =
     Helpers.sink_bytes (fun sink ->
-        Engine.run ~sink instance realization ~placement ~order)
+        Engine.run ~sink instance realization
+          ~placement:(Helpers.holders placement) ~order)
   in
   let _, faulty =
     Helpers.sink_bytes (fun sink ->
         Engine.run_faulty ~sink instance realization
-          ~faults:(Usched_faults.Trace.empty ~m) ~placement ~order)
+          ~faults:(Usched_faults.Trace.empty ~m)
+            ~placement:(Helpers.holders placement) ~order)
   in
   Alcotest.(check string) "sink bytes" faulty healthy;
   let lines = String.split_on_char '\n' healthy in
@@ -194,7 +206,8 @@ let no_idle_while_work_eligible () =
     let instance = Instance.of_ests ~m:3 ~alpha:(Uncertainty.alpha 1.0) ests in
     let realization = Realization.exact instance in
     let placement = Array.init n (fun _ -> Bitset.full 3) in
-    let s = Engine.run instance realization ~placement ~order:(submission_order n) in
+    let s = Engine.run instance realization
+        ~placement:(Helpers.holders placement) ~order:(submission_order n) in
     (* List scheduling bound must hold. *)
     let total = Array.fold_left ( +. ) 0.0 ests in
     let pmax = Array.fold_left Float.max 0.0 ests in
@@ -212,7 +225,8 @@ let stress_large_instance () =
   let realization = Realization.exact instance in
   let placement = Array.init n (fun _ -> Bitset.full m) in
   let started = Unix.gettimeofday () in
-  let s = Engine.run instance realization ~placement ~order:(submission_order n) in
+  let s = Engine.run instance realization
+      ~placement:(Helpers.holders placement) ~order:(submission_order n) in
   let elapsed = Unix.gettimeofday () -. started in
   let total = Array.fold_left ( +. ) 0.0 ests in
   let pmax = Array.fold_left Float.max 0.0 ests in
@@ -234,7 +248,8 @@ let stress_group_placement () =
   in
   let placement = Array.init n (fun j -> group_sets.(j mod 8)) in
   let started = Unix.gettimeofday () in
-  let s = Engine.run instance realization ~placement ~order:(submission_order n) in
+  let s = Engine.run instance realization
+      ~placement:(Helpers.holders placement) ~order:(submission_order n) in
   let elapsed = Unix.gettimeofday () -. started in
   Alcotest.(check int) "all tasks scheduled" n (Schedule.n s);
   checkb "finishes in reasonable time" true (elapsed < 30.0)
@@ -264,8 +279,9 @@ let prop_valid_schedules =
       in
       let order = Array.init n (fun j -> j) in
       Helpers.shuffle rng order;
-      let s = Engine.run instance realization ~placement ~order in
-      Schedule.validate ~placement instance realization s = []
+      let s = Engine.run instance realization
+          ~placement:(Helpers.holders placement) ~order in
+      Schedule.validate ~placement:(Helpers.holders placement) instance realization s = []
       && Schedule.n s = n)
 
 let prop_trace_matches_schedule =
@@ -279,7 +295,7 @@ let prop_trace_matches_schedule =
       let realization = Realization.exact instance in
       let placement = Array.init n (fun _ -> Bitset.full m) in
       let schedule, events =
-        Engine.run_traced instance realization ~placement
+        Engine.run_traced instance realization ~placement:(Helpers.holders placement)
           ~order:(Array.init n (fun j -> j))
       in
       List.for_all
@@ -309,7 +325,7 @@ let prop_makespan_is_max_load =
       let realization = Realization.exact instance in
       let placement = Array.init n (fun _ -> Bitset.full m) in
       let s =
-        Engine.run instance realization ~placement
+        Engine.run instance realization ~placement:(Helpers.holders placement)
           ~order:(Array.init n (fun j -> j))
       in
       let max_load = Array.fold_left Float.max 0.0 (Helpers.loads s) in
@@ -351,7 +367,8 @@ let traced_events_serialize () =
   let realization = Realization.exact instance in
   let placement = Array.init 5 (fun _ -> Bitset.full 2) in
   let _, events =
-    Engine.run_traced instance realization ~placement ~order:(submission_order 5)
+    Engine.run_traced instance realization
+      ~placement:(Helpers.holders placement) ~order:(submission_order 5)
   in
   let records = List.map Engine.event_json events in
   let kind r =
@@ -391,7 +408,7 @@ let outcome_json_record () =
     Trace.of_events ~m:2 [ { Fault.machine = 1; time = 1.0; kind = Fault.Crash } ]
   in
   let outcome =
-    Engine.run_faulty instance realization ~faults ~placement
+    Engine.run_faulty instance realization ~faults ~placement:(Helpers.holders placement)
       ~order:(submission_order 3)
   in
   let record = Engine.outcome_json outcome in

@@ -43,7 +43,7 @@ let crash_redispatch () =
   let outcome =
     Engine.run_faulty instance realization
       ~faults:(trace_of ~m:2 [ crash ~machine:0 ~time:2.0 ])
-      ~placement ~order:(submission_order 2)
+      ~placement:(Helpers.holders placement) ~order:(submission_order 2)
   in
   checki "all tasks complete" 2 outcome.Engine.completed;
   close "makespan doubles" 8.0 outcome.Engine.makespan;
@@ -64,7 +64,7 @@ let stranded_singleton () =
   let outcome =
     Engine.run_faulty instance realization
       ~faults:(trace_of ~m:2 [ crash ~machine:0 ~time:1.0 ])
-      ~placement ~order:(submission_order 2)
+      ~placement:(Helpers.holders placement) ~order:(submission_order 2)
   in
   checki "one survivor" 1 outcome.Engine.completed;
   Alcotest.(check (list int)) "t0 stranded" [ 0 ] outcome.Engine.stranded;
@@ -88,7 +88,7 @@ let outage_kills_and_restarts () =
       ~faults:
         (trace_of ~m:1
            [ { Fault.machine = 0; time = 2.0; kind = Fault.Outage 5.0 } ])
-      ~placement ~order:(submission_order 1)
+      ~placement:(Helpers.holders placement) ~order:(submission_order 1)
   in
   checki "completes after recovery" 1 outcome.Engine.completed;
   close "restart from scratch at 5" 9.0 outcome.Engine.makespan;
@@ -109,7 +109,7 @@ let slowdown_stretches_remaining () =
       ~faults:
         (trace_of ~m:1
            [ { Fault.machine = 0; time = 2.0; kind = Fault.Slowdown 0.5 } ])
-      ~placement ~order:(submission_order 1)
+      ~placement:(Helpers.holders placement) ~order:(submission_order 1)
   in
   close "remaining work stretched" 6.0 outcome.Engine.makespan;
   close "nothing wasted" 0.0 outcome.Engine.wasted;
@@ -129,7 +129,7 @@ let speedup_compresses_remaining () =
       ~faults:
         (trace_of ~m:1
            [ { Fault.machine = 0; time = 2.0; kind = Fault.Slowdown 2.0 } ])
-      ~placement ~order:(submission_order 1)
+      ~placement:(Helpers.holders placement) ~order:(submission_order 1)
   in
   close "remaining work compressed" 3.0 outcome.Engine.makespan;
   checki "still completes" 1 outcome.Engine.completed;
@@ -231,14 +231,14 @@ let speculation_backup_wins () =
     trace_of ~m:2 [ { Fault.machine = 0; time = 0.0; kind = Fault.Slowdown 0.25 } ]
   in
   let no_spec =
-    Engine.run_faulty instance realization ~faults ~placement
+    Engine.run_faulty instance realization ~faults ~placement:(Helpers.holders placement)
       ~order:(submission_order 1)
   in
   close "without speculation the straggler limps home" 32.0
     no_spec.Engine.makespan;
   let outcome, events =
     Engine.run_faulty_traced ~speculation:2.0 instance realization ~faults
-      ~placement ~order:(submission_order 1)
+      ~placement:(Helpers.holders placement) ~order:(submission_order 1)
   in
   checki "completes" 1 outcome.Engine.completed;
   let e = finished_entry outcome 0 in
@@ -260,7 +260,8 @@ let speculation_needs_a_holder () =
   let placement = [| Bitset.singleton 2 0 |] in
   let outcome =
     Engine.run_faulty ~speculation:2.0 instance realization
-      ~faults:(Trace.empty ~m:2) ~placement ~order:(submission_order 1)
+      ~faults:(Trace.empty ~m:2)
+        ~placement:(Helpers.holders placement) ~order:(submission_order 1)
   in
   close "no backup possible" 8.0 outcome.Engine.makespan;
   close "no waste" 0.0 outcome.Engine.wasted
@@ -281,7 +282,7 @@ let outage_at_completion_time () =
       ~faults:
         (trace_of ~m:1
            [ { Fault.machine = 0; time = 4.0; kind = Fault.Outage 6.0 } ])
-      ~placement ~order:(submission_order 1)
+      ~placement:(Helpers.holders placement) ~order:(submission_order 1)
   in
   checki "killed exactly once" 1
     (List.length
@@ -302,7 +303,7 @@ let simultaneous_crash_and_outage order_name evs () =
   let placement = [| Bitset.full 2 |] in
   let outcome, events =
     Engine.run_faulty_traced instance realization ~faults:(trace_of ~m:2 evs)
-      ~placement ~order:(submission_order 1)
+      ~placement:(Helpers.holders placement) ~order:(submission_order 1)
   in
   checki (order_name ^ ": killed exactly once") 1
     (List.length
@@ -389,11 +390,12 @@ let prop_empty_trace_golden =
           Helpers.with_priced_zones rng ~zones:(2 + (seed mod (m - 1))) instance
       in
       let reference =
-        Engine.run ?speeds instance realization ~placement ~order
+        Engine.run ?speeds instance realization
+          ~placement:(Helpers.holders placement) ~order
       in
       let outcome =
         Engine.run_faulty ?speeds instance realization
-          ~faults:(Trace.empty ~m) ~placement ~order
+          ~faults:(Trace.empty ~m) ~placement:(Helpers.holders placement) ~order
       in
       outcome.Engine.completed = n
       && outcome.Engine.stranded = []
@@ -416,7 +418,8 @@ let prop_trace_time_monotone =
       let instance, realization, placement, order, _ = build s in
       let rng = Rng.create ~seed:(seed + 7) () in
       let speeds = Array.init m (fun _ -> Rng.float_range rng ~lo:0.3 ~hi:3.0) in
-      let healthy = Engine.run ~speeds instance realization ~placement ~order in
+      let healthy = Engine.run ~speeds instance realization
+          ~placement:(Helpers.holders placement) ~order in
       let e = Schedule.entry healthy (Rng.int rng n) in
       let faults =
         trace_of ~m
@@ -429,7 +432,8 @@ let prop_trace_time_monotone =
           ]
       in
       let sink = Sink.memory () in
-      ignore (Engine.run_faulty ~speeds ~sink instance realization ~faults ~placement ~order);
+      ignore (Engine.run_faulty ~speeds ~sink instance realization ~faults
+          ~placement:(Helpers.holders placement) ~order);
       let times =
         List.filter_map
           (fun line ->
@@ -454,7 +458,8 @@ let prop_no_work_on_dead_machines =
     ~count:500 scenario (fun s ->
       let instance, realization, placement, order, faults = build s in
       let outcome =
-        Engine.run_faulty instance realization ~faults ~placement ~order
+        Engine.run_faulty instance realization ~faults
+          ~placement:(Helpers.holders placement) ~order
       in
       ignore instance;
       Array.for_all
@@ -475,7 +480,8 @@ let prop_locality =
     scenario (fun s ->
       let instance, realization, placement, order, faults = build s in
       let outcome =
-        Engine.run_faulty instance realization ~faults ~placement ~order
+        Engine.run_faulty instance realization ~faults
+          ~placement:(Helpers.holders placement) ~order
       in
       Array.for_all (fun j ->
           match outcome.Engine.fates.(j) with
@@ -491,7 +497,8 @@ let prop_surviving_holder_completes =
     ~count:500 scenario (fun s ->
       let instance, realization, placement, order, faults = build s in
       let outcome =
-        Engine.run_faulty instance realization ~faults ~placement ~order
+        Engine.run_faulty instance realization ~faults
+          ~placement:(Helpers.holders placement) ~order
       in
       let crashed = Trace.crashed faults in
       Array.for_all (fun j ->
@@ -518,7 +525,8 @@ let prop_full_replication_survives =
       in
       let placement = Array.init n (fun _ -> Bitset.full m) in
       let outcome =
-        Engine.run_faulty instance realization ~faults ~placement ~order
+        Engine.run_faulty instance realization ~faults
+          ~placement:(Helpers.holders placement) ~order
       in
       outcome.Engine.completed + List.length outcome.Engine.stranded = n
       && (List.length (Trace.crashed faults) >= m
@@ -530,11 +538,13 @@ let prop_deterministic =
       let instance, realization, placement, order, faults = build s in
       let speculation = 1.5 in
       let a =
-        Engine.run_faulty ~speculation instance realization ~faults ~placement
+        Engine.run_faulty ~speculation instance realization ~faults
+          ~placement:(Helpers.holders placement)
           ~order
       in
       let b =
-        Engine.run_faulty ~speculation instance realization ~faults ~placement
+        Engine.run_faulty ~speculation instance realization ~faults
+          ~placement:(Helpers.holders placement)
           ~order
       in
       a.Engine.makespan = b.Engine.makespan
@@ -568,11 +578,12 @@ let prop_speculation_completes =
       in
       let faults = slowdowns ~m ~p ~seed realization in
       let plain =
-        Engine.run_faulty instance realization ~faults ~placement ~order
+        Engine.run_faulty instance realization ~faults
+          ~placement:(Helpers.holders placement) ~order
       in
       let spec =
         Engine.run_faulty ~speculation:1.2 instance realization ~faults
-          ~placement ~order
+          ~placement:(Helpers.holders placement) ~order
       in
       spec.Engine.completed = n
       && plain.Engine.completed = n
@@ -592,7 +603,7 @@ let speculation_anomaly () =
   let replay ?speculation () =
     let a, ev_a =
       Engine.run_faulty_traced ?speculation instance realization ~faults
-        ~placement ~order
+        ~placement:(Helpers.holders placement) ~order
     in
     let b, ev_b =
       Reference_engine.run_faulty_traced ?speculation instance realization

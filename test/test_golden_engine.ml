@@ -150,7 +150,7 @@ let prop_faulty_matches_reference =
           let a, ev_a =
             Engine.run_faulty_traced ?speculation ~dispatch ~recovery
               ~metrics:(registry metrics_on) instance realization ~faults
-              ~placement:(placement ()) ~order
+              ~placement:(Helpers.holders (placement ())) ~order
           in
           let b, ev_b =
             Reference_engine.run_faulty_traced ?speculation ~dispatch
@@ -179,7 +179,7 @@ let prop_healthy_matches_reference =
           let a, ev_a =
             Engine.run_traced ?speeds ~dispatch
               ~metrics:(registry metrics_on) instance realization
-              ~placement:(placement ()) ~order
+              ~placement:(Helpers.holders (placement ())) ~order
           in
           let b, _ =
             Reference_engine.run_traced ?speeds ~dispatch
@@ -212,7 +212,7 @@ let prop_stream_matches_reference =
         Helpers.sink_bytes (fun sink ->
             Engine.run_stream ?speculation ~recovery
               ~metrics:(registry metrics_on) ~faults ~sink instance realization
-              ~arrivals ~placement:(placement ()) ~order)
+              ~arrivals ~placement:(Helpers.holders (placement ())) ~order)
       in
       let b, ev_b =
         Reference_engine.run_stream_traced ?speculation ~recovery
@@ -302,7 +302,7 @@ let prop_wide_faulty_matches_reference =
       let a, ev_a =
         Engine.run_faulty_traced ~speculation ~dispatch ~recovery
           ~metrics:(registry metrics_on) instance realization ~faults
-          ~placement:(placement ()) ~order
+          ~placement:(Helpers.holders (placement ())) ~order
       in
       let b, ev_b =
         Reference_engine.run_faulty_traced ~speculation ~dispatch ~recovery
@@ -323,7 +323,7 @@ let prop_wide_stream_matches_reference =
         Helpers.sink_bytes (fun sink ->
             Engine.run_stream ~speculation ~dispatch ~recovery
               ~metrics:(registry metrics_on) ~faults ~sink instance realization
-              ~arrivals ~placement:(placement ()) ~order)
+              ~arrivals ~placement:(Helpers.holders (placement ())) ~order)
       in
       let b, ev_b =
         Reference_engine.run_stream_traced ~speculation ~dispatch ~recovery
@@ -349,7 +349,7 @@ let matches_reference ?speculation ~recovery ~faults instance realization
     ~placement ~order =
   let a, ev_a =
     Engine.run_faulty_traced ?speculation ~recovery instance realization
-      ~faults ~placement:(placement ()) ~order
+      ~faults ~placement:(Helpers.holders (placement ())) ~order
   in
   let b, ev_b =
     Reference_engine.run_faulty_traced ?speculation ~recovery instance
@@ -368,7 +368,7 @@ let stream_matches_reference ~speculation ~recovery ?faults instance
     Helpers.sink_bytes (fun sink ->
         Engine.run_stream ~speculation ~recovery ~metrics:(Metrics.create ())
           ?faults ~sink instance realization ~arrivals
-          ~placement:(placement ()) ~order)
+          ~placement:(Helpers.holders (placement ())) ~order)
   in
   let b, ev_b =
     Reference_engine.run_stream_traced ~speculation ~recovery

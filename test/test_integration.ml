@@ -168,7 +168,7 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let ring_placement_nested () =
   let m = 5 and n = 7 in
-  let sets k = Core.Placement.sets (Runner.ring_placement ~m ~n ~k) in
+  let sets k = Helpers.task_sets (Core.Placement.sets (Runner.ring_placement ~m ~n ~k)) in
   Array.iteri
     (fun j set ->
       Alcotest.(check (list int))
@@ -303,9 +303,9 @@ let stream_utilization () =
       ~faults:(Usched_faults.Trace.of_events ~m:2 faults)
   in
   let utilization = Experiments.Stream_sweep.utilization ~m:2 realization in
-  let both = Array.init 2 (fun _ -> Usched_model.Bitset.full 2) in
+  let both = Helpers.holders (Array.init 2 (fun _ -> Usched_model.Bitset.full 2)) in
   close "both machines busy throughout" 1.0 (utilization (run both []));
-  let serial = Array.init 2 (fun _ -> Usched_model.Bitset.singleton 2 0) in
+  let serial = Helpers.holders (Array.init 2 (fun _ -> Usched_model.Bitset.singleton 2 0)) in
   close "one of two machines busy" 0.5 (utilization (run serial []));
   (* Machine 0 crashes at 1: task 0's first copy is wasted work and
      counts as consumed machine time. *)

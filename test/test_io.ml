@@ -682,6 +682,99 @@ let prop_newline_count_matches_byte_loop =
       String.iter (fun c -> if c = '\n' then incr bytes) text;
       Io.count_newlines text = !bytes)
 
+(* --- The file reader: the parser over one fixed buffer --- *)
+
+let with_text text f =
+  let path = Filename.temp_file "usched_reader" ".usched" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+      f path)
+
+(* The file read through a buffer of [buffer] bytes gives what the
+   in-memory parser gives on its text: the same instance bit for bit,
+   or the same message with the same line number. *)
+let reads_like_string ~buffer path text =
+  match
+    ( outcome (fun path -> Io.load_instance_with ~buffer ~path) path,
+      outcome Io.instance_of_string text )
+  with
+  | Ok a, Ok b -> bit_identical a b
+  | Error a, Error b -> a = b
+  | _ -> false
+
+(* Every buffer size from one byte to the whole file: the first refill
+   falls at every byte offset, so a row, the header and the column
+   line each straddle it somewhere, and every size grows the buffer
+   to the longest line. *)
+let check_every_buffer what text =
+  with_text text (fun path ->
+      for buffer = 1 to String.length text + 1 do
+        checkb (Printf.sprintf "%s, %d-byte buffer" what buffer) true
+          (reads_like_string ~buffer path text)
+      done)
+
+let rows_straddle_refills () =
+  let inst =
+    Instance.of_ests ~m:3 ~alpha:(Uncertainty.alpha 1.75)
+      ~sizes:[| 1.0; 2.5; 0.25; 7.0; 1e-3 |]
+      [| 4.0; Float.pi; 0.125; 1.0 /. 3.0; 12345.678 |]
+  in
+  let text = Io.instance_to_string inst in
+  check_every_buffer "written rows" text;
+  (* General-path rows: a sign, an exponent, '_'. *)
+  check_every_buffer "general rows"
+    "# usched-instance m=2 alpha=1.5\nid,est,size\n0,+4,1\n1,2e1,0_5\n2,0x10,1\n"
+
+let header_longer_than_buffer () =
+  let module Failure = Usched_model.Failure in
+  let module Speed_band = Usched_model.Speed_band in
+  let m = 24 in
+  let inst =
+    Instance.of_ests ~m ~alpha:(Uncertainty.alpha 2.0)
+      ~failure:(Failure.uniform ~m ~p:0.0123456789)
+      ~speed_band:(Speed_band.uniform ~m ~lo:0.5 ~hi:1.25)
+      [| 3.0; 1.5 |]
+  in
+  let text = Io.instance_to_string inst in
+  let header = String.index text '\n' in
+  checkb "the header outgrows the default-free buffers below" true (header > 256);
+  with_text text (fun path ->
+      List.iter
+        (fun buffer ->
+          checkb (Printf.sprintf "%d-byte buffer" buffer) true
+            (reads_like_string ~buffer path text))
+        [ 1; 2; 64; header - 1; header; header + 1; header + 2 ]);
+  check_every_buffer "header only, no newline" (String.sub text 0 header);
+  check_every_buffer "header and column line" (String.sub text 0 (header + 13))
+
+let last_row_unterminated () =
+  let inst = "# usched-instance m=2 alpha=1.5\nid,est,size\n" in
+  check_every_buffer "plain last row" (inst ^ "0,4,1\n1,2.5,3");
+  check_every_buffer "general last row" (inst ^ "0,4,1\n1,2.5e0,3");
+  check_every_buffer "malformed last row" (inst ^ "0,4,1\n1,x,3");
+  check_every_buffer "empty file" "";
+  check_every_buffer "a lone newline" "\n"
+
+let crlf_and_blank_lines () =
+  let inst = "# usched-instance m=2 alpha=1.5\r\nid,est,size\r\n" in
+  check_every_buffer "CRLF rows" (inst ^ "0,4,1\r\n1,2.5,3\r\n2,1,1\r\n");
+  check_every_buffer "blank and whitespace lines"
+    ("# usched-instance m=2 alpha=1.5\nid,est,size\n\n0,4,1\n  \n\t\r\n1,2.5,3\n\n\n");
+  check_every_buffer "a malformed row after blank lines"
+    ("# usched-instance m=2 alpha=1.5\nid,est,size\n0,4,1\n\n \n1,oops\n2,1,1\n")
+
+(* Mutated texts (swapped, dropped, duplicated and CRLF rows, bad
+   fields) through a random small buffer. *)
+let prop_reader_matches_parser =
+  QCheck.Test.make ~name:"load_instance = instance_of_string through any buffer"
+    ~count:300
+    QCheck.(pair int (int_range 1 48))
+    (fun (seed, buffer) ->
+      let text = differential_text seed in
+      with_text text (fun path -> reads_like_string ~buffer path text))
+
 let () =
   Alcotest.run "io"
     [
@@ -712,6 +805,15 @@ let () =
           Alcotest.test_case "chunked save = string" `Quick chunked_save_equals_string;
           Alcotest.test_case "parser = oracle on field tokens" `Quick
             parser_matches_oracle_on_tokens;
+        ] );
+      ( "file reader",
+        [
+          Alcotest.test_case "rows straddle every refill" `Quick rows_straddle_refills;
+          Alcotest.test_case "header longer than the buffer" `Quick
+            header_longer_than_buffer;
+          Alcotest.test_case "last row without a newline" `Quick last_row_unterminated;
+          Alcotest.test_case "CRLF rows and blank lines" `Quick crlf_and_blank_lines;
+          QCheck_alcotest.to_alcotest prop_reader_matches_parser;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -85,6 +85,33 @@ let instance_lpt_order () =
   in
   Alcotest.(check (array int)) "order" [| 1; 3; 2; 0 |] (Instance.lpt_order inst)
 
+(* The order is sorted once per instance and shared: every call, and
+   every copy that keeps the estimates, returns the same array. An
+   instance built on other estimates sorts its own. *)
+let instance_lpt_order_memo () =
+  let inst =
+    Instance.of_ests ~m:2 ~alpha:(Uncertainty.alpha 1.0) [| 1.0; 3.0; 2.0; 3.0 |]
+  in
+  let order = Instance.lpt_order inst in
+  checkb "a second call returns the same array" true (Instance.lpt_order inst == order);
+  let module M = Usched_model in
+  List.iter
+    (fun (what, copy) ->
+      checkb (what ^ " shares the order") true (Instance.lpt_order copy == order))
+    [
+      ("with_failure", Instance.with_failure inst (Some (M.Failure.uniform ~m:2 ~p:0.1)));
+      ( "with_speed_band",
+        Instance.with_speed_band inst (Some (M.Speed_band.uniform ~m:2 ~lo:0.5 ~hi:2.0)) );
+      ("with_topology", Instance.with_topology inst (Some (M.Topology.uniform ~m:2)));
+    ];
+  let other =
+    Instance.of_columns ~m:2 ~alpha:(Uncertainty.alpha 1.0)
+      ~ests:[| 3.0; 1.0; 2.0; 4.0 |] ~sizes:(Instance.sizes inst) ()
+  in
+  Alcotest.(check (array int)) "other estimates, own order" [| 3; 0; 2; 1 |]
+    (Instance.lpt_order other);
+  Alcotest.(check (array int)) "the first order is untouched" [| 1; 3; 2; 0 |] order
+
 (* The argsort against the comparator sort it replaced: decreasing
    [Float.compare], ties by increasing id. Estimates come from a few
    values, so most of them tie, and lengths reach well past the merge
@@ -352,6 +379,7 @@ let () =
           Alcotest.test_case "id validation" `Quick instance_id_check;
           Alcotest.test_case "machine validation" `Quick instance_m_check;
           Alcotest.test_case "LPT order" `Quick instance_lpt_order;
+          Alcotest.test_case "LPT order sorted once" `Quick instance_lpt_order_memo;
           QCheck_alcotest.to_alcotest prop_lpt_order_matches_comparator;
           QCheck_alcotest.to_alcotest prop_argsort_matches_comparator_on_specials;
           Alcotest.test_case "sizes" `Quick instance_sizes;

@@ -141,7 +141,7 @@ let engine_crash_metrics () =
       ~faults:
         (Trace.of_events ~m:2
            [ { Fault.machine = 0; time = 2.0; kind = Fault.Crash } ])
-      ~placement ~order:(submission_order 2)
+      ~placement:(Helpers.holders placement) ~order:(submission_order 2)
   in
   let snap = outcome.Engine.metrics in
   checki "dispatches" 3 (get_counter snap "engine.dispatches");
@@ -184,7 +184,7 @@ let engine_speculation_metrics () =
   let metrics = Metrics.create () in
   let outcome =
     Engine.run_faulty ~speculation:2.0 ~metrics instance realization ~faults
-      ~placement ~order:(submission_order 1)
+      ~placement:(Helpers.holders placement) ~order:(submission_order 1)
   in
   let snap = outcome.Engine.metrics in
   checki "primary + backup" 2 (get_counter snap "engine.dispatches");
@@ -206,7 +206,7 @@ let engine_plain_run_metrics () =
   let placement = Array.init 3 (fun _ -> Bitset.full 2) in
   let metrics = Metrics.create () in
   let schedule =
-    Engine.run ~metrics instance realization ~placement
+    Engine.run ~metrics instance realization ~placement:(Helpers.holders placement)
       ~order:(submission_order 3)
   in
   close "makespan" 2.0 (Schedule.makespan schedule);
@@ -258,11 +258,11 @@ let prop_metrics_golden =
       let instance, realization, placement, order, faults = build s in
       let plain =
         Engine.run_faulty ~speculation:1.5 instance realization ~faults
-          ~placement ~order
+          ~placement:(Helpers.holders placement) ~order
       in
       let observed =
         Engine.run_faulty ~speculation:1.5 ~metrics:(Metrics.create ())
-          instance realization ~faults ~placement ~order
+          instance realization ~faults ~placement:(Helpers.holders placement) ~order
       in
       plain.Engine.makespan = observed.Engine.makespan
       && plain.Engine.wasted = observed.Engine.wasted
@@ -280,9 +280,11 @@ let prop_plain_run_metrics_golden =
   QCheck.Test.make ~name:"run is bit-for-bit equal with metrics on/off"
     ~count:300 scenario (fun s ->
       let instance, realization, placement, order, _ = build s in
-      let a = Engine.run instance realization ~placement ~order in
+      let a = Engine.run instance realization
+          ~placement:(Helpers.holders placement) ~order in
       let b =
-        Engine.run ~metrics:(Metrics.create ()) instance realization ~placement
+        Engine.run ~metrics:(Metrics.create ()) instance realization
+          ~placement:(Helpers.holders placement)
           ~order
       in
       Schedule.n a = Schedule.n b
@@ -681,7 +683,7 @@ let streamed_records_match_sorted_logs () =
       check (label "healthy")
         (streamed (fun sink ->
              Engine.run ?speeds ~sink instance realization
-               ~placement:(placement ()) ~order))
+               ~placement:(Helpers.holders (placement ())) ~order))
         ~reference:
           (snd
              (Reference_engine.run_faulty_traced ?speeds instance realization
@@ -689,12 +691,12 @@ let streamed_records_match_sorted_logs () =
         ~live:
           (snd
              (Engine.run_traced ?speeds instance realization
-                ~placement:(placement ()) ~order))
+                ~placement:(Helpers.holders (placement ())) ~order))
         ();
       check (label "faulty")
         (streamed (fun sink ->
              Engine.run_faulty ?speeds ?speculation ~recovery ~sink instance
-               realization ~faults ~placement:(placement ()) ~order))
+               realization ~faults ~placement:(Helpers.holders (placement ())) ~order))
         ~reference:
           (snd
              (Reference_engine.run_faulty_traced ?speeds ?speculation
@@ -703,12 +705,13 @@ let streamed_records_match_sorted_logs () =
         ~live:
           (snd
              (Engine.run_faulty_traced ?speeds ?speculation ~recovery instance
-                realization ~faults ~placement:(placement ()) ~order))
+                realization ~faults ~placement:(Helpers.holders (placement ())) ~order))
         ();
       check (label "stream")
         (streamed (fun sink ->
              Engine.run_stream ?speeds ?speculation ~recovery ~faults ~sink
-               instance realization ~arrivals ~placement:(placement ()) ~order))
+               instance realization ~arrivals
+                 ~placement:(Helpers.holders (placement ())) ~order))
         ~reference:
           (snd
              (Reference_engine.run_stream_traced ?speeds ?speculation

@@ -38,11 +38,52 @@ let distinct_sets_first_occurrence () =
     Placement.of_sets ~m:4
       [| set [ 2; 3 ]; set [ 0 ]; set [ 2; 3 ]; set [ 0; 1 ]; set [ 0 ] |]
   in
-  let groups, group_of = Placement.distinct_sets p in
+  let holders = Placement.sets p in
+  let groups = Usched_model.Set_table.to_array holders.Usched_model.Holders.table in
   Alcotest.(check (list (list int)))
     "groups" [ [ 2; 3 ]; [ 0 ]; [ 0; 1 ] ]
     (Array.to_list (Array.map Helpers.elements groups));
-  Alcotest.(check (array int)) "group of each task" [| 0; 1; 0; 2; 1 |] group_of
+  Alcotest.(check (array int)) "group of each task" [| 0; 1; 0; 2; 1 |]
+    holders.Usched_model.Holders.index
+
+(* The constructors that hand a phase-1 assignment over as the index
+   number the sets exactly as interning the per-task sets does: by
+   first occurrence over task ids, equal sets sharing one index (two
+   groups on the same machines, the full set of one machine and its
+   singleton). *)
+let same_numbering what p =
+  let module Holders = Usched_model.Holders in
+  let module Set_table = Usched_model.Set_table in
+  let h = Placement.sets p in
+  let interned = Holders.of_sets (Helpers.task_sets h) in
+  let elements holders =
+    Array.map Helpers.elements (Set_table.to_array holders.Holders.table)
+  in
+  Alcotest.(check (array int)) (what ^ ": index") interned.Holders.index h.Holders.index;
+  Alcotest.(check (array (list int))) (what ^ ": sets") (elements interned) (elements h)
+
+let labels_numbered_like_interning () =
+  let rng = Random.State.make [| 7 |] in
+  for m = 1 to 5 do
+    let n = 40 in
+    let labels k = Array.init n (fun _ -> Random.State.int rng k) in
+    same_numbering "singletons" (Placement.singletons ~m (labels m));
+    same_numbering "full" (Placement.full ~m ~n);
+    same_numbering "pinned or full"
+      (Placement.pinned_or_full ~m
+         ~replicated:(Array.init n (fun _ -> Random.State.bool rng))
+         (labels m));
+    let groups = [| [| 0 |]; Array.init m Fun.id; [| m - 1 |]; [| 0 |] |] in
+    same_numbering "groups" (Placement.of_group_assignment ~m ~groups (labels 4))
+  done
+
+let out_of_range_machine_rejected () =
+  Alcotest.check_raises "singletons"
+    (Invalid_argument "Holders.of_labels: task 1 has label 2") (fun () ->
+      ignore (Placement.singletons ~m:2 [| 0; 2 |]));
+  Alcotest.check_raises "pinned or full"
+    (Invalid_argument "Placement.pinned_or_full: task 1 has machine 2") (fun () ->
+      ignore (Placement.pinned_or_full ~m:2 ~replicated:[| true; false |] [| 5; 2 |]))
 
 let empty_set_rejected () =
   Alcotest.check_raises "empty machine set"
@@ -105,7 +146,7 @@ let memory_loads_oracle p ~sizes =
   let loads = Array.make (machines p) 0.0 in
   Array.iteri
     (fun j set -> List.iter (fun i -> loads.(i) <- loads.(i) +. sizes.(j)) (members set))
-    (Placement.sets p);
+    (Helpers.task_sets (Placement.sets p));
   loads
 
 let replication_costs_oracle p ~topology ~sizes =
@@ -117,7 +158,7 @@ let replication_costs_oracle p ~topology ~sizes =
           +. Topology.staging_time topology ~src:(j mod machines p) ~dst:i
                ~size:sizes.(j))
         0.0 (members set))
-    (Placement.sets p)
+    (Helpers.task_sets (Placement.sets p))
 
 let same_bits a b =
   Array.length a = Array.length b
@@ -193,6 +234,10 @@ let () =
           Alcotest.test_case "groups" `Quick group_assignment_basic;
           Alcotest.test_case "empty rejected" `Quick empty_set_rejected;
           Alcotest.test_case "distinct sets" `Quick distinct_sets_first_occurrence;
+          Alcotest.test_case "assignments numbered like interning" `Quick
+            labels_numbered_like_interning;
+          Alcotest.test_case "out-of-range machine rejected" `Quick
+            out_of_range_machine_rejected;
           Alcotest.test_case "capacity rejected" `Quick capacity_mismatch_rejected;
           Alcotest.test_case "memory loads" `Quick memory_loads_count_every_replica;
           Alcotest.test_case "degrees" `Quick degrees_per_task;

@@ -104,7 +104,8 @@ let heal_rescues_singleton () =
   let placement () = [| Bitset.singleton 2 0 |] in
   let faults = Trace.of_events ~m:2 [ crash ~machine:0 ~time:3.0 ] in
   let passive =
-    Engine.run_faulty instance realization ~faults ~placement:(placement ())
+    Engine.run_faulty instance realization ~faults
+      ~placement:(Helpers.holders (placement ()))
       ~order:(submission_order 1)
   in
   Alcotest.(check (list int)) "passive strands" [ 0 ] passive.Engine.stranded;
@@ -115,7 +116,7 @@ let heal_rescues_singleton () =
   let metrics = Metrics.create () in
   let outcome, events =
     Engine.run_faulty_traced ~recovery ~metrics instance realization ~faults
-      ~placement:(placement ()) ~order:(submission_order 1)
+      ~placement:(Helpers.holders (placement ())) ~order:(submission_order 1)
   in
   checki "healed engine completes" 1 outcome.Engine.completed;
   Alcotest.(check (list int)) "nothing stranded" [] outcome.Engine.stranded;
@@ -148,14 +149,14 @@ let detection_latency_delays_redispatch () =
   let instant =
     Engine.run_faulty
       ~recovery:(Recovery.make ())
-      instance realization ~faults ~placement:(placement ())
+      instance realization ~faults ~placement:(Helpers.holders (placement ()))
       ~order:(submission_order 1)
   in
   close "instant detection restarts at the crash" 5.0 instant.Engine.makespan;
   let lagged, events =
     Engine.run_faulty_traced
       ~recovery:(Recovery.make ~detection_latency:2.0 ())
-      instance realization ~faults ~placement:(placement ())
+      instance realization ~faults ~placement:(Helpers.holders (placement ()))
       ~order:(submission_order 1)
   in
   checki "still completes" 1 lagged.Engine.completed;
@@ -184,7 +185,8 @@ let checkpoint_resume_on_rejoin () =
     Trace.of_events ~m:1 [ outage ~machine:0 ~time:5.0 ~until:8.0 ]
   in
   let restart =
-    Engine.run_faulty instance realization ~faults ~placement:(placement ())
+    Engine.run_faulty instance realization ~faults
+      ~placement:(Helpers.holders (placement ()))
       ~order:(submission_order 1)
   in
   close "passive restarts from zero" 18.0 restart.Engine.makespan;
@@ -193,7 +195,7 @@ let checkpoint_resume_on_rejoin () =
   let outcome, events =
     Engine.run_faulty_traced
       ~recovery:(Recovery.make ~checkpoint_interval:2.0 ())
-      ~metrics instance realization ~faults ~placement:(placement ())
+      ~metrics instance realization ~faults ~placement:(Helpers.holders (placement ()))
       ~order:(submission_order 1)
   in
   checki "completes" 1 outcome.Engine.completed;
@@ -231,7 +233,7 @@ let crash_destroys_checkpoint () =
   let outcome =
     Engine.run_faulty
       ~recovery:(Recovery.make ~checkpoint_interval:2.0 ())
-      instance realization ~faults ~placement
+      instance realization ~faults ~placement:(Helpers.holders placement)
       ~order:(submission_order 2)
   in
   checki "both complete" 2 outcome.Engine.completed;
@@ -315,11 +317,12 @@ let prop_none_is_golden =
       let m_a = Metrics.create () and m_b = Metrics.create () in
       let a, ev_a =
         Engine.run_faulty_traced ?speculation ~metrics:m_a instance realization
-          ~faults ~placement ~order
+          ~faults ~placement:(Helpers.holders placement) ~order
       in
       let b, ev_b =
         Engine.run_faulty_traced ?speculation ~recovery:Recovery.none
-          ~metrics:m_b instance realization ~faults ~placement ~order
+          ~metrics:m_b instance realization ~faults
+            ~placement:(Helpers.holders placement) ~order
       in
       outcomes_identical a b && ev_a = ev_b)
 
@@ -336,11 +339,12 @@ let prop_neutral_policy_is_transparent =
       let m_a = Metrics.create () and m_b = Metrics.create () in
       let a, ev_a =
         Engine.run_faulty_traced ?speculation ~metrics:m_a instance realization
-          ~faults ~placement ~order
+          ~faults ~placement:(Helpers.holders placement) ~order
       in
       let b, ev_b =
         Engine.run_faulty_traced ?speculation ~recovery:(Recovery.make ())
-          ~metrics:m_b instance realization ~faults ~placement ~order
+          ~metrics:m_b instance realization ~faults
+            ~placement:(Helpers.holders placement) ~order
       in
       outcomes_identical a b && ev_a = ev_b)
 
@@ -392,11 +396,11 @@ let prop_healing_unstrands =
       in
       let healed =
         Engine.run_faulty ~recovery instance realization ~faults
-          ~placement:(placement ()) ~order
+          ~placement:(Helpers.holders (placement ())) ~order
       in
       let passive =
         Engine.run_faulty instance realization ~faults
-          ~placement:(placement ()) ~order
+          ~placement:(Helpers.holders (placement ())) ~order
       in
       healed.Engine.stranded = []
       && healed.Engine.completed = n
@@ -441,12 +445,12 @@ let prop_checkpoint_dominates_restart =
       let faults = Trace.of_events ~m:1 events in
       let restart =
         Engine.run_faulty instance realization ~faults
-          ~placement:(placement ()) ~order
+          ~placement:(Helpers.holders (placement ())) ~order
       in
       let ckpt =
         Engine.run_faulty
           ~recovery:(Recovery.make ~checkpoint_interval:interval ())
-          instance realization ~faults ~placement:(placement ()) ~order
+          instance realization ~faults ~placement:(Helpers.holders (placement ())) ~order
       in
       restart.Engine.completed = 1
       && ckpt.Engine.completed = 1
@@ -467,7 +471,7 @@ let prop_transfer_locality =
       let original = Array.map Bitset.copy placement in
       let outcome, events =
         Engine.run_faulty_traced ~recovery instance realization ~faults
-          ~placement ~order
+          ~placement:(Helpers.holders placement) ~order
       in
       Array.for_all (fun j ->
           match outcome.Engine.fates.(j) with
@@ -497,7 +501,7 @@ let prop_degree_equals_fixed_on_uniform =
             ~bandwidth:2.0 ~checkpoint_interval:1.0 ()
         in
         Engine.run_faulty_traced ~recovery instance realization ~faults
-          ~placement:(Array.map Bitset.copy placement)
+          ~placement:(Helpers.holders (Array.map Bitset.copy placement))
           ~order
       in
       let a, ev_a = run (Recovery.Fixed k) in
@@ -516,12 +520,103 @@ let prop_recovery_deterministic =
       in
       let run () =
         Engine.run_faulty_traced ~recovery instance realization ~faults
-          ~placement:(Array.map Bitset.copy placement)
+          ~placement:(Helpers.holders (Array.map Bitset.copy placement))
           ~order
       in
       let a, ev_a = run () in
       let b, ev_b = run () in
       outcomes_identical a b && ev_a = ev_b)
+
+(* --- Copy on heal --- *)
+
+(* A replay reads the placement's interned sets in place and heals on
+   its own copy: a landed re-replication interns a grown set and moves
+   its task, which in the placement itself would change every later
+   replay. No replication (k = 1) with a target of 2 re-replicates
+   every task, and crashes strand some of the grown sets again. *)
+let heal_fixture seed =
+  let m = 6 and n = 40 in
+  let rng = Rng.create ~seed () in
+  let instance =
+    Usched_model.Workload.generate
+      (Usched_model.Workload.Uniform { lo = 1.0; hi = 10.0 })
+      ~n ~m ~alpha:(Uncertainty.alpha 2.0) rng
+  in
+  let realization = Realization.log_uniform_factor instance rng in
+  let placement =
+    (Usched_core.Strategy.build (No_replication Lpt) ~m).Usched_core.Two_phase.phase1
+      instance
+  in
+  let faults = Trace.random_crashes rng ~m ~p:0.3 ~horizon:30.0 in
+  let recovery =
+    Recovery.make ~rereplication_target:(Recovery.Fixed 2) ~bandwidth:2.0 ()
+  in
+  (instance, realization, placement, faults, recovery)
+
+let snapshot holders =
+  ( Usched_model.Set_table.count holders.Helpers.Holders.table,
+    Array.copy holders.Helpers.Holders.index )
+
+let heal_twice_on_one_placement () =
+  let rereplications = ref 0 in
+  for seed = 1 to 8 do
+    let instance, realization, placement, faults, recovery = heal_fixture seed in
+    let holders = Usched_core.Placement.sets placement in
+    let before = snapshot holders in
+    let order = Instance.lpt_order instance in
+    let replay () =
+      Helpers.sink_bytes (fun sink ->
+          Engine.run_faulty ~recovery ~metrics:(Metrics.create ()) ~sink instance
+            realization ~faults ~placement:holders ~order)
+    in
+    let first, bytes = replay () in
+    let _, again = replay () in
+    Alcotest.(check string)
+      (Printf.sprintf "seed %d: the same trace twice" seed)
+      bytes again;
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: the placement's sets and index are unchanged" seed)
+      true (snapshot holders = before);
+    match Metrics.find first.Engine.metrics "engine.rereplications" with
+    | Some (Metrics.Counter k) -> rereplications := !rereplications + k
+    | _ -> ()
+  done;
+  Alcotest.(check bool) "the healer ran" true (!rereplications > 0)
+
+(* Domains replay one shared placement at once: every corner of the
+   speed adversary is a healing replay of the same interned sets, and
+   Monte-Carlo survival reads them from every domain. N domains must
+   give 1 domain's result bit for bit, and leave the placement as it
+   was. *)
+let domains_share_one_placement () =
+  let instance, realization, placement, faults, recovery = heal_fixture 3 in
+  let m = Instance.m instance in
+  let holders = Usched_core.Placement.sets placement in
+  let before = snapshot holders in
+  let order = Instance.lpt_order instance in
+  let band = Usched_model.Speed_band.uniform ~m ~lo:0.5 ~hi:1.5 in
+  let run speeds =
+    (Engine.run_faulty ~speeds ~recovery instance realization ~faults
+       ~placement:holders ~order)
+      .Engine.makespan
+  in
+  let base = Usched_core.Speed_adversary.exhaustive ~domains:1 ~run band in
+  List.iter
+    (fun domains ->
+      Alcotest.(check bool)
+        (Printf.sprintf "speed adversary: %d domains = 1 domain" domains)
+        true
+        (Usched_core.Speed_adversary.exhaustive ~domains ~run band = base))
+    [ 2; 3 ];
+  let profile = Usched_model.Failure.uniform ~m ~p:0.2 in
+  let survival domains =
+    Usched_experiments.Reliability_sweep.monte_carlo_survival ~trials:200 ~domains
+      ~seed:9 ~profile placement
+  in
+  Alcotest.(check bool) "Monte-Carlo survival: 3 domains = 1 domain" true
+    (survival 3 = survival 1);
+  Alcotest.(check bool) "the shared placement is unchanged" true
+    (snapshot holders = before)
 
 let () =
   Alcotest.run "recovery"
@@ -541,6 +636,13 @@ let () =
             checkpoint_resume_on_rejoin;
           Alcotest.test_case "a crash destroys the local checkpoint" `Quick
             crash_destroys_checkpoint;
+        ] );
+      ( "copy on heal",
+        [
+          Alcotest.test_case "two healing replays of one placement" `Quick
+            heal_twice_on_one_placement;
+          Alcotest.test_case "domains share one placement" `Quick
+            domains_share_one_placement;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

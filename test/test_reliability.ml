@@ -226,7 +226,7 @@ let mc_survival_extremes () =
    oracle that checks every task's set, with the same trial generators
    and bootstrap, must agree bit for bit. *)
 let all_sets_oracle ~trials ~seed ~profile placement =
-  let sets = Placement.sets placement in
+  let sets = Helpers.task_sets (Placement.sets placement) in
   let m = Failure.m profile in
   let rng = Rng.create ~seed () in
   let trial_rngs = Array.init trials (fun _ -> Rng.split rng) in

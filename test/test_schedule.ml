@@ -109,7 +109,7 @@ let validate_catches_misplacement () =
   checkb "locality violation detected" true
     (List.exists
        (function Schedule.Not_allowed { task = 0; machine = 0 } -> true | _ -> false)
-       (Schedule.validate ~placement instance realization s))
+       (Schedule.validate ~placement:(Helpers.holders placement) instance realization s))
 
 let validate_allows_idle_gaps () =
   let instance, realization = fixture () in

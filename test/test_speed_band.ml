@@ -458,7 +458,9 @@ let prop_speed_robust_sets_shared =
       let instance, _, rng = build_instance (n, m, seed) in
       let instance = Instance.with_speed_band instance (Some (random_band rng m)) in
       let placement = Core.Speed_robust.placement ~k instance in
-      let distinct = physically_distinct (Core.Placement.sets placement) in
+      let distinct =
+        physically_distinct (Helpers.task_sets (Core.Placement.sets placement))
+      in
       let product =
         Array.fold_left
           (fun acc c -> acc * Array.length c)
@@ -478,7 +480,7 @@ let prop_shared_sets_replay_as_copies =
       let band = random_band rng m in
       let instance = Instance.with_speed_band instance (Some band) in
       let shared = Core.Placement.sets (Core.Speed_robust.placement ~k instance) in
-      let copies = Array.map Bitset.copy shared in
+      let copies = Helpers.holders (Array.map Bitset.copy (Helpers.task_sets shared)) in
       let speeds = Speed_band.sample band (Rng.split rng) in
       let order = Instance.lpt_order instance in
       List.for_all
@@ -556,10 +558,12 @@ let prop_degenerate_band_golden =
       in
       let banded =
         Engine.run_faulty ~speeds ~dispatch instance realization
-          ~faults:(Helpers.merge_traces faults revelation) ~placement ~order
+          ~faults:(Helpers.merge_traces faults revelation)
+            ~placement:(Helpers.holders placement) ~order
       in
       let plain =
-        Engine.run_faulty ~dispatch instance realization ~faults ~placement
+        Engine.run_faulty ~dispatch instance realization ~faults
+          ~placement:(Helpers.holders placement)
           ~order
       in
       outcomes_identical banded plain)
@@ -577,7 +581,8 @@ let exhaustive_finds_the_corner () =
   let placement = [| Bitset.singleton 2 0 |] in
   let run speeds =
     Schedule.makespan
-      (Engine.run ~speeds instance realization ~placement ~order:[| 0 |])
+      (Engine.run ~speeds instance realization
+        ~placement:(Helpers.holders placement) ~order:[| 0 |])
   in
   let speeds, worst = Core.Speed_adversary.exhaustive ~run band in
   close "machine 0 slowed" 0.5 speeds.(0);

@@ -265,7 +265,7 @@ let no_replication_pins_tasks () =
           checki "one replica" 1 (Bitset.cardinal set);
           checki "runs where placed" (Bitset.choose set)
             (Schedule.entry schedule j).Schedule.machine)
-        (Core.Placement.sets placement))
+        (Helpers.task_sets (Core.Placement.sets placement)))
     [ Strategy.Lpt; Strategy.Ls ]
 
 let speed_robust_spec () =
@@ -284,7 +284,7 @@ let speed_robust_spec () =
   let placement = (Strategy.build spec ~m:4).Core.Two_phase.phase1 instance in
   Array.iter
     (fun set -> checki "one replica per class" 2 (Bitset.cardinal set))
-    (Core.Placement.sets placement)
+    (Helpers.task_sets (Core.Placement.sets placement))
 
 let build_rejects_m_mismatch () =
   let rejects f = try ignore (f ()); false with Invalid_argument _ -> true in
@@ -420,7 +420,7 @@ let render_case b index ((m, spec, _, _, _, _, zones, banded) as case) =
       Printf.bprintf b "  %d {%s} -> %d [%h, %h]\n" j
         (String.concat "," (List.map string_of_int (Helpers.elements set)))
         e.Schedule.machine e.Schedule.start e.Schedule.finish)
-    (Core.Placement.sets placement)
+    (Helpers.task_sets (Core.Placement.sets placement))
 
 let catalog_covers_every_family () =
   let seen = Hashtbl.create 32 in
@@ -470,11 +470,19 @@ module Pipeline = Usched_experiments.Pipeline
 
 let bits a = Array.map Int64.bits_of_float a
 
-let columns ?realization ?(sets = [||]) instance =
+(* The holder sets as each task's members, with the index and the
+   number of distinct sets: a replay that wrote into the placement's
+   table or index would change one of them. *)
+let columns ?realization ?sets instance =
   ( bits (Instance.ests instance),
     bits (Instance.sizes instance),
     Option.fold ~none:[||] ~some:(fun r -> bits (Realization.actuals r)) realization,
-    Array.map Helpers.elements sets )
+    Option.fold ~none:([||], [||], 0)
+      ~some:(fun h ->
+        ( Array.map Helpers.elements (Helpers.task_sets h),
+          Array.copy h.Helpers.Holders.index,
+          Usched_model.Set_table.count h.Helpers.Holders.table ))
+      sets )
 
 let check_unchanged what before ?realization ?sets instance =
   let ests, sizes, actuals, held = before

@@ -272,11 +272,11 @@ let prop_stream_at_zero_is_batch =
       in
       let batch =
         Engine.run ~dispatch ~metrics:(registry ()) instance realization
-          ~placement ~order
+          ~placement:(Helpers.holders placement) ~order
       in
       let so =
         Engine.run_stream ~dispatch ~metrics:(registry ()) instance realization
-          ~arrivals:(Array.make n 0.0) ~placement ~order
+          ~arrivals:(Array.make n 0.0) ~placement:(Helpers.holders placement) ~order
       in
       let stream_entries =
         Array.map
@@ -309,7 +309,8 @@ let prop_latencies_match_fates =
           ~horizon:(2.0 *. Realization.total realization)
       in
       let so =
-        Engine.run_stream ~faults instance realization ~arrivals ~placement
+        Engine.run_stream ~faults instance realization ~arrivals
+          ~placement:(Helpers.holders placement)
           ~order
       in
       let expected = ref [] in
@@ -335,7 +336,7 @@ let fcfs_single_machine () =
   let realization = Realization.exact instance in
   let so =
     Engine.run_stream instance realization ~arrivals:[| 0.0; 1.0; 2.0 |]
-      ~placement:(Array.make 3 (Bitset.full 1))
+      ~placement:(Helpers.holders (Array.make 3 (Bitset.full 1)))
       ~order:[| 0; 1; 2 |]
   in
   checki "all done" 3 so.Engine.outcome.Engine.completed;
@@ -353,7 +354,7 @@ let arrival_gap_restarts () =
   let realization = Realization.exact instance in
   let so =
     Engine.run_stream instance realization ~arrivals:[| 0.0; 10.0 |]
-      ~placement:(Array.make 2 (Bitset.full 1))
+      ~placement:(Helpers.holders (Array.make 2 (Bitset.full 1)))
       ~order:[| 0; 1 |]
   in
   Alcotest.(check (array (float 1e-9)))
@@ -373,7 +374,8 @@ let speculation_cancels_loser () =
   let so, bytes =
     Helpers.sink_bytes (fun sink ->
         Engine.run_stream ~speculation:1.5 ~sink instance realization
-          ~arrivals:[| 0.0; 0.0 |] ~placement ~order:[| 0; 1 |])
+          ~arrivals:[| 0.0; 0.0 |]
+            ~placement:(Helpers.holders placement) ~order:[| 0; 1 |])
   in
   let _, events =
     Reference_engine.run_stream_traced ~speculation:1.5 instance realization
@@ -413,7 +415,7 @@ let stream_composes_with_faults () =
   in
   let so =
     Engine.run_stream ~faults instance realization ~arrivals:[| 0.0; 5.0 |]
-      ~placement ~order:[| 0; 1 |]
+      ~placement:(Helpers.holders placement) ~order:[| 0; 1 |]
   in
   checki "late task stranded by the crash" 1
     so.Engine.outcome.Engine.completed;
@@ -432,7 +434,7 @@ let stream_metrics_registered () =
   let metrics = Metrics.create () in
   let so =
     Engine.run_stream ~metrics instance realization ~arrivals:[| 0.0; 0.5 |]
-      ~placement ~order
+      ~placement:(Helpers.holders placement) ~order
   in
   (match Metrics.find so.Engine.outcome.Engine.metrics "engine.arrivals" with
   | Some (Metrics.Counter c) -> checki "arrivals counted" 2 c
@@ -443,7 +445,7 @@ let stream_metrics_registered () =
   | _ -> Alcotest.fail "engine.latency missing from a streaming run");
   let batch =
     Engine.run_faulty ~metrics:(Metrics.create ()) instance realization
-      ~faults:(Trace.empty ~m:1) ~placement ~order
+      ~faults:(Trace.empty ~m:1) ~placement:(Helpers.holders placement) ~order
   in
   checkb "no arrival instruments in batch snapshots" true
     (Metrics.find batch.Engine.metrics "engine.arrivals" = None
@@ -457,7 +459,8 @@ let stream_validates_arrivals () =
   let placement = Array.make 2 (Bitset.full 1) in
   let order = [| 0; 1 |] in
   let run arrivals () =
-    ignore (Engine.run_stream instance realization ~arrivals ~placement ~order)
+    ignore (Engine.run_stream instance realization ~arrivals
+        ~placement:(Helpers.holders placement) ~order)
   in
   checkb "wrong length" true (raises_invalid (run [| 0.0 |]));
   checkb "negative" true (raises_invalid (run [| 0.0; -1.0 |]));
@@ -480,7 +483,8 @@ let arrival_wakes_only_holders () =
   let arrivals = Array.init n (fun j -> 0.05 *. float_of_int j) in
   let metrics = Metrics.create () in
   let so =
-    Engine.run_stream ~metrics instance realization ~arrivals ~placement ~order
+    Engine.run_stream ~metrics instance realization ~arrivals
+      ~placement:(Helpers.holders placement) ~order
   in
   checki "every task finishes" n so.Engine.outcome.Engine.completed;
   match Metrics.find so.Engine.outcome.Engine.metrics "engine.events" with

@@ -57,7 +57,7 @@ let engine_schedules_have_no_gaps () =
   let realization = Realization.exact instance in
   let placement = Array.init 6 (fun _ -> Bitset.full 3) in
   let s =
-    Engine.run instance realization ~placement
+    Engine.run instance realization ~placement:(Helpers.holders placement)
       ~order:(Array.init 6 (fun j -> j))
   in
   Array.iter
@@ -180,7 +180,8 @@ let replay (m, n, seed, lpt) =
         set)
   in
   let order = if lpt then Instance.lpt_order instance else Array.init n Fun.id in
-  Engine.run instance (Realization.exact instance) ~placement ~order
+  Engine.run instance (Realization.exact instance)
+    ~placement:(Helpers.holders placement) ~order
 
 let prop_one_pass_matches_buckets =
   QCheck.Test.make

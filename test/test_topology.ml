@@ -350,7 +350,7 @@ let prop_uniform_topology_is_golden =
       let run dispatch instance =
         Engine.run_faulty_traced ?speculation ~dispatch ~recovery
           ~metrics:(registry ()) instance realization ~faults
-          ~placement:(Array.map Bitset.copy placement) ~order
+          ~placement:(Helpers.holders (Array.map Bitset.copy placement)) ~order
       in
       List.for_all
         (fun dispatch ->
@@ -377,12 +377,13 @@ let prop_uniform_topology_is_golden_healthy =
         else None
       in
       let a, ev_a =
-        Engine.run_traced ?speeds instance realization ~placement ~order
+        Engine.run_traced ?speeds instance realization
+          ~placement:(Helpers.holders placement) ~order
       in
       let b, ev_b =
         Engine.run_traced ?speeds
           (Instance.with_topology instance (Some (Topology.uniform ~m)))
-          realization ~placement ~order
+          realization ~placement:(Helpers.holders placement) ~order
       in
       ev_a = ev_b
       && Array.for_all2 entries_equal
@@ -403,7 +404,7 @@ let staging_delays_first_copy () =
   let realization = Realization.exact instance in
   let remote = [| Bitset.of_list 2 [ 1 ] |] in
   let s =
-    Engine.run instance realization ~placement:remote ~order:[| 0 |]
+    Engine.run instance realization ~placement:(Helpers.holders remote) ~order:[| 0 |]
   in
   let e = (Schedule.entry s 0 : Schedule.entry) in
   checki "runs on the remote holder" 1 e.Schedule.machine;
@@ -411,7 +412,7 @@ let staging_delays_first_copy () =
   close "staging charged on the cross-zone copy" 6.5 e.Schedule.finish;
   let local = [| Bitset.of_list 2 [ 0 ] |] in
   let s0 =
-    Engine.run instance realization ~placement:local ~order:[| 0 |]
+    Engine.run instance realization ~placement:(Helpers.holders local) ~order:[| 0 |]
   in
   close "home-zone copy stages for free" 4.0
     (Schedule.entry s0 0).Schedule.finish

@@ -22,7 +22,8 @@ let engine_scales_durations () =
   let realization = Realization.exact instance in
   let placement = Array.init 2 (fun _ -> Bitset.full 2) in
   let s =
-    Engine.run ~speeds:[| 2.0; 0.5 |] instance realization ~placement
+    Engine.run ~speeds:[| 2.0; 0.5 |] instance realization
+      ~placement:(Helpers.holders placement)
       ~order:[| 0; 1 |]
   in
   (* Machine 0 at speed 2 runs its task in 2; machine 1 at 0.5 in 8. *)
@@ -36,7 +37,8 @@ let engine_fast_machine_serves_more () =
   let realization = Realization.exact instance in
   let placement = Array.init 5 (fun _ -> Bitset.full 2) in
   let s =
-    Engine.run ~speeds:[| 4.0; 1.0 |] instance realization ~placement
+    Engine.run ~speeds:[| 4.0; 1.0 |] instance realization
+      ~placement:(Helpers.holders placement)
       ~order:[| 0; 1; 2; 3; 4 |]
   in
   let on_fast = List.length (Helpers.machine_tasks s 0) in
@@ -50,12 +52,14 @@ let engine_rejects_bad_speeds () =
     (Invalid_argument "Engine.run: speeds length differs from machine count")
     (fun () ->
       ignore
-        (Engine.run ~speeds:[| 1.0 |] instance realization ~placement
+        (Engine.run ~speeds:[| 1.0 |] instance realization
+          ~placement:(Helpers.holders placement)
            ~order:[| 0 |]));
   Alcotest.check_raises "non-positive"
     (Invalid_argument "Engine.run: speeds must be > 0") (fun () ->
       ignore
-        (Engine.run ~speeds:[| 1.0; 0.0 |] instance realization ~placement
+        (Engine.run ~speeds:[| 1.0; 0.0 |] instance realization
+          ~placement:(Helpers.holders placement)
            ~order:[| 0 |]))
 
 let validate_with_speeds () =
@@ -63,7 +67,8 @@ let validate_with_speeds () =
   let realization = Realization.exact instance in
   let placement = [| Bitset.full 2 |] in
   let speeds = [| 2.0; 1.0 |] in
-  let s = Engine.run ~speeds instance realization ~placement ~order:[| 0 |] in
+  let s = Engine.run ~speeds instance realization
+      ~placement:(Helpers.holders placement) ~order:[| 0 |] in
   Alcotest.(check int) "valid under speeds" 0
     (List.length (Schedule.validate ~speeds instance realization s));
   (* The same schedule read with unit speeds has a wrong duration. *)
@@ -75,7 +80,7 @@ let validate_with_speeds () =
 (* Phase 1 of uniform LPT-No Choice: the ECT-LPT machine of each task. *)
 let ect_lpt ~speeds instance =
   let placement = Core.Uniform.lpt_placement ~speeds instance in
-  Array.map Usched_model.Bitset.choose (Core.Placement.sets placement)
+  Array.map Usched_model.Bitset.choose (Helpers.task_sets (Core.Placement.sets placement))
 
 let ect_lpt_prefers_fast_machines () =
   (* One big task: must go to the fastest machine. *)

@@ -52,13 +52,13 @@ let setup ?zones ~shared n =
   in
   let realization = Realization.uniform_factor instance rng in
   let placement =
-    if shared then Array.make n (Bitset.full m)
-      (* one physical holder set *)
-    else
-      Array.init n (fun j ->
-          Bitset.of_list m [ j mod m; (j + 1) mod m ])
-      (* n physically distinct sets, equal by content in m classes:
-         interning finds the m groups by hashing *)
+    Helpers.holders
+      (if shared then Array.make n (Bitset.full m)
+         (* one physical holder set *)
+       else
+         Array.init n (fun j -> Bitset.of_list m [ j mod m; (j + 1) mod m ])
+         (* n physically distinct sets, equal by content in m classes:
+            interning finds the m groups by hashing *))
   in
   let order = Instance.lpt_order instance in
   (instance, realization, placement, order, rng)
@@ -119,19 +119,22 @@ let major_words f =
   !best
 
 (* The healthy replay reads the instance's, the realization's and the
-   placement's columns in place and allocates only its own n-length
-   lanes: the three result lanes, [dispatchable] and [pos_of] (whose
-   filling is the order's permutation check), the interned sets'
-   [group_of], and the tasks listed by set ([members], which the
-   default policy's group index and the crash handlers share): 7 words
-   per task, whether the sets are one shared block or equal sets in
-   distinct blocks. A defensive copy of a column, or a scratch array,
-   that comes back adds a word per task. *)
+   placement's columns in place, the interned holder sets and their
+   index included, and allocates only its own n-length lanes: the three
+   result lanes, [dispatchable] and the tasks listed by set
+   ([members], which the default policy's group index and the crash
+   handlers share): 5 words per task on the identity order, whose
+   inverse is the order itself, whether the sets are one shared block
+   or equal sets in distinct blocks. Any other order adds [pos_of],
+   whose filling is the order's permutation check: 6 words. Interning
+   the sets again, a [pos_of] for the identity, a defensive copy of a
+   column or a scratch array adds a word per task. *)
 let healthy_major_words_per_task () =
   List.iter
-    (fun (label, shared, lanes) ->
+    (fun (label, shared, lpt, lanes) ->
       let words n =
         let instance, realization, placement, order, _ = setup ~shared n in
+        let order = if lpt then order else Array.init n Fun.id in
         major_words (fun () -> Engine.run instance realization ~placement ~order)
       in
       let slope = (words 4000 -. words 2000) /. 2000.0 in
@@ -139,7 +142,10 @@ let healthy_major_words_per_task () =
         (Printf.sprintf "%s: major words per task" label)
         lanes slope)
     [
-      ("shared-set list-priority", true, 7.0); ("interned list-priority", false, 7.0);
+      ("shared-set list-priority, identity order", true, false, 5.0);
+      ("interned list-priority, identity order", false, false, 5.0);
+      ("shared-set list-priority, LPT order", true, true, 6.0);
+      ("interned list-priority, LPT order", false, true, 6.0);
     ]
 
 (* An outcome materializes one [Finished] fate per task (a boxed
@@ -324,21 +330,21 @@ let scans_are_allocation_free () =
    [String.sub]-and-[float_of_string] one 6.) The gate is 0. *)
 module Io = Usched_model.Io
 
+let instance_text n =
+  let rng = Rng.create ~seed:n () in
+  let b = Buffer.create (32 * n) in
+  Buffer.add_string b "# usched-instance m=4 alpha=2\nid,est,size\n";
+  for j = 0 to n - 1 do
+    Buffer.add_string b
+      (Printf.sprintf "%d,%.17g,%d\n" j
+         (Rng.float_range rng ~lo:1.0 ~hi:100.0)
+         (1 + (j mod 3)))
+  done;
+  Buffer.contents b
+
 let parser_words_per_row () =
-  let text n =
-    let rng = Rng.create ~seed:n () in
-    let b = Buffer.create (32 * n) in
-    Buffer.add_string b "# usched-instance m=4 alpha=2\nid,est,size\n";
-    for j = 0 to n - 1 do
-      Buffer.add_string b
-        (Printf.sprintf "%d,%.17g,%d\n" j
-           (Rng.float_range rng ~lo:1.0 ~hi:100.0)
-           (1 + (j mod 3)))
-    done;
-    Buffer.contents b
-  in
   let words n =
-    let t = text n in
+    let t = instance_text n in
     measure (fun () -> Io.instance_of_string t)
   in
   let w2 = words 2000 and w4 = words 4000 in
@@ -346,6 +352,23 @@ let parser_words_per_row () =
   Alcotest.(check bool)
     (Printf.sprintf "instance_of_string: %.2f minor words per row, at most 0" per_row)
     true (per_row <= 0.0)
+
+(* The file reader holds no copy of the file: it reads through one
+   fixed buffer, so the two float columns it fills (one word per task
+   each) are all that grows with the file. *)
+let load_instance_words_per_task () =
+  let words n =
+    let path = Filename.temp_file "usched_load" ".usched" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc (instance_text n));
+        major_words (fun () -> Io.load_instance ~path))
+  in
+  let n = 5000 in
+  let slope = (words (4 * n) -. words n) /. float_of_int (3 * n) in
+  Alcotest.(check (float 0.0)) "load_instance: major words per task" 2.0 slope
 
 (* The writer prints ids through a digit loop and floats through
    [Float_text.add_g17], which reads each one out of its column: no
@@ -404,9 +427,10 @@ let prop_class_scans_match_replica_walk =
                   Array.of_list (List.filter (fun i -> i mod k = g) (List.init mm Fun.id)))
             in
             let groups = Array.map (fun g -> if g = [||] then [| 0 |] else g) groups in
-            Placement.sets
-              (Placement.of_group_assignment ~m:mm ~groups
-                 (Array.init n (fun _ -> Random.State.int rng k)))
+            Helpers.task_sets
+              (Placement.sets
+                 (Placement.of_group_assignment ~m:mm ~groups
+                    (Array.init n (fun _ -> Random.State.int rng k))))
         | _ ->
             let pool = Array.init (1 + Random.State.int rng 5) (fun _ -> random_set ()) in
             Array.init n (fun _ ->
@@ -549,6 +573,8 @@ let () =
       ( "parser",
         [
           Alcotest.test_case "instance_of_string words per row" `Quick parser_words_per_row;
+          Alcotest.test_case "load_instance allocates only its columns" `Quick
+            load_instance_words_per_task;
           Alcotest.test_case "instance_to_string words per row" `Quick writer_words_per_row;
         ] );
       ( "placement summary",
