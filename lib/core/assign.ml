@@ -5,12 +5,13 @@ type result = { assignment : int array; loads : float array }
 let check_order n order =
   if Array.length order <> n then
     invalid_arg "Assign: order length differs from weights";
-  let seen = Array.make n false in
+  (* One bit per task (n/62 words), where a [bool array] took a word. *)
+  let seen = Usched_model.Bitset.create n in
   Array.iter
     (fun j ->
-      if j < 0 || j >= n || seen.(j) then
+      if j < 0 || j >= n || Usched_model.Bitset.mem seen j then
         invalid_arg "Assign: order is not a permutation";
-      seen.(j) <- true)
+      Usched_model.Bitset.add seen j)
     order
 
 (* Min-heap over (load, machine id) gives O(n log m) assignment. The

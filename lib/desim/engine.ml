@@ -89,74 +89,80 @@ let close_record s =
   Sink.literal s "}";
   Sink.end_record s
 
-(* [kind] at [time] on [machine] *)
-let rec_m s kind time machine =
+(* Every writer reads its floats out of the cells that hold them: the
+   time out of the one-cell [clock] (the engine's [now]), a float field
+   out of [column.(x)]; a float argument would be boxed per record. *)
+
+(* [kind] at the [clock]'s time on [machine] *)
+let rec_m s kind clock machine =
   Sink.literal s kind;
-  Sink.float s time;
+  Sink.float s clock 0;
   field s {|,"machine":|} machine;
   close_record s
 
-(* [kind] at [time] of [task]'s copy on [machine] *)
-let rec_mt s kind time machine task =
+(* [kind] of [task]'s copy on [machine] *)
+let rec_mt s kind clock machine task =
   Sink.literal s kind;
-  Sink.float s time;
+  Sink.float s clock 0;
   field s {|,"machine":|} machine;
   field s {|,"task":|} task;
   close_record s
 
-(* [kind] at [time] on [machine], with one float field [key] *)
-let rec_mx s kind key time machine x =
+(* [kind] on [machine], with one float field [key] *)
+let rec_mx s kind key clock machine column x =
   Sink.literal s kind;
-  Sink.float s time;
+  Sink.float s clock 0;
   field s {|,"machine":|} machine;
   Sink.literal s key;
-  Sink.float s x;
+  Sink.float s column x;
   close_record s
 
-let rec_arrived s time task =
+let rec_arrived s clock task =
   Sink.literal s k_arrived;
-  Sink.float s time;
+  Sink.float s clock 0;
   field s {|,"task":|} task;
   close_record s
 
-let rec_transfer s kind time task src dst =
+let rec_transfer s kind clock task src dst =
   Sink.literal s kind;
-  Sink.float s time;
+  Sink.float s clock 0;
   field s {|,"task":|} task;
   field s {|,"src":|} src;
   field s {|,"dst":|} dst;
   close_record s
 
-let rec_resumed s time machine task progress =
+let rec_resumed s clock machine task column x =
   Sink.literal s k_resumed;
-  Sink.float s time;
+  Sink.float s clock 0;
   field s {|,"machine":|} machine;
   field s {|,"task":|} task;
   Sink.literal s {|,"progress":|};
-  Sink.float s progress;
+  Sink.float s column x;
   close_record s
 
-let write_event s = function
-  | Arrived { time; task } -> rec_arrived s time task
-  | Started { time; machine; task } -> rec_mt s k_started time machine task
-  | Completed { time; machine; task } -> rec_mt s k_completed time machine task
-  | Killed { time; machine; task } -> rec_mt s k_killed time machine task
-  | Cancelled { time; machine; task } -> rec_mt s k_cancelled time machine task
-  | Machine_crashed { time; machine } -> rec_m s k_crashed time machine
+let write_event s event =
+  let cell time = Array.make 1 time in
+  match event with
+  | Arrived { time; task } -> rec_arrived s (cell time) task
+  | Started { time; machine; task } -> rec_mt s k_started (cell time) machine task
+  | Completed { time; machine; task } -> rec_mt s k_completed (cell time) machine task
+  | Killed { time; machine; task } -> rec_mt s k_killed (cell time) machine task
+  | Cancelled { time; machine; task } -> rec_mt s k_cancelled (cell time) machine task
+  | Machine_crashed { time; machine } -> rec_m s k_crashed (cell time) machine
   | Machine_down { time; machine; until } ->
-      rec_mx s k_down {|,"until":|} time machine until
-  | Machine_up { time; machine } -> rec_m s k_up time machine
+      rec_mx s k_down {|,"until":|} (cell time) machine (cell until) 0
+  | Machine_up { time; machine } -> rec_m s k_up (cell time) machine
   | Machine_slowed { time; machine; factor } ->
-      rec_mx s k_slowed {|,"factor":|} time machine factor
-  | Failure_detected { time; machine } -> rec_m s k_detected time machine
+      rec_mx s k_slowed {|,"factor":|} (cell time) machine (cell factor) 0
+  | Failure_detected { time; machine } -> rec_m s k_detected (cell time) machine
   | Rereplication_started { time; task; src; dst } ->
-      rec_transfer s k_rerep_started time task src dst
+      rec_transfer s k_rerep_started (cell time) task src dst
   | Rereplication_completed { time; task; src; dst } ->
-      rec_transfer s k_rerep_completed time task src dst
+      rec_transfer s k_rerep_completed (cell time) task src dst
   | Rereplication_aborted { time; task; src; dst } ->
-      rec_transfer s k_rerep_aborted time task src dst
+      rec_transfer s k_rerep_aborted (cell time) task src dst
   | Checkpoint_resumed { time; machine; task; progress } ->
-      rec_resumed s time machine task progress
+      rec_resumed s (cell time) machine task (cell progress) 0
 
 (* The inverse of [write_event] on a parsed record. Floats read back
    exactly (the rendering round-trips); [null], which only a non-finite
@@ -585,8 +591,12 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
       }
   in
   let queue = Event_heap.create ~dummy:Sim_complete in
+  (* The deepest the queue got, handed to its gauge once at the end: a
+     float passed to [Metrics] per push would be boxed per push. *)
+  let max_depth = ref 0 in
   let depth () =
-    Metrics.record_max mg_queue (float_of_int (Event_heap.length queue))
+    let d = Event_heap.length queue in
+    if d > !max_depth then max_depth := d
   in
   let push ~time ~machine ~cls sim =
     Event_heap.push queue ~time ~machine ~cls sim;
@@ -660,7 +670,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
   let on_arrive j =
     arrived.(j) <- true;
     Metrics.incr mc_arrivals;
-    (match sink with Some s -> rec_arrived s now.(0) j | None -> ());
+    (match sink with Some s -> rec_arrived s now j | None -> ());
     if status.(j) = st_pending then begin
       dispatchable.(j) <- true;
       Dispatch.notify_available policy ~task:j;
@@ -731,7 +741,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
                 Bitset.add in_flight j;
                 replica_load.(!dst) <- replica_load.(!dst) + 1;
                 (match sink with
-                | Some s -> rec_transfer s k_rerep_started time j !src !dst
+                | Some s -> rec_transfer s k_rerep_started now j !src !dst
                 | None -> ());
                 push
                   ~time:(time +. transfer_duration ~src:!src ~dst:!dst j)
@@ -754,17 +764,18 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
           Bitset.remove in_flight j;
           replica_load.(dst) <- replica_load.(dst) - 1;
           (match sink with
-          | Some s -> rec_transfer s k_rerep_aborted now.(0) j src dst
+          | Some s -> rec_transfer s k_rerep_aborted now j src dst
           | None -> ());
           Metrics.incr (Metrics.counter metrics "engine.transfer_aborts")
       | _ -> ());
       abort_transfers x (j + 1)
     end
   in
-  let start_copy ~resume ~banked i j =
+  (* A resumed copy banks machine [i]'s checkpointed work. *)
+  let start_copy ~resume i j =
     let time = now.(0) in
     let speed = base.(i) *. factor.(i) in
-    let work = if resume then actuals.(j) -. banked else actuals.(j) in
+    let work = if resume then actuals.(j) -. ckpt_work.(i) else actuals.(j) in
     let work =
       match topo with
       | None -> work
@@ -783,7 +794,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
     dispatchable.(j) <- false;
     loads.(i) <- loads.(i) +. ests.(j);
     if live then Metrics.incr mc_dispatches;
-    (match sink with Some s -> rec_mt s k_started time i j | None -> ());
+    (match sink with Some s -> rec_mt s k_started now i j | None -> ());
     let is_backup = spec_on && primary.(j) >= 0 in
     if tracked then begin
       status.(j) <- st_running;
@@ -795,12 +806,12 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
     if faulty then begin
       cur_remaining.(i) <- work;
       cur_last.(i) <- time;
-      cur_base.(i) <- (if resume then banked else 0.0)
+      cur_base.(i) <- (if resume then ckpt_work.(i) else 0.0)
     end;
     if resume then begin
       ckpt_task.(i) <- -1;
       (match sink with
-      | Some s -> rec_resumed s time i j banked
+      | Some s -> rec_resumed s now i j ckpt_work i
       | None -> ());
       Metrics.incr (Metrics.counter metrics "engine.checkpoint_resumes")
     end;
@@ -882,7 +893,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
       if live then busy.(i) <- busy.(i) +. wall;
       cur_task.(i) <- -1;
       gen.(i) <- gen.(i) + 1;
-      (match sink with Some s -> rec_mt s k_killed time i j | None -> ());
+      (match sink with Some s -> rec_mt s k_killed now i j | None -> ());
       (* The copy still running the task, if any. *)
       let survivor =
         if not spec_on then -1
@@ -917,7 +928,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
     if not (Float.is_nan t0) then begin
       let time = now.(0) in
       undetected.(i) <- Float.nan;
-      (match sink with Some s -> rec_m s k_detected time i | None -> ());
+      (match sink with Some s -> rec_m s k_detected now i | None -> ());
       Metrics.observe
         (Metrics.histogram metrics "engine.detection_lag")
         (time -. t0);
@@ -943,7 +954,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
            not pay the staging pull again. *)
         if restage then Bitset.add staged.(task) dst;
         (match sink with
-        | Some s -> rec_transfer s k_rerep_completed now.(0) task src dst
+        | Some s -> rec_transfer s k_rerep_completed now task src dst
         | None -> ());
         Metrics.incr (Metrics.counter metrics "engine.rereplications");
         Metrics.observe
@@ -985,13 +996,13 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
   let start_next i =
     let cj = ckpt_task.(i) in
     if cj >= 0 && status.(cj) = st_pending && Bitset.mem (holders cj) i then
-      start_copy ~resume:true ~banked:ckpt_work.(i) i cj
+      start_copy ~resume:true i cj
     else begin
       let j = Dispatch.select_machine policy ~machine:i in
-      if j >= 0 then start_copy ~resume:false ~banked:0.0 i j
+      if j >= 0 then start_copy ~resume:false i j
       else if spec_on then begin
         let sj = spec_scan i 0 (-1) max_int in
-        if sj >= 0 then start_copy ~resume:false ~banked:0.0 i sj
+        if sj >= 0 then start_copy ~resume:false i sj
         (* else idle; woken again when a task it holds returns *)
       end
     end
@@ -1015,7 +1026,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
       incr finished;
       cur_task.(i) <- -1;
       if live then busy.(i) <- busy.(i) +. (time -. started);
-      (match sink with Some s -> rec_mt s k_completed time i j | None -> ());
+      (match sink with Some s -> rec_mt s k_completed now i j | None -> ());
       if tracked then begin
         status.(j) <- st_done;
         if streaming then Metrics.observe mh_latency (time -. arr.(j));
@@ -1033,7 +1044,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
         cur_task.(k) <- -1;
         gen.(k) <- gen.(k) + 1;
         Metrics.incr mc_spec_cancelled;
-        (match sink with Some s -> rec_mt s k_cancelled time k j | None -> ());
+        (match sink with Some s -> rec_mt s k_cancelled now k j | None -> ());
         let a, b = Dispatch.redispatch_order policy i k in
         start_next a;
         start_next b
@@ -1058,7 +1069,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
              its healer membership now, not at detection, because a
              transfer landing before then heals against [alive_set]. *)
           if heals then holding i recheck;
-          (match sink with Some s -> rec_m s k_crashed time i | None -> ());
+          (match sink with Some s -> rec_m s k_crashed now i | None -> ());
           (* Physical consequences are immediate: the disk (and any
              checkpoint on it) is gone, in-flight transfers touching the
              machine die, the running copy dies. *)
@@ -1083,7 +1094,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
           Metrics.incr mc_outages;
           down_until.(i) <- Float.max down_until.(i) until;
           (match sink with
-          | Some s -> rec_mx s k_down {|,"until":|} time i down_until.(i)
+          | Some s -> rec_mx s k_down {|,"until":|} now i down_until i
           | None -> ());
           kill_current ~salvage:true i;
           (* Detection only matters when a copy was orphaned: the
@@ -1101,7 +1112,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
         let old_speed = base.(i) *. factor.(i) in
         factor.(i) <- f;
         (match sink with
-        | Some s -> rec_mx s k_slowed {|,"factor":|} time i f
+        | Some s -> rec_mx s k_slowed {|,"factor":|} now i factor i
         | None -> ());
         if cur_task.(i) >= 0 then begin
           (* Clamped at zero, as [kill_current] does: a slowdown at the
@@ -1121,7 +1132,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
   in
   let on_up i =
     if alive.(i) && now.(0) >= down_until.(i) then begin
-      (match sink with Some s -> rec_m s k_up now.(0) i | None -> ());
+      (match sink with Some s -> rec_m s k_up now i | None -> ());
       (* The machine reports its own fate truthfully on rejoin, which may
          beat the detector; its return may also unblock healing (as a
          transfer source or destination). *)
@@ -1152,7 +1163,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
       (* Grab an idle surviving holder right now if one exists; otherwise
          the next machine to go idle picks the task up in [start_next]. *)
       let i = idle_holder task primary.(task) 0 in
-      if i >= 0 then start_copy ~resume:false ~banked:0.0 i task
+      if i >= 0 then start_copy ~resume:false i task
     end
   in
   (* An active healer starts working before the first dispatch: a
@@ -1190,6 +1201,7 @@ let replay ~name ?speeds ?speculation ~dispatch ~recovery ~metrics ~sink
     slot := Event_heap.next queue
   done;
   if live then begin
+    Metrics.record_max mg_queue (float_of_int !max_depth);
     Metrics.set mg_makespan last.(0);
     for i = 0 to m - 1 do
       (* Everything a machine did not spend processing (including

@@ -3,7 +3,7 @@
    reads plain decimal fields through [Float_text], exactly, without
    printf, strtod or a substring per field; every other field takes
    [int_of_string_opt]/[float_of_string] and their errors. Both stream:
-   the writer through one buffer flushed in chunks, the parser in one
+   the writer through one fixed chunk of bytes, the parser in one
    pass straight into the instance's two columns, and the file reader
    through one fixed buffer it hands the parser a chunk at a time. *)
 
@@ -88,34 +88,43 @@ let parse_header line =
   let topology = field "topology" Topology.of_spec in
   (m, Uncertainty.alpha alpha, failure, speed_band, topology)
 
-(* Writers fill a [Buffer] row by row; [save_instance] hands it to the
-   channel whenever it passes [chunk] bytes, so the channel lock is
-   taken once per chunk rather than once per field. Ids print through a
-   digit loop and floats as [%.17g] through [Float_text.add_g17], which
-   reads each float out of its column: no string and no boxed float per
-   field. The columns are taken once, as copies, since a float that
-   [Instance.est] returns across modules is boxed. *)
+(* One row writer for both the file and the string: rows go into a
+   fixed chunk of [chunk] bytes (and the room for one more row), handed
+   to [output] whenever a row ends at [chunk] bytes or more, so the
+   channel lock is taken once per chunk rather than once per field. Ids
+   and floats go in through [Float_text]'s byte writers, which read each
+   float out of its column: no string and no boxed float per field. *)
 let chunk = 65536
 
-(* Calls [flush] after any row that leaves the buffer at [chunk] bytes
-   or more. *)
-let write_instance buffer ~flush instance =
-  Buffer.add_string buffer (header_line instance);
-  Buffer.add_string buffer "\nid,est,size\n";
+(* The room one row needs: a 19-digit id, two 24-byte floats, three
+   separators, and the slack a writer's last store runs past its
+   text. *)
+let row_room = 96
+
+let write_instance ~output instance =
+  let head = header_line instance ^ "\nid,est,size\n" in
+  output (Bytes.unsafe_of_string head) 0 (String.length head);
   let ests = Instance.ests instance and sizes = Instance.sizes instance in
+  let b = Bytes.create (chunk + row_room) in
+  let pos = ref 0 in
   for j = 0 to Instance.n instance - 1 do
-    Float_text.add_int buffer j;
-    Buffer.add_char buffer ',';
-    Float_text.add_g17 buffer ests j;
-    Buffer.add_char buffer ',';
-    Float_text.add_g17 buffer sizes j;
-    Buffer.add_char buffer '\n';
-    if Buffer.length buffer >= chunk then flush ()
-  done
+    let p = Float_text.write_int b !pos j in
+    Bytes.unsafe_set b p ',';
+    let p = Float_text.write_g17 b (p + 1) ests j in
+    Bytes.unsafe_set b p ',';
+    let p = Float_text.write_g17 b (p + 1) sizes j in
+    Bytes.unsafe_set b p '\n';
+    pos := p + 1;
+    if !pos >= chunk then begin
+      output b 0 !pos;
+      pos := 0
+    end
+  done;
+  output b 0 !pos
 
 let instance_to_string instance =
   let buffer = Buffer.create (64 + (24 * Instance.n instance)) in
-  write_instance buffer ~flush:ignore instance;
+  write_instance ~output:(Buffer.add_subbytes buffer) instance;
   Buffer.contents buffer
 
 (* Parsing fills the instance's two float columns in one pass over the
@@ -379,14 +388,7 @@ let save_instance ~path instance =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let buffer = Buffer.create (2 * chunk) in
-      let flush () =
-        Buffer.output_buffer oc buffer;
-        Buffer.clear buffer
-      in
-      write_instance buffer ~flush instance;
-      flush ())
+    (fun () -> write_instance ~output:(output oc) instance)
 
 (* The first '\n' in [buf] from [from] to [lim], or [-1]. *)
 let rec newline_from buf from lim =

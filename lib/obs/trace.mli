@@ -10,15 +10,18 @@
     be confused with [Usched_faults.Trace], the failure history of a
     simulated run.)
 
-    Two ways to write a record, both into one reused buffer that goes
-    to the file in chunks of about 64 KiB:
+    Two ways to write a record, both into one fixed chunk of bytes
+    that goes to the file whenever a record ends past 64 KiB:
     - {!emit} renders a [Usched_report.Json.t] tree — for the few meta,
       metrics, summary and outcome records of a run;
     - the record writers {!literal}, {!int}, {!float} and {!end_record}
       append a fixed-layout record piece by piece, with no tree in
-      between — for the engine's per-event records. A record written
-      this way renders exactly as {!emit} would render the same object,
-      because {!float} is [Usched_report.Json]'s float rendering. *)
+      between — for the engine's per-event records. Numbers go straight
+      into the chunk through [Usched_report.Float_text]'s byte writers,
+      and {!float} reads its float out of a column, so a record
+      allocates nothing. A record written this way renders exactly as
+      {!emit} would render the same object, because {!float} is
+      [Usched_report.Json]'s float rendering. *)
 
 type t
 
@@ -46,9 +49,11 @@ val literal : t -> string -> unit
 val int : t -> int -> unit
 (** Append an integer in decimal, as [string_of_int] does. *)
 
-val float : t -> float -> unit
-(** Append a float as [Usched_report.Json] renders it: the first of
-    [%.12g] and [%.17g] that parses back, [null] when not finite. *)
+val float : t -> float array -> int -> unit
+(** [float t column j] appends [column.(j)] as [Usched_report.Json]
+    renders a float: the first of [%.12g] and [%.17g] that parses back,
+    [null] when not finite. The float stays in its column (a one-cell
+    clock, a per-machine lane), so the call boxes nothing. *)
 
 val end_record : t -> unit
 (** Terminate the record being written with a newline. Raises

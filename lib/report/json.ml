@@ -1,9 +1,10 @@
 (* JSON values, their compact rendering and a parser. Rendering goes
-   into a [Buffer]: ints and floats through [Float_text]'s digit loops,
-   floats as the first of [%.12g] and [%.17g] that parses back, decided
-   on the exact 17 digits (see [add_float]) without printf or strtod
-   except outside [Float_text]'s fixed-notation range. Parsing is for
-   tests and trace consumers and uses [float_of_string]. *)
+   into a [Buffer]: ints and floats through [Float_text]'s byte writers
+   (floats as the first of [%.12g] and [%.17g] that parses back,
+   decided on the exact 17 digits without printf or strtod except
+   outside [Float_text]'s fixed-notation range), by way of one small
+   scratch per call. Parsing is for tests and trace consumers and uses
+   [float_of_string]. *)
 
 type t =
   | Null
@@ -32,69 +33,48 @@ let add_escaped buf s =
     s;
   Buffer.add_char buf '"'
 
-(* Twelve significant digits when they parse back to the same float,
-   else seventeen (always exact for binary64), with no printf or strtod
-   on the fast path. [Float_text.decimal17] gives the exact 17 digits D.
-   If the twelve-digit candidate round-trips, it lies within half an ulp
-   of [f], and D within half a unit of its 17th digit; for a normal
-   float half an ulp is under 11.1 such units, so D mod 10^5 sits within
-   11 of a multiple of 10^5. Otherwise D is printed. When it does sit
-   there, the twelve digits are D / 10^5 rounded: the exact value is
-   within 11.5 units of that multiple, so the rounding has no tie and
-   equals rounding the exact value. The candidate round-trips iff
-   Clinger's exact rule reads it back as [f]. Zero takes this path with
-   D = 0; values [decimal17] leaves out (below 1e-5, from 1e17 on, or
-   subnormal) and a candidate [%.12g] prints with an exponent take
-   printf and strtod. *)
-let add_float_printf buf f =
-  let s12 = Float_text.format_float "%.12g" f in
-  Buffer.add_string buf
-    (if float_of_string s12 = f then s12 else Float_text.format_float "%.17g" f)
-
-let add_float buf f =
-  if not (Float.is_finite f) then Buffer.add_string buf "null"
-  else
-    let p = Float_text.decimal17 f in
-    if p < 0 then add_float_printf buf f
-    else
-      let d = p lsr 5 and exp = (p land 31) - 5 and negative = Float.sign_bit f in
-      let tail = d mod 100_000 in
-      if tail > 11 && tail < 99_989 then
-        Float_text.add_fixed buf ~negative d ~precision:17 ~exp
-      else
-        let d12 = (d + 50_000) / 100_000 in
-        let bumped = d12 = 1_000_000_000_000 in
-        let d12 = if bumped then 100_000_000_000 else d12 in
-        let exp12 = if bumped then exp + 1 else exp in
-        if not (Float_text.decimal_equals d12 (exp12 - 11) f) then
-          Float_text.add_fixed buf ~negative d ~precision:17 ~exp
-        else if exp12 <= 11 then Float_text.add_fixed buf ~negative d12 ~precision:12 ~exp:exp12
-        else add_float_printf buf f
-
-let rec add buf = function
+(* [Float_text]'s writers take a byte position and a float column:
+   one [add] renders every number of its tree through one scratch and
+   one cell, passed down the recursion rather than captured. *)
+let rec add_value buf scratch cell = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Float_text.add_int buf i
-  | Float f -> add_float buf f
+  | Int i -> Buffer.add_subbytes buf scratch 0 (Float_text.write_int scratch 0 i)
+  | Float f ->
+      cell.(0) <- f;
+      Buffer.add_subbytes buf scratch 0 (Float_text.write_json_float scratch 0 cell 0)
   | String s -> add_escaped buf s
   | List items ->
       Buffer.add_char buf '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char buf ',';
-          add buf v)
-        items;
+      add_items buf scratch cell items;
       Buffer.add_char buf ']'
   | Obj fields ->
       Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          add_escaped buf k;
-          Buffer.add_char buf ':';
-          add buf v)
-        fields;
+      add_fields buf scratch cell fields;
       Buffer.add_char buf '}'
+
+and add_items buf scratch cell = function
+  | [] -> ()
+  | [ v ] -> add_value buf scratch cell v
+  | v :: rest ->
+      add_value buf scratch cell v;
+      Buffer.add_char buf ',';
+      add_items buf scratch cell rest
+
+and add_fields buf scratch cell = function
+  | [] -> ()
+  | [ field ] -> add_field buf scratch cell field
+  | field :: rest ->
+      add_field buf scratch cell field;
+      Buffer.add_char buf ',';
+      add_fields buf scratch cell rest
+
+and add_field buf scratch cell (k, v) =
+  add_escaped buf k;
+  Buffer.add_char buf ':';
+  add_value buf scratch cell v
+
+let add buf v = add_value buf (Bytes.create Float_text.room) (Array.make 1 0.0) v
 
 let to_string v =
   let buf = Buffer.create 256 in

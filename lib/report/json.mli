@@ -25,11 +25,10 @@ val to_string : t -> string
     other bytes pass through verbatim (UTF-8 assumed). *)
 
 val add : Buffer.t -> t -> unit
-(** Append the {!to_string} rendering to a buffer. *)
-
-val add_float : Buffer.t -> float -> unit
-(** How {!add} renders [Float f]: the first of [%.12g] and [%.17g] that
-    parses back to [f], or [null] when [f] is not finite. *)
+(** Append the {!to_string} rendering to a buffer. [Float f] renders as
+    the first of [%.12g] and [%.17g] that parses back to [f]
+    ([Float_text.write_json_float]), or [null] when [f] is not
+    finite. *)
 
 val output_line : out_channel -> t -> unit
 (** One JSONL record: the compact rendering followed by a newline. *)

@@ -50,6 +50,31 @@ let invalid_inputs () =
     (fun () ->
       ignore (Assign.list_assign ~m:1 ~weights:[| 1.0; 1.0 |] ~order:[| 1; 1 |]))
 
+(* The permutation check refuses a repeated id wherever it repeats
+   (across a bitmap byte or word boundary too), an id outside [0, n)
+   and an order of the wrong length, each with its message. *)
+let order_checks () =
+  let not_perm = Invalid_argument "Assign: order is not a permutation" in
+  let weights n = Array.make n 1.0 in
+  List.iter
+    (fun (n, dup, at) ->
+      let order = Array.init n Fun.id in
+      order.(at) <- dup;
+      Alcotest.check_raises (Printf.sprintf "n=%d: id %d again at %d" n dup at) not_perm
+        (fun () -> ignore (Assign.list_assign ~m:2 ~weights:(weights n) ~order)))
+    [ (2, 0, 1); (9, 7, 8); (70, 61, 62); (70, 62, 69); (200, 0, 199) ];
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises (Printf.sprintf "id %d out of range" bad) not_perm (fun () ->
+          ignore (Assign.list_assign ~m:2 ~weights:(weights 3) ~order:[| 0; bad; 2 |])))
+    [ -1; 3; max_int; min_int ];
+  Alcotest.check_raises "short order"
+    (Invalid_argument "Assign: order length differs from weights") (fun () ->
+      ignore (Assign.list_assign ~m:2 ~weights:(weights 3) ~order:[| 0; 1 |]));
+  let order = Array.init 200 (fun j -> 199 - j) in
+  Alcotest.(check int) "a reversed order is a permutation" 200
+    (Array.length (Assign.list_assign ~m:2 ~weights:(weights 200) ~order).Assign.assignment)
+
 let loads_consistent_with_assignment () =
   let weights = [| 2.0; 7.0; 1.5; 3.0; 3.0; 0.5 |] in
   let r = Assign.lpt ~m:3 ~weights in
@@ -98,6 +123,7 @@ let () =
           Alcotest.test_case "order ties" `Quick decreasing_order_ties_by_id;
           Alcotest.test_case "empty" `Quick empty_weights;
           Alcotest.test_case "invalid inputs" `Quick invalid_inputs;
+          Alcotest.test_case "order checks keep their messages" `Quick order_checks;
           Alcotest.test_case "loads consistent" `Quick loads_consistent_with_assignment;
         ] );
       ( "properties",

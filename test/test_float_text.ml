@@ -1,19 +1,28 @@
 (* Float_text against the C primitives it stands in for: its [%.17g]
-   must be [caml_format_float "%.17g"] byte for byte, and whenever its
-   parser decides a field, the float must be [float_of_string]'s, bit
-   for bit. Each property draws a seed and checks a thousand values from
-   it, so a run covers over a million floats in a few seconds. *)
+   must be [Printf.sprintf "%.17g"] byte for byte, its ints
+   [string_of_int], its JSON floats the printf-and-strtod rule, and
+   whenever its parser decides a field, the float must be
+   [float_of_string]'s, bit for bit. Each batch property draws a seed
+   and checks a thousand values from it, so a run covers over a million
+   floats in a few seconds. Every writer writes into bytes holding
+   exactly [Float_text.room] bytes from its start, at an odd offset, so
+   a store past that room fails the test. *)
 
 module Float_text = Usched_report.Float_text
 
 let printf17 x = Printf.sprintf "%.17g" x
 
-let g17 x =
-  let b = Buffer.create 32 in
-  Float_text.add_g17 b [| x |] 0;
-  Buffer.contents b
+(* What [write] renders, written at byte 3 of a buffer with exactly
+   [Float_text.room] bytes after it. *)
+let render write =
+  let b = Bytes.make (3 + Float_text.room) '#' in
+  let stop = write b 3 in
+  Bytes.sub_string b 3 (stop - 3)
 
-let same_as_printf x = Float.is_nan x || g17 x = printf17 x
+let g17 x = render (fun b p -> Float_text.write_g17 b p [| x |] 0)
+let int_text i = render (fun b p -> Float_text.write_int b p i)
+let json_float x = render (fun b p -> Float_text.write_json_float b p [| x |] 0)
+let same_as_printf x = g17 x = printf17 x
 
 (* A thousand floats from [seed], each checked by [ok]. *)
 let batch name ~count draw ok =
@@ -78,13 +87,106 @@ let exact_ties () =
       done)
     [ (1, 1.2e15); (2, 3e14); (3, 2e13); (17, 0.3) ]
 
-let ints () =
+(* The %.17g corners, each with both signs: zero, the integral fast
+   path's edge at 2^53, both sides of the fixed-notation range's ends
+   (1e-5 and 1e17) and of 1e16, 17 nines that round up to 10^17 or
+   past it, subnormals, the extremes, infinity and nan. *)
+let g17_corners =
+  let around x = [ Float.pred x; x; Float.succ x ] in
+  List.concat
+    [
+      [ 0.0; infinity; nan; Float.max_float; Float.min_float; 5e-324; 1e-310 ];
+      [ Float.pred Float.min_float; 0x1p53 -. 1.0; 0x1p53 +. 2.0 ];
+      around 0x1p53;
+      around 1e-5;
+      around 1e16;
+      around 1e17;
+      [ 99999999999999999.0; 9.9999999999999999e-5; 0.99999999999999999; 9.99999999999999999 ];
+      [ 99999999999999990.0; 9.9999999999999995e16; 9.999999999999999e-6 ];
+    ]
+
+let g17_corner_cases () =
   List.iter
-    (fun i ->
-      let b = Buffer.create 24 in
-      Float_text.add_int b i;
-      Alcotest.(check string) (string_of_int i) (string_of_int i) (Buffer.contents b))
-    [ 0; 1; 9; 10; 99; 100; 123_456_789; -1; -10; -987_654; max_int; min_int; min_int + 1 ]
+    (fun x ->
+      List.iter
+        (fun x -> Alcotest.(check string) (Printf.sprintf "%h" x) (printf17 x) (g17 x))
+        [ x; -.x ])
+    g17_corners
+
+let qcheck_float_of_bits =
+  QCheck.make ~print:(Printf.sprintf "%h")
+    QCheck.Gen.(map Int64.float_of_bits int64)
+
+let prop_g17_bits =
+  QCheck.Test.make ~name:"write_g17 = Printf %.17g on random 64-bit patterns" ~count:20_000
+    qcheck_float_of_bits same_as_printf
+
+(* The ints around every digit count: 10^k and 10^k - 1 for k <= 18,
+   their negations, and the extremes. *)
+let int_corners =
+  let rec powers k p acc = if k > 18 then acc else powers (k + 1) (p * 10) (p :: (p - 1) :: acc) in
+  let ps = powers 0 1 [] in
+  [ min_int; min_int + 1; max_int; max_int - 1 ] @ ps @ List.map (fun p -> -p) ps
+
+let int_corner_cases () =
+  List.iter
+    (fun i -> Alcotest.(check string) (string_of_int i) (string_of_int i) (int_text i))
+    int_corners
+
+let prop_ints =
+  QCheck.Test.make ~name:"write_int = string_of_int" ~count:20_000
+    QCheck.(
+      make ~print:string_of_int
+        Gen.(
+          oneof
+            [
+              int;
+              map (fun (k, x) -> x asr k) (pair (int_bound 62) int);
+              int_range (-1_000_000) 1_000_000;
+            ]))
+    (fun i -> int_text i = string_of_int i)
+
+(* The JSON float rule: twelve significant digits when they read back,
+   else seventeen; [null] for what JSON cannot encode. *)
+let json_rule x =
+  if not (Float.is_finite x) then "null"
+  else
+    let s = Printf.sprintf "%.12g" x in
+    if float_of_string s = x then s else printf17 x
+
+let json_corner_cases () =
+  List.iter
+    (fun x -> Alcotest.(check string) (Printf.sprintf "%h" x) (json_rule x) (json_float x))
+    (List.concat_map
+       (fun x -> [ x; -.x ])
+       (g17_corners @ [ 0.1; 1. /. 3.; 123456789012.0; 999999999999.5; 1e12; 1e-4; 0.5e-4 ]))
+
+let prop_json_bits =
+  QCheck.Test.make ~name:"write_json_float = the %.12g-then-%.17g rule on random bits"
+    ~count:20_000 qcheck_float_of_bits (fun x -> json_float x = json_rule x)
+
+let prop_json_fixed_range =
+  QCheck.Test.make ~name:"write_json_float = the %.12g-then-%.17g rule across the fixed range"
+    ~count:300
+    (QCheck.make ~print:string_of_int QCheck.Gen.int)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      List.for_all
+        (fun _ ->
+          (* Twelve-digit decimals nudged a few ulps, and plain draws. *)
+          let x = fixed_range rng in
+          let x =
+            if Random.State.bool rng then x
+            else
+              let d = 100_000_000_000 + Random.State.full_int rng 900_000_000_000 in
+              let f = ref (float_of_string (Printf.sprintf "%de%d" d (Random.State.int rng 24 - 17))) in
+              for _ = 1 to Random.State.int rng 20 do
+                f := Float.succ !f
+              done;
+              !f
+          in
+          json_float x = json_rule x)
+        (List.init 300 Fun.id))
 
 (* The parser decides a field exactly or leaves it alone. *)
 let parses_like_float_of_string s =
@@ -152,7 +254,16 @@ let () =
           qtest prop_fixed_range;
           Alcotest.test_case "powers of ten +- 2000 ulps" `Quick powers_of_ten;
           Alcotest.test_case "exact ties" `Quick exact_ties;
-          Alcotest.test_case "ints" `Quick ints;
+          Alcotest.test_case "%.17g corners" `Quick g17_corner_cases;
+          qtest prop_g17_bits;
+        ] );
+      ( "int writer",
+        [ Alcotest.test_case "digit-count edges" `Quick int_corner_cases; qtest prop_ints ] );
+      ( "json float writer",
+        [
+          Alcotest.test_case "corners" `Quick json_corner_cases;
+          qtest prop_json_bits;
+          qtest prop_json_fixed_range;
         ] );
       ( "parser",
         [

@@ -384,11 +384,12 @@ let record_writers () =
       Sink.int sink i)
     ints;
   Sink.literal sink {|],"floats":[|};
-  List.iteri
-    (fun k f ->
+  let column = Array.of_list floats in
+  Array.iteri
+    (fun k _ ->
       if k > 0 then Sink.literal sink ",";
-      Sink.float sink f)
-    floats;
+      Sink.float sink column k)
+    column;
   Sink.literal sink "]}";
   Sink.end_record sink;
   Sink.emit sink (Json.Obj [ ("after", Json.Int 1) ]);
